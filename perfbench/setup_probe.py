@@ -22,7 +22,7 @@ def main():
     ap.add_argument("--seed", type=int, required=True)
     args = ap.parse_args()
     wl = workloads.WORKLOADS[args.workload]
-    wl.setup(args.seed % wl.input_sets)
+    wl.inputs_for(args.seed)
     print(time.perf_counter() - T0)
 
 

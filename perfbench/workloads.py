@@ -7,6 +7,7 @@ serialized final complex.  Runs call the library through module attributes
 mode can wrap those attributes from outside the program.
 """
 
+import functools
 import hashlib
 import sys
 import time
@@ -33,8 +34,10 @@ from paretoc import (  # noqa: E402
     tessellation,
 )
 
-# Seeded workloads draw their inputs from one of this many recorded input
-# sets (seed modulo the count), so every seed's output has a recorded digest.
+# Seeded workloads draw their inputs from this many recorded input sets, so
+# every run's output has a recorded digest.  Input sets differ in cost by up
+# to 15 %, so runs cycle through them, from the seed's set on, rather than
+# repeat one.
 SEEDED_INPUT_SETS = 16
 
 
@@ -48,9 +51,14 @@ class Outcome:
 @dataclass(frozen=True)
 class Workload:
     name: str
-    input_sets: int                  # distinct inputs; the seed picks one
+    input_sets: int                  # distinct inputs; the seed picks the first
     setup: Callable[[int], dict]     # input set -> inputs (problem first)
     run: Callable[[dict, str], Outcome]
+
+    def inputs_for(self, seed: int) -> list:
+        """(input set, inputs) of every input set, starting at the seed's."""
+        order = [(seed + k) % self.input_sets for k in range(self.input_sets)]
+        return [(i, self.setup(i)) for i in order]
 
 
 def _timed(fn, *args, **kwargs):
@@ -75,16 +83,22 @@ def _setup_refine3d(input_set):
             "iterations": 6, "scheme": "maximin", "budget": 10, "reference": None}
 
 
+@functools.cache
+def _noncv_reference():
+    """The reference complex of refine2d_polyline, shared by its input sets."""
+    p = problems.registry_get("noncv")
+    return continuation.analyze(
+        p, tessellation.kuhn_tessellation(p.domain_box, [120, 120]), order=2
+    )
+
+
 def _setup_refine2d(input_set):
     p = problems.registry_get("noncv")
     rng = np.random.default_rng(input_set)
     lo, hi = p.domain_box[:, 0], p.domain_box[:, 1]
     points = lo + rng.random((1000, 2)) * (hi - lo)
-    ref = continuation.analyze(
-        p, tessellation.kuhn_tessellation(p.domain_box, [120, 120]), order=2
-    )
     return {"problem": p, "points": points, "iterations": 4,
-            "scheme": "polyline", "budget": None, "reference": ref}
+            "scheme": "polyline", "budget": None, "reference": _noncv_reference()}
 
 
 def _setup_sphere(input_set):
@@ -105,7 +119,9 @@ def _run_grid(inp, out):
 def _refine(inp, tess, out):
     state = refinement.initial_state(inp["problem"], tess)
     steps = []
-    for _ in range(inp["iterations"]):
+    for k in range(inp["iterations"]):
+        if k and "pause" in inp:
+            inp["pause"]()  # run.py times the reference kernel here, outside the run
         state, step = _timed(
             refinement.iterate, state, scheme=inp["scheme"],
             budget=inp["budget"], reference=inp["reference"],
