@@ -15,11 +15,19 @@ clipping that by the largest eigenvalue of the restricted second-derivative
 form <= 0 yields the stable part.  Clip boundaries become marker points
 (criticality boundaries and cusps).  Adjacent cells share singular vertices
 through their defining faces, so gluing is an exact merge keyed on face ids.
+
+The face is therefore the unit of work: the analyzer collects the distinct
+r-faces of all candidate cells, solves their barycentric systems in one
+stacked call and computes each accepted vertex's data (position, gradients,
+lambda, Hessian interpolation, sigma) once.  The per-cell step only looks its
+faces up, assembles the polytope and clips it.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
+import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -116,15 +124,26 @@ def snap_determinant(value: float, matrix: np.ndarray, rel: float = 1e-13) -> fl
     return 0.0 if abs(value) <= rel * bound else value
 
 
+def snapped_determinants(matrices: np.ndarray, rel: float = 1e-13) -> np.ndarray:
+    """Determinants of a stack of square matrices, each snapped as in
+    :func:`snap_determinant`, in one batched call."""
+    det = np.linalg.det(matrices)
+    bound = np.prod(np.linalg.norm(matrices, axis=-2), axis=-1)
+    return np.where(np.abs(det) <= rel * bound, 0.0, det)
+
+
 # ---------------------------------------------------------------------------
 # lambda solve
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _simplex_tangent_basis(m: int) -> np.ndarray:
-    # orthonormal basis of {v : sum v_i = 0}, deterministic
+    # orthonormal basis of {v : sum v_i = 0}, deterministic; shared, read-only
     _, _, vt = np.linalg.svd(np.ones((1, m)))
-    return vt[1:].T  # (m, m-1)
+    basis = vt[1:].T  # (m, m-1)
+    basis.flags.writeable = False
+    return basis
 
 
 def solve_lambda(grad_interp: np.ndarray, eps_rank: float = EPS_RANK):
@@ -139,23 +158,42 @@ def solve_lambda(grad_interp: np.ndarray, eps_rank: float = EPS_RANK):
     RankCollapse
         rank(G) < m-1, so the weight direction is ambiguous.
     """
-    G = np.asarray(grad_interp, dtype=float)
-    m = G.shape[0]
+    lam, residual = solve_lambdas(np.asarray(grad_interp, dtype=float)[None], eps_rank)
+    if np.isnan(lam[0, 0]):
+        raise RankCollapse(f"gradient rank below {lam.shape[1] - 1}")
+    return lam[0], float(residual[0])
+
+
+def solve_lambdas(G: np.ndarray, eps_rank: float = EPS_RANK):
+    """:func:`solve_lambda` over a (V, m, n) stack of gradient rows.
+
+    Returns ``(lam, residual)`` of shapes (V, m) and (V,); where the rank
+    collapses, the row of ``lam`` is NaN and the residual is infinite.
+    """
+    V, m, _ = G.shape
     sv = np.linalg.svd(G, compute_uv=False)
-    if sv[0] == 0.0 or (m >= 2 and sv[m - 2] <= eps_rank * sv[0]):
-        raise RankCollapse(f"gradient rank below {m - 1}")
+    collapse = sv[:, 0] == 0.0
+    if m >= 2:
+        collapse |= sv[:, m - 2] <= eps_rank * sv[:, 0]
     lam0 = np.full(m, 1.0 / m)
     Z = _simplex_tangent_basis(m)
-    A = G.T @ Z
-    b = -G.T @ lam0
+    GT = np.swapaxes(G, 1, 2)
+    A = GT @ Z
+    b = -GT @ lam0
     # truncated-SVD solve with a cutoff tied to the gradient scale, so a
     # numerically-zero system falls back to the minimal-norm weights instead
     # of amplifying round-off
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    keep = s > eps_rank * sv[0]
-    t = Vt[keep].T @ ((U[:, keep].T @ b) / s[keep]) if keep.any() else np.zeros(m - 1)
-    lam = lam0 + Z @ t
-    residual = float(np.linalg.norm(G.T @ lam))
+    keep = s > eps_rank * sv[:, :1]
+    lam = np.full((V, m), np.nan)
+    residual = np.full(V, np.inf)
+    # the back-substitution stays per vertex: its stacked form rounds
+    # differently in the last bit
+    for i in np.flatnonzero(~collapse):
+        k = keep[i]
+        t = Vt[i][k].T @ ((U[i][:, k].T @ b[i]) / s[i][k]) if k.any() else np.zeros(m - 1)
+        lam[i] = lam0 + Z @ t
+        residual[i] = np.linalg.norm(G[i].T @ lam[i])
     return lam, residual
 
 
@@ -170,7 +208,9 @@ class SingularVertex:
 
     Face-born vertices carry the defining face and barycentric weights;
     clip-born vertices carry neither but inherit interpolated data.  ``key``
-    is the exact merge key across cells.
+    is the exact merge key across cells.  A cell's face-born vertex is a copy
+    of the analyzer's shared face-table vertex, kept as ``source``: the
+    per-cell fields (``sigma``, ``kernel_fail``) are set on the copy only.
     """
 
     key: tuple
@@ -184,6 +224,7 @@ class SingularVertex:
     sigma: Optional[np.ndarray] = None
     critical_ok: bool = True
     kernel_fail: bool = False
+    source: Optional["SingularVertex"] = field(default=None, repr=False, compare=False)
 
     @property
     def hessian_eigs(self):
@@ -361,6 +402,97 @@ def _canonical_face_vertex(face, mu, snap=MU_SNAP):
     return sub, mu_sub
 
 
+# face-table entry of a face whose barycentric system is rank deficient
+_RANK_DEFICIENT = "rank-deficient"
+
+
+def solve_faces(omega_nodes: np.ndarray, faces) -> tuple:
+    """Barycentric weights of many face systems in one stacked solve.
+
+    ``faces`` is an (F, r+1) array of node ids.  Returns ``(mu, singular)``:
+    the (F, r+1) weights, NaN on the rows of exactly singular systems, and
+    the boolean mask of those rows.
+    """
+    faces = np.asarray(faces, dtype=np.intp)
+    F, k = faces.shape
+    A = np.ones((F, k, k))
+    A[:, :-1, :] = np.swapaxes(omega_nodes[faces], 1, 2)
+    rhs = np.zeros((F, k, 1))
+    rhs[:, -1] = 1.0
+    mu = np.full((F, k), np.nan)
+    singular = np.zeros(F, dtype=bool)
+    # one singular system would fail a stacked solve as a whole.  The LU
+    # factorization that finds a zero pivot also zeroes the determinant, so
+    # the systems with a nonzero one are solved together and only the rest
+    # (singular, or with an underflowing determinant) one by one
+    regular = np.linalg.det(A) != 0.0
+    mu[regular] = np.linalg.solve(A[regular], rhs[regular])[..., 0]
+    for f in np.flatnonzero(~regular):
+        try:
+            mu[f] = np.linalg.solve(A[f], rhs[f, :, 0])
+        except np.linalg.LinAlgError:
+            singular[f] = True
+    return mu, singular
+
+
+def _face_table(
+    omega_nodes: np.ndarray,
+    faces: Sequence[tuple],
+    points: np.ndarray,
+    jac_nodes: np.ndarray,
+    eps_accept: float = EPS_ACCEPT,
+) -> dict:
+    """Solve distinct faces at once; map each face to its singular vertex.
+
+    The entry of a face is its accepted :class:`SingularVertex` (key
+    canonicalized to the sub-face), ``None`` when the weights are not all
+    positive, or ``_RANK_DEFICIENT``.
+    """
+    table: dict = {}
+    if not faces:
+        return table
+    mu, singular = solve_faces(omega_nodes, faces)
+    accepted = np.all(mu > eps_accept, axis=1)
+    for f, face in enumerate(faces):
+        if singular[f]:
+            table[face] = _RANK_DEFICIENT
+        elif not accepted[f]:
+            table[face] = None
+        else:
+            table[face] = _face_vertex(face, mu[f], points, jac_nodes)
+    return table
+
+
+def _face_vertex(face, mu, points, jac_nodes):
+    sub, mu_sub = _canonical_face_vertex(face, np.maximum(mu, 0.0))
+    if len(sub) == 0:
+        return _RANK_DEFICIENT
+    return SingularVertex(
+        key=("f",) + sub,
+        x=mu_sub @ points[list(sub)],
+        face=sub,
+        mu=mu_sub,
+        grad_interp=np.tensordot(mu_sub, jac_nodes[list(sub)], axes=1),
+    )
+
+
+def _cell_vertices(table: dict, faces: Iterable[tuple]) -> tuple:
+    """A cell's singular vertices from its faces' table entries.
+
+    Faces are visited in the given order and the first face with a key wins.
+    Returns ``(vertices, rank-deficient face count)``.
+    """
+    out: dict[tuple, SingularVertex] = {}
+    skipped = 0
+    for face in faces:
+        v = table[face]
+        if v is _RANK_DEFICIENT:
+            skipped += 1
+        elif v is not None:
+            out.setdefault(v.key, v)
+    return list(out.values()), skipped
+
+
 def singular_vertices_of_cell(
     omega_nodes: np.ndarray,
     cell: Sequence[int],
@@ -372,40 +504,11 @@ def singular_vertices_of_cell(
     """Solve the barycentric minor system on every (r)-dimensional face.
 
     ``omega_nodes``/``jac_nodes``/``points`` are indexed by global node id.
-    Returns a dict key -> SingularVertex (keys canonicalized to sub-faces);
+    Returns ``(vertices, skipped)``: keys are canonicalized to sub-faces and
     rank-deficient face systems are skipped and counted.
     """
-    out: dict[str, SingularVertex] = {}
-    skipped = 0
-    for face in enumerate_faces(cell, r):
-        idx = list(face)
-        A = np.vstack([omega_nodes[idx].T, np.ones(len(idx))])
-        rhs = np.zeros(r + 1)
-        rhs[-1] = 1.0
-        try:
-            mu = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError:
-            skipped += 1
-            continue
-        if not np.all(mu > eps_accept):
-            continue
-        sub, mu_sub = _canonical_face_vertex(face, np.maximum(mu, 0.0))
-        if len(sub) == 0:
-            skipped += 1
-            continue
-        key = ("f",) + sub
-        if repr(key) in out:
-            continue
-        pos = mu_sub @ points[list(sub)]
-        grads = np.tensordot(mu_sub, jac_nodes[list(sub)], axes=1)
-        out[repr(key)] = SingularVertex(
-            key=key,
-            x=pos,
-            face=sub,
-            mu=mu_sub,
-            grad_interp=grads,
-        )
-    return list(out.values()), skipped
+    faces = enumerate_faces(cell, r)
+    return _cell_vertices(_face_table(omega_nodes, faces, points, jac_nodes, eps_accept), faces)
 
 
 def finite_difference_hessians(problem: VectorProblem, points_cell: np.ndarray,
@@ -430,19 +533,37 @@ def generalized_hessian(vertex: SingularVertex, n: int, m: int,
 
     The kernel basis comes from the SVD of the interpolated Jacobian; if the
     numerical rank drops below m-1 the kernel dimension is ambiguous and
-    KernelDimensionMismatch is raised.
+    KernelDimensionMismatch is raised.  ``n`` and ``m`` are the dimensions of
+    the vertex's (m, n) gradient rows.
     """
     if vertex.lam is None or vertex.hess_interp is None:
         raise KernelDimensionMismatch("vertex lacks weights or Hessian data")
-    G = vertex.grad_interp
-    _, sv, vt = np.linalg.svd(G)
-    if sv[0] == 0.0 or (m >= 2 and sv[m - 2] <= eps_rank * sv[0]):
+    sigma, fail = generalized_hessians(
+        vertex.grad_interp[None], vertex.lam[None], vertex.hess_interp[None], eps_rank
+    )
+    if fail[0]:
         raise KernelDimensionMismatch("interpolated Jacobian rank below m-1")
-    W = vt[m - 1:].T  # (n, n-m+1) orthonormal kernel-ish basis
-    H = np.tensordot(vertex.lam, vertex.hess_interp, axes=1)
-    B = W.T @ H @ W
-    B = 0.5 * (B + B.T)
-    return np.linalg.eigvalsh(B)
+    return sigma[0]
+
+
+def generalized_hessians(G: np.ndarray, lam: np.ndarray, hess: np.ndarray,
+                         eps_rank: float = EPS_RANK) -> np.ndarray:
+    """:func:`generalized_hessian` over V vertices in stacked calls.
+
+    ``G`` is (V, m, n), ``lam`` (V, m) and ``hess`` (V, m, n, n).  Returns
+    ``(sigma, fail)``: the (V, n-m+1) eigenvalues and the mask of the rows
+    whose rank is below m-1 (their eigenvalues are meaningless).
+    """
+    V, m, n = G.shape
+    _, sv, vt = np.linalg.svd(G)
+    fail = sv[:, 0] == 0.0
+    if m >= 2:
+        fail |= sv[:, m - 2] <= eps_rank * sv[:, 0]
+    W = np.swapaxes(vt[:, m - 1:], 1, 2)  # (V, n, n-m+1) orthonormal kernel-ish bases
+    H = np.matmul(lam[:, None, :], hess.reshape(V, m, n * n)).reshape(V, n, n)
+    B = np.swapaxes(W, 1, 2) @ H @ W
+    B = 0.5 * (B + np.swapaxes(B, 1, 2))
+    return np.linalg.eigvalsh(B), fail
 
 
 # ---------------------------------------------------------------------------
@@ -451,13 +572,22 @@ def generalized_hessian(vertex: SingularVertex, n: int, m: int,
 
 
 class Analyzer:
-    """Runs the per-cell pipeline over a tessellation and glues the result.
+    """Runs the face-first pipeline over a tessellation and glues the result.
 
-    Nodal Jacobians and minors are cached once up front; Hessians are filled
-    lazily per node (idempotent dict writes, so concurrent workers at worst
-    recompute a value).  Cell analyses are pure functions of those caches, so
-    they can run in any order or in parallel and the glue, keyed on face
-    identities, is order-independent.
+    Set-up computes the nodal Jacobians and, in one batched call per minor
+    window, the snapped nodal minors.  Before the cells are analysed, the
+    distinct r-faces of all of them go through one stacked barycentric solve
+    into the face table, and each accepted vertex gets its lambda, residual
+    flag, analytic Hessian interpolation and sigma there, exactly once.  (In
+    m > n mode the faces are the single nodes.)  The table is filled before
+    the cell loop and only read inside it, so cells can run in any order or
+    in parallel, and the glue, keyed on face identities, is order-independent.
+
+    The per-cell step looks up its faces in the cell's face order, copies
+    their vertices and assembles and clips the cell's polytope.  With
+    ``hessian_mode="fd"`` the Hessian estimate depends on the cell, so the
+    Hessians and sigma stay per cell in that mode.  Analysing a single cell
+    outside :meth:`run_cells` first fills the table for that cell's faces.
     """
 
     def __init__(
@@ -498,13 +628,8 @@ class Analyzer:
         if not self.sigma_skip:
             r = self.selection.r
             self.omega_nodes = np.empty((N, r))
-            for i in range(N):
-                J = self.jac_nodes[i]
-                for j, cols in enumerate(self.selection.columns):
-                    sub = J[:, list(cols)]
-                    self.omega_nodes[i, j] = snap_determinant(
-                        float(np.linalg.det(sub)), sub
-                    )
+            for j, cols in enumerate(self.selection.columns):
+                self.omega_nodes[:, j] = snapped_determinants(self.jac_nodes[:, :, list(cols)])
             for j in range(r):
                 if N and np.all(self.omega_nodes[:, j] == 0.0):
                     logger.warning(
@@ -514,17 +639,10 @@ class Analyzer:
                     )
         else:
             self.omega_nodes = None
+        self._faces: dict = {}       # face tuple -> shared vertex | None | _RANK_DEFICIENT
+        self._prepared: set = set()  # cells whose faces are in the table
+        self._fill_lock = threading.Lock()
         self._hess_nodes: dict[int, np.ndarray] = {}
-        self._lam_nodes: dict[int, tuple] = {}
-
-    # -- caches --------------------------------------------------------------
-
-    def _hess_node(self, i: int) -> np.ndarray:
-        h = self._hess_nodes.get(i)
-        if h is None:
-            h = self.problem.hess(self.tess.nodes.points[i])
-            self._hess_nodes[i] = h
-        return h
 
     def candidate_cells(self) -> np.ndarray:
         """Indices of cells where every minor changes sign (vectorized filter)."""
@@ -537,6 +655,90 @@ class Analyzer:
         mask = np.all((lo <= 0.0) & (hi >= 0.0), axis=1)
         return np.nonzero(mask)[0]
 
+    # -- face table --------------------------------------------------------------
+
+    def _cell_faces(self, ci: int) -> list:
+        cell = self.tess.cells[ci]
+        if self.sigma_skip:
+            return [(int(i),) for i in cell]
+        return enumerate_faces(cell, self.selection.r)
+
+    def _fill_face_table(self, cells: Iterable[int]) -> None:
+        """Fill the face table for the faces of ``cells``.
+
+        Runs the stacked face solve on the faces not yet in the table, then
+        attaches lambda to every new vertex and, for the cells that reach the
+        second-order stage, the analytic Hessian interpolation and sigma.
+        Vertices are complete before a cell is marked prepared, and the lock
+        keeps concurrent single-cell calls from solving a face twice.
+        """
+        with self._fill_lock:
+            cells = [int(ci) for ci in cells if int(ci) not in self._prepared]
+            faces = dict.fromkeys(
+                f for ci in cells for f in self._cell_faces(ci) if f not in self._faces
+            )
+            pts = self.tess.nodes.points
+            if self.sigma_skip:
+                new = {f: _face_vertex(f, np.ones(1), pts, self.jac_nodes) for f in faces}
+            else:
+                new = _face_table(self.omega_nodes, list(faces), pts, self.jac_nodes)
+            fresh = [v for v in new.values() if isinstance(v, SingularVertex)]
+            self._attach_lambdas(fresh)
+            self._faces.update(new)
+            hessian = []
+            if self.order >= 2 and not self.sigma_skip and self.hessian_mode != "fd":
+                hessian = self._attach_hessians(cells)
+            for v in fresh + hessian:
+                for a in (v.x, v.mu, v.grad_interp, v.lam, v.hess_interp, v.sigma):
+                    if a is not None:
+                        a.flags.writeable = False
+            self._prepared.update(cells)
+
+    def _attach_lambdas(self, verts: list) -> None:
+        if not verts:
+            return
+        G = np.array([v.grad_interp for v in verts])
+        lam, residual = solve_lambdas(G)
+        scale = np.maximum(np.linalg.norm(G, axis=2).max(axis=1), 1e-300)
+        for v, lv, res, sc in zip(verts, lam, residual, scale):
+            if np.isnan(lv[0]):  # rank collapse
+                v.lam, v.residual, v.critical_ok = None, np.inf, False
+            else:
+                v.lam, v.residual = lv, float(res)
+                v.critical_ok = v.residual <= self.eps_res * sc
+
+    def _attach_hessians(self, cells: list) -> list:
+        """Analytic Hessian interpolation, and sigma of the critical vertices,
+        for the vertices of the cells that reach the second-order stage.
+        Returns the vertices it changed."""
+        changed = []
+        for ci in cells:
+            verts, _ = _cell_vertices(self._faces, self._cell_faces(ci))
+            if len(verts) < self.problem.m:
+                continue  # the cell stops before the Hessian stage
+            for v in verts:
+                if v.hess_interp is None:
+                    hs = np.array([self._hess_node(int(i)) for i in v.face])
+                    v.hess_interp = np.tensordot(v.mu, hs, axes=1)
+                    changed.append(v)
+        critical = [v for v in changed if v.lam is not None and v.critical_ok]
+        if critical:
+            sigma, fail = generalized_hessians(
+                np.array([v.grad_interp for v in critical]),
+                np.array([v.lam for v in critical]),
+                np.array([v.hess_interp for v in critical]),
+            )
+            for v, sg, f in zip(critical, sigma, fail):
+                v.sigma, v.kernel_fail = (None, True) if f else (sg, False)
+        return changed
+
+    def _hess_node(self, i: int) -> np.ndarray:
+        h = self._hess_nodes.get(i)
+        if h is None:
+            h = self.problem.hess(self.tess.nodes.points[i])
+            self._hess_nodes[i] = h
+        return h
+
     # -- per-cell pipeline -----------------------------------------------------
 
     def analyze_cell(self, ci: int) -> CellAnalysis:
@@ -546,32 +748,29 @@ class Analyzer:
         return analysis
 
     def analyze_cell_first_order(self, ci: int) -> CellAnalysis:
+        if ci not in self._prepared:
+            self._fill_face_table([ci])
         cell = self.tess.cells[ci]
         analysis = CellAnalysis(cell_index=ci)
-        pts = self.tess.nodes.points
         if self.sigma_skip:
-            verts = self._nodal_vertices(cell)
+            verts = [_cell_copy(self._faces[f]) for f in self._cell_faces(ci)]
             pieces = self._full_cell_pieces(verts)
         else:
-            verts, skipped = singular_vertices_of_cell(
-                self.omega_nodes, cell, pts, self.jac_nodes, self.selection.r
-            )
+            shared, skipped = _cell_vertices(self._faces, self._cell_faces(ci))
             if skipped:
                 analysis.warnings.append(f"{skipped} rank-deficient face system(s) skipped")
-            if len(verts) < self.problem.m:
+            if len(shared) < self.problem.m:
                 return analysis
+            verts = [_cell_copy(v) for v in shared]
             for v in verts:
-                try:
-                    v.lam, v.residual = solve_lambda(v.grad_interp)
-                    scale = max(float(np.linalg.norm(v.grad_interp, axis=1).max()), 1e-300)
-                    if v.residual > self.eps_res * scale:
-                        v.critical_ok = False
-                except RankCollapse:
-                    v.lam = None
-                    v.critical_ok = False
+                if v.lam is None:
                     analysis.warnings.append("rank collapse at a singular vertex")
-            if self.order >= 2:
-                self._attach_hessians(verts, ci)
+            if self.order >= 2 and self.hessian_mode == "fd":
+                pts_cell = self.tess.nodes.points[list(cell)]
+                jac_cell = self.jac_nodes[list(cell)]
+                H = finite_difference_hessians(self.problem, pts_cell, jac_cell)
+                for v in verts:
+                    v.hess_interp = H
             pieces = self._assemble_pieces(verts, analysis)
         analysis.singular_vertices = verts
         if not pieces:
@@ -615,10 +814,15 @@ class Analyzer:
                 if k in seen:
                     continue
                 if v.sigma is None:
-                    try:
-                        v.sigma = generalized_hessian(v, self.problem.n, self.problem.m)
-                    except KernelDimensionMismatch:
-                        v.kernel_fail = True
+                    src = v.source
+                    if src is not None and (src.sigma is not None or src.kernel_fail):
+                        v.sigma, v.kernel_fail = src.sigma, src.kernel_fail
+                    else:
+                        try:
+                            v.sigma = generalized_hessian(v, self.problem.n, self.problem.m)
+                        except KernelDimensionMismatch:
+                            v.kernel_fail = True
+                    if v.kernel_fail:
                         logger.debug("kernel dimension mismatch; vertex treated as unstable")
                 if v.sigma is not None:
                     sigma_scale = max(sigma_scale, float(np.abs(v.sigma).max()))
@@ -638,19 +842,6 @@ class Analyzer:
         return analysis
 
     # -- helpers ---------------------------------------------------------------
-
-    def _attach_hessians(self, verts, ci):
-        if self.hessian_mode == "fd":
-            cell = self.tess.cells[ci]
-            pts_cell = self.tess.nodes.points[list(cell)]
-            jac_cell = self.jac_nodes[list(cell)]
-            H = finite_difference_hessians(self.problem, pts_cell, jac_cell)
-            for v in verts:
-                v.hess_interp = H
-        else:
-            for v in verts:
-                hs = np.array([self._hess_node(int(i)) for i in v.face])
-                v.hess_interp = np.tensordot(v.mu, hs, axes=1)
 
     def _assemble_pieces(self, verts, analysis) -> list:
         m = self.problem.m
@@ -679,35 +870,6 @@ class Analyzer:
         order = np.argsort(np.arctan2(vv, uu))
         return [Piece([verts[i] for i in order], "polygon")]
 
-    def _nodal_vertices(self, cell):
-        verts = []
-        for i in cell:
-            entry = self._lam_nodes.get(i)
-            if entry is None:
-                try:
-                    lam, res = solve_lambda(self.jac_nodes[i])
-                    ok = res <= self.eps_res * max(
-                        float(np.linalg.norm(self.jac_nodes[i], axis=1).max()), 1e-300
-                    )
-                except RankCollapse:
-                    lam, res, ok = None, np.inf, False
-                entry = (lam, res, ok)
-                self._lam_nodes[i] = entry
-            lam, res, ok = entry
-            verts.append(
-                SingularVertex(
-                    key=("f", int(i)),
-                    x=self.tess.nodes.points[i].copy(),
-                    face=(int(i),),
-                    mu=np.array([1.0]),
-                    grad_interp=self.jac_nodes[i].copy(),
-                    lam=None if lam is None else lam.copy(),
-                    residual=res,
-                    critical_ok=ok,
-                )
-            )
-        return verts
-
     def _full_cell_pieces(self, verts):
         if self.problem.n == 1:
             return [Piece(verts, "segment")]
@@ -721,6 +883,7 @@ class Analyzer:
 
     def run_cells(self, threads: Optional[int] = None) -> list:
         idx = self.candidate_cells()
+        self._fill_face_table(idx)
         if threads and threads > 1:
             from concurrent.futures import ThreadPoolExecutor
 
@@ -729,6 +892,15 @@ class Analyzer:
         else:
             analyses = [self.analyze_cell(ci) for ci in idx]
         return analyses
+
+
+def _cell_copy(v: SingularVertex) -> SingularVertex:
+    """A cell's own copy of a shared face-table vertex, without sigma."""
+    return SingularVertex(
+        key=v.key, x=v.x, face=v.face, mu=v.mu, grad_interp=v.grad_interp,
+        lam=v.lam, residual=v.residual, hess_interp=v.hess_interp,
+        critical_ok=v.critical_ok, source=v,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,179 @@
+"""Golden digests of small runs the benchmark does not cover.
+
+Each case pins the SHA-256 of the saved complex file and of the per-cell
+warnings handed to ``glue``.  The values were recorded before the analysis
+core became face-first (each distinct face and vertex solved once), so any
+change to the bytes or to the warnings shows up here.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from paretoc import continuation
+from paretoc.complex_io import save_complex
+from paretoc.continuation import Analyzer, glue
+from paretoc.problems import VectorProblem, registry_get
+from paretoc.tessellation import build_delaunay, enumerate_faces, kuhn_tessellation
+
+
+def _cross_problem():
+    # det Du = x0 * x1 vanishes exactly on both axes and both gradients vanish
+    # at the origin, so nodes on the axes give sub-face-snapped vertices,
+    # rank-deficient faces and rank collapses
+    return VectorProblem(
+        name="cross", n=2, m=2,
+        eval=lambda x: np.array([0.5 * x[0] ** 2, 0.5 * x[1] ** 2]),
+        jacobian=lambda x: np.array([[x[0], 0.0], [0.0, x[1]]]),
+        hessians=lambda x: np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]),
+        domain_box=[[-1.0, 1.0], [-1.0, 1.0]],
+    )
+
+
+def _cross_mesh():
+    rng = np.random.default_rng(7)
+    axis = np.linspace(-1.0, 1.0, 9)
+    pts = np.vstack([
+        rng.uniform(-1.0, 1.0, (40, 2)),
+        np.c_[axis, np.zeros(9)],
+        np.c_[np.zeros(8), np.delete(axis, 4)],
+    ])
+    return build_delaunay(pts)
+
+
+def _paraboloid_problem():
+    # m = 3 > n = 2: the whole domain is singular (sigma_skip mode)
+    return VectorProblem(
+        name="paraboloid", n=2, m=3,
+        eval=lambda x: np.array([x[0], x[1], -(x[0] ** 2 + x[1] ** 2)]),
+        jacobian=lambda x: np.array([[1.0, 0.0], [0.0, 1.0], [-2.0 * x[0], -2.0 * x[1]]]),
+        hessians=lambda x: np.array([np.zeros((2, 2)), np.zeros((2, 2)), -2.0 * np.eye(2)]),
+        domain_box=[[-1.0, 1.0], [-1.0, 1.0]],
+    )
+
+
+def _kuhn(name, counts):
+    p = registry_get(name)
+    return p, kuhn_tessellation(p.domain_box, counts)
+
+
+# name -> (problem and tessellation, Analyzer keywords, threads,
+#          complex file SHA-256, warnings SHA-256)
+CASES = {
+    "smale_fd": (
+        lambda: _kuhn("smale", [16, 16]), {"hessian_mode": "fd"}, None,
+        "4356fc28cf48cfc27be3fc1bb04cd0bfd0962f3e71eb1780737ef8a420c390bc",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
+    "tri_fd": (
+        lambda: _kuhn("tri_quadratic", [5, 5, 5]), {"hessian_mode": "fd"}, None,
+        "6dc3ed350da7eb78fdfb227024e2170155258628b840e3be6cd50afbbb514175",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
+    "noncv_order1": (
+        lambda: _kuhn("noncv", [40, 40]), {"order": 1}, None,
+        "a21600af7dfca95dd187edf22b1e8a3d751d7f045bc4ab9f73e20671daf1f881",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
+    "cross_delaunay": (
+        lambda: (_cross_problem(), _cross_mesh()), {}, None,
+        "ad91b84423424de52830058c7e3885e49c8e68ce67ecdddb1570760e590b642c",
+        "5706067dddf07911b79e29742b94f9d7561ca3e3c514762df85b4b5d57beb732",
+    ),
+    "tri_threads2": (
+        lambda: _kuhn("tri_quadratic", [6, 6, 6]), {}, 2,
+        "85ebf617415d64f551d4c0a156bc4f7165e7166dab19a29cc6ac4b62a4c8ad48",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
+    "paraboloid_sigma_skip": (
+        lambda: (_paraboloid_problem(), kuhn_tessellation([[-1, 1], [-1, 1]], [6, 6])),
+        {}, None,
+        "2f2bd00a734aacf6f84bae95d8147b1f44944ed0a145e0a33ad4484e13d1a442",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
+}
+
+
+def _warnings(analyses):
+    return [[int(a.cell_index), list(a.warnings)]
+            for a in sorted(analyses, key=lambda a: a.cell_index) if a.warnings]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(case):
+    build, kwargs, threads, _, _ = CASES[case]
+    p, tess = build()
+    an = Analyzer(p, tess, **kwargs)
+    analyses = an.run_cells(threads=threads)
+    cx = glue(analyses, p, tess, order=an.order)
+    return p, tess, an, analyses, cx
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_complex_digest(case, tmp_path):
+    _, _, _, analyses, cx = _run(case)
+    path = tmp_path / "complex.json"
+    save_complex(path, cx)
+    assert _sha(path.read_bytes()) == CASES[case][3]
+    assert _sha(json.dumps(_warnings(analyses)).encode()) == CASES[case][4]
+
+
+def test_golden_cross_covers_degenerate_faces():
+    # the cross case exercises every per-cell warning and sub-face snapping
+    _, _, an, analyses, _ = _run("cross_delaunay")
+    flat = [w for _, ws in _warnings(analyses) for w in ws]
+    rank_deficient = [int(w.split()[0]) for w in flat
+                      if w.endswith("rank-deficient face system(s) skipped")]
+    assert (len(rank_deficient), sum(rank_deficient)) == (22, 26)
+    assert flat.count("rank collapse at a singular vertex") == 2
+    assert any(len(v.face) < an.selection.r + 1
+               for a in analyses for v in a.singular_vertices)
+
+
+def _cell_signature(a):
+    strata = {s: [[repr(v.key) for v in piece.verts] for piece in pieces]
+              for s, pieces in a.strata.items()}
+    markers = [(repr(v.key), kind) for v, kind in a.markers]
+    sigma = [None if v.sigma is None else v.sigma.tolist()
+             for pieces in a.strata.values() for piece in pieces for v in piece.verts]
+    return strata, markers, sigma, list(a.warnings)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_standalone_cell_matches_run_cells(case):
+    # a cell analysed on its own fills the face table for its faces only,
+    # through the same code path as the stacked pass of run_cells
+    build, kwargs, _, _, _ = CASES[case]
+    p, tess = build()
+    in_run = Analyzer(p, tess, **kwargs).run_cells()
+    alone = Analyzer(p, tess, **kwargs)
+    for a in in_run:
+        b = alone.analyze_cell_first_order(a.cell_index)
+        if alone.order >= 2:
+            alone.analyze_cell_second_order(b)
+        assert _cell_signature(b) == _cell_signature(a)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_each_distinct_face_solved_once(case, monkeypatch):
+    calls = []
+    solve = continuation.solve_faces
+
+    def counting(omega_nodes, faces):
+        calls.append([tuple(f) for f in np.asarray(faces).tolist()])
+        return solve(omega_nodes, faces)
+
+    monkeypatch.setattr(continuation, "solve_faces", counting)
+    _, tess, an, _, _ = _run(case)
+    if an.sigma_skip:
+        assert calls == []  # the faces are the nodes: nothing to solve
+        return
+    distinct = {f for ci in an.candidate_cells()
+                for f in enumerate_faces(tess.cells[ci], an.selection.r)}
+    assert len(calls) == 1
+    assert len(calls[0]) == len(distinct) and set(calls[0]) == distinct
