@@ -2,15 +2,13 @@
 
 Subcommands: run | iterate | distance | plot-data | list-problems |
 check-derivatives.  Exit codes: 0 success, 1 usage error, 2 numerical
-failure.  ``--threads`` (or the PARETOC_THREADS environment variable) caps
-the parallel cell-analysis width.
+failure.  Every run is single-threaded.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 from pathlib import Path
 
@@ -30,15 +28,6 @@ from .problems import (
 )
 from .refinement import initial_state, iterate
 from .tessellation import NodeSet, build_delaunay, kuhn_tessellation
-
-
-def _threads(args) -> int | None:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("PARETOC_THREADS")
-    if env:
-        return int(env)
-    return os.cpu_count()
 
 
 def _parse_grid(spec: str, box: np.ndarray, default_seed: int):
@@ -72,7 +61,6 @@ def _parse_grid(spec: str, box: np.ndarray, default_seed: int):
 
 def _run_problem(problem, args):
     """Build the tessellation/mesh and analyze; returns (complex, meta)."""
-    threads = _threads(args)
     if isinstance(problem, ConstrainedProblem):
         if args.manifold_mesh:
             pts, cells, d, _emb = load_mesh(args.manifold_mesh)
@@ -81,7 +69,7 @@ def _run_problem(problem, args):
         else:
             mesh = icosphere(args.subdiv)
             meta = f"icosphere:{args.subdiv}"
-        cx = analyze_constrained(problem, mesh, threads=threads)
+        cx = analyze_constrained(problem, mesh)
         return cx, meta
     tess = _parse_grid(args.grid, problem.domain_box, args.seed)
     cx = Analyzer(
@@ -89,7 +77,7 @@ def _run_problem(problem, args):
         tess,
         order=args.order,
         hessian_mode=args.hessians,
-    ).run(threads=threads)
+    ).run()
     return cx, args.grid
 
 
@@ -121,14 +109,8 @@ def cmd_iterate(args) -> int:
     problem = registry_get(args.problem)
     if isinstance(problem, ConstrainedProblem):
         raise ParetocError("iterate supports unconstrained problems only")
-    threads = _threads(args)
     tess = _parse_grid(args.grid, problem.domain_box, args.seed)
-    state = initial_state(
-        problem,
-        tess,
-        order=args.order,
-        threads=threads,
-    )
+    state = initial_state(problem, tess, order=args.order)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     reference = load_complex(args.reference) if args.reference else None
@@ -143,7 +125,6 @@ def cmd_iterate(args) -> int:
             scheme=args.scheme,
             budget=args.budget,
             reference=reference,
-            threads=threads,
         )
         stats = state.history[-1]
         save_complex(
@@ -299,8 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Piecewise-linear approximation of singular, critical and "
         "stable Pareto critical sets by simplicial continuation.",
     )
-    ap.add_argument("--threads", type=int, default=None,
-                    help="parallel cell-analysis width (default: PARETOC_THREADS or CPU count)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):

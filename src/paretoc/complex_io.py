@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from .continuation import ParetoComplex
-from .tessellation import Tessellation
 
 COMPLEX_VERSION = 1
 MESH_VERSION = 1
@@ -141,10 +140,6 @@ def mesh_to_dict(points: np.ndarray, cells, manifold_dim: Optional[int] = None) 
         "cells": [list(int(i) for i in c) for c in cells],
     }
     return doc
-
-
-def tessellation_to_dict(tess: Tessellation) -> dict:
-    return mesh_to_dict(tess.nodes.points, tess.cells)
 
 
 def save_mesh(path, points, cells, manifold_dim: Optional[int] = None) -> None:

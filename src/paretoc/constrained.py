@@ -8,44 +8,30 @@ orientation change of the projected gradient frame.  Only the square case
 n - d + m = n (one scalar test per node) is implemented; it covers one
 constraint with d = m, e.g. two objectives on a surface in R^3.
 
-The pipeline is first order: the critical sub-polytope is extracted exactly as
-in the unconstrained case but no stability clip is applied, so critical pieces
-carry the ``critical_unstable`` label (stability undecided).
+Only the nodal data is constrained-specific.  The projected gradients stand
+in for the Jacobian rows and the augmented minor for the r = 1 minor, and the
+unconstrained :class:`~paretoc.continuation.Analyzer` does the rest: candidate
+filter, edge solves, lambda, clipping and gluing.  It runs first order (no
+stability clip), so critical pieces carry the ``critical_unstable`` label
+(stability undecided).
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .continuation import (
-    CellAnalysis,
-    MARKER_BOUNDARY,
-    Piece,
+    Analyzer,
     ParetoComplex,
-    STRATUM_SINGULAR,
-    STRATUM_UNSTABLE,
-    SingularVertex,
-    clip_polytope,
-    glue,
     snap_determinant,
-    solve_lambda,
     EPS_RANK,
     EPS_RES,
 )
-from .errors import (
-    NonSquareUnsupported,
-    RankCollapse,
-    RankDeficientConstraint,
-    UnsupportedObjectiveCount,
-)
+from .errors import NonSquareUnsupported, RankDeficientConstraint
 from .problems import ConstrainedProblem
 from .tessellation import NodeSet, Tessellation
-
-logger = logging.getLogger(__name__)
 
 EPS_CONSTRAINT = 1e-8  # max |g| allowed on mesh nodes
 
@@ -111,12 +97,15 @@ def augmented_minors(cp: ConstrainedProblem, x) -> float:
 def analyze_constrained(
     cp: ConstrainedProblem,
     mesh: ManifoldMesh,
-    threads: Optional[int] = None,
     eps_res: float = EPS_RES,
 ) -> ParetoComplex:
-    """Run Algorithm-3-style first-order analysis over a manifold mesh."""
-    if cp.m not in (2, 3):
-        raise UnsupportedObjectiveCount("constrained pipeline supports m in (2, 3)")
+    """Run Algorithm-3-style first-order analysis over a manifold mesh.
+
+    Validates the mesh, computes the projected gradients and the augmented
+    minor at every node, and hands both to a first-order :class:`Analyzer` on
+    the mesh's tessellation; faces, lambda, clipping and gluing are the
+    unconstrained pipeline's.
+    """
     if cp.n_constraints + cp.m != cp.n or mesh.d != cp.d:
         raise NonSquareUnsupported(
             "need n - d + m = n (i.e. d = m) and a mesh of matching dimension"
@@ -124,103 +113,14 @@ def analyze_constrained(
     mesh.validate(cp)
     N = len(mesh.points)
     proj = np.empty((N, cp.m, cp.n))
-    omega = np.empty(N)
+    omega = np.empty((N, 1))
     for i in range(N):
         proj[i] = project_gradients(cp, mesh.points[i])
         omega[i] = augmented_minors(cp, mesh.points[i])
-
-    def analyze_cell(ci: int) -> CellAnalysis:
-        cell = mesh.cells[ci]
-        analysis = CellAnalysis(cell_index=ci)
-        verts: dict[str, SingularVertex] = {}
-        skipped = 0
-        for a_i in range(len(cell)):
-            for b_i in range(a_i + 1, len(cell)):
-                a, b = cell[a_i], cell[b_i]
-                wa, wb = omega[a], omega[b]
-                denom = wa - wb
-                if denom == 0.0:
-                    if wa == 0.0:
-                        skipped += 1
-                    continue
-                mu = wa / denom  # weight of b
-                if not -1e-10 < mu < 1.0 + 1e-10:
-                    continue
-                mu = min(max(mu, 0.0), 1.0)
-                sub, weights = ((a,), np.array([1.0])) if mu <= 1e-9 else (
-                    ((b,), np.array([1.0])) if mu >= 1.0 - 1e-9 else
-                    ((a, b), np.array([1.0 - mu, mu]))
-                )
-                key = ("f",) + sub
-                if repr(key) in verts:
-                    continue
-                pos = weights @ mesh.points[list(sub)]
-                grads = np.tensordot(weights, proj[list(sub)], axes=1)
-                verts[repr(key)] = SingularVertex(
-                    key=key, x=pos, face=sub, mu=weights, grad_interp=grads
-                )
-        if skipped:
-            analysis.warnings.append(
-                f"{skipped} wholly-singular edge(s) skipped (degenerate minors)"
-            )
-            logger.debug("cell %d: degenerate augmented minors on %d edge(s)", ci, skipped)
-        vlist = list(verts.values())
-        analysis.singular_vertices = vlist
-        if len(vlist) < cp.m:
-            return analysis
-        for v in vlist:
-            try:
-                v.lam, v.residual = solve_lambda(v.grad_interp)
-                scale = max(float(np.linalg.norm(v.grad_interp, axis=1).max()), 1e-300)
-                if v.residual > eps_res * scale:
-                    v.critical_ok = False
-            except RankCollapse:
-                v.lam = None
-                v.critical_ok = False
-                analysis.warnings.append("rank collapse at a singular vertex")
-        if cp.m == 2 and len(vlist) == 2:
-            pieces = [Piece(vlist, "segment")]
-        elif cp.m == 2:
-            analysis.warnings.append(
-                f"{len(vlist)} singular vertices in one cell (non-transversal crossing)"
-            )
-            X = np.array([v.x for v in vlist])
-            _, _, vt = np.linalg.svd(X - X.mean(axis=0))
-            order = np.argsort(X @ vt[0])
-            chain = [vlist[i] for i in order]
-            pieces = [Piece([p, q], "segment") for p, q in zip(chain, chain[1:])]
-        else:
-            X = np.array([v.x for v in vlist])
-            center = X.mean(axis=0)
-            _, _, vt = np.linalg.svd(X - center)
-            ang = np.arctan2((X - center) @ vt[1], (X - center) @ vt[0])
-            pieces = [Piece([vlist[i] for i in np.argsort(ang)], "polygon")]
-        current = []
-        for piece in pieces:
-            if all(v.lam is not None and v.critical_ok for v in piece.verts):
-                current.append(piece)
-            else:
-                analysis.strata[STRATUM_SINGULAR].append(piece)
-        for j in range(cp.m):
-            if not current:
-                break
-            values = {repr(v.key): float(v.lam[j]) for p in current for v in p.verts}
-            current, dropped, boundary = clip_polytope(current, values, stage=("lam", j))
-            analysis.strata[STRATUM_SINGULAR].extend(dropped)
-            for w in boundary:
-                analysis.markers.append((w, MARKER_BOUNDARY))
-        analysis.strata[STRATUM_UNSTABLE].extend(current)
-        return analysis
-
-    idx = range(len(mesh.cells))
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            analyses = list(pool.map(analyze_cell, idx))
-    else:
-        analyses = [analyze_cell(ci) for ci in idx]
-    return glue(analyses, cp.base, mesh.as_tessellation(), order=1)
+    return Analyzer(
+        cp.base, mesh.as_tessellation(), order=1, eps_res=eps_res,
+        jac_nodes=proj, omega_nodes=omega,
+    ).run()
 
 
 # ---------------------------------------------------------------------------

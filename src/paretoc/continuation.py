@@ -47,7 +47,6 @@ EPS_ACCEPT = -1e-10   # barycentric positivity slack for accepting a vertex
 MU_SNAP = 1e-9        # weights below this collapse the key to the sub-face
 EPS_RANK = 1e-8       # relative singular-value cutoff for rank decisions
 EPS_RES = 0.2         # relative lambda residual flagging a vertex non-critical
-EPS_LIN = 1e-9        # linear-consistency tolerance (tests)
 
 STRATUM_SINGULAR = "singular_only"
 STRATUM_UNSTABLE = "critical_unstable"
@@ -226,10 +225,6 @@ class SingularVertex:
     kernel_fail: bool = False
     source: Optional["SingularVertex"] = field(default=None, repr=False, compare=False)
 
-    @property
-    def hessian_eigs(self):
-        return self.sigma
-
 
 def _interp_vertex(a: SingularVertex, b: SingularVertex, t: float, stage) -> SingularVertex:
     """Linear interpolation between two vertices; canonical w.r.t. key order."""
@@ -371,7 +366,6 @@ class CellAnalysis:
     })
     markers: list = field(default_factory=list)  # (SingularVertex, kind)
     warnings: list = field(default_factory=list)
-    second_order_done: bool = False
 
     @property
     def sigma_polytope(self):
@@ -384,10 +378,6 @@ class CellAnalysis:
     @property
     def theta_polytope(self):
         return self.strata[STRATUM_UNSTABLE] + self.strata[STRATUM_STABLE]
-
-    @property
-    def stable_polytope(self):
-        return self.strata[STRATUM_STABLE]
 
 
 def _canonical_face_vertex(face, mu, snap=MU_SNAP):
@@ -571,17 +561,36 @@ def generalized_hessians(G: np.ndarray, lam: np.ndarray, hess: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
+def _nodal_data(problem: VectorProblem, points: np.ndarray,
+                selection: Optional[MinorSelection]) -> tuple:
+    """Nodal Jacobians and, given a minor selection, the snapped nodal minors
+    (one batched determinant per minor window)."""
+    N = len(points)
+    jac_nodes = np.empty((N, problem.m, problem.n))
+    for i in range(N):
+        jac_nodes[i] = problem.jac(points[i])
+    if selection is None:
+        return jac_nodes, None
+    omega_nodes = np.empty((N, selection.r))
+    for j, cols in enumerate(selection.columns):
+        omega_nodes[:, j] = snapped_determinants(jac_nodes[:, :, list(cols)])
+    return jac_nodes, omega_nodes
+
+
 class Analyzer:
     """Runs the face-first pipeline over a tessellation and glues the result.
 
     Set-up computes the nodal Jacobians and, in one batched call per minor
-    window, the snapped nodal minors.  Before the cells are analysed, the
-    distinct r-faces of all of them go through one stacked barycentric solve
-    into the face table, and each accepted vertex gets its lambda, residual
-    flag, analytic Hessian interpolation and sigma there, exactly once.  (In
-    m > n mode the faces are the single nodes.)  The table is filled before
-    the cell loop and only read inside it, so cells can run in any order or
-    in parallel, and the glue, keyed on face identities, is order-independent.
+    window, the snapped nodal minors.  A caller with its own nodal data (the
+    constrained pipeline: projected gradients and augmented minors) passes
+    ``jac_nodes`` (N, m, n) and ``omega_nodes`` (N, r) instead; r is then the
+    minors' width and no :class:`MinorSelection` is involved.  Before the
+    cells are analysed, the distinct r-faces of all of them go through one
+    stacked barycentric solve into the face table, and each accepted vertex
+    gets its lambda, residual flag, analytic Hessian interpolation and sigma
+    there, exactly once.  (In m > n mode the faces are the single nodes.)
+    The table is filled before the cell loop and only read inside it, so the
+    glue, keyed on face identities, is independent of the cell order.
 
     The per-cell step looks up its faces in the cell's face order, copies
     their vertices and assembles and clips the cell's polytope.  With
@@ -598,6 +607,9 @@ class Analyzer:
         order: int = 2,
         hessian_mode: str = "analytic",
         eps_res: float = EPS_RES,
+        *,
+        jac_nodes: Optional[np.ndarray] = None,
+        omega_nodes: Optional[np.ndarray] = None,
     ):
         if problem.m not in (2, 3):
             raise UnsupportedObjectiveCount(
@@ -613,32 +625,30 @@ class Analyzer:
         self.hessian_mode = hessian_mode
         self.eps_res = eps_res
         self.sigma_skip = problem.sigma_skip
-        if not self.sigma_skip:
-            self.selection = selection_for(problem, selection)
-            self.selection.validate(problem.n, problem.m)
-        else:
-            self.selection = None
+        self.selection = None
+        if self.sigma_skip:
             if order >= 2:
                 logger.info("m > n: second-order clip skipped (kernel is trivial)")
-        pts = tess.nodes.points
-        N = len(pts)
-        self.jac_nodes = np.empty((N, problem.m, problem.n))
-        for i in range(N):
-            self.jac_nodes[i] = problem.jac(pts[i])
-        if not self.sigma_skip:
-            r = self.selection.r
-            self.omega_nodes = np.empty((N, r))
-            for j, cols in enumerate(self.selection.columns):
-                self.omega_nodes[:, j] = snapped_determinants(self.jac_nodes[:, :, list(cols)])
-            for j in range(r):
-                if N and np.all(self.omega_nodes[:, j] == 0.0):
+        elif jac_nodes is None:
+            self.selection = selection_for(problem, selection)
+            self.selection.validate(problem.n, problem.m)
+        if jac_nodes is None:
+            jac_nodes, omega_nodes = _nodal_data(problem, tess.nodes.points, self.selection)
+        elif not self.sigma_skip and omega_nodes is None:
+            raise ValueError("precomputed gradient rows need their nodal minors")
+        self.jac_nodes = jac_nodes
+        self.omega_nodes = None if self.sigma_skip else omega_nodes
+        self.r = 0 if self.sigma_skip else self.omega_nodes.shape[1]
+        if len(tess.nodes) and not self.sigma_skip:
+            for j in np.flatnonzero(np.all(self.omega_nodes == 0.0, axis=0)):
+                if self.selection is None:
+                    logger.warning("supplied nodal minor %d vanishes at every node", j)
+                else:
                     logger.warning(
                         "minor %s vanishes at every node: the selection is "
                         "structurally degenerate for this map, supply a custom "
                         "MinorSelection", self.selection.columns[j],
                     )
-        else:
-            self.omega_nodes = None
         self._faces: dict = {}       # face tuple -> shared vertex | None | _RANK_DEFICIENT
         self._prepared: set = set()  # cells whose faces are in the table
         self._fill_lock = threading.Lock()
@@ -661,7 +671,7 @@ class Analyzer:
         cell = self.tess.cells[ci]
         if self.sigma_skip:
             return [(int(i),) for i in cell]
-        return enumerate_faces(cell, self.selection.r)
+        return enumerate_faces(cell, self.r)
 
     def _fill_face_table(self, cells: Iterable[int]) -> None:
         """Fill the face table for the faces of ``cells``.
@@ -803,7 +813,6 @@ class Analyzer:
             return analysis
         theta = analysis.strata[STRATUM_UNSTABLE]
         analysis.strata[STRATUM_UNSTABLE] = []
-        analysis.second_order_done = True
         if not theta:
             return analysis
         seen: dict[str, float] = {}
@@ -877,21 +886,14 @@ class Analyzer:
 
     # -- full run ----------------------------------------------------------------
 
-    def run(self, threads: Optional[int] = None) -> "ParetoComplex":
-        analyses = self.run_cells(threads=threads)
+    def run(self) -> "ParetoComplex":
+        analyses = self.run_cells()
         return glue(analyses, self.problem, self.tess, order=self.order)
 
-    def run_cells(self, threads: Optional[int] = None) -> list:
+    def run_cells(self) -> list:
         idx = self.candidate_cells()
         self._fill_face_table(idx)
-        if threads and threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                analyses = list(pool.map(self.analyze_cell, idx))
-        else:
-            analyses = [self.analyze_cell(ci) for ci in idx]
-        return analyses
+        return [self.analyze_cell(ci) for ci in idx]
 
 
 def _cell_copy(v: SingularVertex) -> SingularVertex:
@@ -974,27 +976,6 @@ class ParetoComplex:
     def markers_of_kind(self, kind: str) -> list:
         return [vid for vid, k in self.markers if k == kind]
 
-    def sample_points(self, strata=None, density: int = 8) -> np.ndarray:
-        """Barycentric sample points over the chosen simplices (tests, stats)."""
-        out = []
-        for i in self.simplex_ids(strata):
-            ids = self.simplices[i][0]
-            P = self.positions[list(ids)]
-            if len(ids) == 1:
-                out.append(P)
-            elif len(ids) == 2:
-                t = np.linspace(0.0, 1.0, density)[:, None]
-                out.append(P[0] * (1 - t) + P[1] * t)
-            else:
-                for a in range(density + 1):
-                    for b in range(density + 1 - a):
-                        c = density - a - b
-                        w = np.array([a, b, c]) / density
-                        out.append((w @ P)[None, :])
-        if not out:
-            return np.empty((0, self.n))
-        return np.vstack(out)
-
 
 def glue(analyses: Iterable[CellAnalysis], problem: VectorProblem,
          tess: Tessellation, order: int = 2) -> ParetoComplex:
@@ -1074,9 +1055,9 @@ def glue(analyses: Iterable[CellAnalysis], problem: VectorProblem,
 
 
 def analyze(problem: VectorProblem, tess: Tessellation, order: int = 2,
-            selection: Optional[MinorSelection] = None, threads: Optional[int] = None,
+            selection: Optional[MinorSelection] = None,
             hessian_mode: str = "analytic") -> ParetoComplex:
     """One-call pipeline: cache, per-cell analysis, glue."""
     return Analyzer(
         problem, tess, selection=selection, order=order, hessian_mode=hessian_mode
-    ).run(threads=threads)
+    ).run()

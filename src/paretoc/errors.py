@@ -30,10 +30,6 @@ class UnknownProblem(ParetocError):
 # --- continuation ---
 
 
-class SingularLinearSystem(ParetocError):
-    """Barycentric face system is rank deficient; the face is skipped."""
-
-
 class RankCollapse(ParetocError):
     """Interpolated Jacobian has rank < m-1; weights are ambiguous."""
 

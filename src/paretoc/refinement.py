@@ -61,9 +61,8 @@ def initial_state(
     tess: Tessellation,
     order: int = 2,
     selection: Optional[MinorSelection] = None,
-    threads: Optional[int] = None,
 ) -> RefinementState:
-    cx = Analyzer(problem, tess, selection=selection, order=order).run(threads=threads)
+    cx = Analyzer(problem, tess, selection=selection, order=order).run()
     return RefinementState(
         problem=problem, tess=tess, complex=cx, order=order, selection=selection
     )
@@ -265,7 +264,6 @@ def iterate(
     budget: Optional[int] = None,
     gamma: float = SPACING_GAMMA,
     reference: Optional[ParetoComplex] = None,
-    threads: Optional[int] = None,
 ) -> RefinementState:
     """One refinement step: candidates, spacing guard, insertion, re-analysis."""
     problem = state.problem
@@ -322,9 +320,7 @@ def iterate(
         state.iteration + 1, len(kept), len(candidates),
     )
     tess = insert_nodes(state.tess, kept)
-    cx = Analyzer(
-        problem, tess, selection=state.selection, order=state.order
-    ).run(threads=threads)
+    cx = Analyzer(problem, tess, selection=state.selection, order=state.order).run()
     mx, mean = complex_minor_stats(problem, cx, state.selection)
     href = None
     if reference is not None:

@@ -156,6 +156,13 @@ def test_cli_exit_codes(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_cli_threads_is_a_usage_error(capsys):
+    # cells are analysed on one thread; there is no width to set
+    assert main(["--threads", "2", "run", "--problem", "triv", "--grid", "5x5"]) == 1
+    assert main(["run", "--problem", "triv", "--grid", "5x5", "--threads", "2"]) == 1
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_cli_grid_specs(tmp_path):
     assert main(["run", "--problem", "triv", "--grid", "h:0.5"]) == 0
     assert main(["run", "--problem", "triv", "--grid", "9x9x9"]) == 2  # wrong axes

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from paretoc import continuation
 from paretoc.constrained import (
     ManifoldMesh,
     analyze_constrained,
@@ -8,7 +9,7 @@ from paretoc.constrained import (
     icosphere,
     project_gradients,
 )
-from paretoc.continuation import STRATUM_UNSTABLE
+from paretoc.continuation import STRATUM_UNSTABLE, SingularVertex
 from paretoc.errors import NonSquareUnsupported, RankDeficientConstraint
 from paretoc.geometry import points_to_simplex_distance
 from paretoc.problems import ConstrainedProblem, VectorProblem, registry_get
@@ -216,3 +217,71 @@ def test_arc_endpoints_converge_to_axis_crossings(sphere):
             assert worst < prev / 2.0  # superlinear shrink per subdivision
         prev = worst
     assert prev < 0.01
+
+
+# ---------------------------------------------------------------------------
+# drift from the closed-form edge crossing
+# ---------------------------------------------------------------------------
+
+
+def _random_quadratic_pair(sphere, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(2, 3, 3))
+    A = 0.5 * (A + np.swapaxes(A, 1, 2))
+    b = rng.normal(size=(2, 3))
+    base = VectorProblem(
+        name=f"quadratic{seed}", n=3, m=2,
+        eval=lambda x: 0.5 * np.einsum("i,jik,k->j", x, A, x) + b @ x,
+        jacobian=lambda x: A @ x + b,
+        hessians=lambda x: A,
+        domain_box=[[-1, 1]] * 3,
+    )
+    return ConstrainedProblem(base=base, g=sphere.g, g_jacobian=sphere.g_jacobian)
+
+
+def _closed_form_face_table(omega_nodes, faces, points, jac_nodes):
+    """Edge crossings as the constrained pipeline found them before it ran
+    through Analyzer: the weight of b is w_a / (w_a - w_b), accepted with a
+    -1e-10 slack and snapped to a node within 1e-9.  Drop-in for the face
+    table: edge -> vertex, None, or rank deficient (both minors zero)."""
+    table = {}
+    for a, b in faces:
+        wa, wb = omega_nodes[a, 0], omega_nodes[b, 0]
+        if wa == wb:
+            table[(a, b)] = continuation._RANK_DEFICIENT if wa == 0.0 else None
+            continue
+        mu = wa / (wa - wb)
+        if not -1e-10 < mu < 1.0 + 1e-10:
+            table[(a, b)] = None
+            continue
+        mu = min(max(mu, 0.0), 1.0)
+        if mu <= 1e-9:
+            sub, w = (a,), np.array([1.0])
+        elif mu >= 1.0 - 1e-9:
+            sub, w = (b,), np.array([1.0])
+        else:
+            sub, w = (a, b), np.array([1.0 - mu, mu])
+        table[(a, b)] = SingularVertex(
+            key=("f",) + sub, x=w @ points[list(sub)], face=sub, mu=w,
+            grad_interp=np.tensordot(w, jac_nodes[list(sub)], axes=1),
+        )
+    return table
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_stacked_edge_solve_drifts_by_ulps_only(sphere, seed, monkeypatch):
+    # the stacked LU solve of an edge pivots on the minor row when
+    # |w_a| > 1, so a crossing can differ from the closed form in the last
+    # bit; keys, strata and topology must not
+    cp = _random_quadratic_pair(sphere, seed)
+    mesh = icosphere(2)
+    cx = analyze_constrained(cp, mesh)
+    monkeypatch.setattr(continuation, "_face_table", _closed_form_face_table)
+    ref = analyze_constrained(cp, mesh)
+    assert not cx.is_empty()
+    assert [repr(k) for k in cx.keys] == [repr(k) for k in ref.keys]
+    assert cx.strata_counts() == ref.strata_counts()
+    assert [s[:2] for s in cx.simplices] == [s[:2] for s in ref.simplices]
+    assert cx.markers == ref.markers
+    # icosphere nodes have unit norm, so an ulp of 1.0 bounds a coordinate's
+    assert np.abs(cx.positions - ref.positions).max() <= 4 * np.spacing(1.0)

@@ -1,9 +1,14 @@
 """Golden digests of small runs the benchmark does not cover.
 
-Each case pins the SHA-256 of the saved complex file and of the per-cell
-warnings handed to ``glue``.  The values were recorded before the analysis
-core became face-first (each distinct face and vertex solved once), so any
-change to the bytes or to the warnings shows up here.
+Each unconstrained case pins the SHA-256 of the saved complex file and of the
+per-cell warnings handed to ``glue``.  The values were recorded before the
+analysis core became face-first (each distinct face and vertex solved once),
+so any change to the bytes or to the warnings shows up here.
+
+The constrained cases pin the complex file only.  They were recorded while
+the constrained pipeline still had its own per-cell loop, before it became an
+adapter over :class:`Analyzer`; the wording and the cell indices of its
+warnings changed with that move, its bytes did not.
 """
 
 import hashlib
@@ -13,9 +18,11 @@ import numpy as np
 import pytest
 
 from paretoc import continuation
-from paretoc.complex_io import save_complex
+from paretoc.cli import main
+from paretoc.complex_io import save_complex, save_mesh
+from paretoc.constrained import analyze_constrained, icosphere
 from paretoc.continuation import Analyzer, glue
-from paretoc.problems import VectorProblem, registry_get
+from paretoc.problems import ConstrainedProblem, VectorProblem, registry_get
 from paretoc.tessellation import build_delaunay, enumerate_faces, kuhn_tessellation
 
 
@@ -59,37 +66,38 @@ def _kuhn(name, counts):
     return p, kuhn_tessellation(p.domain_box, counts)
 
 
-# name -> (problem and tessellation, Analyzer keywords, threads,
+# name -> (problem and tessellation, Analyzer keywords,
 #          complex file SHA-256, warnings SHA-256)
 CASES = {
     "smale_fd": (
-        lambda: _kuhn("smale", [16, 16]), {"hessian_mode": "fd"}, None,
+        lambda: _kuhn("smale", [16, 16]), {"hessian_mode": "fd"},
         "4356fc28cf48cfc27be3fc1bb04cd0bfd0962f3e71eb1780737ef8a420c390bc",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     ),
     "tri_fd": (
-        lambda: _kuhn("tri_quadratic", [5, 5, 5]), {"hessian_mode": "fd"}, None,
+        lambda: _kuhn("tri_quadratic", [5, 5, 5]), {"hessian_mode": "fd"},
         "6dc3ed350da7eb78fdfb227024e2170155258628b840e3be6cd50afbbb514175",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     ),
     "noncv_order1": (
-        lambda: _kuhn("noncv", [40, 40]), {"order": 1}, None,
+        lambda: _kuhn("noncv", [40, 40]), {"order": 1},
         "a21600af7dfca95dd187edf22b1e8a3d751d7f045bc4ab9f73e20671daf1f881",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     ),
     "cross_delaunay": (
-        lambda: (_cross_problem(), _cross_mesh()), {}, None,
+        lambda: (_cross_problem(), _cross_mesh()), {},
         "ad91b84423424de52830058c7e3885e49c8e68ce67ecdddb1570760e590b642c",
         "5706067dddf07911b79e29742b94f9d7561ca3e3c514762df85b4b5d57beb732",
     ),
+    # recorded with the cells analysed by two threads; serial runs match it
     "tri_threads2": (
-        lambda: _kuhn("tri_quadratic", [6, 6, 6]), {}, 2,
+        lambda: _kuhn("tri_quadratic", [6, 6, 6]), {},
         "85ebf617415d64f551d4c0a156bc4f7165e7166dab19a29cc6ac4b62a4c8ad48",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     ),
     "paraboloid_sigma_skip": (
         lambda: (_paraboloid_problem(), kuhn_tessellation([[-1, 1], [-1, 1]], [6, 6])),
-        {}, None,
+        {},
         "2f2bd00a734aacf6f84bae95d8147b1f44944ed0a145e0a33ad4484e13d1a442",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     ),
@@ -106,10 +114,10 @@ def _sha(data: bytes) -> str:
 
 
 def _run(case):
-    build, kwargs, threads, _, _ = CASES[case]
+    build, kwargs, _, _ = CASES[case]
     p, tess = build()
     an = Analyzer(p, tess, **kwargs)
-    analyses = an.run_cells(threads=threads)
+    analyses = an.run_cells()
     cx = glue(analyses, p, tess, order=an.order)
     return p, tess, an, analyses, cx
 
@@ -119,8 +127,8 @@ def test_golden_complex_digest(case, tmp_path):
     _, _, _, analyses, cx = _run(case)
     path = tmp_path / "complex.json"
     save_complex(path, cx)
-    assert _sha(path.read_bytes()) == CASES[case][3]
-    assert _sha(json.dumps(_warnings(analyses)).encode()) == CASES[case][4]
+    assert _sha(path.read_bytes()) == CASES[case][2]
+    assert _sha(json.dumps(_warnings(analyses)).encode()) == CASES[case][3]
 
 
 def test_golden_cross_covers_degenerate_faces():
@@ -148,7 +156,7 @@ def _cell_signature(a):
 def test_standalone_cell_matches_run_cells(case):
     # a cell analysed on its own fills the face table for its faces only,
     # through the same code path as the stacked pass of run_cells
-    build, kwargs, _, _, _ = CASES[case]
+    build, kwargs, _, _ = CASES[case]
     p, tess = build()
     in_run = Analyzer(p, tess, **kwargs).run_cells()
     alone = Analyzer(p, tess, **kwargs)
@@ -157,6 +165,22 @@ def test_standalone_cell_matches_run_cells(case):
         if alone.order >= 2:
             alone.analyze_cell_second_order(b)
         assert _cell_signature(b) == _cell_signature(a)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_supplied_nodal_arrays_give_the_same_bytes(case, tmp_path):
+    # the constrained pipeline's entry: nodal data computed outside Analyzer
+    build, kwargs, digest, warnings = CASES[case]
+    p, tess = build()
+    own = Analyzer(p, tess, **kwargs)
+    an = Analyzer(p, tess, **kwargs, jac_nodes=own.jac_nodes.copy(),
+                  omega_nodes=None if own.sigma_skip else own.omega_nodes.copy())
+    assert an.selection is None
+    analyses = an.run_cells()
+    path = tmp_path / "complex.json"
+    save_complex(path, glue(analyses, p, tess, order=an.order))
+    assert _sha(path.read_bytes()) == digest
+    assert _sha(json.dumps(_warnings(analyses)).encode()) == warnings
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -177,3 +201,75 @@ def test_each_distinct_face_solved_once(case, monkeypatch):
                 for f in enumerate_faces(tess.cells[ci], an.selection.r)}
     assert len(calls) == 1
     assert len(calls[0]) == len(distinct) and set(calls[0]) == distinct
+
+
+# ---------------------------------------------------------------------------
+# constrained pipeline
+# ---------------------------------------------------------------------------
+
+
+def _xminusx_problem():
+    # opposed identical objectives: the augmented minor vanishes at every
+    # node, every face system is degenerate and the complex is empty
+    sphere = registry_get("sphere_proj")
+    return ConstrainedProblem(
+        base=VectorProblem(
+            name="xminusx", n=3, m=2,
+            eval=lambda x: np.array([x[0], -x[0]]),
+            jacobian=lambda x: np.array([[1.0, 0, 0], [-1.0, 0, 0]]),
+            hessians=lambda x: np.zeros((2, 3, 3)),
+            domain_box=[[-1, 1]] * 3,
+        ),
+        g=sphere.g,
+        g_jacobian=sphere.g_jacobian,
+        n_constraints=1,
+    )
+
+
+# name -> (problem and mesh, complex file SHA-256)
+CONSTRAINED_CASES = {
+    "sphere_ico0": (
+        lambda: (registry_get("sphere_proj"), icosphere(0)),
+        "dda4eb3714422bd03890e73604b06e03eae74822e365cd3cd037fa82c44a9a73",
+    ),
+    "sphere_ico1": (
+        lambda: (registry_get("sphere_proj"), icosphere(1)),
+        "2a7807851c4b170534c0e146b524bd80bbfa764b68c4676219e30c727f95a94f",
+    ),
+    "sphere_ico2": (
+        lambda: (registry_get("sphere_proj"), icosphere(2)),
+        "14283ca4814c339544d983e2cdb1565c15d24216e185163cda1e2a58e3a6bd8d",
+    ),
+    "sphere_ico3": (
+        lambda: (registry_get("sphere_proj"), icosphere(3)),
+        "1ff1748860a136ccd84356d3a67b85963fab822fde1e11112eb2a6dd3289336e",
+    ),
+    "sphere_ico4": (
+        lambda: (registry_get("sphere_proj"), icosphere(4)),
+        "f951ce6c1cb696b6b4d63b01258c12586e847d16e162ebad81ea1b59ce53b28a",
+    ),
+    "xminusx_ico1": (
+        lambda: (_xminusx_problem(), icosphere(1)),
+        "ef89936f340f96db146e2bd0dcdda598888894aba56b6b61823566619e8db4c2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTRAINED_CASES))
+def test_golden_constrained_digest(case, tmp_path):
+    build, digest = CONSTRAINED_CASES[case]
+    cp, mesh = build()
+    path = tmp_path / "complex.json"
+    save_complex(path, analyze_constrained(cp, mesh))
+    assert _sha(path.read_bytes()) == digest
+
+
+def test_golden_cli_manifold_mesh(tmp_path, monkeypatch):
+    # relative paths: the mesh path is written into the file's provenance
+    monkeypatch.chdir(tmp_path)
+    mesh = icosphere(2)
+    save_mesh("mesh.json", mesh.points, mesh.cells, manifold_dim=2)
+    assert main(["run", "--problem", "sphere_proj",
+                 "--manifold-mesh", "mesh.json", "--out", "complex.json"]) == 0
+    assert (_sha((tmp_path / "complex.json").read_bytes())
+            == "6e136ebbdada0037a163159a4409462e92d259235eff5ffdabbbcb5c04697272")

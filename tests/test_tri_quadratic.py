@@ -44,15 +44,6 @@ def test_triangles_only(tri_run):
     assert all(len(ids) == 3 for ids, _, _ in cx.simplices)
 
 
-def test_threads_do_not_change_output(tri_run):
-    p, cx1 = tri_run
-    tess = kuhn_tessellation(p.domain_box, [7, 7, 7])
-    cx2 = analyze(p, tess, order=2, threads=4)
-    assert [s[:2] for s in cx1.simplices] == [s[:2] for s in cx2.simplices]
-    assert np.array_equal(cx1.positions, cx2.positions)
-    assert cx1.markers == cx2.markers
-
-
 def test_ncv_variant_adds_branch():
     p = registry_get("tri_quadratic_ncv")
     tess = kuhn_tessellation(p.domain_box, [7, 7, 7])
