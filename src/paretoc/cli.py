@@ -17,7 +17,7 @@ import numpy as np
 from .constrained import analyze_constrained, icosphere, ManifoldMesh
 from .continuation import Analyzer, STRATUM_STABLE
 from .complex_io import load_complex, load_mesh, save_complex
-from .errors import ParetocError
+from .errors import ParetocError, UnknownProblem
 from .metrics import hausdorff
 from .problems import (
     ConstrainedProblem,
@@ -30,32 +30,44 @@ from .refinement import initial_state, iterate
 from .tessellation import NodeSet, build_delaunay, kuhn_tessellation
 
 
+class UsageError(Exception):
+    """Malformed command-line input (exit 1)."""
+
+
 def _parse_grid(spec: str, box: np.ndarray, default_seed: int):
     """Grid spec: 'AxB[xC...]' node counts, 'h:0.25' spacing, or
-    'random:N[:seed=S]' uniform points."""
+    'random:N[:seed=S]' uniform points.  A malformed spec is a UsageError."""
     spec = spec.strip()
-    if spec.startswith("random:"):
-        parts = spec.split(":")
-        count = int(parts[1])
-        seed = default_seed
-        for extra in parts[2:]:
-            k, _, v = extra.partition("=")
-            if k == "seed":
+    pts = None
+    try:
+        if spec.startswith("random:"):
+            parts = spec.split(":")
+            count = int(parts[1])
+            seed = default_seed
+            for extra in parts[2:]:
+                k, _, v = extra.partition("=")
+                if k != "seed":
+                    raise ValueError(f"unknown random-grid option {extra!r}")
                 seed = int(v)
-            else:
-                raise ValueError(f"unknown random-grid option {extra!r}")
-        rng = np.random.default_rng(seed)
-        pts = rng.uniform(box[:, 0], box[:, 1], size=(count, box.shape[0]))
+            rng = np.random.default_rng(seed)
+            pts = rng.uniform(box[:, 0], box[:, 1], size=(count, box.shape[0]))
+        elif spec.startswith("h:"):
+            h = float(spec[2:])
+            if not h > 0.0:
+                raise ValueError("spacing must be positive")
+            counts = [int(round((hi - lo) / h)) + 1 for lo, hi in box]
+        else:
+            counts = [int(tok) for tok in spec.lower().split("x")]
+            if len(counts) != box.shape[0]:
+                raise ValueError(
+                    f"{len(counts)} axes, problem has {box.shape[0]}"
+                )
+            if min(counts) < 2:
+                raise ValueError("need at least 2 nodes per axis")
+    except ValueError as exc:
+        raise UsageError(f"bad grid spec {spec!r}: {exc}") from None
+    if pts is not None:
         return build_delaunay(NodeSet(pts))
-    if spec.startswith("h:"):
-        h = float(spec[2:])
-        counts = [int(round((hi - lo) / h)) + 1 for lo, hi in box]
-        return kuhn_tessellation(box, counts)
-    counts = [int(tok) for tok in spec.lower().split("x")]
-    if len(counts) != box.shape[0]:
-        raise ValueError(
-            f"grid spec {spec!r} has {len(counts)} axes, problem has {box.shape[0]}"
-        )
     return kuhn_tessellation(box, counts)
 
 
@@ -345,6 +357,9 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
+    except (UsageError, UnknownProblem) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ParetocError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,6 +4,14 @@ The Hausdorff distance is evaluated with an exact point-to-simplex distance on
 the inf side and dense barycentric sampling on the sup side, so the reported
 value underestimates the true supremum by at most (max simplex diameter /
 density).  The directional means are the average sample-to-set distances.
+
+The inf side is an exact culled search.  With r the largest bounding-box
+extent of the target simplices, each simplex is first evaluated only on the
+samples whose bounding-box gap to it is at most 2r.  A sample that ends this
+pass within r of the set is settled, because every simplex it skipped is more
+than 2r away; the others are compared with every simplex.  The minimum does
+not depend on which simplices are evaluated beyond the nearest, so the
+distances are bit-identical to the all-pairs scan.
 """
 
 from __future__ import annotations
@@ -72,10 +80,46 @@ def _sample_simplices(positions, simplices, density):
     return np.vstack(out) if out else np.empty((0, positions.shape[1]))
 
 
+# Pass-1 window in units of r.  Any factor >= 1 settles samples exactly; the
+# second unit is a margin for the rounding of gaps and distances.
+_WINDOW = 2.0
+
+
 def _min_distances(samples, positions, simplices):
+    """Per sample, the distance to the nearest simplex (see the module doc)."""
     d = np.full(len(samples), np.inf)
-    for ids in simplices:
-        d = np.minimum(d, points_to_simplex_distance(samples, positions[list(ids)]))
+    if not simplices:
+        return d
+
+    def update(rows, P):
+        # numpy takes another matmul path for one row, which rounds
+        # differently; two rows give the bits of the full-array call
+        if len(rows) == 1 and len(samples) > 1:
+            rows = np.repeat(rows, 2)
+        d[rows] = np.minimum(d[rows], points_to_simplex_distance(samples[rows], P))
+
+    lengths = np.array([len(ids) for ids in simplices])
+    flat = positions[np.concatenate([list(ids) for ids in simplices])]
+    offsets = np.cumsum(lengths) - lengths
+    lo = np.minimum.reduceat(flat, offsets, axis=0)
+    hi = np.maximum.reduceat(flat, offsets, axis=0)
+    r = float((hi - lo).max())
+    w = _WINDOW * r
+    order = np.argsort(samples[:, 0], kind="stable")
+    xs = samples[order, 0]
+    start = np.searchsorted(xs, lo[:, 0] - w, "left")
+    stop = np.searchsorted(xs, hi[:, 0] + w, "right")
+    for k, ids in enumerate(simplices):
+        rows = order[start[k]:stop[k]]
+        S = samples[rows]
+        gap = np.maximum(lo[k] - S, S - hi[k]).max(axis=1)
+        rows = rows[gap <= w]
+        if len(rows):
+            update(rows, positions[list(ids)])
+    rest = np.flatnonzero(d > r)
+    if len(rest):
+        for ids in simplices:
+            update(rest, positions[list(ids)])
     return d
 
 

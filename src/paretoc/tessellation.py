@@ -7,7 +7,12 @@ complex is a closed combinatorial manifold and points outside the current hull
 insert exactly like interior ones.  Degenerate (cospherical / collinear)
 configurations are broken by a deterministic symbolic perturbation: for
 predicate evaluation only, node ``i`` is displaced by ``i * eps_geom`` along a
-fixed irrational direction.
+fixed irrational direction.  The perturbation depends on the node id, not on
+the order of insertion, so wherever it breaks every tie the complex is a
+function of the ids and the coordinates, and bulk construction is free to
+insert along a space-filling curve.  It does not break every tie: on grid
+nodes, ids that step evenly along a grid line stay collinear and some
+cospherical sets stay tied, and there the complex can depend on the order.
 
 A finished :class:`Tessellation` is an immutable snapshot; insertion returns a
 new snapshot and never mutates its input.
@@ -92,7 +97,8 @@ class Tessellation:
 
     Cells are (n+1)-tuples of node ids, each tuple sorted, the cell list
     sorted lexicographically, so the representation is deterministic given
-    the node insertion order.
+    the node ids and coordinates (up to the ties the perturbation leaves;
+    see the module docstring).
     """
 
     def __init__(self, nodes: NodeSet, cells: Sequence[tuple]):
@@ -282,8 +288,11 @@ class _Padded:
                 lam = self._barycentric(cell, pid)
                 neg = [int(j) for j in np.argsort(lam) if lam[j] < 0.0]
                 if not neg:
-                    # p inside the cell: mathematically in conflict, trust it
-                    return cid
+                    # the unperturbed point is in the cell, the perturbed one
+                    # is not in its circumsphere: the cell cannot seed the
+                    # cavity (that gave non-Delaunay cells on near-collinear
+                    # nodes), so let the scan find a conflict cell
+                    break
                 # rotate the facet choice on revisits to escape degenerate loops
                 shift = visits.get(cid, 0)
                 visits[cid] = shift + 1
@@ -363,8 +372,49 @@ def _initial_simplex(points: np.ndarray, eps: float) -> list[int]:
     )
 
 
+def _hilbert_order(points: np.ndarray) -> np.ndarray:
+    """Node ids sorted along an n-D Hilbert curve through the bounding box.
+
+    Coordinates are quantized to 16 bits per axis and mapped to the
+    transposed Hilbert index of Skilling 2004, "Programming the Hilbert
+    curve"; reading its bits level by level, axis by axis, gives the index,
+    so a lexsort over those bits orders the nodes along the curve.  Nodes in
+    the same quantization cell keep their id order.
+    """
+    bits = 16
+    lo = points.min(axis=0)
+    span = points.max(axis=0) - lo
+    span[span == 0.0] = 1.0
+    top = (1 << bits) - 1
+    X = np.clip(((points - lo) / span * top).astype(np.int64), 0, top)
+    n = X.shape[1]
+    Q = 1 << (bits - 1)
+    while Q > 1:  # inverse undo
+        P = Q - 1
+        for i in range(n):
+            hit = (X[:, i] & Q) != 0
+            t = np.where(hit, P, (X[:, 0] ^ X[:, i]) & P)
+            X[:, 0] ^= t
+            X[:, i] ^= np.where(hit, 0, t)
+        Q >>= 1
+    for i in range(1, n):  # Gray encode
+        X[:, i] ^= X[:, i - 1]
+    t = np.zeros(len(X), dtype=np.int64)
+    Q = 1 << (bits - 1)
+    while Q > 1:
+        t ^= np.where((X[:, n - 1] & Q) != 0, Q - 1, 0)
+        Q >>= 1
+    X ^= t[:, None]
+    digits = [(X[:, i] >> level) & 1 for level in range(bits - 1, -1, -1) for i in range(n)]
+    return np.lexsort(digits[::-1])
+
+
 def build_delaunay(nodes: NodeSet | np.ndarray) -> Tessellation:
     """Delaunay tessellation of a node set by incremental Bowyer-Watson.
+
+    The seed simplex is the first affinely independent set in id order; the
+    other nodes are inserted along a Hilbert curve, so each point-location
+    walk starts next to its target.  Node ids are the input row indices.
 
     Raises
     ------
@@ -389,11 +439,42 @@ def build_delaunay(nodes: NodeSet | np.ndarray) -> Tessellation:
         pad.add_point(p)
     pad.seed_simplex(seed)
     seed_set = set(seed)
-    for i in range(len(nodes)):
-        if i in seed_set:
-            continue
-        pad.insert(i)
+    for i in _hilbert_order(nodes.points).tolist():
+        if i not in seed_set:
+            pad.insert(i)
     return pad.snapshot()
+
+
+def _check_batch_distinct(existing: np.ndarray, batch: np.ndarray, eps: float) -> None:
+    """Raise DuplicateNode at the first batch point within eps of a node or of
+    an earlier batch point; a clash with a node is reported before one within
+    the batch, naming the nearest node.
+
+    Candidate pairs come from one x-sorted slab search.  The slab is 2*eps
+    wide, so it holds every pair whose rounded distance can be <= eps.
+    """
+    N = len(existing)
+    allpts = np.vstack([existing, batch])
+    order = np.argsort(allpts[:, 0], kind="stable")
+    xs = allpts[order, 0]
+    lo = np.searchsorted(xs, batch[:, 0] - 2 * eps, "left")
+    counts = np.searchsorted(xs, batch[:, 0] + 2 * eps, "right") - lo
+    k = np.repeat(np.arange(len(batch)), counts)
+    j = order[np.arange(len(k)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)]
+    earlier = j < N + k
+    k, j = k[earlier], j[earlier]
+    close = np.linalg.norm(allpts[j] - batch[k], axis=1)
+    hit = close <= eps
+    if not hit.any():
+        return
+    first = k[hit].min()
+    p = batch[first]
+    mine = (k == first) & (j < N)
+    if hit[mine].any():
+        jm, dm = j[mine], close[mine]
+        nearest = int(jm[np.lexsort((jm, dm))[0]])
+        raise DuplicateNode(f"point {p} duplicates node {nearest}")
+    raise DuplicateNode(f"batch contains coincident points at {p}")
 
 
 def insert_node(tess: Tessellation, p) -> Tessellation:
@@ -405,23 +486,22 @@ def insert_nodes(tess: Tessellation, points: Iterable) -> Tessellation:
     """Insert several nodes into a tessellation, returning a new snapshot.
 
     The padded hull structure is rebuilt once, so batch insertion costs one
-    reconstruction plus an incremental Bowyer-Watson step per point.  Falls
-    back to a full rebuild if a cavity retriangulation degenerates.
+    reconstruction plus an incremental Bowyer-Watson step per point.  Points
+    are inserted in the given order and get the next ids in that order.
+    Falls back to a full rebuild if a cavity retriangulation degenerates.
     """
     points = [np.asarray(p, dtype=float) for p in points]
     if not points:
         return tess
     eps = EPS_GEOM_REL * max(tess.scale, 1e-300)
     existing = tess.nodes.points
-    for k, p in enumerate(points):
-        if p.shape != (tess.n,):
-            raise ValueError("inserted point has wrong dimension")
-        d = np.linalg.norm(existing - p, axis=1)
-        if d.size and float(d.min()) <= eps:
-            raise DuplicateNode(f"point {p} duplicates node {int(d.argmin())}")
-        for q in points[:k]:
-            if float(np.linalg.norm(q - p)) <= eps:
-                raise DuplicateNode(f"batch contains coincident points at {p}")
+    bad_shape = next(
+        (k for k, p in enumerate(points) if p.shape != (tess.n,)), len(points)
+    )
+    if bad_shape:
+        _check_batch_distinct(existing, np.array(points[:bad_shape]), eps)
+    if bad_shape < len(points):
+        raise ValueError("inserted point has wrong dimension")
     pad = _Padded.from_tessellation(tess)
     try:
         for p in points:

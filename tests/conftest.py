@@ -7,6 +7,14 @@ they stay independent of the library's own predicate implementations.
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run and stay cheap: no
+# example database, no per-example deadline, a bounded example count.
+settings.register_profile(
+    "paretoc", derandomize=True, deadline=None, max_examples=20, database=None
+)
+settings.load_profile("paretoc")
 
 
 def pytest_addoption(parser):

@@ -147,7 +147,7 @@ def test_cli_plot_data_stable_only(tmp_path):
 
 
 def test_cli_exit_codes(capsys, tmp_path):
-    assert main(["run", "--problem", "unknown_problem"]) == 2
+    assert main(["run", "--problem", "unknown_problem"]) == 1
     assert main(["frobnicate"]) == 1
     assert main([]) == 1
     assert main(["run"]) == 1  # missing --problem
@@ -165,7 +165,28 @@ def test_cli_threads_is_a_usage_error(capsys):
 
 def test_cli_grid_specs(tmp_path):
     assert main(["run", "--problem", "triv", "--grid", "h:0.5"]) == 0
-    assert main(["run", "--problem", "triv", "--grid", "9x9x9"]) == 2  # wrong axes
+    assert main(["run", "--problem", "triv", "--grid", "9x9x9"]) == 1  # wrong axes
+
+
+@pytest.mark.parametrize("spec", [
+    "4xq", "random:abc", "random:", "random:20:sed=3", "h:abc", "h:0", "1x5", "",
+])
+def test_cli_malformed_grid_is_a_usage_error(spec, capsys):
+    assert main(["run", "--problem", "triv", "--grid", spec]) == 1
+    assert "bad grid spec" in capsys.readouterr().err
+
+
+def test_cli_numerical_failure_exits_2(tmp_path, capsys):
+    from paretoc.continuation import ParetoComplex
+
+    empty = ParetoComplex(
+        n=2, m=2, positions=np.zeros((0, 2)), u_values=np.zeros((0, 2)),
+        lam=np.zeros((0, 2)), sigma=None, keys=[], simplices=[], markers=[],
+    )
+    path = tmp_path / "empty.json"
+    save_complex(path, empty)
+    assert main(["distance", str(path), str(path)]) == 2
+    assert "nonempty" in capsys.readouterr().err
 
 
 def test_cli_manifold_mesh_input(tmp_path):
