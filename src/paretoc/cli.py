@@ -2,13 +2,15 @@
 
 Subcommands: run | iterate | distance | plot-data | list-problems |
 check-derivatives.  Exit codes: 0 success, 1 usage error, 2 numerical
-failure.  Every run is single-threaded.
+failure.  Every run is single-threaded.  The global ``--log-level`` sets
+which library log records reach stderr (default ``warning``).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import logging
 import sys
 from pathlib import Path
 
@@ -202,7 +204,7 @@ def cmd_plot_data(args) -> int:
         + ["stratum"]
     )
     for stratum in sorted(set(strata)):
-        path = outdir / f"plot_{args.space}_{stratum}.csv"
+        path = outdir / f"plot_{stratum}.csv"
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
@@ -292,6 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Piecewise-linear approximation of singular, critical and "
         "stable Pareto critical sets by simplicial continuation.",
     )
+    ap.add_argument("--log-level", choices=("debug", "info", "warning", "error"),
+                    default="warning", help="lowest level of log records shown on stderr")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -333,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pp = sub.add_parser("plot-data", help="emit plot-ready CSV polylines")
     pp.add_argument("--file", required=True)
-    pp.add_argument("--space", choices=("input", "output"), default="input")
     pp.add_argument("--out-dir", required=True)
     pp.add_argument("--stable-only", action="store_true")
     pp.set_defaults(func=cmd_plot_data)
@@ -355,6 +358,7 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
+    logging.basicConfig(stream=sys.stderr, level=args.log_level.upper())
     try:
         return args.func(args)
     except (UsageError, UnknownProblem) as exc:

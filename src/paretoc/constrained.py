@@ -8,10 +8,12 @@ orientation change of the projected gradient frame.  Only the square case
 n - d + m = n (one scalar test per node) is implemented; it covers one
 constraint with d = m, e.g. two objectives on a surface in R^3.
 
-Only the nodal data is constrained-specific.  The projected gradients stand
-in for the Jacobian rows and the augmented minor for the r = 1 minor, and the
-unconstrained :class:`~paretoc.continuation.Analyzer` does the rest: candidate
-filter, edge solves, lambda, clipping and gluing.  It runs first order (no
+Only the nodal data is constrained-specific, and it is computed in stacked
+calls over all nodes; only the problem's callables run node by node.  The
+projected gradients stand in for the Jacobian rows and the augmented minor
+for the r = 1 minor, and the unconstrained
+:class:`~paretoc.continuation.Analyzer` does the rest: candidate filter, edge
+solves, lambda, clipping and gluing.  It runs first order (no
 stability clip), so critical pieces carry the ``critical_unstable`` label
 (stability undecided).
 """
@@ -25,7 +27,7 @@ import numpy as np
 from .continuation import (
     Analyzer,
     ParetoComplex,
-    snap_determinant,
+    snapped_determinants,
     EPS_RANK,
     EPS_RES,
 )
@@ -57,7 +59,8 @@ class ManifoldMesh:
         return self.points.shape[1]
 
     def validate(self, cp: ConstrainedProblem, eps: float = EPS_CONSTRAINT) -> None:
-        res = np.array([np.abs(cp.g_val(p)).max() for p in self.points])
+        g = _at_nodes(cp.g_val, self.points, (cp.n_constraints,))
+        res = np.abs(g).max(axis=1)
         self.node_constraint_residual = res
         worst = float(res.max()) if res.size else 0.0
         if worst >= eps:
@@ -69,29 +72,56 @@ class ManifoldMesh:
         return Tessellation(NodeSet(self.points), self.cells)
 
 
+def _at_nodes(f, X, shape) -> np.ndarray:
+    """The callable f evaluated at every row of X, as an (N, *shape) array."""
+    # filled in place: a list of N small arrays would raise the peak memory
+    out = np.empty((len(X),) + shape)
+    for i, p in enumerate(X):
+        out[i] = f(p)
+    return out
+
+
 def project_gradients(cp: ConstrainedProblem, x) -> np.ndarray:
-    """Objective gradients projected onto ker Dg(x): rows (I - Dg+ Dg) grad u_j."""
+    """Objective gradients projected onto ker Dg(x): rows (I - Dg+ Dg) grad u_j.
+
+    x is one point (n,) or a stack of points (N, n); the result is (m, n) or
+    (N, m, n).  Only the callables are evaluated point by point: the rank
+    test, the Gram solve and the projection are stacked calls over all
+    points.  A rank-deficient Dg raises for the first such point.
+    """
     x = np.asarray(x, dtype=float)
-    Dg = cp.g_jac(x)
-    gram = Dg @ Dg.T
+    X = np.atleast_2d(x)
+    Dg = _at_nodes(cp.g_jac, X, (cp.n_constraints, cp.n))
     sv = np.linalg.svd(Dg, compute_uv=False)
-    if sv[-1] <= EPS_RANK * max(sv[0], 1e-300):
-        raise RankDeficientConstraint(f"Dg rank deficient at {x}")
-    J = cp.base.jac(x)
-    corr = Dg.T @ np.linalg.solve(gram, Dg @ J.T)
-    return J - corr.T
+    deficient = np.flatnonzero(sv[:, -1] <= EPS_RANK * np.maximum(sv[:, 0], 1e-300))
+    if deficient.size:
+        raise RankDeficientConstraint(f"Dg rank deficient at {X[deficient[0]]}")
+    J = _at_nodes(cp.base.jac, X, (cp.m, cp.n))
+    DgT = np.swapaxes(Dg, -1, -2)
+    corr = DgT @ np.linalg.solve(Dg @ DgT, Dg @ np.swapaxes(J, -1, -2))
+    proj = J - np.swapaxes(corr, -1, -2)
+    return proj if x.ndim == 2 else proj[0]
 
 
-def augmented_minors(cp: ConstrainedProblem, x) -> float:
-    """det(grad g_1, ..., grad g_{n-d}, grad u_1, ..., grad u_m); square case only."""
+def augmented_minors(cp: ConstrainedProblem, x):
+    """det(grad g_1, ..., grad g_{n-d}, grad u_1, ..., grad u_m); square case only.
+
+    x is one point (n,), giving a float, or a stack of points (N, n), giving
+    an (N,) array.  The determinants are one snapped, stacked call.
+    """
     k = cp.n_constraints
     if k + cp.m != cp.n:
         raise NonSquareUnsupported(
             f"stacked matrix is {cp.n} x {k + cp.m}; only the square case is supported"
         )
     x = np.asarray(x, dtype=float)
-    cols = np.vstack([cp.g_jac(x), cp.base.jac(x)]).T
-    return snap_determinant(float(np.linalg.det(cols)), cols)
+    X = np.atleast_2d(x)
+    rows = np.concatenate(
+        [_at_nodes(cp.g_jac, X, (k, cp.n)), _at_nodes(cp.base.jac, X, (cp.m, cp.n))],
+        axis=1,
+    )
+    omega = snapped_determinants(np.swapaxes(rows, -1, -2))
+    return omega if x.ndim == 2 else float(omega[0])
 
 
 def analyze_constrained(
@@ -111,12 +141,8 @@ def analyze_constrained(
             "need n - d + m = n (i.e. d = m) and a mesh of matching dimension"
         )
     mesh.validate(cp)
-    N = len(mesh.points)
-    proj = np.empty((N, cp.m, cp.n))
-    omega = np.empty((N, 1))
-    for i in range(N):
-        proj[i] = project_gradients(cp, mesh.points[i])
-        omega[i] = augmented_minors(cp, mesh.points[i])
+    proj = project_gradients(cp, mesh.points)
+    omega = augmented_minors(cp, mesh.points)[:, None]
     return Analyzer(
         cp.base, mesh.as_tessellation(), order=1, eps_res=eps_res,
         jac_nodes=proj, omega_nodes=omega,

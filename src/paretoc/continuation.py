@@ -111,21 +111,15 @@ def minors_of_jacobian(J: np.ndarray, sel: MinorSelection) -> np.ndarray:
     return np.array([np.linalg.det(J[:, list(cols)]) for cols in sel.columns])
 
 
-def snap_determinant(value: float, matrix: np.ndarray, rel: float = 1e-13) -> float:
-    """Zero out a determinant below its round-off floor.
+def snapped_determinants(matrices: np.ndarray, rel: float = 1e-13) -> np.ndarray:
+    """Determinants of a stack of square matrices, each zeroed below its
+    round-off floor, in one batched call.
 
     |det| is bounded by the product of column norms (Hadamard); values far
     below that product times machine precision are pure noise and their
     arbitrary signs would otherwise fabricate crossings for structurally
     singular maps.
     """
-    bound = float(np.prod(np.linalg.norm(matrix, axis=0)))
-    return 0.0 if abs(value) <= rel * bound else value
-
-
-def snapped_determinants(matrices: np.ndarray, rel: float = 1e-13) -> np.ndarray:
-    """Determinants of a stack of square matrices, each snapped as in
-    :func:`snap_determinant`, in one batched call."""
     det = np.linalg.det(matrices)
     bound = np.prod(np.linalg.norm(matrices, axis=-2), axis=-1)
     return np.where(np.abs(det) <= rel * bound, 0.0, det)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import paretoc
 from paretoc.cli import main
 from paretoc.complex_io import (
     complex_from_dict,
@@ -127,13 +132,15 @@ def test_cli_plot_data(tmp_path):
     out = tmp_path / "triv.json"
     main(["run", "--problem", "triv", "--grid", "15x15", "--out", str(out)])
     plots = tmp_path / "plots"
-    assert main(["plot-data", "--file", str(out), "--space", "output",
-                 "--out-dir", str(plots)]) == 0
-    stable = plots / "plot_output_critical_stable.csv"
+    assert main(["plot-data", "--file", str(out), "--out-dir", str(plots)]) == 0
+    stable = plots / "plot_critical_stable.csv"
     assert stable.exists()
     header = stable.read_text().splitlines()[0]
     assert header == "component_id,vertex_index,x0,x1,u0,u1,stratum"
     assert (plots / "markers.csv").exists()
+    # both column groups are always written, so there is no space to choose
+    assert main(["plot-data", "--file", str(out), "--space", "output",
+                 "--out-dir", str(plots)]) == 1
 
 
 def test_cli_plot_data_stable_only(tmp_path):
@@ -143,7 +150,7 @@ def test_cli_plot_data_stable_only(tmp_path):
     assert main(["plot-data", "--file", str(out), "--out-dir", str(plots),
                  "--stable-only"]) == 0
     names = sorted(f.name for f in plots.iterdir())
-    assert names == ["markers.csv", "plot_input_critical_stable.csv"]
+    assert names == ["markers.csv", "plot_critical_stable.csv"]
 
 
 def test_cli_exit_codes(capsys, tmp_path):
@@ -161,6 +168,35 @@ def test_cli_threads_is_a_usage_error(capsys):
     assert main(["--threads", "2", "run", "--problem", "triv", "--grid", "5x5"]) == 1
     assert main(["run", "--problem", "triv", "--grid", "5x5", "--threads", "2"]) == 1
     assert "--threads" in capsys.readouterr().err
+
+
+def _cli_process(tmp_path, *args):
+    # a fresh interpreter, so the CLI configures logging from scratch
+    src = str(Path(paretoc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "paretoc.cli", *args, "iterate", "--problem", "triv",
+         "--grid", "13x12", "--iterations", "1", "--out-dir", str(tmp_path / "it")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_cli_log_level_info_shows_refinement_records(tmp_path):
+    done = _cli_process(tmp_path, "--log-level", "info")
+    assert done.returncode == 0
+    assert "iteration 1: inserting " in done.stderr
+
+
+def test_cli_default_log_level_hides_info_records(tmp_path):
+    done = _cli_process(tmp_path)
+    assert done.returncode == 0
+    assert "inserting" not in done.stderr
+
+
+def test_cli_unknown_log_level_is_a_usage_error(capsys):
+    assert main(["--log-level", "verbose", "list-problems"]) == 1
+    assert "--log-level" in capsys.readouterr().err
 
 
 def test_cli_grid_specs(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from paretoc import continuation
 from paretoc.constrained import (
@@ -9,7 +10,7 @@ from paretoc.constrained import (
     icosphere,
     project_gradients,
 )
-from paretoc.continuation import STRATUM_UNSTABLE, SingularVertex
+from paretoc.continuation import EPS_RANK, STRATUM_UNSTABLE, SingularVertex
 from paretoc.errors import NonSquareUnsupported, RankDeficientConstraint
 from paretoc.geometry import points_to_simplex_distance
 from paretoc.problems import ConstrainedProblem, VectorProblem, registry_get
@@ -125,6 +126,120 @@ def test_non_square_unsupported(sphere):
     )
     with pytest.raises(NonSquareUnsupported):
         augmented_minors(cp, [0.0, 0.0, 1.0])
+    with pytest.raises(NonSquareUnsupported):
+        augmented_minors(cp, icosphere(0).points)
+
+
+# ---------------------------------------------------------------------------
+# stacked nodal stage against the per-node loop
+# ---------------------------------------------------------------------------
+
+
+def _loop_project_gradients(cp, x):
+    x = np.asarray(x, dtype=float)
+    Dg = cp.g_jac(x)
+    gram = Dg @ Dg.T
+    sv = np.linalg.svd(Dg, compute_uv=False)
+    if sv[-1] <= EPS_RANK * max(sv[0], 1e-300):
+        raise RankDeficientConstraint(f"Dg rank deficient at {x}")
+    J = cp.base.jac(x)
+    corr = Dg.T @ np.linalg.solve(gram, Dg @ J.T)
+    return J - corr.T
+
+
+def _loop_augmented_minor(cp, x):
+    x = np.asarray(x, dtype=float)
+    cols = np.vstack([cp.g_jac(x), cp.base.jac(x)]).T
+    value = float(np.linalg.det(cols))
+    bound = float(np.prod(np.linalg.norm(cols, axis=0)))
+    return 0.0 if abs(value) <= 1e-13 * bound else value
+
+
+def _assert_stacked_matches_loop(cp, points):
+    proj = project_gradients(cp, points)
+    omega = augmented_minors(cp, points)
+    assert proj.shape == (len(points), cp.m, cp.n)
+    assert omega.shape == (len(points),)
+    assert np.array_equal(proj, [_loop_project_gradients(cp, p) for p in points])
+    assert np.array_equal(omega, [_loop_augmented_minor(cp, p) for p in points])
+
+
+@pytest.mark.parametrize("sub", range(6))
+def test_stacked_nodal_stage_matches_loop_on_icospheres(sphere, sub):
+    _assert_stacked_matches_loop(sphere, icosphere(sub).points)
+
+
+def test_stacked_nodal_stage_matches_loop_on_quadratic_pairs(sphere):
+    points = icosphere(2).points
+    for seed in range(12):
+        _assert_stacked_matches_loop(_random_quadratic_pair(sphere, seed), points)
+
+
+@given(
+    st.lists(
+        st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda p: np.linalg.norm(p) > 1e-3),
+        min_size=1, max_size=30,
+    ),
+    st.integers(-1, 11),
+)
+def test_stacked_nodal_stage_matches_loop_on_drawn_points(coords, seed):
+    sphere = registry_get("sphere_proj")
+    cp = sphere if seed < 0 else _random_quadratic_pair(sphere, seed)
+    points = np.array(coords)
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    _assert_stacked_matches_loop(cp, points)
+
+
+def test_single_point_calls_keep_their_types(sphere):
+    x = icosphere(0).points[3]
+    pg = project_gradients(sphere, x)
+    assert type(pg) is np.ndarray and pg.shape == (2, 3)
+    assert type(augmented_minors(sphere, x)) is float
+
+
+def test_one_ulp_in_one_gram_entry_fails_the_equality(sphere, monkeypatch):
+    # the reference comparison must see a one-ulp change at a single node;
+    # rounding absorbs it at a few nodes (4 of 162 here), not at node 0
+    points = icosphere(2).points
+    ref = np.array([_loop_project_gradients(sphere, p) for p in points])
+    solve = np.linalg.solve
+
+    def perturbed_solve(a, b):
+        a = a.copy()
+        a[0, 0, 0] = np.nextafter(a[0, 0, 0], np.inf)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", perturbed_solve)
+    proj = project_gradients(sphere, points)
+    differs = np.flatnonzero((proj != ref).any(axis=(1, 2)))
+    assert differs.tolist() == [0]
+
+
+@pytest.mark.parametrize("nodes", [(5,), (5, 9), (9, 5, 30)])
+def test_rank_deficient_constraint_names_the_first_node(sphere, nodes):
+    mesh = icosphere(1)
+    at = {mesh.points[i].tobytes() for i in nodes}
+    cp = ConstrainedProblem(
+        base=sphere.base,
+        g=sphere.g,
+        g_jacobian=lambda x: np.zeros(3) if x.tobytes() in at else sphere.g_jacobian(x),
+    )
+    with pytest.raises(RankDeficientConstraint) as exc:
+        project_gradients(cp, mesh.points)
+    assert str(exc.value) == f"Dg rank deficient at {mesh.points[5]}"
+    with pytest.raises(RankDeficientConstraint) as exc:
+        analyze_constrained(cp, mesh)
+    assert str(exc.value) == f"Dg rank deficient at {mesh.points[5]}"
+
+
+def test_off_constraint_mesh_fails_before_the_rank_test(sphere):
+    mesh = icosphere(1)
+    off = ManifoldMesh(points=mesh.points * 1.01, cells=mesh.cells, d=2)
+    cp = ConstrainedProblem(base=sphere.base, g=sphere.g, g_jacobian=lambda x: np.zeros(3))
+    with pytest.raises(ValueError, match="mesh node violates the constraint"):
+        analyze_constrained(cp, off)
+    with pytest.raises(RankDeficientConstraint):
+        analyze_constrained(cp, mesh)
 
 
 # ---------------------------------------------------------------------------
