@@ -9,8 +9,9 @@ n - d + m = n (one scalar test per node) is implemented; it covers one
 constraint with d = m, e.g. two objectives on a surface in R^3.
 
 Only the nodal data is constrained-specific, and it is computed in stacked
-calls over all nodes; only the problem's callables run node by node.  The
-projected gradients stand in for the Jacobian rows and the augmented minor
+calls over all nodes, the problem's callables included (through the
+problem's fallback loop when it has no stacked forms).  The projected
+gradients stand in for the Jacobian rows and the augmented minor
 for the r = 1 minor, and the unconstrained
 :class:`~paretoc.continuation.Analyzer` does the rest: candidate filter, edge
 solves, lambda, clipping and gluing.  It runs first order (no
@@ -59,8 +60,7 @@ class ManifoldMesh:
         return self.points.shape[1]
 
     def validate(self, cp: ConstrainedProblem, eps: float = EPS_CONSTRAINT) -> None:
-        g = _at_nodes(cp.g_val, self.points, (cp.n_constraints,))
-        res = np.abs(g).max(axis=1)
+        res = np.abs(cp.g_val_at(self.points)).max(axis=1)
         self.node_constraint_residual = res
         worst = float(res.max()) if res.size else 0.0
         if worst >= eps:
@@ -72,31 +72,22 @@ class ManifoldMesh:
         return Tessellation(NodeSet(self.points), self.cells)
 
 
-def _at_nodes(f, X, shape) -> np.ndarray:
-    """The callable f evaluated at every row of X, as an (N, *shape) array."""
-    # filled in place: a list of N small arrays would raise the peak memory
-    out = np.empty((len(X),) + shape)
-    for i, p in enumerate(X):
-        out[i] = f(p)
-    return out
-
-
 def project_gradients(cp: ConstrainedProblem, x) -> np.ndarray:
     """Objective gradients projected onto ker Dg(x): rows (I - Dg+ Dg) grad u_j.
 
     x is one point (n,) or a stack of points (N, n); the result is (m, n) or
-    (N, m, n).  Only the callables are evaluated point by point: the rank
-    test, the Gram solve and the projection are stacked calls over all
-    points.  A rank-deficient Dg raises for the first such point.
+    (N, m, n).  The callables, the rank test, the Gram solve and the
+    projection are stacked calls over all points.  A rank-deficient Dg
+    raises for the first such point.
     """
     x = np.asarray(x, dtype=float)
     X = np.atleast_2d(x)
-    Dg = _at_nodes(cp.g_jac, X, (cp.n_constraints, cp.n))
+    Dg = cp.g_jac_at(X)
     sv = np.linalg.svd(Dg, compute_uv=False)
     deficient = np.flatnonzero(sv[:, -1] <= EPS_RANK * np.maximum(sv[:, 0], 1e-300))
     if deficient.size:
         raise RankDeficientConstraint(f"Dg rank deficient at {X[deficient[0]]}")
-    J = _at_nodes(cp.base.jac, X, (cp.m, cp.n))
+    J = cp.base.jac_at(X)
     DgT = np.swapaxes(Dg, -1, -2)
     corr = DgT @ np.linalg.solve(Dg @ DgT, Dg @ np.swapaxes(J, -1, -2))
     proj = J - np.swapaxes(corr, -1, -2)
@@ -116,10 +107,7 @@ def augmented_minors(cp: ConstrainedProblem, x):
         )
     x = np.asarray(x, dtype=float)
     X = np.atleast_2d(x)
-    rows = np.concatenate(
-        [_at_nodes(cp.g_jac, X, (k, cp.n)), _at_nodes(cp.base.jac, X, (cp.m, cp.n))],
-        axis=1,
-    )
+    rows = np.concatenate([cp.g_jac_at(X), cp.base.jac_at(X)], axis=1)
     omega = snapped_determinants(np.swapaxes(rows, -1, -2))
     return omega if x.ndim == 2 else float(omega[0])
 

@@ -108,7 +108,9 @@ def selection_for(problem: VectorProblem,
 
 
 def minors_of_jacobian(J: np.ndarray, sel: MinorSelection) -> np.ndarray:
-    return np.array([np.linalg.det(J[:, list(cols)]) for cols in sel.columns])
+    """The selected minors of one Jacobian (m, n), or of a stack (N, m, n) as
+    an (N, r) array, one batched determinant per minor window."""
+    return np.stack([np.linalg.det(J[..., list(cols)]) for cols in sel.columns], axis=-1)
 
 
 def snapped_determinants(matrices: np.ndarray, rel: float = 1e-13) -> np.ndarray:
@@ -559,13 +561,10 @@ def _nodal_data(problem: VectorProblem, points: np.ndarray,
                 selection: Optional[MinorSelection]) -> tuple:
     """Nodal Jacobians and, given a minor selection, the snapped nodal minors
     (one batched determinant per minor window)."""
-    N = len(points)
-    jac_nodes = np.empty((N, problem.m, problem.n))
-    for i in range(N):
-        jac_nodes[i] = problem.jac(points[i])
+    jac_nodes = problem.jac_at(points)
     if selection is None:
         return jac_nodes, None
-    omega_nodes = np.empty((N, selection.r))
+    omega_nodes = np.empty((len(points), selection.r))
     for j, cols in enumerate(selection.columns):
         omega_nodes[:, j] = snapped_determinants(jac_nodes[:, :, list(cols)])
     return jac_nodes, omega_nodes
@@ -646,7 +645,6 @@ class Analyzer:
         self._faces: dict = {}       # face tuple -> shared vertex | None | _RANK_DEFICIENT
         self._prepared: set = set()  # cells whose faces are in the table
         self._fill_lock = threading.Lock()
-        self._hess_nodes: dict[int, np.ndarray] = {}
 
     def candidate_cells(self) -> np.ndarray:
         """Indices of cells where every minor changes sign (vectorized filter)."""
@@ -715,16 +713,32 @@ class Analyzer:
         """Analytic Hessian interpolation, and sigma of the critical vertices,
         for the vertices of the cells that reach the second-order stage.
         Returns the vertices it changed."""
-        changed = []
+        pending: dict[int, SingularVertex] = {}
         for ci in cells:
             verts, _ = _cell_vertices(self._faces, self._cell_faces(ci))
             if len(verts) < self.problem.m:
                 continue  # the cell stops before the Hessian stage
             for v in verts:
                 if v.hess_interp is None:
-                    hs = np.array([self._hess_node(int(i)) for i in v.face])
-                    v.hess_interp = np.tensordot(v.mu, hs, axes=1)
-                    changed.append(v)
+                    pending.setdefault(id(v), v)
+        changed = list(pending.values())
+        if changed:
+            # one Hessian evaluation over the distinct face nodes (found with
+            # a mask: np.unique imports numpy.ma on first use), then one
+            # interpolation per face size k, where mu (1, k) @ hs (k, -1)
+            # rounds as the per-vertex tensordot did
+            used = np.zeros(len(self.tess.nodes), dtype=bool)
+            used[np.concatenate([v.face for v in changed])] = True
+            nodes = np.flatnonzero(used)
+            hess_nodes = self.problem.hess_at(self.tess.nodes.points[nodes])
+            shape = hess_nodes.shape[1:]
+            for k in sorted({len(v.face) for v in changed}):
+                group = [v for v in changed if len(v.face) == k]
+                mu = np.array([v.mu for v in group])
+                hs = hess_nodes[np.searchsorted(nodes, [v.face for v in group])]
+                interp = mu[:, None, :] @ hs.reshape(len(group), k, -1)
+                for v, h in zip(group, interp.reshape((len(group),) + shape)):
+                    v.hess_interp = h
         critical = [v for v in changed if v.lam is not None and v.critical_ok]
         if critical:
             sigma, fail = generalized_hessians(
@@ -735,13 +749,6 @@ class Analyzer:
             for v, sg, f in zip(critical, sigma, fail):
                 v.sigma, v.kernel_fail = (None, True) if f else (sg, False)
         return changed
-
-    def _hess_node(self, i: int) -> np.ndarray:
-        h = self._hess_nodes.get(i)
-        if h is None:
-            h = self.problem.hess(self.tess.nodes.points[i])
-            self._hess_nodes[i] = h
-        return h
 
     # -- per-cell pipeline -----------------------------------------------------
 
@@ -1017,18 +1024,17 @@ def glue(analyses: Iterable[CellAnalysis], problem: VectorProblem,
     V = len(ordered_keys)
     n, m = problem.n, problem.m
     positions = np.empty((V, n))
-    u_values = np.empty((V, m))
     lam = np.full((V, m), np.nan)
     ksig = max(n - m + 1, 0)
     sigma = np.full((V, ksig), np.nan) if (order >= 2 and ksig > 0) else None
     for k, i in index_of.items():
         v = vertex_table[k]
         positions[i] = v.x
-        u_values[i] = problem.u(v.x)
         if v.lam is not None:
             lam[i] = v.lam
         if sigma is not None and v.sigma is not None:
             sigma[i] = v.sigma
+    u_values = problem.u_at(positions)
     simplices = sorted(
         (tuple(sorted(index_of[k] for k in sk)), stratum, ci)
         for sk, (stratum, ci) in simplex_table.items()

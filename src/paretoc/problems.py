@@ -2,8 +2,9 @@
 
 Each registered problem is a :class:`VectorProblem` (or a
 :class:`ConstrainedProblem` wrapping one) whose objective, Jacobian and
-Hessian callables are hand-coded.  ``check_derivatives`` guards the hand-coded
-derivatives against central finite differences.
+Hessian callables are hand-coded, once per point and once stacked over many
+points.  ``check_derivatives`` guards the hand-coded derivatives against
+central finite differences, and the stacked forms against the per-point ones.
 
 Domain boxes for problems whose sources print no bounds are repo decisions,
 chosen to contain the interesting critical structure with some margin; they
@@ -31,6 +32,12 @@ class VectorProblem:
     symmetric matrices.  ``m <= n`` is the standard pipeline; ``m > n`` is
     accepted and flips :attr:`sigma_skip` (the singular set is the whole
     domain, so minor extraction is skipped downstream).
+
+    The optional stacked callables map a stack of points X (N, n) to (N, m),
+    (N, m, n) and (N, m, n, n) in one call, each row equal to the per-point
+    callable's value.  The pipeline evaluates through :meth:`u_at`,
+    :meth:`jac_at` and :meth:`hess_at`, which fall back to a loop over the
+    per-point callable where a stacked one is missing.
     """
 
     name: str
@@ -44,6 +51,9 @@ class VectorProblem:
     # column subsets for the minor tests when the sliding windows are
     # structurally degenerate for this map (an identically-zero minor)
     minor_columns: Optional[tuple] = None
+    eval_stacked: Optional[Callable[[Array], Array]] = None
+    jacobian_stacked: Optional[Callable[[Array], Array]] = None
+    hessians_stacked: Optional[Callable[[Array], Array]] = None
 
     def __post_init__(self):
         self.domain_box = np.asarray(self.domain_box, dtype=float).reshape(self.n, 2)
@@ -61,6 +71,18 @@ class VectorProblem:
     def hess(self, x) -> Array:
         return np.asarray(self.hessians(np.asarray(x, dtype=float)), dtype=float)
 
+    def u_at(self, X) -> Array:
+        """Objective values at every row of X (N, n), as an (N, m) array."""
+        return _at_points(self.eval_stacked, self.u, X, (self.m,))
+
+    def jac_at(self, X) -> Array:
+        """Jacobians at every row of X (N, n), as an (N, m, n) array."""
+        return _at_points(self.jacobian_stacked, self.jac, X, (self.m, self.n))
+
+    def hess_at(self, X) -> Array:
+        """Hessians at every row of X (N, n), as an (N, m, n, n) array."""
+        return _at_points(self.hessians_stacked, self.hess, X, (self.m, self.n, self.n))
+
     @property
     def box_diagonal(self) -> float:
         return float(np.linalg.norm(self.domain_box[:, 1] - self.domain_box[:, 0]))
@@ -68,12 +90,19 @@ class VectorProblem:
 
 @dataclass
 class ConstrainedProblem:
-    """Objectives over the zero set of an equality constraint g: R^n -> R^{n-d}."""
+    """Objectives over the zero set of an equality constraint g: R^n -> R^{n-d}.
+
+    ``g_stacked`` and ``g_jacobian_stacked`` are the optional stacked forms
+    of the constraint, mapping X (N, n) to (N, k) and (N, k, n) for k
+    constraints; :meth:`g_val_at` and :meth:`g_jac_at` use them when present.
+    """
 
     base: VectorProblem
     g: Callable[[Array], Array]
     g_jacobian: Callable[[Array], Array]
     n_constraints: int = 1
+    g_stacked: Optional[Callable[[Array], Array]] = None
+    g_jacobian_stacked: Optional[Callable[[Array], Array]] = None
 
     @property
     def name(self) -> str:
@@ -98,6 +127,37 @@ class ConstrainedProblem:
         j = np.asarray(self.g_jacobian(np.asarray(x, dtype=float)), dtype=float)
         return j.reshape(self.n_constraints, self.n)
 
+    def g_val_at(self, X) -> Array:
+        """Constraint values at every row of X (N, n), as an (N, k) array."""
+        return _at_points(self.g_stacked, self.g_val, X, (self.n_constraints,))
+
+    def g_jac_at(self, X) -> Array:
+        """Constraint Jacobians at every row of X (N, n), as an (N, k, n) array."""
+        return _at_points(
+            self.g_jacobian_stacked, self.g_jac, X, (self.n_constraints, self.n)
+        )
+
+
+def _at_points(stacked, point, X, shape) -> Array:
+    """A callable's values at every row of X, as an owned (N, *shape) array.
+
+    One call of ``stacked`` when the problem has it; otherwise a loop over
+    the per-point callable ``point``, the pipeline's only per-point loop.
+    """
+    X = np.asarray(X, dtype=float)
+    shape = (len(X),) + shape
+    if stacked is not None:
+        # owned, writable and C-contiguous, whatever view the callable returns
+        out = np.require(stacked(X), dtype=float, requirements="COW")
+        if out.shape != shape:
+            raise ValueError(f"stacked callable returned shape {out.shape}, expected {shape}")
+        return out
+    # filled in place: a list of N small arrays would raise the peak memory
+    out = np.empty(shape)
+    for i, x in enumerate(X):
+        out[i] = point(x)
+    return out
+
 
 # ---------------------------------------------------------------------------
 # derivative checking
@@ -111,13 +171,17 @@ class DerivativeReport:
     max_jacobian_error: float
     max_hessian_error: float
     max_constraint_error: float = 0.0
+    max_stacked_error: float = 0.0
     tolerance: float = 1e-5
     failures: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
         worst = max(
-            self.max_jacobian_error, self.max_hessian_error, self.max_constraint_error
+            self.max_jacobian_error,
+            self.max_hessian_error,
+            self.max_constraint_error,
+            self.max_stacked_error,
         )
         return worst < self.tolerance and not self.failures
 
@@ -131,7 +195,9 @@ def check_derivatives(
     """Compare analytic Jacobians/Hessians against central finite differences.
 
     ``h`` defaults to 1e-4 times the domain-box diagonal.  Errors are relative
-    to the larger of the matrix norm and 1.
+    to the larger of the matrix norm and 1.  The stacked callables the problem
+    has are compared with the per-point ones at the samples, relative to the
+    same scale; a difference reports a ``"stacked"`` failure.
     """
     cp = problem if isinstance(problem, ConstrainedProblem) else None
     p = cp.base if cp is not None else problem
@@ -176,12 +242,35 @@ def check_derivatives(
             g_err = max(g_err, err)
             if err >= tolerance:
                 failures.append(("constraint", x.tolist(), err))
+    audited = [
+        (p.eval_stacked, p.u_at, p.u),
+        (p.jacobian_stacked, p.jac_at, p.jac),
+        (p.hessians_stacked, p.hess_at, p.hess),
+    ]
+    if cp is not None:
+        audited += [
+            (cp.g_stacked, cp.g_val_at, cp.g_val),
+            (cp.g_jacobian_stacked, cp.g_jac_at, cp.g_jac),
+        ]
+    stacked_err = 0.0
+    X = np.array(samples)
+    for stacked, at, point in audited:
+        if stacked is None:
+            continue
+        per_point = np.array([point(x) for x in samples])
+        scale = max(1.0, float(np.abs(per_point).max()))
+        diff = np.abs(at(X) - per_point).reshape(len(samples), -1).max(axis=1) / scale
+        for x, err in zip(samples, diff.tolist()):
+            stacked_err = max(stacked_err, err)
+            if err >= tolerance:
+                failures.append(("stacked", x.tolist(), err))
     return DerivativeReport(
         problem=p.name,
         h=h,
         max_jacobian_error=jac_err,
         max_hessian_error=hess_err,
         max_constraint_error=g_err,
+        max_stacked_error=stacked_err,
         tolerance=tolerance,
         failures=failures,
     )
@@ -210,6 +299,21 @@ def sample_domain(problem: VectorProblem, count: int, seed: int = 0, shrink: flo
 # registered problems
 # ---------------------------------------------------------------------------
 
+# The stacked forms take powers with np.float_power.  A float64 scalar's x**k
+# calls C pow, and numpy's array power (x*x for a square) differs from it in
+# the last bit; float_power calls pow too.
+_pow = np.float_power
+
+
+def _tiled(A: Array, N: int) -> Array:
+    """N owned copies of a constant array, as an (N, *A.shape) array."""
+    return np.repeat(A[None], N, axis=0)
+
+
+def _matrices(rows) -> Array:
+    """An (N, m, n) array from m rows of n (N,) entry arrays."""
+    return np.stack([np.stack(row, axis=1) for row in rows], axis=1)
+
 
 def _make_triv() -> VectorProblem:
     """Two negative definite quadratics; the stable set joins their maxima.
@@ -236,6 +340,16 @@ def _make_triv() -> VectorProblem:
 
     H = np.array([np.diag([-2.10, -1.96]), np.diag([-1.98, -2.06])])
 
+    def ev_at(X):
+        x, y = X.T
+        u1 = -1.05 * _pow(x, 2) - 0.98 * _pow(y, 2)
+        u2 = -0.99 * _pow(x - 3.0, 2) - 1.03 * _pow(y - 2.5, 2)
+        return np.stack([u1, u2], axis=1)
+
+    def jac_at(X):
+        x, y = X.T
+        return _matrices([[-2.10 * x, -1.96 * y], [-1.98 * (x - 3.0), -2.06 * (y - 2.5)]])
+
     return VectorProblem(
         name="triv",
         n=2,
@@ -245,6 +359,9 @@ def _make_triv() -> VectorProblem:
         hessians=lambda x: H,
         domain_box=[[-1.52, 4.48], [-1.52, 3.98]],
         description="two concave quadratics with maxima at (0,0) and (3,2.5)",
+        eval_stacked=ev_at,
+        jacobian_stacked=jac_at,
+        hessians_stacked=lambda X: _tiled(H, len(X)),
     )
 
 
@@ -270,6 +387,28 @@ def _make_smale() -> VectorProblem:
             ]
         )
 
+    def ev_at(X):
+        x, y = X.T
+        return np.stack([-y, (y - _pow(x, 3)) / (x + 1.0)], axis=1)
+
+    def jac_at(X):
+        x, y = X.T
+        s = x + 1.0
+        J = np.zeros((len(X), 2, 2))
+        J[:, 0, 1] = -1.0
+        J[:, 1, 0] = (-2.0 * _pow(x, 3) - 3.0 * _pow(x, 2) - y) / _pow(s, 2)
+        J[:, 1, 1] = 1.0 / s
+        return J
+
+    def hess_at(X):
+        x, y = X.T
+        s = x + 1.0
+        H = np.zeros((len(X), 2, 2, 2))
+        h_xx = -2.0 * _pow(x, 3) - 6.0 * _pow(x, 2) - 6.0 * x + 2.0 * y
+        H[:, 1, 0, 0] = h_xx / _pow(s, 3)
+        H[:, 1, 0, 1] = H[:, 1, 1, 0] = -1.0 / _pow(s, 2)
+        return H
+
     # box stays clear of the pole at x = -1 so finite differences of the
     # hand-coded derivatives remain trustworthy over the whole domain
     return VectorProblem(
@@ -281,6 +420,9 @@ def _make_smale() -> VectorProblem:
         hessians=hess,
         domain_box=[[-0.6, 1.0], [-5.2, 1.0]],
         description="rational map with one critical curve split by a cusp",
+        eval_stacked=ev_at,
+        jacobian_stacked=jac_at,
+        hessians_stacked=hess_at,
     )
 
 
@@ -309,6 +451,16 @@ def _make_sms() -> VectorProblem:
 
     H = np.array([np.diag([-2.0, -2.0]), np.diag([-2.0, 2.0])])
 
+    def ev_at(X):
+        x, y = X.T
+        u1 = -_pow(x, 2) - _pow(y, 2)
+        u2 = -_pow(x - 6.0, 2) + _pow(y + 0.3, 2)
+        return np.stack([u1, u2], axis=1)
+
+    def jac_at(X):
+        x, y = X.T
+        return _matrices([[-2.0 * x, -2.0 * y], [-2.0 * (x - 6.0), 2.0 * (y + 0.3)]])
+
     return VectorProblem(
         name="sms",
         n=2,
@@ -318,6 +470,9 @@ def _make_sms() -> VectorProblem:
         hessians=lambda x: H,
         domain_box=[[-1.0, 7.0], [-4.0, 4.0]],
         description="concave quadratic vs saddle quadratic",
+        eval_stacked=ev_at,
+        jacobian_stacked=jac_at,
+        hessians_stacked=lambda X: _tiled(H, len(X)),
     )
 
 
@@ -364,6 +519,39 @@ def _make_noncv() -> VectorProblem:
         H2 = np.diag([-2.0, -2.0])
         return np.array([H1, H2])
 
+    def _bumps_at(x, y):
+        e1 = np.exp(-_pow(x + 2.0, 2) - _pow(y, 2))
+        e2 = np.exp(-_pow(x - 2.0, 2) - _pow(y, 2))
+        return e1, e2
+
+    def ev_at(X):
+        x, y = X.T
+        e1, e2 = _bumps_at(x, y)
+        u1 = -_pow(x, 2) - _pow(y, 2) - 4.0 * (e1 + e2)
+        u2 = -_pow(x - 6.0, 2) - _pow(y + 0.5, 2)
+        return np.stack([u1, u2], axis=1)
+
+    def jac_at(X):
+        x, y = X.T
+        e1, e2 = _bumps_at(x, y)
+        du1x = -2.0 * x + 8.0 * (x + 2.0) * e1 + 8.0 * (x - 2.0) * e2
+        du1y = -2.0 * y + 8.0 * y * (e1 + e2)
+        return _matrices([[du1x, du1y], [-2.0 * (x - 6.0), -2.0 * (y + 0.5)]])
+
+    def hess_at(X):
+        x, y = X.T
+        e1, e2 = _bumps_at(x, y)
+        a1 = x + 2.0
+        a2 = x - 2.0
+        H = np.zeros((len(X), 2, 2, 2))
+        H[:, 0, 0, 0] = (
+            -2.0 + 8.0 * e1 * (1.0 - 2.0 * _pow(a1, 2)) + 8.0 * e2 * (1.0 - 2.0 * _pow(a2, 2))
+        )
+        H[:, 0, 0, 1] = H[:, 0, 1, 0] = -16.0 * y * (a1 * e1 + a2 * e2)
+        H[:, 0, 1, 1] = -2.0 + 8.0 * (e1 + e2) * (1.0 - 2.0 * _pow(y, 2))
+        H[:, 1, 0, 0] = H[:, 1, 1, 1] = -2.0
+        return H
+
     return VectorProblem(
         name="noncv",
         n=2,
@@ -373,6 +561,9 @@ def _make_noncv() -> VectorProblem:
         hessians=hess,
         domain_box=[[-4.5, 8.0], [-3.0, 3.0]],
         description="bimodal objective vs quadratic: critical loop between two cusps",
+        eval_stacked=ev_at,
+        jacobian_stacked=jac_at,
+        hessians_stacked=hess_at,
     )
 
 
@@ -430,6 +621,37 @@ def _make_locglob() -> VectorProblem:
         _, _, h = _f(x)
         return np.array([c * h, c * h])
 
+    # the stacked forms batch the per-point products, with the same operand
+    # shapes for every point: (1, 3) @ (3, 3), (3, 3) @ (3, 1) and so on
+    def _bump_at(Y, p, s):
+        D = (Y - p)[:, :, None]
+        q = (np.swapaxes(D, 1, 2) @ M @ D)[:, 0, 0]
+        amp = np.sqrt(2.0 * np.pi / s)
+        val = amp * np.exp(q / s**2)
+        MD = (2.0 * M @ D)[:, :, 0]
+        grad = val[:, None] * MD / s**2
+        hess = val[:, None, None] * (
+            MD[:, :, None] * MD[:, None, :] / s**4 + 2.0 * M / s**2
+        )
+        return val, grad, hess
+
+    def _f_at(X):
+        v0, g0, h0 = _bump_at(X, p0, s0)
+        v1, g1, h1 = _bump_at((S @ X[:, :, None])[:, :, 0], p1, s1)
+        return v0 + v1, g0 + (S @ g1[:, :, None])[:, :, 0], h0 + S @ h1 @ S
+
+    def ev_at(X):
+        f, _, _ = _f_at(X)
+        return np.stack([c * (X[:, 0] + f), c * (-X[:, 0] + f)], axis=1)
+
+    def jac_at(X):
+        _, g, _ = _f_at(X)
+        return np.stack([c * (e1 + g), c * (-e1 + g)], axis=1)
+
+    def hess_at(X):
+        _, _, h = _f_at(X)
+        return np.stack([c * h, c * h], axis=1)
+
     # both rows share the last two components (c*grad f), so the (1,2)-column
     # minor vanishes identically; pair column 0 with each other column instead
     return VectorProblem(
@@ -442,6 +664,9 @@ def _make_locglob() -> VectorProblem:
         domain_box=[[-1.0, 1.0], [-2.0, 2.0], [-1.0, 1.0]],
         description="broad and sharp optimal branches superposed in 3-D",
         minor_columns=((0, 1), (0, 2)),
+        eval_stacked=ev_at,
+        jacobian_stacked=jac_at,
+        hessians_stacked=hess_at,
     )
 
 
@@ -481,6 +706,31 @@ def _make_zdt3reg() -> VectorProblem:
             H[1, i, i] = 2.0
         return H
 
+    w = 10.0 * np.pi
+
+    def ev_at(X):
+        x = X[:, 0]
+        tail = (X[:, 1:] ** 2).sum(axis=1)
+        return np.stack([x, 1.0 - np.sqrt(x) - x * np.sin(w * x) + tail], axis=1)
+
+    def jac_at(X):
+        x = X[:, 0]
+        J = np.zeros((len(X), 2, 6))
+        J[:, 0, 0] = 1.0
+        J[:, 1, 0] = -0.5 / np.sqrt(x) - np.sin(w * x) - w * x * np.cos(w * x)
+        J[:, 1, 1:] = 2.0 * X[:, 1:]
+        return J
+
+    def hess_at(X):
+        x = X[:, 0]
+        H = np.zeros((len(X), 2, 6, 6))
+        H[:, 1, 0, 0] = (
+            0.25 * _pow(x, -1.5) - 2.0 * w * np.cos(w * x) + w**2 * x * np.sin(w * x)
+        )
+        for i in range(1, 6):
+            H[:, 1, i, i] = 2.0
+        return H
+
     box = [[0.1, 0.425]] + [[-0.16, 0.16]] * 5
     # the first objective depends on x1 only, so every window that skips
     # column 0 has a zero row; pair column 0 with each remaining column
@@ -494,6 +744,9 @@ def _make_zdt3reg() -> VectorProblem:
         domain_box=box,
         description="regularized ZDT3 in 6-D (demo)",
         minor_columns=tuple((0, j) for j in range(1, 6)),
+        eval_stacked=ev_at,
+        jacobian_stacked=jac_at,
+        hessians_stacked=hess_at,
     )
 
 
@@ -541,6 +794,58 @@ def _tri_trig_parts(x):
     return (v2, g2, h2), (v3, g3, h3)
 
 
+_TRI_HESS = np.array([np.diag(-2.0 * a) for a in _TRI_ALPHA])
+_TRI_DSUM = np.array([1.0, 1.0, 0.0])
+_TRI_DDIFF = np.array([1.0, -1.0, 0.0])
+
+
+def _tri_quadratic_parts_at(X):
+    """:func:`_tri_quadratic_parts` at every row of X: (N, 3), (N, 3, 3), (N, 3, 3, 3)."""
+    D = X[:, None, :] - _TRI_C  # row j: x - c_j
+    T = _TRI_ALPHA * D * D
+    f = -(T[..., 0] + T[..., 1] + T[..., 2])
+    return f, -2.0 * _TRI_ALPHA * D, _tiled(_TRI_HESS, len(X))
+
+
+def _tri_trig_parts_at(X):
+    """:func:`_tri_trig_parts` at every row of X, with (N,) and (N, 3) parts."""
+    k2 = np.pi / _TRI_GAMMA2
+    k3 = np.pi / _TRI_GAMMA3
+    s = X[:, 0] + X[:, 1]
+    t = X[:, 0] - X[:, 1]
+    v2 = _TRI_BETA2 * np.sin(k2 * s)
+    g2 = (_TRI_BETA2 * k2 * np.cos(k2 * s))[:, None] * _TRI_DSUM
+    h2 = (-_TRI_BETA2 * k2**2 * np.sin(k2 * s))[:, None, None] * np.outer(_TRI_DSUM, _TRI_DSUM)
+    v3 = _TRI_BETA3 * np.cos(k3 * t)
+    g3 = (-_TRI_BETA3 * k3 * np.sin(k3 * t))[:, None] * _TRI_DDIFF
+    h3 = (-_TRI_BETA3 * k3**2 * np.cos(k3 * t))[:, None, None] * np.outer(
+        _TRI_DDIFF, _TRI_DDIFF
+    )
+    return (v2, g2, h2), (v3, g3, h3)
+
+
+def _tri_ev_at(X):
+    f, _, _ = _tri_quadratic_parts_at(X)
+    (v2, _, _), (v3, _, _) = _tri_trig_parts_at(X)
+    return f + np.stack([np.zeros(len(X)), v2, v3], axis=1)
+
+
+def _tri_jac_at(X):
+    _, g, _ = _tri_quadratic_parts_at(X)
+    (_, g2, _), (_, g3, _) = _tri_trig_parts_at(X)
+    g[:, 1] += g2
+    g[:, 2] += g3
+    return g
+
+
+def _tri_hess_at(X):
+    _, _, h = _tri_quadratic_parts_at(X)
+    (_, _, h2), (_, _, h3) = _tri_trig_parts_at(X)
+    h[:, 1] += h2
+    h[:, 2] += h3
+    return h
+
+
 def _make_tri_quadratic() -> VectorProblem:
     """Three concave quadratics plus a small trigonometric perturbation.
 
@@ -576,6 +881,9 @@ def _make_tri_quadratic() -> VectorProblem:
         hessians=hess,
         domain_box=[[-1.0, 2.0]] * 3,
         description="three concave quadratics; stable triangular patch",
+        eval_stacked=_tri_ev_at,
+        jacobian_stacked=_tri_jac_at,
+        hessians_stacked=_tri_hess_at,
     )
 
 
@@ -613,6 +921,33 @@ def _make_tri_quadratic_ncv() -> VectorProblem:
         out[0] = out[0] + h
         return out
 
+    def _bump_at(X):
+        D = X - _TRI_C4
+        T = _TRI_ALPHA4 * D * D
+        f4 = -(T[:, 0] + T[:, 1] + T[:, 2])
+        g4 = -2.0 * _TRI_ALPHA4 * D
+        h4 = np.diag(-2.0 * _TRI_ALPHA4)
+        val = _TRI_BETA1 * np.exp(f4 / _TRI_GAMMA1)
+        grad = val[:, None] * g4 / _TRI_GAMMA1
+        outer = g4[:, :, None] * g4[:, None, :]
+        hess = val[:, None, None] * (outer / _TRI_GAMMA1**2 + h4 / _TRI_GAMMA1)
+        return val, grad, hess
+
+    def ev_at(X):
+        out = _tri_ev_at(X)
+        out[:, 0] += _bump_at(X)[0]
+        return out
+
+    def jac_at(X):
+        out = _tri_jac_at(X)
+        out[:, 0] += _bump_at(X)[1]
+        return out
+
+    def hess_at(X):
+        out = _tri_hess_at(X)
+        out[:, 0] += _bump_at(X)[2]
+        return out
+
     return VectorProblem(
         name="tri_quadratic_ncv",
         n=3,
@@ -622,6 +957,9 @@ def _make_tri_quadratic_ncv() -> VectorProblem:
         hessians=hess,
         domain_box=[[-1.0, 2.0]] * 3,
         description="tri_quadratic with a secondary maximum of the first objective",
+        eval_stacked=ev_at,
+        jacobian_stacked=jac_at,
+        hessians_stacked=hess_at,
     )
 
 
@@ -643,6 +981,9 @@ def _make_sphere_proj() -> ConstrainedProblem:
         hessians=lambda x: H,
         domain_box=[[-1.0, 1.0]] * 3,
         description="first two coordinates restricted to the unit sphere",
+        eval_stacked=lambda X: X[:, :2].copy(),
+        jacobian_stacked=lambda X: _tiled(J, len(X)),
+        hessians_stacked=lambda X: np.zeros((len(X), 2, 3, 3)),
     )
 
     return ConstrainedProblem(
@@ -650,6 +991,9 @@ def _make_sphere_proj() -> ConstrainedProblem:
         g=lambda x: 0.5 * (float(x @ x) - 1.0),
         g_jacobian=lambda x: x.copy(),
         n_constraints=1,
+        # x @ x of a stack of (1, 3) @ (3, 1) products is the per-point dot
+        g_stacked=lambda X: 0.5 * ((X[:, None, :] @ X[:, :, None])[:, 0] - 1.0),
+        g_jacobian_stacked=lambda X: X[:, None, :].copy(),
     )
 
 

@@ -234,6 +234,11 @@ def _boundary_candidates(cx: ParetoComplex) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _minor_magnitudes(problem: VectorProblem, sel: MinorSelection, X) -> np.ndarray:
+    """Largest |minor| of the true Jacobian at every row of X (N, n)."""
+    return np.abs(minors_of_jacobian(problem.jac_at(X), sel)).max(axis=1)
+
+
 def complex_minor_stats(
     problem: VectorProblem,
     cx: ParetoComplex,
@@ -250,11 +255,7 @@ def complex_minor_stats(
     vids = sorted({v for i in cx.simplex_ids(strata) for v in cx.simplices[i][0]})
     if not vids:
         return np.inf, np.inf
-    vals = []
-    for v in vids:
-        J = problem.jac(cx.positions[v])
-        vals.append(np.abs(minors_of_jacobian(J, sel)).max())
-    vals = np.array(vals)
+    vals = _minor_magnitudes(problem, sel, cx.positions[vids])
     return float(vals.max()), float(vals.mean())
 
 
@@ -281,19 +282,14 @@ def iterate(
         # rank the sites by minor magnitude and keep only the worst offenders
         sel = selection_for(problem, state.selection)
         if hosts is not None:
+            # a host simplex scores the largest magnitude at its vertices
             cx = state.complex
-            scores = []
-            for host in hosts:
-                vids = cx.simplices[host][0]
-                scores.append(max(
-                    float(np.abs(minors_of_jacobian(problem.jac(cx.positions[v]), sel)).max())
-                    for v in vids
-                ))
+            host_vids = [cx.simplices[host][0] for host in hosts]
+            vids = sorted({v for ids in host_vids for v in ids})
+            at = dict(zip(vids, _minor_magnitudes(problem, sel, cx.positions[vids])))
+            scores = [max(at[v] for v in ids) for ids in host_vids]
         else:
-            scores = [
-                float(np.abs(minors_of_jacobian(problem.jac(c), sel)).max())
-                for c in candidates
-            ]
+            scores = _minor_magnitudes(problem, sel, np.array(candidates))
         order = np.argsort(scores)[::-1][:budget]
         candidates = [candidates[i] for i in sorted(order)]
     # spacing guard: keep candidates at least gamma x (shortest edge incident

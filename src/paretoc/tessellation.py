@@ -33,7 +33,6 @@ logger = logging.getLogger(__name__)
 INF = -1  # symbolic vertex at infinity
 
 EPS_GEOM_REL = 1e-12    # node coincidence / degeneracy scale, x bbox diagonal
-EPS_DELAUNAY_REL = 1e-9  # circumsphere slack, x circumradius
 
 # Fixed irrational direction for the symbolic perturbation (components are
 # inverse square roots of the first primes, then normalized).
@@ -139,15 +138,18 @@ class Tessellation:
 
     def min_incident_edge(self) -> np.ndarray:
         """Per node, the length of the shortest incident edge."""
-        pts = self.nodes.points
         out = np.full(len(self.nodes), np.inf)
-        for cell in self.cells:
-            for a, b in itertools.combinations(cell, 2):
-                d = float(np.linalg.norm(pts[a] - pts[b]))
-                if d < out[a]:
-                    out[a] = d
-                if d < out[b]:
-                    out[b] = d
+        if not self.cells:
+            return out
+        cells = np.asarray(self.cells, dtype=np.intp)
+        i, j = np.triu_indices(cells.shape[1], 1)
+        a, b = cells[:, i].ravel(), cells[:, j].ravel()
+        D = self.nodes.points[a] - self.nodes.points[b]
+        # sqrt of a stack of (1, n) @ (n, 1) products rounds as the per-edge
+        # np.linalg.norm; norm(D, axis=1) and einsum do not
+        d = np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0])
+        np.minimum.at(out, a, d)
+        np.minimum.at(out, b, d)
         return out
 
 

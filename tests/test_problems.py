@@ -1,6 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from paretoc.constrained import icosphere
 from paretoc.errors import UnknownProblem
 from paretoc.problems import (
     ConstrainedProblem,
@@ -10,6 +14,7 @@ from paretoc.problems import (
     registry_names,
     sample_domain,
 )
+from paretoc.tessellation import kuhn_tessellation
 
 ALL_NAMES = [
     "triv", "smale", "sms", "noncv", "locglob",
@@ -110,3 +115,125 @@ def test_tri_quadratic_maxima_distinct_noncollinear():
     # gradient roughly vanishes near each unperturbed maximum
     for j in range(3):
         assert np.linalg.norm(p.jac(C[j])[j]) < 0.2
+
+
+# ---------------------------------------------------------------------------
+# stacked callables
+# ---------------------------------------------------------------------------
+
+
+def _kuhn_nodes(name, counts):
+    p = registry_get(name)
+    return kuhn_tessellation(p.domain_box, counts).nodes.points
+
+
+# problem -> node sets it runs on: the golden cases and the bench inputs, and
+# for problems with neither, a Kuhn grid of the domain box
+CASE_NODES = {
+    "smale": [("kuhn 16^2", lambda: _kuhn_nodes("smale", [16, 16]))],
+    "noncv": [("kuhn 40^2", lambda: _kuhn_nodes("noncv", [40, 40])),
+              ("kuhn 200^2", lambda: _kuhn_nodes("noncv", [200, 200]))],
+    "tri_quadratic": [(f"kuhn {k}^3", lambda k=k: _kuhn_nodes("tri_quadratic", [k] * 3))
+                      for k in (5, 6, 7, 15)],
+    "sphere_proj": [(f"icosphere({k})", lambda k=k: icosphere(k).points) for k in range(6)],
+    "triv": [("kuhn 30^2", lambda: _kuhn_nodes("triv", [30, 30]))],
+    "sms": [("kuhn 30^2", lambda: _kuhn_nodes("sms", [30, 30]))],
+    "locglob": [("kuhn 8^3", lambda: _kuhn_nodes("locglob", [8, 8, 8]))],
+    "zdt3reg": [("kuhn 3^6", lambda: _kuhn_nodes("zdt3reg", [3] * 6))],
+    "tri_quadratic_ncv": [("kuhn 8^3", lambda: _kuhn_nodes("tri_quadratic_ncv", [8] * 3))],
+}
+
+
+def _stacked_pairs(problem):
+    """(name, stacked callable, per-point callable, stacked-call helper)."""
+    cp = problem if isinstance(problem, ConstrainedProblem) else None
+    p = cp.base if cp is not None else problem
+    pairs = [("u", p.eval_stacked, p.u, p.u_at),
+             ("jac", p.jacobian_stacked, p.jac, p.jac_at),
+             ("hess", p.hessians_stacked, p.hess, p.hess_at)]
+    if cp is not None:
+        pairs += [("g", cp.g_stacked, cp.g_val, cp.g_val_at),
+                  ("g_jac", cp.g_jacobian_stacked, cp.g_jac, cp.g_jac_at)]
+    return pairs
+
+
+def _assert_stacked_equal(problem, X):
+    for what, stacked, point, at in _stacked_pairs(problem):
+        assert stacked is not None, what
+        raw = stacked(X)
+        # owned and C-contiguous: callers mark the arrays read-only
+        assert raw.flags.owndata and raw.flags.c_contiguous, what
+        ref = np.array([point(x) for x in X])
+        assert np.array_equal(raw.reshape(ref.shape), ref), what
+        assert np.array_equal(at(X), ref), what
+
+
+def test_case_nodes_cover_every_problem():
+    assert sorted(CASE_NODES) == sorted(ALL_NAMES)
+
+
+@pytest.mark.parametrize(
+    "name,label,nodes",
+    [(name, label, nodes) for name, sets in sorted(CASE_NODES.items()) for label, nodes in sets],
+)
+def test_stacked_forms_match_per_point_on_case_nodes(name, label, nodes):
+    _assert_stacked_equal(registry_get(name), nodes())
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_stacked_forms_match_per_point_on_uniform_samples(name):
+    # pow and x*x differ on about one square in a thousand: a few thousand
+    # points catch a stacked power that does not round as the per-point one
+    problem = registry_get(name)
+    base = problem.base if isinstance(problem, ConstrainedProblem) else problem
+    _assert_stacked_equal(problem, sample_domain(base, 4000, seed=17, shrink=0.0))
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+@given(data=st.data())
+def test_stacked_forms_match_per_point_inside_the_box(name, data):
+    problem = registry_get(name)
+    base = problem.base if isinstance(problem, ConstrainedProblem) else problem
+    point = st.tuples(*(st.floats(lo, hi) for lo, hi in base.domain_box))
+    X = np.array(data.draw(st.lists(point, min_size=1, max_size=40)), dtype=float)
+    _assert_stacked_equal(problem, X)
+
+
+def test_at_helpers_fall_back_to_per_point_callables():
+    p = registry_get("tri_quadratic")
+    plain = dataclasses.replace(
+        p, eval_stacked=None, jacobian_stacked=None, hessians_stacked=None)
+    X = sample_domain(p, 50, seed=4)
+    for (_, _, _, at), (_, _, _, plain_at) in zip(_stacked_pairs(p), _stacked_pairs(plain)):
+        assert np.array_equal(at(X), plain_at(X))
+    assert plain.jac_at(X[:0]).shape == (0, 3, 3)
+
+
+def test_stacked_callable_of_wrong_shape_is_rejected():
+    p = dataclasses.replace(registry_get("triv"), jacobian_stacked=lambda X: np.zeros((len(X), 4)))
+    with pytest.raises(ValueError, match="shape"):
+        p.jac_at(np.zeros((3, 2)))
+
+
+def test_wrong_stacked_jacobian_fails_the_audit():
+    p = registry_get("noncv")
+    right = p.jacobian_stacked
+
+    def wrong(X):
+        J = right(X)
+        J[:, 1, 0] += 1e-3  # one entry off by far more than the tolerance
+        return J
+
+    bad = dataclasses.replace(p, jacobian_stacked=wrong)
+    report = check_derivatives(bad, _samples_for(bad))
+    assert not report.passed
+    assert {kind for kind, _, _ in report.failures} == {"stacked"}
+    assert report.max_stacked_error >= 1e-5
+    assert check_derivatives(p, _samples_for(p)).max_stacked_error == 0.0
+
+
+def test_wrong_stacked_constraint_fails_the_audit():
+    cp = registry_get("sphere_proj")
+    bad = dataclasses.replace(cp, g_stacked=lambda X: 0.5 * (X * X).sum(axis=1, keepdims=True))
+    report = check_derivatives(bad, _samples_for(bad))
+    assert {kind for kind, _, _ in report.failures} == {"stacked"}

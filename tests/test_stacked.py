@@ -1,18 +1,22 @@
 """Stacked calls against the per-item loops they replace.
 
 The analysis core solves faces, lambda and sigma for many vertices at once,
-and the nodal minors for all nodes at once.  Each test keeps the per-item
-loop as the reference and requires bit-equal results, since the arithmetic
-of every item is unchanged.
+and the nodal minors for all nodes at once; the problem's callables are
+evaluated once per stage over all points.  Each test keeps the per-item loop
+as the reference and requires bit-equal results, since the arithmetic of
+every item is unchanged.
 """
 
+import dataclasses
 import sys
 import threading
 
 import numpy as np
 import pytest
 
-from paretoc import continuation
+from paretoc import continuation, refinement
+from paretoc.complex_io import save_complex
+from paretoc.constrained import analyze_constrained, icosphere
 from paretoc.continuation import (
     Analyzer,
     SingularVertex,
@@ -22,7 +26,7 @@ from paretoc.continuation import (
     solve_faces,
     solve_lambdas,
 )
-from paretoc.problems import registry_get
+from paretoc.problems import ConstrainedProblem, registry_get
 from paretoc.tessellation import enumerate_faces, kuhn_tessellation
 
 from test_golden import _cross_mesh, _cross_problem
@@ -186,3 +190,74 @@ def test_concurrent_single_cells_solve_each_face_once(monkeypatch):
     assert cx.simplices == serial.simplices and cx.markers == serial.markers
     assert np.array_equal(cx.positions, serial.positions)
     assert np.array_equal(cx.sigma, serial.sigma, equal_nan=True)
+
+
+def _loop_hess_interp(problem, points, v):
+    hs = np.array([problem.hess(points[i]) for i in v.face])
+    return np.tensordot(v.mu, hs, axes=1)
+
+
+def test_hessian_interpolation_matches_vertex_loop(analyzers):
+    # locglob has r = 2: its faces are triangles, so face sizes 1 to 3 occur
+    p = registry_get("locglob")
+    locglob = Analyzer(p, kuhn_tessellation(p.domain_box, [6, 6, 6]))
+    locglob.run_cells()
+    sizes = set()
+    for an in analyzers + [locglob]:
+        verts = [v for v in _table_vertices(an) if v.hess_interp is not None]
+        assert verts
+        for v in verts:
+            sizes.add(len(v.face))
+            ref = _loop_hess_interp(an.problem, an.tess.nodes.points, v)
+            assert np.array_equal(v.hess_interp, ref)
+    assert {1, 2, 3} <= sizes
+
+
+def _per_point_only(problem):
+    """The problem without its stacked callables: the fallback path."""
+    if isinstance(problem, ConstrainedProblem):
+        return dataclasses.replace(problem, base=_per_point_only(problem.base),
+                                   g_stacked=None, g_jacobian_stacked=None)
+    return dataclasses.replace(problem, eval_stacked=None, jacobian_stacked=None,
+                               hessians_stacked=None)
+
+
+def _forbid_per_point(problem):
+    """The problem with per-point callables that fail when called."""
+    def refuse(*args):
+        raise AssertionError("per-point callable called")
+
+    if isinstance(problem, ConstrainedProblem):
+        return dataclasses.replace(problem, base=_forbid_per_point(problem.base),
+                                   g=refuse, g_jacobian=refuse)
+    return dataclasses.replace(problem, eval=refuse, jacobian=refuse, hessians=refuse)
+
+
+def _bytes(tmp_path, cx):
+    path = tmp_path / "complex.json"
+    save_complex(path, cx)
+    return path.read_bytes()
+
+
+def test_per_point_fallback_gives_the_same_bytes(tmp_path):
+    p = registry_get("tri_quadratic")
+    tess = kuhn_tessellation(p.domain_box, [6, 6, 6])
+    stacked = _bytes(tmp_path, Analyzer(p, tess).run())
+    assert _bytes(tmp_path, Analyzer(_per_point_only(p), tess).run()) == stacked
+
+    cp = registry_get("sphere_proj")
+    stacked = _bytes(tmp_path, analyze_constrained(cp, icosphere(2)))
+    assert _bytes(tmp_path, analyze_constrained(_per_point_only(cp), icosphere(2))) == stacked
+
+
+def test_stacked_problems_call_no_per_point_callable():
+    # every stage evaluates through the stacked callables: the nodal
+    # Jacobians and Hessians, glue's objective values, the minor statistics
+    # and budget scores of refinement, and the constrained nodal stage
+    p = _forbid_per_point(registry_get("tri_quadratic"))
+    state = refinement.initial_state(p, kuhn_tessellation(p.domain_box, [4, 4, 4]))
+    refinement.iterate(state, scheme="maximin", budget=3)
+    noncv = _forbid_per_point(registry_get("noncv"))
+    state = refinement.initial_state(noncv, kuhn_tessellation(noncv.domain_box, [16, 16]))
+    refinement.iterate(state, scheme="polyline", budget=5)
+    analyze_constrained(_forbid_per_point(registry_get("sphere_proj")), icosphere(1))

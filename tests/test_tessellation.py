@@ -311,3 +311,26 @@ def test_batch_duplicate_checks_keep_their_order():
     eps = EPS_GEOM_REL * t.scale
     grown = insert_nodes(t, [[0.5, 0.5], [0.5 + 3 * eps, 0.5]])
     assert len(grown.nodes) == 6
+
+
+def _loop_min_incident_edge(tess):
+    # the per-edge loop the vectorized form replaced
+    pts = tess.nodes.points
+    out = np.full(len(tess.nodes), np.inf)
+    for cell in tess.cells:
+        for a, b in itertools.combinations(cell, 2):
+            d = float(np.linalg.norm(pts[a] - pts[b]))
+            out[a] = min(out[a], d)
+            out[b] = min(out[b], d)
+    return out
+
+
+@pytest.mark.parametrize("build", [
+    lambda: kuhn_tessellation([[-1.0, 2.0], [0.0, 1.5]], [9, 7]),
+    lambda: kuhn_tessellation([[-1.0, 2.0]] * 3, [4, 5, 3]),
+    lambda: build_delaunay(np.random.default_rng(5).uniform(-3.0, 4.0, (300, 2))),
+    lambda: build_delaunay(np.random.default_rng(6).uniform(-1.0, 1.0, (60, 3))),
+])
+def test_min_incident_edge_matches_edge_loop(build):
+    tess = build()
+    assert np.array_equal(tess.min_incident_edge(), _loop_min_incident_edge(tess))
