@@ -10,9 +10,28 @@ predicate evaluation only, node ``i`` is displaced by ``i * eps_geom`` along a
 fixed irrational direction.  The perturbation depends on the node id, not on
 the order of insertion, so wherever it breaks every tie the complex is a
 function of the ids and the coordinates, and bulk construction is free to
-insert along a space-filling curve.  It does not break every tie: on grid
-nodes, ids that step evenly along a grid line stay collinear and some
-cospherical sets stay tied, and there the complex can depend on the order.
+insert along a space-filling curve.
+
+The orientation and in-sphere predicates return exact signs for the perturbed
+coordinates, which are kept as tuples of Python floats.  In 2-D and 3-D each
+is a closed-form expansion, accepted when its value exceeds the static forward
+error bound of Shewchuk 1997, "Adaptive Precision Floating-Point Arithmetic
+and Fast Robust Geometric Predicates": (3+16e)e for orient2d, (7+56e)e for
+orient3d, (10+96e)e for incircle and (16+224e)e for insphere, times the
+permanent of the expansion's terms, with e = 2^-53.  In other dimensions the
+filter is Gaussian elimination in floats, accepted when the determinant
+clears the elimination's backward error bound.  Inside a bound an exact
+``fractions.Fraction`` determinant of the same doubles gives the sign.  A
+point exactly on a hull facet's plane counts as in conflict with the facet's
+infinite cell; a finite cell is in conflict only if the point is strictly
+inside its circumsphere.
+
+The perturbation does not break every tie.  Ids that step evenly along a grid
+line keep the grid nodes exactly collinear, the exact predicates see those
+cells as flat, and insertion raises ``DegenerateInput`` (``build_delaunay`` on
+the nodes of a 3x3 grid in id order does).  With shuffled grid ids such a tie
+can still make the complex depend on the insertion order.  Breaking these
+ties needs Simulation of Simplicity on the node ids.
 
 A finished :class:`Tessellation` is an immutable snapshot; insertion returns a
 new snapshot and never mutates its input.
@@ -22,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -69,26 +89,6 @@ class NodeSet:
             return 0.0
         span = self.points.max(axis=0) - self.points.min(axis=0)
         return float(np.linalg.norm(span))
-
-    def check_distinct(self, eps: float) -> None:
-        """Raise DuplicateNode if two nodes coincide within eps.
-
-        Nodes are scanned in lexicographic order, so only neighbours in the
-        first coordinate need comparing.
-        """
-        pts = self.points
-        if len(pts) < 2:
-            return
-        order = np.lexsort(pts.T[::-1])
-        sp = pts[order]
-        for i in range(len(sp) - 1):
-            j = i + 1
-            while j < len(sp) and sp[j, 0] - sp[i, 0] <= eps:
-                if np.linalg.norm(sp[j] - sp[i]) <= eps:
-                    raise DuplicateNode(
-                        f"nodes {order[i]} and {order[j]} coincide within {eps:g}"
-                    )
-                j += 1
 
 
 class Tessellation:
@@ -165,6 +165,236 @@ def enumerate_faces(cell: Sequence[int], k: int) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
+# orientation and in-sphere predicates
+# ---------------------------------------------------------------------------
+
+# Static forward error bounds of Shewchuk 1997, "Adaptive Precision
+# Floating-Point Arithmetic and Fast Robust Geometric Predicates" (errboundA of
+# orient2d, orient3d, incircle and insphere), relative to the permanent of the
+# expansion's terms.  _EPS is the unit roundoff of IEEE doubles.  As in
+# Shewchuk's predicates, the bounds assume no intermediate underflow or
+# overflow.
+_EPS = 2.0 ** -53
+_ORIENT2_BOUND = (3.0 + 16.0 * _EPS) * _EPS
+_ORIENT3_BOUND = (7.0 + 56.0 * _EPS) * _EPS
+_INCIRCLE_BOUND = (10.0 + 96.0 * _EPS) * _EPS
+_INSPHERE_BOUND = (16.0 + 224.0 * _EPS) * _EPS
+_ELIM_BOUND = 8.0 * _EPS    # times m^2, see _elimination_sign
+
+
+def _decide(det: float, bound: float):
+    """Sign of det when |det| exceeds the error bound, else None."""
+    if det > bound:
+        return 1
+    if -det > bound:
+        return -1
+    return None
+
+
+def _orient2(a, b, c):
+    """Filtered sign of det[b - a, c - a] (Shewchuk's orient2d(a, b, c))."""
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    left = (ax - cx) * (by - cy)
+    right = (ay - cy) * (bx - cx)
+    return _decide(left - right, _ORIENT2_BOUND * (abs(left) + abs(right)))
+
+
+def _orient3(a, b, c, d):
+    """Filtered sign of det[b - a, c - a, d - a], which is minus Shewchuk's
+    orient3d(a, b, c, d) = det[a - d, b - d, c - d]."""
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz) = a, b, c, d
+    adx, bdx, cdx = ax - dx, bx - dx, cx - dx
+    ady, bdy, cdy = ay - dy, by - dy, cy - dy
+    adz, bdz, cdz = az - dz, bz - dz, cz - dz
+    bdxcdy, cdxbdy = bdx * cdy, cdx * bdy
+    cdxady, adxcdy = cdx * ady, adx * cdy
+    adxbdy, bdxady = adx * bdy, bdx * ady
+    det = adz * (bdxcdy - cdxbdy) + bdz * (cdxady - adxcdy) + cdz * (adxbdy - bdxady)
+    permanent = ((abs(bdxcdy) + abs(cdxbdy)) * abs(adz)
+                 + (abs(cdxady) + abs(adxcdy)) * abs(bdz)
+                 + (abs(adxbdy) + abs(bdxady)) * abs(cdz))
+    return _decide(-det, _ORIENT3_BOUND * permanent)
+
+
+def _incircle(a, b, c, p):
+    """Filtered sign of the lifted det[q - p, |q - p|^2] over q = a, b, c
+    (Shewchuk's incircle(a, b, c, p))."""
+    (ax, ay), (bx, by), (cx, cy), (px, py) = a, b, c, p
+    adx, bdx, cdx = ax - px, bx - px, cx - px
+    ady, bdy, cdy = ay - py, by - py, cy - py
+    bdxcdy, cdxbdy = bdx * cdy, cdx * bdy
+    cdxady, adxcdy = cdx * ady, adx * cdy
+    adxbdy, bdxady = adx * bdy, bdx * ady
+    alift = adx * adx + ady * ady
+    blift = bdx * bdx + bdy * bdy
+    clift = cdx * cdx + cdy * cdy
+    det = (alift * (bdxcdy - cdxbdy) + blift * (cdxady - adxcdy)
+           + clift * (adxbdy - bdxady))
+    permanent = ((abs(bdxcdy) + abs(cdxbdy)) * alift
+                 + (abs(cdxady) + abs(adxcdy)) * blift
+                 + (abs(adxbdy) + abs(bdxady)) * clift)
+    return _decide(det, _INCIRCLE_BOUND * permanent)
+
+
+def _insphere(a, b, c, d, p):
+    """Filtered sign of the lifted det[q - p, |q - p|^2] over q = a, b, c, d
+    (Shewchuk's insphere(a, b, c, d, p))."""
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz), (px, py, pz) = a, b, c, d, p
+    aex, bex, cex, dex = ax - px, bx - px, cx - px, dx - px
+    aey, bey, cey, dey = ay - py, by - py, cy - py, dy - py
+    aez, bez, cez, dez = az - pz, bz - pz, cz - pz, dz - pz
+    aexbey, bexaey = aex * bey, bex * aey
+    bexcey, cexbey = bex * cey, cex * bey
+    cexdey, dexcey = cex * dey, dex * cey
+    dexaey, aexdey = dex * aey, aex * dey
+    aexcey, cexaey = aex * cey, cex * aey
+    bexdey, dexbey = bex * dey, dex * bey
+    ab, bc, cd, da = aexbey - bexaey, bexcey - cexbey, cexdey - dexcey, dexaey - aexdey
+    ac, bd = aexcey - cexaey, bexdey - dexbey
+    abc = aez * bc - bez * ac + cez * ab
+    bcd = bez * cd - cez * bd + dez * bc
+    cda = cez * da + dez * ac + aez * cd
+    dab = dez * ab + aez * bd + bez * da
+    alift = aex * aex + aey * aey + aez * aez
+    blift = bex * bex + bey * bey + bez * bez
+    clift = cex * cex + cey * cey + cez * cez
+    dlift = dex * dex + dey * dey + dez * dez
+    det = (dlift * abc - clift * dab) + (blift * cda - alift * bcd)
+    aez, bez, cez, dez = abs(aez), abs(bez), abs(cez), abs(dez)
+    aexbey, bexaey, bexcey, cexbey = abs(aexbey), abs(bexaey), abs(bexcey), abs(cexbey)
+    cexdey, dexcey, dexaey, aexdey = abs(cexdey), abs(dexcey), abs(dexaey), abs(aexdey)
+    aexcey, cexaey, bexdey, dexbey = abs(aexcey), abs(cexaey), abs(bexdey), abs(dexbey)
+    permanent = (((cexdey + dexcey) * bez + (dexbey + bexdey) * cez
+                  + (bexcey + cexbey) * dez) * alift
+                 + ((dexaey + aexdey) * cez + (aexcey + cexaey) * dez
+                    + (cexdey + dexcey) * aez) * blift
+                 + ((aexbey + bexaey) * dez + (bexdey + dexbey) * aez
+                    + (dexaey + aexdey) * bez) * clift
+                 + ((bexcey + cexbey) * aez + (cexaey + aexcey) * bez
+                    + (aexbey + bexaey) * cez) * dlift)
+    return _decide(det, _INSPHERE_BOUND * permanent)
+
+
+def _elimination_sign(a: list):
+    """Sign of det(a) by Gaussian elimination with partial pivoting in floats,
+    or None when the error bound cannot exclude zero.
+
+    The rows of ``a`` are consumed.  The computed factors satisfy
+    L U = P(a + E) with |E| <= gamma_m |L||U| (Higham 2002, "Accuracy and
+    Stability of Numerical Algorithms", Theorem 9.3), and rounding the
+    predicate's differences and squared norms into ``a`` adds at most
+    gamma_(m+2) (1 + gamma_m) |L||U|.  By Hadamard's inequality det(U) is
+    then within (2m^2 + 2m) u prod_i t_i of the exact determinant, to first
+    order, where t_i is the 1-norm of row i of |L||U| and u the unit
+    roundoff; _ELIM_BOUND m^2 covers that twice over.
+    """
+    m = len(a)
+    rows = a
+    acc = [0.0] * m    # per remaining row: sum of |l_ik| |u_k|_1 so far
+    det = 1.0
+    norms = 1.0
+    sign = 1
+    while rows:
+        col = [abs(r[0]) for r in rows]
+        p = col.index(max(col))
+        if p % 2:
+            sign = -sign   # moving row p to the front takes p swaps
+        u = rows.pop(p)
+        pivot = u[0]
+        if pivot == 0.0:
+            return None
+        u_norm = sum(map(abs, u))
+        norms *= acc.pop(p) + u_norm
+        det *= pivot
+        tail = u[1:]
+        for i, r in enumerate(rows):
+            f = r[0] / pivot
+            acc[i] += abs(f) * u_norm
+            rows[i] = [x - f * y for x, y in zip(r[1:], tail)]
+    s = _decide(det, _ELIM_BOUND * m * m * norms)
+    return s and sign * s
+
+
+def _orient_matrix(q, num) -> list:
+    """Rows q1 - q0, ..., qn - q0, in the number type ``num``."""
+    q = [[num(x) for x in r] for r in q]
+    return [[x - y for x, y in zip(r, q[0])] for r in q[1:]]
+
+
+def _insphere_matrix(q, p, num) -> list:
+    """Rows [qi - p, |qi - p|^2], in the number type ``num``."""
+    p = [num(x) for x in p]
+    rows = []
+    for r in q:
+        d = [num(x) - y for x, y in zip(r, p)]
+        rows.append(d + [sum(x * x for x in d)])
+    return rows
+
+
+def _orient_elim(*q):
+    return _elimination_sign(_orient_matrix(q, float))
+
+
+def _insphere_elim(*points):
+    return _elimination_sign(_insphere_matrix(points[:-1], points[-1], float))
+
+
+def _det_sign(rows: list) -> int:
+    """Sign of the determinant of a square matrix of Fractions, by exact
+    Gaussian elimination.  The rows are consumed."""
+    m = rows
+    sign = 1
+    for k in range(len(m)):
+        piv = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        if pivot < 0:
+            sign = -sign
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / pivot
+            if f:
+                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return sign
+
+
+class Predicates:
+    """Sign-valued orientation and in-sphere tests on points as float tuples.
+
+    ``orient(q)`` is the sign of det[q1 - q0, ..., qn - q0] over n+1 points;
+    ``insphere(q, p)`` is the sign of the lifted det[qi - p, |qi - p|^2].
+    Both are the exact signs for the given doubles.  In 2-D and 3-D a closed
+    form decides them when its value exceeds a static forward error bound, in
+    other dimensions Gaussian elimination in floats with an a posteriori
+    bound (see _elimination_sign); inside the bound an exact rational
+    determinant of the same doubles decides.  ``exact`` counts the signs the
+    exact path gave.
+    """
+
+    def __init__(self, n: int):
+        self.exact = 0
+        self._orient = {2: _orient2, 3: _orient3}.get(n, _orient_elim)
+        self._insphere = {2: _incircle, 3: _insphere}.get(n, _insphere_elim)
+
+    def orient(self, q: Sequence[tuple]) -> int:
+        s = self._orient(*q)
+        if s is None:
+            self.exact += 1
+            s = _det_sign(_orient_matrix(q, Fraction))
+        return s
+
+    def insphere(self, q: Sequence[tuple], p: tuple) -> int:
+        s = self._insphere(*q, p)
+        if s is None:
+            self.exact += 1
+            s = _det_sign(_insphere_matrix(q, p, Fraction))
+        return s
+
+
+# ---------------------------------------------------------------------------
 # incremental Bowyer-Watson on the padded (finite + infinite) complex
 # ---------------------------------------------------------------------------
 
@@ -178,9 +408,13 @@ class _Padded:
         self.eps = EPS_GEOM_REL * self.scale if self.scale > 0 else 1e-300
         self.pert_dir = _perturbation_direction(n)
         self.points: list[np.ndarray] = []
-        self.pert: list[np.ndarray] = []
+        self.pert: list[tuple] = []    # perturbed coordinates, the predicates' input
         self.cells: dict[int, tuple] = {}
-        self.facets: dict[frozenset, list] = {}
+        self.facets: dict[tuple, list] = {}
+        self.sense: dict[int, int] = {}   # cell -> orientation sign, see _orientation
+        self.pred = Predicates(n)
+        self.scans = 0    # exhaustive conflict scans
+        self._parity = -1 if n % 2 else 1   # the lifted determinant's sign flip
         self._next_cell = 0
         self._hint = None
 
@@ -190,14 +424,14 @@ class _Padded:
         i = len(self.points)
         p = np.asarray(p, dtype=float)
         self.points.append(p)
-        self.pert.append(p + (i * self.eps) * self.pert_dir)
+        self.pert.append(tuple((p + (i * self.eps) * self.pert_dir).tolist()))
         return i
 
     def seed_simplex(self, ids: Sequence[int]) -> None:
         cell = tuple(sorted(ids))
         self._add_cell(cell)
         for facet in itertools.combinations(cell, self.n):
-            self._add_cell(tuple(sorted(facet + (INF,))))
+            self._add_cell((INF,) + facet)
 
     @classmethod
     def from_tessellation(cls, tess: Tessellation) -> "_Padded":
@@ -208,8 +442,8 @@ class _Padded:
             pad._add_cell(cell)
         # hull facets get an infinite cell each
         for facet, cs in list(pad.facets.items()):
-            if len(cs) == 1 and INF not in facet:
-                pad._add_cell(tuple(sorted(tuple(facet) + (INF,))))
+            if len(cs) == 1 and facet[0] != INF:
+                pad._add_cell((INF,) + facet)
         return pad
 
     def _add_cell(self, cell: tuple) -> int:
@@ -217,20 +451,20 @@ class _Padded:
         self._next_cell += 1
         self.cells[cid] = cell
         for facet in itertools.combinations(cell, self.n):
-            self.facets.setdefault(frozenset(facet), []).append(cid)
+            self.facets.setdefault(facet, []).append(cid)
         self._hint = cid
         return cid
 
     def _remove_cell(self, cid: int) -> None:
         cell = self.cells.pop(cid)
+        self.sense.pop(cid, None)
         for facet in itertools.combinations(cell, self.n):
-            key = frozenset(facet)
-            lst = self.facets[key]
+            lst = self.facets[facet]
             lst.remove(cid)
             if not lst:
-                del self.facets[key]
+                del self.facets[facet]
 
-    def _neighbor(self, cid: int, facet: frozenset):
+    def _neighbor(self, cid: int, facet: tuple):
         for other in self.facets.get(facet, ()):
             if other != cid:
                 return other
@@ -238,31 +472,34 @@ class _Padded:
 
     # -- predicates (evaluated on perturbed coordinates) --------------------
 
-    def _orient(self, ids: Sequence[int]) -> float:
-        q = np.array([self.pert[i] for i in ids])
-        return float(np.linalg.det(q[1:] - q[0]))
+    def _orientation(self, cid: int) -> int:
+        """Orientation sign of a finite cell; for an infinite cell, the sign
+        of its hull facet with the apex of its finite neighbour.  Computed
+        once per cell: an infinite cell survives an insertion only if the new
+        point lies strictly on that side, and the point then becomes the apex
+        of its new neighbour."""
+        s = self.sense.get(cid)
+        if s is None:
+            cell = self.cells[cid]
+            if cell[0] == INF:
+                facet = cell[1:]
+                finite = self.cells[self._neighbor(cid, facet)]
+                cell = facet + (next(v for v in finite if v not in facet),)
+            pert = self.pert
+            s = self.sense[cid] = self.pred.orient([pert[i] for i in cell])
+        return s
 
     def _in_conflict(self, cid: int, pid: int) -> bool:
         cell = self.cells[cid]
-        p = self.pert[pid]
+        pert = self.pert
         if cell[0] == INF:
-            facet = cell[1:]
-            finite = self._neighbor(cid, frozenset(facet))
-            apex = next(v for v in self.cells[finite] if v not in facet)
-            base = np.array([self.pert[i] for i in facet])
-            rows = base[1:] - base[0]
-            s_apex = np.linalg.det(np.vstack([rows, self.pert[apex] - base[0]]))
-            s_p = np.linalg.det(np.vstack([rows, p - base[0]]))
-            if s_p == 0.0:
+            s_p = self.pred.orient([pert[i] for i in cell[1:]] + [pert[pid]])
+            if s_p == 0:
                 return True  # exactly on the hull plane: extend conservatively
-            return bool(s_p * s_apex < 0.0)
-        q = np.array([self.pert[i] for i in cell])
-        orient = np.linalg.det(q[1:] - q[0])
-        rel = q - p
-        lifted = np.column_stack([rel, np.einsum("ij,ij->i", rel, rel)])
-        # lifted-determinant sign flips with dimension parity
-        sign = -1.0 if self.n % 2 else 1.0
-        return bool(sign * orient * np.linalg.det(lifted) > 0.0)
+            return s_p * self._orientation(cid) < 0
+        s = self._orientation(cid)
+        return s != 0 and s * self._parity * self.pred.insphere(
+            [pert[i] for i in cell], pert[pid]) > 0
 
     # -- point location -----------------------------------------------------
 
@@ -285,7 +522,7 @@ class _Padded:
             cell = self.cells[cid]
             if cell[0] == INF:
                 # non-conflict infinite cell: step back inside the hull
-                nxt = self._neighbor(cid, frozenset(cell[1:]))
+                nxt = self._neighbor(cid, cell[1:])
             else:
                 lam = self._barycentric(cell, pid)
                 neg = [int(j) for j in np.argsort(lam) if lam[j] < 0.0]
@@ -299,11 +536,11 @@ class _Padded:
                 shift = visits.get(cid, 0)
                 visits[cid] = shift + 1
                 j = neg[shift % len(neg)]
-                facet = frozenset(v for idx, v in enumerate(cell) if idx != j)
-                nxt = self._neighbor(cid, facet)
+                nxt = self._neighbor(cid, cell[:j] + cell[j + 1:])
             if nxt is None:
                 break
             cid = nxt
+        self.scans += 1
         for cid in self.cells:  # safety net: exhaustive scan
             if self._in_conflict(cid, pid):
                 return cid
@@ -315,32 +552,35 @@ class _Padded:
         start = self._locate_conflict(pid)
         conflict = {start}
         stack = [start]
-        boundary: list[frozenset] = []
+        boundary: list[tuple] = []
         while stack:
             cid = stack.pop()
             cell = self.cells[cid]
             for facet in itertools.combinations(cell, self.n):
-                key = frozenset(facet)
-                other = self._neighbor(cid, key)
+                other = self._neighbor(cid, facet)
                 if other is None or other in conflict:
                     continue
                 if self._in_conflict(other, pid):
                     conflict.add(other)
                     stack.append(other)
                 else:
-                    boundary.append(key)
+                    boundary.append(facet)
         for cid in conflict:
             self._remove_cell(cid)
         degenerate = False
-        for key in boundary:
-            cell = tuple(sorted(tuple(key) + (pid,)))
-            self._add_cell(cell)
-            if cell[0] != INF and abs(self._orient(cell)) == 0.0:
+        for facet in boundary:
+            cell = tuple(sorted(facet + (pid,)))
+            cid = self._add_cell(cell)
+            if cell[0] != INF and self._orientation(cid) == 0:
                 degenerate = True
         if degenerate:
             raise DegenerateInput("cavity retriangulation produced a flat cell")
 
     # -- export --------------------------------------------------------------
+
+    def log_fallbacks(self, caller: str) -> None:
+        logger.debug("%s: %d exhaustive conflict scans, %d predicates decided exactly",
+                     caller, self.scans, self.pred.exact)
 
     def snapshot(self) -> Tessellation:
         nodes = NodeSet(np.array(self.points))
@@ -434,16 +674,19 @@ def build_delaunay(nodes: NodeSet | np.ndarray) -> Tessellation:
         raise DimensionTooLow(f"need at least {n + 1} nodes in dimension {n}")
     scale = nodes.bbox_diagonal
     eps = EPS_GEOM_REL * scale
-    nodes.check_distinct(eps)
+    _check_batch_distinct(np.empty((0, n)), nodes.points, eps)
     seed = _initial_simplex(nodes.points, eps)
     pad = _Padded(n, scale)
     for p in nodes.points:
         pad.add_point(p)
     pad.seed_simplex(seed)
     seed_set = set(seed)
-    for i in _hilbert_order(nodes.points).tolist():
-        if i not in seed_set:
-            pad.insert(i)
+    try:
+        for i in _hilbert_order(nodes.points).tolist():
+            if i not in seed_set:
+                pad.insert(i)
+    finally:
+        pad.log_fallbacks("build_delaunay")
     return pad.snapshot()
 
 
@@ -465,7 +708,9 @@ def _check_batch_distinct(existing: np.ndarray, batch: np.ndarray, eps: float) -
     j = order[np.arange(len(k)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)]
     earlier = j < N + k
     k, j = k[earlier], j[earlier]
-    close = np.linalg.norm(allpts[j] - batch[k], axis=1)
+    D = allpts[j] - batch[k]
+    # rounds as np.linalg.norm of each difference (see min_incident_edge)
+    close = np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0])
     hit = close <= eps
     if not hit.any():
         return
@@ -507,13 +752,14 @@ def insert_nodes(tess: Tessellation, points: Iterable) -> Tessellation:
     pad = _Padded.from_tessellation(tess)
     try:
         for p in points:
-            pid = pad.add_point(p)
-            pad.insert(pid)
-        return pad.snapshot()
+            pad.insert(pad.add_point(p))
     except DegenerateInput:
+        pad.log_fallbacks("insert_nodes")
         logger.warning("incremental insertion degenerated; rebuilding from scratch")
         allpts = np.vstack([existing, np.array(points)])
         return build_delaunay(NodeSet(allpts))
+    pad.log_fallbacks("insert_nodes")
+    return pad.snapshot()
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
 import contextlib
 import itertools
 import logging
+import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from paretoc.errors import DegenerateInput, DimensionTooLow, DuplicateNode
 from paretoc.tessellation import (
     EPS_GEOM_REL,
     NodeSet,
+    _check_batch_distinct,
     _hilbert_order,
     _initial_simplex,
     _Padded,
@@ -257,11 +260,6 @@ def test_curve_order_matches_id_order(data, dim_count):
     assert_same_as_id_order(pts)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "grid nodes tie on circumspheres and on hull lines; the id perturbation "
-    "along one fixed direction leaves some of those ties standing, so the "
-    "complex depends on the insertion order (ROADMAP item 4: exact "
-    "predicates with Simulation of Simplicity)"))
 @pytest.mark.parametrize("counts,seed", [((7, 7), 1), ((3, 3, 3), 10), ((4, 4, 4), 2)])
 def test_curve_order_matches_id_order_on_shuffled_kuhn_nodes(counts, seed):
     pts = grid_nodes([[0.0, 1.0]] * len(counts), counts).points
@@ -291,6 +289,33 @@ def test_far_exterior_inserts_match_id_order(seed, n, far):
         grown = insert_nodes(build_delaunay(base), list(outer))
     assert grown.cells == id_order_cells(np.vstack([base, outer]))
     assert_same_as_id_order(np.vstack([base, outer]))
+
+
+def fallback_counts(records, caller):
+    return [tuple(int(x) for x in re.findall(r"\d+", r.getMessage()))
+            for r in records if r.getMessage().startswith(caller + ":")]
+
+
+def test_build_and_insert_log_their_fallbacks(caplog):
+    caplog.set_level(logging.DEBUG, logger="paretoc.tessellation")
+    # near-collinear nodes send the walk to the exhaustive scan
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-1.0, 1.0, 30)
+    pts = np.column_stack([x, 0.3 * x + 1e-12 * rng.uniform(-1.0, 1.0, 30)])
+    pts[0] = [0.0, 1.0]
+    build_delaunay(pts)
+    [(scans, _)] = fallback_counts(caplog.records, "build_delaunay")
+    assert scans > 0
+    # ids stepping evenly along a grid line stay collinear after the
+    # perturbation: the exact path finds the flat cell, and the build fails
+    caplog.clear()
+    with pytest.raises(DegenerateInput):
+        build_delaunay(grid_nodes([[0.0, 1.0]] * 2, [3, 3]).points)
+    [(_, exact)] = fallback_counts(caplog.records, "build_delaunay")
+    assert exact > 0
+    caplog.clear()
+    insert_nodes(kuhn_tessellation([[0.0, 1.0]] * 2, [5, 5]), [[0.3, 0.4], [0.1, 0.1]])
+    assert fallback_counts(caplog.records, "insert_nodes") == [(0, 0)]
 
 
 def test_batch_duplicate_checks_keep_their_order():
@@ -334,3 +359,53 @@ def _loop_min_incident_edge(tess):
 def test_min_incident_edge_matches_edge_loop(build):
     tess = build()
     assert np.array_equal(tess.min_incident_edge(), _loop_min_incident_edge(tess))
+
+
+@st.composite
+def near_duplicate_sets(draw):
+    """Nodes, one of them moved by about the coincidence tolerance, and a
+    tolerance within an ulp of the rounded distance of the pair.
+
+    The pair sits far from the origin, where their difference has few
+    significant bits, or within the tolerance of it, where it has all 53 and
+    a distance can round differently in different summation orders.
+    """
+    n = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.floats(1e-3, 1e3))
+    pts = rng.uniform(-scale, scale, (draw(st.integers(3, 12)), n))
+    tol = EPS_GEOM_REL * scale
+    p = pts[0] * draw(st.sampled_from([1.0, EPS_GEOM_REL]))
+    u = rng.normal(size=n)
+    q = p + u * (tol / np.linalg.norm(u))
+    eps = float(np.linalg.norm(q - p))
+    eps = math.nextafter(eps, draw(st.sampled_from([0.0, eps, math.inf])))
+    pts = np.vstack([p, pts[1:], q])
+    return pts[rng.permutation(len(pts))], eps
+
+
+def _loop_has_duplicate(pts, eps):
+    # the per-node loop of build_delaunay's former NodeSet.check_distinct:
+    # lexicographic order, neighbours within eps in the first coordinate
+    order = np.lexsort(pts.T[::-1])
+    sp = pts[order]
+    for i in range(len(sp) - 1):
+        j = i + 1
+        while j < len(sp) and sp[j, 0] - sp[i, 0] <= eps:
+            if np.linalg.norm(sp[j] - sp[i]) <= eps:
+                return True
+            j += 1
+    return False
+
+
+@settings(max_examples=300)
+@given(near_duplicate_sets())
+def test_duplicate_check_matches_node_loop(case):
+    pts, eps = case
+    want = _loop_has_duplicate(pts, eps)
+    try:
+        _check_batch_distinct(np.empty((0, pts.shape[1])), pts, eps)
+        got = False
+    except DuplicateNode:
+        got = True
+    assert got == want
