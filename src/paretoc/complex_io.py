@@ -4,7 +4,10 @@ Complex files persist a ParetoComplex together with per-vertex data so
 image-space fronts can be plotted without re-evaluating the objectives.
 Floats are serialized with shortest round-trip representation, so
 ``parse(serialize(c))`` reproduces every number exactly and reruns are
-byte-identical.
+byte-identical.  :func:`save_complex` writes the text of
+``json.dumps(complex_to_dict(cx, provenance), indent=1)`` byte for byte, but
+formats the vertex, simplex and marker sections itself from ``tolist()``
+values instead of running json's pure-Python encoder over them.
 """
 
 from __future__ import annotations
@@ -114,9 +117,67 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=1)
 
 
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _list(texts: list, level: int) -> str:
+    """A json list at nesting ``level`` of items already encoded."""
+    if not texts:
+        return "[]"
+    pad = "\n" + " " * (level + 1)
+    return "[" + pad + ("," + pad).join(texts) + "\n" + " " * level + "]"
+
+
+def _rows(a, level: int = 3) -> list:
+    """Each row of a 2-D array as a json list at ``level``: floats as
+    ``float.__repr__``, non-finite ones as json writes them."""
+    a = np.asarray(a, dtype=float)
+    texts = list(map(float.__repr__, a.ravel().tolist()))
+    if not np.isfinite(a).all():
+        texts = [_NONFINITE.get(t, t) for t in texts]
+    k = a.shape[1]
+    return [_list(texts[i:i + k], level) for i in range(0, k * len(a), k)] if k \
+        else ["[]"] * len(a)
+
+
+def _complex_text(cx: ParetoComplex, provenance: Optional[dict] = None) -> str:
+    """``json.dumps(complex_to_dict(cx, provenance), indent=1)``, built
+    directly: the three large sections from row texts, the rest by json."""
+
+    def or_null(a):  # a row with a NaN is null, as in complex_to_dict
+        if a is None:
+            return ["null"] * cx.num_vertices
+        return ["null" if nan else t
+                for t, nan in zip(_rows(a), np.isnan(a).any(axis=1).tolist())]
+
+    x, u, lam, sigma = _rows(cx.positions), _rows(cx.u_values), or_null(cx.lam), or_null(cx.sigma)
+    vertices = [f'{{\n   "id": {i},\n   "x": {x[i]},\n   "u": {u[i]},\n'
+                f'   "lambda": {lam[i]},\n   "sigma": {sigma[i]}\n  }}'
+                for i in range(cx.num_vertices)]
+    names = {s: json.dumps(s) for s in {s for _, s, _ in cx.simplices}
+             | {k for _, k in cx.markers}}
+    simplices = [f'{{\n   "vertex_ids": {_list(list(map(int.__repr__, vids)), 3)},\n'
+                 f'   "stratum": {names[stratum]}\n  }}'
+                 for vids, stratum, _src in cx.simplices]
+    markers = [f'{{\n   "x": {x[vid]},\n   "kind": {names[kind]},\n'
+               f'   "vertex": {int.__repr__(vid)}\n  }}'
+               for vid, kind in cx.markers]
+    prov = provenance or {"problem": cx.problem_name, "grid": None, "iterations": None}
+    return "".join([
+        '{\n "version": ', json.dumps(COMPLEX_VERSION),
+        ',\n "ambient_dim": ', json.dumps(cx.n),
+        ',\n "objectives": ', json.dumps(cx.m),
+        ',\n "vertices": ', _list(vertices, 1),
+        ',\n "simplices": ', _list(simplices, 1),
+        ',\n "markers": ', _list(markers, 1),
+        ',\n "provenance": ', json.dumps(prov, indent=1).replace("\n", "\n "),
+        "\n}",
+    ])
+
+
 def save_complex(path, cx: ParetoComplex, provenance: Optional[dict] = None) -> None:
     with open(path, "w") as fh:
-        fh.write(dumps(complex_to_dict(cx, provenance)))
+        fh.write(_complex_text(cx, provenance))
         fh.write("\n")
 
 

@@ -19,15 +19,16 @@ through their defining faces, so gluing is an exact merge keyed on face ids.
 The face is therefore the unit of work: the analyzer collects the distinct
 r-faces of all candidate cells, solves their barycentric systems in one
 stacked call and computes each accepted vertex's data (position, gradients,
-lambda, Hessian interpolation, sigma) once.  The per-cell step only looks its
-faces up, assembles the polytope and clips it.
+lambda, Hessian interpolation, sigma) once.  The per-cell step reads its
+shared vertices from the table, assembles the polytope and clips it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import itertools
 import logging
-import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -43,10 +44,23 @@ from .tessellation import Tessellation, enumerate_faces
 
 logger = logging.getLogger(__name__)
 
-EPS_ACCEPT = -1e-10   # barycentric positivity slack for accepting a vertex
-MU_SNAP = 1e-9        # weights below this collapse the key to the sub-face
-EPS_RANK = 1e-8       # relative singular-value cutoff for rank decisions
-EPS_RES = 0.2         # relative lambda residual flagging a vertex non-critical
+# Tolerances of the analysis core.  Each is relative to the scale named.
+EPS_ACCEPT = -1e-10    # barycentric weights above this accept a face vertex
+MU_SNAP = 1e-9         # weights at or below this drop out of a vertex's key:
+                       # the vertex takes its sub-face's key and merges there
+EPS_RANK = 1e-8        # singular values at or below this x the largest are
+                       # zero (rank of gradient rows, lambda and sigma solves)
+EPS_RES = 0.2          # lambda residual above this x the largest gradient
+                       # row norm marks a vertex non-critical
+CLIP_SNAP_REL = 1e-12  # clip values at or below this x the largest |value|
+                       # of their piece count as zero
+DET_SNAP_REL = 1e-13   # nodal minors at or below this x their Hadamard bound
+                       # (the product of column norms) count as zero
+# Tolerances of the other layers, for reference:
+#   tessellation.EPS_GEOM_REL = 1e-12  node coincidence and degeneracy, x bbox diagonal
+#   tessellation._initial_simplex  1e-14  seed-simplex independence floor, x |v|
+#   constrained.EPS_CONSTRAINT = 1e-8  largest |g| allowed at a mesh node
+#   refinement.SPACING_GAMMA = 0.1  candidate-to-node distance floor, x local shortest edge
 
 STRATUM_SINGULAR = "singular_only"
 STRATUM_UNSTABLE = "critical_unstable"
@@ -113,7 +127,7 @@ def minors_of_jacobian(J: np.ndarray, sel: MinorSelection) -> np.ndarray:
     return np.stack([np.linalg.det(J[..., list(cols)]) for cols in sel.columns], axis=-1)
 
 
-def snapped_determinants(matrices: np.ndarray, rel: float = 1e-13) -> np.ndarray:
+def snapped_determinants(matrices: np.ndarray, rel: float = DET_SNAP_REL) -> np.ndarray:
     """Determinants of a stack of square matrices, each zeroed below its
     round-off floor, in one batched call.
 
@@ -197,15 +211,17 @@ def solve_lambdas(G: np.ndarray, eps_rank: float = EPS_RANK):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class SingularVertex:
     """A vertex of the piecewise-linear singular set.
 
     Face-born vertices carry the defining face and barycentric weights;
     clip-born vertices carry neither but inherit interpolated data.  ``key``
-    is the exact merge key across cells.  A cell's face-born vertex is a copy
-    of the analyzer's shared face-table vertex, kept as ``source``: the
-    per-cell fields (``sigma``, ``kernel_fail``) are set on the copy only.
+    is the exact merge key across cells, and ``order`` is ``repr(key)``,
+    computed once: glue merges and orders the vertices by it.  ``id`` is an
+    integer identity, unique among the vertices of one cell: an analyzer
+    numbers its face-table vertices 0, 1, ... and the clip-born ones -1,
+    -2, ...
     """
 
     key: tuple
@@ -219,12 +235,23 @@ class SingularVertex:
     sigma: Optional[np.ndarray] = None
     critical_ok: bool = True
     kernel_fail: bool = False
-    source: Optional["SingularVertex"] = field(default=None, repr=False, compare=False)
+    id: int = -1
+    order: str = ""
+
+    def __post_init__(self):
+        if not self.order:
+            self.order = repr(self.key)
 
 
-def _interp_vertex(a: SingularVertex, b: SingularVertex, t: float, stage) -> SingularVertex:
-    """Linear interpolation between two vertices; canonical w.r.t. key order."""
-    if repr(b.key) < repr(a.key):
+def _interp_vertex(a: SingularVertex, b: SingularVertex, t: float, stage, vid: int,
+                   sigma: bool) -> SingularVertex:
+    """Linear interpolation between two vertices; canonical w.r.t. key order.
+
+    Only a second-order clip (``sigma``) interpolates sigma and kernel
+    failures; a vertex born in a first-order clip gets its sigma evaluated
+    at the second-order stage.
+    """
+    if b.order < a.order:
         a, b = b, a
         t = 1.0 - t
 
@@ -240,9 +267,11 @@ def _interp_vertex(a: SingularVertex, b: SingularVertex, t: float, stage) -> Sin
         lam=lerp(a.lam, b.lam),
         residual=a.residual + t * (b.residual - a.residual),
         hess_interp=lerp(a.hess_interp, b.hess_interp),
-        sigma=lerp(a.sigma, b.sigma),
+        sigma=lerp(a.sigma, b.sigma) if sigma else None,
         critical_ok=a.critical_ok and b.critical_ok,
-        kernel_fail=a.kernel_fail or b.kernel_fail,
+        kernel_fail=sigma and (a.kernel_fail or b.kernel_fail),
+        id=vid,
+        order=f"('c', {stage!r}, {a.order}, {b.order})",
     )
 
 
@@ -260,38 +289,44 @@ class Piece:
         self.kind = kind  # "segment" | "polygon"
 
     def distinct(self) -> bool:
-        keys = {repr(v.key) for v in self.verts}
-        return len(keys) == len(self.verts) and len(self.verts) >= (
+        ids = {v.id for v in self.verts}
+        return len(ids) == len(self.verts) and len(self.verts) >= (
             2 if self.kind == "segment" else 3
         )
 
 
-def clip_polytope(pieces, values, stage="clip"):
+def clip_polytope(pieces, values, stage="clip", new_ids=None, sigma=False):
     """Keep the part of each piece where the per-vertex scalar is >= 0.
 
-    ``values`` maps vertex key repr -> scalar.  Returns
-    ``(kept, dropped, boundary_vertices)``; scalar fields on inserted
-    boundary vertices are linear interpolations of the endpoint data.
+    ``values`` maps vertex id -> scalar.  Returns ``(kept, dropped,
+    boundary_vertices)``; scalar fields on inserted boundary vertices are
+    linear interpolations of the endpoint data, and their ids come from the
+    iterator ``new_ids`` (by default -1, -2, ...; successive clips of one
+    polytope must share it).  ``sigma`` marks the second-order clip, the one
+    that interpolates sigma.
     """
+    if new_ids is None:
+        new_ids = itertools.count(-1, -1)
+
+    def cut(a, b, t):
+        return _interp_vertex(a, b, t, stage, next(new_ids), sigma)
+
     kept: list[Piece] = []
     dropped: list[Piece] = []
     boundary: list[SingularVertex] = []
     for piece in pieces:
-        svals = [values[repr(v.key)] for v in piece.verts]
-        scale = max((abs(s) for s in svals), default=0.0)
-        snap = 1e-12 * scale
+        svals = [values[v.id] for v in piece.verts]
+        snap = CLIP_SNAP_REL * max(map(abs, svals), default=0.0)
         svals = [0.0 if abs(s) <= snap else s for s in svals]
-        if piece.kind == "segment":
-            k, d, b = _split_segment(piece, svals, stage)
-        else:
-            k, d, b = _split_polygon(piece, svals, stage)
+        split = _split_segment if piece.kind == "segment" else _split_polygon
+        k, d, b = split(piece, svals, cut)
         kept.extend(k)
         dropped.extend(d)
         boundary.extend(b)
     return kept, dropped, boundary
 
 
-def _split_segment(piece: Piece, s, stage):
+def _split_segment(piece: Piece, s, cut):
     a, b = piece.verts
     sa, sb = s
     if sa >= 0.0 and sb >= 0.0:
@@ -308,14 +343,13 @@ def _split_segment(piece: Piece, s, stage):
         if sb == 0.0 and sa < 0.0:
             bd.append(b)
         return [], [piece], bd
-    t = sa / (sa - sb)
-    w = _interp_vertex(a, b, t, stage)
+    w = cut(a, b, sa / (sa - sb))
     if sa > 0.0:
         return [Piece([a, w], "segment")], [Piece([w, b], "segment")], [w]
     return [Piece([w, b], "segment")], [Piece([a, w], "segment")], [w]
 
 
-def _split_polygon(piece: Piece, s, stage):
+def _split_polygon(piece: Piece, s, cut):
     verts = piece.verts
     k = len(verts)
     pos: list[SingularVertex] = []
@@ -332,8 +366,7 @@ def _split_polygon(piece: Piece, s, stage):
         if si == 0.0 and s[(i - 1) % k] * sj < 0.0:
             boundary.append(vi)  # level set passes exactly through a vertex
         if si * sj < 0.0:
-            t = si / (si - sj)
-            w = _interp_vertex(vi, vj, t, stage)
+            w = cut(vi, vj, si / (si - sj))
             pos.append(w)
             neg.append(w)
             boundary.append(w)
@@ -343,7 +376,25 @@ def _split_polygon(piece: Piece, s, stage):
 
 
 def _polygon_ok(verts) -> bool:
-    return len({repr(v.key) for v in verts}) >= 3
+    return len({v.id for v in verts}) >= 3
+
+
+def _polygon_orders(polygons: list) -> list:
+    """Cyclic vertex order of each planar polygon: by angle in its best-fit
+    plane, with one SVD per group of polygons with the same vertex count."""
+    out: list = [None] * len(polygons)
+    groups: dict[int, list] = {}
+    for i, verts in enumerate(polygons):
+        groups.setdefault(len(verts), []).append(i)
+    for idx in groups.values():
+        X = np.array([[v.x for v in polygons[i]] for i in idx])  # (G, k, n)
+        D = X - X.mean(axis=1, keepdims=True)
+        _, _, vt = np.linalg.svd(D)
+        uu = (D @ vt[:, 0, :, None])[..., 0]
+        vv = (D @ vt[:, 1, :, None])[..., 0]
+        for i, order in zip(idx, np.argsort(np.arctan2(vv, uu), axis=1).tolist()):
+            out[i] = order
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -353,39 +404,20 @@ def _polygon_ok(verts) -> bool:
 
 @dataclass
 class CellAnalysis:
+    """One cell's pieces by stratum, its markers and warnings.
+
+    ``sigma_ids`` holds the ids of the vertices that reached the
+    second-order stage in this cell.  A face-table vertex is shared between
+    cells, so its sigma belongs in the complex file only from such a cell.
+    """
+
     cell_index: int
     singular_vertices: list = field(default_factory=list)
     strata: dict = field(default_factory=lambda: {
-        STRATUM_SINGULAR: [],
-        STRATUM_UNSTABLE: [],
-        STRATUM_STABLE: [],
-    })
+        STRATUM_SINGULAR: [], STRATUM_UNSTABLE: [], STRATUM_STABLE: []})
     markers: list = field(default_factory=list)  # (SingularVertex, kind)
     warnings: list = field(default_factory=list)
-
-    @property
-    def sigma_polytope(self):
-        return (
-            self.strata[STRATUM_SINGULAR]
-            + self.strata[STRATUM_UNSTABLE]
-            + self.strata[STRATUM_STABLE]
-        )
-
-    @property
-    def theta_polytope(self):
-        return self.strata[STRATUM_UNSTABLE] + self.strata[STRATUM_STABLE]
-
-
-def _canonical_face_vertex(face, mu, snap=MU_SNAP):
-    """Drop near-zero weights so a vertex sitting on a sub-face gets the
-    sub-face key, letting adjacent cells merge it exactly once."""
-    face = np.asarray(face)
-    mu = np.asarray(mu, dtype=float)
-    keep = mu > snap
-    sub = tuple(int(i) for i in face[keep])
-    mu_sub = mu[keep]
-    mu_sub = mu_sub / mu_sub.sum()
-    return sub, mu_sub
+    sigma_ids: set = field(default_factory=set)
 
 
 # face-table entry of a face whose barycentric system is rank deficient
@@ -421,45 +453,54 @@ def solve_faces(omega_nodes: np.ndarray, faces) -> tuple:
     return mu, singular
 
 
-def _face_table(
-    omega_nodes: np.ndarray,
-    faces: Sequence[tuple],
-    points: np.ndarray,
-    jac_nodes: np.ndarray,
-    eps_accept: float = EPS_ACCEPT,
-) -> dict:
+def _face_table(omega_nodes: np.ndarray, faces: Sequence[tuple], points: np.ndarray,
+                jac_nodes: np.ndarray, eps_accept: float = EPS_ACCEPT) -> dict:
     """Solve distinct faces at once; map each face to its singular vertex.
 
     The entry of a face is its accepted :class:`SingularVertex` (key
     canonicalized to the sub-face), ``None`` when the weights are not all
     positive, or ``_RANK_DEFICIENT``.
     """
-    table: dict = {}
+    table = dict.fromkeys(faces)
     if not faces:
         return table
     mu, singular = solve_faces(omega_nodes, faces)
-    accepted = np.all(mu > eps_accept, axis=1)
-    for f, face in enumerate(faces):
-        if singular[f]:
-            table[face] = _RANK_DEFICIENT
-        elif not accepted[f]:
-            table[face] = None
-        else:
-            table[face] = _face_vertex(face, mu[f], points, jac_nodes)
+    for f in np.flatnonzero(singular).tolist():
+        table[faces[f]] = _RANK_DEFICIENT
+    rows = np.flatnonzero(np.all(mu > eps_accept, axis=1))  # NaN rows fail
+    verts = _face_vertices(np.asarray(faces, dtype=np.intp)[rows],
+                           np.maximum(mu[rows], 0.0), points, jac_nodes)
+    table.update(zip([faces[f] for f in rows.tolist()], verts))
     return table
 
 
-def _face_vertex(face, mu, points, jac_nodes):
-    sub, mu_sub = _canonical_face_vertex(face, np.maximum(mu, 0.0))
-    if len(sub) == 0:
-        return _RANK_DEFICIENT
-    return SingularVertex(
-        key=("f",) + sub,
-        x=mu_sub @ points[list(sub)],
-        face=sub,
-        mu=mu_sub,
-        grad_interp=np.tensordot(mu_sub, jac_nodes[list(sub)], axes=1),
-    )
+def _face_vertices(faces: np.ndarray, mu: np.ndarray, points: np.ndarray,
+                   jac_nodes: np.ndarray) -> list:
+    """The vertices of faces (F, k) with weights mu (F, k) >= 0, built in
+    one pass per sub-face size.
+
+    Weights at or below ``MU_SNAP`` drop out and the rest are renormalized,
+    so a vertex sitting on a sub-face gets the sub-face key and adjacent
+    cells merge it exactly once.  A face whose weights all drop out is rank
+    deficient.  ``w (1, k) @ a (k, -1)`` rounds as the per-vertex ``w @ a``.
+    """
+    keep = mu > MU_SNAP
+    size = keep.sum(axis=1)
+    out: list = [_RANK_DEFICIENT] * len(faces)
+    m, n = jac_nodes.shape[1:]
+    for k in range(1, faces.shape[1] + 1):
+        rows = np.flatnonzero(size == k)
+        if not len(rows):
+            continue
+        sub = faces[rows][keep[rows]].reshape(-1, k)
+        w = mu[rows][keep[rows]].reshape(-1, k)
+        w = w / w.sum(axis=1, keepdims=True)
+        x = (w[:, None, :] @ points[sub])[:, 0]
+        grad = (w[:, None, :] @ jac_nodes[sub].reshape(-1, k, m * n)).reshape(-1, m, n)
+        for f, s, wf, xf, gf in zip(rows.tolist(), sub.tolist(), w, x, grad):
+            s = tuple(s)
+            out[f] = SingularVertex(key=("f",) + s, x=xf, face=s, mu=wf, grad_interp=gf)
+    return out
 
 
 def _cell_vertices(table: dict, faces: Iterable[tuple]) -> tuple:
@@ -468,33 +509,15 @@ def _cell_vertices(table: dict, faces: Iterable[tuple]) -> tuple:
     Faces are visited in the given order and the first face with a key wins.
     Returns ``(vertices, rank-deficient face count)``.
     """
-    out: dict[tuple, SingularVertex] = {}
+    out: dict[str, SingularVertex] = {}
     skipped = 0
     for face in faces:
         v = table[face]
         if v is _RANK_DEFICIENT:
             skipped += 1
         elif v is not None:
-            out.setdefault(v.key, v)
+            out.setdefault(v.order, v)
     return list(out.values()), skipped
-
-
-def singular_vertices_of_cell(
-    omega_nodes: np.ndarray,
-    cell: Sequence[int],
-    points: np.ndarray,
-    jac_nodes: np.ndarray,
-    r: int,
-    eps_accept: float = EPS_ACCEPT,
-):
-    """Solve the barycentric minor system on every (r)-dimensional face.
-
-    ``omega_nodes``/``jac_nodes``/``points`` are indexed by global node id.
-    Returns ``(vertices, skipped)``: keys are canonicalized to sub-faces and
-    rank-deficient face systems are skipped and counted.
-    """
-    faces = enumerate_faces(cell, r)
-    return _cell_vertices(_face_table(omega_nodes, faces, points, jac_nodes, eps_accept), faces)
 
 
 def finite_difference_hessians(problem: VectorProblem, points_cell: np.ndarray,
@@ -552,6 +575,16 @@ def generalized_hessians(G: np.ndarray, lam: np.ndarray, hess: np.ndarray,
     return np.linalg.eigvalsh(B), fail
 
 
+def _attach_sigma(verts: list) -> None:
+    """Set sigma, or the kernel-failure flag, on vertices in one stacked call."""
+    if verts:
+        sigma, fail = generalized_hessians(np.array([v.grad_interp for v in verts]),
+                                           np.array([v.lam for v in verts]),
+                                           np.array([v.hess_interp for v in verts]))
+        for v, sg, f in zip(verts, sigma, fail):
+            v.sigma, v.kernel_fail = (None, True) if f else (sg, False)
+
+
 # ---------------------------------------------------------------------------
 # analyzer
 # ---------------------------------------------------------------------------
@@ -579,17 +612,16 @@ class Analyzer:
     ``jac_nodes`` (N, m, n) and ``omega_nodes`` (N, r) instead; r is then the
     minors' width and no :class:`MinorSelection` is involved.  Before the
     cells are analysed, the distinct r-faces of all of them go through one
-    stacked barycentric solve into the face table, and each accepted vertex
-    gets its lambda, residual flag, analytic Hessian interpolation and sigma
-    there, exactly once.  (In m > n mode the faces are the single nodes.)
-    The table is filled before the cell loop and only read inside it, so the
-    glue, keyed on face identities, is independent of the cell order.
+    stacked barycentric solve into the face table, where each accepted vertex
+    gets its id, lambda, analytic Hessian interpolation and sigma, exactly
+    once.  (In m > n mode the faces are the single nodes.)  The cell table
+    holds each cell's vertices and, for m = 3, its polygon order.  Both are
+    filled in stacked passes before the cell loop and only read inside it.
 
-    The per-cell step looks up its faces in the cell's face order, copies
-    their vertices and assembles and clips the cell's polytope.  With
-    ``hessian_mode="fd"`` the Hessian estimate depends on the cell, so the
-    Hessians and sigma stay per cell in that mode.  Analysing a single cell
-    outside :meth:`run_cells` first fills the table for that cell's faces.
+    The per-cell step clips the cell's polytope on the shared vertices.  With
+    ``hessian_mode="fd"`` the Hessians are the cell's own, so each cell copies
+    its vertices and evaluates sigma itself.  A cell analysed outside
+    :meth:`run_cells` first fills the tables for itself, through the same code.
     """
 
     def __init__(
@@ -606,12 +638,9 @@ class Analyzer:
     ):
         if problem.m not in (2, 3):
             raise UnsupportedObjectiveCount(
-                f"polytope realization supports m in (2, 3), got m={problem.m}"
-            )
+                f"polytope realization supports m in (2, 3), got m={problem.m}")
         if problem.sigma_skip and problem.n > 2:
-            raise UnsupportedObjectiveCount(
-                "m > n mode implemented for n <= 2 only"
-            )
+            raise UnsupportedObjectiveCount("m > n mode implemented for n <= 2 only")
         self.problem = problem
         self.tess = tess
         self.order = order
@@ -642,9 +671,10 @@ class Analyzer:
                         "structurally degenerate for this map, supply a custom "
                         "MinorSelection", self.selection.columns[j],
                     )
-        self._faces: dict = {}       # face tuple -> shared vertex | None | _RANK_DEFICIENT
-        self._prepared: set = set()  # cells whose faces are in the table
-        self._fill_lock = threading.Lock()
+        self._faces: dict = {}  # face tuple -> shared vertex | None | _RANK_DEFICIENT
+        self._cells: dict = {}  # cell -> (vertices, rank-deficient faces, polygon order)
+        self._face_ids = itertools.count()
+        self._clip_ids = itertools.count(-1, -1)
 
     def candidate_cells(self) -> np.ndarray:
         """Indices of cells where every minor changes sign (vectorized filter)."""
@@ -657,7 +687,7 @@ class Analyzer:
         mask = np.all((lo <= 0.0) & (hi >= 0.0), axis=1)
         return np.nonzero(mask)[0]
 
-    # -- face table --------------------------------------------------------------
+    # -- face and cell tables ----------------------------------------------------
 
     def _cell_faces(self, ci: int) -> list:
         cell = self.tess.cells[ci]
@@ -666,35 +696,46 @@ class Analyzer:
         return enumerate_faces(cell, self.r)
 
     def _fill_face_table(self, cells: Iterable[int]) -> None:
-        """Fill the face table for the faces of ``cells``.
+        """Fill the face and cell tables for ``cells``.
 
-        Runs the stacked face solve on the faces not yet in the table, then
-        attaches lambda to every new vertex and, for the cells that reach the
-        second-order stage, the analytic Hessian interpolation and sigma.
-        Vertices are complete before a cell is marked prepared, and the lock
-        keeps concurrent single-cell calls from solving a face twice.
+        Runs the stacked face solve on the faces not yet in the table and
+        attaches lambda to every new vertex.  For the cells that reach the
+        polytope stage it then attaches the analytic Hessian interpolation
+        and sigma (second order) and orders the polygons (m = 3), each in
+        stacked calls.
         """
-        with self._fill_lock:
-            cells = [int(ci) for ci in cells if int(ci) not in self._prepared]
-            faces = dict.fromkeys(
-                f for ci in cells for f in self._cell_faces(ci) if f not in self._faces
-            )
-            pts = self.tess.nodes.points
-            if self.sigma_skip:
-                new = {f: _face_vertex(f, np.ones(1), pts, self.jac_nodes) for f in faces}
-            else:
-                new = _face_table(self.omega_nodes, list(faces), pts, self.jac_nodes)
-            fresh = [v for v in new.values() if isinstance(v, SingularVertex)]
-            self._attach_lambdas(fresh)
-            self._faces.update(new)
-            hessian = []
-            if self.order >= 2 and not self.sigma_skip and self.hessian_mode != "fd":
-                hessian = self._attach_hessians(cells)
-            for v in fresh + hessian:
-                for a in (v.x, v.mu, v.grad_interp, v.lam, v.hess_interp, v.sigma):
-                    if a is not None:
-                        a.flags.writeable = False
-            self._prepared.update(cells)
+        cells = [int(ci) for ci in cells if int(ci) not in self._cells]
+        cell_faces = [self._cell_faces(ci) for ci in cells]
+        faces = list(dict.fromkeys(
+            f for fs in cell_faces for f in fs if f not in self._faces))
+        pts = self.tess.nodes.points
+        if self.sigma_skip:
+            nodes = np.array(faces, dtype=np.intp).reshape(-1, 1)
+            new = dict(zip(faces, _face_vertices(nodes, np.ones(nodes.shape), pts,
+                                                 self.jac_nodes)))
+        else:
+            new = _face_table(self.omega_nodes, faces, pts, self.jac_nodes)
+        fresh = [v for v in new.values() if isinstance(v, SingularVertex)]
+        for v in fresh:
+            v.id = next(self._face_ids)
+        self._attach_lambdas(fresh)
+        self._faces.update(new)
+        entries = [_cell_vertices(self._faces, fs) for fs in cell_faces]
+        orders: list = [None] * len(cells)
+        hessian = []
+        if not self.sigma_skip:
+            reach = [i for i, (verts, _) in enumerate(entries) if len(verts) >= self.problem.m]
+            if self.order >= 2 and self.hessian_mode != "fd":
+                hessian = self._attach_hessians([entries[i][0] for i in reach])
+            if self.problem.m == 3:
+                for i, order in zip(reach, _polygon_orders([entries[i][0] for i in reach])):
+                    orders[i] = order
+        for v in fresh + hessian:
+            for a in (v.x, v.mu, v.grad_interp, v.lam, v.hess_interp, v.sigma):
+                if a is not None:
+                    a.flags.writeable = False
+        for ci, (verts, skipped), order in zip(cells, entries, orders):
+            self._cells[ci] = (verts, skipped, order)
 
     def _attach_lambdas(self, verts: list) -> None:
         if not verts:
@@ -709,18 +750,15 @@ class Analyzer:
                 v.lam, v.residual = lv, float(res)
                 v.critical_ok = v.residual <= self.eps_res * sc
 
-    def _attach_hessians(self, cells: list) -> list:
+    def _attach_hessians(self, cell_vertices: list) -> list:
         """Analytic Hessian interpolation, and sigma of the critical vertices,
         for the vertices of the cells that reach the second-order stage.
         Returns the vertices it changed."""
         pending: dict[int, SingularVertex] = {}
-        for ci in cells:
-            verts, _ = _cell_vertices(self._faces, self._cell_faces(ci))
-            if len(verts) < self.problem.m:
-                continue  # the cell stops before the Hessian stage
+        for verts in cell_vertices:
             for v in verts:
                 if v.hess_interp is None:
-                    pending.setdefault(id(v), v)
+                    pending.setdefault(v.id, v)
         changed = list(pending.values())
         if changed:
             # one Hessian evaluation over the distinct face nodes (found with
@@ -739,15 +777,7 @@ class Analyzer:
                 interp = mu[:, None, :] @ hs.reshape(len(group), k, -1)
                 for v, h in zip(group, interp.reshape((len(group),) + shape)):
                     v.hess_interp = h
-        critical = [v for v in changed if v.lam is not None and v.critical_ok]
-        if critical:
-            sigma, fail = generalized_hessians(
-                np.array([v.grad_interp for v in critical]),
-                np.array([v.lam for v in critical]),
-                np.array([v.hess_interp for v in critical]),
-            )
-            for v, sg, f in zip(critical, sigma, fail):
-                v.sigma, v.kernel_fail = (None, True) if f else (sg, False)
+        _attach_sigma([v for v in changed if v.lam is not None and v.critical_ok])
         return changed
 
     # -- per-cell pipeline -----------------------------------------------------
@@ -759,30 +789,26 @@ class Analyzer:
         return analysis
 
     def analyze_cell_first_order(self, ci: int) -> CellAnalysis:
-        if ci not in self._prepared:
+        if ci not in self._cells:
             self._fill_face_table([ci])
-        cell = self.tess.cells[ci]
+        verts, skipped, order = self._cells[ci]
         analysis = CellAnalysis(cell_index=ci)
-        if self.sigma_skip:
-            verts = [_cell_copy(self._faces[f]) for f in self._cell_faces(ci)]
-            pieces = self._full_cell_pieces(verts)
+        if skipped:
+            analysis.warnings.append(f"{skipped} rank-deficient face system(s) skipped")
+        if self.sigma_skip:  # the whole cell is singular
+            pieces = [Piece(verts, "segment" if self.problem.n == 1 else "polygon")]
         else:
-            shared, skipped = _cell_vertices(self._faces, self._cell_faces(ci))
-            if skipped:
-                analysis.warnings.append(f"{skipped} rank-deficient face system(s) skipped")
-            if len(shared) < self.problem.m:
+            if len(verts) < self.problem.m:
                 return analysis
-            verts = [_cell_copy(v) for v in shared]
             for v in verts:
                 if v.lam is None:
                     analysis.warnings.append("rank collapse at a singular vertex")
             if self.order >= 2 and self.hessian_mode == "fd":
-                pts_cell = self.tess.nodes.points[list(cell)]
-                jac_cell = self.jac_nodes[list(cell)]
-                H = finite_difference_hessians(self.problem, pts_cell, jac_cell)
-                for v in verts:
-                    v.hess_interp = H
-            pieces = self._assemble_pieces(verts, analysis)
+                cell = list(self.tess.cells[ci])
+                H = finite_difference_hessians(
+                    self.problem, self.tess.nodes.points[cell], self.jac_nodes[cell])
+                verts = [dataclasses.replace(v, hess_interp=H) for v in verts]
+            pieces = self._assemble_pieces(verts, order, analysis)
         analysis.singular_vertices = verts
         if not pieces:
             return analysis
@@ -799,8 +825,9 @@ class Analyzer:
         for j in range(self.problem.m):
             if not current:
                 break
-            values = {repr(v.key): float(v.lam[j]) for p in current for v in p.verts}
-            current, dropped, boundary = clip_polytope(current, values, stage=("lam", j))
+            values = {v.id: float(v.lam[j]) for p in current for v in p.verts}
+            current, dropped, boundary = clip_polytope(
+                current, values, ("lam", j), self._clip_ids)
             analysis.strata[STRATUM_SINGULAR].extend(dropped)
             for w in boundary:
                 analysis.markers.append((w, MARKER_BOUNDARY))
@@ -816,35 +843,24 @@ class Analyzer:
         analysis.strata[STRATUM_UNSTABLE] = []
         if not theta:
             return analysis
-        seen: dict[str, float] = {}
+        verts = {v.id: v for piece in theta for v in piece.verts}
+        # face-table vertices come with sigma; first-order clip-born vertices
+        # (and every vertex in fd mode) are evaluated here, in one stacked call
+        _attach_sigma([v for v in verts.values() if v.sigma is None and not v.kernel_fail])
         sigma_scale = 1.0
-        for piece in theta:
-            for v in piece.verts:
-                k = repr(v.key)
-                if k in seen:
-                    continue
-                if v.sigma is None:
-                    src = v.source
-                    if src is not None and (src.sigma is not None or src.kernel_fail):
-                        v.sigma, v.kernel_fail = src.sigma, src.kernel_fail
-                    else:
-                        try:
-                            v.sigma = generalized_hessian(v, self.problem.n, self.problem.m)
-                        except KernelDimensionMismatch:
-                            v.kernel_fail = True
-                    if v.kernel_fail:
-                        logger.debug("kernel dimension mismatch; vertex treated as unstable")
-                if v.sigma is not None:
-                    sigma_scale = max(sigma_scale, float(np.abs(v.sigma).max()))
-                seen[k] = 0.0
-        values = {}
-        for piece in theta:
-            for v in piece.verts:
-                if v.kernel_fail or v.sigma is None:
-                    values[repr(v.key)] = -10.0 * sigma_scale
-                else:
-                    values[repr(v.key)] = -float(v.sigma.max())
-        stable, unstable, boundary = clip_polytope(theta, values, stage=("sig", 0))
+        for v in verts.values():
+            if v.kernel_fail:
+                logger.debug("kernel dimension mismatch; vertex treated as unstable")
+            elif v.sigma is not None:
+                sigma_scale = max(sigma_scale, float(np.abs(v.sigma).max()))
+        values = {
+            vid: -10.0 * sigma_scale if v.kernel_fail or v.sigma is None
+            else -float(v.sigma.max())
+            for vid, v in verts.items()
+        }
+        analysis.sigma_ids = set(verts)
+        stable, unstable, boundary = clip_polytope(
+            theta, values, ("sig", 0), self._clip_ids, sigma=True)
         analysis.strata[STRATUM_STABLE].extend(stable)
         analysis.strata[STRATUM_UNSTABLE].extend(unstable)
         for w in boundary:
@@ -853,37 +869,23 @@ class Analyzer:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _assemble_pieces(self, verts, analysis) -> list:
-        m = self.problem.m
-        if m == 2:
-            if len(verts) == 2:
-                return [Piece(verts, "segment")]
-            analysis.warnings.append(
-                f"{len(verts)} singular vertices in one cell (non-transversal crossing)"
-            )
-            logger.warning(
-                "cell %d: %d singular vertices; building a path through them",
-                analysis.cell_index, len(verts),
-            )
-            X = np.array([v.x for v in verts])
-            center = X.mean(axis=0)
-            _, _, vt = np.linalg.svd(X - center)
-            order = np.argsort(X @ vt[0])
-            chain = [verts[i] for i in order]
-            return [Piece([a, b], "segment") for a, b in zip(chain, chain[1:])]
-        # m == 3: planar polygon ordered by angle in the best-fit plane
+    def _assemble_pieces(self, verts, order, analysis) -> list:
+        if self.problem.m == 3:  # planar polygon, ordered in the cell table
+            return [Piece([verts[i] for i in order], "polygon")]
+        if len(verts) == 2:
+            return [Piece(verts, "segment")]
+        analysis.warnings.append(
+            f"{len(verts)} singular vertices in one cell (non-transversal crossing)"
+        )
+        logger.warning(
+            "cell %d: %d singular vertices; building a path through them",
+            analysis.cell_index, len(verts),
+        )
         X = np.array([v.x for v in verts])
         center = X.mean(axis=0)
         _, _, vt = np.linalg.svd(X - center)
-        uu = (X - center) @ vt[0]
-        vv = (X - center) @ vt[1]
-        order = np.argsort(np.arctan2(vv, uu))
-        return [Piece([verts[i] for i in order], "polygon")]
-
-    def _full_cell_pieces(self, verts):
-        if self.problem.n == 1:
-            return [Piece(verts, "segment")]
-        return [Piece(verts, "polygon")]
+        chain = [verts[i] for i in np.argsort(X @ vt[0])]
+        return [Piece([a, b], "segment") for a, b in zip(chain, chain[1:])]
 
     # -- full run ----------------------------------------------------------------
 
@@ -895,15 +897,6 @@ class Analyzer:
         idx = self.candidate_cells()
         self._fill_face_table(idx)
         return [self.analyze_cell(ci) for ci in idx]
-
-
-def _cell_copy(v: SingularVertex) -> SingularVertex:
-    """A cell's own copy of a shared face-table vertex, without sigma."""
-    return SingularVertex(
-        key=v.key, x=v.x, face=v.face, mu=v.mu, grad_interp=v.grad_interp,
-        lam=v.lam, residual=v.residual, hess_interp=v.hess_interp,
-        critical_ok=v.critical_ok, source=v,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -984,19 +977,23 @@ def glue(analyses: Iterable[CellAnalysis], problem: VectorProblem,
 
     Vertices shared by adjacent cells carry identical keys and identical
     floating-point data (they are computed from the same face inputs), so the
-    merge is exact and independent of the cell processing order.
+    merge is exact and independent of the cell processing order.  A vertex's
+    data come from the first cell, in cell order, that lists it; its sigma
+    only if it reached the second-order stage there or was born in that cell.
     """
-    vertex_table: dict[str, SingularVertex] = {}
+    vertex_table: dict[str, tuple] = {}  # order -> (vertex, sigma)
     simplex_table: dict[tuple, tuple] = {}
     marker_table: dict[tuple, tuple] = {}
 
-    def register(v: SingularVertex) -> str:
-        k = repr(v.key)
-        if k not in vertex_table:
-            vertex_table[k] = v
-        return k
-
     for analysis in sorted(analyses, key=lambda a: a.cell_index):
+        reached = analysis.sigma_ids
+
+        def register(v: SingularVertex) -> str:
+            k = v.order
+            if k not in vertex_table:
+                vertex_table[k] = (v, v.sigma if v.face is None or v.id in reached else None)
+            return k
+
         for stratum, pieces in analysis.strata.items():
             for piece in pieces:
                 if not piece.distinct():
@@ -1005,7 +1002,7 @@ def glue(analyses: Iterable[CellAnalysis], problem: VectorProblem,
                 if piece.kind == "segment":
                     simplex_keys = [tuple(sorted(kl))]
                 else:
-                    root_pos = min(range(len(kl)), key=lambda i: kl[i])
+                    root_pos = kl.index(min(kl))
                     cyc = kl[root_pos:] + kl[:root_pos]
                     simplex_keys = [
                         tuple(sorted((cyc[0], cyc[i], cyc[i + 1])))
@@ -1017,23 +1014,22 @@ def glue(analyses: Iterable[CellAnalysis], problem: VectorProblem,
                     if sk not in simplex_table:
                         simplex_table[sk] = (stratum, analysis.cell_index)
         for v, kind in analysis.markers:
-            marker_table[(repr(v.key), kind)] = (register(v), kind)
+            marker_table[(v.order, kind)] = (register(v), kind)
 
     ordered_keys = sorted(vertex_table)
     index_of = {k: i for i, k in enumerate(ordered_keys)}
-    V = len(ordered_keys)
+    entries = [vertex_table[k] for k in ordered_keys]
+    V = len(entries)
     n, m = problem.n, problem.m
-    positions = np.empty((V, n))
+    positions = np.array([v.x for v, _ in entries]).reshape(V, n)
     lam = np.full((V, m), np.nan)
     ksig = max(n - m + 1, 0)
     sigma = np.full((V, ksig), np.nan) if (order >= 2 and ksig > 0) else None
-    for k, i in index_of.items():
-        v = vertex_table[k]
-        positions[i] = v.x
+    for i, (v, sg) in enumerate(entries):
         if v.lam is not None:
             lam[i] = v.lam
-        if sigma is not None and v.sigma is not None:
-            sigma[i] = v.sigma
+        if sigma is not None and sg is not None:
+            sigma[i] = sg
     u_values = problem.u_at(positions)
     simplices = sorted(
         (tuple(sorted(index_of[k] for k in sk)), stratum, ci)
@@ -1047,7 +1043,7 @@ def glue(analyses: Iterable[CellAnalysis], problem: VectorProblem,
         u_values=u_values,
         lam=lam,
         sigma=sigma,
-        keys=[vertex_table[k].key for k in ordered_keys],
+        keys=[v.key for v, _ in entries],
         simplices=simplices,
         markers=markers,
         problem_name=problem.name,

@@ -127,15 +127,6 @@ class Tessellation:
             self._adjacency = {f: tuple(cs) for f, cs in adj.items()}
         return self._adjacency
 
-    def boundary_facets(self) -> list[tuple]:
-        return [f for f, cs in self.adjacency.items() if len(cs) == 1]
-
-    def cell_diameter(self, i: int) -> float:
-        pts = self.cell_points(i)
-        from .geometry import simplex_diameter
-
-        return simplex_diameter(pts)
-
     def min_incident_edge(self) -> np.ndarray:
         """Per node, the length of the shortest incident edge."""
         out = np.full(len(self.nodes), np.inf)

@@ -8,17 +8,18 @@ from paretoc.continuation import (
     STRATUM_STABLE,
     STRATUM_UNSTABLE,
     SingularVertex,
+    _cell_vertices,
+    _face_table,
     analyze,
     clip_polytope,
     finite_difference_hessians,
     generalized_hessian,
     minor_values,
-    singular_vertices_of_cell,
     solve_lambda,
 )
 from paretoc.errors import KernelDimensionMismatch, RankCollapse, UnsupportedObjectiveCount
 from paretoc.problems import VectorProblem, registry_get
-from paretoc.tessellation import build_delaunay, kuhn_tessellation
+from paretoc.tessellation import build_delaunay, enumerate_faces, kuhn_tessellation
 
 
 def _problem_with_jacobian(jac, n, m):
@@ -67,13 +68,19 @@ def test_minor_selection_validation():
 # ---------------------------------------------------------------------------
 
 
+def _cell_face_vertices(omega, cell, pts, jac, r):
+    # the face table of one cell's r-faces, read as the analyzer reads it
+    faces = enumerate_faces(cell, r)
+    return _cell_vertices(_face_table(omega, faces, pts, jac), faces)
+
+
 def test_singular_vertex_edge_midpoint():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     omega = np.array([[1.0], [-1.0], [5.0]])
     jac = np.zeros((3, 2, 2))
     jac[:, 0, 0] = 1.0
     jac[:, 1, 1] = 1.0
-    verts, skipped = singular_vertices_of_cell(omega, (0, 1, 2), pts, jac, r=1)
+    verts, skipped = _cell_face_vertices(omega, (0, 1, 2), pts, jac, r=1)
     assert skipped == 0
     edge01 = [v for v in verts if v.face == (0, 1)]
     assert len(edge01) == 1
@@ -85,7 +92,7 @@ def test_singular_vertex_rejected_same_sign():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     omega = np.array([[1.0], [2.0], [3.0]])
     jac = np.zeros((3, 2, 2))
-    verts, _ = singular_vertices_of_cell(omega, (0, 1, 2), pts, jac, r=1)
+    verts, _ = _cell_face_vertices(omega, (0, 1, 2), pts, jac, r=1)
     assert verts == []  # mu = (2, -1) fails positivity on every edge
 
 
@@ -100,7 +107,7 @@ def test_singular_vertex_3x3_system_frozen():
         [9.0, 9.0],  # fourth node keeps other faces sign-locked
     ])
     jac = np.zeros((4, 2, 3))
-    verts, _ = singular_vertices_of_cell(omega, (0, 1, 2, 3), pts, jac, r=2)
+    verts, _ = _cell_face_vertices(omega, (0, 1, 2, 3), pts, jac, r=2)
     face = [v for v in verts if v.face == (0, 1, 2)]
     assert len(face) == 1
     assert face[0].mu == pytest.approx([0.25, 0.25, 0.5])
@@ -111,7 +118,7 @@ def test_singular_system_rank_deficient_skipped():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     omega = np.zeros((3, 1))  # identically-zero minors: every face degenerate
     jac = np.zeros((3, 2, 2))
-    verts, skipped = singular_vertices_of_cell(omega, (0, 1, 2), pts, jac, r=1)
+    verts, skipped = _cell_face_vertices(omega, (0, 1, 2), pts, jac, r=1)
     assert verts == []
     assert skipped == 3
 
@@ -156,10 +163,10 @@ def test_solve_lambda_rank_collapse():
 
 
 def _seg(sa, sb):
-    a = SingularVertex(key=("f", 0), x=np.array([0.0, 0.0]))
-    b = SingularVertex(key=("f", 1), x=np.array([1.0, 0.0]))
+    a = SingularVertex(key=("f", 0), x=np.array([0.0, 0.0]), id=0)
+    b = SingularVertex(key=("f", 1), x=np.array([1.0, 0.0]), id=1)
     piece = Piece([a, b], "segment")
-    values = {repr(a.key): sa, repr(b.key): sb}
+    values = {a.id: sa, b.id: sb}
     return piece, values
 
 
@@ -168,8 +175,10 @@ def test_clip_segment_half():
     kept, dropped, boundary = clip_polytope([piece], values)
     assert len(kept) == 1 and len(dropped) == 1 and len(boundary) == 1
     assert boundary[0].x == pytest.approx([0.5, 0.0])
-    kept_keys = {repr(v.key) for v in kept[0].verts}
+    kept_keys = {v.order for v in kept[0].verts}
     assert repr(("f", 0)) in kept_keys
+    assert boundary[0].order == repr(boundary[0].key)
+    assert boundary[0].id < 0
 
 
 def test_clip_segment_no_clip():
@@ -180,12 +189,12 @@ def test_clip_segment_no_clip():
 
 def test_clip_triangle_corner():
     verts = [
-        SingularVertex(key=("f", 0), x=np.array([0.0, 0.0, 0.0])),
-        SingularVertex(key=("f", 1), x=np.array([1.0, 0.0, 0.0])),
-        SingularVertex(key=("f", 2), x=np.array([0.0, 1.0, 0.0])),
+        SingularVertex(key=("f", 0), x=np.array([0.0, 0.0, 0.0]), id=0),
+        SingularVertex(key=("f", 1), x=np.array([1.0, 0.0, 0.0]), id=1),
+        SingularVertex(key=("f", 2), x=np.array([0.0, 1.0, 0.0]), id=2),
     ]
     piece = Piece(verts, "polygon")
-    values = {repr(("f", 0)): 1.0, repr(("f", 1)): -1.0, repr(("f", 2)): -1.0}
+    values = {0: 1.0, 1: -1.0, 2: -1.0}
     kept, dropped, boundary = clip_polytope([piece], values)
     assert len(kept) == 1 and len(kept[0].verts) == 3
     assert len(boundary) == 2
@@ -213,7 +222,7 @@ def test_triv_cell_straddling_front():
     found = False
     for ci in an.candidate_cells():
         a = an.analyze_cell_first_order(ci)
-        for piece in a.theta_polytope:
+        for piece in a.strata[STRATUM_UNSTABLE] + a.strata[STRATUM_STABLE]:
             found = True
             for v in piece.verts:
                 assert np.all(v.lam > 0)
@@ -246,9 +255,9 @@ def test_noncv_noncritical_loop_cell():
     theta_empty = True
     for ci in an.candidate_cells():
         a = an.analyze_cell_first_order(ci)
-        if a.sigma_polytope:
+        if any(a.strata.values()):
             sigma_nonempty = True
-        if a.theta_polytope:
+        if a.strata[STRATUM_UNSTABLE] or a.strata[STRATUM_STABLE]:
             theta_empty = False
     assert sigma_nonempty and theta_empty
 

@@ -89,7 +89,8 @@ CASES = {
         "ad91b84423424de52830058c7e3885e49c8e68ce67ecdddb1570760e590b642c",
         "5706067dddf07911b79e29742b94f9d7561ca3e3c514762df85b4b5d57beb732",
     ),
-    # recorded with the cells analysed by two threads; serial runs match it
+    # named for the two-thread run it was first recorded with; the cells are
+    # analysed in one thread, and the bytes are those of that first recording
     "tri_threads2": (
         lambda: _kuhn("tri_quadratic", [6, 6, 6]), {},
         "85ebf617415d64f551d4c0a156bc4f7165e7166dab19a29cc6ac4b62a4c8ad48",

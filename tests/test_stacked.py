@@ -8,8 +8,6 @@ every item is unchanged.
 """
 
 import dataclasses
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -18,14 +16,18 @@ from paretoc import continuation, refinement
 from paretoc.complex_io import save_complex
 from paretoc.constrained import analyze_constrained, icosphere
 from paretoc.continuation import (
+    MU_SNAP,
+    STRATUM_STABLE,
+    STRATUM_UNSTABLE,
     Analyzer,
     SingularVertex,
+    generalized_hessian,
     generalized_hessians,
-    glue,
     snapped_determinants,
     solve_faces,
     solve_lambdas,
 )
+from paretoc.errors import KernelDimensionMismatch
 from paretoc.problems import ConstrainedProblem, registry_get
 from paretoc.tessellation import enumerate_faces, kuhn_tessellation
 
@@ -151,45 +153,73 @@ def test_table_is_read_only(analyzers):
         v.lam[0] = 0.0
 
 
-def test_concurrent_single_cells_solve_each_face_once(monkeypatch):
-    # single-cell calls from more threads than cores fill the face table
-    # under its lock: no face is solved twice and the glued output matches
-    # the serial run
+def _loop_face_vertex(face, mu, points, jac_nodes):
+    # drop the weights at or below MU_SNAP, renormalize, interpolate
+    mu = np.maximum(mu, 0.0)
+    keep = mu > MU_SNAP
+    sub = tuple(int(i) for i in np.asarray(face)[keep])
+    w = mu[keep] / mu[keep].sum()
+    return sub, w, w @ points[list(sub)], np.tensordot(w, jac_nodes[list(sub)], axes=1)
+
+
+def test_face_vertices_match_face_loop(analyzers):
+    # the cross case snaps vertices to nodes and to sub-faces
+    sizes = set()
+    for an in analyzers:
+        pts = an.tess.nodes.points
+        faces = [f for f, v in an._faces.items() if isinstance(v, SingularVertex)]
+        mu, _ = solve_faces(an.omega_nodes, faces)
+        ids = [an._faces[f].id for f in faces]
+        assert sorted(ids) == list(range(len(ids)))
+        for face, w in zip(faces, mu):
+            v = an._faces[face]
+            sub, ref_mu, ref_x, ref_grad = _loop_face_vertex(face, w, pts, an.jac_nodes)
+            sizes.add(len(sub))
+            assert v.face == sub and v.key == ("f",) + sub and v.order == repr(v.key)
+            assert np.array_equal(v.mu, ref_mu) and np.array_equal(v.x, ref_x)
+            assert np.array_equal(v.grad_interp, ref_grad)
+    assert {1, 2} <= sizes
+
+
+def _loop_polygon_order(verts):
+    # the per-cell ordering: angle in the best-fit plane
+    X = np.array([v.x for v in verts])
+    center = X.mean(axis=0)
+    _, _, vt = np.linalg.svd(X - center)
+    return np.argsort(np.arctan2((X - center) @ vt[1], (X - center) @ vt[0])).tolist()
+
+
+def test_polygon_orders_match_cell_loop(analyzers):
+    an = analyzers[0]  # tri_quadratic: m = 3
+    sizes = set()
+    for verts, _, order in an._cells.values():
+        if len(verts) >= 3:
+            sizes.add(len(verts))
+            assert order == _loop_polygon_order(verts)
+        else:
+            assert order is None
+    assert {3, 4} <= sizes
+
+
+def test_second_order_stage_matches_vertex_loop(analyzers):
+    # sigma of the clip-born vertices, stacked per cell, against one call
+    # per vertex; the face-table vertices keep their table sigma
     p = registry_get("tri_quadratic")
-    tess = kuhn_tessellation(p.domain_box, [6, 6, 6])
-    serial = Analyzer(p, tess).run()
-    solved = []
-    solve = continuation.solve_faces
-
-    def counting(omega_nodes, faces):
-        solved.extend(tuple(f) for f in np.asarray(faces).tolist())
-        return solve(omega_nodes, faces)
-
-    monkeypatch.setattr(continuation, "solve_faces", counting)
-    an = Analyzer(p, tess)
-    cells = [int(ci) for ci in an.candidate_cells()]
-    analyses = {}
-
-    def work(chunk):
-        for ci in chunk:
-            analyses[ci] = an.analyze_cell(ci)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(cells[k::8],)) for k in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert len(solved) == len(set(solved))
-    cx = glue(analyses.values(), p, tess, order=2)
-    assert cx.simplices == serial.simplices and cx.markers == serial.markers
-    assert np.array_equal(cx.positions, serial.positions)
-    assert np.array_equal(cx.sigma, serial.sigma, equal_nan=True)
+    an = Analyzer(p, kuhn_tessellation(p.domain_box, [7, 7, 7]))
+    clip_born = 0
+    for a in an.run_cells():
+        for piece in a.strata[STRATUM_UNSTABLE] + a.strata[STRATUM_STABLE]:
+            for v in piece.verts:
+                if v.face is not None or v.key[1][0] != "lam":
+                    continue
+                clip_born += 1
+                try:
+                    ref = generalized_hessian(v, p.n, p.m)
+                except KernelDimensionMismatch:
+                    assert v.kernel_fail and v.sigma is None
+                    continue
+                assert np.array_equal(v.sigma, ref)
+    assert clip_born > 0
 
 
 def _loop_hess_interp(problem, points, v):
