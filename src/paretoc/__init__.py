@@ -25,7 +25,6 @@ from .continuation import (
     finite_difference_hessians,
     generalized_hessian,
     glue,
-    minor_values,
     solve_lambda,
     STRATUM_SINGULAR,
     STRATUM_STABLE,

@@ -283,7 +283,6 @@ def cmd_check_derivatives(args) -> int:
         f"{args.problem}: jacobian {report.max_jacobian_error:.3e} "
         f"hessians {report.max_hessian_error:.3e} "
         f"constraint {report.max_constraint_error:.3e} "
-        f"stacked {report.max_stacked_error:.3e} "
         f"-> {'PASS' if report.passed else 'FAIL'}"
     )
     return 0 if report.passed else 2

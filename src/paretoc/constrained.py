@@ -9,8 +9,7 @@ n - d + m = n (one scalar test per node) is implemented; it covers one
 constraint with d = m, e.g. two objectives on a surface in R^3.
 
 Only the nodal data is constrained-specific, and it is computed in stacked
-calls over all nodes, the problem's callables included (through the
-problem's fallback loop when it has no stacked forms).  The projected
+calls over all nodes, the problem's callables included.  The projected
 gradients stand in for the Jacobian rows and the augmented minor
 for the r = 1 minor, and the unconstrained
 :class:`~paretoc.continuation.Analyzer` does the rest: candidate filter, edge

@@ -105,12 +105,6 @@ class MinorSelection:
             raise ValueError("minor windows must jointly cover every column")
 
 
-def minor_values(problem: VectorProblem, sel: MinorSelection, x) -> np.ndarray:
-    """Values of the selected m x m minors of the Jacobian at a point."""
-    J = problem.jac(x)
-    return minors_of_jacobian(J, sel)
-
-
 def selection_for(problem: VectorProblem,
                   selection: Optional[MinorSelection] = None) -> MinorSelection:
     """Resolve the minor selection: explicit, problem-attached, or default."""

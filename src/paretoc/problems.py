@@ -2,9 +2,9 @@
 
 Each registered problem is a :class:`VectorProblem` (or a
 :class:`ConstrainedProblem` wrapping one) whose objective, Jacobian and
-Hessian callables are hand-coded, once per point and once stacked over many
-points.  ``check_derivatives`` guards the hand-coded derivatives against
-central finite differences, and the stacked forms against the per-point ones.
+Hessian callables are hand-coded over a stack of points: each maps X (N, n)
+to one row per point.  ``check_derivatives`` guards the hand-coded
+derivatives against central finite differences.
 
 Domain boxes for problems whose sources print no bounds are repo decisions,
 chosen to contain the interesting critical structure with some margin; they
@@ -27,17 +27,16 @@ Array = np.ndarray
 class VectorProblem:
     """A smooth map u: R^n -> R^m with analytic derivatives.
 
-    ``eval`` maps an n-vector to an m-vector, ``jacobian`` to the (m, n)
-    matrix of gradients (rows), ``hessians`` to an (m, n, n) stack of
-    symmetric matrices.  ``m <= n`` is the standard pipeline; ``m > n`` is
-    accepted and flips :attr:`sigma_skip` (the singular set is the whole
-    domain, so minor extraction is skipped downstream).
+    Each callable maps a stack of points X (N, n) in one call: ``eval`` to
+    the (N, m) objective values, ``jacobian`` to the (N, m, n) matrices of
+    gradients (rows), ``hessians`` to the (N, m, n, n) stacks of symmetric
+    matrices.  ``m <= n`` is the standard pipeline; ``m > n`` is accepted
+    and flips :attr:`sigma_skip` (the singular set is the whole domain, so
+    minor extraction is skipped downstream).
 
-    The optional stacked callables map a stack of points X (N, n) to (N, m),
-    (N, m, n) and (N, m, n, n) in one call, each row equal to the per-point
-    callable's value.  The pipeline evaluates through :meth:`u_at`,
-    :meth:`jac_at` and :meth:`hess_at`, which fall back to a loop over the
-    per-point callable where a stacked one is missing.
+    The pipeline evaluates through :meth:`u_at`, :meth:`jac_at` and
+    :meth:`hess_at`; :meth:`u`, :meth:`jac` and :meth:`hess` are their
+    one-point conveniences.
     """
 
     name: str
@@ -51,9 +50,6 @@ class VectorProblem:
     # column subsets for the minor tests when the sliding windows are
     # structurally degenerate for this map (an identically-zero minor)
     minor_columns: Optional[tuple] = None
-    eval_stacked: Optional[Callable[[Array], Array]] = None
-    jacobian_stacked: Optional[Callable[[Array], Array]] = None
-    hessians_stacked: Optional[Callable[[Array], Array]] = None
 
     def __post_init__(self):
         self.domain_box = np.asarray(self.domain_box, dtype=float).reshape(self.n, 2)
@@ -63,25 +59,25 @@ class VectorProblem:
         return self.m > self.n
 
     def u(self, x) -> Array:
-        return np.asarray(self.eval(np.asarray(x, dtype=float)), dtype=float)
+        return self.u_at(np.asarray(x, dtype=float)[None])[0]
 
     def jac(self, x) -> Array:
-        return np.asarray(self.jacobian(np.asarray(x, dtype=float)), dtype=float)
+        return self.jac_at(np.asarray(x, dtype=float)[None])[0]
 
     def hess(self, x) -> Array:
-        return np.asarray(self.hessians(np.asarray(x, dtype=float)), dtype=float)
+        return self.hess_at(np.asarray(x, dtype=float)[None])[0]
 
     def u_at(self, X) -> Array:
         """Objective values at every row of X (N, n), as an (N, m) array."""
-        return _at_points(self.eval_stacked, self.u, X, (self.m,))
+        return _at_points(self.eval, X, (self.m,))
 
     def jac_at(self, X) -> Array:
         """Jacobians at every row of X (N, n), as an (N, m, n) array."""
-        return _at_points(self.jacobian_stacked, self.jac, X, (self.m, self.n))
+        return _at_points(self.jacobian, X, (self.m, self.n))
 
     def hess_at(self, X) -> Array:
         """Hessians at every row of X (N, n), as an (N, m, n, n) array."""
-        return _at_points(self.hessians_stacked, self.hess, X, (self.m, self.n, self.n))
+        return _at_points(self.hessians, X, (self.m, self.n, self.n))
 
     @property
     def box_diagonal(self) -> float:
@@ -92,17 +88,17 @@ class VectorProblem:
 class ConstrainedProblem:
     """Objectives over the zero set of an equality constraint g: R^n -> R^{n-d}.
 
-    ``g_stacked`` and ``g_jacobian_stacked`` are the optional stacked forms
-    of the constraint, mapping X (N, n) to (N, k) and (N, k, n) for k
-    constraints; :meth:`g_val_at` and :meth:`g_jac_at` use them when present.
+    ``g`` and ``g_jacobian`` map a stack of points X (N, n) to the (N, k)
+    constraint values and the (N, k, n) constraint Jacobians, for k
+    constraints.  The pipeline evaluates through :meth:`g_val_at` and
+    :meth:`g_jac_at`; :meth:`g_val` and :meth:`g_jac` are their one-point
+    conveniences.
     """
 
     base: VectorProblem
     g: Callable[[Array], Array]
     g_jacobian: Callable[[Array], Array]
     n_constraints: int = 1
-    g_stacked: Optional[Callable[[Array], Array]] = None
-    g_jacobian_stacked: Optional[Callable[[Array], Array]] = None
 
     @property
     def name(self) -> str:
@@ -121,41 +117,28 @@ class ConstrainedProblem:
         return self.base.n - self.n_constraints
 
     def g_val(self, x) -> Array:
-        return np.atleast_1d(np.asarray(self.g(np.asarray(x, dtype=float)), dtype=float))
+        return self.g_val_at(np.asarray(x, dtype=float)[None])[0]
 
     def g_jac(self, x) -> Array:
-        j = np.asarray(self.g_jacobian(np.asarray(x, dtype=float)), dtype=float)
-        return j.reshape(self.n_constraints, self.n)
+        return self.g_jac_at(np.asarray(x, dtype=float)[None])[0]
 
     def g_val_at(self, X) -> Array:
         """Constraint values at every row of X (N, n), as an (N, k) array."""
-        return _at_points(self.g_stacked, self.g_val, X, (self.n_constraints,))
+        return _at_points(self.g, X, (self.n_constraints,))
 
     def g_jac_at(self, X) -> Array:
         """Constraint Jacobians at every row of X (N, n), as an (N, k, n) array."""
-        return _at_points(
-            self.g_jacobian_stacked, self.g_jac, X, (self.n_constraints, self.n)
-        )
+        return _at_points(self.g_jacobian, X, (self.n_constraints, self.n))
 
 
-def _at_points(stacked, point, X, shape) -> Array:
-    """A callable's values at every row of X, as an owned (N, *shape) array.
-
-    One call of ``stacked`` when the problem has it; otherwise a loop over
-    the per-point callable ``point``, the pipeline's only per-point loop.
-    """
+def _at_points(f, X, shape) -> Array:
+    """A problem callable's values at every row of X, as an owned (N, *shape) array."""
     X = np.asarray(X, dtype=float)
     shape = (len(X),) + shape
-    if stacked is not None:
-        # owned, writable and C-contiguous, whatever view the callable returns
-        out = np.require(stacked(X), dtype=float, requirements="COW")
-        if out.shape != shape:
-            raise ValueError(f"stacked callable returned shape {out.shape}, expected {shape}")
-        return out
-    # filled in place: a list of N small arrays would raise the peak memory
-    out = np.empty(shape)
-    for i, x in enumerate(X):
-        out[i] = point(x)
+    # owned, writable and C-contiguous, whatever view the callable returns
+    out = np.require(f(X), dtype=float, requirements="COW")
+    if out.shape != shape:
+        raise ValueError(f"problem callable returned shape {out.shape}, expected {shape}")
     return out
 
 
@@ -171,18 +154,12 @@ class DerivativeReport:
     max_jacobian_error: float
     max_hessian_error: float
     max_constraint_error: float = 0.0
-    max_stacked_error: float = 0.0
     tolerance: float = 1e-5
     failures: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        worst = max(
-            self.max_jacobian_error,
-            self.max_hessian_error,
-            self.max_constraint_error,
-            self.max_stacked_error,
-        )
+        worst = max(self.max_jacobian_error, self.max_hessian_error, self.max_constraint_error)
         return worst < self.tolerance and not self.failures
 
 
@@ -195,95 +172,55 @@ def check_derivatives(
     """Compare analytic Jacobians/Hessians against central finite differences.
 
     ``h`` defaults to 1e-4 times the domain-box diagonal.  Errors are relative
-    to the larger of the matrix norm and 1.  The stacked callables the problem
-    has are compared with the per-point ones at the samples, relative to the
-    same scale; a difference reports a ``"stacked"`` failure.
+    to the larger of the matrix norm and 1.
     """
     cp = problem if isinstance(problem, ConstrainedProblem) else None
     p = cp.base if cp is not None else problem
     if h is None:
         h = 1e-4 * p.box_diagonal
-    samples = [np.asarray(x, dtype=float) for x in samples]
+    X = np.array(samples, dtype=float)
     # errors are relative to the sample-set scale of each quantity, so stiff
     # maps are not penalized where a matrix entry happens to pass through zero
-    jac_pairs = [(p.jac(x), _central_jacobian(p.u, x, h, p.m)) for x in samples]
-    hess_pairs = [
-        (
-            p.hess(x),
-            _central_jacobian(lambda y: p.jac(y).ravel(), x, h, p.m * p.n).reshape(
-                p.m, p.n, p.n
-            ),
-        )
-        for x in samples
-    ]
-    jac_scale = max(1.0, max(float(np.abs(J).max()) for J, _ in jac_pairs))
-    hess_scale = max(1.0, max(float(np.abs(H).max()) for H, _ in hess_pairs))
-    jac_err = 0.0
-    hess_err = 0.0
-    g_err = 0.0
+    jac_err = _sample_errors(p.jac_at(X), _central_differences(p.u_at, X, h))
+    hess_err = _sample_errors(p.hess_at(X), _central_differences(p.jac_at, X, h))
+    g_err = []
+    if cp is not None:
+        g_err = _sample_errors(cp.g_jac_at(X), _central_differences(cp.g_val_at, X, h))
     failures = []
-    for x, (J, Jfd), (H, Hfd) in zip(samples, jac_pairs, hess_pairs):
-        err = float(np.abs(J - Jfd).max()) / jac_scale
-        jac_err = max(jac_err, err)
+    for x, j_err, h_err in zip(X.tolist(), jac_err, hess_err):
+        if j_err >= tolerance:
+            failures.append(("jacobian", x, j_err))
+        if h_err >= tolerance:
+            failures.append(("hessian", x, h_err))
+    for x, err in zip(X.tolist(), g_err):
         if err >= tolerance:
-            failures.append(("jacobian", x.tolist(), err))
-        err = float(np.abs(H - Hfd).max()) / hess_scale
-        hess_err = max(hess_err, err)
-        if err >= tolerance:
-            failures.append(("hessian", x.tolist(), err))
-    if cp is not None:
-        g_pairs = [
-            (cp.g_jac(x), _central_jacobian(cp.g_val, x, h, cp.n_constraints))
-            for x in samples
-        ]
-        g_scale = max(1.0, max(float(np.abs(G).max()) for G, _ in g_pairs))
-        for x, (G, Gfd) in zip(samples, g_pairs):
-            err = float(np.abs(G - Gfd).max()) / g_scale
-            g_err = max(g_err, err)
-            if err >= tolerance:
-                failures.append(("constraint", x.tolist(), err))
-    audited = [
-        (p.eval_stacked, p.u_at, p.u),
-        (p.jacobian_stacked, p.jac_at, p.jac),
-        (p.hessians_stacked, p.hess_at, p.hess),
-    ]
-    if cp is not None:
-        audited += [
-            (cp.g_stacked, cp.g_val_at, cp.g_val),
-            (cp.g_jacobian_stacked, cp.g_jac_at, cp.g_jac),
-        ]
-    stacked_err = 0.0
-    X = np.array(samples)
-    for stacked, at, point in audited:
-        if stacked is None:
-            continue
-        per_point = np.array([point(x) for x in samples])
-        scale = max(1.0, float(np.abs(per_point).max()))
-        diff = np.abs(at(X) - per_point).reshape(len(samples), -1).max(axis=1) / scale
-        for x, err in zip(samples, diff.tolist()):
-            stacked_err = max(stacked_err, err)
-            if err >= tolerance:
-                failures.append(("stacked", x.tolist(), err))
+            failures.append(("constraint", x, err))
     return DerivativeReport(
         problem=p.name,
         h=h,
-        max_jacobian_error=jac_err,
-        max_hessian_error=hess_err,
-        max_constraint_error=g_err,
-        max_stacked_error=stacked_err,
+        max_jacobian_error=max(jac_err),
+        max_hessian_error=max(hess_err),
+        max_constraint_error=max(g_err, default=0.0),
         tolerance=tolerance,
         failures=failures,
     )
 
 
-def _central_jacobian(f, x, h, out_dim):
-    n = len(x)
-    J = np.empty((out_dim, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        J[:, i] = (np.atleast_1d(f(x + e)) - np.atleast_1d(f(x - e))) / (2 * h)
-    return J
+def _sample_errors(A, A_fd) -> list:
+    """Per-sample max |A - A_fd|, relative to the larger of max |A| and 1."""
+    scale = max(1.0, float(np.abs(A).max()))
+    return (np.abs(A - A_fd).reshape(len(A), -1).max(axis=1) / scale).tolist()
+
+
+def _central_differences(f, X, h) -> Array:
+    """Central differences of a stacked callable at every row of X, with the
+    derivative along coordinate i in the last axis: (N, *out, n)."""
+    cols = []
+    for i in range(X.shape[1]):
+        E = np.zeros_like(X)
+        E[:, i] = h
+        cols.append((f(X + E) - f(X - E)) / (2 * h))
+    return np.stack(cols, axis=-1)
 
 
 def sample_domain(problem: VectorProblem, count: int, seed: int = 0, shrink: float = 1e-3):
@@ -299,9 +236,9 @@ def sample_domain(problem: VectorProblem, count: int, seed: int = 0, shrink: flo
 # registered problems
 # ---------------------------------------------------------------------------
 
-# The stacked forms take powers with np.float_power.  A float64 scalar's x**k
-# calls C pow, and numpy's array power (x*x for a square) differs from it in
-# the last bit; float_power calls pow too.
+# Powers are taken with np.float_power, which calls C pow as a float64
+# scalar's x**k does; numpy's array power (x*x for a square) differs from it
+# in the last bit, and the recorded complex files hold the pow values.
 _pow = np.float_power
 
 
@@ -322,22 +259,6 @@ def _make_triv() -> VectorProblem:
     u2 = -0.99 (x-3)^2 - 1.03 (y-2.5)^2
     """
 
-    def ev(x):
-        return np.array(
-            [
-                -1.05 * x[0] ** 2 - 0.98 * x[1] ** 2,
-                -0.99 * (x[0] - 3.0) ** 2 - 1.03 * (x[1] - 2.5) ** 2,
-            ]
-        )
-
-    def jac(x):
-        return np.array(
-            [
-                [-2.10 * x[0], -1.96 * x[1]],
-                [-1.98 * (x[0] - 3.0), -2.06 * (x[1] - 2.5)],
-            ]
-        )
-
     H = np.array([np.diag([-2.10, -1.96]), np.diag([-1.98, -2.06])])
 
     def ev_at(X):
@@ -354,38 +275,16 @@ def _make_triv() -> VectorProblem:
         name="triv",
         n=2,
         m=2,
-        eval=ev,
-        jacobian=jac,
-        hessians=lambda x: H,
+        eval=ev_at,
+        jacobian=jac_at,
+        hessians=lambda X: _tiled(H, len(X)),
         domain_box=[[-1.52, 4.48], [-1.52, 3.98]],
         description="two concave quadratics with maxima at (0,0) and (3,2.5)",
-        eval_stacked=ev_at,
-        jacobian_stacked=jac_at,
-        hessians_stacked=lambda X: _tiled(H, len(X)),
     )
 
 
 def _make_smale() -> VectorProblem:
     """u1 = -y, u2 = (y - x^3)/(x + 1); cusp at the origin, pole at x = -1."""
-
-    def ev(x):
-        return np.array([-x[1], (x[1] - x[0] ** 3) / (x[0] + 1.0)])
-
-    def jac(x):
-        s = x[0] + 1.0
-        du2x = (-2.0 * x[0] ** 3 - 3.0 * x[0] ** 2 - x[1]) / s**2
-        return np.array([[0.0, -1.0], [du2x, 1.0 / s]])
-
-    def hess(x):
-        s = x[0] + 1.0
-        h_xx = (-2.0 * x[0] ** 3 - 6.0 * x[0] ** 2 - 6.0 * x[0] + 2.0 * x[1]) / s**3
-        h_xy = -1.0 / s**2
-        return np.array(
-            [
-                np.zeros((2, 2)),
-                [[h_xx, h_xy], [h_xy, 0.0]],
-            ]
-        )
 
     def ev_at(X):
         x, y = X.T
@@ -415,14 +314,11 @@ def _make_smale() -> VectorProblem:
         name="smale",
         n=2,
         m=2,
-        eval=ev,
-        jacobian=jac,
-        hessians=hess,
+        eval=ev_at,
+        jacobian=jac_at,
+        hessians=hess_at,
         domain_box=[[-0.6, 1.0], [-5.2, 1.0]],
         description="rational map with one critical curve split by a cusp",
-        eval_stacked=ev_at,
-        jacobian_stacked=jac_at,
-        hessians_stacked=hess_at,
     )
 
 
@@ -432,22 +328,6 @@ def _make_sms() -> VectorProblem:
     u1 = -x^2 - y^2
     u2 = -(x-6)^2 + (y+0.3)^2
     """
-
-    def ev(x):
-        return np.array(
-            [
-                -x[0] ** 2 - x[1] ** 2,
-                -((x[0] - 6.0) ** 2) + (x[1] + 0.3) ** 2,
-            ]
-        )
-
-    def jac(x):
-        return np.array(
-            [
-                [-2.0 * x[0], -2.0 * x[1]],
-                [-2.0 * (x[0] - 6.0), 2.0 * (x[1] + 0.3)],
-            ]
-        )
 
     H = np.array([np.diag([-2.0, -2.0]), np.diag([-2.0, 2.0])])
 
@@ -465,14 +345,11 @@ def _make_sms() -> VectorProblem:
         name="sms",
         n=2,
         m=2,
-        eval=ev,
-        jacobian=jac,
-        hessians=lambda x: H,
+        eval=ev_at,
+        jacobian=jac_at,
+        hessians=lambda X: _tiled(H, len(X)),
         domain_box=[[-1.0, 7.0], [-4.0, 4.0]],
         description="concave quadratic vs saddle quadratic",
-        eval_stacked=ev_at,
-        jacobian_stacked=jac_at,
-        hessians_stacked=lambda X: _tiled(H, len(X)),
     )
 
 
@@ -482,42 +359,6 @@ def _make_noncv() -> VectorProblem:
     u1 = -x^2 - y^2 - 4 (exp(-(x+2)^2 - y^2) + exp(-(x-2)^2 - y^2))
     u2 = -(x-6)^2 - (y+0.5)^2
     """
-
-    def _bumps(x):
-        e1 = np.exp(-((x[0] + 2.0) ** 2) - x[1] ** 2)
-        e2 = np.exp(-((x[0] - 2.0) ** 2) - x[1] ** 2)
-        return e1, e2
-
-    def ev(x):
-        e1, e2 = _bumps(x)
-        return np.array(
-            [
-                -x[0] ** 2 - x[1] ** 2 - 4.0 * (e1 + e2),
-                -((x[0] - 6.0) ** 2) - (x[1] + 0.5) ** 2,
-            ]
-        )
-
-    def jac(x):
-        e1, e2 = _bumps(x)
-        du1x = -2.0 * x[0] + 8.0 * (x[0] + 2.0) * e1 + 8.0 * (x[0] - 2.0) * e2
-        du1y = -2.0 * x[1] + 8.0 * x[1] * (e1 + e2)
-        return np.array(
-            [
-                [du1x, du1y],
-                [-2.0 * (x[0] - 6.0), -2.0 * (x[1] + 0.5)],
-            ]
-        )
-
-    def hess(x):
-        e1, e2 = _bumps(x)
-        a1 = x[0] + 2.0
-        a2 = x[0] - 2.0
-        h_xx = -2.0 + 8.0 * e1 * (1.0 - 2.0 * a1**2) + 8.0 * e2 * (1.0 - 2.0 * a2**2)
-        h_xy = -16.0 * x[1] * (a1 * e1 + a2 * e2)
-        h_yy = -2.0 + 8.0 * (e1 + e2) * (1.0 - 2.0 * x[1] ** 2)
-        H1 = np.array([[h_xx, h_xy], [h_xy, h_yy]])
-        H2 = np.diag([-2.0, -2.0])
-        return np.array([H1, H2])
 
     def _bumps_at(x, y):
         e1 = np.exp(-_pow(x + 2.0, 2) - _pow(y, 2))
@@ -556,14 +397,11 @@ def _make_noncv() -> VectorProblem:
         name="noncv",
         n=2,
         m=2,
-        eval=ev,
-        jacobian=jac,
-        hessians=hess,
+        eval=ev_at,
+        jacobian=jac_at,
+        hessians=hess_at,
         domain_box=[[-4.5, 8.0], [-3.0, 3.0]],
         description="bimodal objective vs quadratic: critical loop between two cusps",
-        eval_stacked=ev_at,
-        jacobian_stacked=jac_at,
-        hessians_stacked=hess_at,
     )
 
 
@@ -593,36 +431,9 @@ def _make_locglob() -> VectorProblem:
     c = np.sqrt(2.0) / 2.0
     e1 = np.array([1.0, 0.0, 0.0])
 
-    def _bump(y, p, s):
-        d = y - p
-        q = float(d @ M @ d)
-        amp = np.sqrt(2.0 * np.pi / s)
-        val = amp * np.exp(q / s**2)
-        grad = val * (2.0 * M @ d) / s**2
-        hess = val * (
-            np.outer(2.0 * M @ d, 2.0 * M @ d) / s**4 + 2.0 * M / s**2
-        )
-        return val, grad, hess
-
-    def _f(x):
-        v0, g0, h0 = _bump(x, p0, s0)
-        v1, g1, h1 = _bump(S @ x, p1, s1)
-        return v0 + v1, g0 + S @ g1, h0 + S @ h1 @ S
-
-    def ev(x):
-        f, _, _ = _f(x)
-        return np.array([c * (x[0] + f), c * (-x[0] + f)])
-
-    def jac(x):
-        _, g, _ = _f(x)
-        return np.array([c * (e1 + g), c * (-e1 + g)])
-
-    def hess(x):
-        _, _, h = _f(x)
-        return np.array([c * h, c * h])
-
-    # the stacked forms batch the per-point products, with the same operand
-    # shapes for every point: (1, 3) @ (3, 3), (3, 3) @ (3, 1) and so on
+    # the products are batched with the same operand shapes for every point,
+    # (1, 3) @ (3, 3), (3, 3) @ (3, 1) and so on, so a point's values do not
+    # depend on the stack it is in
     def _bump_at(Y, p, s):
         D = (Y - p)[:, :, None]
         q = (np.swapaxes(D, 1, 2) @ M @ D)[:, 0, 0]
@@ -658,15 +469,12 @@ def _make_locglob() -> VectorProblem:
         name="locglob",
         n=3,
         m=2,
-        eval=ev,
-        jacobian=jac,
-        hessians=hess,
+        eval=ev_at,
+        jacobian=jac_at,
+        hessians=hess_at,
         domain_box=[[-1.0, 1.0], [-2.0, 2.0], [-1.0, 1.0]],
         description="broad and sharp optimal branches superposed in 3-D",
         minor_columns=((0, 1), (0, 2)),
-        eval_stacked=ev_at,
-        jacobian_stacked=jac_at,
-        hessians_stacked=hess_at,
     )
 
 
@@ -676,35 +484,6 @@ def _make_zdt3reg() -> VectorProblem:
     u1 = x1
     u2 = 1 - sqrt(x1) - x1 sin(10 pi x1) + x2^2 + ... + x6^2
     """
-
-    def ev(x):
-        tail = float((x[1:] ** 2).sum())
-        return np.array(
-            [
-                x[0],
-                1.0 - np.sqrt(x[0]) - x[0] * np.sin(10.0 * np.pi * x[0]) + tail,
-            ]
-        )
-
-    def jac(x):
-        w = 10.0 * np.pi
-        J = np.zeros((2, 6))
-        J[0, 0] = 1.0
-        J[1, 0] = -0.5 / np.sqrt(x[0]) - np.sin(w * x[0]) - w * x[0] * np.cos(w * x[0])
-        J[1, 1:] = 2.0 * x[1:]
-        return J
-
-    def hess(x):
-        w = 10.0 * np.pi
-        H = np.zeros((2, 6, 6))
-        H[1, 0, 0] = (
-            0.25 * x[0] ** -1.5
-            - 2.0 * w * np.cos(w * x[0])
-            + w**2 * x[0] * np.sin(w * x[0])
-        )
-        for i in range(1, 6):
-            H[1, i, i] = 2.0
-        return H
 
     w = 10.0 * np.pi
 
@@ -738,15 +517,12 @@ def _make_zdt3reg() -> VectorProblem:
         name="zdt3reg",
         n=6,
         m=2,
-        eval=ev,
-        jacobian=jac,
-        hessians=hess,
+        eval=ev_at,
+        jacobian=jac_at,
+        hessians=hess_at,
         domain_box=box,
         description="regularized ZDT3 in 6-D (demo)",
         minor_columns=tuple((0, j) for j in range(1, 6)),
-        eval_stacked=ev_at,
-        jacobian_stacked=jac_at,
-        hessians_stacked=hess_at,
     )
 
 
@@ -765,42 +541,14 @@ _TRI_ALPHA4 = np.array([6.0, 6.0, 6.0])
 _TRI_BETA1, _TRI_GAMMA1 = 3.0, 1.0
 
 
-def _tri_quadratic_parts(x):
-    f = np.empty(3)
-    grads = np.empty((3, 3))
-    hesss = np.empty((3, 3, 3))
-    for j in range(3):
-        d = x - _TRI_C[j]
-        a = _TRI_ALPHA[j]
-        f[j] = -float((a * d * d).sum())
-        grads[j] = -2.0 * a * d
-        hesss[j] = np.diag(-2.0 * a)
-    return f, grads, hesss
-
-
-def _tri_trig_parts(x):
-    k2 = np.pi / _TRI_GAMMA2
-    k3 = np.pi / _TRI_GAMMA3
-    s = x[0] + x[1]
-    dsum = np.array([1.0, 1.0, 0.0])
-    t = x[0] - x[1]
-    ddiff = np.array([1.0, -1.0, 0.0])
-    v2 = _TRI_BETA2 * np.sin(k2 * s)
-    g2 = _TRI_BETA2 * k2 * np.cos(k2 * s) * dsum
-    h2 = -_TRI_BETA2 * k2**2 * np.sin(k2 * s) * np.outer(dsum, dsum)
-    v3 = _TRI_BETA3 * np.cos(k3 * t)
-    g3 = -_TRI_BETA3 * k3 * np.sin(k3 * t) * ddiff
-    h3 = -_TRI_BETA3 * k3**2 * np.cos(k3 * t) * np.outer(ddiff, ddiff)
-    return (v2, g2, h2), (v3, g3, h3)
-
-
 _TRI_HESS = np.array([np.diag(-2.0 * a) for a in _TRI_ALPHA])
 _TRI_DSUM = np.array([1.0, 1.0, 0.0])
 _TRI_DDIFF = np.array([1.0, -1.0, 0.0])
 
 
 def _tri_quadratic_parts_at(X):
-    """:func:`_tri_quadratic_parts` at every row of X: (N, 3), (N, 3, 3), (N, 3, 3, 3)."""
+    """Values, gradients and Hessians of the three quadratics at every row of X:
+    (N, 3), (N, 3, 3), (N, 3, 3, 3)."""
     D = X[:, None, :] - _TRI_C  # row j: x - c_j
     T = _TRI_ALPHA * D * D
     f = -(T[..., 0] + T[..., 1] + T[..., 2])
@@ -808,7 +556,8 @@ def _tri_quadratic_parts_at(X):
 
 
 def _tri_trig_parts_at(X):
-    """:func:`_tri_trig_parts` at every row of X, with (N,) and (N, 3) parts."""
+    """Values, gradients and Hessians of the perturbations of objectives 2 and
+    3 at every row of X: (N,), (N, 3) and (N, 3, 3) each."""
     k2 = np.pi / _TRI_GAMMA2
     k3 = np.pi / _TRI_GAMMA3
     s = X[:, 0] + X[:, 1]
@@ -852,74 +601,20 @@ def _make_tri_quadratic() -> VectorProblem:
     The critical set is a stable triangle-like patch whose three corners are
     the individual maxima.
     """
-
-    def ev(x):
-        f, _, _ = _tri_quadratic_parts(x)
-        (v2, _, _), (v3, _, _) = _tri_trig_parts(x)
-        return f + np.array([0.0, v2, v3])
-
-    def jac(x):
-        _, g, _ = _tri_quadratic_parts(x)
-        (_, g2, _), (_, g3, _) = _tri_trig_parts(x)
-        g[1] += g2
-        g[2] += g3
-        return g
-
-    def hess(x):
-        _, _, h = _tri_quadratic_parts(x)
-        (_, _, h2), (_, _, h3) = _tri_trig_parts(x)
-        h[1] += h2
-        h[2] += h3
-        return h
-
     return VectorProblem(
         name="tri_quadratic",
         n=3,
         m=3,
-        eval=ev,
-        jacobian=jac,
-        hessians=hess,
+        eval=_tri_ev_at,
+        jacobian=_tri_jac_at,
+        hessians=_tri_hess_at,
         domain_box=[[-1.0, 2.0]] * 3,
         description="three concave quadratics; stable triangular patch",
-        eval_stacked=_tri_ev_at,
-        jacobian_stacked=_tri_jac_at,
-        hessians_stacked=_tri_hess_at,
     )
 
 
 def _make_tri_quadratic_ncv() -> VectorProblem:
     """Nonconvex variant: a sharp exponential bump adds a secondary branch."""
-
-    def _bump(x):
-        d = x - _TRI_C4
-        f4 = -float((_TRI_ALPHA4 * d * d).sum())
-        g4 = -2.0 * _TRI_ALPHA4 * d
-        h4 = np.diag(-2.0 * _TRI_ALPHA4)
-        e = np.exp(f4 / _TRI_GAMMA1)
-        val = _TRI_BETA1 * e
-        grad = val * g4 / _TRI_GAMMA1
-        hess = val * (np.outer(g4, g4) / _TRI_GAMMA1**2 + h4 / _TRI_GAMMA1)
-        return val, grad, hess
-
-    base = _make_tri_quadratic()
-
-    def ev(x):
-        v, _, _ = _bump(x)
-        out = base.eval(x).copy()
-        out[0] += v
-        return out
-
-    def jac(x):
-        _, g, _ = _bump(x)
-        out = base.jacobian(x).copy()
-        out[0] += g
-        return out
-
-    def hess(x):
-        _, _, h = _bump(x)
-        out = base.hessians(x).copy()
-        out[0] = out[0] + h
-        return out
 
     def _bump_at(X):
         D = X - _TRI_C4
@@ -952,48 +647,37 @@ def _make_tri_quadratic_ncv() -> VectorProblem:
         name="tri_quadratic_ncv",
         n=3,
         m=3,
-        eval=ev,
-        jacobian=jac,
-        hessians=hess,
+        eval=ev_at,
+        jacobian=jac_at,
+        hessians=hess_at,
         domain_box=[[-1.0, 2.0]] * 3,
         description="tri_quadratic with a secondary maximum of the first objective",
-        eval_stacked=ev_at,
-        jacobian_stacked=jac_at,
-        hessians_stacked=hess_at,
     )
 
 
 def _make_sphere_proj() -> ConstrainedProblem:
     """Coordinate projections on the unit sphere: u = (x1, x2), g = (|x|^2-1)/2."""
 
-    def ev(x):
-        return np.array([x[0], x[1]])
-
     J = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    H = np.zeros((2, 3, 3))
 
     base = VectorProblem(
         name="sphere_proj",
         n=3,
         m=2,
-        eval=ev,
-        jacobian=lambda x: J,
-        hessians=lambda x: H,
+        eval=lambda X: X[:, :2].copy(),
+        jacobian=lambda X: _tiled(J, len(X)),
+        hessians=lambda X: np.zeros((len(X), 2, 3, 3)),
         domain_box=[[-1.0, 1.0]] * 3,
         description="first two coordinates restricted to the unit sphere",
-        eval_stacked=lambda X: X[:, :2].copy(),
-        jacobian_stacked=lambda X: _tiled(J, len(X)),
-        hessians_stacked=lambda X: np.zeros((len(X), 2, 3, 3)),
     )
 
     return ConstrainedProblem(
         base=base,
-        g=lambda x: 0.5 * (float(x @ x) - 1.0),
-        g_jacobian=lambda x: x.copy(),
+        # x @ x as a stack of (1, 3) @ (3, 1) products: a point's value does
+        # not depend on the stack it is in
+        g=lambda X: 0.5 * ((X[:, None, :] @ X[:, :, None])[:, 0] - 1.0),
+        g_jacobian=lambda X: X[:, None, :].copy(),
         n_constraints=1,
-        # x @ x of a stack of (1, 3) @ (3, 1) products is the per-point dot
-        g_stacked=lambda X: 0.5 * ((X[:, None, :] @ X[:, :, None])[:, 0] - 1.0),
-        g_jacobian_stacked=lambda X: X[:, None, :].copy(),
     )
 
 

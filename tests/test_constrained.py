@@ -109,8 +109,8 @@ def test_steps_6_and_7_equivalent(sphere):
 def test_rank_deficient_constraint():
     bad = ConstrainedProblem(
         base=registry_get("sphere_proj").base,
-        g=lambda x: 0.0,
-        g_jacobian=lambda x: np.zeros(3),
+        g=lambda X: np.zeros((len(X), 1)),
+        g_jacobian=lambda X: np.zeros((len(X), 1, 3)),
         n_constraints=1,
     )
     with pytest.raises(RankDeficientConstraint):
@@ -120,8 +120,8 @@ def test_rank_deficient_constraint():
 def test_non_square_unsupported(sphere):
     cp = ConstrainedProblem(
         base=sphere.base,
-        g=lambda x: np.array([0.0, 0.0]),
-        g_jacobian=lambda x: np.eye(2, 3),
+        g=lambda X: np.zeros((len(X), 2)),
+        g_jacobian=lambda X: np.tile(np.eye(2, 3), (len(X), 1, 1)),
         n_constraints=2,
     )
     with pytest.raises(NonSquareUnsupported):
@@ -155,7 +155,7 @@ def _loop_augmented_minor(cp, x):
     return 0.0 if abs(value) <= 1e-13 * bound else value
 
 
-def _assert_stacked_matches_loop(cp, points):
+def _assert_nodal_stage_matches_loop(cp, points):
     proj = project_gradients(cp, points)
     omega = augmented_minors(cp, points)
     assert proj.shape == (len(points), cp.m, cp.n)
@@ -166,13 +166,13 @@ def _assert_stacked_matches_loop(cp, points):
 
 @pytest.mark.parametrize("sub", range(6))
 def test_stacked_nodal_stage_matches_loop_on_icospheres(sphere, sub):
-    _assert_stacked_matches_loop(sphere, icosphere(sub).points)
+    _assert_nodal_stage_matches_loop(sphere, icosphere(sub).points)
 
 
 def test_stacked_nodal_stage_matches_loop_on_quadratic_pairs(sphere):
     points = icosphere(2).points
     for seed in range(12):
-        _assert_stacked_matches_loop(_random_quadratic_pair(sphere, seed), points)
+        _assert_nodal_stage_matches_loop(_random_quadratic_pair(sphere, seed), points)
 
 
 @given(
@@ -187,7 +187,7 @@ def test_stacked_nodal_stage_matches_loop_on_drawn_points(coords, seed):
     cp = sphere if seed < 0 else _random_quadratic_pair(sphere, seed)
     points = np.array(coords)
     points /= np.linalg.norm(points, axis=1, keepdims=True)
-    _assert_stacked_matches_loop(cp, points)
+    _assert_nodal_stage_matches_loop(cp, points)
 
 
 def test_single_point_calls_keep_their_types(sphere):
@@ -219,11 +219,13 @@ def test_one_ulp_in_one_gram_entry_fails_the_equality(sphere, monkeypatch):
 def test_rank_deficient_constraint_names_the_first_node(sphere, nodes):
     mesh = icosphere(1)
     at = {mesh.points[i].tobytes() for i in nodes}
-    cp = ConstrainedProblem(
-        base=sphere.base,
-        g=sphere.g,
-        g_jacobian=lambda x: np.zeros(3) if x.tobytes() in at else sphere.g_jacobian(x),
-    )
+
+    def g_jacobian(X):
+        J = sphere.g_jacobian(X)
+        J[[x.tobytes() in at for x in X]] = 0.0
+        return J
+
+    cp = ConstrainedProblem(base=sphere.base, g=sphere.g, g_jacobian=g_jacobian)
     with pytest.raises(RankDeficientConstraint) as exc:
         project_gradients(cp, mesh.points)
     assert str(exc.value) == f"Dg rank deficient at {mesh.points[5]}"
@@ -235,7 +237,8 @@ def test_rank_deficient_constraint_names_the_first_node(sphere, nodes):
 def test_off_constraint_mesh_fails_before_the_rank_test(sphere):
     mesh = icosphere(1)
     off = ManifoldMesh(points=mesh.points * 1.01, cells=mesh.cells, d=2)
-    cp = ConstrainedProblem(base=sphere.base, g=sphere.g, g_jacobian=lambda x: np.zeros(3))
+    cp = ConstrainedProblem(base=sphere.base, g=sphere.g,
+                            g_jacobian=lambda X: np.zeros((len(X), 1, 3)))
     with pytest.raises(ValueError, match="mesh node violates the constraint"):
         analyze_constrained(cp, off)
     with pytest.raises(RankDeficientConstraint):
@@ -288,9 +291,9 @@ def test_opposed_identical_objectives_degenerate(sphere, caplog):
     cp = ConstrainedProblem(
         base=VectorProblem(
             name="xminusx", n=3, m=2,
-            eval=lambda x: np.array([x[0], -x[0]]),
-            jacobian=lambda x: np.array([[1.0, 0, 0], [-1.0, 0, 0]]),
-            hessians=lambda x: np.zeros((2, 3, 3)),
+            eval=lambda X: np.column_stack([X[:, 0], -X[:, 0]]),
+            jacobian=lambda X: np.tile([[1.0, 0, 0], [-1.0, 0, 0]], (len(X), 1, 1)),
+            hessians=lambda X: np.zeros((len(X), 2, 3, 3)),
             domain_box=[[-1, 1]] * 3,
         ),
         g=sphere.g,
@@ -346,9 +349,11 @@ def _random_quadratic_pair(sphere, seed):
     b = rng.normal(size=(2, 3))
     base = VectorProblem(
         name=f"quadratic{seed}", n=3, m=2,
-        eval=lambda x: 0.5 * np.einsum("i,jik,k->j", x, A, x) + b @ x,
-        jacobian=lambda x: A @ x + b,
-        hessians=lambda x: A,
+        # one small matmul per point, so a point's values do not depend on
+        # the stack it is in
+        eval=lambda X: 0.5 * np.einsum("ni,jik,nk->nj", X, A, X) + (b @ X[:, :, None])[..., 0],
+        jacobian=lambda X: (A @ X[:, None, :, None])[..., 0] + b,
+        hessians=lambda X: np.tile(A, (len(X), 1, 1, 1)),
         domain_box=[[-1, 1]] * 3,
     )
     return ConstrainedProblem(base=base, g=sphere.g, g_jacobian=sphere.g_jacobian)

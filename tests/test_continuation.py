@@ -14,7 +14,7 @@ from paretoc.continuation import (
     clip_polytope,
     finite_difference_hessians,
     generalized_hessian,
-    minor_values,
+    minors_of_jacobian,
     solve_lambda,
 )
 from paretoc.errors import KernelDimensionMismatch, RankCollapse, UnsupportedObjectiveCount
@@ -22,12 +22,13 @@ from paretoc.problems import VectorProblem, registry_get
 from paretoc.tessellation import build_delaunay, enumerate_faces, kuhn_tessellation
 
 
-def _problem_with_jacobian(jac, n, m):
+def _problem_with_jacobian(J):
+    m, n = np.shape(J)
     return VectorProblem(
         name="stub", n=n, m=m,
-        eval=lambda x: np.zeros(m),
-        jacobian=jac,
-        hessians=lambda x: np.zeros((m, n, n)),
+        eval=lambda X: np.zeros((len(X), m)),
+        jacobian=lambda X: np.tile(J, (len(X), 1, 1)),
+        hessians=lambda X: np.zeros((len(X), m, n, n)),
         domain_box=[[-1, 1]] * n,
     )
 
@@ -38,23 +39,22 @@ def _problem_with_jacobian(jac, n, m):
 
 
 def test_minor_values_collinear_rows():
-    p = _problem_with_jacobian(lambda x: np.array([[1.0, 0.0], [-2.0, 0.0]]), 2, 2)
+    p = _problem_with_jacobian([[1.0, 0.0], [-2.0, 0.0]])
     sel = MinorSelection.default(2, 2)
-    assert minor_values(p, sel, [0.0, 0.0]) == pytest.approx([0.0])
+    assert minors_of_jacobian(p.jac([0.0, 0.0]), sel) == pytest.approx([0.0])
 
 
 def test_minor_values_identity():
-    p = _problem_with_jacobian(lambda x: np.eye(2), 2, 2)
-    assert minor_values(p, MinorSelection.default(2, 2), [0, 0]) == pytest.approx([1.0])
+    p = _problem_with_jacobian(np.eye(2))
+    sel = MinorSelection.default(2, 2)
+    assert minors_of_jacobian(p.jac([0, 0]), sel) == pytest.approx([1.0])
 
 
 def test_minor_values_windows_n3():
-    p = _problem_with_jacobian(
-        lambda x: np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), 3, 2
-    )
+    p = _problem_with_jacobian([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     sel = MinorSelection.default(3, 2)
     assert sel.columns == ((0, 1), (1, 2))
-    assert minor_values(p, sel, [0, 0, 0]) == pytest.approx([1.0, 0.0])
+    assert minors_of_jacobian(p.jac([0, 0, 0]), sel) == pytest.approx([1.0, 0.0])
 
 
 def test_minor_selection_validation():
@@ -340,7 +340,7 @@ def test_fd_hessian_exact_on_quadratic():
 
 
 def test_fd_hessian_zero_on_linear():
-    p = _problem_with_jacobian(lambda x: np.array([[1.0, 2.0], [3.0, -1.0]]), 2, 2)
+    p = _problem_with_jacobian([[1.0, 2.0], [3.0, -1.0]])
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     jac = np.array([p.jac(q) for q in pts])
     H = finite_difference_hessians(p, pts, jac)
@@ -384,9 +384,9 @@ def test_glue_shared_vertex_merged_once_degree_two():
 def test_analyze_rejects_unsupported_m():
     p = VectorProblem(
         name="m4", n=5, m=4,
-        eval=lambda x: np.zeros(4),
-        jacobian=lambda x: np.zeros((4, 5)),
-        hessians=lambda x: np.zeros((4, 5, 5)),
+        eval=lambda X: np.zeros((len(X), 4)),
+        jacobian=lambda X: np.zeros((len(X), 4, 5)),
+        hessians=lambda X: np.zeros((len(X), 4, 5, 5)),
         domain_box=[[-1, 1]] * 5,
     )
     with pytest.raises(UnsupportedObjectiveCount):
@@ -499,9 +499,9 @@ def test_smale_cusp_count(smale_run):
 def test_m_greater_than_n_mode():
     p = VectorProblem(
         name="toy1d", n=1, m=2,
-        eval=lambda x: np.array([x[0], -x[0] ** 2]),
-        jacobian=lambda x: np.array([[1.0], [-2.0 * x[0]]]),
-        hessians=lambda x: np.array([[[0.0]], [[-2.0]]]),
+        eval=lambda X: np.hstack([X, -np.float_power(X, 2)]),
+        jacobian=lambda X: np.stack([np.ones_like(X), -2.0 * X], axis=1),
+        hessians=lambda X: np.tile([[[0.0]], [[-2.0]]], (len(X), 1, 1, 1)),
         domain_box=[[-1.0, 1.0]],
     )
     cx = analyze(p, kuhn_tessellation(p.domain_box, [9]), order=1)

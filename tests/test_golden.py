@@ -26,15 +26,23 @@ from paretoc.problems import ConstrainedProblem, VectorProblem, registry_get
 from paretoc.tessellation import build_delaunay, enumerate_faces, kuhn_tessellation
 
 
+def _diagonal_matrices(X):
+    """A stack of diagonal matrices with the rows of X on their diagonals."""
+    out = np.zeros(X.shape + X.shape[-1:])
+    i = np.arange(X.shape[-1])
+    out[:, i, i] = X
+    return out
+
+
 def _cross_problem():
     # det Du = x0 * x1 vanishes exactly on both axes and both gradients vanish
     # at the origin, so nodes on the axes give sub-face-snapped vertices,
     # rank-deficient faces and rank collapses
     return VectorProblem(
         name="cross", n=2, m=2,
-        eval=lambda x: np.array([0.5 * x[0] ** 2, 0.5 * x[1] ** 2]),
-        jacobian=lambda x: np.array([[x[0], 0.0], [0.0, x[1]]]),
-        hessians=lambda x: np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]),
+        eval=lambda X: 0.5 * np.float_power(X, 2),
+        jacobian=_diagonal_matrices,
+        hessians=lambda X: np.tile([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], (len(X), 1, 1, 1)),
         domain_box=[[-1.0, 1.0], [-1.0, 1.0]],
     )
 
@@ -54,9 +62,11 @@ def _paraboloid_problem():
     # m = 3 > n = 2: the whole domain is singular (sigma_skip mode)
     return VectorProblem(
         name="paraboloid", n=2, m=3,
-        eval=lambda x: np.array([x[0], x[1], -(x[0] ** 2 + x[1] ** 2)]),
-        jacobian=lambda x: np.array([[1.0, 0.0], [0.0, 1.0], [-2.0 * x[0], -2.0 * x[1]]]),
-        hessians=lambda x: np.array([np.zeros((2, 2)), np.zeros((2, 2)), -2.0 * np.eye(2)]),
+        eval=lambda X: np.column_stack([X, -np.float_power(X, 2).sum(axis=1)]),
+        jacobian=lambda X: np.concatenate(
+            [np.tile(np.eye(2), (len(X), 1, 1)), -2.0 * X[:, None, :]], axis=1),
+        hessians=lambda X: np.tile(
+            [np.zeros((2, 2)), np.zeros((2, 2)), -2.0 * np.eye(2)], (len(X), 1, 1, 1)),
         domain_box=[[-1.0, 1.0], [-1.0, 1.0]],
     )
 
@@ -216,9 +226,9 @@ def _xminusx_problem():
     return ConstrainedProblem(
         base=VectorProblem(
             name="xminusx", n=3, m=2,
-            eval=lambda x: np.array([x[0], -x[0]]),
-            jacobian=lambda x: np.array([[1.0, 0, 0], [-1.0, 0, 0]]),
-            hessians=lambda x: np.zeros((2, 3, 3)),
+            eval=lambda X: np.column_stack([X[:, 0], -X[:, 0]]),
+            jacobian=lambda X: np.tile([[1.0, 0, 0], [-1.0, 0, 0]], (len(X), 1, 1)),
+            hessians=lambda X: np.zeros((len(X), 2, 3, 3)),
             domain_box=[[-1, 1]] * 3,
         ),
         g=sphere.g,

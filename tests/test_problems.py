@@ -55,9 +55,9 @@ def test_hessians_symmetric(name):
 def test_wrong_gradient_sign_fails():
     bad = VectorProblem(
         name="bad", n=2, m=2,
-        eval=lambda x: np.array([x[0] ** 2, x[1] ** 2]),
-        jacobian=lambda x: np.array([[-2 * x[0], 0.0], [0.0, 2 * x[1]]]),
-        hessians=lambda x: np.array([np.diag([2.0, 0.0]), np.diag([0.0, 2.0])]),
+        eval=lambda X: np.float_power(X, 2),
+        jacobian=lambda X: X[:, :, None] * np.diag([-2.0, 2.0]),
+        hessians=lambda X: np.tile([np.diag([2.0, 0.0]), np.diag([0.0, 2.0])], (len(X), 1, 1, 1)),
         domain_box=[[-1, 1], [-1, 1]],
     )
     report = check_derivatives(bad, sample_domain(bad, 20, seed=3))
@@ -98,9 +98,9 @@ def test_m_le_n_flags():
     assert not registry_get("triv").sigma_skip
     toy = VectorProblem(
         name="toy", n=1, m=2,
-        eval=lambda x: np.array([x[0], -x[0]]),
-        jacobian=lambda x: np.array([[1.0], [-1.0]]),
-        hessians=lambda x: np.zeros((2, 1, 1)),
+        eval=lambda X: np.hstack([X, -X]),
+        jacobian=lambda X: np.tile([[1.0], [-1.0]], (len(X), 1, 1)),
+        hessians=lambda X: np.zeros((len(X), 2, 1, 1)),
         domain_box=[[-1, 1]],
     )
     assert toy.sigma_skip
@@ -144,27 +144,25 @@ CASE_NODES = {
 }
 
 
-def _stacked_pairs(problem):
-    """(name, stacked callable, per-point callable, stacked-call helper)."""
+def _callables(problem):
+    """(name, raw callable, stacked-call helper) of every problem quantity."""
     cp = problem if isinstance(problem, ConstrainedProblem) else None
     p = cp.base if cp is not None else problem
-    pairs = [("u", p.eval_stacked, p.u, p.u_at),
-             ("jac", p.jacobian_stacked, p.jac, p.jac_at),
-             ("hess", p.hessians_stacked, p.hess, p.hess_at)]
+    pairs = [("u", p.eval, p.u_at), ("jac", p.jacobian, p.jac_at), ("hess", p.hessians, p.hess_at)]
     if cp is not None:
-        pairs += [("g", cp.g_stacked, cp.g_val, cp.g_val_at),
-                  ("g_jac", cp.g_jacobian_stacked, cp.g_jac, cp.g_jac_at)]
+        pairs += [("g", cp.g, cp.g_val_at), ("g_jac", cp.g_jacobian, cp.g_jac_at)]
     return pairs
 
 
-def _assert_stacked_equal(problem, X):
-    for what, stacked, point, at in _stacked_pairs(problem):
-        assert stacked is not None, what
-        raw = stacked(X)
+def _assert_rows_independent(problem, X):
+    # a point's values do not depend on the stack it is in: the one-point
+    # conveniences then give the pipeline's values bit for bit
+    for what, raw_callable, at in _callables(problem):
+        raw = raw_callable(X)
         # owned and C-contiguous: callers mark the arrays read-only
         assert raw.flags.owndata and raw.flags.c_contiguous, what
-        ref = np.array([point(x) for x in X])
-        assert np.array_equal(raw.reshape(ref.shape), ref), what
+        ref = np.concatenate([at(X[i:i + 1]) for i in range(len(X))])
+        assert np.array_equal(raw, ref), what
         assert np.array_equal(at(X), ref), what
 
 
@@ -177,16 +175,17 @@ def test_case_nodes_cover_every_problem():
     [(name, label, nodes) for name, sets in sorted(CASE_NODES.items()) for label, nodes in sets],
 )
 def test_stacked_forms_match_per_point_on_case_nodes(name, label, nodes):
-    _assert_stacked_equal(registry_get(name), nodes())
+    _assert_rows_independent(registry_get(name), nodes())
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_stacked_forms_match_per_point_on_uniform_samples(name):
-    # pow and x*x differ on about one square in a thousand: a few thousand
-    # points catch a stacked power that does not round as the per-point one
+    # a few thousand points catch an operation that rounds a point's value
+    # differently in a stack than alone, such as a product whose kernel
+    # depends on the stack size
     problem = registry_get(name)
     base = problem.base if isinstance(problem, ConstrainedProblem) else problem
-    _assert_stacked_equal(problem, sample_domain(base, 4000, seed=17, shrink=0.0))
+    _assert_rows_independent(problem, sample_domain(base, 4000, seed=17, shrink=0.0))
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -196,44 +195,27 @@ def test_stacked_forms_match_per_point_inside_the_box(name, data):
     base = problem.base if isinstance(problem, ConstrainedProblem) else problem
     point = st.tuples(*(st.floats(lo, hi) for lo, hi in base.domain_box))
     X = np.array(data.draw(st.lists(point, min_size=1, max_size=40)), dtype=float)
-    _assert_stacked_equal(problem, X)
-
-
-def test_at_helpers_fall_back_to_per_point_callables():
-    p = registry_get("tri_quadratic")
-    plain = dataclasses.replace(
-        p, eval_stacked=None, jacobian_stacked=None, hessians_stacked=None)
-    X = sample_domain(p, 50, seed=4)
-    for (_, _, _, at), (_, _, _, plain_at) in zip(_stacked_pairs(p), _stacked_pairs(plain)):
-        assert np.array_equal(at(X), plain_at(X))
-    assert plain.jac_at(X[:0]).shape == (0, 3, 3)
+    _assert_rows_independent(problem, X)
 
 
 def test_stacked_callable_of_wrong_shape_is_rejected():
-    p = dataclasses.replace(registry_get("triv"), jacobian_stacked=lambda X: np.zeros((len(X), 4)))
+    p = dataclasses.replace(registry_get("triv"), jacobian=lambda X: np.zeros((len(X), 4)))
     with pytest.raises(ValueError, match="shape"):
         p.jac_at(np.zeros((3, 2)))
 
 
-def test_wrong_stacked_jacobian_fails_the_audit():
+def test_wrong_jacobian_fails_the_audit():
     p = registry_get("noncv")
-    right = p.jacobian_stacked
+    right = p.jacobian
 
     def wrong(X):
         J = right(X)
         J[:, 1, 0] += 1e-3  # one entry off by far more than the tolerance
         return J
 
-    bad = dataclasses.replace(p, jacobian_stacked=wrong)
+    bad = dataclasses.replace(p, jacobian=wrong)
     report = check_derivatives(bad, _samples_for(bad))
     assert not report.passed
-    assert {kind for kind, _, _ in report.failures} == {"stacked"}
-    assert report.max_stacked_error >= 1e-5
-    assert check_derivatives(p, _samples_for(p)).max_stacked_error == 0.0
-
-
-def test_wrong_stacked_constraint_fails_the_audit():
-    cp = registry_get("sphere_proj")
-    bad = dataclasses.replace(cp, g_stacked=lambda X: 0.5 * (X * X).sum(axis=1, keepdims=True))
-    report = check_derivatives(bad, _samples_for(bad))
-    assert {kind for kind, _, _ in report.failures} == {"stacked"}
+    assert {kind for kind, _, _ in report.failures} == {"jacobian"}
+    assert report.max_jacobian_error >= 1e-5
+    assert check_derivatives(p, _samples_for(p)).passed

@@ -8,12 +8,12 @@ every item is unchanged.
 """
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from paretoc import continuation, refinement
-from paretoc.complex_io import save_complex
 from paretoc.constrained import analyze_constrained, icosphere
 from paretoc.continuation import (
     MU_SNAP,
@@ -243,51 +243,44 @@ def test_hessian_interpolation_matches_vertex_loop(analyzers):
     assert {1, 2, 3} <= sizes
 
 
-def _per_point_only(problem):
-    """The problem without its stacked callables: the fallback path."""
-    if isinstance(problem, ConstrainedProblem):
-        return dataclasses.replace(problem, base=_per_point_only(problem.base),
-                                   g_stacked=None, g_jacobian_stacked=None)
-    return dataclasses.replace(problem, eval_stacked=None, jacobian_stacked=None,
-                               hessians_stacked=None)
-
-
-def _forbid_per_point(problem):
-    """The problem with per-point callables that fail when called."""
-    def refuse(*args):
-        raise AssertionError("per-point callable called")
+def _counted(problem, calls):
+    """The problem with each callable counting its calls in ``calls``."""
+    def count(name, f):
+        def counted(X):
+            calls[name] += 1
+            return f(X)
+        return counted
 
     if isinstance(problem, ConstrainedProblem):
-        return dataclasses.replace(problem, base=_forbid_per_point(problem.base),
-                                   g=refuse, g_jacobian=refuse)
-    return dataclasses.replace(problem, eval=refuse, jacobian=refuse, hessians=refuse)
+        return dataclasses.replace(problem, base=_counted(problem.base, calls),
+                                   g=count("g", problem.g),
+                                   g_jacobian=count("g_jacobian", problem.g_jacobian))
+    return dataclasses.replace(problem, eval=count("eval", problem.eval),
+                               jacobian=count("jacobian", problem.jacobian),
+                               hessians=count("hessians", problem.hessians))
 
 
-def _bytes(tmp_path, cx):
-    path = tmp_path / "complex.json"
-    save_complex(path, cx)
-    return path.read_bytes()
+def test_problem_callables_are_called_once_per_stage():
+    # every stage evaluates all its points in one call: the nodal Jacobians
+    # and Hessians, glue's objective values, the minor statistics and budget
+    # scores of refinement, and the constrained nodal stage.  A loop over
+    # points would call a callable once per point.
+    calls = Counter()
+    p = _counted(registry_get("tri_quadratic"), calls)
+    Analyzer(p, kuhn_tessellation(p.domain_box, [6, 6, 6])).run()
+    assert calls == {"eval": 1, "jacobian": 1, "hessians": 1}
 
-
-def test_per_point_fallback_gives_the_same_bytes(tmp_path):
-    p = registry_get("tri_quadratic")
-    tess = kuhn_tessellation(p.domain_box, [6, 6, 6])
-    stacked = _bytes(tmp_path, Analyzer(p, tess).run())
-    assert _bytes(tmp_path, Analyzer(_per_point_only(p), tess).run()) == stacked
-
-    cp = registry_get("sphere_proj")
-    stacked = _bytes(tmp_path, analyze_constrained(cp, icosphere(2)))
-    assert _bytes(tmp_path, analyze_constrained(_per_point_only(cp), icosphere(2))) == stacked
-
-
-def test_stacked_problems_call_no_per_point_callable():
-    # every stage evaluates through the stacked callables: the nodal
-    # Jacobians and Hessians, glue's objective values, the minor statistics
-    # and budget scores of refinement, and the constrained nodal stage
-    p = _forbid_per_point(registry_get("tri_quadratic"))
     state = refinement.initial_state(p, kuhn_tessellation(p.domain_box, [4, 4, 4]))
+    calls.clear()
     refinement.iterate(state, scheme="maximin", budget=3)
-    noncv = _forbid_per_point(registry_get("noncv"))
+    assert calls == {"eval": 1, "jacobian": 3, "hessians": 1}
+
+    noncv = _counted(registry_get("noncv"), calls)
     state = refinement.initial_state(noncv, kuhn_tessellation(noncv.domain_box, [16, 16]))
+    calls.clear()
     refinement.iterate(state, scheme="polyline", budget=5)
-    analyze_constrained(_forbid_per_point(registry_get("sphere_proj")), icosphere(1))
+    assert calls == {"eval": 1, "jacobian": 3, "hessians": 1}
+
+    calls.clear()
+    analyze_constrained(_counted(registry_get("sphere_proj"), calls), icosphere(1))
+    assert calls == {"eval": 1, "jacobian": 2, "g": 1, "g_jacobian": 2}
