@@ -53,7 +53,6 @@ from .tessellation import (
     build_delaunay,
     enumerate_faces,
     grid_nodes,
-    insert_node,
     insert_nodes,
     kuhn_tessellation,
 )

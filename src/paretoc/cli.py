@@ -36,6 +36,19 @@ class UsageError(Exception):
     """Malformed command-line input (exit 1)."""
 
 
+def _int_at_least(lo: int):
+    """An argparse type: an integer no less than ``lo``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    parse.__name__ = "int"   # argparse names the type in its errors
+    return parse
+
+
 def _parse_grid(spec: str, box: np.ndarray, default_seed: int):
     """Grid spec: 'AxB[xC...]' node counts, 'h:0.25' spacing, or
     'random:N[:seed=S]' uniform points.  A malformed spec is a UsageError."""
@@ -123,11 +136,11 @@ def cmd_iterate(args) -> int:
     problem = registry_get(args.problem)
     if isinstance(problem, ConstrainedProblem):
         raise ParetocError("iterate supports unconstrained problems only")
+    reference = load_complex(args.reference) if args.reference else None
     tess = _parse_grid(args.grid, problem.domain_box, args.seed)
     state = initial_state(problem, tess, order=args.order)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    reference = load_complex(args.reference) if args.reference else None
     save_complex(
         outdir / "complex_iter_00.json",
         state.complex,
@@ -310,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rp = sub.add_parser("run", help="analyze one tessellation and write a complex file")
     common(rp)
-    rp.add_argument("--subdiv", type=int, default=1,
+    rp.add_argument("--subdiv", type=_int_at_least(0), default=1,
                     help="icosphere subdivisions for constrained problems")
     rp.add_argument("--manifold-mesh", default=None,
                     help="manifold mesh JSON for constrained problems")
@@ -320,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     ip = sub.add_parser("iterate", help="refinement iterations with per-step output")
     common(ip)
     ip.add_argument("--scheme", choices=("polyline", "maximin"), default="polyline")
-    ip.add_argument("--iterations", type=int, default=4)
-    ip.add_argument("--budget", type=int, default=None,
+    ip.add_argument("--iterations", type=_int_at_least(0), default=4)
+    ip.add_argument("--budget", type=_int_at_least(1), default=None,
                     help="keep only the top-B candidates ranked by minor magnitude")
     ip.add_argument("--reference", default=None,
                     help="complex file for the hausdorff_to_ref history column")
@@ -331,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     dp = sub.add_parser("distance", help="Hausdorff distance between two complex files")
     dp.add_argument("file_a")
     dp.add_argument("file_b")
-    dp.add_argument("--density", type=int, default=20)
+    dp.add_argument("--density", type=_int_at_least(1), default=20)
     dp.add_argument("--json", default=None, help="also write a JSON report")
     dp.set_defaults(func=cmd_distance)
 
@@ -346,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cp = sub.add_parser("check-derivatives", help="finite-difference derivative audit")
     cp.add_argument("--problem", required=True)
-    cp.add_argument("--samples", type=int, default=20)
+    cp.add_argument("--samples", type=_int_at_least(1), default=20)
     cp.add_argument("--seed", type=int, default=0)
     cp.set_defaults(func=cmd_check_derivatives)
     return ap
@@ -361,7 +374,7 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=args.log_level.upper())
     try:
         return args.func(args)
-    except (UsageError, UnknownProblem) as exc:
+    except (UsageError, UnknownProblem, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ParetocError, ValueError, np.linalg.LinAlgError) as exc:

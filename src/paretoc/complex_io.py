@@ -67,38 +67,41 @@ def complex_to_dict(cx: ParetoComplex, provenance: Optional[dict] = None) -> dic
 def complex_from_dict(doc: dict) -> ParetoComplex:
     if doc.get("version") != COMPLEX_VERSION:
         raise ValueError(f"unsupported complex file version {doc.get('version')!r}")
-    n = int(doc["ambient_dim"])
-    m = int(doc["objectives"])
-    verts = doc["vertices"]
-    V = len(verts)
-    positions = np.empty((V, n))
-    u_values = np.empty((V, m))
-    lam = np.full((V, m), np.nan)
-    sig_len = 0
-    for v in verts:
-        if v.get("sigma"):
-            sig_len = max(sig_len, len(v["sigma"]))
-    sigma = np.full((V, sig_len), np.nan) if sig_len else None
-    for v in verts:
-        i = int(v["id"])
-        positions[i] = v["x"]
-        u_values[i] = v["u"]
-        if v.get("lambda") is not None:
-            lam[i] = v["lambda"]
-        if sigma is not None and v.get("sigma") is not None:
-            sigma[i] = v["sigma"]
-    simplices = []
-    for s in doc["simplices"]:
-        stratum = s["stratum"]
-        if stratum not in STRATA:
-            raise ValueError(f"unknown stratum {stratum!r}")
-        simplices.append((tuple(int(i) for i in s["vertex_ids"]), stratum, -1))
-    markers = []
-    for mk in doc["markers"]:
-        if mk["kind"] not in MARKER_KINDS:
-            raise ValueError(f"unknown marker kind {mk['kind']!r}")
-        markers.append((int(mk.get("vertex", -1)), mk["kind"]))
-    prov = doc.get("provenance") or {}
+    try:
+        n = int(doc["ambient_dim"])
+        m = int(doc["objectives"])
+        verts = doc["vertices"]
+        V = len(verts)
+        positions = np.empty((V, n))
+        u_values = np.empty((V, m))
+        lam = np.full((V, m), np.nan)
+        sig_len = 0
+        for v in verts:
+            if v.get("sigma"):
+                sig_len = max(sig_len, len(v["sigma"]))
+        sigma = np.full((V, sig_len), np.nan) if sig_len else None
+        for v in verts:
+            i = int(v["id"])
+            positions[i] = v["x"]
+            u_values[i] = v["u"]
+            if v.get("lambda") is not None:
+                lam[i] = v["lambda"]
+            if sigma is not None and v.get("sigma") is not None:
+                sigma[i] = v["sigma"]
+        simplices = []
+        for s in doc["simplices"]:
+            stratum = s["stratum"]
+            if stratum not in STRATA:
+                raise ValueError(f"unknown stratum {stratum!r}")
+            simplices.append((tuple(int(i) for i in s["vertex_ids"]), stratum, -1))
+        markers = []
+        for mk in doc["markers"]:
+            if mk["kind"] not in MARKER_KINDS:
+                raise ValueError(f"unknown marker kind {mk['kind']!r}")
+            markers.append((int(mk.get("vertex", -1)), mk["kind"]))
+        prov = doc.get("provenance") or {}
+    except KeyError as exc:
+        raise ValueError(f"complex file has no {exc.args[0]!r} entry") from None
     return ParetoComplex(
         n=n,
         m=m,
@@ -215,6 +218,10 @@ def load_mesh(path):
         doc = json.load(fh)
     if doc.get("version") != MESH_VERSION:
         raise ValueError(f"unsupported mesh file version {doc.get('version')!r}")
-    points = np.array(doc["points"], dtype=float)
-    cells = [tuple(int(i) for i in c) for c in doc["cells"]]
-    return points, cells, int(doc["dim"]), int(doc.get("embedding_dim", doc["dim"]))
+    try:
+        points = np.array(doc["points"], dtype=float)
+        cells = [tuple(int(i) for i in c) for c in doc["cells"]]
+        dim = int(doc["dim"])
+    except KeyError as exc:
+        raise ValueError(f"mesh file has no {exc.args[0]!r} entry") from None
+    return points, cells, dim, int(doc.get("embedding_dim", dim))

@@ -29,7 +29,6 @@ from .continuation import (
     ParetoComplex,
     snapped_determinants,
     EPS_RANK,
-    EPS_RES,
 )
 from .errors import NonSquareUnsupported, RankDeficientConstraint
 from .problems import ConstrainedProblem
@@ -111,11 +110,7 @@ def augmented_minors(cp: ConstrainedProblem, x):
     return omega if x.ndim == 2 else float(omega[0])
 
 
-def analyze_constrained(
-    cp: ConstrainedProblem,
-    mesh: ManifoldMesh,
-    eps_res: float = EPS_RES,
-) -> ParetoComplex:
+def analyze_constrained(cp: ConstrainedProblem, mesh: ManifoldMesh) -> ParetoComplex:
     """Run Algorithm-3-style first-order analysis over a manifold mesh.
 
     Validates the mesh, computes the projected gradients and the augmented
@@ -131,8 +126,7 @@ def analyze_constrained(
     proj = project_gradients(cp, mesh.points)
     omega = augmented_minors(cp, mesh.points)[:, None]
     return Analyzer(
-        cp.base, mesh.as_tessellation(), order=1, eps_res=eps_res,
-        jac_nodes=proj, omega_nodes=omega,
+        cp.base, mesh.as_tessellation(), order=1, jac_nodes=proj, omega_nodes=omega,
     ).run()
 
 

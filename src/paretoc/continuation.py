@@ -625,7 +625,6 @@ class Analyzer:
         selection: Optional[MinorSelection] = None,
         order: int = 2,
         hessian_mode: str = "analytic",
-        eps_res: float = EPS_RES,
         *,
         jac_nodes: Optional[np.ndarray] = None,
         omega_nodes: Optional[np.ndarray] = None,
@@ -639,7 +638,6 @@ class Analyzer:
         self.tess = tess
         self.order = order
         self.hessian_mode = hessian_mode
-        self.eps_res = eps_res
         self.sigma_skip = problem.sigma_skip
         self.selection = None
         if self.sigma_skip:
@@ -742,7 +740,7 @@ class Analyzer:
                 v.lam, v.residual, v.critical_ok = None, np.inf, False
             else:
                 v.lam, v.residual = lv, float(res)
-                v.critical_ok = v.residual <= self.eps_res * sc
+                v.critical_ok = v.residual <= EPS_RES * sc
 
     def _attach_hessians(self, cell_vertices: list) -> list:
         """Analytic Hessian interpolation, and sigma of the critical vertices,

@@ -26,6 +26,15 @@ point exactly on a hull facet's plane counts as in conflict with the facet's
 infinite cell; a finite cell is in conflict only if the point is strictly
 inside its circumsphere.
 
+Point location uses the same exact signs.  A visibility walk starts at the
+last cell made and steps through a facet that separates the current cell from
+the new point, until it reaches a cell in conflict with the point; that cell
+seeds the cavity.  In a Delaunay complex the walk visits no cell twice
+(Edelsbrunner 1990, the acyclicity theorem; Devillers, Pion and Teillaud 2002,
+"Walking in a triangulation"), so it ends within as many steps as there are
+cells.  Only a flat cell or a tie the perturbation leaves (below) can stop it
+short, and it then raises ``DegenerateInput``.
+
 The perturbation does not break every tie.  Ids that step evenly along a grid
 line keep the grid nodes exactly collinear, the exact predicates see those
 cells as flat, and insertion raises ``DegenerateInput`` (``build_delaunay`` on
@@ -103,7 +112,6 @@ class Tessellation:
     def __init__(self, nodes: NodeSet, cells: Sequence[tuple]):
         self.nodes = nodes
         self.cells = tuple(sorted(tuple(sorted(c)) for c in cells))
-        self._adjacency = None
 
     @property
     def n(self) -> int:
@@ -112,20 +120,6 @@ class Tessellation:
     @property
     def scale(self) -> float:
         return self.nodes.bbox_diagonal
-
-    def cell_points(self, i: int) -> np.ndarray:
-        return self.nodes.points[list(self.cells[i])]
-
-    @property
-    def adjacency(self) -> dict:
-        """Map facet (sorted (n)-tuple of node ids) -> tuple of incident cell indices."""
-        if self._adjacency is None:
-            adj: dict[tuple, list] = {}
-            for ci, cell in enumerate(self.cells):
-                for facet in itertools.combinations(cell, len(cell) - 1):
-                    adj.setdefault(facet, []).append(ci)
-            self._adjacency = {f: tuple(cs) for f, cs in adj.items()}
-        return self._adjacency
 
     def min_incident_edge(self) -> np.ndarray:
         """Per node, the length of the shortest incident edge."""
@@ -404,7 +398,6 @@ class _Padded:
         self.facets: dict[tuple, list] = {}
         self.sense: dict[int, int] = {}   # cell -> orientation sign, see _orientation
         self.pred = Predicates(n)
-        self.scans = 0    # exhaustive conflict scans
         self._parity = -1 if n % 2 else 1   # the lifted determinant's sign flip
         self._next_cell = 0
         self._hint = None
@@ -494,48 +487,34 @@ class _Padded:
 
     # -- point location -----------------------------------------------------
 
-    def _barycentric(self, cell: tuple, pid: int) -> np.ndarray:
-        q = np.array([self.points[i] for i in cell])
-        A = np.vstack([q.T, np.ones(len(cell))])
-        b = np.append(self.points[pid], 1.0)
-        try:
-            return np.linalg.solve(A, b)
-        except np.linalg.LinAlgError:
-            return np.full(len(cell), -np.inf)
-
     def _locate_conflict(self, pid: int) -> int:
+        """A cell in conflict with point pid, by the visibility walk of the
+        module docstring.
+
+        A finite cell steps through its first facet that separates it from
+        the point; an infinite cell entered that way is in conflict.  A point
+        in a closed non-flat cell, not one of its vertices, is strictly inside
+        the circumsphere, so only a flat cell finds no facet to step through.
+        """
+        pert = self.pert
+        p = pert[pid]
         cid = self._hint if self._hint in self.cells else next(iter(self.cells))
-        visits: dict[int, int] = {}
-        max_steps = 4 * len(self.cells) + 16
-        for _ in range(max_steps):
+        for _ in range(len(self.cells)):
             if self._in_conflict(cid, pid):
                 return cid
             cell = self.cells[cid]
             if cell[0] == INF:
                 # non-conflict infinite cell: step back inside the hull
-                nxt = self._neighbor(cid, cell[1:])
-            else:
-                lam = self._barycentric(cell, pid)
-                neg = [int(j) for j in np.argsort(lam) if lam[j] < 0.0]
-                if not neg:
-                    # the unperturbed point is in the cell, the perturbed one
-                    # is not in its circumsphere: the cell cannot seed the
-                    # cavity (that gave non-Delaunay cells on near-collinear
-                    # nodes), so let the scan find a conflict cell
-                    break
-                # rotate the facet choice on revisits to escape degenerate loops
-                shift = visits.get(cid, 0)
-                visits[cid] = shift + 1
-                j = neg[shift % len(neg)]
-                nxt = self._neighbor(cid, cell[:j] + cell[j + 1:])
-            if nxt is None:
+                cid = self._neighbor(cid, cell[1:])
+                continue
+            s = self._orientation(cid)
+            q = [pert[i] for i in cell]
+            j = next((j for j in range(len(q))
+                      if s * self.pred.orient(q[:j] + [p] + q[j + 1:]) < 0), None)
+            if j is None:
                 break
-            cid = nxt
-        self.scans += 1
-        for cid in self.cells:  # safety net: exhaustive scan
-            if self._in_conflict(cid, pid):
-                return cid
-        raise DegenerateInput("no conflict cell found for inserted point")
+            cid = self._neighbor(cid, cell[:j] + cell[j + 1:])
+        raise DegenerateInput("point location found no conflict cell")
 
     # -- insertion -----------------------------------------------------------
 
@@ -569,9 +548,8 @@ class _Padded:
 
     # -- export --------------------------------------------------------------
 
-    def log_fallbacks(self, caller: str) -> None:
-        logger.debug("%s: %d exhaustive conflict scans, %d predicates decided exactly",
-                     caller, self.scans, self.pred.exact)
+    def log_exact_signs(self, caller: str) -> None:
+        logger.debug("%s: %d predicates decided exactly", caller, self.pred.exact)
 
     def snapshot(self) -> Tessellation:
         nodes = NodeSet(np.array(self.points))
@@ -677,7 +655,7 @@ def build_delaunay(nodes: NodeSet | np.ndarray) -> Tessellation:
             if i not in seed_set:
                 pad.insert(i)
     finally:
-        pad.log_fallbacks("build_delaunay")
+        pad.log_exact_signs("build_delaunay")
     return pad.snapshot()
 
 
@@ -715,18 +693,15 @@ def _check_batch_distinct(existing: np.ndarray, batch: np.ndarray, eps: float) -
     raise DuplicateNode(f"batch contains coincident points at {p}")
 
 
-def insert_node(tess: Tessellation, p) -> Tessellation:
-    """Insert one node incrementally; prior node ids are unchanged."""
-    return insert_nodes(tess, [p])
-
-
 def insert_nodes(tess: Tessellation, points: Iterable) -> Tessellation:
     """Insert several nodes into a tessellation, returning a new snapshot.
 
     The padded hull structure is rebuilt once, so batch insertion costs one
     reconstruction plus an incremental Bowyer-Watson step per point.  Points
-    are inserted in the given order and get the next ids in that order.
-    Falls back to a full rebuild if a cavity retriangulation degenerates.
+    are inserted in the given order and get the next ids in that order.  Each
+    point is located by the exact visibility walk from the cell made last
+    (see the module docstring).  Falls back to a full rebuild if the walk
+    meets a flat cell or a cavity retriangulation degenerates.
     """
     points = [np.asarray(p, dtype=float) for p in points]
     if not points:
@@ -745,11 +720,11 @@ def insert_nodes(tess: Tessellation, points: Iterable) -> Tessellation:
         for p in points:
             pad.insert(pad.add_point(p))
     except DegenerateInput:
-        pad.log_fallbacks("insert_nodes")
+        pad.log_exact_signs("insert_nodes")
         logger.warning("incremental insertion degenerated; rebuilding from scratch")
         allpts = np.vstack([existing, np.array(points)])
         return build_delaunay(NodeSet(allpts))
-    pad.log_fallbacks("insert_nodes")
+    pad.log_exact_signs("insert_nodes")
     return pad.snapshot()
 
 

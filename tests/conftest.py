@@ -5,6 +5,9 @@ least-squares circumspheres, scipy's qhull wrapper, brute-force scans) so
 they stay independent of the library's own predicate implementations.
 """
 
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -57,6 +60,12 @@ def scipy_delaunay_cells(pts):
     from scipy.spatial import Delaunay
 
     return sorted(tuple(sorted(int(i) for i in s)) for s in Delaunay(pts).simplices)
+
+
+def facet_counts(tess):
+    """Map each facet (sorted n-tuple of node ids) to its number of cells."""
+    return Counter(f for cell in tess.cells
+                   for f in itertools.combinations(cell, len(cell) - 1))
 
 
 def simplex_volume(pts):

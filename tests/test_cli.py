@@ -170,16 +170,21 @@ def test_cli_threads_is_a_usage_error(capsys):
     assert "--threads" in capsys.readouterr().err
 
 
-def _cli_process(tmp_path, *args):
-    # a fresh interpreter, so the CLI configures logging from scratch
+def _cli(*args):
+    # a fresh interpreter: the CLI configures logging from scratch, and an
+    # uncaught exception shows as a traceback on stderr
     src = str(Path(paretoc.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "paretoc.cli", *args, "iterate", "--problem", "triv",
-         "--grid", "13x12", "--iterations", "1", "--out-dir", str(tmp_path / "it")],
+        [sys.executable, "-m", "paretoc.cli", *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def _cli_process(tmp_path, *args):
+    return _cli(*args, "iterate", "--problem", "triv", "--grid", "13x12",
+                "--iterations", "1", "--out-dir", str(tmp_path / "it"))
 
 
 def test_cli_log_level_info_shows_refinement_records(tmp_path):
@@ -253,3 +258,65 @@ def test_cli_plot_data_empty_complex(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "empty complex" in err
     assert (plots / "markers.csv").exists()
+
+
+@pytest.mark.parametrize("args,flag", [
+    (["iterate", "--problem", "triv", "--budget", "0", "--out-dir", "it"], "--budget"),
+    (["iterate", "--problem", "triv", "--iterations", "-1", "--out-dir", "it"], "--iterations"),
+    (["check-derivatives", "--problem", "triv", "--samples", "0"], "--samples"),
+    (["run", "--problem", "sphere_proj", "--subdiv", "-1"], "--subdiv"),
+    (["distance", "a.json", "b.json", "--density", "0"], "--density"),
+], ids=["budget", "iterations", "samples", "subdiv", "density"])
+def test_cli_out_of_range_numbers_are_usage_errors(args, flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 1
+    assert f"error: argument {flag}: must be at least" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_complex_file_without_a_key_is_a_value_error(triv_complex):
+    doc = complex_to_dict(triv_complex)
+    del doc["simplices"]
+    with pytest.raises(ValueError, match="'simplices'"):
+        complex_from_dict(doc)
+    doc = complex_to_dict(triv_complex)
+    del doc["vertices"][0]["u"]
+    with pytest.raises(ValueError, match="'u'"):
+        complex_from_dict(doc)
+
+
+def test_cli_file_errors_exit_without_traceback(triv_complex, tmp_path):
+    good = tmp_path / "triv.json"
+    save_complex(good, triv_complex)
+    missing = str(tmp_path / "missing.json")
+    for args in (
+        ["distance", missing, str(good)],
+        ["distance", str(good), missing],
+        ["plot-data", "--file", missing, "--out-dir", str(tmp_path / "plots")],
+        ["iterate", "--problem", "triv", "--grid", "5x5", "--reference", missing,
+         "--out-dir", str(tmp_path / "it")],
+        ["run", "--problem", "sphere_proj", "--manifold-mesh", missing],
+    ):
+        done = _cli(*args)
+        assert done.returncode == 1, args
+        assert "error: " in done.stderr and "missing.json" in done.stderr, args
+        assert "Traceback" not in done.stderr, args
+    # a complex file without a required entry fails as a malformed file
+    # does (exit 2, like an unsupported version), naming the entry
+    doc = json.loads(good.read_text())
+    del doc["markers"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    done = _cli("distance", str(bad), str(good))
+    assert done.returncode == 2
+    assert "error: complex file has no 'markers' entry" in done.stderr
+    assert "Traceback" not in done.stderr
+    mesh = tmp_path / "mesh.json"
+    save_mesh(mesh, [[0.0, 0.0, 1.0]], [])
+    doc = json.loads(mesh.read_text())
+    del doc["cells"]
+    mesh.write_text(json.dumps(doc))
+    done = _cli("run", "--problem", "sphere_proj", "--manifold-mesh", str(mesh))
+    assert done.returncode == 2
+    assert "error: mesh file has no 'cells' entry" in done.stderr
+    assert "Traceback" not in done.stderr

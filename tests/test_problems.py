@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -186,6 +187,71 @@ def test_stacked_forms_match_per_point_on_uniform_samples(name):
     problem = registry_get(name)
     base = problem.base if isinstance(problem, ConstrainedProblem) else problem
     _assert_rows_independent(problem, sample_domain(base, 4000, seed=17, shrink=0.0))
+
+
+# sha256 of the bytes each raw callable returns on sample_domain(base, 4000,
+# seed=17, shrink=0.0), recorded at commit 634bb79.
+# They pin every power to C pow (see problems._pow): a square taken with
+# numpy's ** rounds differently on a few in a thousand points.
+CALLABLE_DIGESTS = {
+    "locglob": {
+        "u": "0d5cd0ef0e97e2d586b3453e0f5f67cfc1399bbdb57d4fd2388232a6cf835906",
+        "jac": "43a3d3106305da637c66bcdbe671e9e034a30b7388b7dab7a2ccc3fd8abe46d2",
+        "hess": "fc4d670fe42a2f74b3b33d85eeb88e2425581f81ddcfc6793e9f663cb80a58a1",
+    },
+    "noncv": {
+        "u": "d8572eff0126a2e6b4c8b46f7c2390d95e1c9324576542e40461f2868cf616ef",
+        "jac": "78bf5b12359c5af14e8910a96cf72547f8f55452c562699df5115cd5dd1cd415",
+        "hess": "4f2fca00e937cb65c0dfc3e8a08679e60211f134429c63a167f089999cd2ee56",
+    },
+    "smale": {
+        "u": "de965231f3a0e4fdba39784576d0723743312e96ebb794443b8fcc56c9665171",
+        "jac": "33ca104635df57eb6df701d022b642b06fd8353b6ea9fe15bc2a8de2a065e967",
+        "hess": "4e0139997cf3bd0efcf2a31965199ac3f0d498c32f238ad46b4678e4146af839",
+    },
+    "sms": {
+        "u": "642cefa61a95af536eefe6f0f1f3eccd8c04995dc7e9cc6fa289ca089aa9f8d6",
+        "jac": "2ec7cda66ef8baca87c0f3a08f8731f501e63ac0f45555f9fd91b4ddc7d08e70",
+        "hess": "a34818ee5bab881b83a81041c090178faf238e2e1859bca70dc67390364cc522",
+    },
+    "sphere_proj": {
+        "u": "32084b1014be4d6d7844c7a4cf44b1650f2ba13c3dbe561eaa3789b0e4056449",
+        "jac": "ac4f660adbdd61ba5736547f28e1659f18e0e4899d76408e3ddf85f63a23659c",
+        "hess": "30fafbdc0facf210a26498db982f7ff8ad1e0b9a805816731c72e356a768c162",
+        "g": "467cbe952d501ffff1eb9c1c2377b17096fec8535ccec536a41fa38ae143496e",
+        "g_jac": "fe8669a8b81e3ed0c871c7de4fd1d6c8d98451e38d4c47d7953e6e059961b918",
+    },
+    "tri_quadratic": {
+        "u": "08d1d78be096f608b57ae9af6ecfbd9281bbfe138b98a557f89524754059f1a4",
+        "jac": "ed61e523f5c38b029032455789f15de9f183bfb435ff13f973b69e2d96368111",
+        "hess": "a6827af2dfe8dfcee0909671c5d46321d97ad283503cab45efd19a6a13da6c15",
+    },
+    "tri_quadratic_ncv": {
+        "u": "e45889f329d348073237665c264032b66d1dbd95e1e26db84a2fddd43bdea948",
+        "jac": "4f79b180192e2693286ded54ae313a673aaa293a89e2712a36d2e26416097af6",
+        "hess": "9e13b09aa2e16af41691af49803b0bfb39ac03944188a7796368f7894de0c8cf",
+    },
+    "triv": {
+        "u": "0eda5c98858867b5ba4d9769f531fd4e0f6be08535ff44ea5dfab8f4c0fe0fee",
+        "jac": "8305a2d0a2e59f9ca3ff19ddfb608d12b578218106c8aa36fa15c82c44844c26",
+        "hess": "64ac0db05c2d6477aa60adff6ffb0c628276a1d6cad438a6325e68729a1b6ea5",
+    },
+    "zdt3reg": {
+        "u": "990e9a099e94e059588316cb532f7093ba872c03f352b44295d7b7d69d634497",
+        "jac": "ded530430d4839424e5b242fadfd1ef7679b647219e6818c8277552809ee52ab",
+        "hess": "eb18c71bfe1f33ab423c4a15d596156d82bb8aec45f2cf2ec389c3fff132c480",
+    },
+}
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_callables_match_recorded_digests_on_uniform_samples(name):
+    problem = registry_get(name)
+    base = problem.base if isinstance(problem, ConstrainedProblem) else problem
+    X = sample_domain(base, 4000, seed=17, shrink=0.0)
+    got = {what: hashlib.sha256(raw_callable(X).tobytes()).hexdigest()
+           for what, raw_callable, _ in _callables(problem)}
+    assert got == CALLABLE_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)

@@ -3,6 +3,7 @@ import itertools
 import logging
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from paretoc.geometry import simplex_diameter
 from paretoc.tessellation import (
     EPS_GEOM_REL,
     NodeSet,
+    Tessellation,
     _check_batch_distinct,
     _hilbert_order,
     _initial_simplex,
@@ -20,13 +22,13 @@ from paretoc.tessellation import (
     build_delaunay,
     enumerate_faces,
     grid_nodes,
-    insert_node,
     insert_nodes,
     kuhn_tessellation,
 )
 
 from conftest import (
     brute_delaunay_violation,
+    facet_counts,
     scipy_delaunay_cells,
     simplex_volume,
 )
@@ -51,7 +53,7 @@ def test_locglob_grid_shape():
     p = registry_get("locglob")
     t = kuhn_tessellation(p.domain_box, [10, 20, 10])
     assert all(len(c) == 4 for c in t.cells)
-    vol = sum(simplex_volume(t.cell_points(i)) for i in range(len(t.cells)))
+    vol = sum(simplex_volume(t.nodes.points[list(c)]) for c in t.cells)
     box_vol = float(np.prod(p.domain_box[:, 1] - p.domain_box[:, 0]))
     assert vol == pytest.approx(box_vol, rel=1e-9)
 
@@ -76,13 +78,13 @@ def test_volume_sum_equals_hull_volume(rng):
     for n in (2, 3):
         pts = rng.uniform(-1.0, 1.0, (50, n))
         t = build_delaunay(pts)
-        vol = sum(simplex_volume(t.cell_points(i)) for i in range(len(t.cells)))
+        vol = sum(simplex_volume(t.nodes.points[list(c)]) for c in t.cells)
         assert vol == pytest.approx(ConvexHull(pts).volume, rel=1e-9)
 
 
 def test_insert_centroid_star_split():
     t = build_delaunay(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    t2 = insert_node(t, np.array([1 / 3, 1 / 3]))
+    t2 = insert_nodes(t, [np.array([1 / 3, 1 / 3])])
     assert len(t2.cells) == 3
     assert t2.nodes.points.shape == (4, 2)
 
@@ -91,7 +93,7 @@ def test_insert_point_on_shared_edge():
     t = build_delaunay(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
     shared = sorted(set(t.cells[0]) & set(t.cells[1]))
     mid = t.nodes.points[shared].mean(axis=0)
-    t2 = insert_node(t, mid)
+    t2 = insert_nodes(t, [mid])
     assert len(t2.cells) == 4
 
 
@@ -99,7 +101,7 @@ def test_insert_far_exterior_against_rebuild_oracle(rng):
     pts = rng.uniform(-1.0, 1.0, (50, 2))
     t = build_delaunay(pts)
     far = np.array([9.0, 8.0])
-    t2 = insert_node(t, far)
+    t2 = insert_nodes(t, [far])
     rebuilt = build_delaunay(np.vstack([pts, far[None]]))
     assert t2.cells == rebuilt.cells
     # hull extended, prior ids unchanged, interior cells preserved
@@ -112,7 +114,7 @@ def test_sequential_inserts_match_scratch_build(rng):
     pts = rng.uniform(-1.0, 1.0, (40, 3))
     t = build_delaunay(pts[:25])
     for p in pts[25:]:
-        t = insert_node(t, p)
+        t = insert_nodes(t, [p])
     assert t.cells == build_delaunay(pts).cells
 
 
@@ -133,17 +135,17 @@ def test_determinism():
 def test_facet_incidence_counts(rng):
     pts = rng.uniform(-1.0, 1.0, (60, 2))
     t = build_delaunay(pts)
-    counts = {len(cs) for cs in t.adjacency.values()}
+    counts = set(facet_counts(t).values())
     assert counts <= {1, 2}
     # boundary facets exist and form the hull
-    assert sum(len(cs) == 1 for cs in t.adjacency.values()) >= 3
+    assert sum(c == 1 for c in facet_counts(t).values()) >= 3
 
 
 def test_cell_nondegeneracy(rng):
     pts = rng.uniform(-1.0, 1.0, (80, 2))
     t = build_delaunay(pts)
-    for i in range(len(t.cells)):
-        p = t.cell_points(i)
+    for cell in t.cells:
+        p = t.nodes.points[list(cell)]
         vol = simplex_volume(p)
         diam = simplex_diameter(p)
         assert vol > 1e-12 * diam ** t.n
@@ -158,7 +160,7 @@ def test_errors():
         build_delaunay(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
     t = build_delaunay(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(DuplicateNode):
-        insert_node(t, np.array([1.0, 0.0]))
+        insert_nodes(t, [np.array([1.0, 0.0])])
 
 
 def test_enumerate_faces():
@@ -181,9 +183,9 @@ def test_grid_nodes_order_and_ids():
 def test_kuhn_consistent_across_faces():
     t = kuhn_tessellation([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]], [3, 3, 3])
     assert len(t.cells) == 8 * 6
-    counts = {len(cs) for cs in t.adjacency.values()}
+    counts = set(facet_counts(t).values())
     assert counts <= {1, 2}
-    vol = sum(simplex_volume(t.cell_points(i)) for i in range(len(t.cells)))
+    vol = sum(simplex_volume(t.nodes.points[list(c)]) for c in t.cells)
     assert vol == pytest.approx(1.0, rel=1e-12)
 
 
@@ -292,31 +294,86 @@ def test_far_exterior_inserts_match_id_order(seed, n, far):
     assert_same_as_id_order(np.vstack([base, outer]))
 
 
-def fallback_counts(records, caller):
-    return [tuple(int(x) for x in re.findall(r"\d+", r.getMessage()))
+def exact_counts(records, caller):
+    return [int(re.match(r"\w+: (\d+) predicates decided exactly", r.getMessage())[1])
             for r in records if r.getMessage().startswith(caller + ":")]
 
 
 def test_build_and_insert_log_their_fallbacks(caplog):
     caplog.set_level(logging.DEBUG, logger="paretoc.tessellation")
-    # near-collinear nodes send the walk to the exhaustive scan
+    # near-collinear nodes, where a walk decided in floats on the given
+    # coordinates gets lost: the exact walk finds a conflict cell without a
+    # rebuild, and the cells are the id-order loop's.  The offsets are
+    # below the id perturbation (node i moves by i * EPS_GEOM_REL * diagonal),
+    # so the cells are Delaunay for the perturbed coordinates the predicates
+    # decide on, not for the given ones
     rng = np.random.default_rng(0)
     x = rng.uniform(-1.0, 1.0, 30)
     pts = np.column_stack([x, 0.3 * x + 1e-12 * rng.uniform(-1.0, 1.0, 30)])
     pts[0] = [0.0, 1.0]
-    build_delaunay(pts)
-    [(scans, _)] = fallback_counts(caplog.records, "build_delaunay")
-    assert scans > 0
+    with no_rebuild():
+        t = build_delaunay(pts)
+    assert t.cells == id_order_cells(pts)
+    perturbed = NodeSet(_Padded.from_tessellation(t).pert)
+    assert brute_delaunay_violation(Tessellation(perturbed, t.cells)) < 1e-9
+    assert len(exact_counts(caplog.records, "build_delaunay")) == 1
     # ids stepping evenly along a grid line stay collinear after the
     # perturbation: the exact path finds the flat cell, and the build fails
     caplog.clear()
     with pytest.raises(DegenerateInput):
         build_delaunay(grid_nodes([[0.0, 1.0]] * 2, [3, 3]).points)
-    [(_, exact)] = fallback_counts(caplog.records, "build_delaunay")
+    [exact] = exact_counts(caplog.records, "build_delaunay")
     assert exact > 0
     caplog.clear()
     insert_nodes(kuhn_tessellation([[0.0, 1.0]] * 2, [5, 5]), [[0.3, 0.4], [0.1, 0.1]])
-    assert fallback_counts(caplog.records, "insert_nodes") == [(0, 0)]
+    assert exact_counts(caplog.records, "insert_nodes") == [0]
+
+
+def scan_seeded(pad, pid):
+    """Reference point location: the first conflict cell in a scan over all
+    cells.  The conflict region is connected, so any conflict cell seeds the
+    same cavity."""
+    return next(c for c in pad.cells if pad._in_conflict(c, pid))
+
+
+def kuhn_insert_batch(n, kind, seed, count):
+    """A 2-D or 3-D Kuhn grid and a batch of points to insert: random points
+    in the box, points on grid lines, box centres, or points outside the
+    hull."""
+    rng = np.random.default_rng(seed)
+    counts = [7, 5] if n == 2 else [4, 5, 3]
+    box = np.array([[0.0, 2.0], [0.0, 1.5], [-1.0, 0.0]][:n])
+    lo, hi = box[:, 0], box[:, 1]
+    steps = np.array(counts) - 1
+    if kind == "random":
+        P = rng.uniform(lo, hi, (count, n))
+    elif kind == "grid line":
+        # n - 1 coordinates on grid values: the point lies on a box edge
+        P = rng.uniform(lo, hi, (count, n))
+        for k, free in enumerate(rng.integers(n, size=count)):
+            snap = np.arange(n) != free
+            P[k, snap] = (lo + (hi - lo) * rng.integers(0, counts) / steps)[snap]
+    elif kind == "box centre":
+        P = lo + (hi - lo) * (rng.integers(0, steps, (count, n)) + 0.5) / steps
+        P = P[np.sort(np.unique(P, axis=0, return_index=True)[1])]
+    else:
+        d = rng.normal(size=(count, n))
+        P = (lo + hi) / 2 + d * rng.uniform(2.0, 50.0, (count, 1)) / np.linalg.norm(
+            d, axis=1, keepdims=True)
+    return kuhn_tessellation(box, counts), P
+
+
+@pytest.mark.parametrize("kind", ["random", "grid line", "box centre", "outside"])
+@pytest.mark.parametrize("n", [2, 3])
+@given(st.integers(0, 2**32 - 1), st.integers(1, 10))
+def test_walk_inserts_into_kuhn_grids_match_scan_seeded_reference(n, kind, seed, count):
+    t, P = kuhn_insert_batch(n, kind, seed, count)
+    with no_rebuild():
+        got = insert_nodes(t, list(P))
+        with mock.patch.object(_Padded, "_locate_conflict", scan_seeded):
+            ref = insert_nodes(t, list(P))
+    assert got.cells == ref.cells
+    assert len(got.nodes) == len(t.nodes) + len(P)
 
 
 def test_batch_duplicate_checks_keep_their_order():
