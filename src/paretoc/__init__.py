@@ -23,9 +23,7 @@ from .continuation import (
     analyze,
     clip_polytope,
     finite_difference_hessians,
-    generalized_hessian,
     glue,
-    solve_lambda,
     STRATUM_SINGULAR,
     STRATUM_STABLE,
     STRATUM_UNSTABLE,
@@ -43,7 +41,6 @@ from .refinement import (
     RefinementState,
     initial_state,
     iterate,
-    maximin_fill,
     resample_polyline,
     should_stop,
 )

@@ -99,12 +99,7 @@ def _run_problem(problem, args):
         cx = analyze_constrained(problem, mesh)
         return cx, meta
     tess = _parse_grid(args.grid, problem.domain_box, args.seed)
-    cx = Analyzer(
-        problem,
-        tess,
-        order=args.order,
-        hessian_mode=args.hessians,
-    ).run()
+    cx = Analyzer(problem, tess, order=args.order).run()
     return cx, args.grid
 
 
@@ -318,8 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--order", type=int, choices=(1, 2), default=2,
                        help="1: critical set only; 2: stability clip too")
         p.add_argument("--seed", type=int, default=0, help="seed for random grids")
-        p.add_argument("--hessians", choices=("analytic", "fd"), default="analytic",
-                       help="second-derivative source for the stability clip")
 
     rp = sub.add_parser("run", help="analyze one tessellation and write a complex file")
     common(rp)

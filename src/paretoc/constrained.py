@@ -57,14 +57,13 @@ class ManifoldMesh:
     def n(self) -> int:
         return self.points.shape[1]
 
-    def validate(self, cp: ConstrainedProblem, eps: float = EPS_CONSTRAINT) -> None:
+    def validate(self, cp: ConstrainedProblem) -> None:
         res = np.abs(cp.g_val_at(self.points)).max(axis=1)
         self.node_constraint_residual = res
         worst = float(res.max()) if res.size else 0.0
-        if worst >= eps:
-            raise ValueError(
-                f"mesh node violates the constraint: max |g| = {worst:g} >= {eps:g}"
-            )
+        if worst >= EPS_CONSTRAINT:
+            raise ValueError(f"mesh node violates the constraint: max |g| = "
+                             f"{worst:g} >= {EPS_CONSTRAINT:g}")
 
     def as_tessellation(self) -> Tessellation:
         return Tessellation(NodeSet(self.points), self.cells)

@@ -25,7 +25,6 @@ shared vertices from the table, assembles the polytope and clips it.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import logging
@@ -34,11 +33,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    KernelDimensionMismatch,
-    RankCollapse,
-    UnsupportedObjectiveCount,
-)
+from .errors import UnsupportedObjectiveCount
 from .problems import VectorProblem
 from .tessellation import Tessellation, enumerate_faces
 
@@ -121,7 +116,7 @@ def minors_of_jacobian(J: np.ndarray, sel: MinorSelection) -> np.ndarray:
     return np.stack([np.linalg.det(J[..., list(cols)]) for cols in sel.columns], axis=-1)
 
 
-def snapped_determinants(matrices: np.ndarray, rel: float = DET_SNAP_REL) -> np.ndarray:
+def snapped_determinants(matrices: np.ndarray) -> np.ndarray:
     """Determinants of a stack of square matrices, each zeroed below its
     round-off floor, in one batched call.
 
@@ -132,7 +127,7 @@ def snapped_determinants(matrices: np.ndarray, rel: float = DET_SNAP_REL) -> np.
     """
     det = np.linalg.det(matrices)
     bound = np.prod(np.linalg.norm(matrices, axis=-2), axis=-1)
-    return np.where(np.abs(det) <= rel * bound, 0.0, det)
+    return np.where(np.abs(det) <= DET_SNAP_REL * bound, 0.0, det)
 
 
 # ---------------------------------------------------------------------------
@@ -149,35 +144,19 @@ def _simplex_tangent_basis(m: int) -> np.ndarray:
     return basis
 
 
-def solve_lambda(grad_interp: np.ndarray, eps_rank: float = EPS_RANK):
-    """Weights of the vanishing convex-ish combination of gradient rows.
-
-    Minimizes ||lambda^T G|| subject to sum(lambda) = 1 (minimal-norm
-    tie-break), returning ``(lambda, residual)``.  Signs are *not*
-    constrained; they drive the downstream clip.
-
-    Raises
-    ------
-    RankCollapse
-        rank(G) < m-1, so the weight direction is ambiguous.
-    """
-    lam, residual = solve_lambdas(np.asarray(grad_interp, dtype=float)[None], eps_rank)
-    if np.isnan(lam[0, 0]):
-        raise RankCollapse(f"gradient rank below {lam.shape[1] - 1}")
-    return lam[0], float(residual[0])
-
-
-def solve_lambdas(G: np.ndarray, eps_rank: float = EPS_RANK):
-    """:func:`solve_lambda` over a (V, m, n) stack of gradient rows.
-
-    Returns ``(lam, residual)`` of shapes (V, m) and (V,); where the rank
-    collapses, the row of ``lam`` is NaN and the residual is infinite.
+def solve_lambdas(G: np.ndarray):
+    """Weights of the vanishing convex-ish combination of gradient rows, for
+    a (V, m, n) stack: each row minimizes ||lambda^T G|| subject to
+    sum(lambda) = 1 (minimal-norm tie-break).  Signs are *not* constrained;
+    they drive the downstream clip.  Returns ``(lam, residual)`` of shapes
+    (V, m) and (V,).  Where rank(G) < m-1 the weights are ambiguous (a rank
+    collapse): the row of ``lam`` is NaN and the residual is infinite.
     """
     V, m, _ = G.shape
     sv = np.linalg.svd(G, compute_uv=False)
     collapse = sv[:, 0] == 0.0
     if m >= 2:
-        collapse |= sv[:, m - 2] <= eps_rank * sv[:, 0]
+        collapse |= sv[:, m - 2] <= EPS_RANK * sv[:, 0]
     lam0 = np.full(m, 1.0 / m)
     Z = _simplex_tangent_basis(m)
     GT = np.swapaxes(G, 1, 2)
@@ -187,7 +166,7 @@ def solve_lambdas(G: np.ndarray, eps_rank: float = EPS_RANK):
     # numerically-zero system falls back to the minimal-norm weights instead
     # of amplifying round-off
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    keep = s > eps_rank * sv[:, :1]
+    keep = s > EPS_RANK * sv[:, :1]
     lam = np.full((V, m), np.nan)
     residual = np.full(V, np.inf)
     # the back-substitution stays per vertex: its stacked form rounds
@@ -448,7 +427,7 @@ def solve_faces(omega_nodes: np.ndarray, faces) -> tuple:
 
 
 def _face_table(omega_nodes: np.ndarray, faces: Sequence[tuple], points: np.ndarray,
-                jac_nodes: np.ndarray, eps_accept: float = EPS_ACCEPT) -> dict:
+                jac_nodes: np.ndarray) -> dict:
     """Solve distinct faces at once; map each face to its singular vertex.
 
     The entry of a face is its accepted :class:`SingularVertex` (key
@@ -461,7 +440,7 @@ def _face_table(omega_nodes: np.ndarray, faces: Sequence[tuple], points: np.ndar
     mu, singular = solve_faces(omega_nodes, faces)
     for f in np.flatnonzero(singular).tolist():
         table[faces[f]] = _RANK_DEFICIENT
-    rows = np.flatnonzero(np.all(mu > eps_accept, axis=1))  # NaN rows fail
+    rows = np.flatnonzero(np.all(mu > EPS_ACCEPT, axis=1))  # NaN rows fail
     verts = _face_vertices(np.asarray(faces, dtype=np.intp)[rows],
                            np.maximum(mu[rows], 0.0), points, jac_nodes)
     table.update(zip([faces[f] for f in rows.tolist()], verts))
@@ -530,38 +509,20 @@ def finite_difference_hessians(problem: VectorProblem, points_cell: np.ndarray,
     return out
 
 
-def generalized_hessian(vertex: SingularVertex, n: int, m: int,
-                        eps_rank: float = EPS_RANK) -> np.ndarray:
-    """Eigenvalues of the second-derivative form restricted to ker Du.
+def generalized_hessians(G: np.ndarray, lam: np.ndarray, hess: np.ndarray) -> tuple:
+    """Eigenvalues of the second-derivative form restricted to ker Du, for V
+    vertices in stacked calls.
 
-    The kernel basis comes from the SVD of the interpolated Jacobian; if the
-    numerical rank drops below m-1 the kernel dimension is ambiguous and
-    KernelDimensionMismatch is raised.  ``n`` and ``m`` are the dimensions of
-    the vertex's (m, n) gradient rows.
-    """
-    if vertex.lam is None or vertex.hess_interp is None:
-        raise KernelDimensionMismatch("vertex lacks weights or Hessian data")
-    sigma, fail = generalized_hessians(
-        vertex.grad_interp[None], vertex.lam[None], vertex.hess_interp[None], eps_rank
-    )
-    if fail[0]:
-        raise KernelDimensionMismatch("interpolated Jacobian rank below m-1")
-    return sigma[0]
-
-
-def generalized_hessians(G: np.ndarray, lam: np.ndarray, hess: np.ndarray,
-                         eps_rank: float = EPS_RANK) -> np.ndarray:
-    """:func:`generalized_hessian` over V vertices in stacked calls.
-
-    ``G`` is (V, m, n), ``lam`` (V, m) and ``hess`` (V, m, n, n).  Returns
-    ``(sigma, fail)``: the (V, n-m+1) eigenvalues and the mask of the rows
-    whose rank is below m-1 (their eigenvalues are meaningless).
+    ``G`` is (V, m, n), ``lam`` (V, m) and ``hess`` (V, m, n, n); the kernel
+    basis comes from the SVD of G.  Returns ``(sigma, fail)``: the (V, n-m+1)
+    eigenvalues and the mask of the rows whose numerical rank is below m-1,
+    where the kernel dimension is ambiguous and the eigenvalues meaningless.
     """
     V, m, n = G.shape
     _, sv, vt = np.linalg.svd(G)
     fail = sv[:, 0] == 0.0
     if m >= 2:
-        fail |= sv[:, m - 2] <= eps_rank * sv[:, 0]
+        fail |= sv[:, m - 2] <= EPS_RANK * sv[:, 0]
     W = np.swapaxes(vt[:, m - 1:], 1, 2)  # (V, n, n-m+1) orthonormal kernel-ish bases
     H = np.matmul(lam[:, None, :], hess.reshape(V, m, n * n)).reshape(V, n, n)
     B = np.swapaxes(W, 1, 2) @ H @ W
@@ -612,10 +573,9 @@ class Analyzer:
     holds each cell's vertices and, for m = 3, its polygon order.  Both are
     filled in stacked passes before the cell loop and only read inside it.
 
-    The per-cell step clips the cell's polytope on the shared vertices.  With
-    ``hessian_mode="fd"`` the Hessians are the cell's own, so each cell copies
-    its vertices and evaluates sigma itself.  A cell analysed outside
-    :meth:`run_cells` first fills the tables for itself, through the same code.
+    The per-cell step clips the cell's polytope on the shared vertices.  A
+    cell analysed outside :meth:`run_cells` first fills the tables for
+    itself, through the same code.
     """
 
     def __init__(
@@ -624,7 +584,6 @@ class Analyzer:
         tess: Tessellation,
         selection: Optional[MinorSelection] = None,
         order: int = 2,
-        hessian_mode: str = "analytic",
         *,
         jac_nodes: Optional[np.ndarray] = None,
         omega_nodes: Optional[np.ndarray] = None,
@@ -637,7 +596,6 @@ class Analyzer:
         self.problem = problem
         self.tess = tess
         self.order = order
-        self.hessian_mode = hessian_mode
         self.sigma_skip = problem.sigma_skip
         self.selection = None
         if self.sigma_skip:
@@ -717,7 +675,7 @@ class Analyzer:
         hessian = []
         if not self.sigma_skip:
             reach = [i for i, (verts, _) in enumerate(entries) if len(verts) >= self.problem.m]
-            if self.order >= 2 and self.hessian_mode != "fd":
+            if self.order >= 2:
                 hessian = self._attach_hessians([entries[i][0] for i in reach])
             if self.problem.m == 3:
                 for i, order in zip(reach, _polygon_orders([entries[i][0] for i in reach])):
@@ -795,11 +753,6 @@ class Analyzer:
             for v in verts:
                 if v.lam is None:
                     analysis.warnings.append("rank collapse at a singular vertex")
-            if self.order >= 2 and self.hessian_mode == "fd":
-                cell = list(self.tess.cells[ci])
-                H = finite_difference_hessians(
-                    self.problem, self.tess.nodes.points[cell], self.jac_nodes[cell])
-                verts = [dataclasses.replace(v, hess_interp=H) for v in verts]
             pieces = self._assemble_pieces(verts, order, analysis)
         analysis.singular_vertices = verts
         if not pieces:
@@ -837,7 +790,7 @@ class Analyzer:
             return analysis
         verts = {v.id: v for piece in theta for v in piece.verts}
         # face-table vertices come with sigma; first-order clip-born vertices
-        # (and every vertex in fd mode) are evaluated here, in one stacked call
+        # are evaluated here, in one stacked call
         _attach_sigma([v for v in verts.values() if v.sigma is None and not v.kernel_fail])
         sigma_scale = 1.0
         for v in verts.values():
@@ -1043,9 +996,6 @@ def glue(analyses: Iterable[CellAnalysis], problem: VectorProblem,
 
 
 def analyze(problem: VectorProblem, tess: Tessellation, order: int = 2,
-            selection: Optional[MinorSelection] = None,
-            hessian_mode: str = "analytic") -> ParetoComplex:
+            selection: Optional[MinorSelection] = None) -> ParetoComplex:
     """One-call pipeline: cache, per-cell analysis, glue."""
-    return Analyzer(
-        problem, tess, selection=selection, order=order, hessian_mode=hessian_mode
-    ).run()
+    return Analyzer(problem, tess, selection=selection, order=order).run()

@@ -30,14 +30,6 @@ class UnknownProblem(ParetocError):
 # --- continuation ---
 
 
-class RankCollapse(ParetocError):
-    """Interpolated Jacobian has rank < m-1; weights are ambiguous."""
-
-
-class KernelDimensionMismatch(ParetocError):
-    """Numerical kernel of the interpolated Jacobian is not (n-m+1)-dimensional."""
-
-
 class UnsupportedObjectiveCount(ParetocError):
     """Polytope realization is only implemented for 2 or 3 objectives."""
 

@@ -150,18 +150,15 @@ def resample_polyline(cx: ParetoComplex) -> list:
     return out
 
 
-def maximin_fill(cx: ParetoComplex, count: int) -> list:
+def _maximin_fill_with_hosts(cx: ParetoComplex, count: int):
     """Greedy accumulated-volume filling of the critical subcomplex.
 
     Repeatedly picks the simplex whose own measure plus that of its active
     neighbours is largest (ties to the lowest simplex index), emits its
     centroid and excludes it; excluded simplices contribute nothing and
     cannot be picked again, so at most one point per simplex is produced.
+    Returns ``(points, hosts)``, the hosts as indices into ``cx.simplices``.
     """
-    return _maximin_fill_with_hosts(cx, count)[0]
-
-
-def _maximin_fill_with_hosts(cx: ParetoComplex, count: int):
     strata = _target_strata(cx)
     ids = cx.simplex_ids(strata)
     if not ids:

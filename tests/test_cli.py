@@ -163,11 +163,16 @@ def test_cli_exit_codes(capsys, tmp_path):
     capsys.readouterr()
 
 
-def test_cli_threads_is_a_usage_error(capsys):
+@pytest.mark.parametrize("flag", [
     # cells are analysed on one thread; there is no width to set
-    assert main(["--threads", "2", "run", "--problem", "triv", "--grid", "5x5"]) == 1
-    assert main(["run", "--problem", "triv", "--grid", "5x5", "--threads", "2"]) == 1
-    assert "--threads" in capsys.readouterr().err
+    pytest.param(["--threads", "2"], id="threads"),
+    # the stability clip reads the problem's analytic Hessians only
+    pytest.param(["--hessians", "fd"], id="hessians"),
+])
+def test_cli_removed_flag_is_a_usage_error(flag, capsys):
+    assert main([*flag, "run", "--problem", "triv", "--grid", "5x5"]) == 1
+    assert main(["run", "--problem", "triv", "--grid", "5x5", *flag]) == 1
+    assert flag[0] in capsys.readouterr().err
 
 
 def _cli(*args):

@@ -3,7 +3,9 @@
 Each unconstrained case pins the SHA-256 of the saved complex file and of the
 per-cell warnings handed to ``glue``.  The values were recorded before the
 analysis core became face-first (each distinct face and vertex solved once),
-so any change to the bytes or to the warnings shows up here.
+so any change to the bytes or to the warnings shows up here.  ``smale_16`` and
+``tri_5`` were recorded later, at 76d677b: they replace two cases of the
+deleted finite-difference Hessian mode with analytic runs on the same inputs.
 
 The constrained cases pin the complex file only.  They were recorded while
 the constrained pipeline still had its own per-cell loop, before it became an
@@ -79,14 +81,14 @@ def _kuhn(name, counts):
 # name -> (problem and tessellation, Analyzer keywords,
 #          complex file SHA-256, warnings SHA-256)
 CASES = {
-    "smale_fd": (
-        lambda: _kuhn("smale", [16, 16]), {"hessian_mode": "fd"},
-        "4356fc28cf48cfc27be3fc1bb04cd0bfd0962f3e71eb1780737ef8a420c390bc",
+    "smale_16": (
+        lambda: _kuhn("smale", [16, 16]), {},
+        "05a9e29f3326caefbb869a6874b4f903491fbe4e232c4edaa263787598488eb6",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     ),
-    "tri_fd": (
-        lambda: _kuhn("tri_quadratic", [5, 5, 5]), {"hessian_mode": "fd"},
-        "6dc3ed350da7eb78fdfb227024e2170155258628b840e3be6cd50afbbb514175",
+    "tri_5": (
+        lambda: _kuhn("tri_quadratic", [5, 5, 5]), {},
+        "b27c5a845d945a78a4eb349498ac7b79c2e4f35f4f728ccdcc54331688de2cbd",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     ),
     "noncv_order1": (
@@ -99,9 +101,7 @@ CASES = {
         "ad91b84423424de52830058c7e3885e49c8e68ce67ecdddb1570760e590b642c",
         "5706067dddf07911b79e29742b94f9d7561ca3e3c514762df85b4b5d57beb732",
     ),
-    # named for the two-thread run it was first recorded with; the cells are
-    # analysed in one thread, and the bytes are those of that first recording
-    "tri_threads2": (
+    "tri_6": (
         lambda: _kuhn("tri_quadratic", [6, 6, 6]), {},
         "85ebf617415d64f551d4c0a156bc4f7165e7166dab19a29cc6ac4b62a4c8ad48",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",

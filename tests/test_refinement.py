@@ -6,9 +6,9 @@ from paretoc.errors import EmptyComplex, NoProgress
 from paretoc.geometry import points_to_simplex_distance
 from paretoc.problems import registry_get
 from paretoc.refinement import (
+    _maximin_fill_with_hosts,
     initial_state,
     iterate,
-    maximin_fill,
     resample_polyline,
     should_stop,
 )
@@ -73,7 +73,7 @@ def test_maximin_accumulated_volumes_and_ties():
         [[0.0, 0], [1.0, 0], [4.0, 0], [5.0, 0]],
         [(0, 1), (1, 2), (2, 3)],  # lengths 1, 3, 1 -> accumulated 4, 5, 4
     )
-    pts = maximin_fill(cx, 3)
+    pts = _maximin_fill_with_hosts(cx, 3)[0]
     assert pts[0] == pytest.approx([2.5, 0.0])  # max accumulated
     assert pts[1] == pytest.approx([0.5, 0.0])  # tie (1,1) -> lowest id
     assert pts[2] == pytest.approx([4.5, 0.0])
@@ -87,7 +87,7 @@ def test_maximin_single_triangle_centroid():
         keys=[("f", i) for i in range(3)],
         simplices=[((0, 1, 2), STRATUM_STABLE, 0)], markers=[],
     )
-    pts = maximin_fill(cx, 1)
+    pts = _maximin_fill_with_hosts(cx, 1)[0]
     assert pts[0] == pytest.approx([1 / 3, 1 / 3, 0.0])
 
 
@@ -96,7 +96,7 @@ def test_maximin_no_simplex_twice():
         [[0.0, 0], [1.0, 0], [2.0, 0], [3.0, 0]],
         [(0, 1), (1, 2), (2, 3)],
     )
-    pts = maximin_fill(cx, 10)
+    pts = _maximin_fill_with_hosts(cx, 10)[0]
     assert len(pts) == 3  # one centroid per simplex, never repeated
     assert len({tuple(np.round(p, 12)) for p in pts}) == 3
 
