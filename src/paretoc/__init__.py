@@ -16,8 +16,6 @@ from .constrained import (
 from .continuation import (
     Analyzer,
     CellAnalysis,
-    MinorSelection,
-    selection_for,
     ParetoComplex,
     SingularVertex,
     analyze,

@@ -65,55 +65,14 @@ MARKER_CUSP = "cusp"
 
 
 # ---------------------------------------------------------------------------
-# minor selection
+# minors
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinorSelection:
-    """Which m-column subsets of the Jacobian form the r minors.
-
-    The default is the r = n-m+1 contiguous windows [j, j+m).  A custom
-    selection (still one m-tuple per minor, jointly covering every column) can
-    be attached when the windows are structurally degenerate for a particular
-    map.
-    """
-
-    columns: tuple
-
-    @staticmethod
-    def default(n: int, m: int) -> "MinorSelection":
-        r = n - m + 1
-        return MinorSelection(tuple(tuple(range(j, j + m)) for j in range(r)))
-
-    @property
-    def r(self) -> int:
-        return len(self.columns)
-
-    def validate(self, n: int, m: int) -> None:
-        covered = set()
-        for win in self.columns:
-            if len(win) != m or any(not 0 <= c < n for c in win):
-                raise ValueError(f"minor window {win} invalid for n={n}, m={m}")
-            covered.update(win)
-        if covered != set(range(n)):
-            raise ValueError("minor windows must jointly cover every column")
-
-
-def selection_for(problem: VectorProblem,
-                  selection: Optional[MinorSelection] = None) -> MinorSelection:
-    """Resolve the minor selection: explicit, problem-attached, or default."""
-    if selection is not None:
-        return selection
-    if problem.minor_columns is not None:
-        return MinorSelection(tuple(tuple(int(c) for c in w) for w in problem.minor_columns))
-    return MinorSelection.default(problem.n, problem.m)
-
-
-def minors_of_jacobian(J: np.ndarray, sel: MinorSelection) -> np.ndarray:
-    """The selected minors of one Jacobian (m, n), or of a stack (N, m, n) as
-    an (N, r) array, one batched determinant per minor window."""
-    return np.stack([np.linalg.det(J[..., list(cols)]) for cols in sel.columns], axis=-1)
+def minors_of_jacobian(J: np.ndarray, columns: Sequence[tuple]) -> np.ndarray:
+    """The minors of one Jacobian (m, n) on the given column windows, or of a
+    stack (N, m, n) as an (N, r) array, one batched determinant per window."""
+    return np.stack([np.linalg.det(J[..., list(cols)]) for cols in columns], axis=-1)
 
 
 def snapped_determinants(matrices: np.ndarray) -> np.ndarray:
@@ -545,15 +504,12 @@ def _attach_sigma(verts: list) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _nodal_data(problem: VectorProblem, points: np.ndarray,
-                selection: Optional[MinorSelection]) -> tuple:
-    """Nodal Jacobians and, given a minor selection, the snapped nodal minors
-    (one batched determinant per minor window)."""
+def _nodal_data(problem: VectorProblem, points: np.ndarray) -> tuple:
+    """Nodal Jacobians and the snapped nodal minors on the problem's windows
+    (one batched determinant per window)."""
     jac_nodes = problem.jac_at(points)
-    if selection is None:
-        return jac_nodes, None
-    omega_nodes = np.empty((len(points), selection.r))
-    for j, cols in enumerate(selection.columns):
+    omega_nodes = np.empty((len(points), len(problem.minor_columns)))
+    for j, cols in enumerate(problem.minor_columns):
         omega_nodes[:, j] = snapped_determinants(jac_nodes[:, :, list(cols)])
     return jac_nodes, omega_nodes
 
@@ -561,17 +517,22 @@ def _nodal_data(problem: VectorProblem, points: np.ndarray,
 class Analyzer:
     """Runs the face-first pipeline over a tessellation and glues the result.
 
-    Set-up computes the nodal Jacobians and, in one batched call per minor
-    window, the snapped nodal minors.  A caller with its own nodal data (the
-    constrained pipeline: projected gradients and augmented minors) passes
-    ``jac_nodes`` (N, m, n) and ``omega_nodes`` (N, r) instead; r is then the
-    minors' width and no :class:`MinorSelection` is involved.  Before the
-    cells are analysed, the distinct r-faces of all of them go through one
-    stacked barycentric solve into the face table, where each accepted vertex
-    gets its id, lambda, analytic Hessian interpolation and sigma, exactly
-    once.  (In m > n mode the faces are the single nodes.)  The cell table
+    Set-up computes the nodal Jacobians and, in one batched call per window
+    of :attr:`VectorProblem.minor_columns`, the snapped nodal minors.  A
+    caller with its own nodal data (the constrained pipeline: projected
+    gradients and augmented minors) passes ``jac_nodes`` (N, m, n) and
+    ``omega_nodes`` (N, r) instead; r is then the minors' width and the
+    problem's windows are not read.  Before the cells are analysed, the
+    distinct r-faces of all of them go through one stacked barycentric solve
+    into the face table, where each accepted vertex gets its id, lambda,
+    analytic Hessian interpolation and sigma, exactly once.  The cell table
     holds each cell's vertices and, for m = 3, its polygon order.  Both are
     filled in stacked passes before the cell loop and only read inside it.
+
+    With m > n (supported for n = m - 1) there is no window, r = 0: every
+    cell passes the filter, its faces are its single nodes, each solved to
+    mu = 1, and the cell itself is the singular piece.  The kernel of Du is
+    then trivial, so the analysis is first order.
 
     The per-cell step clips the cell's polytope on the shared vertices.  A
     cell analysed outside :meth:`run_cells` first fills the tables for
@@ -582,7 +543,6 @@ class Analyzer:
         self,
         problem: VectorProblem,
         tess: Tessellation,
-        selection: Optional[MinorSelection] = None,
         order: int = 2,
         *,
         jac_nodes: Optional[np.ndarray] = None,
@@ -591,36 +551,30 @@ class Analyzer:
         if problem.m not in (2, 3):
             raise UnsupportedObjectiveCount(
                 f"polytope realization supports m in (2, 3), got m={problem.m}")
-        if problem.sigma_skip and problem.n > 2:
-            raise UnsupportedObjectiveCount("m > n mode implemented for n <= 2 only")
+        if problem.sigma_skip:
+            # the cell is the singular piece: a segment or a triangle
+            if problem.n != problem.m - 1:
+                raise UnsupportedObjectiveCount("m > n mode implemented for n = m - 1 only")
+            if order >= 2:
+                logger.info("m > n: second-order clip skipped (kernel is trivial)")
+            order = 1
         self.problem = problem
         self.tess = tess
         self.order = order
-        self.sigma_skip = problem.sigma_skip
-        self.selection = None
-        if self.sigma_skip:
-            if order >= 2:
-                logger.info("m > n: second-order clip skipped (kernel is trivial)")
-        elif jac_nodes is None:
-            self.selection = selection_for(problem, selection)
-            self.selection.validate(problem.n, problem.m)
         if jac_nodes is None:
-            jac_nodes, omega_nodes = _nodal_data(problem, tess.nodes.points, self.selection)
-        elif not self.sigma_skip and omega_nodes is None:
+            jac_nodes, omega_nodes = _nodal_data(problem, tess.nodes.points)
+        elif omega_nodes is None:
             raise ValueError("precomputed gradient rows need their nodal minors")
         self.jac_nodes = jac_nodes
-        self.omega_nodes = None if self.sigma_skip else omega_nodes
-        self.r = 0 if self.sigma_skip else self.omega_nodes.shape[1]
-        if len(tess.nodes) and not self.sigma_skip:
-            for j in np.flatnonzero(np.all(self.omega_nodes == 0.0, axis=0)):
-                if self.selection is None:
-                    logger.warning("supplied nodal minor %d vanishes at every node", j)
-                else:
-                    logger.warning(
-                        "minor %s vanishes at every node: the selection is "
-                        "structurally degenerate for this map, supply a custom "
-                        "MinorSelection", self.selection.columns[j],
-                    )
+        self.omega_nodes = omega_nodes
+        self.r = omega_nodes.shape[1]
+        if len(tess.nodes):
+            for j in np.flatnonzero(np.all(omega_nodes == 0.0, axis=0)):
+                logger.warning(
+                    "nodal minor %d vanishes at every node: it is structurally "
+                    "degenerate for this map, choose other windows in "
+                    "VectorProblem.minor_columns", j,
+                )
         self._faces: dict = {}  # face tuple -> shared vertex | None | _RANK_DEFICIENT
         self._cells: dict = {}  # cell -> (vertices, rank-deficient faces, polygon order)
         self._face_ids = itertools.count()
@@ -629,8 +583,6 @@ class Analyzer:
     def candidate_cells(self) -> np.ndarray:
         """Indices of cells where every minor changes sign (vectorized filter)."""
         cells = np.array(self.tess.cells)
-        if self.sigma_skip:
-            return np.arange(len(cells))
         om = self.omega_nodes[cells]  # (C, n+1, r)
         lo = om.min(axis=1)
         hi = om.max(axis=1)
@@ -638,12 +590,6 @@ class Analyzer:
         return np.nonzero(mask)[0]
 
     # -- face and cell tables ----------------------------------------------------
-
-    def _cell_faces(self, ci: int) -> list:
-        cell = self.tess.cells[ci]
-        if self.sigma_skip:
-            return [(int(i),) for i in cell]
-        return enumerate_faces(cell, self.r)
 
     def _fill_face_table(self, cells: Iterable[int]) -> None:
         """Fill the face and cell tables for ``cells``.
@@ -655,16 +601,10 @@ class Analyzer:
         stacked calls.
         """
         cells = [int(ci) for ci in cells if int(ci) not in self._cells]
-        cell_faces = [self._cell_faces(ci) for ci in cells]
+        cell_faces = [enumerate_faces(self.tess.cells[ci], self.r) for ci in cells]
         faces = list(dict.fromkeys(
             f for fs in cell_faces for f in fs if f not in self._faces))
-        pts = self.tess.nodes.points
-        if self.sigma_skip:
-            nodes = np.array(faces, dtype=np.intp).reshape(-1, 1)
-            new = dict(zip(faces, _face_vertices(nodes, np.ones(nodes.shape), pts,
-                                                 self.jac_nodes)))
-        else:
-            new = _face_table(self.omega_nodes, faces, pts, self.jac_nodes)
+        new = _face_table(self.omega_nodes, faces, self.tess.nodes.points, self.jac_nodes)
         fresh = [v for v in new.values() if isinstance(v, SingularVertex)]
         for v in fresh:
             v.id = next(self._face_ids)
@@ -673,13 +613,12 @@ class Analyzer:
         entries = [_cell_vertices(self._faces, fs) for fs in cell_faces]
         orders: list = [None] * len(cells)
         hessian = []
-        if not self.sigma_skip:
-            reach = [i for i, (verts, _) in enumerate(entries) if len(verts) >= self.problem.m]
-            if self.order >= 2:
-                hessian = self._attach_hessians([entries[i][0] for i in reach])
-            if self.problem.m == 3:
-                for i, order in zip(reach, _polygon_orders([entries[i][0] for i in reach])):
-                    orders[i] = order
+        reach = [i for i, (verts, _) in enumerate(entries) if len(verts) >= self.problem.m]
+        if self.order >= 2:
+            hessian = self._attach_hessians([entries[i][0] for i in reach])
+        if self.problem.m == 3:
+            for i, order in zip(reach, _polygon_orders([entries[i][0] for i in reach])):
+                orders[i] = order
         for v in fresh + hessian:
             for a in (v.x, v.mu, v.grad_interp, v.lam, v.hess_interp, v.sigma):
                 if a is not None:
@@ -734,7 +673,7 @@ class Analyzer:
 
     def analyze_cell(self, ci: int) -> CellAnalysis:
         analysis = self.analyze_cell_first_order(ci)
-        if self.order >= 2 and not self.sigma_skip:
+        if self.order >= 2:
             self.analyze_cell_second_order(analysis)
         return analysis
 
@@ -745,15 +684,12 @@ class Analyzer:
         analysis = CellAnalysis(cell_index=ci)
         if skipped:
             analysis.warnings.append(f"{skipped} rank-deficient face system(s) skipped")
-        if self.sigma_skip:  # the whole cell is singular
-            pieces = [Piece(verts, "segment" if self.problem.n == 1 else "polygon")]
-        else:
-            if len(verts) < self.problem.m:
-                return analysis
-            for v in verts:
-                if v.lam is None:
-                    analysis.warnings.append("rank collapse at a singular vertex")
-            pieces = self._assemble_pieces(verts, order, analysis)
+        if len(verts) < self.problem.m:
+            return analysis
+        for v in verts:
+            if v.lam is None:
+                analysis.warnings.append("rank collapse at a singular vertex")
+        pieces = self._assemble_pieces(verts, order, analysis)
         analysis.singular_vertices = verts
         if not pieces:
             return analysis
@@ -782,8 +718,6 @@ class Analyzer:
         return analysis
 
     def analyze_cell_second_order(self, analysis: CellAnalysis) -> CellAnalysis:
-        if self.sigma_skip:
-            return analysis
         theta = analysis.strata[STRATUM_UNSTABLE]
         analysis.strata[STRATUM_UNSTABLE] = []
         if not theta:
@@ -995,7 +929,6 @@ def glue(analyses: Iterable[CellAnalysis], problem: VectorProblem,
     )
 
 
-def analyze(problem: VectorProblem, tess: Tessellation, order: int = 2,
-            selection: Optional[MinorSelection] = None) -> ParetoComplex:
+def analyze(problem: VectorProblem, tess: Tessellation, order: int = 2) -> ParetoComplex:
     """One-call pipeline: cache, per-cell analysis, glue."""
-    return Analyzer(problem, tess, selection=selection, order=order).run()
+    return Analyzer(problem, tess, order=order).run()

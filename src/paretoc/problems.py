@@ -30,9 +30,14 @@ class VectorProblem:
     Each callable maps a stack of points X (N, n) in one call: ``eval`` to
     the (N, m) objective values, ``jacobian`` to the (N, m, n) matrices of
     gradients (rows), ``hessians`` to the (N, m, n, n) stacks of symmetric
-    matrices.  ``m <= n`` is the standard pipeline; ``m > n`` is accepted
-    and flips :attr:`sigma_skip` (the singular set is the whole domain, so
-    minor extraction is skipped downstream).
+    matrices.
+
+    ``minor_columns`` holds the m-column windows whose Jacobian minors the
+    pipeline tests, resolved once at construction: the problem's own windows
+    if given (each of width m, jointly covering every column, else
+    ``ValueError``), otherwise the r = n-m+1 contiguous windows [j, j+m).
+    ``m > n`` is accepted: the singular set is then the whole domain, there
+    is no window (``()``) and :attr:`sigma_skip` is set.
 
     The pipeline evaluates through :meth:`u_at`, :meth:`jac_at` and
     :meth:`hess_at`; :meth:`u`, :meth:`jac` and :meth:`hess` are their
@@ -53,6 +58,19 @@ class VectorProblem:
 
     def __post_init__(self):
         self.domain_box = np.asarray(self.domain_box, dtype=float).reshape(self.n, 2)
+        if self.minor_columns is None:
+            self.minor_columns = [range(j, j + self.m) for j in range(self.n - self.m + 1)]
+        self.minor_columns = tuple(tuple(int(c) for c in w) for w in self.minor_columns)
+        columns = set(range(self.n))
+        covered = set()
+        for win in self.minor_columns:
+            # a window is m distinct columns of the Jacobian; with m > n
+            # there is none
+            if len(win) != self.m or len(columns.intersection(win)) != self.m:
+                raise ValueError(f"minor window {win} invalid for n={self.n}, m={self.m}")
+            covered.update(win)
+        if covered != columns and not self.sigma_skip:
+            raise ValueError("minor windows must jointly cover every column")
 
     @property
     def sigma_skip(self) -> bool:

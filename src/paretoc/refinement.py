@@ -18,12 +18,10 @@ import numpy as np
 
 from .continuation import (
     Analyzer,
-    MinorSelection,
     ParetoComplex,
     STRATUM_STABLE,
     STRATUM_UNSTABLE,
     minors_of_jacobian,
-    selection_for,
 )
 from .errors import EmptyComplex, NoProgress
 from .geometry import simplex_measure
@@ -51,21 +49,13 @@ class RefinementState:
     tess: Tessellation
     complex: ParetoComplex
     order: int = 2
-    selection: Optional[MinorSelection] = None
     iteration: int = 0
     history: list = field(default_factory=list)
 
 
-def initial_state(
-    problem: VectorProblem,
-    tess: Tessellation,
-    order: int = 2,
-    selection: Optional[MinorSelection] = None,
-) -> RefinementState:
-    cx = Analyzer(problem, tess, selection=selection, order=order).run()
-    return RefinementState(
-        problem=problem, tess=tess, complex=cx, order=order, selection=selection
-    )
+def initial_state(problem: VectorProblem, tess: Tessellation, order: int = 2) -> RefinementState:
+    cx = Analyzer(problem, tess, order=order).run()
+    return RefinementState(problem=problem, tess=tess, complex=cx, order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -187,21 +177,25 @@ def _maximin_fill_with_hosts(cx: ParetoComplex, count: int):
                 if a != b:
                     neighbors[a].add(b)
     active = np.ones(k, dtype=bool)
+
+    def score(si: int):
+        return vols[si] + sum(vols[j] for j in neighbors[si] if active[j])
+
+    # a pick changes only its own score and its active neighbours' scores
+    acc = np.array([score(si) for si in range(k)])
     out = []
     hosts = []
     for _ in range(min(count, k)):
-        acc = np.where(active, vols, 0.0).copy()
-        for si in range(k):
-            if not active[si]:
-                acc[si] = -np.inf
-                continue
-            acc[si] += sum(vols[j] for j in neighbors[si] if active[j])
         best = int(np.argmax(acc))  # argmax takes the lowest index on ties
         if not np.isfinite(acc[best]):
             break
         out.append(cx.positions[list(verts[best])].mean(axis=0))
         hosts.append(ids[best])
         active[best] = False
+        acc[best] = -np.inf
+        for j in neighbors[best]:
+            if active[j]:
+                acc[j] = score(j)
     return out, hosts
 
 
@@ -231,20 +225,15 @@ def _boundary_candidates(cx: ParetoComplex) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _minor_magnitudes(problem: VectorProblem, sel: MinorSelection, X) -> np.ndarray:
+def _minor_magnitudes(problem: VectorProblem, X) -> np.ndarray:
     """Largest |minor| of the true Jacobian at every row of X (N, n)."""
-    return np.abs(minors_of_jacobian(problem.jac_at(X), sel)).max(axis=1)
+    return np.abs(minors_of_jacobian(problem.jac_at(X), problem.minor_columns)).max(axis=1)
 
 
-def complex_minor_stats(
-    problem: VectorProblem,
-    cx: ParetoComplex,
-    selection: Optional[MinorSelection] = None,
-):
+def complex_minor_stats(problem: VectorProblem, cx: ParetoComplex):
     """(max, mean) |minor| over refinement-target vertices, from true Jacobians."""
     if problem.sigma_skip:
         return 0.0, 0.0
-    sel = selection_for(problem, selection)
     try:
         strata = _target_strata(cx)
     except EmptyComplex:
@@ -252,7 +241,7 @@ def complex_minor_stats(
     vids = sorted({v for i in cx.simplex_ids(strata) for v in cx.simplices[i][0]})
     if not vids:
         return np.inf, np.inf
-    vals = _minor_magnitudes(problem, sel, cx.positions[vids])
+    vals = _minor_magnitudes(problem, cx.positions[vids])
     return float(vals.max()), float(vals.mean())
 
 
@@ -277,16 +266,15 @@ def iterate(
         raise ValueError(f"unknown scheme {scheme!r}")
     if budget is not None and len(candidates) > budget:
         # rank the sites by minor magnitude and keep only the worst offenders
-        sel = selection_for(problem, state.selection)
         if hosts is not None:
             # a host simplex scores the largest magnitude at its vertices
             cx = state.complex
             host_vids = [cx.simplices[host][0] for host in hosts]
             vids = sorted({v for ids in host_vids for v in ids})
-            at = dict(zip(vids, _minor_magnitudes(problem, sel, cx.positions[vids])))
+            at = dict(zip(vids, _minor_magnitudes(problem, cx.positions[vids])))
             scores = [max(at[v] for v in ids) for ids in host_vids]
         else:
-            scores = _minor_magnitudes(problem, sel, np.array(candidates))
+            scores = _minor_magnitudes(problem, np.array(candidates))
         order = np.argsort(scores)[::-1][:budget]
         candidates = [candidates[i] for i in sorted(order)]
     # spacing guard: keep candidates at least gamma x (shortest edge incident
@@ -313,8 +301,8 @@ def iterate(
         state.iteration + 1, len(kept), len(candidates),
     )
     tess = insert_nodes(state.tess, kept)
-    cx = Analyzer(problem, tess, selection=state.selection, order=state.order).run()
-    mx, mean = complex_minor_stats(problem, cx, state.selection)
+    cx = Analyzer(problem, tess, order=state.order).run()
+    mx, mean = complex_minor_stats(problem, cx)
     href = None
     if reference is not None:
         strata = _target_strata(cx)
@@ -331,7 +319,6 @@ def iterate(
         tess=tess,
         complex=cx,
         order=state.order,
-        selection=state.selection,
         iteration=state.iteration + 1,
         history=state.history + [stats],
     )

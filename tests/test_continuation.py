@@ -1,9 +1,12 @@
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
+from paretoc.constrained import analyze_constrained, icosphere
 from paretoc.continuation import (
     Analyzer,
-    MinorSelection,
     Piece,
     STRATUM_STABLE,
     STRATUM_UNSTABLE,
@@ -18,11 +21,13 @@ from paretoc.continuation import (
     solve_lambdas,
 )
 from paretoc.errors import UnsupportedObjectiveCount
-from paretoc.problems import VectorProblem, registry_get
+from paretoc.problems import VectorProblem, registry_get, registry_names
 from paretoc.tessellation import build_delaunay, enumerate_faces, kuhn_tessellation
 
+from test_golden import _xminusx_problem
 
-def _problem_with_jacobian(J):
+
+def _problem_with_jacobian(J, minor_columns=None):
     m, n = np.shape(J)
     return VectorProblem(
         name="stub", n=n, m=m,
@@ -30,6 +35,7 @@ def _problem_with_jacobian(J):
         jacobian=lambda X: np.tile(J, (len(X), 1, 1)),
         hessians=lambda X: np.zeros((len(X), m, n, n)),
         domain_box=[[-1, 1]] * n,
+        minor_columns=minor_columns,
     )
 
 
@@ -40,27 +46,64 @@ def _problem_with_jacobian(J):
 
 def test_minor_values_collinear_rows():
     p = _problem_with_jacobian([[1.0, 0.0], [-2.0, 0.0]])
-    sel = MinorSelection.default(2, 2)
-    assert minors_of_jacobian(p.jac([0.0, 0.0]), sel) == pytest.approx([0.0])
+    assert p.minor_columns == ((0, 1),)
+    assert minors_of_jacobian(p.jac([0.0, 0.0]), p.minor_columns) == pytest.approx([0.0])
 
 
 def test_minor_values_identity():
     p = _problem_with_jacobian(np.eye(2))
-    sel = MinorSelection.default(2, 2)
-    assert minors_of_jacobian(p.jac([0, 0]), sel) == pytest.approx([1.0])
+    assert minors_of_jacobian(p.jac([0, 0]), p.minor_columns) == pytest.approx([1.0])
 
 
 def test_minor_values_windows_n3():
     p = _problem_with_jacobian([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    sel = MinorSelection.default(3, 2)
-    assert sel.columns == ((0, 1), (1, 2))
-    assert minors_of_jacobian(p.jac([0, 0, 0]), sel) == pytest.approx([1.0, 0.0])
+    assert p.minor_columns == ((0, 1), (1, 2))
+    assert minors_of_jacobian(p.jac([0, 0, 0]), p.minor_columns) == pytest.approx([1.0, 0.0])
 
 
 def test_minor_selection_validation():
+    J = np.eye(2, 4)
     with pytest.raises(ValueError):
-        MinorSelection(((0, 1), (1, 2))).validate(4, 2)  # column 3 uncovered
-    MinorSelection(((0, 1), (1, 2), (2, 3))).validate(4, 2)
+        _problem_with_jacobian(J, ((0, 1), (1, 2)))  # column 3 uncovered
+    with pytest.raises(ValueError):
+        _problem_with_jacobian(J, ((0, 1), (1, 2, 3)))  # a window of width 3
+    with pytest.raises(ValueError):
+        _problem_with_jacobian(J, ((0, 1), (2, 2), (2, 3)))  # a repeated column
+    with pytest.raises(ValueError):
+        _problem_with_jacobian(J, ((0, 1), (1, 2), (3, 4)))  # column 4 out of range
+    p = _problem_with_jacobian(J, [[0, 1], [1, 2], [2, 3]])
+    assert p.minor_columns == ((0, 1), (1, 2), (2, 3))
+    # the resolved windows survive a copy of the problem
+    assert dataclasses.replace(p).minor_columns == p.minor_columns
+    # m > n: no window is left, and none may be given
+    assert _problem_with_jacobian(np.eye(3, 2)).minor_columns == ()
+    with pytest.raises(ValueError):
+        _problem_with_jacobian(np.eye(3, 2), ((0, 1, 1),))
+
+
+def test_every_registered_problem_constructs_its_windows():
+    for name in registry_names():
+        p = registry_get(name)
+        p = getattr(p, "base", p)  # a constrained problem's objectives
+        assert len(p.minor_columns) == max(p.n - p.m + 1, 0)
+        assert {c for w in p.minor_columns for c in w} == set(range(p.n))
+    assert registry_get("locglob").minor_columns == ((0, 1), (0, 2))
+
+
+def test_all_zero_minor_warning(caplog):
+    # one message for computed and supplied minors: locglob's sliding window
+    # (1, 2) vanishes identically, and so does the augmented minor of two
+    # opposed identical objectives on the sphere
+    caplog.set_level(logging.WARNING, logger="paretoc.continuation")
+    p = dataclasses.replace(registry_get("locglob"), minor_columns=None)
+    assert p.minor_columns == ((0, 1), (1, 2))
+    Analyzer(p, kuhn_tessellation(p.domain_box, [3, 3, 3]))
+    analyze_constrained(_xminusx_problem(), icosphere(1))
+    assert [r.getMessage() for r in caplog.records] == [
+        f"nodal minor {j} vanishes at every node: it is structurally degenerate "
+        "for this map, choose other windows in VectorProblem.minor_columns"
+        for j in (1, 0)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -496,3 +539,17 @@ def test_m_greater_than_n_mode():
     assert [(round(float(cx.positions[v][0]), 6), k) for v, k in cx.markers] == [
         (0.0, "criticality_boundary")
     ]
+
+
+def test_m_greater_than_n_needs_cells_as_pieces():
+    # m = 3 > n = 1: a cell is a segment, not the polygon an m = 3 piece is
+    p = VectorProblem(
+        name="toy1d3", n=1, m=3,
+        eval=lambda X: np.hstack([X, -X, X**2]),
+        jacobian=lambda X: np.stack([np.ones_like(X), -np.ones_like(X), 2.0 * X], axis=1),
+        hessians=lambda X: np.tile([[[0.0]], [[0.0]], [[2.0]]], (len(X), 1, 1, 1)),
+        domain_box=[[-1.0, 1.0]],
+    )
+    assert p.minor_columns == ()
+    with pytest.raises(UnsupportedObjectiveCount):
+        Analyzer(p, kuhn_tessellation(p.domain_box, [4]))

@@ -61,7 +61,7 @@ def _cross_mesh():
 
 
 def _paraboloid_problem():
-    # m = 3 > n = 2: the whole domain is singular (sigma_skip mode)
+    # m = 3 > n = 2: the whole domain is singular, there is no minor window
     return VectorProblem(
         name="paraboloid", n=2, m=3,
         eval=lambda X: np.column_stack([X, -np.float_power(X, 2).sum(axis=1)]),
@@ -150,7 +150,7 @@ def test_golden_cross_covers_degenerate_faces():
                       if w.endswith("rank-deficient face system(s) skipped")]
     assert (len(rank_deficient), sum(rank_deficient)) == (22, 26)
     assert flat.count("rank collapse at a singular vertex") == 2
-    assert any(len(v.face) < an.selection.r + 1
+    assert any(len(v.face) < an.r + 1
                for a in analyses for v in a.singular_vertices)
 
 
@@ -185,8 +185,7 @@ def test_supplied_nodal_arrays_give_the_same_bytes(case, tmp_path):
     p, tess = build()
     own = Analyzer(p, tess, **kwargs)
     an = Analyzer(p, tess, **kwargs, jac_nodes=own.jac_nodes.copy(),
-                  omega_nodes=None if own.sigma_skip else own.omega_nodes.copy())
-    assert an.selection is None
+                  omega_nodes=own.omega_nodes.copy())
     analyses = an.run_cells()
     path = tmp_path / "complex.json"
     save_complex(path, glue(analyses, p, tess, order=an.order))
@@ -204,14 +203,17 @@ def test_each_distinct_face_solved_once(case, monkeypatch):
         return solve(omega_nodes, faces)
 
     monkeypatch.setattr(continuation, "solve_faces", counting)
-    _, tess, an, _, _ = _run(case)
-    if an.sigma_skip:
-        assert calls == []  # the faces are the nodes: nothing to solve
-        return
+    p, tess, an, _, _ = _run(case)
     distinct = {f for ci in an.candidate_cells()
-                for f in enumerate_faces(tess.cells[ci], an.selection.r)}
+                for f in enumerate_faces(tess.cells[ci], an.r)}
     assert len(calls) == 1
     assert len(calls[0]) == len(distinct) and set(calls[0]) == distinct
+    if p.m > p.n:
+        # no minor window: every cell is a candidate, its faces are its
+        # nodes, and the analysis is first order
+        assert (an.r, an.order, p.minor_columns) == (0, 1, ())
+        assert len(an.candidate_cells()) == len(tess.cells)
+        assert distinct == {(i,) for i in range(len(tess.nodes))}
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@ import pytest
 
 from paretoc.continuation import ParetoComplex, STRATUM_STABLE, STRATUM_UNSTABLE
 from paretoc.errors import EmptyComplex, NoProgress
-from paretoc.geometry import points_to_simplex_distance
+from paretoc.geometry import points_to_simplex_distance, simplex_measure
 from paretoc.problems import registry_get
 from paretoc.refinement import (
     _maximin_fill_with_hosts,
+    _target_strata,
     initial_state,
     iterate,
     resample_polyline,
@@ -99,6 +100,65 @@ def test_maximin_no_simplex_twice():
     pts = _maximin_fill_with_hosts(cx, 10)[0]
     assert len(pts) == 3  # one centroid per simplex, never repeated
     assert len({tuple(np.round(p, 12)) for p in pts}) == 3
+
+
+def _loop_maximin_fill(cx, count):
+    # the reference: every pick re-scores every active simplex, where the
+    # fill re-scores only the picked simplex's active neighbours
+    ids = cx.simplex_ids(_target_strata(cx))
+    verts = [cx.simplices[i][0] for i in ids]
+    vols = np.array([simplex_measure(cx.positions[list(v)]) for v in verts])
+    k = len(ids)
+    facet_map = {}
+    for si, v in enumerate(verts):
+        if len(v) == 2:
+            facets = [(v[0],), (v[1],)]
+        else:
+            facets = [tuple(sorted((v[a], v[b]))) for a, b in ((0, 1), (1, 2), (0, 2))]
+        for f in facets:
+            facet_map.setdefault(f, []).append(si)
+    neighbors = [set() for _ in range(k)]
+    for members in facet_map.values():
+        for a in members:
+            for b in members:
+                if a != b:
+                    neighbors[a].add(b)
+    active = np.ones(k, dtype=bool)
+    out, hosts = [], []
+    for _ in range(min(count, k)):
+        acc = np.where(active, vols, 0.0).copy()
+        for si in range(k):
+            if not active[si]:
+                acc[si] = -np.inf
+                continue
+            acc[si] += sum(vols[j] for j in neighbors[si] if active[j])
+        best = int(np.argmax(acc))
+        if not np.isfinite(acc[best]):
+            break
+        out.append(cx.positions[list(verts[best])].mean(axis=0))
+        hosts.append(ids[best])
+        active[best] = False
+    return out, hosts
+
+
+def test_maximin_fill_matches_full_rescore():
+    # tri_quadratic at 7^3 and after three budgeted maximin iterations, and
+    # triv's polylines: the same picks, bit for bit, in the same order
+    p = registry_get("tri_quadratic")
+    st = initial_state(p, kuhn_tessellation(p.domain_box, [7, 7, 7]))
+    complexes = [st.complex]
+    for _ in range(3):
+        st = iterate(st, scheme="maximin", budget=10)
+        complexes.append(st.complex)
+    triv = registry_get("triv")
+    complexes.append(initial_state(triv, kuhn_tessellation(triv.domain_box, [13, 12])).complex)
+    for cx in complexes:
+        k = len(cx.simplex_ids(_target_strata(cx)))
+        for count in (k, k // 3):
+            pts, hosts = _maximin_fill_with_hosts(cx, count)
+            ref_pts, ref_hosts = _loop_maximin_fill(cx, count)
+            assert hosts == ref_hosts
+            assert np.array_equal(np.array(pts), np.array(ref_pts))
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ def _table_vertices(an):
 
 def test_snapped_determinants_match_node_loop(analyzers):
     for an in analyzers:
-        for j, cols in enumerate(an.selection.columns):
+        for j, cols in enumerate(an.problem.minor_columns):
             ref = [_loop_snap_determinant(float(np.linalg.det(J[:, list(cols)])), J[:, list(cols)])
                    for J in an.jac_nodes]
             assert np.array_equal(an.omega_nodes[:, j], ref)
@@ -99,7 +99,7 @@ def test_snapped_determinants_match_node_loop(analyzers):
 def test_solve_faces_match_single_solves(analyzers):
     for an in analyzers:
         faces = sorted({f for ci in an.candidate_cells()
-                        for f in enumerate_faces(an.tess.cells[ci], an.selection.r)})
+                        for f in enumerate_faces(an.tess.cells[ci], an.r)})
         mu, singular = solve_faces(an.omega_nodes, faces)
         for f, face in enumerate(faces):
             A = np.vstack([an.omega_nodes[list(face)].T, np.ones(len(face))])
