@@ -52,7 +52,8 @@ CLIP_SNAP_REL = 1e-12  # clip values at or below this x the largest |value|
 DET_SNAP_REL = 1e-13   # nodal minors at or below this x their Hadamard bound
                        # (the product of column norms) count as zero
 # Tolerances of the other layers, for reference:
-#   tessellation.EPS_GEOM_REL = 1e-12  node coincidence and degeneracy, x bbox diagonal
+#   tessellation.EPS_GEOM_REL = 1e-12  node coincidence and the seed simplex, x bbox
+#                                      diagonal; Delaunay ties are broken on node ids
 #   tessellation._initial_simplex  1e-14  seed-simplex independence floor, x |v|
 #   constrained.EPS_CONSTRAINT = 1e-8  largest |g| allowed at a mesh node
 #   refinement.SPACING_GAMMA = 0.1  candidate-to-node distance floor, x local shortest edge
@@ -71,8 +72,12 @@ MARKER_CUSP = "cusp"
 
 def minors_of_jacobian(J: np.ndarray, columns: Sequence[tuple]) -> np.ndarray:
     """The minors of one Jacobian (m, n) on the given column windows, or of a
-    stack (N, m, n) as an (N, r) array, one batched determinant per window."""
-    return np.stack([np.linalg.det(J[..., list(cols)]) for cols in columns], axis=-1)
+    stack (N, m, n) as an (N, r) array, one batched determinant per window;
+    r = 0 with no window (m > n)."""
+    out = np.empty(J.shape[:-2] + (len(columns),))
+    for j, cols in enumerate(columns):
+        out[..., j] = np.linalg.det(J[..., list(cols)])
+    return out
 
 
 def snapped_determinants(matrices: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ class DimensionTooLow(ParetocError):
 
 
 class DegenerateInput(ParetocError):
-    """Node set is affinely degenerate beyond perturbation recovery."""
+    """The nodes span fewer than n dimensions, or an insertion made a flat cell."""
 
 
 class DuplicateNode(ParetocError):

@@ -226,8 +226,10 @@ def _boundary_candidates(cx: ParetoComplex) -> list:
 
 
 def _minor_magnitudes(problem: VectorProblem, X) -> np.ndarray:
-    """Largest |minor| of the true Jacobian at every row of X (N, n)."""
-    return np.abs(minors_of_jacobian(problem.jac_at(X), problem.minor_columns)).max(axis=1)
+    """Largest |minor| of the true Jacobian at every row of X (N, n), 0 where
+    there is no minor window (m > n)."""
+    minors = minors_of_jacobian(problem.jac_at(X), problem.minor_columns)
+    return np.abs(minors).max(axis=1, initial=0.0)
 
 
 def complex_minor_stats(problem: VectorProblem, cx: ParetoComplex):

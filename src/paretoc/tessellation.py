@@ -5,14 +5,13 @@ with a single symbolic vertex "at infinity": alongside the finite n-simplices
 the builder keeps one infinite cell per convex-hull facet, so the padded
 complex is a closed combinatorial manifold and points outside the current hull
 insert exactly like interior ones.  Degenerate (cospherical / collinear)
-configurations are broken by a deterministic symbolic perturbation: for
-predicate evaluation only, node ``i`` is displaced by ``i * eps_geom`` along a
-fixed irrational direction.  The perturbation depends on the node id, not on
-the order of insertion, so wherever it breaks every tie the complex is a
-function of the ids and the coordinates, and bulk construction is free to
-insert along a space-filling curve.
+configurations are decided on the given coordinates, with exact ties broken
+symbolically on the node ids (below).  The rule depends on the ids, not on
+the order of insertion, so the complex is a function of the ids and the
+coordinates, and bulk construction is free to insert along a space-filling
+curve.
 
-The orientation and in-sphere predicates return exact signs for the perturbed
+The orientation and in-sphere predicates return exact signs for the given
 coordinates, which are kept as tuples of Python floats.  In 2-D and 3-D each
 is a closed-form expansion, accepted when its value exceeds the static forward
 error bound of Shewchuk 1997, "Adaptive Precision Floating-Point Arithmetic
@@ -21,26 +20,26 @@ orient3d, (10+96e)e for incircle and (16+224e)e for insphere, times the
 permanent of the expansion's terms, with e = 2^-53.  In other dimensions the
 filter is Gaussian elimination in floats, accepted when the determinant
 clears the elimination's backward error bound.  Inside a bound an exact
-``fractions.Fraction`` determinant of the same doubles gives the sign.  A
-point exactly on a hull facet's plane counts as in conflict with the facet's
-infinite cell; a finite cell is in conflict only if the point is strictly
-inside its circumsphere.
+``fractions.Fraction`` determinant of the same doubles gives the sign.
 
-Point location uses the same exact signs.  A visibility walk starts at the
-last cell made and steps through a facet that separates the current cell from
-the new point, until it reaches a cell in conflict with the point; that cell
-seeds the cavity.  In a Delaunay complex the walk visits no cell twice
-(Edelsbrunner 1990, the acyclicity theorem; Devillers, Pion and Teillaud 2002,
-"Walking in a triangulation"), so it ends within as many steps as there are
-cells.  Only a flat cell or a tie the perturbation leaves (below) can stop it
-short, and it then raises ``DegenerateInput``.
+An exact in-sphere zero is broken as in Devillers and Teillaud 2011,
+"Perturbations for Delaunay and weighted Delaunay 3D triangulations": the
+lifted coordinate of node k is raised by eps^rank(k), a larger id by more, and
+the sign is that of the first nonzero coefficient of the perturbed
+determinant, over the cell's nodes and the query point in decreasing id order
+(see _symbolic_insphere).  The complex is thus the Delaunay triangulation of
+the given points with the ties decided by the ids.  A point exactly on a hull
+facet's plane is in conflict with the facet's infinite cell exactly when it is
+in conflict with the facet's finite cell, whose circumsphere meets that plane
+in the facet's circumsphere; so no insertion makes a flat cell.
 
-The perturbation does not break every tie.  Ids that step evenly along a grid
-line keep the grid nodes exactly collinear, the exact predicates see those
-cells as flat, and insertion raises ``DegenerateInput`` (``build_delaunay`` on
-the nodes of a 3x3 grid in id order does).  With shuffled grid ids such a tie
-can still make the complex depend on the insertion order.  Breaking these
-ties needs Simulation of Simplicity on the node ids.
+Point location uses the same signs.  A visibility walk starts at the last cell
+made and steps through a facet that separates the current cell from the new
+point, until it reaches a cell in conflict with the point; that cell seeds the
+cavity.  In a Delaunay complex the walk visits no cell twice (Edelsbrunner
+1990, the acyclicity theorem; Devillers, Pion and Teillaud 2002, "Walking in a
+triangulation"), so it ends within as many steps as there are cells.  Only a
+flat cell can stop it short, and it then raises ``DegenerateInput``.
 
 A finished :class:`Tessellation` is an immutable snapshot; insertion returns a
 new snapshot and never mutates its input.
@@ -61,18 +60,7 @@ logger = logging.getLogger(__name__)
 
 INF = -1  # symbolic vertex at infinity
 
-EPS_GEOM_REL = 1e-12    # node coincidence / degeneracy scale, x bbox diagonal
-
-# Fixed irrational direction for the symbolic perturbation (components are
-# inverse square roots of the first primes, then normalized).
-_PERT_PRIMES = np.array([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0])
-
-
-def _perturbation_direction(n: int) -> np.ndarray:
-    d = 1.0 / np.sqrt(_PERT_PRIMES[:n]) if n <= len(_PERT_PRIMES) else 1.0 / np.sqrt(
-        np.arange(2, n + 2, dtype=float)
-    )
-    return d / np.linalg.norm(d)
+EPS_GEOM_REL = 1e-12    # node coincidence and seed-simplex scale, x bbox diagonal
 
 
 class NodeSet:
@@ -104,9 +92,9 @@ class Tessellation:
     """Delaunay simplicial complex over a NodeSet.
 
     Cells are (n+1)-tuples of node ids, each tuple sorted, the cell list
-    sorted lexicographically, so the representation is deterministic given
-    the node ids and coordinates (up to the ties the perturbation leaves;
-    see the module docstring).
+    sorted lexicographically, so the representation is a function of the
+    node ids and coordinates: exact ties are broken on the ids (see the
+    module docstring).
     """
 
     def __init__(self, nodes: NodeSet, cells: Sequence[tuple]):
@@ -346,6 +334,26 @@ def _det_sign(rows: list) -> int:
     return sign
 
 
+def _symbolic_insphere(q, p, ids) -> int:
+    """Sign of Predicates.insphere(q, p) at an exact zero, with the lifted
+    coordinate of node k raised by eps^rank(k), a larger id by more.
+
+    ``ids`` are those of q's points, then p's.  Node k's coefficient is the
+    determinant of the rows qi - p with the lifted column replaced by the unit
+    vector of k, or by all -1 for p; p's is +-det[q1 - q0, ...], so only a
+    flat cell gives 0.
+    """
+    p = [Fraction(x) for x in p]
+    d = [[Fraction(x) - y for x, y in zip(r, p)] for r in q]
+    m = len(d)
+    for k in sorted(range(m + 1), key=ids.__getitem__, reverse=True):
+        col = [-1] * m if k == m else [int(i == k) for i in range(m)]
+        s = _det_sign([r + [c] for r, c in zip(d, col)])
+        if s:
+            return s
+    return 0
+
+
 class Predicates:
     """Sign-valued orientation and in-sphere tests on points as float tuples.
 
@@ -387,13 +395,9 @@ class Predicates:
 class _Padded:
     """Mutable padded complex: finite cells plus one infinite cell per hull facet."""
 
-    def __init__(self, n: int, scale: float):
+    def __init__(self, n: int):
         self.n = n
-        self.scale = max(scale, 0.0)
-        self.eps = EPS_GEOM_REL * self.scale if self.scale > 0 else 1e-300
-        self.pert_dir = _perturbation_direction(n)
-        self.points: list[np.ndarray] = []
-        self.pert: list[tuple] = []    # perturbed coordinates, the predicates' input
+        self.coords: list[tuple] = []    # node coordinates, the predicates' input
         self.cells: dict[int, tuple] = {}
         self.facets: dict[tuple, list] = {}
         self.sense: dict[int, int] = {}   # cell -> orientation sign, see _orientation
@@ -405,11 +409,8 @@ class _Padded:
     # -- construction ------------------------------------------------------
 
     def add_point(self, p) -> int:
-        i = len(self.points)
-        p = np.asarray(p, dtype=float)
-        self.points.append(p)
-        self.pert.append(tuple((p + (i * self.eps) * self.pert_dir).tolist()))
-        return i
+        self.coords.append(tuple(np.asarray(p, dtype=float).tolist()))
+        return len(self.coords) - 1
 
     def seed_simplex(self, ids: Sequence[int]) -> None:
         cell = tuple(sorted(ids))
@@ -419,7 +420,7 @@ class _Padded:
 
     @classmethod
     def from_tessellation(cls, tess: Tessellation) -> "_Padded":
-        pad = cls(tess.n, tess.scale)
+        pad = cls(tess.n)
         for p in tess.nodes.points:
             pad.add_point(p)
         for cell in tess.cells:
@@ -454,14 +455,14 @@ class _Padded:
                 return other
         return None
 
-    # -- predicates (evaluated on perturbed coordinates) --------------------
+    # -- predicates --------------------------------------------------------
 
     def _orientation(self, cid: int) -> int:
         """Orientation sign of a finite cell; for an infinite cell, the sign
         of its hull facet with the apex of its finite neighbour.  Computed
-        once per cell: an infinite cell survives an insertion only if the new
-        point lies strictly on that side, and the point then becomes the apex
-        of its new neighbour."""
+        once per cell: an infinite cell survives an insertion with its finite
+        neighbour, or with the new point as the apex of a new neighbour when
+        the point lies strictly on that side."""
         s = self.sense.get(cid)
         if s is None:
             cell = self.cells[cid]
@@ -469,21 +470,21 @@ class _Padded:
                 facet = cell[1:]
                 finite = self.cells[self._neighbor(cid, facet)]
                 cell = facet + (next(v for v in finite if v not in facet),)
-            pert = self.pert
-            s = self.sense[cid] = self.pred.orient([pert[i] for i in cell])
+            coords = self.coords
+            s = self.sense[cid] = self.pred.orient([coords[i] for i in cell])
         return s
 
     def _in_conflict(self, cid: int, pid: int) -> bool:
         cell = self.cells[cid]
-        pert = self.pert
+        coords = self.coords
         if cell[0] == INF:
-            s_p = self.pred.orient([pert[i] for i in cell[1:]] + [pert[pid]])
-            if s_p == 0:
-                return True  # exactly on the hull plane: extend conservatively
+            s_p = self.pred.orient([coords[i] for i in cell[1:]] + [coords[pid]])
+            if s_p == 0:  # on the hull plane: as the facet's finite cell
+                return self._in_conflict(self._neighbor(cid, cell[1:]), pid)
             return s_p * self._orientation(cid) < 0
-        s = self._orientation(cid)
-        return s != 0 and s * self._parity * self.pred.insphere(
-            [pert[i] for i in cell], pert[pid]) > 0
+        q, p = [coords[i] for i in cell], coords[pid]
+        s = self.pred.insphere(q, p) or _symbolic_insphere(q, p, cell + (pid,))
+        return self._orientation(cid) * self._parity * s > 0
 
     # -- point location -----------------------------------------------------
 
@@ -496,8 +497,8 @@ class _Padded:
         in a closed non-flat cell, not one of its vertices, is strictly inside
         the circumsphere, so only a flat cell finds no facet to step through.
         """
-        pert = self.pert
-        p = pert[pid]
+        coords = self.coords
+        p = coords[pid]
         cid = self._hint if self._hint in self.cells else next(iter(self.cells))
         for _ in range(len(self.cells)):
             if self._in_conflict(cid, pid):
@@ -508,7 +509,7 @@ class _Padded:
                 cid = self._neighbor(cid, cell[1:])
                 continue
             s = self._orientation(cid)
-            q = [pert[i] for i in cell]
+            q = [coords[i] for i in cell]
             j = next((j for j in range(len(q))
                       if s * self.pred.orient(q[:j] + [p] + q[j + 1:]) < 0), None)
             if j is None:
@@ -552,7 +553,7 @@ class _Padded:
         logger.debug("%s: %d predicates decided exactly", caller, self.pred.exact)
 
     def snapshot(self) -> Tessellation:
-        nodes = NodeSet(np.array(self.points))
+        nodes = NodeSet(np.array(self.coords))
         finite = [c for c in self.cells.values() if c[0] != INF]
         return Tessellation(nodes, finite)
 
@@ -632,7 +633,7 @@ def build_delaunay(nodes: NodeSet | np.ndarray) -> Tessellation:
     DimensionTooLow
         Fewer than n+1 nodes.
     DegenerateInput
-        All nodes affinely dependent beyond perturbation recovery.
+        All nodes affinely dependent, or an insertion made a flat cell.
     DuplicateNode
         Two nodes coincide within the geometric tolerance.
     """
@@ -641,11 +642,10 @@ def build_delaunay(nodes: NodeSet | np.ndarray) -> Tessellation:
     n = nodes.n
     if len(nodes) < n + 1:
         raise DimensionTooLow(f"need at least {n + 1} nodes in dimension {n}")
-    scale = nodes.bbox_diagonal
-    eps = EPS_GEOM_REL * scale
+    eps = EPS_GEOM_REL * nodes.bbox_diagonal
     _check_batch_distinct(np.empty((0, n)), nodes.points, eps)
     seed = _initial_simplex(nodes.points, eps)
-    pad = _Padded(n, scale)
+    pad = _Padded(n)
     for p in nodes.points:
         pad.add_point(p)
     pad.seed_simplex(seed)
@@ -698,10 +698,11 @@ def insert_nodes(tess: Tessellation, points: Iterable) -> Tessellation:
 
     The padded hull structure is rebuilt once, so batch insertion costs one
     reconstruction plus an incremental Bowyer-Watson step per point.  Points
-    are inserted in the given order and get the next ids in that order.  Each
-    point is located by the exact visibility walk from the cell made last
-    (see the module docstring).  Falls back to a full rebuild if the walk
-    meets a flat cell or a cavity retriangulation degenerates.
+    are inserted in the given order and get the next ids in that order, so
+    a new point loses every exact tie with a cell (see the module docstring):
+    on a cell's circumsphere, it is outside.  Each point is located by the
+    exact visibility walk from the cell made last.  Raises DegenerateInput if
+    an insertion makes a flat cell.
     """
     points = [np.asarray(p, dtype=float) for p in points]
     if not points:
@@ -719,12 +720,8 @@ def insert_nodes(tess: Tessellation, points: Iterable) -> Tessellation:
     try:
         for p in points:
             pad.insert(pad.add_point(p))
-    except DegenerateInput:
+    finally:
         pad.log_exact_signs("insert_nodes")
-        logger.warning("incremental insertion degenerated; rebuilding from scratch")
-        allpts = np.vstack([existing, np.array(points)])
-        return build_delaunay(NodeSet(allpts))
-    pad.log_exact_signs("insert_nodes")
     return pad.snapshot()
 
 

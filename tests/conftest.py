@@ -7,6 +7,7 @@ they stay independent of the library's own predicate implementations.
 
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,6 +55,60 @@ def brute_delaunay_violation(tess):
         if mask.any():
             worst = max(worst, float((r - d[mask]).max() / max(r, 1e-300)))
     return worst
+
+
+def leibniz_det(rows):
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+def as_integers(points):
+    """The points times the largest denominator of their coordinates (all
+    denominators of doubles are powers of two, so it is a common one)."""
+    exact = [[Fraction(x) for x in p] for p in points]
+    scale = max(x.denominator for p in exact for x in p)
+    return [[int(x * scale) for x in p] for p in exact]
+
+
+def oracle_orient(q):
+    q = as_integers(q)
+    return sign(leibniz_det([[x - y for x, y in zip(r, q[0])] for r in q[1:]]))
+
+
+def oracle_insphere(q, p):
+    *q, p = as_integers(list(q) + [p])
+    rows = []
+    for r in q:
+        d = [x - y for x, y in zip(r, p)]
+        rows.append(d + [sum(x * x for x in d)])
+    return sign(leibniz_det(rows))
+
+
+def exact_delaunay_violations(tess):
+    """The (cell, node) pairs with the node strictly inside the cell's
+    circumsphere, decided by the integer oracles on the given coordinates;
+    a node on the sphere is a tie, not a violation.
+
+    The lifted determinant of oracle_insphere times the cell's orientation
+    is positive inside the sphere in even dimensions and negative in odd.
+    """
+    pts = as_integers(tess.nodes.points.tolist())
+    out = []
+    for cell in tess.cells:
+        q = [pts[i] for i in cell]
+        inside = (-1) ** tess.n * oracle_orient(q)
+        out += [(cell, k) for k, p in enumerate(pts) if inside * oracle_insphere(q, p) > 0]
+    return out
 
 
 def scipy_delaunay_cells(pts):

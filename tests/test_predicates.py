@@ -3,54 +3,19 @@
 The oracle scales the given doubles by a common power of two to integers,
 which keeps every sign, and expands each determinant over all permutations
 (Leibniz), independently of the library's closed forms, error bounds and
-elimination.
+elimination.  The symbolic tie-break of exact in-sphere zeros is checked
+against an explicit perturbation by a tiny rational eps.
 """
 
 import itertools
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paretoc.tessellation import Predicates
+from paretoc.tessellation import Predicates, _Padded
 
-
-def leibniz_det(rows):
-    total = 0
-    for perm in itertools.permutations(range(len(rows))):
-        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-        term = -1 if inversions % 2 else 1
-        for i, j in enumerate(perm):
-            term *= rows[i][j]
-        total += term
-    return total
-
-
-def sign(x):
-    return (x > 0) - (x < 0)
-
-
-def as_integers(points):
-    """The points times the largest denominator of their coordinates (all
-    denominators of doubles are powers of two, so it is a common one)."""
-    exact = [[Fraction(x) for x in p] for p in points]
-    scale = max(x.denominator for p in exact for x in p)
-    return [[int(x * scale) for x in p] for p in exact]
-
-
-def oracle_orient(q):
-    q = as_integers(q)
-    return sign(leibniz_det([[x - y for x, y in zip(r, q[0])] for r in q[1:]]))
-
-
-def oracle_insphere(q, p):
-    *q, p = as_integers(list(q) + [p])
-    rows = []
-    for r in q:
-        d = [x - y for x, y in zip(r, p)]
-        rows.append(d + [sum(x * x for x in d)])
-    return sign(leibniz_det(rows))
+from conftest import leibniz_det, oracle_insphere, oracle_orient, sign
 
 
 def nudge(x, ulps):
@@ -178,3 +143,94 @@ def test_filters_decide_clear_cases():
         inside = (0.25,) * n
         assert pred.insphere(simplex, inside) == oracle_insphere(simplex, inside)
         assert pred.exact == 0
+
+
+# ---------------------------------------------------------------------------
+# the tie-break of exact in-sphere zeros
+# ---------------------------------------------------------------------------
+
+EPS_INV = 10 ** 9    # 1 / eps: small enough for integer coordinates up to 10
+
+
+def oracle_perturbed_conflict(pts, ids):
+    """Whether the last point is strictly inside the sphere through the
+    others, once the lift |x|^2 of the point with id i is raised by eps^rank,
+    rank 1 for the largest id.
+
+    In integers: the lifts are scaled by EPS_INV^R, R the number of points,
+    so node k's is |x_k|^2 EPS_INV^R + EPS_INV^(R - rank k).  The plane
+    h = a.x + b through the lifted cell nodes is solved by Cramer's rule, and
+    the point is inside when its lift lies below the plane.
+    """
+    R = len(pts)
+    rank = {i: r + 1 for r, i in enumerate(sorted(ids, reverse=True))}
+    h = [sum(x * x for x in x_k) * EPS_INV ** R + EPS_INV ** (R - rank[i])
+         for x_k, i in zip(pts, ids)]
+    *q, p = pts
+    M = [list(x_k) + [1] for x_k in q]
+    D = leibniz_det(M)
+    cramer = [leibniz_det([r[:j] + [h_k] + r[j + 1:] for r, h_k in zip(M, h)])
+              for j in range(len(M))]
+    plane_at_p = sum(c * x for c, x in zip(cramer, list(p) + [1]))
+    return sign(D) * (plane_at_p - D * h[-1]) > 0
+
+
+def integer_sphere(n):
+    """The integer points of the circle x^2 + y^2 = 25 or of the sphere
+    x^2 + y^2 + z^2 = 9."""
+    r2 = {2: 25, 3: 9}[n]
+    r = math.isqrt(r2)
+    return [p for p in itertools.product(range(-r, r + 1), repeat=n)
+            if sum(x * x for x in p) == r2]
+
+
+@st.composite
+def cospherical(draw, n):
+    """n+2 distinct integer points on a sphere about an integer centre."""
+    centre = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    pts = draw(st.permutations(integer_sphere(n)))[:n + 2]
+    return [[c + x for c, x in zip(centre, p)] for p in pts]
+
+
+@st.composite
+def box_corners(draw, n):
+    """n+2 distinct corners of an integer box, which share its sphere; in
+    3-D four of them can lie on a face, so a facet and the query point can be
+    coplanar."""
+    lo = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    side = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    corners = [[a + b * s for a, s, b in zip(lo, side, c)]
+               for c in itertools.product((0, 1), repeat=n)]
+    return draw(st.permutations(corners))[:n + 2]
+
+
+@st.composite
+def grid_points(draw, n):
+    """n+2 distinct points of a small integer grid: collinear and cospherical
+    subsets are frequent."""
+    cell = st.tuples(*[st.integers(-2, 2)] * n)
+    return [list(p) for p in draw(st.lists(cell, min_size=n + 2, max_size=n + 2, unique=True))]
+
+
+TIE_FAMILIES = {"sphere": cospherical, "box": box_corners, "grid": grid_points}
+
+
+@pytest.mark.parametrize("family", sorted(TIE_FAMILIES))
+@pytest.mark.parametrize("n", [2, 3])
+@settings(max_examples=60)
+@given(data=st.data())
+def test_conflict_ties_match_explicit_perturbation(n, family, data):
+    # each point in turn is the query against the cell of the others, under
+    # permuted ids
+    pts = data.draw(TIE_FAMILIES[family](n))
+    ids = data.draw(st.permutations(range(n + 2)))
+    pad = _Padded(n)
+    for i in range(n + 2):
+        pad.add_point(pts[ids.index(i)])
+    for j in range(n + 2):
+        order = [k for k in range(n + 2) if k != j] + [j]
+        if oracle_orient([pts[k] for k in order[:-1]]) == 0:
+            continue
+        cid = pad._add_cell(tuple(sorted(ids[k] for k in order[:-1])))
+        want = oracle_perturbed_conflict([pts[k] for k in order], [ids[k] for k in order])
+        assert pad._in_conflict(cid, ids[j]) == want

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from paretoc.complex_io import save_complex
 from paretoc.continuation import ParetoComplex, STRATUM_STABLE, STRATUM_UNSTABLE
 from paretoc.errors import EmptyComplex, NoProgress
 from paretoc.geometry import points_to_simplex_distance, simplex_measure
@@ -14,6 +15,8 @@ from paretoc.refinement import (
     should_stop,
 )
 from paretoc.tessellation import kuhn_tessellation
+
+from test_golden import _paraboloid_problem
 
 
 def _polyline_complex(points, segs, stratum=STRATUM_STABLE, markers=()):
@@ -207,6 +210,20 @@ def test_iterate_maximin_with_budget(triv_state):
     st = iterate(triv_state, scheme="maximin", budget=5)
     assert len(st.tess.nodes) <= len(triv_state.tess.nodes) + 5
     assert st.history[-1].nodes == len(st.tess.nodes)
+
+
+def test_iterate_budget_without_minor_windows(tmp_path):
+    # m = 3 > n = 2 has no minor window: every site scores 0 and the budget
+    # still keeps at most 5 of them, the same ones on a rerun
+    p = _paraboloid_problem()
+    tess = kuhn_tessellation(p.domain_box, [6, 6])
+    runs = []
+    for k in range(2):
+        st = iterate(initial_state(p, tess), scheme="maximin", budget=5)
+        assert len(tess.nodes) < len(st.tess.nodes) <= len(tess.nodes) + 5
+        save_complex(tmp_path / f"{k}.json", st.complex)
+        runs.append((st.tess.nodes.points.tobytes(), (tmp_path / f"{k}.json").read_bytes()))
+    assert runs[0] == runs[1]
 
 
 def test_iterate_with_reference(triv_state):

@@ -1,4 +1,3 @@
-import contextlib
 import itertools
 import logging
 import math
@@ -14,7 +13,6 @@ from paretoc.geometry import simplex_diameter
 from paretoc.tessellation import (
     EPS_GEOM_REL,
     NodeSet,
-    Tessellation,
     _check_batch_distinct,
     _hilbert_order,
     _initial_simplex,
@@ -28,6 +26,7 @@ from paretoc.tessellation import (
 
 from conftest import (
     brute_delaunay_violation,
+    exact_delaunay_violations,
     facet_counts,
     scipy_delaunay_cells,
     simplex_volume,
@@ -204,7 +203,7 @@ def id_order_cells(pts):
     """Reference: Bowyer-Watson on the padded complex, inserting in id order."""
     nodes = NodeSet(pts)
     seed = _initial_simplex(nodes.points, EPS_GEOM_REL * nodes.bbox_diagonal)
-    pad = _Padded(nodes.n, nodes.bbox_diagonal)
+    pad = _Padded(nodes.n)
     for p in nodes.points:
         pad.add_point(p)
     pad.seed_simplex(seed)
@@ -214,32 +213,8 @@ def id_order_cells(pts):
     return pad.snapshot().cells
 
 
-@contextlib.contextmanager
-def no_rebuild():
-    """Fail if the block logs the from-scratch rebuild of insert_nodes."""
-    records = []
-    handler = logging.Handler(logging.WARNING)
-    handler.emit = records.append
-    log = logging.getLogger("paretoc.tessellation")
-    log.addHandler(handler)
-    try:
-        yield
-    finally:
-        log.removeHandler(handler)
-    assert not [r for r in records if "rebuilding from scratch" in r.getMessage()]
-
-
-def cells_or_degenerate(build, pts):
-    try:
-        return build(pts)
-    except DegenerateInput:
-        return "DegenerateInput"
-
-
 def assert_same_as_id_order(pts):
-    with no_rebuild():
-        ref = cells_or_degenerate(id_order_cells, pts)
-        assert cells_or_degenerate(lambda p: build_delaunay(p).cells, pts) == ref
+    assert build_delaunay(pts).cells == id_order_cells(pts)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -263,17 +238,32 @@ def test_curve_order_matches_id_order(data, dim_count):
     assert_same_as_id_order(pts)
 
 
-@pytest.mark.parametrize("counts,seed", [((7, 7), 1), ((3, 3, 3), 10), ((4, 4, 4), 2)])
+GRIDS = [(3, 3), (4, 4), (5, 7), (3, 3, 3), (4, 3, 3)]
+
+
+SHUFFLED = [((7, 7), 1), ((3, 3, 3), 10), ((4, 4, 4), 2)]
+
+
+@pytest.mark.parametrize("counts,seed", SHUFFLED + [
+    (counts, seed) for counts in GRIDS for seed in [None, *range(11)]
+    if (counts, seed) not in SHUFFLED])
 def test_curve_order_matches_id_order_on_shuffled_kuhn_nodes(counts, seed):
+    # every box of the grid is cospherical: the ties are broken on the ids,
+    # in id order (seed None) as in shuffled order
     pts = grid_nodes([[0.0, 1.0]] * len(counts), counts).points
-    assert_same_as_id_order(pts[np.random.default_rng(seed).permutation(len(pts))])
+    if seed is not None:
+        pts = pts[np.random.default_rng(seed).permutation(len(pts))]
+    t = build_delaunay(pts)
+    assert t.cells == id_order_cells(pts)
+    vol = sum(simplex_volume(pts[list(c)]) for c in t.cells)
+    assert vol == pytest.approx(1.0, rel=1e-12)
+    assert exact_delaunay_violations(t) == []
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(-12, -3), st.integers(4, 40))
 def test_curve_order_matches_id_order_near_collinear(seed, exponent, count):
-    # offsets down to the perturbation scale, where an unperturbed point can
-    # lie in a cell whose circumsphere misses its perturbed copy: the walk
-    # must not seed the cavity with such a cell
+    # offsets down to 1e-12 of the diagonal, where a walk decided in floats
+    # gets lost: the exact walk must seed the cavity with a conflict cell
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, count)
     y = 0.3 * x + 10.0**exponent * rng.uniform(-1.0, 1.0, count)
@@ -288,8 +278,7 @@ def test_far_exterior_inserts_match_id_order(seed, n, far):
     base = rng.uniform(-1.0, 1.0, (12 * n, n))
     outer = rng.normal(size=(far, n))
     outer *= rng.uniform(5.0, 1e3, (far, 1)) / np.linalg.norm(outer, axis=1, keepdims=True)
-    with no_rebuild():
-        grown = insert_nodes(build_delaunay(base), list(outer))
+    grown = insert_nodes(build_delaunay(base), list(outer))
     assert grown.cells == id_order_cells(np.vstack([base, outer]))
     assert_same_as_id_order(np.vstack([base, outer]))
 
@@ -301,32 +290,28 @@ def exact_counts(records, caller):
 
 def test_build_and_insert_log_their_fallbacks(caplog):
     caplog.set_level(logging.DEBUG, logger="paretoc.tessellation")
-    # near-collinear nodes, where a walk decided in floats on the given
-    # coordinates gets lost: the exact walk finds a conflict cell without a
-    # rebuild, and the cells are the id-order loop's.  The offsets are
-    # below the id perturbation (node i moves by i * EPS_GEOM_REL * diagonal),
-    # so the cells are Delaunay for the perturbed coordinates the predicates
-    # decide on, not for the given ones
+    # near-collinear nodes, where a walk decided in floats gets lost: the
+    # exact walk finds a conflict cell, and the cells are the id-order
+    # loop's.  The float brute check cannot judge cells this flat; the
+    # integer oracle on the given coordinates can
     rng = np.random.default_rng(0)
     x = rng.uniform(-1.0, 1.0, 30)
     pts = np.column_stack([x, 0.3 * x + 1e-12 * rng.uniform(-1.0, 1.0, 30)])
     pts[0] = [0.0, 1.0]
-    with no_rebuild():
-        t = build_delaunay(pts)
+    t = build_delaunay(pts)
     assert t.cells == id_order_cells(pts)
-    perturbed = NodeSet(_Padded.from_tessellation(t).pert)
-    assert brute_delaunay_violation(Tessellation(perturbed, t.cells)) < 1e-9
+    assert exact_delaunay_violations(t) == []
     assert len(exact_counts(caplog.records, "build_delaunay")) == 1
-    # ids stepping evenly along a grid line stay collinear after the
-    # perturbation: the exact path finds the flat cell, and the build fails
+    # a grid's exact ties go to the exact path, and the ids break them
     caplog.clear()
-    with pytest.raises(DegenerateInput):
-        build_delaunay(grid_nodes([[0.0, 1.0]] * 2, [3, 3]).points)
+    build_delaunay(grid_nodes([[0.0, 1.0]] * 2, [3, 3]).points)
     [exact] = exact_counts(caplog.records, "build_delaunay")
     assert exact > 0
+    # (0.3, 0.4) lies on the circle of the grid box [0, 0.25] x [0.25, 0.5]
+    # up to rounding: the filter leaves the box's two cells to the exact path
     caplog.clear()
     insert_nodes(kuhn_tessellation([[0.0, 1.0]] * 2, [5, 5]), [[0.3, 0.4], [0.1, 0.1]])
-    assert exact_counts(caplog.records, "insert_nodes") == [0]
+    assert exact_counts(caplog.records, "insert_nodes") == [2]
 
 
 def scan_seeded(pad, pid):
@@ -368,10 +353,9 @@ def kuhn_insert_batch(n, kind, seed, count):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 10))
 def test_walk_inserts_into_kuhn_grids_match_scan_seeded_reference(n, kind, seed, count):
     t, P = kuhn_insert_batch(n, kind, seed, count)
-    with no_rebuild():
-        got = insert_nodes(t, list(P))
-        with mock.patch.object(_Padded, "_locate_conflict", scan_seeded):
-            ref = insert_nodes(t, list(P))
+    got = insert_nodes(t, list(P))
+    with mock.patch.object(_Padded, "_locate_conflict", scan_seeded):
+        ref = insert_nodes(t, list(P))
     assert got.cells == ref.cells
     assert len(got.nodes) == len(t.nodes) + len(P)
 
