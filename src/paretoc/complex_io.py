@@ -109,7 +109,7 @@ def complex_from_dict(doc: dict) -> ParetoComplex:
         u_values=u_values,
         lam=lam,
         sigma=sigma,
-        keys=[("file", i) for i in range(V)],
+        keys=[repr(("file", i)) for i in range(V)],
         simplices=sorted(simplices),
         markers=sorted(markers),
         problem_name=prov.get("problem") or "",

@@ -14,7 +14,7 @@ interpolated multiplier fields lambda_j >= 0 yields the critical part, and
 clipping that by the largest eigenvalue of the restricted second-derivative
 form <= 0 yields the stable part.  Clip boundaries become marker points
 (criticality boundaries and cusps).  Adjacent cells share singular vertices
-through their defining faces, so gluing is an exact merge keyed on face ids.
+through their defining faces, so gluing is an exact merge keyed on face keys.
 
 The face is therefore the unit of work: the analyzer collects the distinct
 r-faces of all candidate cells, solves their barycentric systems in one
@@ -26,7 +26,6 @@ shared vertices from the table, assembles the polytope and clips it.
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -148,20 +147,21 @@ def solve_lambdas(G: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class SingularVertex:
     """A vertex of the piecewise-linear singular set.
 
     Face-born vertices carry the defining face and barycentric weights;
-    clip-born vertices carry neither but inherit interpolated data.  ``key``
-    is the exact merge key across cells, and ``order`` is ``repr(key)``,
-    computed once: glue merges and orders the vertices by it.  ``id`` is an
-    integer identity, unique among the vertices of one cell: an analyzer
-    numbers its face-table vertices 0, 1, ... and the clip-born ones -1,
-    -2, ...
+    clip-born vertices carry neither but inherit interpolated lambda,
+    gradients and Hessians.  Within a run a vertex is the object itself: it
+    hashes by identity, and cells share the face-table vertices.  Across
+    cells it is ``key``, the text of its defining face, ``"('f', i, j)"``
+    with sorted node ids, or of its clip, ``"('c', stage, ka, kb)"`` with
+    the endpoint keys in text order: glue merges and orders the vertices by
+    it.
     """
 
-    key: tuple
+    key: str
     x: np.ndarray
     face: Optional[tuple] = None
     mu: Optional[np.ndarray] = None
@@ -172,23 +172,18 @@ class SingularVertex:
     sigma: Optional[np.ndarray] = None
     critical_ok: bool = True
     kernel_fail: bool = False
-    id: int = -1
-    order: str = ""
-
-    def __post_init__(self):
-        if not self.order:
-            self.order = repr(self.key)
 
 
-def _interp_vertex(a: SingularVertex, b: SingularVertex, t: float, stage, vid: int,
+def _interp_vertex(a: SingularVertex, b: SingularVertex, t: float, stage,
                    sigma: bool) -> SingularVertex:
     """Linear interpolation between two vertices; canonical w.r.t. key order.
 
     Only a second-order clip (``sigma``) interpolates sigma and kernel
     failures; a vertex born in a first-order clip gets its sigma evaluated
-    at the second-order stage.
+    at the second-order stage.  The residual and the criticality flag keep
+    their defaults: the validity stage reads them before the first clip.
     """
-    if b.order < a.order:
+    if b.key < a.key:
         a, b = b, a
         t = 1.0 - t
 
@@ -198,17 +193,13 @@ def _interp_vertex(a: SingularVertex, b: SingularVertex, t: float, stage, vid: i
         return u + t * (v - u)
 
     return SingularVertex(
-        key=("c", stage, a.key, b.key),
+        key=f"('c', {stage!r}, {a.key}, {b.key})",
         x=a.x + t * (b.x - a.x),
         grad_interp=lerp(a.grad_interp, b.grad_interp),
         lam=lerp(a.lam, b.lam),
-        residual=a.residual + t * (b.residual - a.residual),
         hess_interp=lerp(a.hess_interp, b.hess_interp),
         sigma=lerp(a.sigma, b.sigma) if sigma else None,
-        critical_ok=a.critical_ok and b.critical_ok,
         kernel_fail=sigma and (a.kernel_fail or b.kernel_fail),
-        id=vid,
-        order=f"('c', {stage!r}, {a.order}, {b.order})",
     )
 
 
@@ -226,33 +217,29 @@ class Piece:
         self.kind = kind  # "segment" | "polygon"
 
     def distinct(self) -> bool:
-        ids = {v.id for v in self.verts}
-        return len(ids) == len(self.verts) and len(self.verts) >= (
+        return len(set(self.verts)) == len(self.verts) and len(self.verts) >= (
             2 if self.kind == "segment" else 3
         )
 
 
-def clip_polytope(pieces, values, stage="clip", new_ids=None, sigma=False):
+def clip_polytope(pieces, values, stage="clip", sigma=False):
     """Keep the part of each piece where the per-vertex scalar is >= 0.
 
-    ``values`` maps vertex id -> scalar.  Returns ``(kept, dropped,
-    boundary_vertices)``; scalar fields on inserted boundary vertices are
-    linear interpolations of the endpoint data, and their ids come from the
-    iterator ``new_ids`` (by default -1, -2, ...; successive clips of one
-    polytope must share it).  ``sigma`` marks the second-order clip, the one
-    that interpolates sigma.
+    ``values`` maps vertex -> scalar.  Returns ``(kept, dropped,
+    boundary_vertices)``; the inserted boundary vertices are new objects,
+    keyed on ``stage`` and their edge's endpoint keys, and their scalar
+    fields are linear interpolations of the endpoint data.  ``sigma`` marks
+    the second-order clip, the one that interpolates sigma.
     """
-    if new_ids is None:
-        new_ids = itertools.count(-1, -1)
 
     def cut(a, b, t):
-        return _interp_vertex(a, b, t, stage, next(new_ids), sigma)
+        return _interp_vertex(a, b, t, stage, sigma)
 
     kept: list[Piece] = []
     dropped: list[Piece] = []
     boundary: list[SingularVertex] = []
     for piece in pieces:
-        svals = [values[v.id] for v in piece.verts]
+        svals = [values[v] for v in piece.verts]
         snap = CLIP_SNAP_REL * max(map(abs, svals), default=0.0)
         svals = [0.0 if abs(s) <= snap else s for s in svals]
         split = _split_segment if piece.kind == "segment" else _split_polygon
@@ -313,7 +300,7 @@ def _split_polygon(piece: Piece, s, cut):
 
 
 def _polygon_ok(verts) -> bool:
-    return len({v.id for v in verts}) >= 3
+    return len(set(verts)) >= 3
 
 
 def _polygon_orders(polygons: list) -> list:
@@ -343,9 +330,9 @@ def _polygon_orders(polygons: list) -> list:
 class CellAnalysis:
     """One cell's pieces by stratum, its markers and warnings.
 
-    ``sigma_ids`` holds the ids of the vertices that reached the
-    second-order stage in this cell.  A face-table vertex is shared between
-    cells, so its sigma belongs in the complex file only from such a cell.
+    ``sigma_vertices`` holds the vertices that reached the second-order
+    stage in this cell.  A face-table vertex is shared between cells, so its
+    sigma belongs in the complex file only from such a cell.
     """
 
     cell_index: int
@@ -354,7 +341,7 @@ class CellAnalysis:
         STRATUM_SINGULAR: [], STRATUM_UNSTABLE: [], STRATUM_STABLE: []})
     markers: list = field(default_factory=list)  # (SingularVertex, kind)
     warnings: list = field(default_factory=list)
-    sigma_ids: set = field(default_factory=set)
+    sigma_vertices: set = field(default_factory=set)
 
 
 # face-table entry of a face whose barycentric system is rank deficient
@@ -436,7 +423,7 @@ def _face_vertices(faces: np.ndarray, mu: np.ndarray, points: np.ndarray,
         grad = (w[:, None, :] @ jac_nodes[sub].reshape(-1, k, m * n)).reshape(-1, m, n)
         for f, s, wf, xf, gf in zip(rows.tolist(), sub.tolist(), w, x, grad):
             s = tuple(s)
-            out[f] = SingularVertex(key=("f",) + s, x=xf, face=s, mu=wf, grad_interp=gf)
+            out[f] = SingularVertex(key=repr(("f",) + s), x=xf, face=s, mu=wf, grad_interp=gf)
     return out
 
 
@@ -453,7 +440,7 @@ def _cell_vertices(table: dict, faces: Iterable[tuple]) -> tuple:
         if v is _RANK_DEFICIENT:
             skipped += 1
         elif v is not None:
-            out.setdefault(v.order, v)
+            out.setdefault(v.key, v)
     return list(out.values()), skipped
 
 
@@ -529,10 +516,12 @@ class Analyzer:
     ``omega_nodes`` (N, r) instead; r is then the minors' width and the
     problem's windows are not read.  Before the cells are analysed, the
     distinct r-faces of all of them go through one stacked barycentric solve
-    into the face table, where each accepted vertex gets its id, lambda,
-    analytic Hessian interpolation and sigma, exactly once.  The cell table
-    holds each cell's vertices and, for m = 3, its polygon order.  Both are
-    filled in stacked passes before the cell loop and only read inside it.
+    into the face table, where each accepted vertex gets its lambda, analytic
+    Hessian interpolation and sigma, exactly once.  The cell table holds each
+    cell's vertices, one per key, and, for m = 3, its polygon order.  Both
+    are filled in stacked passes before the cell loop and only read inside
+    it.  The vertex objects carry no analyzer state, so a face-table vertex
+    keeps its identity and its key in any analyzer that holds it.
 
     With m > n (supported for n = m - 1) there is no window, r = 0: every
     cell passes the filter, its faces are its single nodes, each solved to
@@ -582,8 +571,6 @@ class Analyzer:
                 )
         self._faces: dict = {}  # face tuple -> shared vertex | None | _RANK_DEFICIENT
         self._cells: dict = {}  # cell -> (vertices, rank-deficient faces, polygon order)
-        self._face_ids = itertools.count()
-        self._clip_ids = itertools.count(-1, -1)
 
     def candidate_cells(self) -> np.ndarray:
         """Indices of cells where every minor changes sign (vectorized filter)."""
@@ -611,8 +598,6 @@ class Analyzer:
             f for fs in cell_faces for f in fs if f not in self._faces))
         new = _face_table(self.omega_nodes, faces, self.tess.nodes.points, self.jac_nodes)
         fresh = [v for v in new.values() if isinstance(v, SingularVertex)]
-        for v in fresh:
-            v.id = next(self._face_ids)
         self._attach_lambdas(fresh)
         self._faces.update(new)
         entries = [_cell_vertices(self._faces, fs) for fs in cell_faces]
@@ -648,12 +633,8 @@ class Analyzer:
         """Analytic Hessian interpolation, and sigma of the critical vertices,
         for the vertices of the cells that reach the second-order stage.
         Returns the vertices it changed."""
-        pending: dict[int, SingularVertex] = {}
-        for verts in cell_vertices:
-            for v in verts:
-                if v.hess_interp is None:
-                    pending.setdefault(v.id, v)
-        changed = list(pending.values())
+        changed = list(dict.fromkeys(
+            v for verts in cell_vertices for v in verts if v.hess_interp is None))
         if changed:
             # one Hessian evaluation over the distinct face nodes (found with
             # a mask: np.unique imports numpy.ma on first use), then one
@@ -711,9 +692,8 @@ class Analyzer:
         for j in range(self.problem.m):
             if not current:
                 break
-            values = {v.id: float(v.lam[j]) for p in current for v in p.verts}
-            current, dropped, boundary = clip_polytope(
-                current, values, ("lam", j), self._clip_ids)
+            values = {v: float(v.lam[j]) for p in current for v in p.verts}
+            current, dropped, boundary = clip_polytope(current, values, ("lam", j))
             analysis.strata[STRATUM_SINGULAR].extend(dropped)
             for w in boundary:
                 analysis.markers.append((w, MARKER_BOUNDARY))
@@ -727,24 +707,23 @@ class Analyzer:
         analysis.strata[STRATUM_UNSTABLE] = []
         if not theta:
             return analysis
-        verts = {v.id: v for piece in theta for v in piece.verts}
+        verts = list(dict.fromkeys(v for piece in theta for v in piece.verts))
         # face-table vertices come with sigma; first-order clip-born vertices
         # are evaluated here, in one stacked call
-        _attach_sigma([v for v in verts.values() if v.sigma is None and not v.kernel_fail])
+        _attach_sigma([v for v in verts if v.sigma is None and not v.kernel_fail])
         sigma_scale = 1.0
-        for v in verts.values():
+        for v in verts:
             if v.kernel_fail:
                 logger.debug("kernel dimension mismatch; vertex treated as unstable")
             elif v.sigma is not None:
                 sigma_scale = max(sigma_scale, float(np.abs(v.sigma).max()))
         values = {
-            vid: -10.0 * sigma_scale if v.kernel_fail or v.sigma is None
+            v: -10.0 * sigma_scale if v.kernel_fail or v.sigma is None
             else -float(v.sigma.max())
-            for vid, v in verts.items()
+            for v in verts
         }
-        analysis.sigma_ids = set(verts)
-        stable, unstable, boundary = clip_polytope(
-            theta, values, ("sig", 0), self._clip_ids, sigma=True)
+        analysis.sigma_vertices = set(verts)
+        stable, unstable, boundary = clip_polytope(theta, values, ("sig", 0), sigma=True)
         analysis.strata[STRATUM_STABLE].extend(stable)
         analysis.strata[STRATUM_UNSTABLE].extend(unstable)
         for w in boundary:
@@ -799,7 +778,7 @@ class ParetoComplex:
         self.u_values = u_values        # (V, m)
         self.lam = lam                  # (V, m), NaN where unknown
         self.sigma = sigma              # (V, k) or None, NaN where unknown
-        self.keys = keys                # list of canonical vertex keys
+        self.keys = keys                # vertex key strings, in vertex order
         self.simplices = simplices      # list of (ids, stratum, source_cell)
         self.markers = markers          # list of (vertex_id, kind)
         self.problem_name = problem_name
@@ -865,17 +844,17 @@ def glue(analyses: Iterable[CellAnalysis], problem: VectorProblem,
     data come from the first cell, in cell order, that lists it; its sigma
     only if it reached the second-order stage there or was born in that cell.
     """
-    vertex_table: dict[str, tuple] = {}  # order -> (vertex, sigma)
+    vertex_table: dict[str, tuple] = {}  # key -> (vertex, sigma)
     simplex_table: dict[tuple, tuple] = {}
     marker_table: dict[tuple, tuple] = {}
 
     for analysis in sorted(analyses, key=lambda a: a.cell_index):
-        reached = analysis.sigma_ids
+        reached = analysis.sigma_vertices
 
         def register(v: SingularVertex) -> str:
-            k = v.order
+            k = v.key
             if k not in vertex_table:
-                vertex_table[k] = (v, v.sigma if v.face is None or v.id in reached else None)
+                vertex_table[k] = (v, v.sigma if v.face is None or v in reached else None)
             return k
 
         for stratum, pieces in analysis.strata.items():
@@ -898,7 +877,7 @@ def glue(analyses: Iterable[CellAnalysis], problem: VectorProblem,
                     if sk not in simplex_table:
                         simplex_table[sk] = (stratum, analysis.cell_index)
         for v, kind in analysis.markers:
-            marker_table[(v.order, kind)] = (register(v), kind)
+            marker_table[(v.key, kind)] = (register(v), kind)
 
     ordered_keys = sorted(vertex_table)
     index_of = {k: i for i, k in enumerate(ordered_keys)}
@@ -927,7 +906,7 @@ def glue(analyses: Iterable[CellAnalysis], problem: VectorProblem,
         u_values=u_values,
         lam=lam,
         sigma=sigma,
-        keys=[v.key for v, _ in entries],
+        keys=ordered_keys,
         simplices=simplices,
         markers=markers,
         problem_name=problem.name,

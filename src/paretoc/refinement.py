@@ -233,9 +233,8 @@ def _minor_magnitudes(problem: VectorProblem, X) -> np.ndarray:
 
 
 def complex_minor_stats(problem: VectorProblem, cx: ParetoComplex):
-    """(max, mean) |minor| over refinement-target vertices, from true Jacobians."""
-    if problem.sigma_skip:
-        return 0.0, 0.0
+    """(max, mean) |minor| over refinement-target vertices, from true Jacobians;
+    0 on every vertex with no minor window (m > n)."""
     try:
         strata = _target_strata(cx)
     except EmptyComplex:

@@ -34,7 +34,7 @@ def _complex(positions, u, lam, sigma, simplices=(), markers=(), name="p"):
         n=positions.shape[1], m=u.shape[1], positions=positions, u_values=u,
         lam=np.asarray(lam, dtype=float),
         sigma=None if sigma is None else np.asarray(sigma, dtype=float),
-        keys=[("f", i) for i in range(len(positions))], simplices=list(simplices),
+        keys=[repr(("f", i)) for i in range(len(positions))], simplices=list(simplices),
         markers=list(markers), problem_name=name,
     )
 

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import logging
 
@@ -213,10 +214,10 @@ def test_solve_lambda_rank_collapse():
 
 
 def _seg(sa, sb):
-    a = SingularVertex(key=("f", 0), x=np.array([0.0, 0.0]), id=0)
-    b = SingularVertex(key=("f", 1), x=np.array([1.0, 0.0]), id=1)
+    a = SingularVertex(key=repr(("f", 0)), x=np.array([0.0, 0.0]))
+    b = SingularVertex(key=repr(("f", 1)), x=np.array([1.0, 0.0]))
     piece = Piece([a, b], "segment")
-    values = {a.id: sa, b.id: sb}
+    values = {a: sa, b: sb}
     return piece, values
 
 
@@ -225,10 +226,10 @@ def test_clip_segment_half():
     kept, dropped, boundary = clip_polytope([piece], values)
     assert len(kept) == 1 and len(dropped) == 1 and len(boundary) == 1
     assert boundary[0].x == pytest.approx([0.5, 0.0])
-    kept_keys = {v.order for v in kept[0].verts}
+    kept_keys = {v.key for v in kept[0].verts}
     assert repr(("f", 0)) in kept_keys
-    assert boundary[0].order == repr(boundary[0].key)
-    assert boundary[0].id < 0
+    assert boundary[0].key == repr(("c", "clip", ("f", 0), ("f", 1)))
+    assert boundary[0] not in values  # a new vertex, not an endpoint
 
 
 def test_clip_segment_no_clip():
@@ -239,12 +240,12 @@ def test_clip_segment_no_clip():
 
 def test_clip_triangle_corner():
     verts = [
-        SingularVertex(key=("f", 0), x=np.array([0.0, 0.0, 0.0]), id=0),
-        SingularVertex(key=("f", 1), x=np.array([1.0, 0.0, 0.0]), id=1),
-        SingularVertex(key=("f", 2), x=np.array([0.0, 1.0, 0.0]), id=2),
+        SingularVertex(key=repr(("f", 0)), x=np.array([0.0, 0.0, 0.0])),
+        SingularVertex(key=repr(("f", 1)), x=np.array([1.0, 0.0, 0.0])),
+        SingularVertex(key=repr(("f", 2)), x=np.array([0.0, 1.0, 0.0])),
     ]
     piece = Piece(verts, "polygon")
-    values = {0: 1.0, 1: -1.0, 2: -1.0}
+    values = dict(zip(verts, [1.0, -1.0, -1.0]))
     kept, dropped, boundary = clip_polytope([piece], values)
     assert len(kept) == 1 and len(kept[0].verts) == 3
     assert len(boundary) == 2
@@ -399,7 +400,7 @@ def test_glue_shared_vertex_merged_once_degree_two():
     cx = analyze(p, tess, order=1)
     shared = sorted(set(tess.cells[0]) & set(tess.cells[1]))
     diag_keys = [
-        i for i, k in enumerate(cx.keys)
+        i for i, k in enumerate(map(ast.literal_eval, cx.keys))
         if k[0] == "f" and len(k) == 3 and sorted(k[1:]) == shared
     ]
     assert len(diag_keys) == 1

@@ -13,6 +13,7 @@ adapter over :class:`Analyzer`; the wording and the cell indices of its
 warnings changed with that move, its bytes did not.
 """
 
+import ast
 import hashlib
 import json
 
@@ -152,6 +153,41 @@ def test_golden_cross_covers_degenerate_faces():
     assert flat.count("rank collapse at a singular vertex") == 2
     assert any(len(v.face) < an.r + 1
                for a in analyses for v in a.singular_vertices)
+
+
+def _check_key_tuple(k):
+    """A parsed vertex key: ("f", *sorted node ids) or ("c", stage, ka, kb)
+    with its endpoint keys in text order."""
+    if k[0] == "f":
+        assert len(k) >= 2 and all(type(i) is int for i in k[1:])
+        assert list(k[1:]) == sorted(k[1:])
+        return
+    assert k[0] == "c" and len(k) == 4
+    stage, ka, kb = k[1:]
+    assert stage in (("lam", 0), ("lam", 1), ("lam", 2), ("sig", 0))
+    assert repr(ka) < repr(kb)
+    _check_key_tuple(ka)
+    _check_key_tuple(kb)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_vertex_keys_are_their_tuple_text(case):
+    # glue merges and sorts the vertices by their key text, so the text must
+    # be exactly the repr of the key tuple it names
+    _, _, _, analyses, _ = _run(case)
+    checked = 0
+    for a in analyses:
+        verts = [v for pieces in a.strata.values() for piece in pieces for v in piece.verts]
+        for v in verts + [v for v, _ in a.markers]:
+            k = ast.literal_eval(v.key)
+            assert repr(k) == v.key
+            _check_key_tuple(k)
+            if k[0] == "f":
+                assert k == ("f",) + tuple(sorted(v.face))
+            else:
+                assert v.face is None
+            checked += 1
+    assert checked > 0
 
 
 def _cell_signature(a):

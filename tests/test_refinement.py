@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from paretoc.complex_io import save_complex
-from paretoc.continuation import ParetoComplex, STRATUM_STABLE, STRATUM_UNSTABLE
+from paretoc.continuation import ParetoComplex, STRATUM_STABLE, STRATUM_UNSTABLE, glue
 from paretoc.errors import EmptyComplex, NoProgress
 from paretoc.geometry import points_to_simplex_distance, simplex_measure
 from paretoc.problems import registry_get
 from paretoc.refinement import (
     _maximin_fill_with_hosts,
     _target_strata,
+    complex_minor_stats,
     initial_state,
     iterate,
     resample_polyline,
@@ -28,7 +29,7 @@ def _polyline_complex(points, segs, stratum=STRATUM_STABLE, markers=()):
         u_values=np.zeros((len(points), 2)),
         lam=np.full((len(points), 2), 0.5),
         sigma=None,
-        keys=[("f", i) for i in range(len(points))],
+        keys=[repr(("f", i)) for i in range(len(points))],
         simplices=[(tuple(s), stratum, i) for i, s in enumerate(segs)],
         markers=list(markers),
     )
@@ -88,7 +89,7 @@ def test_maximin_single_triangle_centroid():
     cx = ParetoComplex(
         n=3, m=3, positions=pos, u_values=np.zeros((3, 3)),
         lam=np.full((3, 3), 1 / 3), sigma=None,
-        keys=[("f", i) for i in range(3)],
+        keys=[repr(("f", i)) for i in range(3)],
         simplices=[((0, 1, 2), STRATUM_STABLE, 0)], markers=[],
     )
     pts = _maximin_fill_with_hosts(cx, 1)[0]
@@ -217,10 +218,17 @@ def test_iterate_budget_without_minor_windows(tmp_path):
     # still keeps at most 5 of them, the same ones on a rerun
     p = _paraboloid_problem()
     tess = kuhn_tessellation(p.domain_box, [6, 6])
+    start = initial_state(p, tess)
+    assert len(start.complex.simplex_ids([STRATUM_UNSTABLE, STRATUM_STABLE])) == 42
+    assert complex_minor_stats(p, start.complex) == (0.0, 0.0)
+    # with no critical simplex the stats are (inf, inf), as for m <= n
+    assert complex_minor_stats(p, glue([], p, tess, order=1)) == (np.inf, np.inf)
     runs = []
     for k in range(2):
         st = iterate(initial_state(p, tess), scheme="maximin", budget=5)
         assert len(tess.nodes) < len(st.tess.nodes) <= len(tess.nodes) + 5
+        assert complex_minor_stats(p, st.complex) == (0.0, 0.0)
+        assert (st.history[-1].max_minor, st.history[-1].mean_minor) == (0.0, 0.0)
         save_complex(tmp_path / f"{k}.json", st.complex)
         runs.append((st.tess.nodes.points.tobytes(), (tmp_path / f"{k}.json").read_bytes()))
     assert runs[0] == runs[1]

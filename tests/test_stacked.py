@@ -7,6 +7,7 @@ as the reference and requires bit-equal results, since the arithmetic of
 every item is unchanged.
 """
 
+import ast
 import dataclasses
 from collections import Counter
 
@@ -167,13 +168,12 @@ def test_face_vertices_match_face_loop(analyzers):
         pts = an.tess.nodes.points
         faces = [f for f, v in an._faces.items() if isinstance(v, SingularVertex)]
         mu, _ = solve_faces(an.omega_nodes, faces)
-        ids = [an._faces[f].id for f in faces]
-        assert sorted(ids) == list(range(len(ids)))
+        assert len({an._faces[f] for f in faces}) == len(faces)  # one vertex per face
         for face, w in zip(faces, mu):
             v = an._faces[face]
             sub, ref_mu, ref_x, ref_grad = _loop_face_vertex(face, w, pts, an.jac_nodes)
             sizes.add(len(sub))
-            assert v.face == sub and v.key == ("f",) + sub and v.order == repr(v.key)
+            assert v.face == sub and v.key == repr(("f",) + sub)
             assert np.array_equal(v.mu, ref_mu) and np.array_equal(v.x, ref_x)
             assert np.array_equal(v.grad_interp, ref_grad)
     assert {1, 2} <= sizes
@@ -208,7 +208,7 @@ def test_second_order_stage_matches_vertex_loop(analyzers):
     for a in an.run_cells():
         for piece in a.strata[STRATUM_UNSTABLE] + a.strata[STRATUM_STABLE]:
             for v in piece.verts:
-                if v.face is not None or v.key[1][0] != "lam":
+                if v.face is not None or ast.literal_eval(v.key)[1][0] != "lam":
                     continue
                 clip_born += 1
                 ref = _loop_generalized_hessian(v.grad_interp, v.lam, v.hess_interp)
