@@ -16,11 +16,13 @@ form <= 0 yields the stable part.  Clip boundaries become marker points
 (criticality boundaries and cusps).  Adjacent cells share singular vertices
 through their defining faces, so gluing is an exact merge keyed on face keys.
 
-The face is therefore the unit of work: the analyzer collects the distinct
-r-faces of all candidate cells, solves their barycentric systems in one
-stacked call and computes each accepted vertex's data (position, gradients,
-lambda, Hessian interpolation, sigma) once.  The per-cell step reads its
-shared vertices from the table, assembles the polytope and clips it.
+The face is therefore the unit of work.  A run is four stages over all
+candidate cells: one table pass solves the distinct r-faces in one stacked
+call and computes each accepted vertex's data (position, gradients, lambda,
+Hessian interpolation) once, and orders the polygons; every cell's polytope
+is assembled from its shared vertices and clipped by lambda; sigma is
+computed in one stacked call for exactly the vertices of the critical
+pieces; and every cell's critical part is clipped by sigma.
 """
 
 from __future__ import annotations
@@ -179,9 +181,10 @@ def _interp_vertex(a: SingularVertex, b: SingularVertex, t: float, stage,
     """Linear interpolation between two vertices; canonical w.r.t. key order.
 
     Only a second-order clip (``sigma``) interpolates sigma and kernel
-    failures; a vertex born in a first-order clip gets its sigma evaluated
-    at the second-order stage.  The residual and the criticality flag keep
-    their defaults: the validity stage reads them before the first clip.
+    failures; a vertex born in a first-order clip gets its sigma in the
+    sigma stage, as a face-table vertex does.  The residual and the
+    criticality flag keep their defaults: the validity stage reads them
+    before the first clip.
     """
     if b.key < a.key:
         a, b = b, a
@@ -482,13 +485,17 @@ def generalized_hessians(G: np.ndarray, lam: np.ndarray, hess: np.ndarray) -> tu
 
 
 def _attach_sigma(verts: list) -> None:
-    """Set sigma, or the kernel-failure flag, on vertices in one stacked call."""
+    """Set sigma (read-only), or the kernel-failure flag, on vertices in one
+    stacked call, and log the count of kernel failures."""
     if verts:
         sigma, fail = generalized_hessians(np.array([v.grad_interp for v in verts]),
                                            np.array([v.lam for v in verts]),
                                            np.array([v.hess_interp for v in verts]))
+        sigma.flags.writeable = False
         for v, sg, f in zip(verts, sigma, fail):
             v.sigma, v.kernel_fail = (None, True) if f else (sg, False)
+        logger.debug("kernel dimension ambiguous at %d of %d vertices; treated as "
+                     "unstable", np.count_nonzero(fail), len(verts))
 
 
 # ---------------------------------------------------------------------------
@@ -514,23 +521,23 @@ class Analyzer:
     caller with its own nodal data (the constrained pipeline: projected
     gradients and augmented minors) passes ``jac_nodes`` (N, m, n) and
     ``omega_nodes`` (N, r) instead; r is then the minors' width and the
-    problem's windows are not read.  Before the cells are analysed, the
-    distinct r-faces of all of them go through one stacked barycentric solve
-    into the face table, where each accepted vertex gets its lambda, analytic
-    Hessian interpolation and sigma, exactly once.  The cell table holds each
-    cell's vertices, one per key, and, for m = 3, its polygon order.  Both
-    are filled in stacked passes before the cell loop and only read inside
-    it.  The vertex objects carry no analyzer state, so a face-table vertex
-    keeps its identity and its key in any analyzer that holds it.
+    problem's windows are not read.  The analyzer holds only these inputs.
+
+    :meth:`run_cells` runs four stages over all candidate cells.  (1) The
+    table pass: the distinct r-faces of all cells go through one stacked
+    barycentric solve, each accepted vertex gets its lambda and analytic
+    Hessian interpolation exactly once, and each cell's entry holds its
+    vertices, one per key, and, for m = 3, its polygon order.  (2) The
+    first-order clip of every cell.  (3) One stacked sigma call over the
+    vertices of every cell's critical pieces, each once.  (4) The
+    second-order clip of every cell.  The vertex objects carry no analyzer
+    state, so a face-table vertex keeps its identity and its key in any
+    analyzer that holds it.
 
     With m > n (supported for n = m - 1) there is no window, r = 0: every
     cell passes the filter, its faces are its single nodes, each solved to
     mu = 1, and the cell itself is the singular piece.  The kernel of Du is
     then trivial, so the analysis is first order.
-
-    The per-cell step clips the cell's polytope on the shared vertices.  A
-    cell analysed outside :meth:`run_cells` first fills the tables for
-    itself, through the same code.
     """
 
     def __init__(
@@ -569,8 +576,6 @@ class Analyzer:
                     "degenerate for this map, choose other windows in "
                     "VectorProblem.minor_columns", j,
                 )
-        self._faces: dict = {}  # face tuple -> shared vertex | None | _RANK_DEFICIENT
-        self._cells: dict = {}  # cell -> (vertices, rank-deficient faces, polygon order)
 
     def candidate_cells(self) -> np.ndarray:
         """Indices of cells where every minor changes sign (vectorized filter)."""
@@ -583,38 +588,34 @@ class Analyzer:
 
     # -- face and cell tables ----------------------------------------------------
 
-    def _fill_face_table(self, cells: Iterable[int]) -> None:
-        """Fill the face and cell tables for ``cells``.
+    def _cell_table(self, cells: Sequence[int]) -> list:
+        """The cell table: ``(vertices, rank-deficient faces, polygon
+        order)`` for each of ``cells``, built in stacked passes.
 
-        Runs the stacked face solve on the faces not yet in the table and
-        attaches lambda to every new vertex.  For the cells that reach the
-        polytope stage it then attaches the analytic Hessian interpolation
-        and sigma (second order) and orders the polygons (m = 3), each in
-        stacked calls.
+        Runs the stacked face solve on the distinct faces of the cells and
+        attaches lambda to every accepted vertex.  For the cells that reach
+        the polytope stage it then attaches the analytic Hessian
+        interpolation (second order) and orders the polygons (m = 3).  The
+        vertices' arrays are read-only.
         """
-        cells = [int(ci) for ci in cells if int(ci) not in self._cells]
         cell_faces = [enumerate_faces(self.tess.cells[ci], self.r) for ci in cells]
-        faces = list(dict.fromkeys(
-            f for fs in cell_faces for f in fs if f not in self._faces))
-        new = _face_table(self.omega_nodes, faces, self.tess.nodes.points, self.jac_nodes)
-        fresh = [v for v in new.values() if isinstance(v, SingularVertex)]
-        self._attach_lambdas(fresh)
-        self._faces.update(new)
-        entries = [_cell_vertices(self._faces, fs) for fs in cell_faces]
+        faces = list(dict.fromkeys(f for fs in cell_faces for f in fs))
+        table = _face_table(self.omega_nodes, faces, self.tess.nodes.points, self.jac_nodes)
+        verts = [v for v in table.values() if isinstance(v, SingularVertex)]
+        self._attach_lambdas(verts)
+        entries = [_cell_vertices(table, fs) for fs in cell_faces]
         orders: list = [None] * len(cells)
-        hessian = []
-        reach = [i for i, (verts, _) in enumerate(entries) if len(verts) >= self.problem.m]
+        reach = [i for i, (cv, _) in enumerate(entries) if len(cv) >= self.problem.m]
         if self.order >= 2:
-            hessian = self._attach_hessians([entries[i][0] for i in reach])
+            self._attach_hessians([entries[i][0] for i in reach])
         if self.problem.m == 3:
             for i, order in zip(reach, _polygon_orders([entries[i][0] for i in reach])):
                 orders[i] = order
-        for v in fresh + hessian:
-            for a in (v.x, v.mu, v.grad_interp, v.lam, v.hess_interp, v.sigma):
+        for v in verts:
+            for a in (v.x, v.mu, v.grad_interp, v.lam, v.hess_interp):
                 if a is not None:
                     a.flags.writeable = False
-        for ci, (verts, skipped), order in zip(cells, entries, orders):
-            self._cells[ci] = (verts, skipped, order)
+        return [(cv, skipped, order) for (cv, skipped), order in zip(entries, orders)]
 
     def _attach_lambdas(self, verts: list) -> None:
         if not verts:
@@ -629,12 +630,12 @@ class Analyzer:
                 v.lam, v.residual = lv, float(res)
                 v.critical_ok = v.residual <= EPS_RES * sc
 
-    def _attach_hessians(self, cell_vertices: list) -> list:
-        """Analytic Hessian interpolation, and sigma of the critical vertices,
-        for the vertices of the cells that reach the second-order stage.
-        Returns the vertices it changed."""
-        changed = list(dict.fromkeys(
-            v for verts in cell_vertices for v in verts if v.hess_interp is None))
+    def _attach_hessians(self, cell_vertices: list) -> None:
+        """Analytic Hessian interpolation for the vertices of the cells that
+        reach the polytope stage; the first-order clip interpolates it onto
+        the vertices it creates.  Sigma waits for the sigma stage of
+        :meth:`run_cells`."""
+        changed = list(dict.fromkeys(v for verts in cell_vertices for v in verts))
         if changed:
             # one Hessian evaluation over the distinct face nodes (found with
             # a mask: np.unique imports numpy.ma on first use), then one
@@ -652,21 +653,13 @@ class Analyzer:
                 interp = mu[:, None, :] @ hs.reshape(len(group), k, -1)
                 for v, h in zip(group, interp.reshape((len(group),) + shape)):
                     v.hess_interp = h
-        _attach_sigma([v for v in changed if v.lam is not None and v.critical_ok])
-        return changed
 
     # -- per-cell pipeline -----------------------------------------------------
 
-    def analyze_cell(self, ci: int) -> CellAnalysis:
-        analysis = self.analyze_cell_first_order(ci)
-        if self.order >= 2:
-            self.analyze_cell_second_order(analysis)
-        return analysis
-
-    def analyze_cell_first_order(self, ci: int) -> CellAnalysis:
-        if ci not in self._cells:
-            self._fill_face_table([ci])
-        verts, skipped, order = self._cells[ci]
+    def analyze_cell_first_order(self, ci: int, verts: list, skipped: int,
+                                 order: Optional[list]) -> CellAnalysis:
+        """Assemble cell ``ci`` from its cell-table entry and clip it by
+        lambda; the critical pieces are labelled unstable."""
         analysis = CellAnalysis(cell_index=ci)
         if skipped:
             analysis.warnings.append(f"{skipped} rank-deficient face system(s) skipped")
@@ -703,25 +696,18 @@ class Analyzer:
         return analysis
 
     def analyze_cell_second_order(self, analysis: CellAnalysis) -> CellAnalysis:
+        """Clip the critical pieces by sigma, which the sigma stage of
+        :meth:`run_cells` set on their vertices; a kernel failure (no sigma)
+        counts as unstable."""
         theta = analysis.strata[STRATUM_UNSTABLE]
         analysis.strata[STRATUM_UNSTABLE] = []
         if not theta:
             return analysis
         verts = list(dict.fromkeys(v for piece in theta for v in piece.verts))
-        # face-table vertices come with sigma; first-order clip-born vertices
-        # are evaluated here, in one stacked call
-        _attach_sigma([v for v in verts if v.sigma is None and not v.kernel_fail])
-        sigma_scale = 1.0
-        for v in verts:
-            if v.kernel_fail:
-                logger.debug("kernel dimension mismatch; vertex treated as unstable")
-            elif v.sigma is not None:
-                sigma_scale = max(sigma_scale, float(np.abs(v.sigma).max()))
-        values = {
-            v: -10.0 * sigma_scale if v.kernel_fail or v.sigma is None
-            else -float(v.sigma.max())
-            for v in verts
-        }
+        sigma_scale = max([1.0] + [float(np.abs(v.sigma).max())
+                                   for v in verts if v.sigma is not None])
+        values = {v: -10.0 * sigma_scale if v.sigma is None else -float(v.sigma.max())
+                  for v in verts}
         analysis.sigma_vertices = set(verts)
         stable, unstable, boundary = clip_polytope(theta, values, ("sig", 0), sigma=True)
         analysis.strata[STRATUM_STABLE].extend(stable)
@@ -757,9 +743,17 @@ class Analyzer:
         return glue(analyses, self.problem, self.tess, order=self.order)
 
     def run_cells(self) -> list:
+        """The analyses of all candidate cells, in the four stages."""
         idx = self.candidate_cells()
-        self._fill_face_table(idx)
-        return [self.analyze_cell(ci) for ci in idx]
+        analyses = [self.analyze_cell_first_order(ci, *entry)
+                    for ci, entry in zip(idx, self._cell_table(idx))]
+        if self.order >= 2:
+            _attach_sigma(list(dict.fromkeys(
+                v for a in analyses for piece in a.strata[STRATUM_UNSTABLE]
+                for v in piece.verts)))
+            for a in analyses:
+                self.analyze_cell_second_order(a)
+        return analyses
 
 
 # ---------------------------------------------------------------------------

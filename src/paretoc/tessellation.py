@@ -105,10 +105,6 @@ class Tessellation:
     def n(self) -> int:
         return self.nodes.n
 
-    @property
-    def scale(self) -> float:
-        return self.nodes.bbox_diagonal
-
     def min_incident_edge(self) -> np.ndarray:
         """Per node, the length of the shortest incident edge."""
         out = np.full(len(self.nodes), np.inf)
@@ -707,7 +703,7 @@ def insert_nodes(tess: Tessellation, points: Iterable) -> Tessellation:
     points = [np.asarray(p, dtype=float) for p in points]
     if not points:
         return tess
-    eps = EPS_GEOM_REL * max(tess.scale, 1e-300)
+    eps = EPS_GEOM_REL * max(tess.nodes.bbox_diagonal, 1e-300)
     existing = tess.nodes.points
     bad_shape = next(
         (k for k, p in enumerate(points) if p.shape != (tess.n,)), len(points)

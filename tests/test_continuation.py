@@ -269,10 +269,8 @@ def test_triv_cell_straddling_front():
     p = registry_get("triv")
     # the critical curve passes (1.5, ~1.318)
     tess = _tiny_cell_tess([1.5, 1.32], 0.35)
-    an = Analyzer(p, tess, order=1)
     found = False
-    for ci in an.candidate_cells():
-        a = an.analyze_cell_first_order(ci)
+    for a in Analyzer(p, tess, order=1).run_cells():
         for piece in a.strata[STRATUM_UNSTABLE] + a.strata[STRATUM_STABLE]:
             found = True
             for v in piece.verts:
@@ -301,11 +299,9 @@ def test_noncv_noncritical_loop_cell():
     p = registry_get("noncv")
     q = _bisect_omega(p, np.array([-2.0, -0.6]), np.array([-2.0, -2.5]))
     tess = _tiny_cell_tess(q, 0.05)
-    an = Analyzer(p, tess, order=1)
     sigma_nonempty = False
     theta_empty = True
-    for ci in an.candidate_cells():
-        a = an.analyze_cell_first_order(ci)
+    for a in Analyzer(p, tess, order=1).run_cells():
         if any(a.strata.values()):
             sigma_nonempty = True
         if a.strata[STRATUM_UNSTABLE] or a.strata[STRATUM_STABLE]:

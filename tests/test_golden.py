@@ -190,30 +190,6 @@ def test_vertex_keys_are_their_tuple_text(case):
     assert checked > 0
 
 
-def _cell_signature(a):
-    strata = {s: [[repr(v.key) for v in piece.verts] for piece in pieces]
-              for s, pieces in a.strata.items()}
-    markers = [(repr(v.key), kind) for v, kind in a.markers]
-    sigma = [None if v.sigma is None else v.sigma.tolist()
-             for pieces in a.strata.values() for piece in pieces for v in piece.verts]
-    return strata, markers, sigma, list(a.warnings)
-
-
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_standalone_cell_matches_run_cells(case):
-    # a cell analysed on its own fills the face table for its faces only,
-    # through the same code path as the stacked pass of run_cells
-    build, kwargs, _, _ = CASES[case]
-    p, tess = build()
-    in_run = Analyzer(p, tess, **kwargs).run_cells()
-    alone = Analyzer(p, tess, **kwargs)
-    for a in in_run:
-        b = alone.analyze_cell_first_order(a.cell_index)
-        if alone.order >= 2:
-            alone.analyze_cell_second_order(b)
-        assert _cell_signature(b) == _cell_signature(a)
-
-
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_supplied_nodal_arrays_give_the_same_bytes(case, tmp_path):
     # the constrained pipeline's entry: nodal data computed outside Analyzer

@@ -160,7 +160,7 @@ def _assert_rows_independent(problem, X):
     # conveniences then give the pipeline's values bit for bit
     for what, raw_callable, at in _callables(problem):
         raw = raw_callable(X)
-        # owned and C-contiguous: callers mark the arrays read-only
+        # owned and C-contiguous: the pipeline would copy anything else
         assert raw.flags.owndata and raw.flags.c_contiguous, what
         ref = np.concatenate([at(X[i:i + 1]) for i in range(len(X))])
         assert np.array_equal(raw, ref), what

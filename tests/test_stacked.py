@@ -9,6 +9,8 @@ every item is unchanged.
 
 import ast
 import dataclasses
+import functools
+import logging
 from collections import Counter
 
 import numpy as np
@@ -78,14 +80,17 @@ def _analyzers():
 
 @pytest.fixture(scope="module")
 def analyzers():
-    ans = _analyzers()
-    for an in ans:
-        an.run_cells()
-    return ans
+    return _analyzers()
+
+
+@functools.cache
+def _cell_table(an):
+    return an._cell_table(an.candidate_cells())
 
 
 def _table_vertices(an):
-    return [v for v in an._faces.values() if isinstance(v, SingularVertex)]
+    # every face-table vertex that some cell lists
+    return list(dict.fromkeys(v for verts, _, _ in _cell_table(an) for v in verts))
 
 
 def test_snapped_determinants_match_node_loop(analyzers):
@@ -166,11 +171,15 @@ def test_face_vertices_match_face_loop(analyzers):
     sizes = set()
     for an in analyzers:
         pts = an.tess.nodes.points
-        faces = [f for f, v in an._faces.items() if isinstance(v, SingularVertex)]
+        table = continuation._face_table(
+            an.omega_nodes, sorted({f for ci in an.candidate_cells()
+                                    for f in enumerate_faces(an.tess.cells[ci], an.r)}),
+            pts, an.jac_nodes)
+        faces = [f for f, v in table.items() if isinstance(v, SingularVertex)]
         mu, _ = solve_faces(an.omega_nodes, faces)
-        assert len({an._faces[f] for f in faces}) == len(faces)  # one vertex per face
+        assert len({table[f] for f in faces}) == len(faces)  # one vertex per face
         for face, w in zip(faces, mu):
-            v = an._faces[face]
+            v = table[face]
             sub, ref_mu, ref_x, ref_grad = _loop_face_vertex(face, w, pts, an.jac_nodes)
             sizes.add(len(sub))
             assert v.face == sub and v.key == repr(("f",) + sub)
@@ -190,7 +199,7 @@ def _loop_polygon_order(verts):
 def test_polygon_orders_match_cell_loop(analyzers):
     an = analyzers[0]  # tri_quadratic: m = 3
     sizes = set()
-    for verts, _, order in an._cells.values():
+    for verts, _, order in _cell_table(an):
         if len(verts) >= 3:
             sizes.add(len(verts))
             assert order == _loop_polygon_order(verts)
@@ -200,8 +209,8 @@ def test_polygon_orders_match_cell_loop(analyzers):
 
 
 def test_second_order_stage_matches_vertex_loop(analyzers):
-    # sigma of the clip-born vertices, stacked per cell, against one call
-    # per vertex; the face-table vertices keep their table sigma
+    # sigma of the clip-born vertices, stacked over the run with the
+    # face-table vertices, against one call per vertex
     p = registry_get("tri_quadratic")
     an = Analyzer(p, kuhn_tessellation(p.domain_box, [7, 7, 7]))
     clip_born = 0
@@ -219,6 +228,42 @@ def test_second_order_stage_matches_vertex_loop(analyzers):
     assert clip_born > 0
 
 
+def test_sigma_is_one_stacked_call_over_the_reached_vertices(monkeypatch, caplog):
+    # an order-2 run computes sigma in one call, over exactly the vertices
+    # of its cells' critical pieces, and logs its kernel failures once;
+    # first-order runs never compute it
+    calls = []
+    stacked = continuation.generalized_hessians
+
+    def counting(G, lam, hess):
+        calls.append(len(G))
+        return stacked(G, lam, hess)
+
+    monkeypatch.setattr(continuation, "generalized_hessians", counting)
+    caplog.set_level(logging.DEBUG, logger="paretoc.continuation")
+    for name, counts in (("tri_quadratic", [6, 6, 6]), ("noncv", [40, 40])):
+        p = registry_get(name)
+        tess = kuhn_tessellation(p.domain_box, counts)
+        calls.clear()
+        caplog.clear()
+        analyses = Analyzer(p, tess).run_cells()
+        reached = set().union(*(a.sigma_vertices for a in analyses))
+        assert calls == [len(reached)]
+        assert sum("kernel dimension" in r.getMessage() for r in caplog.records) == 1
+        seen = {v for a in analyses for v in a.singular_vertices}
+        seen |= {v for a in analyses for pieces in a.strata.values()
+                 for piece in pieces for v in piece.verts}
+        seen |= {v for a in analyses for v, _ in a.markers}
+        with_sigma = [v for v in seen if v.sigma is not None or v.kernel_fail]
+        assert with_sigma
+        for v in with_sigma:
+            assert v in reached or ast.literal_eval(v.key)[1] == ("sig", 0)
+        Analyzer(p, tess, order=1).run_cells()
+        assert len(calls) == 1
+    analyze_constrained(registry_get("sphere_proj"), icosphere(2))
+    assert len(calls) == 1
+
+
 def _loop_hess_interp(problem, points, v):
     hs = np.array([problem.hess(points[i]) for i in v.face])
     return np.tensordot(v.mu, hs, axes=1)
@@ -228,7 +273,6 @@ def test_hessian_interpolation_matches_vertex_loop(analyzers):
     # locglob has r = 2: its faces are triangles, so face sizes 1 to 3 occur
     p = registry_get("locglob")
     locglob = Analyzer(p, kuhn_tessellation(p.domain_box, [6, 6, 6]))
-    locglob.run_cells()
     sizes = set()
     for an in analyzers + [locglob]:
         verts = [v for v in _table_vertices(an) if v.hess_interp is not None]

@@ -375,7 +375,7 @@ def test_batch_duplicate_checks_keep_their_order():
     with pytest.raises(ValueError, match="wrong dimension"):
         insert_nodes(t, [[0.5, 0.5, 0.5], [0.0, 1.0]])
     # points just beyond the tolerance are distinct
-    eps = EPS_GEOM_REL * t.scale
+    eps = EPS_GEOM_REL * t.nodes.bbox_diagonal
     grown = insert_nodes(t, [[0.5, 0.5], [0.5 + 3 * eps, 0.5]])
     assert len(grown.nodes) == 6
 
