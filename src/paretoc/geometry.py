@@ -52,52 +52,92 @@ def points_to_simplex_distance(points: np.ndarray, simplex: np.ndarray) -> np.nd
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     simplex = np.asarray(simplex, dtype=float)
-    k = simplex.shape[0] - 1
+    return points_to_simplices_distance(points[None], simplex[None])[0]
+
+
+def points_to_simplices_distance(points: np.ndarray, simplices: np.ndarray) -> np.ndarray:
+    """Exact distances from G stacks of points to G simplices of one dimension.
+
+    Parameters
+    ----------
+    points : (G, S, n) array, stack g measured against simplex g
+    simplices : (G, k+1, n) array with k in {0, 1, 2}
+
+    Returns
+    -------
+    (G, S) array of distances.
+
+    Each dot product is one stacked matmul, ``(G, S, n) @ (G, n, 1)``, which
+    numpy evaluates as one BLAS call per stack, so stack g gets the bits of
+    ``points[g] @ v``; everything else is elementwise.  A row's bits therefore
+    depend on its stack's size only in that a one-row stack (a BLAS dot)
+    rounds differently from a longer one (a BLAS matrix-vector product).
+    """
+    points = np.asarray(points, dtype=float)
+    simplices = np.asarray(simplices, dtype=float)
+    k = simplices.shape[1] - 1
     if k == 0:
-        return np.linalg.norm(points - simplex[0], axis=1)
+        return _norm(points - simplices[:, :1])
     if k == 1:
-        return _points_to_segment(points, simplex[0], simplex[1])
+        return _segments(points, simplices[:, 0], simplices[:, 1])
     if k == 2:
-        return _points_to_triangle(points, simplex[0], simplex[1], simplex[2])
+        return _triangles(points, simplices[:, 0], simplices[:, 1], simplices[:, 2])
     raise ValueError(f"point-to-simplex distance implemented for k <= 2, got {k}")
 
 
-def _points_to_segment(p, a, b):
+def _dots(x, v):
+    """``x[g] @ v[g]`` for every g: x is (G, S, n), v is (G, n)."""
+    return (x @ v[:, :, None])[:, :, 0]
+
+
+def _norm(v):
+    """Euclidean norms over the last axis.
+
+    The squares are summed one coordinate at a time, in order, which is how
+    ``np.linalg.norm(v, axis=-1)`` sums a short axis: the bits are the same,
+    at a fraction of the cost of a reduction over a length-2 or -3 axis.
+    """
+    sq = v * v
+    s = sq[..., 0].copy()
+    for j in range(1, v.shape[-1]):
+        s += sq[..., j]
+    return np.sqrt(s)
+
+
+def _segments(p, a, b):
     ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return np.linalg.norm(p - a, axis=1)
-    t = np.clip((p - a) @ ab / denom, 0.0, 1.0)
-    proj = a + t[:, None] * ab
-    return np.linalg.norm(p - proj, axis=1)
+    denom = _dots(ab[:, None], ab)[:, 0]
+    point = denom == 0.0  # zero-length segments: the distance to a
+    t = _dots(p - a[:, None], ab) / np.where(point, 1.0, denom)[:, None]
+    t = np.clip(t, 0.0, 1.0)
+    t[point] = 0.0
+    proj = a[:, None] + t[:, :, None] * ab[:, None]
+    return _norm(p - proj)
 
 
-def _points_to_triangle(p, a, b, c):
+def _triangles(p, a, b, c):
     # Project onto the triangle plane, clamp barycentrically by falling back
     # to the nearest edge when the projection lands outside.
     ab = b - a
     ac = c - a
-    g00 = float(ab @ ab)
-    g01 = float(ab @ ac)
-    g11 = float(ac @ ac)
+    g00 = _dots(ab[:, None], ab)
+    g01 = _dots(ab[:, None], ac)
+    g11 = _dots(ac[:, None], ac)
     det = g00 * g11 - g01 * g01
-    if det <= 0.0:
-        return np.minimum(
-            _points_to_segment(p, a, b),
-            np.minimum(_points_to_segment(p, b, c), _points_to_segment(p, a, c)),
-        )
-    ap = p - a
-    d0 = ap @ ab
-    d1 = ap @ ac
+    flat = det[:, 0] <= 0.0
+    det[flat] = 1.0
+    ap = p - a[:, None]
+    d0 = _dots(ap, ab)
+    d1 = _dots(ap, ac)
     s = (g11 * d0 - g01 * d1) / det
     t = (g00 * d1 - g01 * d0) / det
     inside = (s >= 0.0) & (t >= 0.0) & (s + t <= 1.0)
-    proj = a + s[:, None] * ab + t[:, None] * ac
-    dist = np.linalg.norm(p - proj, axis=1)
-    if not np.all(inside):
-        edge = np.minimum(
-            _points_to_segment(p, a, b),
-            np.minimum(_points_to_segment(p, b, c), _points_to_segment(p, a, c)),
-        )
-        dist = np.where(inside, dist, edge)
+    inside[flat] = False
+    proj = a[:, None] + s[:, :, None] * ab[:, None] + t[:, :, None] * ac[:, None]
+    dist = _norm(p - proj)
+    edge = ~inside.all(axis=1)
+    if edge.any():
+        q, a, b, c = p[edge], a[edge], b[edge], c[edge]
+        near = np.minimum(_segments(q, a, b), np.minimum(_segments(q, b, c), _segments(q, a, c)))
+        dist[edge] = np.where(inside[edge], dist[edge], near)
     return dist

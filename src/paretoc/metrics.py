@@ -5,13 +5,30 @@ the inf side and dense barycentric sampling on the sup side, so the reported
 value underestimates the true supremum by at most (max simplex diameter /
 density).  The directional means are the average sample-to-set distances.
 
-The inf side is an exact culled search.  With r the largest bounding-box
+The inf side is an exact culled search.  With r the median bounding-box
 extent of the target simplices, each simplex is first evaluated only on the
-samples whose bounding-box gap to it is at most 2r.  A sample that ends this
-pass within r of the set is settled, because every simplex it skipped is more
-than 2r away; the others are compared with every simplex.  The minimum does
-not depend on which simplices are evaluated beyond the nearest, so the
-distances are bit-identical to the all-pairs scan.
+samples whose bounding-box gap to it is at most 2r (its window, found by a
+sweep along the first axis).  A sample that ends this pass within r of the
+set is settled, because every simplex it skipped is more than 2r away; every
+other sample is compared with every simplex.  The median keeps the windows
+small; the samples it leaves unsettled, near the few long simplices, are
+what the all-pairs pass is for.  For point sets r is 0, and every sample
+that is not on a target point goes to the all-pairs pass.
+
+Both passes are batched per simplex dimension.  Pass 1 takes the simplices
+in order of their sweep span and gathers their windows for
+``_GATHER_BLOCKS`` blocks at a time, so the memory it holds is bounded.  It
+sorts the gathered windows by size and stacks them in blocks of about
+``_BLOCK_ROWS`` sample rows, each window padded to the block's largest by
+repeating its last row (the pad rows are masked out).  The all-pairs pass
+stacks as many simplices as fit in a block.  A block is one call of
+``geometry.points_to_simplices_distance``, which gives every row the bits of
+the per-simplex call.  The per-sample minimum (``np.minimum.at`` over the
+blocks) is exact, so it depends neither on the blocks nor on which simplices
+are evaluated beyond the nearest: the distances are bit-identical to the
+all-pairs scan.  Windows are padded to at least two rows, because a one-row
+stack rounds differently; with a single sample every stack has one row, as
+in the all-pairs scan.
 """
 
 from __future__ import annotations
@@ -22,7 +39,7 @@ import numpy as np
 
 from .continuation import ParetoComplex
 from .errors import EmptyComplex, InsufficientData
-from .geometry import points_to_simplex_distance, simplex_diameter
+from .geometry import points_to_simplices_distance, simplex_diameter
 
 DEFAULT_DENSITY = 20
 
@@ -60,29 +77,57 @@ def _as_point_set(obj, strata=None):
     return pos, [(i,) for i in range(len(pos))]
 
 
+def _by_size(simplices):
+    """Per vertex count m: the simplices' indices in the list and their (G, m) vertex ids."""
+    sizes = np.array([len(ids) for ids in simplices])
+    groups = []
+    for m in sorted(set(sizes.tolist())):  # not np.unique: it imports numpy.ma
+        which = np.flatnonzero(sizes == m)
+        ids = np.array([simplices[i] for i in which], dtype=np.intp).reshape(len(which), m)
+        groups.append((m, which, ids))
+    return groups
+
+
 def _sample_simplices(positions, simplices, density):
-    out = []
-    for ids in simplices:
-        P = positions[list(ids)]
-        if len(ids) == 1:
-            out.append(P)
-        elif len(ids) == 2:
-            t = np.linspace(0.0, 1.0, max(2, density + 1))[:, None]
-            out.append(P[0] * (1 - t) + P[1] * t)
-        elif len(ids) == 3:
-            k = max(1, density)
-            for a in range(k + 1):
-                for b in range(k + 1 - a):
-                    w = np.array([a, b, k - a - b], dtype=float) / k
-                    out.append((w @ P)[None, :])
+    """Barycentric samples of every simplex, in simplex order."""
+    groups = _by_size(simplices)
+    if groups and groups[-1][0] > 3:
+        raise ValueError("sampling implemented for simplices up to triangles")
+    k = max(1, density)
+    edge = np.linspace(0.0, 1.0, max(2, density + 1))[:, None]
+    face = np.array([[a, b, k - a - b] for a in range(k + 1) for b in range(k + 1 - a)],
+                    dtype=float) / k
+    per = np.array([1, len(edge), len(face)])[[len(ids) - 1 for ids in simplices]]
+    start = np.cumsum(per) - per
+    out = np.empty((int(per.sum()), positions.shape[1]))
+    for m, which, ids in groups:
+        P = positions[ids]
+        if m == 1:
+            block = P
+        elif m == 2:
+            block = P[:, :1] * (1 - edge) + P[:, 1:] * edge
         else:
-            raise ValueError("sampling implemented for simplices up to triangles")
-    return np.vstack(out) if out else np.empty((0, positions.shape[1]))
+            # one (3,) @ (3, n) product per sample, as a stack of them
+            block = (face[None, :, None, :] @ P[:, None])[:, :, 0]
+        out[start[which, None] + np.arange(block.shape[1])] = block
+    return out
 
 
 # Pass-1 window in units of r.  Any factor >= 1 settles samples exactly; the
 # second unit is a margin for the rounding of gaps and distances.
 _WINDOW = 2.0
+
+# Sample rows per stacked kernel call: enough to spread numpy's per-call
+# cost, few enough that the temporaries stay small.  Pass 1 gathers the
+# windows of a few blocks' worth of rows at a time, to sort them by size.
+_BLOCK_ROWS = 4096
+_GATHER_BLOCKS = 8
+
+
+def _runs(items, sizes, cap):
+    """``items`` cut into consecutive runs whose ``sizes`` add up to about ``cap``."""
+    runs = np.split(items, np.flatnonzero(np.diff(np.cumsum(sizes) // cap)) + 1)
+    return [g for g in runs if len(g)]
 
 
 def _min_distances(samples, positions, simplices):
@@ -90,37 +135,76 @@ def _min_distances(samples, positions, simplices):
     d = np.full(len(samples), np.inf)
     if not simplices:
         return d
-
-    def update(rows, P):
-        # numpy takes another matmul path for one row, which rounds
-        # differently; two rows give the bits of the full-array call
-        if len(rows) == 1 and len(samples) > 1:
-            rows = np.repeat(rows, 2)
-        d[rows] = np.minimum(d[rows], points_to_simplex_distance(samples[rows], P))
-
-    lengths = np.array([len(ids) for ids in simplices])
-    flat = positions[np.concatenate([list(ids) for ids in simplices])]
-    offsets = np.cumsum(lengths) - lengths
-    lo = np.minimum.reduceat(flat, offsets, axis=0)
-    hi = np.maximum.reduceat(flat, offsets, axis=0)
-    r = float((hi - lo).max())
+    pad = min(2, len(samples))
+    boxes = []
+    for _, _, ids in _by_size(simplices):
+        P = positions[ids]
+        boxes.append((P, P.min(axis=1), P.max(axis=1)))
+    # the median extent (the upper one of an even count), by a sort:
+    # np.median imports numpy.ma on first use
+    extent = np.sort(np.concatenate([(hi - lo).max(axis=1) for _, lo, hi in boxes]))
+    r = float(extent[len(extent) // 2])
     w = _WINDOW * r
     order = np.argsort(samples[:, 0], kind="stable")
-    xs = samples[order, 0]
-    start = np.searchsorted(xs, lo[:, 0] - w, "left")
-    stop = np.searchsorted(xs, hi[:, 0] + w, "right")
-    for k, ids in enumerate(simplices):
-        rows = order[start[k]:stop[k]]
-        S = samples[rows]
-        gap = np.maximum(lo[k] - S, S - hi[k]).max(axis=1)
-        rows = rows[gap <= w]
-        if len(rows):
-            update(rows, positions[list(ids)])
+    columns = [samples[order, j] for j in range(samples.shape[1])]
+    for P, lo, hi in boxes:
+        start = np.searchsorted(columns[0], lo[:, 0] - w, "left")
+        stop = np.searchsorted(columns[0], hi[:, 0] + w, "right")
+        by_span = np.argsort(stop - start, kind="stable")
+        for g in _runs(by_span, (stop - start)[by_span], _GATHER_BLOCKS * _BLOCK_ROWS):
+            rows, counts = _windows(columns, order, start[g], stop[g], lo[g], hi[g], w)
+            _window_pass(d, samples, P[g], rows, counts, pad)
     rest = np.flatnonzero(d > r)
+    if len(rest) < pad:
+        rest = np.repeat(rest, 2)
     if len(rest):
-        for ids in simplices:
-            update(rest, positions[list(ids)])
+        X = samples[rest]
+        step = max(1, _BLOCK_ROWS // len(rest))
+        for P, _, _ in boxes:
+            for i in range(0, len(P), step):
+                B = P[i:i + step]
+                near = points_to_simplices_distance(np.broadcast_to(X, (len(B),) + X.shape), B)
+                d[rest] = np.minimum(d[rest], near.min(axis=0))
     return d
+
+
+def _windows(columns, order, start, stop, lo, hi, w):
+    """Per simplex, the samples of ``order[start:stop]`` within gap ``w`` of its box.
+
+    ``columns`` holds the sample coordinates in ``order``, one array per axis.
+    Returns the rows of all simplices concatenated and the count per simplex.
+    """
+    size = stop - start
+    # the smallest type that indexes the samples: this is the largest array
+    rows = np.empty(size.sum(), dtype=np.min_scalar_type(len(order)))
+    counts = np.empty(len(size), dtype=np.intp)
+    kept = 0
+    for g in _runs(np.arange(len(size)), size, _BLOCK_ROWS):  # filter block by block
+        s = size[g]
+        at = np.arange(s.sum()) + np.repeat(start[g] - (np.cumsum(s) - s), s)
+        keep = np.ones(len(at), dtype=bool)
+        for x, l, h in zip(columns, lo[g].T, hi[g].T):
+            v = x[at]
+            keep &= np.maximum(np.repeat(l, s) - v, v - np.repeat(h, s)) <= w
+        at = at[keep]
+        rows[kept:kept + len(at)] = order[at]
+        kept += len(at)
+        counts[g] = np.bincount(np.repeat(np.arange(len(g)), s)[keep], minlength=len(g))
+    return rows[:kept], counts
+
+
+def _window_pass(d, samples, P, rows, counts, pad):
+    """Pass 1: each simplex of ``P`` on its window, in blocks by window size."""
+    first = np.cumsum(counts) - counts
+    by_size = np.argsort(counts, kind="stable")
+    by_size = by_size[counts[by_size] > 0]
+    for g in _runs(by_size, counts[by_size], _BLOCK_ROWS):
+        c = counts[g][:, None]
+        col = np.arange(max(int(c[-1, 0]), pad))
+        R = rows[first[g][:, None] + np.minimum(col, c - 1)]
+        dist = points_to_simplices_distance(samples[R], P[g])
+        real = col < c
+        np.minimum.at(d, R[real], dist[real])
 
 
 def hausdorff(a, b, density: int = DEFAULT_DENSITY, strata=None) -> DistanceReport:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from paretoc import metrics
 from paretoc.errors import EmptyComplex, InsufficientData
-from paretoc.geometry import points_to_simplex_distance
+from paretoc.geometry import points_to_simplex_distance, points_to_simplices_distance
 from paretoc.metrics import (
     _min_distances,
     convergence_slope,
@@ -106,27 +106,97 @@ def test_convergence_slope_errors():
 
 
 # ---------------------------------------------------------------------------
-# the culled nearest-simplex search against the all-pairs scan
+# the stacked kernel and the culled search against the per-simplex scan
 # ---------------------------------------------------------------------------
+
+# The per-simplex kernels that geometry.points_to_simplices_distance replaced,
+# kept verbatim apart from the dispatcher's name (it was
+# points_to_simplex_distance): the oracle that the stacked kernel and the
+# culled search are held to, bit for bit.
+
+
+def per_simplex_distance(points: np.ndarray, simplex: np.ndarray) -> np.ndarray:
+    """Exact Euclidean distance from each point to a 0/1/2-simplex.
+
+    Parameters
+    ----------
+    points : (S, n) array
+    simplex : (k+1, n) array with k in {0, 1, 2}
+
+    Returns
+    -------
+    (S,) array of distances.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    simplex = np.asarray(simplex, dtype=float)
+    k = simplex.shape[0] - 1
+    if k == 0:
+        return np.linalg.norm(points - simplex[0], axis=1)
+    if k == 1:
+        return _points_to_segment(points, simplex[0], simplex[1])
+    if k == 2:
+        return _points_to_triangle(points, simplex[0], simplex[1], simplex[2])
+    raise ValueError(f"point-to-simplex distance implemented for k <= 2, got {k}")
+
+
+def _points_to_segment(p, a, b):
+    ab = b - a
+    denom = float(ab @ ab)
+    if denom == 0.0:
+        return np.linalg.norm(p - a, axis=1)
+    t = np.clip((p - a) @ ab / denom, 0.0, 1.0)
+    proj = a + t[:, None] * ab
+    return np.linalg.norm(p - proj, axis=1)
+
+
+def _points_to_triangle(p, a, b, c):
+    # Project onto the triangle plane, clamp barycentrically by falling back
+    # to the nearest edge when the projection lands outside.
+    ab = b - a
+    ac = c - a
+    g00 = float(ab @ ab)
+    g01 = float(ab @ ac)
+    g11 = float(ac @ ac)
+    det = g00 * g11 - g01 * g01
+    if det <= 0.0:
+        return np.minimum(
+            _points_to_segment(p, a, b),
+            np.minimum(_points_to_segment(p, b, c), _points_to_segment(p, a, c)),
+        )
+    ap = p - a
+    d0 = ap @ ab
+    d1 = ap @ ac
+    s = (g11 * d0 - g01 * d1) / det
+    t = (g00 * d1 - g01 * d0) / det
+    inside = (s >= 0.0) & (t >= 0.0) & (s + t <= 1.0)
+    proj = a + s[:, None] * ab + t[:, None] * ac
+    dist = np.linalg.norm(p - proj, axis=1)
+    if not np.all(inside):
+        edge = np.minimum(
+            _points_to_segment(p, a, b),
+            np.minimum(_points_to_segment(p, b, c), _points_to_segment(p, a, c)),
+        )
+        dist = np.where(inside, dist, edge)
+    return dist
 
 
 def all_pairs_min_distances(samples, positions, simplices):
-    """Reference: every sample against every simplex."""
+    """Reference: every sample against every simplex, one simplex at a time."""
     d = np.full(len(samples), np.inf)
     for ids in simplices:
-        d = np.minimum(d, points_to_simplex_distance(samples, positions[list(ids)]))
+        d = np.minimum(d, per_simplex_distance(samples, positions[list(ids)]))
     return d
 
 
-def random_target(rng, k, n, count, degenerate):
+def random_target(rng, k, n, count, degenerate, extent=(-3, 0)):
     """``count`` k-simplices in R^n (k = -1: each of random dimension <= 2),
-    with extents from 1e-3 to 1, some of them degenerate."""
+    with extents from 10**extent[0] to 10**extent[1], some of them degenerate."""
     positions = []
     simplices = []
     for _ in range(count):
         dim = int(rng.integers(3)) if k < 0 else k
         base = rng.uniform(-1.0, 1.0, n)
-        P = base + rng.uniform(-1.0, 1.0, (dim + 1, n)) * 10.0 ** rng.uniform(-3, 0)
+        P = base + rng.uniform(-1.0, 1.0, (dim + 1, n)) * 10.0 ** rng.uniform(*extent)
         if degenerate and dim and rng.random() < 0.5:
             if dim == 1 or rng.random() < 0.5:
                 P[-1] = P[0]  # zero-length edge
@@ -137,9 +207,36 @@ def random_target(rng, k, n, count, degenerate):
     return np.array(positions), simplices
 
 
+KN = [(0, 2), (1, 2), (2, 2), (-1, 2), (0, 3), (1, 3), (2, 3), (-1, 3)]
+
+
+@settings(max_examples=60)
 @given(
     st.integers(0, 2**32 - 1),
-    st.sampled_from([(0, 2), (1, 2), (2, 2), (-1, 2), (0, 3), (1, 3), (2, 3), (-1, 3)]),
+    st.sampled_from([(0, 2), (1, 2), (2, 2), (0, 3), (1, 3), (2, 3)]),
+    st.integers(1, 6),
+    st.integers(1, 40),
+    st.booleans(),
+)
+def test_stacked_kernel_matches_per_simplex_kernel(seed, kn, stacks, rows, degenerate):
+    # every stack of a stacked call, and the one-stack call behind
+    # points_to_simplex_distance, against the per-simplex kernel
+    k, n = kn
+    rng = np.random.default_rng(seed)
+    positions, simplices = random_target(rng, k, n, stacks, degenerate)
+    P = positions[np.array(simplices)]
+    X = rng.uniform(-1.5, 1.5, (stacks, rows, n))
+    got = points_to_simplices_distance(X, P)
+    for g in range(stacks):
+        expect = per_simplex_distance(X[g], P[g])
+        assert np.array_equal(got[g], expect)
+        assert np.array_equal(points_to_simplex_distance(X[g], P[g]), expect)
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(KN),
     st.integers(1, 40),
     st.integers(1, 300),
     st.booleans(),
@@ -155,38 +252,125 @@ def test_culled_distances_are_bit_identical(seed, kn, count, samples, degenerate
     assert np.array_equal(_min_distances(S, positions, simplices), expect)
 
 
+def mixed_case(rng, k, n, short, long, samples, degenerate):
+    """Many short simplices and a few long ones, with samples near both and far.
+
+    The median extent is a short one, so the samples near a long simplex but
+    farther than r from the set reach the all-pairs pass.
+    """
+    pos_s, simp_s = random_target(rng, k, n, short, degenerate, extent=(-3, -2))
+    pos_l, simp_l = random_target(rng, k, n, long, degenerate, extent=(-0.3, 0.2))
+    positions = np.vstack([pos_s, pos_l])
+    simplices = simp_s + [tuple(i + len(pos_s) for i in ids) for ids in simp_l]
+    S = positions[rng.integers(len(positions), size=samples)]
+    S = S + rng.normal(size=S.shape) * 10.0 ** rng.uniform(-3, 0.5, (samples, 1))
+    return S, positions, simplices
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(KN),
+    st.integers(5, 60),
+    st.integers(1, 4),
+    st.integers(1, 300),
+    st.booleans(),
+)
+def test_mixed_extents_are_bit_identical(seed, kn, short, long, samples, degenerate):
+    k, n = kn
+    rng = np.random.default_rng(seed)
+    S, positions, simplices = mixed_case(rng, k, n, short, long, samples, degenerate)
+    expect = all_pairs_min_distances(S, positions, simplices)
+    assert np.array_equal(_min_distances(S, positions, simplices), expect)
+
+
+def test_mixed_extents_reach_the_all_pairs_pass():
+    rng = np.random.default_rng(11)
+    S, positions, simplices = mixed_case(rng, 1, 2, 60, 3, 400, False)
+    P = positions[np.array(simplices)]
+    extent = np.sort((P.max(axis=1) - P.min(axis=1)).max(axis=1))
+    r = extent[len(extent) // 2]
+    expect = all_pairs_min_distances(S, positions, simplices)
+    assert 0 < np.count_nonzero(expect > r) < len(S)
+    assert np.array_equal(_min_distances(S, positions, simplices), expect)
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([2, 3]),
+    st.integers(1, 50),
+    st.integers(1, 200),
+)
+def test_point_sets_are_bit_identical(seed, n, count, samples):
+    # the median extent is 0: samples that coincide with a target point settle
+    # in pass 1, every other one goes to the all-pairs pass
+    rng = np.random.default_rng(seed)
+    positions = rng.uniform(-1.0, 1.0, (count, n))
+    positions[rng.integers(count, size=count // 4)] = positions[0]  # repeated points
+    simplices = [(i,) for i in range(count)]
+    S = rng.uniform(-1.5, 1.5, (samples, n))
+    on = rng.random(samples) < 0.3
+    S[on] = positions[rng.integers(count, size=np.count_nonzero(on))]
+    expect = all_pairs_min_distances(S, positions, simplices)
+    assert np.array_equal(_min_distances(S, positions, simplices), expect)
+    back = all_pairs_min_distances(positions, S, [(i,) for i in range(samples)])
+    assert hausdorff(positions, S).hausdorff == max(expect.max(), back.max())
+
+
+def simplex_cases(rng, n):
+    """One simplex of each dimension <= 2 in R^n, plain and degenerate."""
+    for k in range(3):
+        P = rng.uniform(-1.0, 1.0, (k + 1, n))
+        yield P
+        if k:
+            Q = P.copy()
+            Q[-1] = Q[0]  # zero-length edge
+            yield Q
+        if k == 2:
+            Q = P.copy()
+            Q[2] = Q[0] + 0.37 * (Q[1] - Q[0])  # collinear triangle
+            yield Q
+
+
 @pytest.mark.parametrize("samples", [1, 2, 7])
 def test_culled_distances_single_simplex_and_few_samples(samples):
     rng = np.random.default_rng(samples)
-    for k, n in [(0, 2), (1, 2), (2, 3)]:
-        positions = rng.uniform(-1.0, 1.0, (k + 1, n))
-        S = rng.uniform(-5.0, 5.0, (samples, n))
-        expect = all_pairs_min_distances(S, positions, [tuple(range(k + 1))])
-        got = _min_distances(S, positions, [tuple(range(k + 1))])
-        assert np.array_equal(got, expect)
+    for n in (2, 3):
+        for positions in simplex_cases(rng, n):
+            S = rng.uniform(-5.0, 5.0, (samples, n))
+            simplices = [tuple(range(len(positions)))]
+            expect = all_pairs_min_distances(S, positions, simplices)
+            assert np.array_equal(_min_distances(S, positions, simplices), expect)
 
 
 def test_culled_distances_one_row_subsets():
-    # 400 far-apart segments, one sample next to each: every per-simplex call
-    # of pass 1 sees a single row, whose rounding must match the full array's
+    # 400 far-apart simplices, one sample next to each: every window of pass 1
+    # holds a single row, whose rounding must match the full array's
     rng = np.random.default_rng(5)
-    centres = 10.0 * np.array([(i, j) for i in range(20) for j in range(20)], float)
-    ends = rng.uniform(-0.5, 0.5, (len(centres), 2, 2))
-    positions = (centres[:, None, :] + ends).reshape(-1, 2)
-    simplices = [(2 * i, 2 * i + 1) for i in range(len(centres))]
-    S = centres + rng.uniform(-0.3, 0.3, centres.shape)
-    expect = all_pairs_min_distances(S, positions, simplices)
-    assert np.array_equal(_min_distances(S, positions, simplices), expect)
+    grid = 10.0 * np.array([(i, j, 0) for i in range(20) for j in range(20)], float)
+    for k, n in [(0, 2), (1, 2), (2, 2), (0, 3), (1, 3), (2, 3)]:
+        centres = grid[:, :n]
+        P = centres[:, None, :] + rng.uniform(-0.5, 0.5, (len(centres), k + 1, n))
+        if k:
+            P[::3, -1] = P[::3, 0]  # every third one degenerate
+        positions = P.reshape(-1, n)
+        simplices = [tuple(range((k + 1) * i, (k + 1) * (i + 1))) for i in range(len(centres))]
+        S = centres + rng.uniform(-0.3, 0.3, centres.shape)
+        expect = all_pairs_min_distances(S, positions, simplices)
+        assert np.array_equal(_min_distances(S, positions, simplices), expect)
 
 
 def window_case():
     """A sample 0.636 from a diagonal segment, 0.55 from a short one.
 
     The diagonal's bounding box contains the sample; the short segment's box
-    is 0.55 away, inside the window 2r (r = 1) but outside r/2.
+    is 0.55 away, inside the window 2r but outside r/2.  A third segment, far
+    away, makes the median extent r = 1 (extents 1, 0.2 and 1).
     """
-    positions = np.array([[0.0, 0.0], [1.0, 1.0], [1.5, 0.0], [1.5, 0.2]])
-    simplices = [(0, 1), (2, 3)]
+    positions = np.array([[0.0, 0.0], [1.0, 1.0], [1.5, 0.0], [1.5, 0.2],
+                          [20.0, 20.0], [21.0, 20.0]])
+    simplices = [(0, 1), (2, 3), (4, 5)]
     S = np.array([[0.95, 0.05], [0.2, 0.25]])
     return S, positions, simplices
 
@@ -205,6 +389,55 @@ def test_shrunken_window_is_caught(monkeypatch):
     S, positions, simplices = window_case()
     expect = all_pairs_min_distances(S, positions, simplices)
     assert not np.array_equal(_min_distances(S, positions, simplices), expect)
+
+
+# the sampling loop that _sample_simplices replaced, kept verbatim apart from
+# its name: the batched sampler must give its rows, bits and order
+
+
+def loop_sample_simplices(positions, simplices, density):
+    out = []
+    for ids in simplices:
+        P = positions[list(ids)]
+        if len(ids) == 1:
+            out.append(P)
+        elif len(ids) == 2:
+            t = np.linspace(0.0, 1.0, max(2, density + 1))[:, None]
+            out.append(P[0] * (1 - t) + P[1] * t)
+        elif len(ids) == 3:
+            k = max(1, density)
+            for a in range(k + 1):
+                for b in range(k + 1 - a):
+                    w = np.array([a, b, k - a - b], dtype=float) / k
+                    out.append((w @ P)[None, :])
+        else:
+            raise ValueError("sampling implemented for simplices up to triangles")
+    return np.vstack(out) if out else np.empty((0, positions.shape[1]))
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(KN),
+    st.integers(1, 15),
+    st.integers(0, 25),
+    st.booleans(),
+)
+def test_batched_sampling_matches_the_loop(seed, kn, count, density, degenerate):
+    k, n = kn
+    rng = np.random.default_rng(seed)
+    positions, simplices = random_target(rng, k, n, count, degenerate, extent=(-3, 2))
+    order = rng.permutation(len(simplices))  # interleave the dimensions
+    simplices = [simplices[i] for i in order]
+    got = metrics._sample_simplices(positions, simplices, density)
+    assert np.array_equal(got, loop_sample_simplices(positions, simplices, density))
+
+
+def test_sampling_edge_cases():
+    positions = np.zeros((4, 3))
+    assert metrics._sample_simplices(positions, [], 5).shape == (0, 3)
+    with pytest.raises(ValueError):
+        metrics._sample_simplices(positions, [(0,), (0, 1, 2, 3)], 5)
 
 
 @pytest.fixture(scope="module")
