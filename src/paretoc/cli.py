@@ -28,7 +28,7 @@ from .problems import (
     registry_names,
     sample_domain,
 )
-from .refinement import initial_state, iterate
+from .refinement import initial_state, iterate, segment_chains
 from .tessellation import NodeSet, build_delaunay, kuhn_tessellation
 
 
@@ -216,10 +216,7 @@ def cmd_plot_data(args) -> int:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            comps = cx.components(strata=[stratum])
-            ids = cx.simplex_ids([stratum])
-            for comp_id, comp in enumerate(comps):
-                rows = _component_rows(cx, comp, ids)
+            for comp_id, rows in enumerate(_component_rows(cx, stratum)):
                 for vertex_index, vid in enumerate(rows):
                     writer.writerow(
                         [comp_id, vertex_index]
@@ -242,33 +239,42 @@ def cmd_plot_data(args) -> int:
     return 0
 
 
-def _component_rows(cx, comp, simplex_ids):
-    """Vertex order for one component: chained for segments, soup for triangles."""
-    segs = [cx.simplices[i][0] for i in simplex_ids if cx.simplices[i][0][0] in comp or cx.simplices[i][0][-1] in comp]
-    if all(len(s) == 2 for s in segs):
-        adj: dict[int, list] = {}
-        for a, b in segs:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        ends = sorted(v for v, nb in adj.items() if len(nb) == 1)
-        start = ends[0] if ends else min(adj)
-        order = [start]
-        seen = {start}
-        cur = start
-        while True:
-            nxt = [v for v in sorted(adj[cur]) if v not in seen]
-            if not nxt:
-                break
-            cur = nxt[0]
-            order.append(cur)
-            seen.add(cur)
-        if not ends and len(order) > 1:
-            order.append(start)  # close the loop
-        return order
-    out = []
-    for s in segs:
-        out.extend(s)
-    return out
+def _component_rows(cx, stratum) -> list:
+    """Vertex rows of each component of one stratum, in one pass over it.
+
+    Triangles are listed vertex by vertex.  Segments are walked chain by
+    chain (:func:`~paretoc.refinement.segment_chains`), and a chain that
+    branches off the rows written so far follows a retrace back to its
+    junction, so consecutive rows always draw a segment of the component.
+    """
+    comps = cx.components(strata=[stratum])
+    comp_of = {v: c for c, comp in enumerate(comps) for v in comp}
+    simplices = [cx.simplices[i][0] for i in cx.simplex_ids([stratum])]
+    if any(len(s) != 2 for s in simplices):
+        out: list = [[] for _ in comps]
+        for s in simplices:
+            out[comp_of[s[0]]].extend(s)
+        return out
+    chains: list = [[] for _ in comps]
+    for chain in segment_chains(simplices):
+        chains[comp_of[chain[0]]].append(chain)
+    return [_retraced_walk(cs) for cs in chains]
+
+
+def _retraced_walk(chains: list) -> list:
+    """One walk through the chains of a connected component: each next chain
+    is the first that meets the walk, entered at its first vertex on it."""
+    rows = list(chains[0])
+    seen = set(rows)
+    rest = chains[1:]
+    while rest:
+        chain = rest.pop(next(i for i, c in enumerate(rest) if not seen.isdisjoint(c)))
+        j = next(k for k, v in enumerate(chain) if v in seen)
+        back = len(rows) - 1 - rows[::-1].index(chain[j])
+        rows += rows[back:-1][::-1]  # retrace to the junction chain[j]
+        rows += chain[:j][::-1] + chain[1:]
+        seen.update(chain)
+    return rows
 
 
 def cmd_list_problems(args) -> int:

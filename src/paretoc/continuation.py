@@ -117,7 +117,7 @@ def solve_lambdas(G: np.ndarray):
     (V, m) and (V,).  Where rank(G) < m-1 the weights are ambiguous (a rank
     collapse): the row of ``lam`` is NaN and the residual is infinite.
     """
-    V, m, _ = G.shape
+    m = G.shape[1]
     sv = np.linalg.svd(G, compute_uv=False)
     collapse = sv[:, 0] == 0.0
     if m >= 2:
@@ -132,15 +132,21 @@ def solve_lambdas(G: np.ndarray):
     # of amplifying round-off
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     keep = s > EPS_RANK * sv[:, :1]
-    lam = np.full((V, m), np.nan)
-    residual = np.full(V, np.inf)
-    # the back-substitution stays per vertex: its stacked form rounds
-    # differently in the last bit
-    for i in np.flatnonzero(~collapse):
-        k = keep[i]
-        t = Vt[i][k].T @ ((U[i][:, k].T @ b[i]) / s[i][k]) if k.any() else np.zeros(m - 1)
-        lam[i] = lam0 + Z @ t
-        residual[i] = np.linalg.norm(G[i].T @ lam[i])
+    # stacked back-substitution, dropped singular values as zero terms.  U^T
+    # is made contiguous: each row then rounds as the one-vertex product
+    # U[:, k].T @ b does, which the strided view of U^T does not; where k
+    # keeps one singular value that product is (1, n) @ (n,), and rounds so
+    UT = np.ascontiguousarray(np.swapaxes(U, 1, 2))
+    Utb = (UT @ b[..., None])[..., 0]
+    one = keep.sum(axis=1) == 1
+    Utb[one, 0] = (UT[one, :1] @ b[one, :, None])[:, 0, 0]
+    y = np.divide(Utb, s, out=np.zeros_like(s), where=keep)
+    t = np.swapaxes(Vt, 1, 2) @ y[..., None]
+    lam = lam0 + (Z @ t)[..., 0]
+    r = GT @ lam[..., None]
+    residual = np.sqrt((np.swapaxes(r, 1, 2) @ r)[:, 0, 0])
+    lam[collapse] = np.nan
+    residual[collapse] = np.inf
     return lam, residual
 
 
@@ -153,9 +159,11 @@ def solve_lambdas(G: np.ndarray):
 class SingularVertex:
     """A vertex of the piecewise-linear singular set.
 
-    Face-born vertices carry the defining face and barycentric weights;
-    clip-born vertices carry neither but inherit interpolated lambda,
-    gradients and Hessians.  Within a run a vertex is the object itself: it
+    Face-born vertices carry the defining face and barycentric weights, and
+    are built complete but for sigma; clip-born vertices carry neither but
+    inherit interpolated lambda, gradients and Hessians.  Only the sigma
+    stage sets a field after construction: ``sigma`` or ``kernel_fail``.
+    Within a run a vertex is the object itself: it
     hashes by identity, and cells share the face-table vertices.  Across
     cells it is ``key``, the text of its defining face, ``"('f', i, j)"``
     with sorted node ids, or of its clip, ``"('c', stage, ka, kb)"`` with
@@ -206,28 +214,12 @@ def _interp_vertex(a: SingularVertex, b: SingularVertex, t: float, stage,
     )
 
 
-class Piece:
-    """A connected convex fragment of a cell's (m-1)-polytope.
-
-    ``verts`` is a pair for a segment (m = 2) or a cyclically ordered list
-    for a planar polygon (m = 3).
-    """
-
-    __slots__ = ("verts", "kind")
-
-    def __init__(self, verts: Sequence[SingularVertex], kind: str):
-        self.verts = list(verts)
-        self.kind = kind  # "segment" | "polygon"
-
-    def distinct(self) -> bool:
-        return len(set(self.verts)) == len(self.verts) and len(self.verts) >= (
-            2 if self.kind == "segment" else 3
-        )
-
-
 def clip_polytope(pieces, values, stage="clip", sigma=False):
     """Keep the part of each piece where the per-vertex scalar is >= 0.
 
+    A piece is a connected convex fragment of a cell's (m-1)-polytope, the
+    tuple of its distinct vertices: a pair is a segment (m = 2), three or
+    more are a planar polygon in cyclic order (m = 3).
     ``values`` maps vertex -> scalar.  Returns ``(kept, dropped,
     boundary_vertices)``; the inserted boundary vertices are new objects,
     keyed on ``stage`` and their edge's endpoint keys, and their scalar
@@ -238,14 +230,14 @@ def clip_polytope(pieces, values, stage="clip", sigma=False):
     def cut(a, b, t):
         return _interp_vertex(a, b, t, stage, sigma)
 
-    kept: list[Piece] = []
-    dropped: list[Piece] = []
+    kept: list[tuple] = []
+    dropped: list[tuple] = []
     boundary: list[SingularVertex] = []
     for piece in pieces:
-        svals = [values[v] for v in piece.verts]
+        svals = [values[v] for v in piece]
         snap = CLIP_SNAP_REL * max(map(abs, svals), default=0.0)
         svals = [0.0 if abs(s) <= snap else s for s in svals]
-        split = _split_segment if piece.kind == "segment" else _split_polygon
+        split = _split_segment if len(piece) == 2 else _split_polygon
         k, d, b = split(piece, svals, cut)
         kept.extend(k)
         dropped.extend(d)
@@ -253,8 +245,8 @@ def clip_polytope(pieces, values, stage="clip", sigma=False):
     return kept, dropped, boundary
 
 
-def _split_segment(piece: Piece, s, cut):
-    a, b = piece.verts
+def _split_segment(piece: tuple, s, cut):
+    a, b = piece
     sa, sb = s
     if sa >= 0.0 and sb >= 0.0:
         bd = []
@@ -272,19 +264,20 @@ def _split_segment(piece: Piece, s, cut):
         return [], [piece], bd
     w = cut(a, b, sa / (sa - sb))
     if sa > 0.0:
-        return [Piece([a, w], "segment")], [Piece([w, b], "segment")], [w]
-    return [Piece([w, b], "segment")], [Piece([a, w], "segment")], [w]
+        return [(a, w)], [(w, b)], [w]
+    return [(w, b)], [(a, w)], [w]
 
 
-def _split_polygon(piece: Piece, s, cut):
-    verts = piece.verts
-    k = len(verts)
+def _split_polygon(piece: tuple, s, cut):
+    """Both sides of a polygon; each vertex joins a side at most once and
+    a cut vertex is new, so a side is a polygon when it has three vertices."""
+    k = len(piece)
     pos: list[SingularVertex] = []
     neg: list[SingularVertex] = []
     boundary: list[SingularVertex] = []
     for i in range(k):
         j = (i + 1) % k
-        vi, vj = verts[i], verts[j]
+        vi, vj = piece[i], piece[j]
         si, sj = s[i], s[j]
         if si >= 0.0:
             pos.append(vi)
@@ -297,18 +290,15 @@ def _split_polygon(piece: Piece, s, cut):
             pos.append(w)
             neg.append(w)
             boundary.append(w)
-    out_pos = [Piece(pos, "polygon")] if _polygon_ok(pos) else []
-    out_neg = [Piece(neg, "polygon")] if _polygon_ok(neg) else []
+    out_pos = [tuple(pos)] if len(pos) >= 3 else []
+    out_neg = [tuple(neg)] if len(neg) >= 3 else []
     return out_pos, out_neg, boundary
 
 
-def _polygon_ok(verts) -> bool:
-    return len(set(verts)) >= 3
-
-
-def _polygon_orders(polygons: list) -> list:
-    """Cyclic vertex order of each planar polygon: by angle in its best-fit
-    plane, with one SVD per group of polygons with the same vertex count."""
+def _rings(polygons: list) -> list:
+    """Each planar polygon's vertices in cyclic order: by angle in its
+    best-fit plane, with one SVD per group of polygons with the same vertex
+    count."""
     out: list = [None] * len(polygons)
     groups: dict[int, list] = {}
     for i, verts in enumerate(polygons):
@@ -320,7 +310,7 @@ def _polygon_orders(polygons: list) -> list:
         uu = (D @ vt[:, 0, :, None])[..., 0]
         vv = (D @ vt[:, 1, :, None])[..., 0]
         for i, order in zip(idx, np.argsort(np.arctan2(vv, uu), axis=1).tolist()):
-            out[i] = order
+            out[i] = [polygons[i][j] for j in order]
     return out
 
 
@@ -333,6 +323,7 @@ def _polygon_orders(polygons: list) -> list:
 class CellAnalysis:
     """One cell's pieces by stratum, its markers and warnings.
 
+    A piece is the tuple of its vertices (see :func:`clip_polytope`).
     ``sigma_vertices`` holds the vertices that reached the second-order
     stage in this cell.  A face-table vertex is shared between cells, so its
     sigma belongs in the complex file only from such a cell.
@@ -381,12 +372,13 @@ def solve_faces(omega_nodes: np.ndarray, faces) -> tuple:
 
 
 def _face_table(omega_nodes: np.ndarray, faces: Sequence[tuple], points: np.ndarray,
-                jac_nodes: np.ndarray) -> dict:
+                jac_nodes: np.ndarray, hess_at=None) -> dict:
     """Solve distinct faces at once; map each face to its singular vertex.
 
     The entry of a face is its accepted :class:`SingularVertex` (key
     canonicalized to the sub-face), ``None`` when the weights are not all
-    positive, or ``_RANK_DEFICIENT``.
+    positive, or ``_RANK_DEFICIENT``.  ``hess_at`` evaluates the Hessians
+    at node points for the vertices' Hessian interpolation (second order).
     """
     table = dict.fromkeys(faces)
     if not faces:
@@ -396,37 +388,72 @@ def _face_table(omega_nodes: np.ndarray, faces: Sequence[tuple], points: np.ndar
         table[faces[f]] = _RANK_DEFICIENT
     rows = np.flatnonzero(np.all(mu > EPS_ACCEPT, axis=1))  # NaN rows fail
     verts = _face_vertices(np.asarray(faces, dtype=np.intp)[rows],
-                           np.maximum(mu[rows], 0.0), points, jac_nodes)
+                           np.maximum(mu[rows], 0.0), points, jac_nodes, hess_at)
     table.update(zip([faces[f] for f in rows.tolist()], verts))
     return table
 
 
+def _interpolate(w: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Row i of w (F, k) times the node data a[i] (F, k, ...), as
+    ``w (1, k) @ a (k, -1)``, which rounds as the per-vertex ``w @ a``."""
+    F, k = w.shape
+    return (w[:, None, :] @ a.reshape(F, k, -1)).reshape((F,) + a.shape[2:])
+
+
 def _face_vertices(faces: np.ndarray, mu: np.ndarray, points: np.ndarray,
-                   jac_nodes: np.ndarray) -> list:
-    """The vertices of faces (F, k) with weights mu (F, k) >= 0, built in
-    one pass per sub-face size.
+                   jac_nodes: np.ndarray, hess_at=None) -> list:
+    """The vertices of faces (F, k) with weights mu (F, k) >= 0, each built
+    once and complete but for sigma.
 
     Weights at or below ``MU_SNAP`` drop out and the rest are renormalized,
     so a vertex sitting on a sub-face gets the sub-face key and adjacent
     cells merge it exactly once.  A face whose weights all drop out is rank
-    deficient.  ``w (1, k) @ a (k, -1)`` rounds as the per-vertex ``w @ a``.
+    deficient.  Position, gradients and, with ``hess_at``, the Hessians are
+    interpolated in one pass per sub-face size; lambda is one stacked solve.
+    Every array is a row of a read-only column array.
     """
     keep = mu > MU_SNAP
     size = keep.sum(axis=1)
-    out: list = [_RANK_DEFICIENT] * len(faces)
-    m, n = jac_nodes.shape[1:]
+    groups = []  # (rows, sub-faces, weights) per sub-face size k
     for k in range(1, faces.shape[1] + 1):
         rows = np.flatnonzero(size == k)
-        if not len(rows):
-            continue
-        sub = faces[rows][keep[rows]].reshape(-1, k)
-        w = mu[rows][keep[rows]].reshape(-1, k)
-        w = w / w.sum(axis=1, keepdims=True)
-        x = (w[:, None, :] @ points[sub])[:, 0]
-        grad = (w[:, None, :] @ jac_nodes[sub].reshape(-1, k, m * n)).reshape(-1, m, n)
-        for f, s, wf, xf, gf in zip(rows.tolist(), sub.tolist(), w, x, grad):
-            s = tuple(s)
-            out[f] = SingularVertex(key=repr(("f",) + s), x=xf, face=s, mu=wf, grad_interp=gf)
+        if len(rows):
+            w = mu[rows][keep[rows]].reshape(-1, k)
+            groups.append((rows, faces[rows][keep[rows]].reshape(-1, k),
+                           w / w.sum(axis=1, keepdims=True)))
+    out: list = [_RANK_DEFICIENT] * len(faces)
+    if not groups:
+        return out
+    x = np.concatenate([_interpolate(w, points[sub]) for _, sub, w in groups])
+    grad = np.concatenate([_interpolate(w, jac_nodes[sub]) for _, sub, w in groups])
+    lam, residual = solve_lambdas(grad)
+    scale = np.maximum(np.linalg.norm(grad, axis=2).max(axis=1), 1e-300)
+    critical_ok = residual <= EPS_RES * scale  # False on a rank collapse
+    columns = [x, grad, lam] + [w for _, _, w in groups]
+    hess = [None] * len(x)
+    if hess_at is not None:
+        # one evaluation over the distinct face nodes (found with a mask:
+        # np.unique imports numpy.ma on first use)
+        used = np.zeros(len(points), dtype=bool)
+        for _, sub, _ in groups:
+            used[sub] = True
+        nodes = np.flatnonzero(used)
+        hess_nodes = hess_at(points[nodes])
+        hess = np.concatenate([_interpolate(w, hess_nodes[np.searchsorted(nodes, sub)])
+                               for _, sub, w in groups])
+        columns.append(hess)
+    for a in columns:
+        a.flags.writeable = False
+    rows = np.concatenate([r for r, _, _ in groups]).tolist()
+    subs = [tuple(s) for _, sub, _ in groups for s in sub.tolist()]
+    weights = [wf for _, _, w in groups for wf in w]
+    collapse = np.isnan(lam[:, 0]).tolist()
+    for f, s, wf, xf, gf, lf, nan, res, ok, hf in zip(
+            rows, subs, weights, x, grad, lam, collapse, residual.tolist(),
+            critical_ok.tolist(), hess):
+        out[f] = SingularVertex(key=repr(("f",) + s), x=xf, face=s, mu=wf, grad_interp=gf,
+                                lam=None if nan else lf, residual=res, hess_interp=hf,
+                                critical_ok=ok)
     return out
 
 
@@ -525,9 +552,9 @@ class Analyzer:
 
     :meth:`run_cells` runs four stages over all candidate cells.  (1) The
     table pass: the distinct r-faces of all cells go through one stacked
-    barycentric solve, each accepted vertex gets its lambda and analytic
-    Hessian interpolation exactly once, and each cell's entry holds its
-    vertices, one per key, and, for m = 3, its polygon order.  (2) The
+    barycentric solve, each accepted vertex is built exactly once with its
+    lambda and analytic Hessian interpolation, and each cell's entry holds
+    its vertices, one per key, for m = 3 in ring order.  (2) The
     first-order clip of every cell.  (3) One stacked sigma call over the
     vertices of every cell's critical pieces, each once.  (4) The
     second-order clip of every cell.  The vertex objects carry no analyzer
@@ -589,75 +616,28 @@ class Analyzer:
     # -- face and cell tables ----------------------------------------------------
 
     def _cell_table(self, cells: Sequence[int]) -> list:
-        """The cell table: ``(vertices, rank-deficient faces, polygon
-        order)`` for each of ``cells``, built in stacked passes.
+        """The cell table: ``(vertices, rank-deficient faces)`` for each of
+        ``cells``, built in stacked passes.
 
-        Runs the stacked face solve on the distinct faces of the cells and
-        attaches lambda to every accepted vertex.  For the cells that reach
-        the polytope stage it then attaches the analytic Hessian
-        interpolation (second order) and orders the polygons (m = 3).  The
-        vertices' arrays are read-only.
+        Runs the stacked face solve on the distinct faces of the cells, which
+        builds every accepted vertex once with its lambda and, at second
+        order, its Hessian interpolation.  For m = 3 the vertices of a cell
+        that reaches the polytope stage come in ring order.
         """
         cell_faces = [enumerate_faces(self.tess.cells[ci], self.r) for ci in cells]
         faces = list(dict.fromkeys(f for fs in cell_faces for f in fs))
-        table = _face_table(self.omega_nodes, faces, self.tess.nodes.points, self.jac_nodes)
-        verts = [v for v in table.values() if isinstance(v, SingularVertex)]
-        self._attach_lambdas(verts)
+        table = _face_table(self.omega_nodes, faces, self.tess.nodes.points, self.jac_nodes,
+                            self.problem.hess_at if self.order >= 2 else None)
         entries = [_cell_vertices(table, fs) for fs in cell_faces]
-        orders: list = [None] * len(cells)
-        reach = [i for i, (cv, _) in enumerate(entries) if len(cv) >= self.problem.m]
-        if self.order >= 2:
-            self._attach_hessians([entries[i][0] for i in reach])
         if self.problem.m == 3:
-            for i, order in zip(reach, _polygon_orders([entries[i][0] for i in reach])):
-                orders[i] = order
-        for v in verts:
-            for a in (v.x, v.mu, v.grad_interp, v.lam, v.hess_interp):
-                if a is not None:
-                    a.flags.writeable = False
-        return [(cv, skipped, order) for (cv, skipped), order in zip(entries, orders)]
-
-    def _attach_lambdas(self, verts: list) -> None:
-        if not verts:
-            return
-        G = np.array([v.grad_interp for v in verts])
-        lam, residual = solve_lambdas(G)
-        scale = np.maximum(np.linalg.norm(G, axis=2).max(axis=1), 1e-300)
-        for v, lv, res, sc in zip(verts, lam, residual, scale):
-            if np.isnan(lv[0]):  # rank collapse
-                v.lam, v.residual, v.critical_ok = None, np.inf, False
-            else:
-                v.lam, v.residual = lv, float(res)
-                v.critical_ok = v.residual <= EPS_RES * sc
-
-    def _attach_hessians(self, cell_vertices: list) -> None:
-        """Analytic Hessian interpolation for the vertices of the cells that
-        reach the polytope stage; the first-order clip interpolates it onto
-        the vertices it creates.  Sigma waits for the sigma stage of
-        :meth:`run_cells`."""
-        changed = list(dict.fromkeys(v for verts in cell_vertices for v in verts))
-        if changed:
-            # one Hessian evaluation over the distinct face nodes (found with
-            # a mask: np.unique imports numpy.ma on first use), then one
-            # interpolation per face size k, where mu (1, k) @ hs (k, -1)
-            # rounds as the per-vertex tensordot did
-            used = np.zeros(len(self.tess.nodes), dtype=bool)
-            used[np.concatenate([v.face for v in changed])] = True
-            nodes = np.flatnonzero(used)
-            hess_nodes = self.problem.hess_at(self.tess.nodes.points[nodes])
-            shape = hess_nodes.shape[1:]
-            for k in sorted({len(v.face) for v in changed}):
-                group = [v for v in changed if len(v.face) == k]
-                mu = np.array([v.mu for v in group])
-                hs = hess_nodes[np.searchsorted(nodes, [v.face for v in group])]
-                interp = mu[:, None, :] @ hs.reshape(len(group), k, -1)
-                for v, h in zip(group, interp.reshape((len(group),) + shape)):
-                    v.hess_interp = h
+            reach = [i for i, (cv, _) in enumerate(entries) if len(cv) >= 3]
+            for i, ring in zip(reach, _rings([entries[i][0] for i in reach])):
+                entries[i] = (ring, entries[i][1])
+        return entries
 
     # -- per-cell pipeline -----------------------------------------------------
 
-    def analyze_cell_first_order(self, ci: int, verts: list, skipped: int,
-                                 order: Optional[list]) -> CellAnalysis:
+    def analyze_cell_first_order(self, ci: int, verts: list, skipped: int) -> CellAnalysis:
         """Assemble cell ``ci`` from its cell-table entry and clip it by
         lambda; the critical pieces are labelled unstable."""
         analysis = CellAnalysis(cell_index=ci)
@@ -668,15 +648,12 @@ class Analyzer:
         for v in verts:
             if v.lam is None:
                 analysis.warnings.append("rank collapse at a singular vertex")
-        pieces = self._assemble_pieces(verts, order, analysis)
         analysis.singular_vertices = verts
-        if not pieces:
-            return analysis
         # validity stage: pieces touching a vertex without usable weights stay
         # singular-only as a whole (measure-zero configurations, logged)
-        valid: list[Piece] = []
-        for piece in pieces:
-            if all(v.lam is not None and v.critical_ok for v in piece.verts):
+        valid: list[tuple] = []
+        for piece in self._assemble_pieces(verts, analysis):
+            if all(v.lam is not None and v.critical_ok for v in piece):
                 valid.append(piece)
             else:
                 analysis.strata[STRATUM_SINGULAR].append(piece)
@@ -685,7 +662,7 @@ class Analyzer:
         for j in range(self.problem.m):
             if not current:
                 break
-            values = {v: float(v.lam[j]) for p in current for v in p.verts}
+            values = {v: float(v.lam[j]) for p in current for v in p}
             current, dropped, boundary = clip_polytope(current, values, ("lam", j))
             analysis.strata[STRATUM_SINGULAR].extend(dropped)
             for w in boundary:
@@ -703,7 +680,7 @@ class Analyzer:
         analysis.strata[STRATUM_UNSTABLE] = []
         if not theta:
             return analysis
-        verts = list(dict.fromkeys(v for piece in theta for v in piece.verts))
+        verts = list(dict.fromkeys(v for piece in theta for v in piece))
         sigma_scale = max([1.0] + [float(np.abs(v.sigma).max())
                                    for v in verts if v.sigma is not None])
         values = {v: -10.0 * sigma_scale if v.sigma is None else -float(v.sigma.max())
@@ -718,11 +695,9 @@ class Analyzer:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _assemble_pieces(self, verts, order, analysis) -> list:
-        if self.problem.m == 3:  # planar polygon, ordered in the cell table
-            return [Piece([verts[i] for i in order], "polygon")]
-        if len(verts) == 2:
-            return [Piece(verts, "segment")]
+    def _assemble_pieces(self, verts, analysis) -> list:
+        if self.problem.m == 3 or len(verts) == 2:  # a polygon comes in ring order
+            return [tuple(verts)]
         analysis.warnings.append(
             f"{len(verts)} singular vertices in one cell (non-transversal crossing)"
         )
@@ -734,7 +709,7 @@ class Analyzer:
         center = X.mean(axis=0)
         _, _, vt = np.linalg.svd(X - center)
         chain = [verts[i] for i in np.argsort(X @ vt[0])]
-        return [Piece([a, b], "segment") for a, b in zip(chain, chain[1:])]
+        return list(zip(chain, chain[1:]))
 
     # -- full run ----------------------------------------------------------------
 
@@ -745,12 +720,12 @@ class Analyzer:
     def run_cells(self) -> list:
         """The analyses of all candidate cells, in the four stages."""
         idx = self.candidate_cells()
-        analyses = [self.analyze_cell_first_order(ci, *entry)
-                    for ci, entry in zip(idx, self._cell_table(idx))]
+        analyses = [self.analyze_cell_first_order(ci, verts, skipped)
+                    for ci, (verts, skipped) in zip(idx, self._cell_table(idx))]
         if self.order >= 2:
             _attach_sigma(list(dict.fromkeys(
                 v for a in analyses for piece in a.strata[STRATUM_UNSTABLE]
-                for v in piece.verts)))
+                for v in piece)))
             for a in analyses:
                 self.analyze_cell_second_order(a)
         return analyses
@@ -853,10 +828,8 @@ def glue(analyses: Iterable[CellAnalysis], problem: VectorProblem,
 
         for stratum, pieces in analysis.strata.items():
             for piece in pieces:
-                if not piece.distinct():
-                    continue
-                kl = [register(v) for v in piece.verts]
-                if piece.kind == "segment":
+                kl = [register(v) for v in piece]
+                if len(kl) == 2:
                     simplex_keys = [tuple(sorted(kl))]
                 else:
                     root_pos = kl.index(min(kl))

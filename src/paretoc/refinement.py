@@ -73,10 +73,23 @@ def _target_strata(cx: ParetoComplex):
 
 
 def _chains(cx: ParetoComplex, strata):
-    """Decompose the selected segments into vertex chains (open or closed)."""
+    """The selected segments as vertex chains (see :func:`segment_chains`)."""
     segs = [cx.simplices[i][0] for i in cx.simplex_ids(strata)]
     if not segs or any(len(s) != 2 for s in segs):
         raise EmptyComplex("polyline resampling needs a nonempty segment complex")
+    return segment_chains(segs)
+
+
+def segment_chains(segs) -> list:
+    """Decompose segments (vertex-id pairs) into vertex chains, open or
+    closed, each segment in exactly one chain.
+
+    Open chains come first, each from the lowest-id odd-degree vertex with a
+    segment left, then the loops, each from its lowest-id vertex; a walk
+    takes the unused segment to the lowest-id neighbour.  A component whose
+    degrees are at most 2 is therefore one chain; a branched one is several,
+    in the order of their start vertices, not all joined to the ones before.
+    """
     adj: dict[int, list] = {}
     for si, (a, b) in enumerate(segs):
         adj.setdefault(a, []).append((si, b))
@@ -140,13 +153,14 @@ def resample_polyline(cx: ParetoComplex) -> list:
     return out
 
 
-def _maximin_fill_with_hosts(cx: ParetoComplex, count: int):
+def _maximin_fill_with_hosts(cx: ParetoComplex):
     """Greedy accumulated-volume filling of the critical subcomplex.
 
     Repeatedly picks the simplex whose own measure plus that of its active
     neighbours is largest (ties to the lowest simplex index), emits its
     centroid and excludes it; excluded simplices contribute nothing and
-    cannot be picked again, so at most one point per simplex is produced.
+    cannot be picked again, so every simplex is picked once, in greedy
+    order.
     Returns ``(points, hosts)``, the hosts as indices into ``cx.simplices``.
     """
     strata = _target_strata(cx)
@@ -185,10 +199,8 @@ def _maximin_fill_with_hosts(cx: ParetoComplex, count: int):
     acc = np.array([score(si) for si in range(k)])
     out = []
     hosts = []
-    for _ in range(min(count, k)):
+    for _ in range(k):
         best = int(np.argmax(acc))  # argmax takes the lowest index on ties
-        if not np.isfinite(acc[best]):
-            break
         out.append(cx.positions[list(verts[best])].mean(axis=0))
         hosts.append(ids[best])
         active[best] = False
@@ -260,9 +272,7 @@ def iterate(
         candidates = resample_polyline(state.complex)
         candidates.extend(_boundary_candidates(state.complex))
     elif scheme == "maximin":
-        cx = state.complex
-        want = len(cx.simplex_ids(_target_strata(cx)))
-        candidates, hosts = _maximin_fill_with_hosts(cx, want)
+        candidates, hosts = _maximin_fill_with_hosts(state.complex)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     if budget is not None and len(candidates) > budget:

@@ -153,6 +153,37 @@ def test_cli_plot_data_stable_only(tmp_path):
     assert names == ["markers.csv", "plot_critical_stable.csv"]
 
 
+@pytest.mark.parametrize("segs, walk", [
+    pytest.param([(0, 1), (1, 2), (1, 3), (3, 4)], [0, 1, 2, 1, 3, 4], id="Y"),
+    pytest.param([(0, 2), (1, 2), (2, 3), (2, 4)], [0, 2, 1, 2, 3, 2, 4], id="X"),
+])
+def test_cli_plot_data_walks_branches(tmp_path, segs, walk):
+    # a branched component keeps all its vertices: a branch follows a
+    # retrace to its junction, so consecutive rows draw segments only.  A
+    # second component, a plain path, keeps its own id and rows
+    from paretoc.continuation import ParetoComplex
+
+    pos = np.array([[float(i), float(i * i)] for i in range(7)])
+    cx = ParetoComplex(
+        n=2, m=2, positions=pos, u_values=pos[:, ::-1].copy(), lam=np.full((7, 2), 0.5),
+        sigma=None, keys=[repr(("f", i)) for i in range(7)],
+        simplices=[(s, "critical_unstable", 0) for s in segs + [(5, 6)]], markers=[],
+    )
+    path = tmp_path / "branched.json"
+    save_complex(path, cx)
+    plots = tmp_path / "plots"
+    assert main(["plot-data", "--file", str(path), "--out-dir", str(plots)]) == 0
+    lines = (plots / "plot_critical_unstable.csv").read_text().splitlines()[1:]
+    rows = [line.split(",") for line in lines]
+    by_comp = {}
+    for comp_id, index, x0, *_ in rows:
+        by_comp.setdefault(int(comp_id), []).append(int(float(x0)))
+        assert int(index) == len(by_comp[int(comp_id)]) - 1
+    assert by_comp == {0: walk, 1: [5, 6]}
+    drawn = {tuple(sorted(p)) for p in zip(walk, walk[1:])}
+    assert drawn == set(segs)
+
+
 def test_cli_exit_codes(capsys, tmp_path):
     assert main(["run", "--problem", "unknown_problem"]) == 1
     assert main(["frobnicate"]) == 1

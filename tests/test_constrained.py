@@ -359,12 +359,15 @@ def _random_quadratic_pair(sphere, seed):
     return ConstrainedProblem(base=base, g=sphere.g, g_jacobian=sphere.g_jacobian)
 
 
-def _closed_form_face_table(omega_nodes, faces, points, jac_nodes):
+def _closed_form_face_table(omega_nodes, faces, points, jac_nodes, hess_at=None):
     """Edge crossings as the constrained pipeline found them before it ran
     through Analyzer: the weight of b is w_a / (w_a - w_b), accepted with a
     -1e-10 slack and snapped to a node within 1e-9.  Drop-in for the face
-    table: edge -> vertex, None, or rank deficient (both minors zero)."""
-    table = {}
+    table: edge -> vertex, None, or rank deficient (both minors zero).  The
+    vertices are complete for a first-order run: lambda is one stacked
+    solve, as in the face table."""
+    assert hess_at is None  # the constrained pipeline is first order
+    table, crossings = {}, {}
     for a, b in faces:
         wa, wb = omega_nodes[a, 0], omega_nodes[b, 0]
         if wa == wb:
@@ -376,14 +379,21 @@ def _closed_form_face_table(omega_nodes, faces, points, jac_nodes):
             continue
         mu = min(max(mu, 0.0), 1.0)
         if mu <= 1e-9:
-            sub, w = (a,), np.array([1.0])
+            crossings[(a, b)] = (a,), np.array([1.0])
         elif mu >= 1.0 - 1e-9:
-            sub, w = (b,), np.array([1.0])
+            crossings[(a, b)] = (b,), np.array([1.0])
         else:
-            sub, w = (a, b), np.array([1.0 - mu, mu])
-        table[(a, b)] = SingularVertex(
-            key=repr(("f",) + sub), x=w @ points[list(sub)], face=sub, mu=w,
-            grad_interp=np.tensordot(w, jac_nodes[list(sub)], axes=1),
+            crossings[(a, b)] = (a, b), np.array([1.0 - mu, mu])
+    if not crossings:
+        return table
+    G = np.array([np.tensordot(w, jac_nodes[list(sub)], axes=1) for sub, w in crossings.values()])
+    lam, residual = continuation.solve_lambdas(G)
+    scale = np.linalg.norm(G, axis=2).max(axis=1)
+    for (edge, (sub, w)), g, lv, res, sc in zip(crossings.items(), G, lam, residual, scale):
+        table[edge] = SingularVertex(
+            key=repr(("f",) + sub), x=w @ points[list(sub)], face=sub, mu=w, grad_interp=g,
+            lam=None if np.isnan(lv[0]) else lv, residual=float(res),
+            critical_ok=bool(res <= continuation.EPS_RES * sc),
         )
     return table
 

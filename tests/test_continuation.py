@@ -8,7 +8,6 @@ import pytest
 from paretoc.constrained import analyze_constrained, icosphere
 from paretoc.continuation import (
     Analyzer,
-    Piece,
     STRATUM_STABLE,
     STRATUM_UNSTABLE,
     SingularVertex,
@@ -216,7 +215,7 @@ def test_solve_lambda_rank_collapse():
 def _seg(sa, sb):
     a = SingularVertex(key=repr(("f", 0)), x=np.array([0.0, 0.0]))
     b = SingularVertex(key=repr(("f", 1)), x=np.array([1.0, 0.0]))
-    piece = Piece([a, b], "segment")
+    piece = (a, b)
     values = {a: sa, b: sb}
     return piece, values
 
@@ -226,7 +225,7 @@ def test_clip_segment_half():
     kept, dropped, boundary = clip_polytope([piece], values)
     assert len(kept) == 1 and len(dropped) == 1 and len(boundary) == 1
     assert boundary[0].x == pytest.approx([0.5, 0.0])
-    kept_keys = {v.key for v in kept[0].verts}
+    kept_keys = {v.key for v in kept[0]}
     assert repr(("f", 0)) in kept_keys
     assert boundary[0].key == repr(("c", "clip", ("f", 0), ("f", 1)))
     assert boundary[0] not in values  # a new vertex, not an endpoint
@@ -244,14 +243,14 @@ def test_clip_triangle_corner():
         SingularVertex(key=repr(("f", 1)), x=np.array([1.0, 0.0, 0.0])),
         SingularVertex(key=repr(("f", 2)), x=np.array([0.0, 1.0, 0.0])),
     ]
-    piece = Piece(verts, "polygon")
+    piece = tuple(verts)
     values = dict(zip(verts, [1.0, -1.0, -1.0]))
     kept, dropped, boundary = clip_polytope([piece], values)
-    assert len(kept) == 1 and len(kept[0].verts) == 3
+    assert len(kept) == 1 and len(kept[0]) == 3
     assert len(boundary) == 2
     bx = sorted(tuple(np.round(v.x, 12)) for v in boundary)
     assert bx == [(0.0, 0.5, 0.0), (0.5, 0.0, 0.0)]
-    assert len(dropped) == 1 and len(dropped[0].verts) == 4
+    assert len(dropped) == 1 and len(dropped[0]) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +272,7 @@ def test_triv_cell_straddling_front():
     for a in Analyzer(p, tess, order=1).run_cells():
         for piece in a.strata[STRATUM_UNSTABLE] + a.strata[STRATUM_STABLE]:
             found = True
-            for v in piece.verts:
+            for v in piece:
                 assert np.all(v.lam > 0)
     assert found
 

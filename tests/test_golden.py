@@ -177,7 +177,7 @@ def test_vertex_keys_are_their_tuple_text(case):
     _, _, _, analyses, _ = _run(case)
     checked = 0
     for a in analyses:
-        verts = [v for pieces in a.strata.values() for piece in pieces for v in piece.verts]
+        verts = [v for pieces in a.strata.values() for piece in pieces for v in piece]
         for v in verts + [v for v, _ in a.markers]:
             k = ast.literal_eval(v.key)
             assert repr(k) == v.key

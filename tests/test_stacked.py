@@ -15,6 +15,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paretoc import continuation, refinement
 from paretoc.constrained import analyze_constrained, icosphere
@@ -90,7 +91,7 @@ def _cell_table(an):
 
 def _table_vertices(an):
     # every face-table vertex that some cell lists
-    return list(dict.fromkeys(v for verts, _, _ in _cell_table(an) for v in verts))
+    return list(dict.fromkeys(v for verts, _ in _cell_table(an) for v in verts))
 
 
 def test_snapped_determinants_match_node_loop(analyzers):
@@ -135,6 +136,48 @@ def test_solve_lambdas_match_loop(analyzers):
     assert collapses > 0
 
 
+# row kinds of a random gradient stack: rank-deficient, duplicate (a partial
+# truncation of the tangent solve), zero and collapsed rows among plain ones
+ROW_KINDS = ("random", "dependent", "duplicate", "affine", "zero_row", "zero", "collapsed")
+
+
+@st.composite
+def gradient_stacks(draw):
+    m = draw(st.integers(2, 3))
+    n = draw(st.integers(m, 6))
+    kinds = draw(st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    G = rng.normal(size=(len(kinds), m, n))
+    for g, kind in zip(G, kinds):
+        if kind == "dependent":
+            g[-1] = rng.normal(size=m - 1) @ g[:-1]
+        elif kind == "duplicate":
+            g[1] = g[0]
+        elif kind == "affine":
+            g[:] = g[0] + rng.normal(size=(m, 1)) * g[1]
+        elif kind == "zero_row":
+            g[rng.integers(m)] = 0.0
+        elif kind == "zero":
+            g[:] = 0.0
+        elif kind == "collapsed":
+            g[:] = rng.normal(size=(m, 1)) * g[0]
+    return G * 10.0 ** rng.uniform(-8.0, 8.0, size=(len(kinds), 1, 1))
+
+
+@settings(max_examples=200)
+@given(gradient_stacks())
+def test_solve_lambdas_match_loop_on_random_stacks(G):
+    # the stacked solve's bits depend on its operand layout, which the
+    # analyzers' stacks alone pin too weakly
+    lam, residual = solve_lambdas(G)
+    for i in range(len(G)):
+        ref, ref_res = _loop_solve_lambda(G[i])
+        if ref is None:
+            assert np.all(np.isnan(lam[i])) and residual[i] == np.inf
+        else:
+            assert np.array_equal(lam[i], ref) and residual[i] == ref_res
+
+
 def test_generalized_hessians_match_loop(analyzers):
     for an in analyzers:
         verts = [v for v in _table_vertices(an) if v.lam is not None and v.hess_interp is not None]
@@ -152,9 +195,12 @@ def test_generalized_hessians_match_loop(analyzers):
 
 
 def test_table_is_read_only(analyzers):
+    # the vertices are built complete (but for sigma) from read-only columns
     v = _table_vertices(analyzers[0])[0]
     with pytest.raises(ValueError):
         v.lam[0] = 0.0
+    for a in (v.x, v.mu, v.grad_interp, v.lam, v.hess_interp):
+        assert not a.flags.writeable
 
 
 def _loop_face_vertex(face, mu, points, jac_nodes):
@@ -197,14 +243,20 @@ def _loop_polygon_order(verts):
 
 
 def test_polygon_orders_match_cell_loop(analyzers):
+    # the table hands each polygon over in ring order: the loop's order
+    # applied to the cell's vertices in face order
     an = analyzers[0]  # tri_quadratic: m = 3
+    cell_faces = [enumerate_faces(an.tess.cells[ci], an.r) for ci in an.candidate_cells()]
+    table = continuation._face_table(
+        an.omega_nodes, list(dict.fromkeys(f for fs in cell_faces for f in fs)),
+        an.tess.nodes.points, an.jac_nodes)
     sizes = set()
-    for verts, _, order in _cell_table(an):
+    for (ring, _), faces in zip(_cell_table(an), cell_faces):
+        verts, _ = continuation._cell_vertices(table, faces)
         if len(verts) >= 3:
             sizes.add(len(verts))
-            assert order == _loop_polygon_order(verts)
-        else:
-            assert order is None
+            verts = [verts[i] for i in _loop_polygon_order(verts)]
+        assert [v.key for v in ring] == [v.key for v in verts]
     assert {3, 4} <= sizes
 
 
@@ -216,7 +268,7 @@ def test_second_order_stage_matches_vertex_loop(analyzers):
     clip_born = 0
     for a in an.run_cells():
         for piece in a.strata[STRATUM_UNSTABLE] + a.strata[STRATUM_STABLE]:
-            for v in piece.verts:
+            for v in piece:
                 if v.face is not None or ast.literal_eval(v.key)[1][0] != "lam":
                     continue
                 clip_born += 1
@@ -252,7 +304,7 @@ def test_sigma_is_one_stacked_call_over_the_reached_vertices(monkeypatch, caplog
         assert sum("kernel dimension" in r.getMessage() for r in caplog.records) == 1
         seen = {v for a in analyses for v in a.singular_vertices}
         seen |= {v for a in analyses for pieces in a.strata.values()
-                 for piece in pieces for v in piece.verts}
+                 for piece in pieces for v in piece}
         seen |= {v for a in analyses for v, _ in a.markers}
         with_sigma = [v for v in seen if v.sigma is not None or v.kernel_fail]
         assert with_sigma
