@@ -64,6 +64,13 @@ def complex_to_dict(cx: ParetoComplex, provenance: Optional[dict] = None) -> dic
     }
 
 
+def _vertex_id(i, V: int, what: str) -> int:
+    i = int(i)
+    if not 0 <= i < V:
+        raise ValueError(f"{what} names vertex {i}, the file has {V}")
+    return i
+
+
 def complex_from_dict(doc: dict) -> ParetoComplex:
     if doc.get("version") != COMPLEX_VERSION:
         raise ValueError(f"unsupported complex file version {doc.get('version')!r}")
@@ -80,8 +87,10 @@ def complex_from_dict(doc: dict) -> ParetoComplex:
             if v.get("sigma"):
                 sig_len = max(sig_len, len(v["sigma"]))
         sigma = np.full((V, sig_len), np.nan) if sig_len else None
-        for v in verts:
-            i = int(v["id"])
+        ids = [int(v["id"]) for v in verts]
+        if sorted(ids) != list(range(V)):
+            raise ValueError(f"vertex ids are not 0..{V - 1}, each once")
+        for i, v in zip(ids, verts):
             positions[i] = v["x"]
             u_values[i] = v["u"]
             if v.get("lambda") is not None:
@@ -93,12 +102,13 @@ def complex_from_dict(doc: dict) -> ParetoComplex:
             stratum = s["stratum"]
             if stratum not in STRATA:
                 raise ValueError(f"unknown stratum {stratum!r}")
-            simplices.append((tuple(int(i) for i in s["vertex_ids"]), stratum, -1))
+            simplices.append((tuple(_vertex_id(i, V, "a simplex") for i in s["vertex_ids"]),
+                              stratum, -1))
         markers = []
         for mk in doc["markers"]:
             if mk["kind"] not in MARKER_KINDS:
                 raise ValueError(f"unknown marker kind {mk['kind']!r}")
-            markers.append((int(mk.get("vertex", -1)), mk["kind"]))
+            markers.append((_vertex_id(mk["vertex"], V, "a marker"), mk["kind"]))
         prov = doc.get("provenance") or {}
     except KeyError as exc:
         raise ValueError(f"complex file has no {exc.args[0]!r} entry") from None

@@ -49,9 +49,10 @@ class ManifoldMesh:
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
         self.cells = [tuple(sorted(int(i) for i in c)) for c in self.cells]
+        N = len(self.points)
         for c in self.cells:
-            if len(c) != self.d + 1:
-                raise ValueError(f"cell {c} is not a {self.d}-simplex")
+            if len(c) != self.d + 1 or len(set(c)) < len(c) or c[0] < 0 or c[-1] >= N:
+                raise ValueError(f"cell {c} is not a {self.d}-simplex on nodes 0..{N - 1}")
 
     @property
     def n(self) -> int:

@@ -55,7 +55,6 @@ DET_SNAP_REL = 1e-13   # nodal minors at or below this x their Hadamard bound
 # Tolerances of the other layers, for reference:
 #   tessellation.EPS_GEOM_REL = 1e-12  node coincidence and the seed simplex, x bbox
 #                                      diagonal; Delaunay ties are broken on node ids
-#   tessellation._initial_simplex  1e-14  seed-simplex independence floor, x |v|
 #   constrained.EPS_CONSTRAINT = 1e-8  largest |g| allowed at a mesh node
 #   refinement.SPACING_GAMMA = 0.1  candidate-to-node distance floor, x local shortest edge
 
@@ -161,8 +160,9 @@ class SingularVertex:
 
     Face-born vertices carry the defining face and barycentric weights, and
     are built complete but for sigma; clip-born vertices carry neither but
-    inherit interpolated lambda, gradients and Hessians.  Only the sigma
-    stage sets a field after construction: ``sigma`` or ``kernel_fail``.
+    inherit interpolated lambda, gradients, Hessians and sigma.  Only the
+    sigma stage sets a field after construction: ``sigma``, left None where
+    the kernel dimension is ambiguous.
     Within a run a vertex is the object itself: it
     hashes by identity, and cells share the face-table vertices.  Across
     cells it is ``key``, the text of its defining face, ``"('f', i, j)"``
@@ -181,18 +181,15 @@ class SingularVertex:
     hess_interp: Optional[np.ndarray] = None
     sigma: Optional[np.ndarray] = None
     critical_ok: bool = True
-    kernel_fail: bool = False
 
 
-def _interp_vertex(a: SingularVertex, b: SingularVertex, t: float, stage,
-                   sigma: bool) -> SingularVertex:
+def _interp_vertex(a: SingularVertex, b: SingularVertex, t: float, stage) -> SingularVertex:
     """Linear interpolation between two vertices; canonical w.r.t. key order.
 
-    Only a second-order clip (``sigma``) interpolates sigma and kernel
-    failures; a vertex born in a first-order clip gets its sigma in the
-    sigma stage, as a face-table vertex does.  The residual and the
-    criticality flag keep their defaults: the validity stage reads them
-    before the first clip.
+    A field missing at an endpoint is missing here: the first-order clips
+    run before the sigma stage, which sets the sigma of their cuts.  The
+    residual and the criticality flag keep their defaults: the validity
+    stage reads them before the first clip.
     """
     if b.key < a.key:
         a, b = b, a
@@ -209,12 +206,11 @@ def _interp_vertex(a: SingularVertex, b: SingularVertex, t: float, stage,
         grad_interp=lerp(a.grad_interp, b.grad_interp),
         lam=lerp(a.lam, b.lam),
         hess_interp=lerp(a.hess_interp, b.hess_interp),
-        sigma=lerp(a.sigma, b.sigma) if sigma else None,
-        kernel_fail=sigma and (a.kernel_fail or b.kernel_fail),
+        sigma=lerp(a.sigma, b.sigma),
     )
 
 
-def clip_polytope(pieces, values, stage="clip", sigma=False):
+def clip_polytope(pieces, values, stage="clip"):
     """Keep the part of each piece where the per-vertex scalar is >= 0.
 
     A piece is a connected convex fragment of a cell's (m-1)-polytope, the
@@ -223,12 +219,13 @@ def clip_polytope(pieces, values, stage="clip", sigma=False):
     ``values`` maps vertex -> scalar.  Returns ``(kept, dropped,
     boundary_vertices)``; the inserted boundary vertices are new objects,
     keyed on ``stage`` and their edge's endpoint keys, and their scalar
-    fields are linear interpolations of the endpoint data.  ``sigma`` marks
-    the second-order clip, the one that interpolates sigma.
+    fields are linear interpolations of the endpoint data.  Every input
+    vertex lands in a kept or a dropped piece and every inserted vertex in
+    both, which :func:`glue` relies on.
     """
 
     def cut(a, b, t):
-        return _interp_vertex(a, b, t, stage, sigma)
+        return _interp_vertex(a, b, t, stage)
 
     kept: list[tuple] = []
     dropped: list[tuple] = []
@@ -323,10 +320,9 @@ def _rings(polygons: list) -> list:
 class CellAnalysis:
     """One cell's pieces by stratum, its markers and warnings.
 
-    A piece is the tuple of its vertices (see :func:`clip_polytope`).
-    ``sigma_vertices`` holds the vertices that reached the second-order
-    stage in this cell.  A face-table vertex is shared between cells, so its
-    sigma belongs in the complex file only from such a cell.
+    A piece is the tuple of its vertices (see :func:`clip_polytope`).  A
+    face-table vertex is shared between cells, so its sigma belongs in the
+    complex file only from a cell where it lies on a critical piece.
     """
 
     cell_index: int
@@ -335,7 +331,6 @@ class CellAnalysis:
         STRATUM_SINGULAR: [], STRATUM_UNSTABLE: [], STRATUM_STABLE: []})
     markers: list = field(default_factory=list)  # (SingularVertex, kind)
     warnings: list = field(default_factory=list)
-    sigma_vertices: set = field(default_factory=set)
 
 
 # face-table entry of a face whose barycentric system is rank deficient
@@ -407,9 +402,9 @@ def _face_vertices(faces: np.ndarray, mu: np.ndarray, points: np.ndarray,
 
     Weights at or below ``MU_SNAP`` drop out and the rest are renormalized,
     so a vertex sitting on a sub-face gets the sub-face key and adjacent
-    cells merge it exactly once.  A face whose weights all drop out is rank
-    deficient.  Position, gradients and, with ``hess_at``, the Hessians are
-    interpolated in one pass per sub-face size; lambda is one stacked solve.
+    cells merge it exactly once.  Position, gradients and, with
+    ``hess_at``, the Hessians are interpolated in one pass per sub-face
+    size; lambda is one stacked solve.
     Every array is a row of a read-only column array.
     """
     keep = mu > MU_SNAP
@@ -421,9 +416,8 @@ def _face_vertices(faces: np.ndarray, mu: np.ndarray, points: np.ndarray,
             w = mu[rows][keep[rows]].reshape(-1, k)
             groups.append((rows, faces[rows][keep[rows]].reshape(-1, k),
                            w / w.sum(axis=1, keepdims=True)))
-    out: list = [_RANK_DEFICIENT] * len(faces)
     if not groups:
-        return out
+        return []
     x = np.concatenate([_interpolate(w, points[sub]) for _, sub, w in groups])
     grad = np.concatenate([_interpolate(w, jac_nodes[sub]) for _, sub, w in groups])
     lam, residual = solve_lambdas(grad)
@@ -448,6 +442,7 @@ def _face_vertices(faces: np.ndarray, mu: np.ndarray, points: np.ndarray,
     subs = [tuple(s) for _, sub, _ in groups for s in sub.tolist()]
     weights = [wf for _, _, w in groups for wf in w]
     collapse = np.isnan(lam[:, 0]).tolist()
+    out: list = [None] * len(faces)
     for f, s, wf, xf, gf, lf, nan, res, ok, hf in zip(
             rows, subs, weights, x, grad, lam, collapse, residual.tolist(),
             critical_ok.tolist(), hess):
@@ -512,15 +507,15 @@ def generalized_hessians(G: np.ndarray, lam: np.ndarray, hess: np.ndarray) -> tu
 
 
 def _attach_sigma(verts: list) -> None:
-    """Set sigma (read-only), or the kernel-failure flag, on vertices in one
-    stacked call, and log the count of kernel failures."""
+    """Set sigma (read-only) on vertices in one stacked call, None where the
+    kernel dimension is ambiguous, and log the count of those failures."""
     if verts:
         sigma, fail = generalized_hessians(np.array([v.grad_interp for v in verts]),
                                            np.array([v.lam for v in verts]),
                                            np.array([v.hess_interp for v in verts]))
         sigma.flags.writeable = False
         for v, sg, f in zip(verts, sigma, fail):
-            v.sigma, v.kernel_fail = (None, True) if f else (sg, False)
+            v.sigma = None if f else sg
         logger.debug("kernel dimension ambiguous at %d of %d vertices; treated as "
                      "unstable", np.count_nonzero(fail), len(verts))
 
@@ -653,7 +648,7 @@ class Analyzer:
         # singular-only as a whole (measure-zero configurations, logged)
         valid: list[tuple] = []
         for piece in self._assemble_pieces(verts, analysis):
-            if all(v.lam is not None and v.critical_ok for v in piece):
+            if all(v.critical_ok for v in piece):  # False on a rank collapse
                 valid.append(piece)
             else:
                 analysis.strata[STRATUM_SINGULAR].append(piece)
@@ -685,8 +680,7 @@ class Analyzer:
                                    for v in verts if v.sigma is not None])
         values = {v: -10.0 * sigma_scale if v.sigma is None else -float(v.sigma.max())
                   for v in verts}
-        analysis.sigma_vertices = set(verts)
-        stable, unstable, boundary = clip_polytope(theta, values, ("sig", 0), sigma=True)
+        stable, unstable, boundary = clip_polytope(theta, values, ("sig", 0))
         analysis.strata[STRATUM_STABLE].extend(stable)
         analysis.strata[STRATUM_UNSTABLE].extend(unstable)
         for w in boundary:
@@ -811,19 +805,20 @@ def glue(analyses: Iterable[CellAnalysis], problem: VectorProblem,
     floating-point data (they are computed from the same face inputs), so the
     merge is exact and independent of the cell processing order.  A vertex's
     data come from the first cell, in cell order, that lists it; its sigma
-    only if it reached the second-order stage there or was born in that cell.
+    only if it lies on a critical piece there (see :func:`clip_polytope`).
     """
     vertex_table: dict[str, tuple] = {}  # key -> (vertex, sigma)
     simplex_table: dict[tuple, tuple] = {}
-    marker_table: dict[tuple, tuple] = {}
+    marker_keys: set[tuple] = set()
 
     for analysis in sorted(analyses, key=lambda a: a.cell_index):
-        reached = analysis.sigma_vertices
+        critical = {v for s in (STRATUM_UNSTABLE, STRATUM_STABLE)
+                    for piece in analysis.strata[s] for v in piece}
 
         def register(v: SingularVertex) -> str:
             k = v.key
             if k not in vertex_table:
-                vertex_table[k] = (v, v.sigma if v.face is None or v in reached else None)
+                vertex_table[k] = (v, v.sigma if v in critical else None)
             return k
 
         for stratum, pieces in analysis.strata.items():
@@ -839,12 +834,10 @@ def glue(analyses: Iterable[CellAnalysis], problem: VectorProblem,
                         for i in range(1, len(cyc) - 1)
                     ]
                 for sk in simplex_keys:
-                    if len(set(sk)) != len(sk):
-                        continue
                     if sk not in simplex_table:
                         simplex_table[sk] = (stratum, analysis.cell_index)
         for v, kind in analysis.markers:
-            marker_table[(v.key, kind)] = (register(v), kind)
+            marker_keys.add((register(v), kind))
 
     ordered_keys = sorted(vertex_table)
     index_of = {k: i for i, k in enumerate(ordered_keys)}
@@ -865,7 +858,7 @@ def glue(analyses: Iterable[CellAnalysis], problem: VectorProblem,
         (tuple(sorted(index_of[k] for k in sk)), stratum, ci)
         for sk, (stratum, ci) in simplex_table.items()
     )
-    markers = sorted((index_of[k], kind) for (k, kind) in marker_table.values())
+    markers = sorted((index_of[k], kind) for k, kind in marker_keys)
     return ParetoComplex(
         n=n,
         m=m,

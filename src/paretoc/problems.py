@@ -165,37 +165,33 @@ def _at_points(f, X, shape) -> Array:
 # ---------------------------------------------------------------------------
 
 
+DERIVATIVE_TOLERANCE = 1e-5  # largest relative derivative error that passes
+
+
 @dataclass
 class DerivativeReport:
     problem: str
-    h: float
     max_jacobian_error: float
     max_hessian_error: float
     max_constraint_error: float = 0.0
-    tolerance: float = 1e-5
     failures: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
         worst = max(self.max_jacobian_error, self.max_hessian_error, self.max_constraint_error)
-        return worst < self.tolerance and not self.failures
+        return worst < DERIVATIVE_TOLERANCE and not self.failures
 
 
-def check_derivatives(
-    problem: VectorProblem | ConstrainedProblem,
-    samples: Sequence[Array],
-    h: Optional[float] = None,
-    tolerance: float = 1e-5,
-) -> DerivativeReport:
+def check_derivatives(problem: VectorProblem | ConstrainedProblem,
+                      samples: Sequence[Array]) -> DerivativeReport:
     """Compare analytic Jacobians/Hessians against central finite differences.
 
-    ``h`` defaults to 1e-4 times the domain-box diagonal.  Errors are relative
+    The step is 1e-4 times the domain-box diagonal.  Errors are relative
     to the larger of the matrix norm and 1.
     """
     cp = problem if isinstance(problem, ConstrainedProblem) else None
     p = cp.base if cp is not None else problem
-    if h is None:
-        h = 1e-4 * p.box_diagonal
+    h = 1e-4 * p.box_diagonal
     X = np.array(samples, dtype=float)
     # errors are relative to the sample-set scale of each quantity, so stiff
     # maps are not penalized where a matrix entry happens to pass through zero
@@ -206,20 +202,18 @@ def check_derivatives(
         g_err = _sample_errors(cp.g_jac_at(X), _central_differences(cp.g_val_at, X, h))
     failures = []
     for x, j_err, h_err in zip(X.tolist(), jac_err, hess_err):
-        if j_err >= tolerance:
+        if j_err >= DERIVATIVE_TOLERANCE:
             failures.append(("jacobian", x, j_err))
-        if h_err >= tolerance:
+        if h_err >= DERIVATIVE_TOLERANCE:
             failures.append(("hessian", x, h_err))
     for x, err in zip(X.tolist(), g_err):
-        if err >= tolerance:
+        if err >= DERIVATIVE_TOLERANCE:
             failures.append(("constraint", x, err))
     return DerivativeReport(
         problem=p.name,
-        h=h,
         max_jacobian_error=max(jac_err),
         max_hessian_error=max(hess_err),
         max_constraint_error=max(g_err, default=0.0),
-        tolerance=tolerance,
         failures=failures,
     )
 

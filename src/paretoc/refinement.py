@@ -262,7 +262,6 @@ def iterate(
     state: RefinementState,
     scheme: str = "polyline",
     budget: Optional[int] = None,
-    gamma: float = SPACING_GAMMA,
     reference: Optional[ParetoComplex] = None,
 ) -> RefinementState:
     """One refinement step: candidates, spacing guard, insertion, re-analysis."""
@@ -288,8 +287,8 @@ def iterate(
             scores = _minor_magnitudes(problem, np.array(candidates))
         order = np.argsort(scores)[::-1][:budget]
         candidates = [candidates[i] for i in sorted(order)]
-    # spacing guard: keep candidates at least gamma x (shortest edge incident
-    # to their nearest node) away from every current node
+    # spacing guard: keep candidates at least SPACING_GAMMA x (shortest edge
+    # incident to their nearest node) away from every current node
     nodes = state.tess.nodes.points
     min_edge = state.tess.min_incident_edge()
     kept = []
@@ -298,7 +297,7 @@ def iterate(
     for c in candidates:
         d = np.linalg.norm(guard_pts - c, axis=1)
         nearest = int(d.argmin())
-        if d[nearest] < gamma * guard_edges[nearest]:
+        if d[nearest] < SPACING_GAMMA * guard_edges[nearest]:
             continue
         kept.append(np.asarray(c, dtype=float))
         guard_pts = np.vstack([guard_pts, c[None, :]])

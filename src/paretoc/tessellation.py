@@ -570,7 +570,7 @@ def _initial_simplex(points: np.ndarray, eps: float) -> list[int]:
         for b in basis:
             w -= (w @ b) * b
         norm = np.linalg.norm(w)
-        if norm > max(eps, 1e-14 * max(np.linalg.norm(v), 1.0)):
+        if norm > eps:
             basis.append(w / norm)
             chosen.append(i)
             if len(chosen) == n + 1:

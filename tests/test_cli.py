@@ -337,22 +337,44 @@ def test_cli_file_errors_exit_without_traceback(triv_complex, tmp_path):
         assert done.returncode == 1, args
         assert "error: " in done.stderr and "missing.json" in done.stderr, args
         assert "Traceback" not in done.stderr, args
-    # a complex file without a required entry fails as a malformed file
-    # does (exit 2, like an unsupported version), naming the entry
-    doc = json.loads(good.read_text())
-    del doc["markers"]
+    # a complex file without a required entry or with a bad vertex id fails
+    # as a malformed file does (exit 2, like an unsupported version), naming
+    # what is wrong, instead of reading another vertex or uninitialized rows
+    V = len(json.loads(good.read_text())["vertices"])
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    done = _cli("distance", str(bad), str(good))
-    assert done.returncode == 2
-    assert "error: complex file has no 'markers' entry" in done.stderr
-    assert "Traceback" not in done.stderr
+    for edit, message in (
+        (lambda d: d.pop("markers"), "complex file has no 'markers' entry"),
+        (lambda d: d["markers"][0].pop("vertex"), "complex file has no 'vertex' entry"),
+        (lambda d: d["markers"][0].update(vertex=-1),
+         f"a marker names vertex -1, the file has {V}"),
+        (lambda d: d["simplices"][0]["vertex_ids"].__setitem__(0, V),
+         f"a simplex names vertex {V}, the file has {V}"),
+        (lambda d: d["vertices"][1].update(id=0), f"vertex ids are not 0..{V - 1}, each once"),
+        (lambda d: d["vertices"][0].update(id=V), f"vertex ids are not 0..{V - 1}, each once"),
+    ):
+        doc = json.loads(good.read_text())
+        edit(doc)
+        bad.write_text(json.dumps(doc))
+        done = _cli("distance", str(bad), str(good))
+        assert done.returncode == 2, message
+        assert f"error: {message}" in done.stderr
+        assert "Traceback" not in done.stderr
+    # so does a mesh file without cells or with a cell that does not name
+    # distinct nodes of the mesh
     mesh = tmp_path / "mesh.json"
-    save_mesh(mesh, [[0.0, 0.0, 1.0]], [])
-    doc = json.loads(mesh.read_text())
-    del doc["cells"]
-    mesh.write_text(json.dumps(doc))
-    done = _cli("run", "--problem", "sphere_proj", "--manifold-mesh", str(mesh))
-    assert done.returncode == 2
-    assert "error: mesh file has no 'cells' entry" in done.stderr
-    assert "Traceback" not in done.stderr
+    points = [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
+    for cells, message in (
+        (None, "mesh file has no 'cells' entry"),
+        ([[0, 1, 10**6]], "cell (0, 1, 1000000) is not a 2-simplex on nodes 0..2"),
+        ([[0, 1, -1]], "cell (-1, 0, 1) is not a 2-simplex on nodes 0..2"),
+        ([[0, 1, 1]], "cell (0, 1, 1) is not a 2-simplex on nodes 0..2"),
+    ):
+        save_mesh(mesh, points, cells or [], manifold_dim=2)
+        if cells is None:
+            doc = json.loads(mesh.read_text())
+            del doc["cells"]
+            mesh.write_text(json.dumps(doc))
+        done = _cli("run", "--problem", "sphere_proj", "--manifold-mesh", str(mesh))
+        assert done.returncode == 2, message
+        assert f"error: {message}" in done.stderr
+        assert "Traceback" not in done.stderr

@@ -4,10 +4,12 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from paretoc.constrained import analyze_constrained, icosphere
 from paretoc.continuation import (
     Analyzer,
+    CLIP_SNAP_REL,
     STRATUM_STABLE,
     STRATUM_UNSTABLE,
     SingularVertex,
@@ -251,6 +253,30 @@ def test_clip_triangle_corner():
     bx = sorted(tuple(np.round(v.x, 12)) for v in boundary)
     assert bx == [(0.0, 0.5, 0.0), (0.5, 0.0, 0.0)]
     assert len(dropped) == 1 and len(dropped[0]) == 4
+
+
+_CLIP_VALUES = st.one_of(
+    st.sampled_from([0.0, 0.5 * CLIP_SNAP_REL, -0.5 * CLIP_SNAP_REL]),
+    st.floats(-1.0, 1.0, allow_nan=False))
+
+
+@given(st.integers(2, 8).flatmap(lambda k: st.lists(_CLIP_VALUES, min_size=k, max_size=k)))
+def test_clip_keeps_every_vertex_and_cut(svals):
+    # glue reads sigma's reach from the strata: every input vertex lands in
+    # a kept or a dropped piece, every cut in both, and no side degenerates
+    k = len(svals)
+    angles = 2.0 * np.pi * np.arange(k) / k
+    piece = tuple(SingularVertex(key=repr(("f", i)), x=np.array([np.cos(a), np.sin(a)]))
+                  for i, a in enumerate(angles))
+    kept, dropped, boundary = clip_polytope([piece], dict(zip(piece, svals)))
+    on_kept = {v for p in kept for v in p}
+    on_dropped = {v for p in dropped for v in p}
+    assert set(piece) <= on_kept | on_dropped
+    for w in boundary:
+        if w not in piece:
+            assert w in on_kept and w in on_dropped
+    for p in kept + dropped:
+        assert len(p) == 2 if k == 2 else len(p) >= 3
 
 
 # ---------------------------------------------------------------------------

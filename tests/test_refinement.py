@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from paretoc import refinement
 from paretoc.complex_io import save_complex
 from paretoc.continuation import ParetoComplex, STRATUM_STABLE, STRATUM_UNSTABLE, glue
 from paretoc.errors import EmptyComplex, NoProgress
@@ -203,9 +204,10 @@ def test_iterate_step(triv_state):
     assert np.all(pts >= box[:, 0] - 1e-12) and np.all(pts <= box[:, 1] + 1e-12)
 
 
-def test_iterate_spacing_guard_blocks_everything(triv_state):
+def test_iterate_spacing_guard_blocks_everything(triv_state, monkeypatch):
+    monkeypatch.setattr(refinement, "SPACING_GAMMA", 50.0)
     with pytest.raises(NoProgress):
-        iterate(triv_state, scheme="polyline", gamma=50.0)
+        iterate(triv_state, scheme="polyline")
 
 
 def test_iterate_maximin_with_budget(triv_state):
@@ -265,7 +267,7 @@ def test_noncv_polyline_growth():
 
 
 def test_spacing_guard_min_distances(triv_state):
-    st = iterate(triv_state, scheme="polyline", gamma=0.1)
+    st = iterate(triv_state, scheme="polyline")
     new_pts = st.tess.nodes.points[len(triv_state.tess.nodes):]
     old_pts = triv_state.tess.nodes.points
     min_edge = triv_state.tess.min_incident_edge()

@@ -274,7 +274,7 @@ def test_second_order_stage_matches_vertex_loop(analyzers):
                 clip_born += 1
                 ref = _loop_generalized_hessian(v.grad_interp, v.lam, v.hess_interp)
                 if ref is None:
-                    assert v.kernel_fail and v.sigma is None
+                    assert v.sigma is None
                 else:
                     assert np.array_equal(v.sigma, ref)
     assert clip_born > 0
@@ -299,14 +299,18 @@ def test_sigma_is_one_stacked_call_over_the_reached_vertices(monkeypatch, caplog
         calls.clear()
         caplog.clear()
         analyses = Analyzer(p, tess).run_cells()
-        reached = set().union(*(a.sigma_vertices for a in analyses))
+        # the vertices of the pre-sigma critical pieces: every vertex on a
+        # critical piece now, apart from the sigma clip's cuts
+        reached = {v for a in analyses for s in (STRATUM_UNSTABLE, STRATUM_STABLE)
+                   for piece in a.strata[s] for v in piece
+                   if v.face is not None or ast.literal_eval(v.key)[1] != ("sig", 0)}
         assert calls == [len(reached)]
         assert sum("kernel dimension" in r.getMessage() for r in caplog.records) == 1
         seen = {v for a in analyses for v in a.singular_vertices}
         seen |= {v for a in analyses for pieces in a.strata.values()
                  for piece in pieces for v in piece}
         seen |= {v for a in analyses for v, _ in a.markers}
-        with_sigma = [v for v in seen if v.sigma is not None or v.kernel_fail]
+        with_sigma = [v for v in seen if v.sigma is not None]
         assert with_sigma
         for v in with_sigma:
             assert v in reached or ast.literal_eval(v.key)[1] == ("sig", 0)

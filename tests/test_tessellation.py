@@ -150,6 +150,17 @@ def test_cell_nondegeneracy(rng):
         assert vol > 1e-12 * diam ** t.n
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1e-6, 1e-7, 1e-9])
+def test_flat_sets_build_at_every_scale(scale):
+    # the seed simplex is accepted relative to the bounding box alone, so a
+    # set 1e-8 as high as it is wide builds the same cells at any scale
+    pts = np.random.default_rng(0).uniform(size=(30, 2)) * [1.0, 1e-8]
+    cells = build_delaunay(pts).cells
+    t = build_delaunay(pts * scale)
+    assert t.cells == cells
+    assert exact_delaunay_violations(t) == []
+
+
 def test_errors():
     with pytest.raises(DimensionTooLow):
         build_delaunay(np.array([[0.0, 0.0], [1.0, 0.0]]))
