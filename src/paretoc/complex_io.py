@@ -71,6 +71,15 @@ def _vertex_id(i, V: int, what: str) -> int:
     return i
 
 
+def _row(v: dict, name: str, k: int) -> np.ndarray:
+    """A vertex's ``name`` entry as k floats."""
+    row = np.asarray(v[name], dtype=float)
+    if row.shape != (k,):
+        raise ValueError(f"the {name!r} entry of vertex {v['id']} has shape {row.shape}, "
+                         f"not ({k},)")
+    return row
+
+
 def complex_from_dict(doc: dict) -> ParetoComplex:
     if doc.get("version") != COMPLEX_VERSION:
         raise ValueError(f"unsupported complex file version {doc.get('version')!r}")
@@ -82,28 +91,27 @@ def complex_from_dict(doc: dict) -> ParetoComplex:
         positions = np.empty((V, n))
         u_values = np.empty((V, m))
         lam = np.full((V, m), np.nan)
-        sig_len = 0
-        for v in verts:
-            if v.get("sigma"):
-                sig_len = max(sig_len, len(v["sigma"]))
-        sigma = np.full((V, sig_len), np.nan) if sig_len else None
+        has_sigma = any(v.get("sigma") is not None for v in verts)
+        sigma = np.full((V, n - m + 1), np.nan) if has_sigma else None
         ids = [int(v["id"]) for v in verts]
         if sorted(ids) != list(range(V)):
             raise ValueError(f"vertex ids are not 0..{V - 1}, each once")
         for i, v in zip(ids, verts):
-            positions[i] = v["x"]
-            u_values[i] = v["u"]
+            positions[i] = _row(v, "x", n)
+            u_values[i] = _row(v, "u", m)
             if v.get("lambda") is not None:
-                lam[i] = v["lambda"]
-            if sigma is not None and v.get("sigma") is not None:
-                sigma[i] = v["sigma"]
+                lam[i] = _row(v, "lambda", m)
+            if v.get("sigma") is not None:
+                sigma[i] = _row(v, "sigma", n - m + 1)
         simplices = []
         for s in doc["simplices"]:
             stratum = s["stratum"]
             if stratum not in STRATA:
                 raise ValueError(f"unknown stratum {stratum!r}")
-            simplices.append((tuple(_vertex_id(i, V, "a simplex") for i in s["vertex_ids"]),
-                              stratum, -1))
+            vids = tuple(_vertex_id(i, V, "a simplex") for i in s["vertex_ids"])
+            if len(vids) != m or len(set(vids)) != m:
+                raise ValueError(f"simplex {list(vids)} does not name {m} distinct vertices")
+            simplices.append((vids, stratum, -1))
         markers = []
         for mk in doc["markers"]:
             if mk["kind"] not in MARKER_KINDS:
@@ -230,7 +238,7 @@ def load_mesh(path):
         raise ValueError(f"unsupported mesh file version {doc.get('version')!r}")
     try:
         points = np.array(doc["points"], dtype=float)
-        cells = [tuple(int(i) for i in c) for c in doc["cells"]]
+        cells = doc["cells"]  # ManifoldMesh checks and converts them
         dim = int(doc["dim"])
     except KeyError as exc:
         raise ValueError(f"mesh file has no {exc.args[0]!r} entry") from None

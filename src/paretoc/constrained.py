@@ -20,7 +20,7 @@ stability clip), so critical pieces carry the ``critical_unstable`` label
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,25 +42,30 @@ class ManifoldMesh:
     """d-dimensional simplicial mesh embedded in R^n approximating {g = 0}."""
 
     points: np.ndarray
-    cells: list
+    cells: np.ndarray  # (C, d+1) node ids, each row ascending
     d: int
-    node_constraint_residual: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
-        self.cells = [tuple(sorted(int(i) for i in c)) for c in self.cells]
         N = len(self.points)
-        for c in self.cells:
-            if len(c) != self.d + 1 or len(set(c)) < len(c) or c[0] < 0 or c[-1] >= N:
-                raise ValueError(f"cell {c} is not a {self.d}-simplex on nodes 0..{N - 1}")
+        try:
+            cells = np.asarray(self.cells, dtype=np.intp)
+        except OverflowError:
+            raise ValueError(f"a cell names a node id outside 0..{N - 1}") from None
+        width = -1 if cells.size else self.d + 1  # no cells: shape (0, d+1)
+        self.cells = c = np.sort(cells.reshape(len(cells), width), axis=1)
+        bad = ((c.shape[1] != self.d + 1) | (c[:, 0] < 0) | (c[:, -1] >= N)
+               | np.any(c[:, 1:] == c[:, :-1], axis=1))
+        if bad.any():
+            cell = tuple(c[np.argmax(bad)].tolist())
+            raise ValueError(f"cell {cell} is not a {self.d}-simplex on nodes 0..{N - 1}")
 
     @property
     def n(self) -> int:
         return self.points.shape[1]
 
     def validate(self, cp: ConstrainedProblem) -> None:
-        res = np.abs(cp.g_val_at(self.points)).max(axis=1)
-        self.node_constraint_residual = res
+        res = np.abs(cp.g_val_at(self.points))
         worst = float(res.max()) if res.size else 0.0
         if worst >= EPS_CONSTRAINT:
             raise ValueError(f"mesh node violates the constraint: max |g| = "
@@ -73,41 +78,36 @@ class ManifoldMesh:
 def project_gradients(cp: ConstrainedProblem, x) -> np.ndarray:
     """Objective gradients projected onto ker Dg(x): rows (I - Dg+ Dg) grad u_j.
 
-    x is one point (n,) or a stack of points (N, n); the result is (m, n) or
-    (N, m, n).  The callables, the rank test, the Gram solve and the
-    projection are stacked calls over all points.  A rank-deficient Dg
-    raises for the first such point.
+    x is a stack of points (N, n); the result is (N, m, n).  The callables,
+    the rank test, the Gram solve and the projection are stacked calls over
+    all points.  A rank-deficient Dg raises for the first such point.
     """
-    x = np.asarray(x, dtype=float)
-    X = np.atleast_2d(x)
+    X = np.asarray(x, dtype=float)
     Dg = cp.g_jac_at(X)
     sv = np.linalg.svd(Dg, compute_uv=False)
-    deficient = np.flatnonzero(sv[:, -1] <= EPS_RANK * np.maximum(sv[:, 0], 1e-300))
+    deficient = np.flatnonzero(sv[:, -1] <= EPS_RANK * sv[:, 0])
     if deficient.size:
         raise RankDeficientConstraint(f"Dg rank deficient at {X[deficient[0]]}")
     J = cp.base.jac_at(X)
     DgT = np.swapaxes(Dg, -1, -2)
     corr = DgT @ np.linalg.solve(Dg @ DgT, Dg @ np.swapaxes(J, -1, -2))
-    proj = J - np.swapaxes(corr, -1, -2)
-    return proj if x.ndim == 2 else proj[0]
+    return J - np.swapaxes(corr, -1, -2)
 
 
 def augmented_minors(cp: ConstrainedProblem, x):
     """det(grad g_1, ..., grad g_{n-d}, grad u_1, ..., grad u_m); square case only.
 
-    x is one point (n,), giving a float, or a stack of points (N, n), giving
-    an (N,) array.  The determinants are one snapped, stacked call.
+    x is a stack of points (N, n); the result is an (N,) array, one snapped,
+    stacked determinant call.
     """
     k = cp.n_constraints
     if k + cp.m != cp.n:
         raise NonSquareUnsupported(
             f"stacked matrix is {cp.n} x {k + cp.m}; only the square case is supported"
         )
-    x = np.asarray(x, dtype=float)
-    X = np.atleast_2d(x)
+    X = np.asarray(x, dtype=float)
     rows = np.concatenate([cp.g_jac_at(X), cp.base.jac_at(X)], axis=1)
-    omega = snapped_determinants(np.swapaxes(rows, -1, -2))
-    return omega if x.ndim == 2 else float(omega[0])
+    return snapped_determinants(np.swapaxes(rows, -1, -2))
 
 
 def analyze_constrained(cp: ConstrainedProblem, mesh: ManifoldMesh) -> ParetoComplex:

@@ -118,9 +118,8 @@ def solve_lambdas(G: np.ndarray):
     """
     m = G.shape[1]
     sv = np.linalg.svd(G, compute_uv=False)
-    collapse = sv[:, 0] == 0.0
-    if m >= 2:
-        collapse |= sv[:, m - 2] <= EPS_RANK * sv[:, 0]
+    # numerical rank below m - 1, or G = 0 (for m = 1 column m - 2 is column 0)
+    collapse = sv[:, m - 2] <= EPS_RANK * sv[:, 0]
     lam0 = np.full(m, 1.0 / m)
     Z = _simplex_tangent_basis(m)
     GT = np.swapaxes(G, 1, 2)
@@ -421,8 +420,8 @@ def _face_vertices(faces: np.ndarray, mu: np.ndarray, points: np.ndarray,
     x = np.concatenate([_interpolate(w, points[sub]) for _, sub, w in groups])
     grad = np.concatenate([_interpolate(w, jac_nodes[sub]) for _, sub, w in groups])
     lam, residual = solve_lambdas(grad)
-    scale = np.maximum(np.linalg.norm(grad, axis=2).max(axis=1), 1e-300)
-    critical_ok = residual <= EPS_RES * scale  # False on a rank collapse
+    scale = np.linalg.norm(grad, axis=2).max(axis=1)
+    critical_ok = residual <= EPS_RES * scale  # False on a rank collapse (inf)
     columns = [x, grad, lam] + [w for _, _, w in groups]
     hess = [None] * len(x)
     if hess_at is not None:
@@ -496,9 +495,7 @@ def generalized_hessians(G: np.ndarray, lam: np.ndarray, hess: np.ndarray) -> tu
     """
     V, m, n = G.shape
     _, sv, vt = np.linalg.svd(G)
-    fail = sv[:, 0] == 0.0
-    if m >= 2:
-        fail |= sv[:, m - 2] <= EPS_RANK * sv[:, 0]
+    fail = sv[:, m - 2] <= EPS_RANK * sv[:, 0]  # the rank rule of solve_lambdas
     W = np.swapaxes(vt[:, m - 1:], 1, 2)  # (V, n, n-m+1) orthonormal kernel-ish bases
     H = np.matmul(lam[:, None, :], hess.reshape(V, m, n * n)).reshape(V, n, n)
     B = np.swapaxes(W, 1, 2) @ H @ W
@@ -601,8 +598,7 @@ class Analyzer:
 
     def candidate_cells(self) -> np.ndarray:
         """Indices of cells where every minor changes sign (vectorized filter)."""
-        cells = np.array(self.tess.cells)
-        om = self.omega_nodes[cells]  # (C, n+1, r)
+        om = self.omega_nodes[self.tess.cells]  # (C, n+1, r)
         lo = om.min(axis=1)
         hi = om.max(axis=1)
         mask = np.all((lo <= 0.0) & (hi >= 0.0), axis=1)
@@ -619,7 +615,7 @@ class Analyzer:
         order, its Hessian interpolation.  For m = 3 the vertices of a cell
         that reaches the polytope stage come in ring order.
         """
-        cell_faces = [enumerate_faces(self.tess.cells[ci], self.r) for ci in cells]
+        cell_faces = [enumerate_faces(c, self.r) for c in self.tess.cells[cells].tolist()]
         faces = list(dict.fromkeys(f for fs in cell_faces for f in fs))
         table = _face_table(self.omega_nodes, faces, self.tess.nodes.points, self.jac_nodes,
                             self.problem.hess_at if self.order >= 2 else None)

@@ -41,8 +41,10 @@ cavity.  In a Delaunay complex the walk visits no cell twice (Edelsbrunner
 triangulation"), so it ends within as many steps as there are cells.  Only a
 flat cell can stop it short, and it then raises ``DegenerateInput``.
 
-A finished :class:`Tessellation` is an immutable snapshot; insertion returns a
-new snapshot and never mutates its input.
+A finished :class:`Tessellation` is an immutable snapshot: its cells are one
+read-only index array, each row a cell's node ids in ascending order and the
+rows in lexicographic order.  Insertion returns a new snapshot and never
+mutates its input.
 """
 
 from __future__ import annotations
@@ -91,15 +93,18 @@ class NodeSet:
 class Tessellation:
     """Delaunay simplicial complex over a NodeSet.
 
-    Cells are (n+1)-tuples of node ids, each tuple sorted, the cell list
-    sorted lexicographically, so the representation is a function of the
-    node ids and coordinates: exact ties are broken on the ids (see the
-    module docstring).
+    ``cells`` is one read-only ``np.intp`` array of shape (C, k), the node
+    ids of a cell per row (k = n+1; a ManifoldMesh's has k = d+1): each row
+    ascending, the rows in lexicographic order.  So the representation is a
+    function of the node ids and coordinates: exact ties are broken on the
+    ids (see the module docstring).
     """
 
-    def __init__(self, nodes: NodeSet, cells: Sequence[tuple]):
+    def __init__(self, nodes: NodeSet, cells):
         self.nodes = nodes
-        self.cells = tuple(sorted(tuple(sorted(c)) for c in cells))
+        cells = np.sort(np.asarray(cells, dtype=np.intp), axis=1)
+        self.cells = cells[np.lexsort(cells.T[::-1])]
+        self.cells.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -108,11 +113,8 @@ class Tessellation:
     def min_incident_edge(self) -> np.ndarray:
         """Per node, the length of the shortest incident edge."""
         out = np.full(len(self.nodes), np.inf)
-        if not self.cells:
-            return out
-        cells = np.asarray(self.cells, dtype=np.intp)
-        i, j = np.triu_indices(cells.shape[1], 1)
-        a, b = cells[:, i].ravel(), cells[:, j].ravel()
+        i, j = np.triu_indices(self.cells.shape[1], 1)
+        a, b = self.cells[:, i].ravel(), self.cells[:, j].ravel()
         D = self.nodes.points[a] - self.nodes.points[b]
         # sqrt of a stack of (1, n) @ (n, 1) products rounds as the per-edge
         # np.linalg.norm; norm(D, axis=1) and einsum do not
@@ -419,8 +421,8 @@ class _Padded:
         pad = cls(tess.n)
         for p in tess.nodes.points:
             pad.add_point(p)
-        for cell in tess.cells:
-            pad._add_cell(cell)
+        for cell in tess.cells.tolist():
+            pad._add_cell(tuple(cell))
         # hull facets get an infinite cell each
         for facet, cs in list(pad.facets.items()):
             if len(cs) == 1 and facet[0] != INF:
@@ -703,7 +705,7 @@ def insert_nodes(tess: Tessellation, points: Iterable) -> Tessellation:
     points = [np.asarray(p, dtype=float) for p in points]
     if not points:
         return tess
-    eps = EPS_GEOM_REL * max(tess.nodes.bbox_diagonal, 1e-300)
+    eps = EPS_GEOM_REL * tess.nodes.bbox_diagonal
     existing = tess.nodes.points
     bad_shape = next(
         (k for k, p in enumerate(points) if p.shape != (tess.n,)), len(points)
@@ -767,5 +769,4 @@ def kuhn_tessellation(box, counts) -> Tessellation:
             acc += strides[axis]
             offsets[k + 1] = acc
         cells.append(base_flat[:, None] + offsets[None, :])
-    all_cells = np.sort(np.vstack(cells), axis=1)
-    return Tessellation(nodes, [tuple(row) for row in all_cells])
+    return Tessellation(nodes, np.vstack(cells))

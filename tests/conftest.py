@@ -39,6 +39,11 @@ def circumsphere(pts):
     return c, float(np.linalg.norm(pts[0] - c))
 
 
+def cell_tuples(tess):
+    """The cells of a tessellation as node-id tuples, in their row order."""
+    return list(map(tuple, tess.cells.tolist()))
+
+
 def brute_delaunay_violation(tess):
     """Worst 'inside-circumsphere' margin over every (cell, node) pair.
 

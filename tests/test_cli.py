@@ -22,6 +22,8 @@ from paretoc.continuation import analyze
 from paretoc.problems import registry_get
 from paretoc.tessellation import kuhn_tessellation
 
+from conftest import cell_tuples
+
 
 @pytest.fixture(scope="module")
 def triv_complex():
@@ -67,7 +69,7 @@ def test_mesh_roundtrip(tmp_path):
     save_mesh(path, t.nodes.points, t.cells)
     pts, cells, d, emb = load_mesh(path)
     assert np.array_equal(pts, t.nodes.points)
-    assert [tuple(c) for c in cells] == list(t.cells)
+    assert [tuple(c) for c in cells] == cell_tuples(t)
     assert (d, emb) == (2, 2)
 
 
@@ -351,6 +353,19 @@ def test_cli_file_errors_exit_without_traceback(triv_complex, tmp_path):
          f"a simplex names vertex {V}, the file has {V}"),
         (lambda d: d["vertices"][1].update(id=0), f"vertex ids are not 0..{V - 1}, each once"),
         (lambda d: d["vertices"][0].update(id=V), f"vertex ids are not 0..{V - 1}, each once"),
+        # a vertex entry or a simplex of the wrong size
+        (lambda d: d["vertices"][0].update(x=[0.0]),
+         "the 'x' entry of vertex 0 has shape (1,), not (2,)"),
+        (lambda d: d["vertices"][0].update(u=[0.0, 0.0, 0.0]),
+         "the 'u' entry of vertex 0 has shape (3,), not (2,)"),
+        (lambda d: d["vertices"][0].update({"lambda": [1.0]}),
+         "the 'lambda' entry of vertex 0 has shape (1,), not (2,)"),
+        (lambda d: d["vertices"][0].update(sigma=[0.0, 0.0]),
+         "the 'sigma' entry of vertex 0 has shape (2,), not (1,)"),
+        (lambda d: d["simplices"][0].update(vertex_ids=[0, 0]),
+         "simplex [0, 0] does not name 2 distinct vertices"),
+        (lambda d: d["simplices"][0].update(vertex_ids=[0, 1, 2]),
+         "simplex [0, 1, 2] does not name 2 distinct vertices"),
     ):
         doc = json.loads(good.read_text())
         edit(doc)
@@ -366,6 +381,7 @@ def test_cli_file_errors_exit_without_traceback(triv_complex, tmp_path):
     for cells, message in (
         (None, "mesh file has no 'cells' entry"),
         ([[0, 1, 10**6]], "cell (0, 1, 1000000) is not a 2-simplex on nodes 0..2"),
+        ([[0, 1, 10**20]], "a cell names a node id outside 0..2"),
         ([[0, 1, -1]], "cell (-1, 0, 1) is not a 2-simplex on nodes 0..2"),
         ([[0, 1, 1]], "cell (0, 1, 1) is not a 2-simplex on nodes 0..2"),
     ):

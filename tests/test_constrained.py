@@ -49,12 +49,12 @@ def _critical_distance_to_arcs(cx):
 
 
 def test_project_gradients_pole_of_first_objective(sphere):
-    pg = project_gradients(sphere, [1.0, 0.0, 0.0])
+    [pg] = project_gradients(sphere, [[1.0, 0.0, 0.0]])
     assert pg[0] == pytest.approx([0.0, 0.0, 0.0], abs=1e-14)
 
 
 def test_project_gradients_already_tangent(sphere):
-    pg = project_gradients(sphere, [0.0, 0.0, 1.0])
+    [pg] = project_gradients(sphere, [[0.0, 0.0, 1.0]])
     assert pg == pytest.approx(np.array([[1.0, 0, 0], [0, 1.0, 0]]), abs=1e-14)
 
 
@@ -63,7 +63,7 @@ def test_project_gradients_closed_form(sphere, rng):
     for _ in range(20):
         x = rng.normal(size=3)
         x /= np.linalg.norm(x)
-        pg = project_gradients(sphere, x)
+        [pg] = project_gradients(sphere, [x])
         expected = np.array(
             [
                 [1 - x[0] ** 2, -x[0] * x[1], -x[0] * x[2]],
@@ -75,13 +75,13 @@ def test_project_gradients_closed_form(sphere, rng):
 
 
 def test_augmented_minors_closed_form(sphere, rng):
-    assert augmented_minors(sphere, [0.0, 0.0, 1.0]) == pytest.approx(1.0)
+    assert augmented_minors(sphere, [[0.0, 0.0, 1.0]])[0] == pytest.approx(1.0)
     eq = [np.sqrt(0.5), np.sqrt(0.5), 0.0]
-    assert augmented_minors(sphere, eq) == pytest.approx(0.0, abs=1e-15)
+    assert augmented_minors(sphere, [eq])[0] == pytest.approx(0.0, abs=1e-15)
     for _ in range(20):
         x = rng.normal(size=3)
         x /= np.linalg.norm(x)
-        assert augmented_minors(sphere, x) == pytest.approx(x[2], abs=1e-14)
+        assert augmented_minors(sphere, [x])[0] == pytest.approx(x[2], abs=1e-14)
 
 
 def test_steps_6_and_7_equivalent(sphere):
@@ -99,9 +99,9 @@ def test_steps_6_and_7_equivalent(sphere):
         t2 = np.cross(ghat, t1)
         if np.linalg.det(np.column_stack([t1, t2, ghat])) < 0:
             t2 = -t2
-        pg = project_gradients(sphere, x)
+        [pg] = project_gradients(sphere, [x])
         frame_det = (pg[0] @ t1) * (pg[1] @ t2) - (pg[0] @ t2) * (pg[1] @ t1)
-        aug = augmented_minors(sphere, x)
+        [aug] = augmented_minors(sphere, [x])
         if abs(aug) > 1e-12:
             assert np.sign(frame_det) == np.sign(aug)
 
@@ -114,7 +114,7 @@ def test_rank_deficient_constraint():
         n_constraints=1,
     )
     with pytest.raises(RankDeficientConstraint):
-        project_gradients(bad, [1.0, 0.0, 0.0])
+        project_gradients(bad, [[1.0, 0.0, 0.0]])
 
 
 def test_non_square_unsupported(sphere):
@@ -125,7 +125,7 @@ def test_non_square_unsupported(sphere):
         n_constraints=2,
     )
     with pytest.raises(NonSquareUnsupported):
-        augmented_minors(cp, [0.0, 0.0, 1.0])
+        augmented_minors(cp, [[0.0, 0.0, 1.0]])
     with pytest.raises(NonSquareUnsupported):
         augmented_minors(cp, icosphere(0).points)
 
@@ -188,13 +188,6 @@ def test_stacked_nodal_stage_matches_loop_on_drawn_points(coords, seed):
     points = np.array(coords)
     points /= np.linalg.norm(points, axis=1, keepdims=True)
     _assert_nodal_stage_matches_loop(cp, points)
-
-
-def test_single_point_calls_keep_their_types(sphere):
-    x = icosphere(0).points[3]
-    pg = project_gradients(sphere, x)
-    assert type(pg) is np.ndarray and pg.shape == (2, 3)
-    assert type(augmented_minors(sphere, x)) is float
 
 
 def test_one_ulp_in_one_gram_entry_fails_the_equality(sphere, monkeypatch):
@@ -260,10 +253,17 @@ def test_icosphere_counts_and_norms():
 def test_manifold_mesh_validation(sphere):
     mesh = icosphere(0)
     mesh.validate(sphere)
-    assert mesh.node_constraint_residual.max() < 1e-12
+    assert np.abs(sphere.g_val_at(mesh.points)).max() < 1e-12
     bad = ManifoldMesh(points=mesh.points * 1.01, cells=mesh.cells, d=2)
     with pytest.raises(ValueError):
         bad.validate(sphere)
+
+
+def test_mesh_without_cells_gives_an_empty_complex(sphere):
+    mesh = ManifoldMesh(points=icosphere(0).points, cells=[], d=2)
+    assert mesh.cells.shape == (0, 3)
+    cx = analyze_constrained(sphere, mesh)
+    assert (cx.num_vertices, cx.simplices, cx.markers) == (0, [], [])
 
 
 # ---------------------------------------------------------------------------

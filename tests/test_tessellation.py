@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paretoc.constrained import ManifoldMesh, icosphere
 from paretoc.errors import DegenerateInput, DimensionTooLow, DuplicateNode
 from paretoc.geometry import simplex_diameter
 from paretoc.tessellation import (
@@ -26,6 +27,7 @@ from paretoc.tessellation import (
 
 from conftest import (
     brute_delaunay_violation,
+    cell_tuples,
     exact_delaunay_violations,
     facet_counts,
     scipy_delaunay_cells,
@@ -35,7 +37,7 @@ from conftest import (
 
 def test_three_points_one_triangle():
     t = build_delaunay(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    assert t.cells == ((0, 1, 2),)
+    assert cell_tuples(t) == [(0, 1, 2)]
 
 
 def test_square_two_triangles_share_diagonal():
@@ -68,7 +70,7 @@ def test_random_sets_brute_circumsphere(rng, n, count):
 def test_matches_scipy_oracle(rng, n, count):
     pts = rng.uniform(-1.0, 1.0, (count, n))
     t = build_delaunay(pts)
-    assert list(t.cells) == scipy_delaunay_cells(pts)
+    assert cell_tuples(t) == scipy_delaunay_cells(pts)
 
 
 def test_volume_sum_equals_hull_volume(rng):
@@ -102,10 +104,10 @@ def test_insert_far_exterior_against_rebuild_oracle(rng):
     far = np.array([9.0, 8.0])
     t2 = insert_nodes(t, [far])
     rebuilt = build_delaunay(np.vstack([pts, far[None]]))
-    assert t2.cells == rebuilt.cells
+    assert cell_tuples(t2) == cell_tuples(rebuilt)
     # hull extended, prior ids unchanged, interior cells preserved
     assert np.allclose(t2.nodes.points[:50], pts)
-    kept = set(t.cells) & set(t2.cells)
+    kept = set(cell_tuples(t)) & set(cell_tuples(t2))
     assert len(kept) > 0.8 * len(t.cells)
 
 
@@ -114,7 +116,7 @@ def test_sequential_inserts_match_scratch_build(rng):
     t = build_delaunay(pts[:25])
     for p in pts[25:]:
         t = insert_nodes(t, [p])
-    assert t.cells == build_delaunay(pts).cells
+    assert cell_tuples(t) == cell_tuples(build_delaunay(pts))
 
 
 def test_batch_insert_into_grid_is_delaunay(rng):
@@ -128,7 +130,7 @@ def test_batch_insert_into_grid_is_delaunay(rng):
 def test_determinism():
     rng = np.random.default_rng(7)
     pts = rng.uniform(0.0, 1.0, (40, 2))
-    assert build_delaunay(pts).cells == build_delaunay(pts).cells
+    assert cell_tuples(build_delaunay(pts)) == cell_tuples(build_delaunay(pts))
 
 
 def test_facet_incidence_counts(rng):
@@ -155,9 +157,9 @@ def test_flat_sets_build_at_every_scale(scale):
     # the seed simplex is accepted relative to the bounding box alone, so a
     # set 1e-8 as high as it is wide builds the same cells at any scale
     pts = np.random.default_rng(0).uniform(size=(30, 2)) * [1.0, 1e-8]
-    cells = build_delaunay(pts).cells
+    cells = cell_tuples(build_delaunay(pts))
     t = build_delaunay(pts * scale)
-    assert t.cells == cells
+    assert cell_tuples(t) == cells
     assert exact_delaunay_violations(t) == []
 
 
@@ -205,6 +207,52 @@ def test_tessellation_immutable_nodes():
         t.nodes.points[0, 0] = 5.0
 
 
+def _kuhn_reference(counts):
+    """The cells of a Kuhn grid, box by box and path by path: from the box's
+    low corner, one node id step per axis in the order of a permutation."""
+    strides = [math.prod(counts[k + 1:]) for k in range(len(counts))]
+    cells = []
+    for corner in itertools.product(*[range(c - 1) for c in counts]):
+        for perm in itertools.permutations(range(len(counts))):
+            cell = [sum(i * s for i, s in zip(corner, strides))]
+            cells += [cell + [cell[0] + sum(strides[a] for a in perm[:k])
+                              for k in range(1, len(perm) + 1)]]
+    return cells
+
+
+def _shuffled_icosphere_cells():
+    mesh = icosphere(1)
+    rng = np.random.default_rng(3)
+    return mesh.points, [rng.permutation(c).tolist() for c in rng.permutation(mesh.cells)]
+
+
+@pytest.mark.parametrize("build", ["kuhn 2-D", "kuhn 3-D", "delaunay", "insert", "mesh"])
+def test_every_builder_gives_one_sorted_cell_array(build):
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-1.0, 1.0, (40, 2))
+    if build == "kuhn 2-D":
+        t, cells = kuhn_tessellation([[0.0, 1.0], [0.0, 2.0]], [4, 5]), _kuhn_reference([4, 5])
+    elif build == "kuhn 3-D":
+        t, cells = kuhn_tessellation([[0.0, 1.0]] * 3, [3, 4, 3]), _kuhn_reference([3, 4, 3])
+    elif build == "delaunay":
+        t, cells = build_delaunay(pts), scipy_delaunay_cells(pts)
+    elif build == "insert":
+        t = insert_nodes(build_delaunay(pts[:30]), list(pts[30:]))
+        cells = scipy_delaunay_cells(pts)
+    else:
+        points, cells = _shuffled_icosphere_cells()
+        t = ManifoldMesh(points=points, cells=cells, d=2).as_tessellation()
+    assert type(t.cells) is np.ndarray and t.cells.dtype == np.intp
+    assert t.cells.ndim == 2 and len(t.cells) == len(cells)
+    assert np.all(np.diff(t.cells, axis=1) > 0)
+    assert np.array_equal(np.lexsort(t.cells.T[::-1]), np.arange(len(t.cells)))
+    assert not t.cells.flags.writeable
+    with pytest.raises(ValueError):
+        t.cells[0, 0] = 0
+    # the tuple list Tessellation held before: each cell sorted, then the list
+    assert t.cells.tolist() == [list(c) for c in sorted(tuple(sorted(c)) for c in cells)]
+
+
 # ---------------------------------------------------------------------------
 # insertion order: the curve-ordered build against the id-order loop
 # ---------------------------------------------------------------------------
@@ -221,11 +269,11 @@ def id_order_cells(pts):
     for i in range(len(nodes)):
         if i not in seed:
             pad.insert(i)
-    return pad.snapshot().cells
+    return cell_tuples(pad.snapshot())
 
 
 def assert_same_as_id_order(pts):
-    assert build_delaunay(pts).cells == id_order_cells(pts)
+    assert cell_tuples(build_delaunay(pts)) == id_order_cells(pts)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -265,7 +313,7 @@ def test_curve_order_matches_id_order_on_shuffled_kuhn_nodes(counts, seed):
     if seed is not None:
         pts = pts[np.random.default_rng(seed).permutation(len(pts))]
     t = build_delaunay(pts)
-    assert t.cells == id_order_cells(pts)
+    assert cell_tuples(t) == id_order_cells(pts)
     vol = sum(simplex_volume(pts[list(c)]) for c in t.cells)
     assert vol == pytest.approx(1.0, rel=1e-12)
     assert exact_delaunay_violations(t) == []
@@ -290,7 +338,7 @@ def test_far_exterior_inserts_match_id_order(seed, n, far):
     outer = rng.normal(size=(far, n))
     outer *= rng.uniform(5.0, 1e3, (far, 1)) / np.linalg.norm(outer, axis=1, keepdims=True)
     grown = insert_nodes(build_delaunay(base), list(outer))
-    assert grown.cells == id_order_cells(np.vstack([base, outer]))
+    assert cell_tuples(grown) == id_order_cells(np.vstack([base, outer]))
     assert_same_as_id_order(np.vstack([base, outer]))
 
 
@@ -310,7 +358,7 @@ def test_build_and_insert_log_their_fallbacks(caplog):
     pts = np.column_stack([x, 0.3 * x + 1e-12 * rng.uniform(-1.0, 1.0, 30)])
     pts[0] = [0.0, 1.0]
     t = build_delaunay(pts)
-    assert t.cells == id_order_cells(pts)
+    assert cell_tuples(t) == id_order_cells(pts)
     assert exact_delaunay_violations(t) == []
     assert len(exact_counts(caplog.records, "build_delaunay")) == 1
     # a grid's exact ties go to the exact path, and the ids break them
@@ -367,7 +415,7 @@ def test_walk_inserts_into_kuhn_grids_match_scan_seeded_reference(n, kind, seed,
     got = insert_nodes(t, list(P))
     with mock.patch.object(_Padded, "_locate_conflict", scan_seeded):
         ref = insert_nodes(t, list(P))
-    assert got.cells == ref.cells
+    assert cell_tuples(got) == cell_tuples(ref)
     assert len(got.nodes) == len(t.nodes) + len(P)
 
 
