@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .constrained import analyze_constrained, icosphere, ManifoldMesh
-from .continuation import Analyzer, STRATUM_STABLE
+from .continuation import (Analyzer, MARKER_BOUNDARY, MARKER_CUSP, STRATUM_SINGULAR,
+                           STRATUM_STABLE, STRATUM_UNSTABLE)
 from .complex_io import load_complex, load_mesh, save_complex
 from .errors import ParetocError, UnknownProblem
 from .metrics import hausdorff
@@ -64,22 +65,25 @@ def _parse_grid(spec: str, box: np.ndarray, default_seed: int):
                 if k != "seed":
                     raise ValueError(f"unknown random-grid option {extra!r}")
                 seed = int(v)
+            n = box.shape[0]
+            if count < n + 1:
+                raise ValueError(f"need at least {n + 1} nodes in dimension {n}")
             rng = np.random.default_rng(seed)
-            pts = rng.uniform(box[:, 0], box[:, 1], size=(count, box.shape[0]))
+            pts = rng.uniform(box[:, 0], box[:, 1], size=(count, n))
         elif spec.startswith("h:"):
             h = float(spec[2:])
             if not h > 0.0:
                 raise ValueError("spacing must be positive")
-            counts = [int(round((hi - lo) / h)) + 1 for lo, hi in box]
+            counts = [int(round((hi - lo) / h)) + 1 for lo, hi in box.tolist()]
         else:
             counts = [int(tok) for tok in spec.lower().split("x")]
             if len(counts) != box.shape[0]:
                 raise ValueError(
                     f"{len(counts)} axes, problem has {box.shape[0]}"
                 )
-            if min(counts) < 2:
-                raise ValueError("need at least 2 nodes per axis")
-    except ValueError as exc:
+        if pts is None and min(counts) < 2:
+            raise ValueError("need at least 2 nodes per axis")
+    except (ValueError, OverflowError) as exc:  # h:1e-320 makes an infinite count
         raise UsageError(f"bad grid spec {spec!r}: {exc}") from None
     if pts is not None:
         return build_delaunay(NodeSet(pts))
@@ -105,13 +109,13 @@ def _run_problem(problem, args):
 
 def _print_summary(cx, meta) -> None:
     counts = cx.strata_counts()
-    cusps = len(cx.markers_of_kind("cusp"))
-    bounds = len(cx.markers_of_kind("criticality_boundary"))
+    cusps = len(cx.markers_of_kind(MARKER_CUSP))
+    bounds = len(cx.markers_of_kind(MARKER_BOUNDARY))
     print(f"grid            {meta}")
     print(f"vertices        {cx.num_vertices}")
-    print(f"singular-only   {counts.get('singular_only', 0)}")
-    print(f"critical        {counts.get('critical_unstable', 0)}")
-    print(f"stable          {counts.get('critical_stable', 0)}")
+    print(f"singular-only   {counts.get(STRATUM_SINGULAR, 0)}")
+    print(f"critical        {counts.get(STRATUM_UNSTABLE, 0)}")
+    print(f"stable          {counts.get(STRATUM_STABLE, 0)}")
     print(f"markers         {bounds} criticality boundaries, {cusps} cusps")
     print(f"components      {len(cx.components())}")
 
@@ -130,7 +134,7 @@ def cmd_run(args) -> int:
 def cmd_iterate(args) -> int:
     problem = registry_get(args.problem)
     if isinstance(problem, ConstrainedProblem):
-        raise ParetocError("iterate supports unconstrained problems only")
+        raise UsageError("iterate supports unconstrained problems only")
     reference = load_complex(args.reference) if args.reference else None
     tess = _parse_grid(args.grid, problem.domain_box, args.seed)
     state = initial_state(problem, tess, order=args.order)
@@ -249,8 +253,8 @@ def _component_rows(cx, stratum) -> list:
     """
     comps = cx.components(strata=[stratum])
     comp_of = {v: c for c, comp in enumerate(comps) for v in comp}
-    simplices = [cx.simplices[i][0] for i in cx.simplex_ids([stratum])]
-    if any(len(s) != 2 for s in simplices):
+    simplices = cx.simplices[cx.simplex_ids([stratum])].tolist()
+    if cx.simplices.shape[1] != 2:
         out: list = [[] for _ in comps]
         for s in simplices:
             out[comp_of[s[0]]].extend(s)

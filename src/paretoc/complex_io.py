@@ -17,13 +17,10 @@ from typing import Optional
 
 import numpy as np
 
-from .continuation import ParetoComplex
+from .continuation import MARKER_KINDS, STRATA, ParetoComplex
 
 COMPLEX_VERSION = 1
 MESH_VERSION = 1
-
-STRATA = ("singular_only", "critical_unstable", "critical_stable")
-MARKER_KINDS = ("criticality_boundary", "cusp")
 
 
 def complex_to_dict(cx: ParetoComplex, provenance: Optional[dict] = None) -> dict:
@@ -48,8 +45,8 @@ def complex_to_dict(cx: ParetoComplex, provenance: Optional[dict] = None) -> dic
         "objectives": cx.m,
         "vertices": vertices,
         "simplices": [
-            {"vertex_ids": list(ids), "stratum": stratum}
-            for ids, stratum, _src in cx.simplices
+            {"vertex_ids": ids, "stratum": stratum}
+            for ids, stratum in zip(cx.simplices.tolist(), cx.stratum)
         ],
         "markers": [
             {
@@ -103,15 +100,16 @@ def complex_from_dict(doc: dict) -> ParetoComplex:
                 lam[i] = _row(v, "lambda", m)
             if v.get("sigma") is not None:
                 sigma[i] = _row(v, "sigma", n - m + 1)
-        simplices = []
+        simplices, names = [], []
         for s in doc["simplices"]:
             stratum = s["stratum"]
             if stratum not in STRATA:
                 raise ValueError(f"unknown stratum {stratum!r}")
-            vids = tuple(_vertex_id(i, V, "a simplex") for i in s["vertex_ids"])
+            vids = [_vertex_id(i, V, "a simplex") for i in s["vertex_ids"]]
             if len(vids) != m or len(set(vids)) != m:
-                raise ValueError(f"simplex {list(vids)} does not name {m} distinct vertices")
-            simplices.append((vids, stratum, -1))
+                raise ValueError(f"simplex {vids} does not name {m} distinct vertices")
+            simplices.append(vids)
+            names.append(stratum)
         markers = []
         for mk in doc["markers"]:
             if mk["kind"] not in MARKER_KINDS:
@@ -128,7 +126,8 @@ def complex_from_dict(doc: dict) -> ParetoComplex:
         lam=lam,
         sigma=sigma,
         keys=[repr(("file", i)) for i in range(V)],
-        simplices=sorted(simplices),
+        simplices=simplices,
+        stratum=names,
         markers=sorted(markers),
         problem_name=prov.get("problem") or "",
     )
@@ -175,11 +174,10 @@ def _complex_text(cx: ParetoComplex, provenance: Optional[dict] = None) -> str:
     vertices = [f'{{\n   "id": {i},\n   "x": {x[i]},\n   "u": {u[i]},\n'
                 f'   "lambda": {lam[i]},\n   "sigma": {sigma[i]}\n  }}'
                 for i in range(cx.num_vertices)]
-    names = {s: json.dumps(s) for s in {s for _, s, _ in cx.simplices}
-             | {k for _, k in cx.markers}}
+    names = {s: json.dumps(s) for s in {*cx.stratum, *(k for _, k in cx.markers)}}
     simplices = [f'{{\n   "vertex_ids": {_list(list(map(int.__repr__, vids)), 3)},\n'
                  f'   "stratum": {names[stratum]}\n  }}'
-                 for vids, stratum, _src in cx.simplices]
+                 for vids, stratum in zip(cx.simplices.tolist(), cx.stratum)]
     markers = [f'{{\n   "x": {x[vid]},\n   "kind": {names[kind]},\n'
                f'   "vertex": {int.__repr__(vid)}\n  }}'
                for vid, kind in cx.markers]

@@ -60,10 +60,6 @@ class ManifoldMesh:
             cell = tuple(c[np.argmax(bad)].tolist())
             raise ValueError(f"cell {cell} is not a {self.d}-simplex on nodes 0..{N - 1}")
 
-    @property
-    def n(self) -> int:
-        return self.points.shape[1]
-
     def validate(self, cp: ConstrainedProblem) -> None:
         res = np.abs(cp.g_val_at(self.points))
         worst = float(res.max()) if res.size else 0.0

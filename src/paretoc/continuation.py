@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -63,6 +64,8 @@ STRATUM_UNSTABLE = "critical_unstable"
 STRATUM_STABLE = "critical_stable"
 MARKER_BOUNDARY = "criticality_boundary"
 MARKER_CUSP = "cusp"
+STRATA = (STRATUM_SINGULAR, STRATUM_UNSTABLE, STRATUM_STABLE)
+MARKER_KINDS = (MARKER_BOUNDARY, MARKER_CUSP)
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +329,7 @@ class CellAnalysis:
 
     cell_index: int
     singular_vertices: list = field(default_factory=list)
-    strata: dict = field(default_factory=lambda: {
-        STRATUM_SINGULAR: [], STRATUM_UNSTABLE: [], STRATUM_STABLE: []})
+    strata: dict = field(default_factory=lambda: {s: [] for s in STRATA})
     markers: list = field(default_factory=list)  # (SingularVertex, kind)
     warnings: list = field(default_factory=list)
 
@@ -381,8 +383,8 @@ def _face_table(omega_nodes: np.ndarray, faces: Sequence[tuple], points: np.ndar
     for f in np.flatnonzero(singular).tolist():
         table[faces[f]] = _RANK_DEFICIENT
     rows = np.flatnonzero(np.all(mu > EPS_ACCEPT, axis=1))  # NaN rows fail
-    verts = _face_vertices(np.asarray(faces, dtype=np.intp)[rows],
-                           np.maximum(mu[rows], 0.0), points, jac_nodes, hess_at)
+    verts = _face_vertices(np.asarray(faces, dtype=np.intp)[rows], mu[rows],
+                           points, jac_nodes, hess_at)
     table.update(zip([faces[f] for f in rows.tolist()], verts))
     return table
 
@@ -396,8 +398,8 @@ def _interpolate(w: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def _face_vertices(faces: np.ndarray, mu: np.ndarray, points: np.ndarray,
                    jac_nodes: np.ndarray, hess_at=None) -> list:
-    """The vertices of faces (F, k) with weights mu (F, k) >= 0, each built
-    once and complete but for sigma.
+    """The vertices of faces (F, k) with weights mu (F, k) > ``EPS_ACCEPT``,
+    each built once and complete but for sigma.
 
     Weights at or below ``MU_SNAP`` drop out and the rest are renormalized,
     so a vertex sitting on a sub-face gets the sub-face key and adjacent
@@ -727,10 +729,17 @@ class Analyzer:
 
 
 class ParetoComplex:
-    """Glued global output: labelled (m-1)-complex with marker points."""
+    """Glued global output: labelled (m-1)-complex with marker points.
+
+    ``simplices`` is one read-only ``np.intp`` array of shape (S, m), the
+    vertex ids of a simplex per row: each row ascending, the rows in
+    lexicographic order.  ``stratum`` is the tuple of the rows' stratum
+    names, row for row.  Identical rows, which only a hand-edited file
+    holds, are ordered by their stratum names.
+    """
 
     def __init__(self, n, m, positions, u_values, lam, sigma, keys,
-                 simplices, markers, problem_name=""):
+                 simplices, stratum, markers, problem_name=""):
         self.n = n
         self.m = m
         self.positions = positions      # (V, n)
@@ -738,7 +747,12 @@ class ParetoComplex:
         self.lam = lam                  # (V, m), NaN where unknown
         self.sigma = sigma              # (V, k) or None, NaN where unknown
         self.keys = keys                # vertex key strings, in vertex order
-        self.simplices = simplices      # list of (ids, stratum, source_cell)
+        rows = np.asarray(simplices, dtype=np.intp)
+        rows = np.sort(rows.reshape(len(rows), -1 if rows.size else m), axis=1)
+        order = np.lexsort((np.asarray(stratum, dtype=str),) + tuple(rows.T[::-1]))
+        self.simplices = rows[order]
+        self.simplices.flags.writeable = False
+        self.stratum = tuple(stratum[i] for i in order.tolist())
         self.markers = markers          # list of (vertex_id, kind)
         self.problem_name = problem_name
 
@@ -751,17 +765,15 @@ class ParetoComplex:
     def is_empty(self) -> bool:
         return len(self.simplices) == 0
 
-    def simplex_ids(self, strata: Optional[Iterable[str]] = None):
+    def simplex_ids(self, strata: Optional[Iterable[str]] = None) -> np.ndarray:
+        """Indices of the rows in the given strata (all rows if None)."""
         if strata is None:
-            return list(range(len(self.simplices)))
+            return np.arange(len(self.stratum))
         strata = set(strata)
-        return [i for i, (_, s, _) in enumerate(self.simplices) if s in strata]
+        return np.flatnonzero([s in strata for s in self.stratum])
 
     def strata_counts(self) -> dict:
-        out: dict[str, int] = {}
-        for _, s, _ in self.simplices:
-            out[s] = out.get(s, 0) + 1
-        return out
+        return dict(Counter(self.stratum))
 
     def components(self, strata: Optional[Iterable[str]] = None) -> list:
         """Connected components (vertex-id sets) of the chosen subcomplex."""
@@ -778,8 +790,7 @@ class ParetoComplex:
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
 
-        for i in self.simplex_ids(strata):
-            ids = self.simplices[i][0]
+        for ids in self.simplices[self.simplex_ids(strata)].tolist():
             for v in ids:
                 parent.setdefault(v, v)
             for a, b in zip(ids, ids[1:]):
@@ -804,7 +815,7 @@ def glue(analyses: Iterable[CellAnalysis], problem: VectorProblem,
     only if it lies on a critical piece there (see :func:`clip_polytope`).
     """
     vertex_table: dict[str, tuple] = {}  # key -> (vertex, sigma)
-    simplex_table: dict[tuple, tuple] = {}
+    simplex_table: dict[tuple, str] = {}  # simplex key -> stratum
     marker_keys: set[tuple] = set()
 
     for analysis in sorted(analyses, key=lambda a: a.cell_index):
@@ -831,7 +842,7 @@ def glue(analyses: Iterable[CellAnalysis], problem: VectorProblem,
                     ]
                 for sk in simplex_keys:
                     if sk not in simplex_table:
-                        simplex_table[sk] = (stratum, analysis.cell_index)
+                        simplex_table[sk] = stratum
         for v, kind in analysis.markers:
             marker_keys.add((register(v), kind))
 
@@ -850,10 +861,6 @@ def glue(analyses: Iterable[CellAnalysis], problem: VectorProblem,
         if sigma is not None and sg is not None:
             sigma[i] = sg
     u_values = problem.u_at(positions)
-    simplices = sorted(
-        (tuple(sorted(index_of[k] for k in sk)), stratum, ci)
-        for sk, (stratum, ci) in simplex_table.items()
-    )
     markers = sorted((index_of[k], kind) for k, kind in marker_keys)
     return ParetoComplex(
         n=n,
@@ -863,7 +870,8 @@ def glue(analyses: Iterable[CellAnalysis], problem: VectorProblem,
         lam=lam,
         sigma=sigma,
         keys=ordered_keys,
-        simplices=simplices,
+        simplices=[[index_of[k] for k in sk] for sk in simplex_table],
+        stratum=list(simplex_table.values()),
         markers=markers,
         problem_name=problem.name,
     )

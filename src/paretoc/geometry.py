@@ -38,23 +38,6 @@ def simplex_diameter(pts: np.ndarray) -> float:
     return best
 
 
-def points_to_simplex_distance(points: np.ndarray, simplex: np.ndarray) -> np.ndarray:
-    """Exact Euclidean distance from each point to a 0/1/2-simplex.
-
-    Parameters
-    ----------
-    points : (S, n) array
-    simplex : (k+1, n) array with k in {0, 1, 2}
-
-    Returns
-    -------
-    (S,) array of distances.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    simplex = np.asarray(simplex, dtype=float)
-    return points_to_simplices_distance(points[None], simplex[None])[0]
-
-
 def points_to_simplices_distance(points: np.ndarray, simplices: np.ndarray) -> np.ndarray:
     """Exact distances from G stacks of points to G simplices of one dimension.
 

@@ -61,15 +61,13 @@ class DistanceReport:
 
 
 def _as_point_set(obj, strata=None):
-    """Normalize input to (positions, simplex id tuples).
+    """Normalize input to (positions, simplex vertex-id sequences).
 
     Accepts a ParetoComplex, an (S, n) point array (treated as 0-simplices),
     or a (positions, simplices) pair.
     """
     if isinstance(obj, ParetoComplex):
-        ids = obj.simplex_ids(strata)
-        simplices = [obj.simplices[i][0] for i in ids]
-        return obj.positions, simplices
+        return obj.positions, obj.simplices[obj.simplex_ids(strata)].tolist()
     if isinstance(obj, tuple) and len(obj) == 2:
         pos = np.asarray(obj[0], dtype=float)
         return pos, [tuple(s) for s in obj[1]]

@@ -65,19 +65,19 @@ def initial_state(problem: VectorProblem, tess: Tessellation, order: int = 2) ->
 
 def _target_strata(cx: ParetoComplex):
     """Stable stratum when present, whole critical set otherwise."""
-    if cx.simplex_ids([STRATUM_STABLE]):
+    if len(cx.simplex_ids([STRATUM_STABLE])):
         return [STRATUM_STABLE]
-    if cx.simplex_ids([STRATUM_UNSTABLE, STRATUM_STABLE]):
+    if len(cx.simplex_ids([STRATUM_UNSTABLE, STRATUM_STABLE])):
         return [STRATUM_UNSTABLE, STRATUM_STABLE]
     raise EmptyComplex("no critical simplices to refine")
 
 
 def _chains(cx: ParetoComplex, strata):
     """The selected segments as vertex chains (see :func:`segment_chains`)."""
-    segs = [cx.simplices[i][0] for i in cx.simplex_ids(strata)]
-    if not segs or any(len(s) != 2 for s in segs):
+    segs = cx.simplices[cx.simplex_ids(strata)]
+    if not len(segs) or segs.shape[1] != 2:
         raise EmptyComplex("polyline resampling needs a nonempty segment complex")
-    return segment_chains(segs)
+    return segment_chains(segs.tolist())
 
 
 def segment_chains(segs) -> list:
@@ -164,16 +164,11 @@ def _maximin_fill_with_hosts(cx: ParetoComplex):
     Returns ``(points, hosts)``, the hosts as indices into ``cx.simplices``.
     """
     strata = _target_strata(cx)
-    ids = cx.simplex_ids(strata)
+    ids = cx.simplex_ids(strata).tolist()
     if not ids:
         raise EmptyComplex("no simplices to fill")
-    vols = []
-    verts = []
-    for i in ids:
-        v = cx.simplices[i][0]
-        verts.append(v)
-        vols.append(simplex_measure(cx.positions[list(v)]))
-    vols = np.array(vols)
+    verts = cx.simplices[ids].tolist()
+    vols = np.array([simplex_measure(cx.positions[v]) for v in verts])
     k = len(ids)
     # adjacency: share a facet of the simplex (vertex for segments, edge for triangles)
     facet_map: dict[tuple, list] = {}
@@ -201,7 +196,7 @@ def _maximin_fill_with_hosts(cx: ParetoComplex):
     hosts = []
     for _ in range(k):
         best = int(np.argmax(acc))  # argmax takes the lowest index on ties
-        out.append(cx.positions[list(verts[best])].mean(axis=0))
+        out.append(cx.positions[verts[best]].mean(axis=0))
         hosts.append(ids[best])
         active[best] = False
         acc[best] = -np.inf
@@ -251,7 +246,7 @@ def complex_minor_stats(problem: VectorProblem, cx: ParetoComplex):
         strata = _target_strata(cx)
     except EmptyComplex:
         return np.inf, np.inf
-    vids = sorted({v for i in cx.simplex_ids(strata) for v in cx.simplices[i][0]})
+    vids = sorted(set(cx.simplices[cx.simplex_ids(strata)].ravel().tolist()))
     if not vids:
         return np.inf, np.inf
     vals = _minor_magnitudes(problem, cx.positions[vids])
@@ -279,7 +274,7 @@ def iterate(
         if hosts is not None:
             # a host simplex scores the largest magnitude at its vertices
             cx = state.complex
-            host_vids = [cx.simplices[host][0] for host in hosts]
+            host_vids = cx.simplices[hosts].tolist()
             vids = sorted({v for ids in host_vids for v in ids})
             at = dict(zip(vids, _minor_magnitudes(problem, cx.positions[vids])))
             scores = [max(at[v] for v in ids) for ids in host_vids]

@@ -44,6 +44,11 @@ def cell_tuples(tess):
     return list(map(tuple, tess.cells.tolist()))
 
 
+def simplex_pairs(cx):
+    """The simplices of a complex as (vertex-id tuple, stratum) pairs, in row order."""
+    return list(zip(map(tuple, cx.simplices.tolist()), cx.stratum))
+
+
 def brute_delaunay_violation(tess):
     """Worst 'inside-circumsphere' margin over every (cell, node) pair.
 

@@ -19,13 +19,13 @@ from paretoc.continuation import (
     analyze,
     glue,
 )
-from paretoc.geometry import points_to_simplex_distance
+from paretoc.geometry import points_to_simplices_distance
 from paretoc.metrics import convergence_slope, hausdorff
 from paretoc.problems import registry_get
 from paretoc.refinement import initial_state, iterate
 from paretoc.tessellation import build_delaunay, kuhn_tessellation
 
-from conftest import brute_delaunay_violation
+from conftest import brute_delaunay_violation, simplex_pairs
 
 
 def _report(num, name, ok, detail):
@@ -34,11 +34,9 @@ def _report(num, name, ok, detail):
 
 
 def _min_dist_to_simplices(points, cx, ids):
-    d = np.full(len(points), np.inf)
-    for i in ids:
-        sid = cx.simplices[i][0]
-        d = np.minimum(d, points_to_simplex_distance(points, cx.positions[list(sid)]))
-    return d
+    P = cx.positions[cx.simplices[ids]]
+    d = points_to_simplices_distance(np.broadcast_to(points, (len(P),) + points.shape), P)
+    return d.min(axis=0, initial=np.inf)
 
 
 def _component_stats(cx, components):
@@ -47,7 +45,7 @@ def _component_stats(cx, components):
     cusps = set(cx.markers_of_kind("cusp"))
     for comp in components:
         strat = Counter()
-        for ids, s, _ in cx.simplices:
+        for ids, s in simplex_pairs(cx):
             if ids[0] in comp:
                 strat[s] += 1
         out.append((strat, len(cusps & comp)))
@@ -83,9 +81,8 @@ def test_criterion_1_oracle_equivalence():
     delta = float(np.hypot(6.0 / 39, 5.5 / 39))  # cell diameter of the 40x40 grid
 
     deg = Counter()
-    for i in stable_ids:
-        for v in cx.simplices[i][0]:
-            deg[v] += 1
+    for v in cx.simplices[stable_ids].ravel().tolist():
+        deg[v] += 1
     ends = np.array([cx.positions[v] for v, k in deg.items() if k == 1])
     targets = np.array([[0.0, 0.0], [3.0, 2.5]])
     end_err = max(
@@ -159,13 +156,11 @@ def test_criterion_4_smale_cusp():
     cusps = cx.markers_of_kind("cusp")
     stable_x = [
         float(cx.positions[v][0])
-        for i in cx.simplex_ids([STRATUM_STABLE])
-        for v in cx.simplices[i][0]
+        for v in cx.simplices[cx.simplex_ids([STRATUM_STABLE])].ravel().tolist()
     ]
     unstable_x = [
         float(cx.positions[v][0])
-        for i in cx.simplex_ids([STRATUM_UNSTABLE])
-        for v in cx.simplices[i][0]
+        for v in cx.simplices[cx.simplex_ids([STRATUM_UNSTABLE])].ravel().tolist()
     ]
     ok = len(cusps) == 1 and stable_x and unstable_x
     if ok:
@@ -184,9 +179,8 @@ def test_criterion_5_constrained_sphere():
     cx = analyze_constrained(cp, icosphere(2))
     comps = cx.components()
     deg = Counter()
-    for ids, _, _ in cx.simplices:
-        for v in ids:
-            deg[v] += 1
+    for v in cx.simplices.ravel().tolist():
+        deg[v] += 1
     closed = len(comps) == 1 and set(deg.values()) == {2}
     arcs = cx.components(strata=[STRATUM_UNSTABLE])
     in_quadrants = all(
@@ -278,10 +272,9 @@ def test_criterion_8_property_suites(tmp_path):
     sigma_ids = cx.simplex_ids()
     chain_ok = True
     for ids_set, sup_ids in ((stable_ids, theta_ids), (theta_ids, sigma_ids)):
-        for i in ids_set:
-            for v in cx.simplices[i][0]:
-                d = _min_dist_to_simplices(cx.positions[v][None], cx, sup_ids)
-                chain_ok &= float(d[0]) < 1e-9
+        for v in cx.simplices[ids_set].ravel().tolist():
+            d = _min_dist_to_simplices(cx.positions[v][None], cx, sup_ids)
+            chain_ok &= float(d[0]) < 1e-9
     checks.append(("containment chain", chain_ok))
 
     # finite-difference Hessian exactness on quadratics

@@ -22,7 +22,7 @@ from paretoc.continuation import analyze
 from paretoc.problems import registry_get
 from paretoc.tessellation import kuhn_tessellation
 
-from conftest import cell_tuples
+from conftest import cell_tuples, simplex_pairs
 
 
 @pytest.fixture(scope="module")
@@ -43,9 +43,7 @@ def test_roundtrip_exact(triv_complex, tmp_path):
     assert loaded.n == triv_complex.n and loaded.m == triv_complex.m
     assert np.array_equal(loaded.positions, triv_complex.positions)
     assert np.array_equal(loaded.u_values, triv_complex.u_values)
-    assert [(s[0], s[1]) for s in loaded.simplices] == [
-        (s[0], s[1]) for s in triv_complex.simplices
-    ]
+    assert simplex_pairs(loaded) == simplex_pairs(triv_complex)
     assert loaded.markers == triv_complex.markers
     # serialize(parse(serialize(c))) is byte-identical
     first = dumps(complex_to_dict(triv_complex))
@@ -169,7 +167,8 @@ def test_cli_plot_data_walks_branches(tmp_path, segs, walk):
     cx = ParetoComplex(
         n=2, m=2, positions=pos, u_values=pos[:, ::-1].copy(), lam=np.full((7, 2), 0.5),
         sigma=None, keys=[repr(("f", i)) for i in range(7)],
-        simplices=[(s, "critical_unstable", 0) for s in segs + [(5, 6)]], markers=[],
+        simplices=segs + [(5, 6)], stratum=["critical_unstable"] * (len(segs) + 1),
+        markers=[],
     )
     path = tmp_path / "branched.json"
     save_complex(path, cx)
@@ -249,10 +248,64 @@ def test_cli_grid_specs(tmp_path):
 
 @pytest.mark.parametrize("spec", [
     "4xq", "random:abc", "random:", "random:20:sed=3", "h:abc", "h:0", "1x5", "",
+    "h:100",     # one node per axis, as 1x5 has on its first
+    "random:2",  # fewer than n + 1 nodes for a 2-D problem
+    "h:1e-320",  # an infinite node count
 ])
 def test_cli_malformed_grid_is_a_usage_error(spec, capsys):
     assert main(["run", "--problem", "triv", "--grid", spec]) == 1
     assert "bad grid spec" in capsys.readouterr().err
+
+
+def test_cli_iterate_on_a_constrained_problem_is_a_usage_error(tmp_path, capsys):
+    assert main(["iterate", "--problem", "sphere_proj", "--out-dir", str(tmp_path / "it")]) == 1
+    assert "iterate supports unconstrained problems only" in capsys.readouterr().err
+    assert not (tmp_path / "it").exists()
+
+
+def test_cli_distance_json_holds_the_printed_report(tmp_path, capsys):
+    a, b, report = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "d.json"
+    assert main(["run", "--problem", "triv", "--grid", "15x15", "--out", str(a)]) == 0
+    assert main(["run", "--problem", "triv", "--grid", "9x9", "--out", str(b)]) == 0
+    capsys.readouterr()
+    assert main(["distance", str(a), str(b), "--json", str(report)]) == 0
+    printed = dict(f.split("=") for f in capsys.readouterr().out.split())
+    doc = json.loads(report.read_text())
+    assert sorted(doc) == ["hausdorff", "mean_a_to_b", "mean_b_to_a", "sample_count"]
+    for name in ("hausdorff", "mean_a_to_b", "mean_b_to_a"):
+        assert f"{doc[name]:.10e}" == printed[name]
+    assert doc["hausdorff"] > 0.0
+    assert doc["sample_count"] == int(printed["samples"])
+
+
+def test_cli_plot_data_lists_each_triangle(tmp_path):
+    # m = 3: each component's rows are its triangles, vertex by vertex
+    out, plots = tmp_path / "tri.json", tmp_path / "plots"
+    assert main(["run", "--problem", "tri_quadratic", "--grid", "5x5x5", "--out", str(out)]) == 0
+    assert main(["plot-data", "--file", str(out), "--out-dir", str(plots)]) == 0
+    cx = load_complex(out)
+    vid = {tuple(x): v for v, x in enumerate(cx.positions.tolist())}
+    assert len(set(cx.stratum)) > 1
+    for stratum in set(cx.stratum):
+        lines = (plots / f"plot_{stratum}.csv").read_text().splitlines()
+        assert lines[0] == "component_id,vertex_index,x0,x1,x2,u0,u1,u2,stratum"
+        rows = [line.split(",") for line in lines[1:]]
+        comps = cx.components(strata=[stratum])
+        got = []
+        for c, comp in enumerate(comps):
+            ids = [vid[tuple(map(float, r[2:5]))] for r in rows if int(r[0]) == c]
+            assert [int(r[1]) for r in rows if int(r[0]) == c] == list(range(len(ids)))
+            assert len(ids) % 3 == 0 and set(ids) == comp
+            got += [tuple(ids[i:i + 3]) for i in range(0, len(ids), 3)]
+        assert {int(r[0]) for r in rows} == set(range(len(comps)))
+        assert {r[-1] for r in rows} == {stratum}
+        assert sorted(got) == [ids for ids, s in simplex_pairs(cx) if s == stratum]
+
+
+def test_cli_check_derivatives_on_a_constrained_problem(capsys):
+    # the samples are normalised onto the sphere before the audit
+    assert main(["check-derivatives", "--problem", "sphere_proj"]) == 0
+    assert capsys.readouterr().out.strip().endswith("-> PASS")
 
 
 def test_cli_numerical_failure_exits_2(tmp_path, capsys):
@@ -260,7 +313,7 @@ def test_cli_numerical_failure_exits_2(tmp_path, capsys):
 
     empty = ParetoComplex(
         n=2, m=2, positions=np.zeros((0, 2)), u_values=np.zeros((0, 2)),
-        lam=np.zeros((0, 2)), sigma=None, keys=[], simplices=[], markers=[],
+        lam=np.zeros((0, 2)), sigma=None, keys=[], simplices=[], stratum=[], markers=[],
     )
     path = tmp_path / "empty.json"
     save_complex(path, empty)
@@ -287,7 +340,7 @@ def test_cli_plot_data_empty_complex(tmp_path, capsys):
 
     empty = ParetoComplex(
         n=2, m=2, positions=np.zeros((0, 2)), u_values=np.zeros((0, 2)),
-        lam=np.zeros((0, 2)), sigma=None, keys=[], simplices=[], markers=[],
+        lam=np.zeros((0, 2)), sigma=None, keys=[], simplices=[], stratum=[], markers=[],
     )
     path = tmp_path / "empty.json"
     save_complex(path, empty)

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paretoc.complex_io import MARKER_KINDS, STRATA, complex_to_dict, save_complex
-from paretoc.continuation import Analyzer, ParetoComplex, glue
+from paretoc.complex_io import complex_to_dict, save_complex
+from paretoc.continuation import MARKER_KINDS, STRATA, Analyzer, ParetoComplex, glue
 
 from test_golden import CASES
 
@@ -28,13 +28,15 @@ def _assert_same(cx, path, provenance=None):
 
 
 def _complex(positions, u, lam, sigma, simplices=(), markers=(), name="p"):
+    """A complex from its arrays, ``simplices`` as (vertex ids, stratum) pairs."""
     positions = np.asarray(positions, dtype=float)
     u = np.asarray(u, dtype=float)
     return ParetoComplex(
         n=positions.shape[1], m=u.shape[1], positions=positions, u_values=u,
         lam=np.asarray(lam, dtype=float),
         sigma=None if sigma is None else np.asarray(sigma, dtype=float),
-        keys=[repr(("f", i)) for i in range(len(positions))], simplices=list(simplices),
+        keys=[repr(("f", i)) for i in range(len(positions))],
+        simplices=[ids for ids, _ in simplices], stratum=[s for _, s in simplices],
         markers=list(markers), problem_name=name,
     )
 
@@ -72,8 +74,7 @@ def complexes(draw):
         sigma[draw(st.lists(st.booleans(), min_size=V, max_size=V))] = np.nan
     ids = st.integers(0, V - 1) if V else st.nothing()
     simplices = draw(st.lists(
-        st.tuples(st.lists(ids, min_size=1, max_size=3).map(tuple),
-                  st.sampled_from(STRATA), st.just(-1)),
+        st.tuples(st.lists(ids, min_size=m, max_size=m).map(tuple), st.sampled_from(STRATA)),
         max_size=4 if V else 0))
     markers = draw(st.lists(st.tuples(ids, st.sampled_from(MARKER_KINDS)),
                             max_size=3 if V else 0))
@@ -98,7 +99,7 @@ def test_writer_nan_lambda_rows_and_sigma(tmp_path):
     u = [[1.0, 2.0], [3.0, 4.0], [1e300, -1e-300]]
     lam = [[0.5, 0.5], [np.nan, np.nan], [0.25, np.nan]]
     sigma = [[1.0], [np.nan], [-0.0]]
-    simplices = [((0, 1), "singular_only", 3), ((1, 2), "critical_stable", 4)]
+    simplices = [((0, 1), "singular_only"), ((1, 2), "critical_stable")]
     markers = [(1, "cusp"), (2, "criticality_boundary")]
     _assert_same(_complex(pos, u, lam, sigma, simplices, markers), tmp_path / "a.json")
     _assert_same(_complex(pos, u, lam, None, simplices, markers), tmp_path / "b.json")
@@ -108,7 +109,7 @@ def test_writer_non_finite_u(tmp_path):
     pos = [[0.0], [1.0]]
     u = [[np.nan, np.inf], [-np.inf, 1.0]]
     _assert_same(_complex(pos, u, [[1.0, 0.0], [0.0, 1.0]], [[2.0], [np.inf]],
-                          [((0, 1), "critical_unstable", 0)], [(0, "cusp")]),
+                          [((0, 1), "critical_unstable")], [(0, "cusp")]),
                  tmp_path / "c.json")
 
 

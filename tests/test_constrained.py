@@ -12,8 +12,10 @@ from paretoc.constrained import (
 )
 from paretoc.continuation import EPS_RANK, STRATUM_UNSTABLE, SingularVertex
 from paretoc.errors import NonSquareUnsupported, RankDeficientConstraint
-from paretoc.geometry import points_to_simplex_distance
+from paretoc.geometry import points_to_simplices_distance
 from paretoc.problems import ConstrainedProblem, VectorProblem, registry_get
+
+from conftest import simplex_pairs
 
 
 @pytest.fixture(scope="module")
@@ -30,13 +32,10 @@ def _analytic_arcs(samples=600):
 def _critical_distance_to_arcs(cx):
     arcs = _analytic_arcs()
     ids = cx.simplex_ids([STRATUM_UNSTABLE])
-    d_arc_to_theta = np.full(len(arcs), np.inf)
-    for i in ids:
-        sid = cx.simplices[i][0]
-        d_arc_to_theta = np.minimum(
-            d_arc_to_theta, points_to_simplex_distance(arcs, cx.positions[list(sid)])
-        )
-    vids = sorted({v for i in ids for v in cx.simplices[i][0]})
+    P = cx.positions[cx.simplices[ids]]
+    d_arc_to_theta = points_to_simplices_distance(
+        np.broadcast_to(arcs, (len(P),) + arcs.shape), P).min(axis=0, initial=np.inf)
+    vids = sorted(set(cx.simplices[ids].ravel().tolist()))
     d_theta_to_arc = np.array(
         [np.linalg.norm(arcs - cx.positions[v], axis=1).min() for v in vids]
     )
@@ -263,7 +262,7 @@ def test_mesh_without_cells_gives_an_empty_complex(sphere):
     mesh = ManifoldMesh(points=icosphere(0).points, cells=[], d=2)
     assert mesh.cells.shape == (0, 3)
     cx = analyze_constrained(sphere, mesh)
-    assert (cx.num_vertices, cx.simplices, cx.markers) == (0, [], [])
+    assert (cx.num_vertices, cx.simplices.shape, cx.stratum, cx.markers) == (0, (0, 2), (), [])
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +275,8 @@ def test_icosahedron_equator_polyline(sphere):
     comps = cx.components()
     assert len(comps) == 1
     degrees: dict[int, int] = {}
-    for ids, _, _ in cx.simplices:
-        for v in ids:
-            degrees[v] = degrees.get(v, 0) + 1
+    for v in cx.simplices.ravel().tolist():
+        degrees[v] = degrees.get(v, 0) + 1
     assert set(degrees.values()) == {2}  # closed polyline
     arcs = cx.components(strata=[STRATUM_UNSTABLE])
     assert len(arcs) == 2
@@ -411,7 +409,7 @@ def test_stacked_edge_solve_drifts_by_ulps_only(sphere, seed, monkeypatch):
     assert not cx.is_empty()
     assert cx.keys == ref.keys
     assert cx.strata_counts() == ref.strata_counts()
-    assert [s[:2] for s in cx.simplices] == [s[:2] for s in ref.simplices]
+    assert simplex_pairs(cx) == simplex_pairs(ref)
     assert cx.markers == ref.markers
     # icosphere nodes have unit norm, so an ulp of 1.0 bounds a coordinate's
     assert np.abs(cx.positions - ref.positions).max() <= 4 * np.spacing(1.0)

@@ -7,16 +7,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from paretoc.constrained import analyze_constrained, icosphere
+from paretoc.complex_io import complex_from_dict, complex_to_dict
 from paretoc.continuation import (
     Analyzer,
     CLIP_SNAP_REL,
+    STRATUM_SINGULAR,
     STRATUM_STABLE,
     STRATUM_UNSTABLE,
+    ParetoComplex,
     SingularVertex,
     _cell_vertices,
     _face_table,
     analyze,
     clip_polytope,
+    glue,
     finite_difference_hessians,
     generalized_hessians,
     minors_of_jacobian,
@@ -26,7 +30,8 @@ from paretoc.errors import UnsupportedObjectiveCount
 from paretoc.problems import VectorProblem, registry_get, registry_names
 from paretoc.tessellation import build_delaunay, enumerate_faces, kuhn_tessellation
 
-from test_golden import _xminusx_problem
+from conftest import simplex_pairs
+from test_golden import _paraboloid_problem, _xminusx_problem
 
 
 def _problem_with_jacobian(J, minor_columns=None):
@@ -426,8 +431,84 @@ def test_glue_shared_vertex_merged_once_degree_two():
     ]
     assert len(diag_keys) == 1
     vid = diag_keys[0]
-    degree = sum(1 for ids, _, _ in cx.simplices if vid in ids)
+    degree = sum(1 for ids in cx.simplices.tolist() if vid in ids)
     assert degree == 2
+
+
+def _glued_pairs(analyses, keys):
+    """(vertex ids, stratum) of every simplex of the glued complex, from the
+    analyses and sorted as glue's (ids, stratum, cell) triples once were: a
+    segment piece is a simplex, a polygon is fanned from its lowest key, and
+    the first cell that lists a simplex names its stratum."""
+    index_of = {k: i for i, k in enumerate(keys)}
+    first: dict = {}
+    for a in sorted(analyses, key=lambda a: a.cell_index):
+        for stratum, pieces in a.strata.items():
+            for piece in pieces:
+                kl = [v.key for v in piece]
+                r = kl.index(min(kl))
+                cyc = kl[r:] + kl[:r]
+                fan = [cyc[:1] + cyc[i:i + 2] for i in range(1, len(cyc) - 1)] or [cyc]
+                for tri in fan:
+                    first.setdefault(tuple(sorted(index_of[k] for k in tri)), stratum)
+    return sorted(first.items())
+
+
+def _glued(p, counts):
+    tess = kuhn_tessellation(p.domain_box, counts)
+    an = Analyzer(p, tess)
+    analyses = an.run_cells()
+    cx = glue(analyses, p, tess, order=an.order)
+    return cx, _glued_pairs(analyses, cx.keys)
+
+
+def _loaded_from_unsorted_file():
+    # a file's rows reversed and in reverse order, plus a hand-edited
+    # duplicate row: identical rows order by their stratum names
+    p = registry_get("triv")
+    cx = analyze(p, kuhn_tessellation(p.domain_box, [9, 9]))
+    doc = complex_to_dict(cx)
+    rows = [{"vertex_ids": s["vertex_ids"][::-1], "stratum": s["stratum"]}
+            for s in doc["simplices"][::-1]]
+    rows.insert(0, {"vertex_ids": rows[-1]["vertex_ids"], "stratum": STRATUM_SINGULAR})
+    doc["simplices"] = rows
+    ids = tuple(rows[-1]["vertex_ids"][::-1])
+    expect = sorted(simplex_pairs(cx) + [(ids, STRATUM_SINGULAR)])
+    return complex_from_dict(doc), expect
+
+
+def _constructed():
+    pos = np.arange(10.0).reshape(5, 2)
+    segs = [(4, 3), (0, 2), (2, 1), (1, 0), (3, 2)]
+    strata = [STRATUM_STABLE, STRATUM_UNSTABLE, STRATUM_STABLE, STRATUM_UNSTABLE,
+              STRATUM_STABLE]
+    cx = ParetoComplex(n=2, m=2, positions=pos, u_values=pos, lam=np.full((5, 2), 0.5),
+                       sigma=None, keys=[repr(("f", i)) for i in range(5)],
+                       simplices=segs, stratum=strata, markers=[])
+    return cx, sorted((tuple(sorted(s)), k) for s, k in zip(segs, strata))
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _glued(registry_get("noncv"), [21, 21]), id="glue m=2"),
+    pytest.param(lambda: _glued(registry_get("tri_quadratic"), [5, 5, 5]), id="glue m=3"),
+    pytest.param(lambda: _glued(_paraboloid_problem(), [4, 4]), id="glue m>n"),
+    pytest.param(_loaded_from_unsorted_file, id="complex_from_dict"),
+    pytest.param(_constructed, id="constructed"),
+])
+def test_every_producer_gives_one_sorted_simplex_array(make):
+    cx, expect = make()
+    S = cx.simplices
+    assert S.dtype == np.intp and S.shape == (len(expect), cx.m) and len(expect) > 0
+    assert np.all(S[:, 1:] > S[:, :-1])            # each row ascending
+    assert S.tolist() == sorted(S.tolist())         # rows in lexicographic order
+    assert not S.flags.writeable
+    with pytest.raises(ValueError):
+        S[0, 0] = 0
+    assert simplex_pairs(cx) == expect              # the stratum of each row
+    # only the strata present: the constructed complex has no singular_only
+    assert cx.strata_counts() == {k: cx.stratum.count(k) for k in set(cx.stratum)}
+    again = complex_from_dict(complex_to_dict(cx))
+    assert np.array_equal(again.simplices, S) and again.stratum == cx.stratum
 
 
 def test_analyze_rejects_unsupported_m():
@@ -498,34 +579,30 @@ def test_invariant_omega_interpolation_consistency(smale_run):
 
 
 def test_invariant_containment_chain(smale_run):
-    from paretoc.geometry import points_to_simplex_distance
+    from paretoc.geometry import points_to_simplices_distance
 
     _, _, _, cx = smale_run
     stable_ids = cx.simplex_ids([STRATUM_STABLE])
     theta_ids = cx.simplex_ids([STRATUM_STABLE, STRATUM_UNSTABLE])
     sigma_ids = cx.simplex_ids()
-    assert stable_ids and theta_ids
+    assert len(stable_ids) and len(theta_ids)
 
     def min_dist(point, ids):
-        best = np.inf
-        for i in ids:
-            sid = cx.simplices[i][0]
-            best = min(best, float(points_to_simplex_distance(point[None], cx.positions[list(sid)])[0]))
-        return best
+        P = cx.positions[cx.simplices[ids]]
+        d = points_to_simplices_distance(np.broadcast_to(point, (len(P), 1, len(point))), P)
+        return float(d.min(initial=np.inf))
 
-    for i in stable_ids:
-        for vid in cx.simplices[i][0]:
-            assert min_dist(cx.positions[vid], theta_ids) < 1e-9
-    for i in theta_ids:
-        for vid in cx.simplices[i][0]:
-            assert min_dist(cx.positions[vid], sigma_ids) < 1e-9
+    for vid in cx.simplices[stable_ids].ravel().tolist():
+        assert min_dist(cx.positions[vid], theta_ids) < 1e-9
+    for vid in cx.simplices[theta_ids].ravel().tolist():
+        assert min_dist(cx.positions[vid], sigma_ids) < 1e-9
 
 
 def test_invariant_label_transitions_at_markers(smale_run):
     _, _, _, cx = smale_run
     marker_vids = {vid for vid, _ in cx.markers}
     by_vertex: dict[int, set] = {}
-    for ids, stratum, _ in cx.simplices:
+    for ids, stratum in simplex_pairs(cx):
         for vid in ids:
             by_vertex.setdefault(vid, set()).add(stratum)
     for vid, strata in by_vertex.items():
@@ -555,7 +632,7 @@ def test_m_greater_than_n_mode():
     )
     cx = analyze(p, kuhn_tessellation(p.domain_box, [9]), order=1)
     crit = cx.simplex_ids([STRATUM_UNSTABLE])
-    xs = sorted(cx.positions[v][0] for i in crit for v in cx.simplices[i][0])
+    xs = sorted(cx.positions[v][0] for v in cx.simplices[crit].ravel().tolist())
     assert xs[0] == pytest.approx(0.0, abs=1e-12)
     assert xs[-1] == pytest.approx(1.0)
     assert [(round(float(cx.positions[v][0]), 6), k) for v, k in cx.markers] == [

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from paretoc import metrics
 from paretoc.errors import EmptyComplex, InsufficientData
-from paretoc.geometry import points_to_simplex_distance, points_to_simplices_distance
+from paretoc.geometry import points_to_simplices_distance
 from paretoc.metrics import (
     _min_distances,
     convergence_slope,
@@ -219,8 +219,7 @@ KN = [(0, 2), (1, 2), (2, 2), (-1, 2), (0, 3), (1, 3), (2, 3), (-1, 3)]
     st.booleans(),
 )
 def test_stacked_kernel_matches_per_simplex_kernel(seed, kn, stacks, rows, degenerate):
-    # every stack of a stacked call, and the one-stack call behind
-    # points_to_simplex_distance, against the per-simplex kernel
+    # every stack of a stacked call against the per-simplex kernel
     k, n = kn
     rng = np.random.default_rng(seed)
     positions, simplices = random_target(rng, k, n, stacks, degenerate)
@@ -230,7 +229,6 @@ def test_stacked_kernel_matches_per_simplex_kernel(seed, kn, stacks, rows, degen
     for g in range(stacks):
         expect = per_simplex_distance(X[g], P[g])
         assert np.array_equal(got[g], expect)
-        assert np.array_equal(points_to_simplex_distance(X[g], P[g]), expect)
 
 
 @settings(max_examples=100)

@@ -5,7 +5,7 @@ from paretoc import refinement
 from paretoc.complex_io import save_complex
 from paretoc.continuation import ParetoComplex, STRATUM_STABLE, STRATUM_UNSTABLE, glue
 from paretoc.errors import EmptyComplex, NoProgress
-from paretoc.geometry import points_to_simplex_distance, simplex_measure
+from paretoc.geometry import points_to_simplices_distance, simplex_measure
 from paretoc.problems import registry_get
 from paretoc.refinement import (
     _maximin_fill_with_hosts,
@@ -31,7 +31,8 @@ def _polyline_complex(points, segs, stratum=STRATUM_STABLE, markers=()):
         lam=np.full((len(points), 2), 0.5),
         sigma=None,
         keys=[repr(("f", i)) for i in range(len(points))],
-        simplices=[(tuple(s), stratum, i) for i, s in enumerate(segs)],
+        simplices=segs,
+        stratum=[stratum] * len(segs),
         markers=list(markers),
     )
 
@@ -91,7 +92,7 @@ def test_maximin_single_triangle_centroid():
         n=3, m=3, positions=pos, u_values=np.zeros((3, 3)),
         lam=np.full((3, 3), 1 / 3), sigma=None,
         keys=[repr(("f", i)) for i in range(3)],
-        simplices=[((0, 1, 2), STRATUM_STABLE, 0)], markers=[],
+        simplices=[(0, 1, 2)], stratum=[STRATUM_STABLE], markers=[],
     )
     pts = _maximin_fill_with_hosts(cx)[0]
     assert pts[0] == pytest.approx([1 / 3, 1 / 3, 0.0])
@@ -111,7 +112,7 @@ def _loop_maximin_fill(cx, count):
     # the reference: every pick re-scores every active simplex, where the
     # fill re-scores only the picked simplex's active neighbours
     ids = cx.simplex_ids(_target_strata(cx))
-    verts = [cx.simplices[i][0] for i in ids]
+    verts = cx.simplices[ids].tolist()
     vols = np.array([simplex_measure(cx.positions[list(v)]) for v in verts])
     k = len(ids)
     facet_map = {}
@@ -181,12 +182,9 @@ def triv_state():
 def test_iterate_candidates_lie_on_complex(triv_state):
     cx = triv_state.complex
     pts = resample_polyline(cx)
-    ids = cx.simplex_ids([STRATUM_STABLE])
+    P = cx.positions[cx.simplices[cx.simplex_ids([STRATUM_STABLE])]]
     for c in pts:
-        d = min(
-            float(points_to_simplex_distance(np.asarray(c)[None], cx.positions[list(cx.simplices[i][0])])[0])
-            for i in ids
-        )
+        d = float(points_to_simplices_distance(np.broadcast_to(c, (len(P), 1, len(c))), P).min())
         assert d < 1e-9
 
 

@@ -13,6 +13,8 @@ from paretoc.problems import registry_get
 from paretoc.refinement import initial_state, iterate
 from paretoc.tessellation import kuhn_tessellation
 
+from conftest import simplex_pairs
+
 
 @pytest.fixture(scope="module")
 def tri_run():
@@ -31,9 +33,7 @@ def test_stable_patch_single_component(tri_run):
 def test_patch_reaches_three_corners(tri_run):
     # the critical patch is triangle-like with corners at the three maxima
     _, cx = tri_run
-    vids = sorted({
-        v for i in cx.simplex_ids([STRATUM_STABLE]) for v in cx.simplices[i][0]
-    })
+    vids = sorted(set(cx.simplices[cx.simplex_ids([STRATUM_STABLE])].ravel().tolist()))
     pos = cx.positions[vids]
     for corner in np.eye(3):
         assert np.linalg.norm(pos - corner, axis=1).min() < 0.2
@@ -41,7 +41,7 @@ def test_patch_reaches_three_corners(tri_run):
 
 def test_triangles_only(tri_run):
     _, cx = tri_run
-    assert all(len(ids) == 3 for ids, _, _ in cx.simplices)
+    assert all(len(ids) == 3 for ids, _ in simplex_pairs(cx))
 
 
 def test_ncv_variant_adds_branch():
