@@ -40,13 +40,11 @@ from .refinement import (
     initial_state,
     iterate,
     resample_polyline,
-    should_stop,
 )
 from .tessellation import (
     NodeSet,
     Tessellation,
     build_delaunay,
-    enumerate_faces,
     grid_nodes,
     insert_nodes,
     kuhn_tessellation,

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import json
 import logging
 import sys
 from pathlib import Path
@@ -185,19 +187,8 @@ def cmd_distance(args) -> int:
     report = hausdorff(a, b, density=args.density)
     print(str(report))
     if args.json:
-        import json
-
         with open(args.json, "w") as fh:
-            json.dump(
-                {
-                    "hausdorff": report.hausdorff,
-                    "mean_a_to_b": report.mean_a_to_b,
-                    "mean_b_to_a": report.mean_b_to_a,
-                    "sample_count": report.sample_count,
-                },
-                fh,
-                indent=1,
-            )
+            json.dump(dataclasses.asdict(report), fh, indent=1)
             fh.write("\n")
     return 0
 

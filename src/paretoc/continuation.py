@@ -28,6 +28,7 @@ pieces; and every cell's critical part is clipped by sigma.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import UnsupportedObjectiveCount
 from .problems import VectorProblem
-from .tessellation import Tessellation, enumerate_faces
+from .tessellation import Tessellation
 
 logger = logging.getLogger(__name__)
 
@@ -334,10 +335,6 @@ class CellAnalysis:
     warnings: list = field(default_factory=list)
 
 
-# face-table entry of a face whose barycentric system is rank deficient
-_RANK_DEFICIENT = "rank-deficient"
-
-
 def solve_faces(omega_nodes: np.ndarray, faces) -> tuple:
     """Barycentric weights of many face systems in one stacked solve.
 
@@ -367,26 +364,23 @@ def solve_faces(omega_nodes: np.ndarray, faces) -> tuple:
     return mu, singular
 
 
-def _face_table(omega_nodes: np.ndarray, faces: Sequence[tuple], points: np.ndarray,
-                jac_nodes: np.ndarray, hess_at=None) -> dict:
-    """Solve distinct faces at once; map each face to its singular vertex.
+def _face_table(omega_nodes: np.ndarray, faces: np.ndarray, points: np.ndarray,
+                jac_nodes: np.ndarray, hess_at=None) -> tuple:
+    """Solve the distinct faces (F, r+1) at once; one singular vertex per face.
 
-    The entry of a face is its accepted :class:`SingularVertex` (key
-    canonicalized to the sub-face), ``None`` when the weights are not all
-    positive, or ``_RANK_DEFICIENT``.  ``hess_at`` evaluates the Hessians
-    at node points for the vertices' Hessian interpolation (second order).
+    Returns ``(vertices, singular)``: per face row its accepted
+    :class:`SingularVertex` (key canonicalized to the sub-face) or ``None``,
+    and the mask of the rows whose barycentric system is rank deficient.
+    ``hess_at`` evaluates the Hessians at node points for the vertices'
+    Hessian interpolation (second order).
     """
-    table = dict.fromkeys(faces)
-    if not faces:
-        return table
     mu, singular = solve_faces(omega_nodes, faces)
-    for f in np.flatnonzero(singular).tolist():
-        table[faces[f]] = _RANK_DEFICIENT
     rows = np.flatnonzero(np.all(mu > EPS_ACCEPT, axis=1))  # NaN rows fail
-    verts = _face_vertices(np.asarray(faces, dtype=np.intp)[rows], mu[rows],
-                           points, jac_nodes, hess_at)
-    table.update(zip([faces[f] for f in rows.tolist()], verts))
-    return table
+    verts: list = [None] * len(faces)
+    built = _face_vertices(faces[rows], mu[rows], points, jac_nodes, hess_at)
+    for f, v in zip(rows.tolist(), built):
+        verts[f] = v
+    return verts, singular
 
 
 def _interpolate(w: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -451,23 +445,6 @@ def _face_vertices(faces: np.ndarray, mu: np.ndarray, points: np.ndarray,
                                 lam=None if nan else lf, residual=res, hess_interp=hf,
                                 critical_ok=ok)
     return out
-
-
-def _cell_vertices(table: dict, faces: Iterable[tuple]) -> tuple:
-    """A cell's singular vertices from its faces' table entries.
-
-    Faces are visited in the given order and the first face with a key wins.
-    Returns ``(vertices, rank-deficient face count)``.
-    """
-    out: dict[str, SingularVertex] = {}
-    skipped = 0
-    for face in faces:
-        v = table[face]
-        if v is _RANK_DEFICIENT:
-            skipped += 1
-        elif v is not None:
-            out.setdefault(v.key, v)
-    return list(out.values()), skipped
 
 
 def finite_difference_hessians(problem: VectorProblem, points_cell: np.ndarray,
@@ -612,16 +589,34 @@ class Analyzer:
         """The cell table: ``(vertices, rank-deficient faces)`` for each of
         ``cells``, built in stacked passes.
 
-        Runs the stacked face solve on the distinct faces of the cells, which
-        builds every accepted vertex once with its lambda and, at second
-        order, its Hessian interpolation.  For m = 3 the vertices of a cell
-        that reaches the polytope stage come in ring order.
+        A cell's r-faces are the rows of ``cells[:, combos]``, ascending as
+        the cell rows are; one lexsort finds the distinct faces and each
+        cell-face's row among them.  The stacked face solve on the distinct
+        faces builds every accepted vertex once with its lambda and, at
+        second order, its Hessian interpolation.  A cell lists its faces'
+        vertices in face order, the first face with a key winning; for m = 3
+        the vertices of a cell that reaches the polytope stage come in ring
+        order.
         """
-        cell_faces = [enumerate_faces(c, self.r) for c in self.tess.cells[cells].tolist()]
-        faces = list(dict.fromkeys(f for fs in cell_faces for f in fs))
-        table = _face_table(self.omega_nodes, faces, self.tess.nodes.points, self.jac_nodes,
-                            self.problem.hess_at if self.order >= 2 else None)
-        entries = [_cell_vertices(table, fs) for fs in cell_faces]
+        combos = list(itertools.combinations(range(self.tess.cells.shape[1]), self.r + 1))
+        flat = self.tess.cells[cells][:, combos].reshape(-1, self.r + 1)
+        order = np.lexsort(flat.T[::-1])
+        ordered = flat[order]
+        new = np.ones(len(flat), dtype=bool)
+        new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+        at = np.empty(len(flat), dtype=np.intp)
+        at[order] = np.cumsum(new) - 1
+        at = at.reshape(len(cells), len(combos))
+        verts, singular = _face_table(self.omega_nodes, ordered[new], self.tess.nodes.points,
+                                      self.jac_nodes,
+                                      self.problem.hess_at if self.order >= 2 else None)
+        entries = []
+        for row, skipped in zip(at.tolist(), singular[at].sum(axis=1).tolist()):
+            by_key: dict[str, SingularVertex] = {}
+            for f in row:
+                if verts[f] is not None:
+                    by_key.setdefault(verts[f].key, verts[f])
+            entries.append((list(by_key.values()), skipped))
         if self.problem.m == 3:
             reach = [i for i, (cv, _) in enumerate(entries) if len(cv) >= 3]
             for i, ring in zip(reach, _rings([entries[i][0] for i in reach])):

@@ -15,20 +15,20 @@ small; the samples it leaves unsettled, near the few long simplices, are
 what the all-pairs pass is for.  For point sets r is 0, and every sample
 that is not on a target point goes to the all-pairs pass.
 
-Both passes are batched per simplex dimension.  Pass 1 takes the simplices
-in order of their sweep span and gathers their windows for
-``_GATHER_BLOCKS`` blocks at a time, so the memory it holds is bounded.  It
-sorts the gathered windows by size and stacks them in blocks of about
-``_BLOCK_ROWS`` sample rows, each window padded to the block's largest by
-repeating its last row (the pad rows are masked out).  The all-pairs pass
-stacks as many simplices as fit in a block.  A block is one call of
-``geometry.points_to_simplices_distance``, which gives every row the bits of
-the per-simplex call.  The per-sample minimum (``np.minimum.at`` over the
-blocks) is exact, so it depends neither on the blocks nor on which simplices
-are evaluated beyond the nearest: the distances are bit-identical to the
-all-pairs scan.  Windows are padded to at least two rows, because a one-row
-stack rounds differently; with a single sample every stack has one row, as
-in the all-pairs scan.
+The target simplices have one vertex count, so both passes are batched
+over all of them.  Pass 1 takes the simplices in order of their sweep span
+and gathers their windows for ``_GATHER_BLOCKS`` blocks at a time, so the
+memory it holds is bounded.  It sorts the gathered windows by size and
+stacks them in blocks of about ``_BLOCK_ROWS`` sample rows, each window
+padded to the block's largest by repeating its last row (the pad rows are
+masked out).  The all-pairs pass stacks as many simplices as fit in a
+block.  A block is one call of ``geometry.points_to_simplices_distance``,
+which gives every row the bits of the per-simplex call.  The per-sample
+minimum (``np.minimum.at`` over the blocks) is exact, so it depends neither
+on the blocks nor on which simplices are evaluated beyond the nearest: the
+distances are bit-identical to the all-pairs scan.  Windows are padded to at
+least two rows, because a one-row stack rounds differently; with a single
+sample every stack has one row, as in the all-pairs scan.
 """
 
 from __future__ import annotations
@@ -61,54 +61,38 @@ class DistanceReport:
 
 
 def _as_point_set(obj, strata=None):
-    """Normalize input to (positions, simplex vertex-id sequences).
+    """Normalize input to (positions, (S, k) np.intp array of simplex vertex ids).
 
-    Accepts a ParetoComplex, an (S, n) point array (treated as 0-simplices),
-    or a (positions, simplices) pair.
+    Accepts a ParetoComplex (its rows in ``strata``), an (S, n) point array
+    (S 0-simplices), or a (positions, simplices) pair whose simplices all
+    have one vertex count.
     """
     if isinstance(obj, ParetoComplex):
-        return obj.positions, obj.simplices[obj.simplex_ids(strata)].tolist()
+        return obj.positions, obj.simplices[obj.simplex_ids(strata)]
     if isinstance(obj, tuple) and len(obj) == 2:
-        pos = np.asarray(obj[0], dtype=float)
-        return pos, [tuple(s) for s in obj[1]]
+        if len({len(ids) for ids in obj[1]}) > 1:
+            raise ValueError("simplices of mixed vertex counts")
+        ids = np.asarray(obj[1], dtype=np.intp)
+        return np.asarray(obj[0], dtype=float), ids.reshape(len(ids), -1 if ids.size else 0)
     pos = np.atleast_2d(np.asarray(obj, dtype=float))
-    return pos, [(i,) for i in range(len(pos))]
-
-
-def _by_size(simplices):
-    """Per vertex count m: the simplices' indices in the list and their (G, m) vertex ids."""
-    sizes = np.array([len(ids) for ids in simplices])
-    groups = []
-    for m in sorted(set(sizes.tolist())):  # not np.unique: it imports numpy.ma
-        which = np.flatnonzero(sizes == m)
-        ids = np.array([simplices[i] for i in which], dtype=np.intp).reshape(len(which), m)
-        groups.append((m, which, ids))
-    return groups
+    return pos, np.arange(len(pos))[:, None]
 
 
 def _sample_simplices(positions, simplices, density):
-    """Barycentric samples of every simplex, in simplex order."""
-    groups = _by_size(simplices)
-    if groups and groups[-1][0] > 3:
+    """Barycentric samples of every simplex of an (S, k) id array, in simplex order."""
+    P = positions[simplices]
+    if P.shape[1] > 3:
         raise ValueError("sampling implemented for simplices up to triangles")
-    k = max(1, density)
-    edge = np.linspace(0.0, 1.0, max(2, density + 1))[:, None]
-    face = np.array([[a, b, k - a - b] for a in range(k + 1) for b in range(k + 1 - a)],
-                    dtype=float) / k
-    per = np.array([1, len(edge), len(face)])[[len(ids) - 1 for ids in simplices]]
-    start = np.cumsum(per) - per
-    out = np.empty((int(per.sum()), positions.shape[1]))
-    for m, which, ids in groups:
-        P = positions[ids]
-        if m == 1:
-            block = P
-        elif m == 2:
-            block = P[:, :1] * (1 - edge) + P[:, 1:] * edge
-        else:
-            # one (3,) @ (3, n) product per sample, as a stack of them
-            block = (face[None, :, None, :] @ P[:, None])[:, :, 0]
-        out[start[which, None] + np.arange(block.shape[1])] = block
-    return out
+    if P.shape[1] == 2:
+        edge = np.linspace(0.0, 1.0, max(2, density + 1))[:, None]
+        P = P[:, :1] * (1 - edge) + P[:, 1:] * edge
+    elif P.shape[1] == 3:
+        k = max(1, density)
+        face = np.array([[a, b, k - a - b] for a in range(k + 1) for b in range(k + 1 - a)],
+                        dtype=float) / k
+        # one (3,) @ (3, n) product per sample, as a stack of them
+        P = (face[None, :, None, :] @ P[:, None])[:, :, 0]
+    return P.reshape(-1, positions.shape[1])
 
 
 # Pass-1 window in units of r.  Any factor >= 1 settles samples exactly; the
@@ -129,40 +113,37 @@ def _runs(items, sizes, cap):
 
 
 def _min_distances(samples, positions, simplices):
-    """Per sample, the distance to the nearest simplex (see the module doc)."""
+    """Per sample, the distance to the nearest of the simplices, an (S, k)
+    array of vertex ids (see the module doc)."""
     d = np.full(len(samples), np.inf)
-    if not simplices:
+    if not len(simplices):
         return d
     pad = min(2, len(samples))
-    boxes = []
-    for _, _, ids in _by_size(simplices):
-        P = positions[ids]
-        boxes.append((P, P.min(axis=1), P.max(axis=1)))
+    P = positions[simplices]
+    lo, hi = P.min(axis=1), P.max(axis=1)
     # the median extent (the upper one of an even count), by a sort:
     # np.median imports numpy.ma on first use
-    extent = np.sort(np.concatenate([(hi - lo).max(axis=1) for _, lo, hi in boxes]))
+    extent = np.sort((hi - lo).max(axis=1))
     r = float(extent[len(extent) // 2])
     w = _WINDOW * r
     order = np.argsort(samples[:, 0], kind="stable")
     columns = [samples[order, j] for j in range(samples.shape[1])]
-    for P, lo, hi in boxes:
-        start = np.searchsorted(columns[0], lo[:, 0] - w, "left")
-        stop = np.searchsorted(columns[0], hi[:, 0] + w, "right")
-        by_span = np.argsort(stop - start, kind="stable")
-        for g in _runs(by_span, (stop - start)[by_span], _GATHER_BLOCKS * _BLOCK_ROWS):
-            rows, counts = _windows(columns, order, start[g], stop[g], lo[g], hi[g], w)
-            _window_pass(d, samples, P[g], rows, counts, pad)
+    start = np.searchsorted(columns[0], lo[:, 0] - w, "left")
+    stop = np.searchsorted(columns[0], hi[:, 0] + w, "right")
+    by_span = np.argsort(stop - start, kind="stable")
+    for g in _runs(by_span, (stop - start)[by_span], _GATHER_BLOCKS * _BLOCK_ROWS):
+        rows, counts = _windows(columns, order, start[g], stop[g], lo[g], hi[g], w)
+        _window_pass(d, samples, P[g], rows, counts, pad)
     rest = np.flatnonzero(d > r)
     if len(rest) < pad:
         rest = np.repeat(rest, 2)
     if len(rest):
         X = samples[rest]
         step = max(1, _BLOCK_ROWS // len(rest))
-        for P, _, _ in boxes:
-            for i in range(0, len(P), step):
-                B = P[i:i + step]
-                near = points_to_simplices_distance(np.broadcast_to(X, (len(B),) + X.shape), B)
-                d[rest] = np.minimum(d[rest], near.min(axis=0))
+        for i in range(0, len(P), step):
+            B = P[i:i + step]
+            near = points_to_simplices_distance(np.broadcast_to(X, (len(B),) + X.shape), B)
+            d[rest] = np.minimum(d[rest], near.min(axis=0))
     return d
 
 
@@ -208,11 +189,13 @@ def _window_pass(d, samples, P, rows, counts, pad):
 def hausdorff(a, b, density: int = DEFAULT_DENSITY, strata=None) -> DistanceReport:
     """Symmetric Hausdorff distance plus directional mean distances.
 
-    ``density`` is the number of samples per simplex diameter on the sup side.
+    ``a`` and ``b`` are complexes, point arrays or ``(positions, simplices)``
+    pairs, each with one simplex vertex count.  ``density`` is the number of
+    samples per simplex diameter on the sup side.
     """
     pos_a, simp_a = _as_point_set(a, strata)
     pos_b, simp_b = _as_point_set(b, strata)
-    if not simp_a or not simp_b:
+    if not len(simp_a) or not len(simp_b):
         raise EmptyComplex("hausdorff needs two nonempty complexes")
     if pos_a.shape[1] != pos_b.shape[1]:
         raise ValueError("ambient dimensions differ")
@@ -232,8 +215,8 @@ def max_sample_spacing(obj, density: int = DEFAULT_DENSITY, strata=None) -> floa
     """Upper bound on the sup-side sampling resolution for ``hausdorff``."""
     pos, simp = _as_point_set(obj, strata)
     diam = 0.0
-    for ids in simp:
-        diam = max(diam, simplex_diameter(pos[list(ids)]))
+    for P in pos[simp]:
+        diam = max(diam, simplex_diameter(P))
     return diam / max(1, density)
 
 

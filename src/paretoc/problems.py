@@ -40,8 +40,7 @@ class VectorProblem:
     is no window (``()``) and :attr:`sigma_skip` is set.
 
     The pipeline evaluates through :meth:`u_at`, :meth:`jac_at` and
-    :meth:`hess_at`; :meth:`u`, :meth:`jac` and :meth:`hess` are their
-    one-point conveniences.
+    :meth:`hess_at`; one point is a one-row stack.
     """
 
     name: str
@@ -76,15 +75,6 @@ class VectorProblem:
     def sigma_skip(self) -> bool:
         return self.m > self.n
 
-    def u(self, x) -> Array:
-        return self.u_at(np.asarray(x, dtype=float)[None])[0]
-
-    def jac(self, x) -> Array:
-        return self.jac_at(np.asarray(x, dtype=float)[None])[0]
-
-    def hess(self, x) -> Array:
-        return self.hess_at(np.asarray(x, dtype=float)[None])[0]
-
     def u_at(self, X) -> Array:
         """Objective values at every row of X (N, n), as an (N, m) array."""
         return _at_points(self.eval, X, (self.m,))
@@ -109,8 +99,7 @@ class ConstrainedProblem:
     ``g`` and ``g_jacobian`` map a stack of points X (N, n) to the (N, k)
     constraint values and the (N, k, n) constraint Jacobians, for k
     constraints.  The pipeline evaluates through :meth:`g_val_at` and
-    :meth:`g_jac_at`; :meth:`g_val` and :meth:`g_jac` are their one-point
-    conveniences.
+    :meth:`g_jac_at`.
     """
 
     base: VectorProblem
@@ -133,12 +122,6 @@ class ConstrainedProblem:
     @property
     def d(self) -> int:
         return self.base.n - self.n_constraints
-
-    def g_val(self, x) -> Array:
-        return self.g_val_at(np.asarray(x, dtype=float)[None])[0]
-
-    def g_jac(self, x) -> Array:
-        return self.g_jac_at(np.asarray(x, dtype=float)[None])[0]
 
     def g_val_at(self, X) -> Array:
         """Constraint values at every row of X (N, n), as an (N, k) array."""

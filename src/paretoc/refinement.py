@@ -3,9 +3,10 @@
 Each iteration generates candidate points on the approximated optimal set
 (midpoints along polylines for two objectives, or an accumulated-volume
 maximin fill for higher strata), filters them through a spacing guard,
-inserts the survivors into the tessellation and re-analyzes.  Stopping is
-driven by the magnitude of the Jacobian minors at the complex vertices,
-recomputed from true Jacobians at the vertex positions.
+inserts the survivors into the tessellation and re-analyzes.  Each iteration
+records the magnitude of the Jacobian minors at the complex vertices,
+recomputed from true Jacobians at the vertex positions
+(``IterationStats.max_minor``); the caller chooses how many iterations to run.
 """
 
 from __future__ import annotations
@@ -327,10 +328,3 @@ def iterate(
         iteration=state.iteration + 1,
         history=state.history + [stats],
     )
-
-
-def should_stop(state: RefinementState, tau: float) -> bool:
-    """True once the largest minor magnitude over target vertices drops below tau."""
-    if not state.history:
-        raise ValueError("should_stop needs at least one completed iteration")
-    return state.history[-1].max_minor < tau

@@ -124,17 +124,6 @@ class Tessellation:
         return out
 
 
-def enumerate_faces(cell: Sequence[int], k: int) -> list[tuple]:
-    """All k-dimensional faces of a simplex, as sorted id tuples.
-
-    A k-face has k+1 vertices; a cell with v vertices has C(v, k+1) of them.
-    """
-    cell = tuple(sorted(cell))
-    if not 0 <= k <= len(cell) - 1:
-        raise ValueError(f"face dimension {k} out of range for cell {cell}")
-    return list(itertools.combinations(cell, k + 1))
-
-
 # ---------------------------------------------------------------------------
 # orientation and in-sphere predicates
 # ---------------------------------------------------------------------------

@@ -282,7 +282,7 @@ def test_criterion_8_property_suites(tmp_path):
 
     q = registry_get("sms")
     pts = np.array([[1.0, 0.5], [1.7, 0.4], [1.2, 1.3]])
-    jac = np.array([q.jac(x) for x in pts])
+    jac = q.jac_at(pts)
     H = finite_difference_hessians(q, pts, jac)
     checks.append((
         "fd hessian quadratic",

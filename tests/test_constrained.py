@@ -70,7 +70,7 @@ def test_project_gradients_closed_form(sphere, rng):
             ]
         )
         assert pg == pytest.approx(expected, abs=1e-12)
-        assert np.abs(pg @ sphere.g_jac(x).T).max() < 1e-10
+        assert np.abs(pg @ sphere.g_jac_at(x[None])[0].T).max() < 1e-10
 
 
 def test_augmented_minors_closed_form(sphere, rng):
@@ -88,7 +88,7 @@ def test_steps_6_and_7_equivalent(sphere):
     # projected gradient pair in an oriented tangent frame, at every node
     mesh = icosphere(1)
     for x in mesh.points:
-        g = sphere.g_jac(x)[0]
+        g = sphere.g_jac_at(x[None])[0][0]
         ghat = g / np.linalg.norm(g)
         # oriented tangent frame: det[t1, t2, ghat] > 0
         t1 = np.cross(ghat, [0.0, 0.0, 1.0])
@@ -136,19 +136,19 @@ def test_non_square_unsupported(sphere):
 
 def _loop_project_gradients(cp, x):
     x = np.asarray(x, dtype=float)
-    Dg = cp.g_jac(x)
+    Dg = cp.g_jac_at(x[None])[0]
     gram = Dg @ Dg.T
     sv = np.linalg.svd(Dg, compute_uv=False)
     if sv[-1] <= EPS_RANK * max(sv[0], 1e-300):
         raise RankDeficientConstraint(f"Dg rank deficient at {x}")
-    J = cp.base.jac(x)
+    J = cp.base.jac_at(x[None])[0]
     corr = Dg.T @ np.linalg.solve(gram, Dg @ J.T)
     return J - corr.T
 
 
 def _loop_augmented_minor(cp, x):
     x = np.asarray(x, dtype=float)
-    cols = np.vstack([cp.g_jac(x), cp.base.jac(x)]).T
+    cols = np.vstack([cp.g_jac_at(x[None])[0], cp.base.jac_at(x[None])[0]]).T
     value = float(np.linalg.det(cols))
     bound = float(np.prod(np.linalg.norm(cols, axis=0)))
     return 0.0 if abs(value) <= 1e-13 * bound else value
@@ -361,39 +361,40 @@ def _closed_form_face_table(omega_nodes, faces, points, jac_nodes, hess_at=None)
     """Edge crossings as the constrained pipeline found them before it ran
     through Analyzer: the weight of b is w_a / (w_a - w_b), accepted with a
     -1e-10 slack and snapped to a node within 1e-9.  Drop-in for the face
-    table: edge -> vertex, None, or rank deficient (both minors zero).  The
-    vertices are complete for a first-order run: lambda is one stacked
-    solve, as in the face table."""
+    table: per edge row a vertex or None, and the mask of the rank-deficient
+    rows (both minors zero).  The vertices are complete for a first-order
+    run: lambda is one stacked solve, as in the face table."""
     assert hess_at is None  # the constrained pipeline is first order
-    table, crossings = {}, {}
-    for a, b in faces:
+    verts = [None] * len(faces)
+    singular = np.zeros(len(faces), dtype=bool)
+    crossings = {}
+    for f, (a, b) in enumerate(faces.tolist()):
         wa, wb = omega_nodes[a, 0], omega_nodes[b, 0]
         if wa == wb:
-            table[(a, b)] = continuation._RANK_DEFICIENT if wa == 0.0 else None
+            singular[f] = wa == 0.0
             continue
         mu = wa / (wa - wb)
         if not -1e-10 < mu < 1.0 + 1e-10:
-            table[(a, b)] = None
             continue
         mu = min(max(mu, 0.0), 1.0)
         if mu <= 1e-9:
-            crossings[(a, b)] = (a,), np.array([1.0])
+            crossings[f] = (a,), np.array([1.0])
         elif mu >= 1.0 - 1e-9:
-            crossings[(a, b)] = (b,), np.array([1.0])
+            crossings[f] = (b,), np.array([1.0])
         else:
-            crossings[(a, b)] = (a, b), np.array([1.0 - mu, mu])
+            crossings[f] = (a, b), np.array([1.0 - mu, mu])
     if not crossings:
-        return table
+        return verts, singular
     G = np.array([np.tensordot(w, jac_nodes[list(sub)], axes=1) for sub, w in crossings.values()])
     lam, residual = continuation.solve_lambdas(G)
     scale = np.linalg.norm(G, axis=2).max(axis=1)
-    for (edge, (sub, w)), g, lv, res, sc in zip(crossings.items(), G, lam, residual, scale):
-        table[edge] = SingularVertex(
+    for (f, (sub, w)), g, lv, res, sc in zip(crossings.items(), G, lam, residual, scale):
+        verts[f] = SingularVertex(
             key=repr(("f",) + sub), x=w @ points[list(sub)], face=sub, mu=w, grad_interp=g,
             lam=None if np.isnan(lv[0]) else lv, residual=float(res),
             critical_ok=bool(res <= continuation.EPS_RES * sc),
         )
-    return table
+    return verts, singular
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import itertools
 import logging
 
 import numpy as np
@@ -16,7 +17,6 @@ from paretoc.continuation import (
     STRATUM_UNSTABLE,
     ParetoComplex,
     SingularVertex,
-    _cell_vertices,
     _face_table,
     analyze,
     clip_polytope,
@@ -28,7 +28,7 @@ from paretoc.continuation import (
 )
 from paretoc.errors import UnsupportedObjectiveCount
 from paretoc.problems import VectorProblem, registry_get, registry_names
-from paretoc.tessellation import build_delaunay, enumerate_faces, kuhn_tessellation
+from paretoc.tessellation import NodeSet, Tessellation, build_delaunay, kuhn_tessellation
 
 from conftest import simplex_pairs
 from test_golden import _paraboloid_problem, _xminusx_problem
@@ -54,18 +54,19 @@ def _problem_with_jacobian(J, minor_columns=None):
 def test_minor_values_collinear_rows():
     p = _problem_with_jacobian([[1.0, 0.0], [-2.0, 0.0]])
     assert p.minor_columns == ((0, 1),)
-    assert minors_of_jacobian(p.jac([0.0, 0.0]), p.minor_columns) == pytest.approx([0.0])
+    assert minors_of_jacobian(p.jac_at([[0.0, 0.0]])[0], p.minor_columns) == pytest.approx([0.0])
 
 
 def test_minor_values_identity():
     p = _problem_with_jacobian(np.eye(2))
-    assert minors_of_jacobian(p.jac([0, 0]), p.minor_columns) == pytest.approx([1.0])
+    assert minors_of_jacobian(p.jac_at([[0, 0]])[0], p.minor_columns) == pytest.approx([1.0])
 
 
 def test_minor_values_windows_n3():
     p = _problem_with_jacobian([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     assert p.minor_columns == ((0, 1), (1, 2))
-    assert minors_of_jacobian(p.jac([0, 0, 0]), p.minor_columns) == pytest.approx([1.0, 0.0])
+    J = p.jac_at([[0, 0, 0]])[0]
+    assert minors_of_jacobian(J, p.minor_columns) == pytest.approx([1.0, 0.0])
 
 
 def test_minor_selection_validation():
@@ -119,9 +120,11 @@ def test_all_zero_minor_warning(caplog):
 
 
 def _cell_face_vertices(omega, cell, pts, jac, r):
-    # the face table of one cell's r-faces, read as the analyzer reads it
-    faces = enumerate_faces(cell, r)
-    return _cell_vertices(_face_table(omega, faces, pts, jac), faces)
+    # the face table of one cell's r-faces: the accepted vertices and the
+    # count of rank-deficient faces
+    faces = np.array(list(itertools.combinations(cell, r + 1)))
+    verts, singular = _face_table(omega, faces, pts, jac)
+    return [v for v in verts if v is not None], int(singular.sum())
 
 
 def test_singular_vertex_edge_midpoint():
@@ -173,6 +176,24 @@ def test_singular_system_rank_deficient_skipped():
     assert skipped == 3
 
 
+def test_cell_keeps_the_first_face_of_a_shared_key():
+    # r = 2: the faces (0, 1, 2) and (0, 1, 3) of one tetrahedron cross
+    # 5e-12 from the edge (0, 1), so both vertices snap to its key with
+    # weights that differ in the last bits; the cell holds the first face's
+    J = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    p = _problem_with_jacobian(J, minor_columns=[(0, 1), (1, 2)])
+    tess = Tessellation(NodeSet(np.vstack([np.zeros(3), np.eye(3)])), [[0, 1, 2, 3]])
+    omega = np.array([[1.0, 1.0], [-1.0, -1.0 - 1e-11], [1.0, 2.0], [2.0, 3.0]])
+    an = Analyzer(p, tess, order=1, jac_nodes=np.tile(J, (4, 1, 1)), omega_nodes=omega)
+    [(verts, skipped)] = an._cell_table([0])
+    faces = np.array([[0, 1, 2], [0, 1, 3]])
+    first, second = _face_table(omega, faces, tess.nodes.points, an.jac_nodes)[0]
+    assert first.key == second.key == "('f', 0, 1)"
+    assert not np.array_equal(first.mu, second.mu)
+    assert skipped == 0 and len(verts) == 1
+    assert np.array_equal(verts[0].mu, first.mu) and np.array_equal(verts[0].x, first.x)
+
+
 # ---------------------------------------------------------------------------
 # lambda solve
 # ---------------------------------------------------------------------------
@@ -199,7 +220,7 @@ def test_solve_lambda_smale_point():
     # on the critical curve at x = 0.5: rows (0, -1) and (0, 1/(x+1))
     p = registry_get("smale")
     x = np.array([0.5, -2 * 0.5**3 - 3 * 0.5**2])
-    G = p.jac(x)
+    G = p.jac_at(x[None])[0]
     assert G[1][0] == pytest.approx(0.0, abs=1e-14)
     lam, res = _solve_lambda(G)
     assert lam == pytest.approx([0.4, 0.6])
@@ -310,7 +331,7 @@ def test_triv_cell_straddling_front():
 
 def _bisect_omega(p, a, b):
     def om(x):
-        J = p.jac(x)
+        J = p.jac_at(x[None])[0]
         return float(J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0])
 
     fa, fb = om(a), om(b)
@@ -361,8 +382,8 @@ def _sigma_at(G, lam, hess):
 def test_generalized_hessian_triv_negative():
     p = registry_get("triv")
     x = np.array([1.5, 1.318])
-    lam, _ = _solve_lambda(p.jac(x))
-    sig, fail = _sigma_at(p.jac(x), lam, p.hess(x))
+    lam, _ = _solve_lambda(p.jac_at(x[None])[0])
+    sig, fail = _sigma_at(p.jac_at(x[None])[0], lam, p.hess_at(x[None])[0])
     assert not fail
     assert sig.shape == (1,)  # m = n: scalar restricted form
     assert np.all(sig < 0)
@@ -373,9 +394,9 @@ def test_generalized_hessian_smale_unstable_value():
     # restricted second derivative is lam2 * (-6x/(x+1)) = 2.0 exactly
     p = registry_get("smale")
     x = np.array([-0.5, -2 * (-0.5) ** 3 - 3 * (-0.5) ** 2])
-    lam, _ = _solve_lambda(p.jac(x))
+    lam, _ = _solve_lambda(p.jac_at(x[None])[0])
     assert lam == pytest.approx([2 / 3, 1 / 3])
-    sig, fail = _sigma_at(p.jac(x), lam, p.hess(x))
+    sig, fail = _sigma_at(p.jac_at(x[None])[0], lam, p.hess_at(x[None])[0])
     assert not fail
     assert sig == pytest.approx([2.0])
     assert sig.max() > 0  # unstable
@@ -397,7 +418,7 @@ def test_fd_hessian_exact_on_quadratic():
     tess = _tiny_cell_tess([2.0, 1.0], 0.4)
     cell = tess.cells[0]
     pts = tess.nodes.points[list(cell)]
-    jac = np.array([p.jac(q) for q in pts])
+    jac = p.jac_at(pts)
     H = finite_difference_hessians(p, pts, jac)
     assert H[0] == pytest.approx(np.diag([-2.0, -2.0]), abs=1e-10)
     assert H[1] == pytest.approx(np.diag([-2.0, 2.0]), abs=1e-10)
@@ -406,7 +427,7 @@ def test_fd_hessian_exact_on_quadratic():
 def test_fd_hessian_zero_on_linear():
     p = _problem_with_jacobian([[1.0, 2.0], [3.0, -1.0]])
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    jac = np.array([p.jac(q) for q in pts])
+    jac = p.jac_at(pts)
     H = finite_difference_hessians(p, pts, jac)
     assert np.abs(H).max() == 0.0
 

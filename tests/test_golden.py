@@ -15,6 +15,7 @@ warnings changed with that move, its bytes did not.
 
 import ast
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -26,7 +27,7 @@ from paretoc.complex_io import save_complex, save_mesh
 from paretoc.constrained import analyze_constrained, icosphere
 from paretoc.continuation import Analyzer, glue
 from paretoc.problems import ConstrainedProblem, VectorProblem, registry_get
-from paretoc.tessellation import build_delaunay, enumerate_faces, kuhn_tessellation
+from paretoc.tessellation import build_delaunay, kuhn_tessellation
 
 
 def _diagonal_matrices(X):
@@ -217,7 +218,7 @@ def test_each_distinct_face_solved_once(case, monkeypatch):
     monkeypatch.setattr(continuation, "solve_faces", counting)
     p, tess, an, _, _ = _run(case)
     distinct = {f for ci in an.candidate_cells()
-                for f in enumerate_faces(tess.cells[ci], an.r)}
+                for f in itertools.combinations(tess.cells[ci].tolist(), an.r + 1)}
     assert len(calls) == 1
     assert len(calls[0]) == len(distinct) and set(calls[0]) == distinct
     if p.m > p.n:

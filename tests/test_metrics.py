@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,8 +114,10 @@ def test_convergence_slope_errors():
 
 # The per-simplex kernels that geometry.points_to_simplices_distance replaced,
 # kept verbatim apart from the dispatcher's name (it was
-# points_to_simplex_distance): the oracle that the stacked kernel and the
-# culled search are held to, bit for bit.
+# points_to_simplex_distance) and the triangle's projection, which is the
+# stacked kernel's reorthogonalized Gram-Schmidt: the oracle that the stacked
+# kernel and the culled search are held to, bit for bit.  Its accuracy is
+# checked against exact rational arithmetic below.
 
 
 def per_simplex_distance(points: np.ndarray, simplex: np.ndarray) -> np.ndarray:
@@ -155,19 +160,22 @@ def _points_to_triangle(p, a, b, c):
     ab = b - a
     ac = c - a
     g00 = float(ab @ ab)
-    g01 = float(ab @ ac)
-    g11 = float(ac @ ac)
-    det = g00 * g11 - g01 * g01
-    if det <= 0.0:
+    if g00 == 0.0:
+        ww = 0.0
+    else:
+        c0 = float(ab @ ac) / g00
+        w = ac - c0 * ab
+        c1 = float(ab @ w) / g00
+        w = w - c1 * ab
+        ww = float(w @ w)
+    if ww <= 0.0:
         return np.minimum(
             _points_to_segment(p, a, b),
             np.minimum(_points_to_segment(p, b, c), _points_to_segment(p, a, c)),
         )
     ap = p - a
-    d0 = ap @ ab
-    d1 = ap @ ac
-    s = (g11 * d0 - g01 * d1) / det
-    t = (g00 * d1 - g01 * d0) / det
+    t = (ap @ w) / ww
+    s = (ap @ ab) / g00 - t * (c0 + c1)
     inside = (s >= 0.0) & (t >= 0.0) & (s + t <= 1.0)
     proj = a + s[:, None] * ab + t[:, None] * ac
     dist = np.linalg.norm(p - proj, axis=1)
@@ -189,31 +197,28 @@ def all_pairs_min_distances(samples, positions, simplices):
 
 
 def random_target(rng, k, n, count, degenerate, extent=(-3, 0)):
-    """``count`` k-simplices in R^n (k = -1: each of random dimension <= 2),
+    """``count`` k-simplices in R^n, as positions and a (count, k+1) id array,
     with extents from 10**extent[0] to 10**extent[1], some of them degenerate."""
     positions = []
-    simplices = []
     for _ in range(count):
-        dim = int(rng.integers(3)) if k < 0 else k
         base = rng.uniform(-1.0, 1.0, n)
-        P = base + rng.uniform(-1.0, 1.0, (dim + 1, n)) * 10.0 ** rng.uniform(*extent)
-        if degenerate and dim and rng.random() < 0.5:
-            if dim == 1 or rng.random() < 0.5:
+        P = base + rng.uniform(-1.0, 1.0, (k + 1, n)) * 10.0 ** rng.uniform(*extent)
+        if degenerate and k and rng.random() < 0.5:
+            if k == 1 or rng.random() < 0.5:
                 P[-1] = P[0]  # zero-length edge
             else:
                 P[2] = P[0] + 0.37 * (P[1] - P[0])  # collinear triangle
-        simplices.append(tuple(range(len(positions), len(positions) + dim + 1)))
         positions.extend(P)
-    return np.array(positions), simplices
+    return np.array(positions), np.arange(count * (k + 1)).reshape(count, k + 1)
 
 
-KN = [(0, 2), (1, 2), (2, 2), (-1, 2), (0, 3), (1, 3), (2, 3), (-1, 3)]
+KN = [(0, 2), (1, 2), (2, 2), (0, 3), (1, 3), (2, 3)]
 
 
 @settings(max_examples=60)
 @given(
     st.integers(0, 2**32 - 1),
-    st.sampled_from([(0, 2), (1, 2), (2, 2), (0, 3), (1, 3), (2, 3)]),
+    st.sampled_from(KN),
     st.integers(1, 6),
     st.integers(1, 40),
     st.booleans(),
@@ -223,12 +228,94 @@ def test_stacked_kernel_matches_per_simplex_kernel(seed, kn, stacks, rows, degen
     k, n = kn
     rng = np.random.default_rng(seed)
     positions, simplices = random_target(rng, k, n, stacks, degenerate)
-    P = positions[np.array(simplices)]
+    P = positions[simplices]
     X = rng.uniform(-1.5, 1.5, (stacks, rows, n))
     got = points_to_simplices_distance(X, P)
     for g in range(stacks):
         expect = per_simplex_distance(X[g], P[g])
         assert np.array_equal(got[g], expect)
+
+
+def _exact_sq_to_segment(p, a, b):
+    ab = [y - x for x, y in zip(a, b)]
+    ap = [y - x for x, y in zip(a, p)]
+    den = sum(x * x for x in ab)
+    t = 0 if den == 0 else min(max(sum(x * y for x, y in zip(ap, ab)) / den, 0), 1)
+    return sum((x - t * y) ** 2 for x, y in zip(ap, ab))
+
+
+def exact_distance_to_triangle(p, T):
+    """The distance from p to the triangle T (3, n): its square in rational
+    arithmetic on the floats' exact values, then one float square root."""
+    p = [Fraction(float(x)) for x in p]
+    a, b, c = ([Fraction(float(x)) for x in v] for v in T)
+    edges = min(_exact_sq_to_segment(p, a, b), _exact_sq_to_segment(p, b, c),
+                _exact_sq_to_segment(p, a, c))
+    ab = [y - x for x, y in zip(a, b)]
+    ac = [y - x for x, y in zip(a, c)]
+    ap = [y - x for x, y in zip(a, p)]
+    g00 = sum(x * x for x in ab)
+    g01 = sum(x * y for x, y in zip(ab, ac))
+    g11 = sum(x * x for x in ac)
+    det = g00 * g11 - g01 * g01
+    if det == 0:
+        return math.sqrt(edges)
+    d0 = sum(x * y for x, y in zip(ap, ab))
+    d1 = sum(x * y for x, y in zip(ap, ac))
+    s = (g11 * d0 - g01 * d1) / det
+    t = (g00 * d1 - g01 * d0) / det
+    if s < 0 or t < 0 or s + t > 1:
+        return math.sqrt(edges)
+    return math.sqrt(sum((x - s * y - t * z) ** 2 for x, y, z in zip(ap, ab, ac)))
+
+
+# Largest |kernel - exact| over the distance from the point to the farthest
+# vertex, measured on 8,000 triangles drawn as below: 1.5e-15.  A Cramer
+# solve of the Gram system reads 1.0 there, and 0.9997 anchored at the vertex
+# opposite the longest edge.
+SLIVER_REL_ERROR = 1e-14
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([2, 3]),
+    st.sampled_from(["needle", "cap"]),
+    st.integers(0, 18),
+)
+def test_triangle_kernel_is_accurate_on_slivers(seed, n, kind, thinness):
+    # a needle has one edge 10**-thinness times the others; a cap has its
+    # apex that far from its long edge (thinness 18: on the edge, rounded)
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(-1.0, 1.0, (2, n))
+    thin = 0.0 if thinness == 18 else 10.0 ** -thinness * np.linalg.norm(b - a)
+    off = rng.normal(size=n)
+    off -= (off @ (b - a)) / ((b - a) @ (b - a)) * (b - a)
+    if kind == "needle":
+        c = b + thin * rng.normal(size=n)
+    else:
+        c = a + rng.uniform(0.1, 0.9) * (b - a) + thin * off / np.linalg.norm(off)
+    T = np.array([a, b, c])[rng.permutation(3)]
+    near = T[rng.integers(3, size=8)] + rng.normal(size=(8, n)) * 10.0 ** rng.uniform(-8, 0, (8, 1))
+    X = np.vstack([T, T.mean(axis=0), near])
+    got = points_to_simplices_distance(X[None], T[None])[0]
+    for x, d in zip(X, got):
+        scale = np.linalg.norm(T - x, axis=1).max()
+        assert abs(d - exact_distance_to_triangle(x, T)) <= SLIVER_REL_ERROR * scale
+
+
+def test_triangles_of_a_complex_contain_their_vertices_and_centroids():
+    # tri_quadratic's fans hold needles: at 15^3 the Cramer solve put a
+    # centroid 5.6e-10 from its own triangle; measured now: 3.2e-16
+    from paretoc.continuation import analyze
+    from paretoc.problems import registry_get
+    from paretoc.tessellation import kuhn_tessellation
+
+    p = registry_get("tri_quadratic")
+    cx = analyze(p, kuhn_tessellation(p.domain_box, [15, 15, 15]))
+    P = cx.positions[cx.simplices]
+    X = np.concatenate([P, P.mean(axis=1, keepdims=True)], axis=1)
+    assert points_to_simplices_distance(X, P).max() <= 2e-15
 
 
 @settings(max_examples=100)
@@ -259,7 +346,7 @@ def mixed_case(rng, k, n, short, long, samples, degenerate):
     pos_s, simp_s = random_target(rng, k, n, short, degenerate, extent=(-3, -2))
     pos_l, simp_l = random_target(rng, k, n, long, degenerate, extent=(-0.3, 0.2))
     positions = np.vstack([pos_s, pos_l])
-    simplices = simp_s + [tuple(i + len(pos_s) for i in ids) for ids in simp_l]
+    simplices = np.vstack([simp_s, simp_l + len(pos_s)])
     S = positions[rng.integers(len(positions), size=samples)]
     S = S + rng.normal(size=S.shape) * 10.0 ** rng.uniform(-3, 0.5, (samples, 1))
     return S, positions, simplices
@@ -285,7 +372,7 @@ def test_mixed_extents_are_bit_identical(seed, kn, short, long, samples, degener
 def test_mixed_extents_reach_the_all_pairs_pass():
     rng = np.random.default_rng(11)
     S, positions, simplices = mixed_case(rng, 1, 2, 60, 3, 400, False)
-    P = positions[np.array(simplices)]
+    P = positions[simplices]
     extent = np.sort((P.max(axis=1) - P.min(axis=1)).max(axis=1))
     r = extent[len(extent) // 2]
     expect = all_pairs_min_distances(S, positions, simplices)
@@ -306,7 +393,7 @@ def test_point_sets_are_bit_identical(seed, n, count, samples):
     rng = np.random.default_rng(seed)
     positions = rng.uniform(-1.0, 1.0, (count, n))
     positions[rng.integers(count, size=count // 4)] = positions[0]  # repeated points
-    simplices = [(i,) for i in range(count)]
+    simplices = np.arange(count)[:, None]
     S = rng.uniform(-1.5, 1.5, (samples, n))
     on = rng.random(samples) < 0.3
     S[on] = positions[rng.integers(count, size=np.count_nonzero(on))]
@@ -337,7 +424,7 @@ def test_culled_distances_single_simplex_and_few_samples(samples):
     for n in (2, 3):
         for positions in simplex_cases(rng, n):
             S = rng.uniform(-5.0, 5.0, (samples, n))
-            simplices = [tuple(range(len(positions)))]
+            simplices = np.arange(len(positions))[None]
             expect = all_pairs_min_distances(S, positions, simplices)
             assert np.array_equal(_min_distances(S, positions, simplices), expect)
 
@@ -353,7 +440,7 @@ def test_culled_distances_one_row_subsets():
         if k:
             P[::3, -1] = P[::3, 0]  # every third one degenerate
         positions = P.reshape(-1, n)
-        simplices = [tuple(range((k + 1) * i, (k + 1) * (i + 1))) for i in range(len(centres))]
+        simplices = np.arange(positions.shape[0]).reshape(len(centres), k + 1)
         S = centres + rng.uniform(-0.3, 0.3, centres.shape)
         expect = all_pairs_min_distances(S, positions, simplices)
         assert np.array_equal(_min_distances(S, positions, simplices), expect)
@@ -368,7 +455,7 @@ def window_case():
     """
     positions = np.array([[0.0, 0.0], [1.0, 1.0], [1.5, 0.0], [1.5, 0.2],
                           [20.0, 20.0], [21.0, 20.0]])
-    simplices = [(0, 1), (2, 3), (4, 5)]
+    simplices = np.array([[0, 1], [2, 3], [4, 5]])
     S = np.array([[0.95, 0.05], [0.2, 0.25]])
     return S, positions, simplices
 
@@ -425,17 +512,18 @@ def test_batched_sampling_matches_the_loop(seed, kn, count, density, degenerate)
     k, n = kn
     rng = np.random.default_rng(seed)
     positions, simplices = random_target(rng, k, n, count, degenerate, extent=(-3, 2))
-    order = rng.permutation(len(simplices))  # interleave the dimensions
-    simplices = [simplices[i] for i in order]
+    simplices = simplices[rng.permutation(len(simplices))]
     got = metrics._sample_simplices(positions, simplices, density)
     assert np.array_equal(got, loop_sample_simplices(positions, simplices, density))
 
 
 def test_sampling_edge_cases():
     positions = np.zeros((4, 3))
-    assert metrics._sample_simplices(positions, [], 5).shape == (0, 3)
+    assert metrics._sample_simplices(positions, np.empty((0, 2), np.intp), 5).shape == (0, 3)
     with pytest.raises(ValueError):
-        metrics._sample_simplices(positions, [(0,), (0, 1, 2, 3)], 5)
+        metrics._sample_simplices(positions, np.array([[0, 1, 2, 3]]), 5)
+    with pytest.raises(ValueError, match="mixed vertex counts"):
+        hausdorff((positions, [(0,), (0, 1, 2)]), positions)
 
 
 @pytest.fixture(scope="module")

@@ -48,9 +48,8 @@ def test_all_registered_problems_pass_derivative_check(name):
 def test_hessians_symmetric(name):
     problem = registry_get(name)
     base = problem.base if isinstance(problem, ConstrainedProblem) else problem
-    for x in _samples_for(problem, count=10):
-        H = base.hess(x)
-        assert np.abs(H - np.transpose(H, (0, 2, 1))).max() < 1e-10
+    H = base.hess_at(_samples_for(problem, count=10))
+    assert np.abs(H - np.swapaxes(H, -1, -2)).max() < 1e-10
 
 
 def test_wrong_gradient_sign_fails():
@@ -68,21 +67,20 @@ def test_wrong_gradient_sign_fails():
 
 def test_triv_anchor_values():
     p = registry_get("triv")
-    assert p.u([0.0, 0.0])[0] == 0.0
-    assert p.u([3.0, 2.5])[1] == 0.0
-    assert np.allclose(p.jac([0.7, -0.3])[0], [-2.1 * 0.7, -1.96 * -0.3])
+    assert p.u_at([[0.0, 0.0]])[0, 0] == 0.0
+    assert p.u_at([[3.0, 2.5]])[0, 1] == 0.0
+    assert np.allclose(p.jac_at([[0.7, -0.3]])[0, 0], [-2.1 * 0.7, -1.96 * -0.3])
 
 
 def test_smale_constant_first_gradient():
     p = registry_get("smale")
-    for x in sample_domain(p, 5, seed=1):
-        assert np.allclose(p.jac(x)[0], [0.0, -1.0])
+    assert np.allclose(p.jac_at(sample_domain(p, 5, seed=1))[:, 0], [0.0, -1.0])
 
 
 def test_sphere_constraint_jacobian_anchor():
     cp = registry_get("sphere_proj")
-    assert np.allclose(cp.g_jac(np.array([1.0, 0.0, 0.0])), [[1.0, 0.0, 0.0]])
-    assert cp.g_val(np.array([1.0, 0.0, 0.0]))[0] == pytest.approx(0.0, abs=1e-15)
+    assert np.allclose(cp.g_jac_at([[1.0, 0.0, 0.0]])[0], [[1.0, 0.0, 0.0]])
+    assert cp.g_val_at([[1.0, 0.0, 0.0]])[0, 0] == pytest.approx(0.0, abs=1e-15)
     report = check_derivatives(cp, _samples_for(cp))
     assert report.passed and report.max_constraint_error < 1e-5
 
@@ -115,7 +113,7 @@ def test_tri_quadratic_maxima_distinct_noncollinear():
     assert np.linalg.norm(np.cross(v1, v2)) > 0.5
     # gradient roughly vanishes near each unperturbed maximum
     for j in range(3):
-        assert np.linalg.norm(p.jac(C[j])[j]) < 0.2
+        assert np.linalg.norm(p.jac_at(C[j][None])[0, j]) < 0.2
 
 
 # ---------------------------------------------------------------------------

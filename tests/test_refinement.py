@@ -14,7 +14,6 @@ from paretoc.refinement import (
     initial_state,
     iterate,
     resample_polyline,
-    should_stop,
 )
 from paretoc.tessellation import kuhn_tessellation
 
@@ -239,16 +238,6 @@ def test_iterate_with_reference(triv_state):
     st = iterate(triv_state, scheme="polyline", reference=triv_state.complex)
     assert st.history[-1].hausdorff_to_ref is not None
     assert st.history[-1].hausdorff_to_ref >= 0.0
-
-
-def test_should_stop():
-    p = registry_get("triv")
-    st = initial_state(p, kuhn_tessellation(p.domain_box, [13, 12]))
-    st = iterate(st, scheme="polyline")
-    assert should_stop(st, tau=np.inf)
-    assert not should_stop(st, tau=0.0)  # tau = 0 never stops
-    with pytest.raises(ValueError):
-        should_stop(initial_state(p, kuhn_tessellation(p.domain_box, [13, 12])), 1.0)
 
 
 def test_noncv_polyline_growth():

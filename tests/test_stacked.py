@@ -10,13 +10,20 @@ every item is unchanged.
 import ast
 import dataclasses
 import functools
+import itertools
 import logging
+import os
+import subprocess
+import sys
+import textwrap
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import paretoc
 from paretoc import continuation, refinement
 from paretoc.constrained import analyze_constrained, icosphere
 from paretoc.continuation import (
@@ -24,14 +31,13 @@ from paretoc.continuation import (
     STRATUM_STABLE,
     STRATUM_UNSTABLE,
     Analyzer,
-    SingularVertex,
     generalized_hessians,
     snapped_determinants,
     solve_faces,
     solve_lambdas,
 )
 from paretoc.problems import ConstrainedProblem, registry_get
-from paretoc.tessellation import enumerate_faces, kuhn_tessellation
+from paretoc.tessellation import kuhn_tessellation
 
 from test_golden import _cross_mesh, _cross_problem
 
@@ -103,10 +109,15 @@ def test_snapped_determinants_match_node_loop(analyzers):
             assert np.array_equal(snapped_determinants(an.jac_nodes[:, :, list(cols)]), ref)
 
 
+def _cell_faces(an):
+    # each candidate cell's r-faces as sorted id tuples, in combination order
+    return [list(itertools.combinations(an.tess.cells[ci].tolist(), an.r + 1))
+            for ci in an.candidate_cells()]
+
+
 def test_solve_faces_match_single_solves(analyzers):
     for an in analyzers:
-        faces = sorted({f for ci in an.candidate_cells()
-                        for f in enumerate_faces(an.tess.cells[ci], an.r)})
+        faces = sorted({f for fs in _cell_faces(an) for f in fs})
         mu, singular = solve_faces(an.omega_nodes, faces)
         for f, face in enumerate(faces):
             A = np.vstack([an.omega_nodes[list(face)].T, np.ones(len(face))])
@@ -217,16 +228,14 @@ def test_face_vertices_match_face_loop(analyzers):
     sizes = set()
     for an in analyzers:
         pts = an.tess.nodes.points
-        table = continuation._face_table(
-            an.omega_nodes, sorted({f for ci in an.candidate_cells()
-                                    for f in enumerate_faces(an.tess.cells[ci], an.r)}),
-            pts, an.jac_nodes)
-        faces = [f for f, v in table.items() if isinstance(v, SingularVertex)]
-        mu, _ = solve_faces(an.omega_nodes, faces)
-        assert len({table[f] for f in faces}) == len(faces)  # one vertex per face
-        for face, w in zip(faces, mu):
-            v = table[face]
-            sub, ref_mu, ref_x, ref_grad = _loop_face_vertex(face, w, pts, an.jac_nodes)
+        faces = np.array(sorted({f for fs in _cell_faces(an) for f in fs}))
+        verts, _ = continuation._face_table(an.omega_nodes, faces, pts, an.jac_nodes)
+        accepted = [f for f, v in enumerate(verts) if v is not None]
+        mu, _ = solve_faces(an.omega_nodes, faces[accepted])
+        assert len({verts[f] for f in accepted}) == len(accepted)  # one vertex per face
+        for f, w in zip(accepted, mu):
+            v = verts[f]
+            sub, ref_mu, ref_x, ref_grad = _loop_face_vertex(faces[f], w, pts, an.jac_nodes)
             sizes.add(len(sub))
             assert v.face == sub and v.key == repr(("f",) + sub)
             assert np.array_equal(v.mu, ref_mu) and np.array_equal(v.x, ref_x)
@@ -242,17 +251,50 @@ def _loop_polygon_order(verts):
     return np.argsort(np.arctan2((X - center) @ vt[1], (X - center) @ vt[0])).tolist()
 
 
+def _loop_cell_table(an):
+    # the per-cell reading of a face dict keyed by tuples: each cell's
+    # vertices in face order, the first face with a key winning, and its
+    # count of rank-deficient faces
+    cell_faces = _cell_faces(an)
+    faces = sorted({f for fs in cell_faces for f in fs})
+    verts, singular = continuation._face_table(
+        an.omega_nodes, np.array(faces).reshape(len(faces), an.r + 1),
+        an.tess.nodes.points, an.jac_nodes)
+    table = dict(zip(faces, zip(verts, singular.tolist())))
+    entries = []
+    for fs in cell_faces:
+        by_key = {}
+        for f in fs:
+            if table[f][0] is not None:
+                by_key.setdefault(table[f][0].key, table[f][0])
+        entries.append((list(by_key.values()), sum(table[f][1] for f in fs)))
+    return entries
+
+
+def test_cell_table_matches_the_face_dict_loop(analyzers):
+    # the lexsorted face rows give each cell the vertices, with their bits,
+    # and the rank-deficient count of the tuple-keyed loop; the cross case
+    # snaps vertices to nodes and has singular faces
+    snapped = 0
+    for an in analyzers:
+        for (got, skipped), (ref, ref_skipped) in zip(_cell_table(an), _loop_cell_table(an)):
+            assert skipped == ref_skipped
+            assert sorted(v.key for v in got) == sorted(v.key for v in ref)
+            by_key = {v.key: v for v in got}
+            for v in ref:
+                assert np.array_equal(by_key[v.key].x, v.x)
+                assert np.array_equal(by_key[v.key].mu, v.mu)
+                snapped += len(v.face) <= an.r
+    assert snapped
+    assert any(skipped for _, skipped in _cell_table(analyzers[-1]))
+
+
 def test_polygon_orders_match_cell_loop(analyzers):
     # the table hands each polygon over in ring order: the loop's order
     # applied to the cell's vertices in face order
     an = analyzers[0]  # tri_quadratic: m = 3
-    cell_faces = [enumerate_faces(an.tess.cells[ci], an.r) for ci in an.candidate_cells()]
-    table = continuation._face_table(
-        an.omega_nodes, list(dict.fromkeys(f for fs in cell_faces for f in fs)),
-        an.tess.nodes.points, an.jac_nodes)
     sizes = set()
-    for (ring, _), faces in zip(_cell_table(an), cell_faces):
-        verts, _ = continuation._cell_vertices(table, faces)
+    for (ring, _), (verts, _) in zip(_cell_table(an), _loop_cell_table(an)):
         if len(verts) >= 3:
             sizes.add(len(verts))
             verts = [verts[i] for i in _loop_polygon_order(verts)]
@@ -321,7 +363,7 @@ def test_sigma_is_one_stacked_call_over_the_reached_vertices(monkeypatch, caplog
 
 
 def _loop_hess_interp(problem, points, v):
-    hs = np.array([problem.hess(points[i]) for i in v.face])
+    hs = np.array([problem.hess_at(points[i][None])[0] for i in v.face])
     return np.tensordot(v.mu, hs, axes=1)
 
 
@@ -381,3 +423,57 @@ def test_problem_callables_are_called_once_per_stage():
     calls.clear()
     analyze_constrained(_counted(registry_get("sphere_proj"), calls), icosphere(1))
     assert calls == {"eval": 1, "jacobian": 2, "g": 1, "g_jacobian": 2}
+
+
+# Every stage of a run, in a fresh interpreter: np.unique and np.median import
+# numpy.ma on first use (about 10 ms), so the stacked code avoids them.
+_STAGES = textwrap.dedent("""
+    import os, sys, tempfile
+    import numpy as np
+    from paretoc import (VectorProblem, analyze, analyze_constrained, hausdorff, icosphere,
+                         initial_state, iterate, kuhn_tessellation, registry_get)
+    from paretoc.complex_io import save_complex
+
+    def grid(name, counts):
+        p = registry_get(name)
+        return p, kuhn_tessellation(p.domain_box, counts)
+
+    toy = VectorProblem(
+        name="toy1d", n=1, m=2,
+        eval=lambda X: np.hstack([X, -X * X]),
+        jacobian=lambda X: np.stack([np.ones_like(X), -2.0 * X], axis=1),
+        hessians=lambda X: np.tile([[[0.0]], [[-2.0]]], (len(X), 1, 1, 1)),
+        domain_box=[[-1.0, 1.0]],
+    )
+    loaded = {}
+    cx2 = analyze(*grid("noncv", [16, 16]))
+    loaded["analyze m = 2"] = "numpy.ma" in sys.modules
+    cx3 = analyze(*grid("tri_quadratic", [4, 4, 4]))
+    loaded["analyze m = 3"] = "numpy.ma" in sys.modules
+    analyze(toy, kuhn_tessellation(toy.domain_box, [9]), order=1)
+    loaded["analyze m > n"] = "numpy.ma" in sys.modules
+    iterate(initial_state(*grid("noncv", [16, 16])), scheme="polyline")
+    loaded["iterate polyline"] = "numpy.ma" in sys.modules
+    iterate(initial_state(*grid("tri_quadratic", [4, 4, 4])), scheme="maximin", budget=5)
+    loaded["iterate maximin"] = "numpy.ma" in sys.modules
+    analyze_constrained(registry_get("sphere_proj"), icosphere(2))
+    loaded["analyze_constrained"] = "numpy.ma" in sys.modules
+    hausdorff(cx2, cx2)
+    hausdorff(cx3, cx3, density=5)
+    loaded["hausdorff"] = "numpy.ma" in sys.modules
+    with tempfile.TemporaryDirectory() as d:
+        save_complex(os.path.join(d, "complex.json"), cx3)
+    loaded["save_complex"] = "numpy.ma" in sys.modules
+    print(loaded)
+""")
+
+
+def test_no_stage_imports_numpy_ma():
+    src = str(Path(paretoc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _STAGES], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = ast.literal_eval(done.stdout)
+    assert len(loaded) == 8 and not any(loaded.values()), loaded

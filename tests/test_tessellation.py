@@ -19,7 +19,6 @@ from paretoc.tessellation import (
     _initial_simplex,
     _Padded,
     build_delaunay,
-    enumerate_faces,
     grid_nodes,
     insert_nodes,
     kuhn_tessellation,
@@ -173,14 +172,6 @@ def test_errors():
     t = build_delaunay(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(DuplicateNode):
         insert_nodes(t, [np.array([1.0, 0.0])])
-
-
-def test_enumerate_faces():
-    tet = (3, 1, 0, 2)
-    assert len(enumerate_faces(tet, 1)) == 6
-    assert enumerate_faces((2, 0, 1), 2) == [(0, 1, 2)]
-    assert len(enumerate_faces(tet, 2)) == 4
-    assert enumerate_faces(tet, 0) == [(0,), (1,), (2,), (3,)]
 
 
 def test_grid_nodes_order_and_ids():
