@@ -7,7 +7,6 @@ metrics.
 """
 
 from .constrained import (
-    ManifoldMesh,
     analyze_constrained,
     augmented_minors,
     icosphere,
@@ -42,7 +41,6 @@ from .refinement import (
     resample_polyline,
 )
 from .tessellation import (
-    NodeSet,
     Tessellation,
     build_delaunay,
     grid_nodes,

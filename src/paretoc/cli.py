@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constrained import analyze_constrained, icosphere, ManifoldMesh
+from .constrained import analyze_constrained, icosphere
 from .continuation import (Analyzer, MARKER_BOUNDARY, MARKER_CUSP, STRATUM_SINGULAR,
                            STRATUM_STABLE, STRATUM_UNSTABLE)
 from .complex_io import load_complex, load_mesh, save_complex
@@ -32,7 +32,7 @@ from .problems import (
     sample_domain,
 )
 from .refinement import initial_state, iterate, segment_chains
-from .tessellation import NodeSet, build_delaunay, kuhn_tessellation
+from .tessellation import build_delaunay, kuhn_tessellation
 
 
 class UsageError(Exception):
@@ -88,7 +88,7 @@ def _parse_grid(spec: str, box: np.ndarray, default_seed: int):
     except (ValueError, OverflowError) as exc:  # h:1e-320 makes an infinite count
         raise UsageError(f"bad grid spec {spec!r}: {exc}") from None
     if pts is not None:
-        return build_delaunay(NodeSet(pts))
+        return build_delaunay(pts)
     return kuhn_tessellation(box, counts)
 
 
@@ -96,8 +96,7 @@ def _run_problem(problem, args):
     """Build the tessellation/mesh and analyze; returns (complex, meta)."""
     if isinstance(problem, ConstrainedProblem):
         if args.manifold_mesh:
-            pts, cells, d, _emb = load_mesh(args.manifold_mesh)
-            mesh = ManifoldMesh(points=pts, cells=cells, d=d)
+            mesh = load_mesh(args.manifold_mesh)
             meta = f"mesh:{args.manifold_mesh}"
         else:
             mesh = icosphere(args.subdiv)

@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .continuation import MARKER_KINDS, STRATA, ParetoComplex
+from .tessellation import Tessellation
 
 COMPLEX_VERSION = 1
 MESH_VERSION = 1
@@ -210,34 +211,39 @@ def load_complex(path) -> ParetoComplex:
 # ---------------------------------------------------------------------------
 
 
-def mesh_to_dict(points: np.ndarray, cells, manifold_dim: Optional[int] = None) -> dict:
-    points = np.asarray(points, dtype=float)
+def save_mesh(path, mesh: Tessellation) -> None:
+    """Write a mesh file: ``dim`` is the cells' width less one and
+    ``embedding_dim`` the nodes' width."""
     doc = {
         "version": MESH_VERSION,
-        "dim": manifold_dim if manifold_dim is not None else points.shape[1],
-        "embedding_dim": points.shape[1],
-        "points": [[float(v) for v in p] for p in points],
-        "cells": [list(int(i) for i in c) for c in cells],
+        "dim": mesh.cells.shape[1] - 1,
+        "embedding_dim": mesh.n,
+        "points": mesh.nodes.tolist(),
+        "cells": mesh.cells.tolist(),
     }
-    return doc
-
-
-def save_mesh(path, points, cells, manifold_dim: Optional[int] = None) -> None:
     with open(path, "w") as fh:
-        fh.write(dumps(mesh_to_dict(points, cells, manifold_dim)))
+        fh.write(dumps(doc))
         fh.write("\n")
 
 
-def load_mesh(path):
-    """Returns (points, cells, manifold_dim, embedding_dim)."""
+def load_mesh(path) -> Tessellation:
+    """Read a mesh file.  Its cells must be rows of ``dim + 1`` distinct node
+    ids and, if the file gives ``embedding_dim``, its points rows of that
+    many coordinates; anything else raises ``ValueError``."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("version") != MESH_VERSION:
         raise ValueError(f"unsupported mesh file version {doc.get('version')!r}")
     try:
-        points = np.array(doc["points"], dtype=float)
-        cells = doc["cells"]  # ManifoldMesh checks and converts them
         dim = int(doc["dim"])
+        mesh = Tessellation(doc["points"], doc["cells"] or np.empty((0, dim + 1), np.intp))
     except KeyError as exc:
         raise ValueError(f"mesh file has no {exc.args[0]!r} entry") from None
-    return points, cells, dim, int(doc.get("embedding_dim", dim))
+    if mesh.cells.shape[1] != dim + 1:
+        raise ValueError(f"mesh file has dim {dim}, but its cells have "
+                         f"{mesh.cells.shape[1]} nodes, not {dim + 1}")
+    embedding_dim = int(doc.get("embedding_dim", mesh.n))
+    if embedding_dim != mesh.n:
+        raise ValueError(f"mesh file has embedding_dim {embedding_dim}, but its points "
+                         f"have {mesh.n} coordinates")
+    return mesh

@@ -1,26 +1,26 @@
 """First-order continuation on an equality-constrained manifold W = {g = 0}.
 
 The manifold is supplied as a piecewise-linear mesh of d-simplices embedded in
-R^n.  At every node the objective gradients are projected onto ker Dg, and the
-singular set is located through the determinant of the stacked matrix
-(grad g_1, ..., grad g_{n-d}, grad u_1, ..., grad u_m) -- equivalently, the
-orientation change of the projected gradient frame.  Only the square case
-n - d + m = n (one scalar test per node) is implemented; it covers one
-constraint with d = m, e.g. two objectives on a surface in R^3.
+R^n: a :class:`~paretoc.tessellation.Tessellation` whose cells have d+1
+nodes, such as :func:`icosphere` or a mesh file read by
+:func:`~paretoc.complex_io.load_mesh`.  At every node the objective gradients
+are projected onto ker Dg, and the singular set is located through the
+determinant of the stacked matrix (grad g_1, ..., grad g_{n-d}, grad u_1,
+..., grad u_m) -- equivalently, the orientation change of the projected
+gradient frame.  Only the square case n - d + m = n (one scalar test per
+node) is implemented; it covers one constraint with d = m, e.g. two
+objectives on a surface in R^3.
 
 Only the nodal data is constrained-specific, and it is computed in stacked
 calls over all nodes, the problem's callables included.  The projected
-gradients stand in for the Jacobian rows and the augmented minor
-for the r = 1 minor, and the unconstrained
-:class:`~paretoc.continuation.Analyzer` does the rest: candidate filter, edge
-solves, lambda, clipping and gluing.  It runs first order (no
-stability clip), so critical pieces carry the ``critical_unstable`` label
-(stability undecided).
+gradients stand in for the Jacobian rows and the augmented minor for the
+r = 1 minor, and the unconstrained :class:`~paretoc.continuation.Analyzer`
+does the rest on the mesh as given: candidate filter, edge solves, lambda,
+clipping and gluing.  It runs first order (no stability clip), so critical
+pieces carry the ``critical_unstable`` label (stability undecided).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,43 +32,9 @@ from .continuation import (
 )
 from .errors import NonSquareUnsupported, RankDeficientConstraint
 from .problems import ConstrainedProblem
-from .tessellation import NodeSet, Tessellation
+from .tessellation import Tessellation
 
 EPS_CONSTRAINT = 1e-8  # max |g| allowed on mesh nodes
-
-
-@dataclass
-class ManifoldMesh:
-    """d-dimensional simplicial mesh embedded in R^n approximating {g = 0}."""
-
-    points: np.ndarray
-    cells: np.ndarray  # (C, d+1) node ids, each row ascending
-    d: int
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        N = len(self.points)
-        try:
-            cells = np.asarray(self.cells, dtype=np.intp)
-        except OverflowError:
-            raise ValueError(f"a cell names a node id outside 0..{N - 1}") from None
-        width = -1 if cells.size else self.d + 1  # no cells: shape (0, d+1)
-        self.cells = c = np.sort(cells.reshape(len(cells), width), axis=1)
-        bad = ((c.shape[1] != self.d + 1) | (c[:, 0] < 0) | (c[:, -1] >= N)
-               | np.any(c[:, 1:] == c[:, :-1], axis=1))
-        if bad.any():
-            cell = tuple(c[np.argmax(bad)].tolist())
-            raise ValueError(f"cell {cell} is not a {self.d}-simplex on nodes 0..{N - 1}")
-
-    def validate(self, cp: ConstrainedProblem) -> None:
-        res = np.abs(cp.g_val_at(self.points))
-        worst = float(res.max()) if res.size else 0.0
-        if worst >= EPS_CONSTRAINT:
-            raise ValueError(f"mesh node violates the constraint: max |g| = "
-                             f"{worst:g} >= {EPS_CONSTRAINT:g}")
-
-    def as_tessellation(self) -> Tessellation:
-        return Tessellation(NodeSet(self.points), self.cells)
 
 
 def project_gradients(cp: ConstrainedProblem, x) -> np.ndarray:
@@ -106,24 +72,27 @@ def augmented_minors(cp: ConstrainedProblem, x):
     return snapped_determinants(np.swapaxes(rows, -1, -2))
 
 
-def analyze_constrained(cp: ConstrainedProblem, mesh: ManifoldMesh) -> ParetoComplex:
+def analyze_constrained(cp: ConstrainedProblem, mesh: Tessellation) -> ParetoComplex:
     """Run Algorithm-3-style first-order analysis over a manifold mesh.
 
-    Validates the mesh, computes the projected gradients and the augmented
-    minor at every node, and hands both to a first-order :class:`Analyzer` on
-    the mesh's tessellation; faces, lambda, clipping and gluing are the
-    unconstrained pipeline's.
+    ``mesh`` is a :class:`Tessellation` of d-simplices (rows of d+1 node ids)
+    whose nodes satisfy |g| < ``EPS_CONSTRAINT``.  Checks both, computes the
+    projected gradients and the augmented minor at every node, and hands
+    them with the mesh to a first-order :class:`Analyzer`; faces, lambda,
+    clipping and gluing are the unconstrained pipeline's.
     """
-    if cp.n_constraints + cp.m != cp.n or mesh.d != cp.d:
+    if cp.n_constraints + cp.m != cp.n or mesh.cells.shape[1] != cp.d + 1:
         raise NonSquareUnsupported(
             "need n - d + m = n (i.e. d = m) and a mesh of matching dimension"
         )
-    mesh.validate(cp)
-    proj = project_gradients(cp, mesh.points)
-    omega = augmented_minors(cp, mesh.points)[:, None]
-    return Analyzer(
-        cp.base, mesh.as_tessellation(), order=1, jac_nodes=proj, omega_nodes=omega,
-    ).run()
+    res = np.abs(cp.g_val_at(mesh.nodes))
+    worst = float(res.max()) if res.size else 0.0
+    if worst >= EPS_CONSTRAINT:
+        raise ValueError(f"mesh node violates the constraint: max |g| = "
+                         f"{worst:g} >= {EPS_CONSTRAINT:g}")
+    proj = project_gradients(cp, mesh.nodes)
+    omega = augmented_minors(cp, mesh.nodes)[:, None]
+    return Analyzer(cp.base, mesh, order=1, jac_nodes=proj, omega_nodes=omega).run()
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +128,7 @@ def _base_icosahedron():
     return verts @ (Rx @ Ry).T, faces
 
 
-def icosphere(subdivisions: int = 0) -> ManifoldMesh:
+def icosphere(subdivisions: int = 0) -> Tessellation:
     """Icosahedron-based triangulation of the unit sphere.
 
     Each subdivision splits every triangle in four, projecting edge midpoints
@@ -186,4 +155,4 @@ def icosphere(subdivisions: int = 0) -> ManifoldMesh:
             ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
             new_faces.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
         faces = new_faces
-    return ManifoldMesh(points=np.array(verts), cells=faces, d=2)
+    return Tessellation(verts, faces)

@@ -187,12 +187,16 @@ class SingularVertex:
 
 
 def _interp_vertex(a: SingularVertex, b: SingularVertex, t: float, stage) -> SingularVertex:
-    """Linear interpolation between two vertices; canonical w.r.t. key order.
+    """Linear interpolation between two vertices, at t from a to b.
 
-    A field missing at an endpoint is missing here: the first-order clips
-    run before the sigma stage, which sets the sigma of their cuts.  The
-    residual and the criticality flag keep their defaults: the validity
-    stage reads them before the first clip.
+    The endpoints are put in key order, so the cut of an edge has one key
+    from either side.  Its floats are not canonical: ``t`` comes from the
+    caller's cut direction, and two cells that cut a shared edge from
+    opposite ends can round the cut apart (see :func:`glue`).  A field
+    missing at an endpoint is missing here: the first-order clips run before
+    the sigma stage, which sets the sigma of their cuts.  The residual and
+    the criticality flag keep their defaults: the validity stage reads them
+    before the first clip.
     """
     if b.key < a.key:
         a, b = b, a
@@ -364,25 +368,6 @@ def solve_faces(omega_nodes: np.ndarray, faces) -> tuple:
     return mu, singular
 
 
-def _face_table(omega_nodes: np.ndarray, faces: np.ndarray, points: np.ndarray,
-                jac_nodes: np.ndarray, hess_at=None) -> tuple:
-    """Solve the distinct faces (F, r+1) at once; one singular vertex per face.
-
-    Returns ``(vertices, singular)``: per face row its accepted
-    :class:`SingularVertex` (key canonicalized to the sub-face) or ``None``,
-    and the mask of the rows whose barycentric system is rank deficient.
-    ``hess_at`` evaluates the Hessians at node points for the vertices'
-    Hessian interpolation (second order).
-    """
-    mu, singular = solve_faces(omega_nodes, faces)
-    rows = np.flatnonzero(np.all(mu > EPS_ACCEPT, axis=1))  # NaN rows fail
-    verts: list = [None] * len(faces)
-    built = _face_vertices(faces[rows], mu[rows], points, jac_nodes, hess_at)
-    for f, v in zip(rows.tolist(), built):
-        verts[f] = v
-    return verts, singular
-
-
 def _interpolate(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Row i of w (F, k) times the node data a[i] (F, k, ...), as
     ``w (1, k) @ a (k, -1)``, which rounds as the per-vertex ``w @ a``."""
@@ -390,61 +375,62 @@ def _interpolate(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     return (w[:, None, :] @ a.reshape(F, k, -1)).reshape((F,) + a.shape[2:])
 
 
-def _face_vertices(faces: np.ndarray, mu: np.ndarray, points: np.ndarray,
-                   jac_nodes: np.ndarray, hess_at=None) -> list:
-    """The vertices of faces (F, k) with weights mu (F, k) > ``EPS_ACCEPT``,
-    each built once and complete but for sigma.
+def _face_vertices(omega_nodes: np.ndarray, faces: np.ndarray, points: np.ndarray,
+                   jac_nodes: np.ndarray, hess_at=None) -> tuple:
+    """Solve the distinct faces (F, r+1) at once; one singular vertex per face.
 
-    Weights at or below ``MU_SNAP`` drop out and the rest are renormalized,
-    so a vertex sitting on a sub-face gets the sub-face key and adjacent
-    cells merge it exactly once.  Position, gradients and, with
-    ``hess_at``, the Hessians are interpolated in one pass per sub-face
-    size; lambda is one stacked solve.
-    Every array is a row of a read-only column array.
+    Returns ``(vertices, singular)``: per face row its accepted
+    :class:`SingularVertex` or ``None``, and the mask of the rows whose
+    barycentric system is rank deficient.  A face is accepted when its
+    weights are all above ``EPS_ACCEPT``.  Weights at or below ``MU_SNAP``
+    become zeros and the rest are renormalized, so a vertex sitting on a
+    sub-face gets the sub-face key (its ``face``, with the sub-face weights
+    as ``mu``) and adjacent cells merge it exactly once.  Each vertex is
+    built once and complete but for sigma: position, gradients and, with
+    ``hess_at`` (evaluated once at the sub-faces' nodes), the Hessians are
+    interpolated in one pass over the accepted faces; lambda is one stacked
+    solve.  Every array is a row of a read-only column array.
     """
-    keep = mu > MU_SNAP
-    size = keep.sum(axis=1)
-    groups = []  # (rows, sub-faces, weights) per sub-face size k
-    for k in range(1, faces.shape[1] + 1):
-        rows = np.flatnonzero(size == k)
-        if len(rows):
-            w = mu[rows][keep[rows]].reshape(-1, k)
-            groups.append((rows, faces[rows][keep[rows]].reshape(-1, k),
-                           w / w.sum(axis=1, keepdims=True)))
-    if not groups:
-        return []
-    x = np.concatenate([_interpolate(w, points[sub]) for _, sub, w in groups])
-    grad = np.concatenate([_interpolate(w, jac_nodes[sub]) for _, sub, w in groups])
+    mu, singular = solve_faces(omega_nodes, faces)
+    rows = np.flatnonzero(np.all(mu > EPS_ACCEPT, axis=1))  # NaN rows fail
+    verts: list = [None] * len(faces)
+    if not len(rows):
+        return verts, singular
+    faces, keep = faces[rows], mu[rows] > MU_SNAP
+    w = np.where(keep, mu[rows], 0.0)
+    w /= w.sum(axis=1, keepdims=True)
+    x = _interpolate(w, points[faces])
+    grad = _interpolate(w, jac_nodes[faces])
     lam, residual = solve_lambdas(grad)
     scale = np.linalg.norm(grad, axis=2).max(axis=1)
     critical_ok = residual <= EPS_RES * scale  # False on a rank collapse (inf)
-    columns = [x, grad, lam] + [w for _, _, w in groups]
-    hess = [None] * len(x)
+    sub, weights = faces[keep], w[keep]  # the sub-faces and their weights, row after row
+    columns = [x, grad, lam, weights]
+    hess = [None] * len(rows)
     if hess_at is not None:
-        # one evaluation over the distinct face nodes (found with a mask:
-        # np.unique imports numpy.ma on first use)
+        # one evaluation over the distinct sub-face nodes (found with a mask:
+        # np.unique imports numpy.ma on first use); a zero weight's node
+        # reads row 0
         used = np.zeros(len(points), dtype=bool)
-        for _, sub, _ in groups:
-            used[sub] = True
+        used[sub] = True
         nodes = np.flatnonzero(used)
-        hess_nodes = hess_at(points[nodes])
-        hess = np.concatenate([_interpolate(w, hess_nodes[np.searchsorted(nodes, sub)])
-                               for _, sub, w in groups])
+        at = np.zeros(len(points), dtype=np.intp)
+        at[nodes] = np.arange(len(nodes))
+        hess = _interpolate(w, hess_at(points[nodes])[at[faces]])
         columns.append(hess)
     for a in columns:
         a.flags.writeable = False
-    rows = np.concatenate([r for r, _, _ in groups]).tolist()
-    subs = [tuple(s) for _, sub, _ in groups for s in sub.tolist()]
-    weights = [wf for _, _, w in groups for wf in w]
+    size = keep.sum(axis=1)
+    sub = sub.tolist()
     collapse = np.isnan(lam[:, 0]).tolist()
-    out: list = [None] * len(faces)
-    for f, s, wf, xf, gf, lf, nan, res, ok, hf in zip(
-            rows, subs, weights, x, grad, lam, collapse, residual.tolist(),
-            critical_ok.tolist(), hess):
-        out[f] = SingularVertex(key=repr(("f",) + s), x=xf, face=s, mu=wf, grad_interp=gf,
-                                lam=None if nan else lf, residual=res, hess_interp=hf,
-                                critical_ok=ok)
-    return out
+    for f, lo, k, xf, gf, lf, nan, res, ok, hf in zip(
+            rows.tolist(), (np.cumsum(size) - size).tolist(), size.tolist(), x, grad, lam,
+            collapse, residual.tolist(), critical_ok.tolist(), hess):
+        s = tuple(sub[lo:lo + k])
+        verts[f] = SingularVertex(key=repr(("f",) + s), x=xf, face=s, mu=weights[lo:lo + k],
+                                  grad_interp=gf, lam=None if nan else lf, residual=res,
+                                  hess_interp=hf, critical_ok=ok)
+    return verts, singular
 
 
 def finite_difference_hessians(problem: VectorProblem, points_cell: np.ndarray,
@@ -561,7 +547,7 @@ class Analyzer:
         self.tess = tess
         self.order = order
         if jac_nodes is None:
-            jac_nodes, omega_nodes = _nodal_data(problem, tess.nodes.points)
+            jac_nodes, omega_nodes = _nodal_data(problem, tess.nodes)
         elif omega_nodes is None:
             raise ValueError("precomputed gradient rows need their nodal minors")
         self.jac_nodes = jac_nodes
@@ -607,9 +593,9 @@ class Analyzer:
         at = np.empty(len(flat), dtype=np.intp)
         at[order] = np.cumsum(new) - 1
         at = at.reshape(len(cells), len(combos))
-        verts, singular = _face_table(self.omega_nodes, ordered[new], self.tess.nodes.points,
-                                      self.jac_nodes,
-                                      self.problem.hess_at if self.order >= 2 else None)
+        verts, singular = _face_vertices(self.omega_nodes, ordered[new], self.tess.nodes,
+                                         self.jac_nodes,
+                                         self.problem.hess_at if self.order >= 2 else None)
         entries = []
         for row, skipped in zip(at.tolist(), singular[at].sum(axis=1).tolist()):
             by_key: dict[str, SingularVertex] = {}
@@ -803,11 +789,14 @@ def glue(analyses: Iterable[CellAnalysis], problem: VectorProblem,
          tess: Tessellation, order: int = 2) -> ParetoComplex:
     """Merge per-cell polytopes into one complex, keyed on face identities.
 
-    Vertices shared by adjacent cells carry identical keys and identical
-    floating-point data (they are computed from the same face inputs), so the
-    merge is exact and independent of the cell processing order.  A vertex's
-    data come from the first cell, in cell order, that lists it; its sigma
-    only if it lies on a critical piece there (see :func:`clip_polytope`).
+    Vertices shared by adjacent cells carry identical keys, so the merge is
+    exact.  Their data need not be identical: a face-born vertex is one
+    object in every cell, but a clip-born vertex is cut by each cell that
+    lists it, along its own ring, and two cells can cut a shared edge from
+    opposite ends and round the cut apart in the last bits.  The rule is
+    that the first cell in cell order wins: a vertex's data come from the
+    first cell, in cell order, that lists it; its sigma only if it lies on a
+    critical piece there (see :func:`clip_polytope`).
     """
     vertex_table: dict[str, tuple] = {}  # key -> (vertex, sigma)
     simplex_table: dict[tuple, str] = {}  # simplex key -> stratum

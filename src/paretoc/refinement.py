@@ -285,11 +285,9 @@ def iterate(
         candidates = [candidates[i] for i in sorted(order)]
     # spacing guard: keep candidates at least SPACING_GAMMA x (shortest edge
     # incident to their nearest node) away from every current node
-    nodes = state.tess.nodes.points
-    min_edge = state.tess.min_incident_edge()
     kept = []
-    guard_pts = nodes
-    guard_edges = min_edge
+    guard_pts = state.tess.nodes
+    guard_edges = state.tess.min_incident_edge()
     for c in candidates:
         d = np.linalg.norm(guard_pts - c, axis=1)
         nearest = int(d.argmin())

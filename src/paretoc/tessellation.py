@@ -41,10 +41,13 @@ cavity.  In a Delaunay complex the walk visits no cell twice (Edelsbrunner
 triangulation"), so it ends within as many steps as there are cells.  Only a
 flat cell can stop it short, and it then raises ``DegenerateInput``.
 
-A finished :class:`Tessellation` is an immutable snapshot: its cells are one
-read-only index array, each row a cell's node ids in ascending order and the
-rows in lexicographic order.  Insertion returns a new snapshot and never
-mutates its input.
+:class:`Tessellation` is the one mesh type of the package: the builders here
+return one, and a mesh of a manifold (see :mod:`paretoc.constrained`) is one
+whose cells have fewer than n+1 nodes.  It is an immutable snapshot: its
+nodes are one read-only (N, n) float array, and its cells one read-only index
+array, each row a cell's node ids in ascending order and the rows in
+lexicographic order.  Insertion returns a new snapshot and never mutates its
+input.
 """
 
 from __future__ import annotations
@@ -65,57 +68,64 @@ INF = -1  # symbolic vertex at infinity
 EPS_GEOM_REL = 1e-12    # node coincidence and seed-simplex scale, x bbox diagonal
 
 
-class NodeSet:
-    """Immutable set of sample nodes with dense ids 0..N-1."""
+def _points(points) -> np.ndarray:
+    """A read-only copy of ``points`` as an (N, n) float array, n >= 1."""
+    pts = np.array(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] < 1:
+        raise ValueError("points must be an (N, n) array with n >= 1")
+    pts.setflags(write=False)
+    return pts
 
-    def __init__(self, points):
-        pts = np.array(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] < 1:
-            raise ValueError("points must be an (N, n) array with n >= 1")
-        pts.setflags(write=False)
-        self.points = pts
 
-    @property
-    def n(self) -> int:
-        return self.points.shape[1]
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def bbox_diagonal(self) -> float:
-        if len(self) == 0:
-            return 0.0
-        span = self.points.max(axis=0) - self.points.min(axis=0)
-        return float(np.linalg.norm(span))
+def bbox_diagonal(points: np.ndarray) -> float:
+    """Length of the diagonal of the bounding box of (N, n) points; 0 if N = 0."""
+    if len(points) == 0:
+        return 0.0
+    return float(np.linalg.norm(points.max(axis=0) - points.min(axis=0)))
 
 
 class Tessellation:
-    """Delaunay simplicial complex over a NodeSet.
+    """A simplicial mesh: a Delaunay tessellation of R^n, or a mesh of
+    d-simplices embedded in R^n (a manifold mesh, k = d+1).
 
-    ``cells`` is one read-only ``np.intp`` array of shape (C, k), the node
-    ids of a cell per row (k = n+1; a ManifoldMesh's has k = d+1): each row
-    ascending, the rows in lexicographic order.  So the representation is a
-    function of the node ids and coordinates: exact ties are broken on the
-    ids (see the module docstring).
+    ``nodes`` is a read-only (N, n) float array; node ids are its row
+    indices.  ``cells`` is one read-only ``np.intp`` array of shape (C, k),
+    the node ids of a cell per row: each row ascending, the rows in
+    lexicographic order.  So the representation is a function of the node
+    ids and coordinates: exact ties are broken on the ids (see the module
+    docstring).  The constructor copies the nodes and checks the cells
+    before it sorts them: each row must name k distinct ids in 0..N-1.
     """
 
-    def __init__(self, nodes: NodeSet, cells):
-        self.nodes = nodes
-        cells = np.sort(np.asarray(cells, dtype=np.intp), axis=1)
+    def __init__(self, nodes, cells):
+        self.nodes = _points(nodes)
+        N = len(self.nodes)
+        try:
+            cells = np.asarray(cells, dtype=np.intp)
+        except OverflowError:
+            raise ValueError(f"a cell names a node id outside 0..{N - 1}") from None
+        if cells.ndim != 2 or cells.shape[1] < 1:
+            raise ValueError(f"cells must be a (C, k) array of node ids, not shape {cells.shape}")
+        cells = np.sort(cells, axis=1)
+        bad = ((cells[:, 0] < 0) | (cells[:, -1] >= N)
+               | np.any(cells[:, 1:] == cells[:, :-1], axis=1))
+        if bad.any():
+            cell = tuple(cells[np.argmax(bad)].tolist())
+            k = cells.shape[1]
+            raise ValueError(f"cell {cell} is not a {k - 1}-simplex on nodes 0..{N - 1}")
         self.cells = cells[np.lexsort(cells.T[::-1])]
         self.cells.flags.writeable = False
 
     @property
     def n(self) -> int:
-        return self.nodes.n
+        return self.nodes.shape[1]
 
     def min_incident_edge(self) -> np.ndarray:
         """Per node, the length of the shortest incident edge."""
         out = np.full(len(self.nodes), np.inf)
         i, j = np.triu_indices(self.cells.shape[1], 1)
         a, b = self.cells[:, i].ravel(), self.cells[:, j].ravel()
-        D = self.nodes.points[a] - self.nodes.points[b]
+        D = self.nodes[a] - self.nodes[b]
         # sqrt of a stack of (1, n) @ (n, 1) products rounds as the per-edge
         # np.linalg.norm; norm(D, axis=1) and einsum do not
         d = np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0])
@@ -408,7 +418,7 @@ class _Padded:
     @classmethod
     def from_tessellation(cls, tess: Tessellation) -> "_Padded":
         pad = cls(tess.n)
-        for p in tess.nodes.points:
+        for p in tess.nodes:
             pad.add_point(p)
         for cell in tess.cells.tolist():
             pad._add_cell(tuple(cell))
@@ -540,9 +550,8 @@ class _Padded:
         logger.debug("%s: %d predicates decided exactly", caller, self.pred.exact)
 
     def snapshot(self) -> Tessellation:
-        nodes = NodeSet(np.array(self.coords))
         finite = [c for c in self.cells.values() if c[0] != INF]
-        return Tessellation(nodes, finite)
+        return Tessellation(self.coords, finite)
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +617,7 @@ def _hilbert_order(points: np.ndarray) -> np.ndarray:
     return np.lexsort(digits[::-1])
 
 
-def build_delaunay(nodes: NodeSet | np.ndarray) -> Tessellation:
+def build_delaunay(points) -> Tessellation:
     """Delaunay tessellation of a node set by incremental Bowyer-Watson.
 
     The seed simplex is the first affinely independent set in id order; the
@@ -624,21 +633,20 @@ def build_delaunay(nodes: NodeSet | np.ndarray) -> Tessellation:
     DuplicateNode
         Two nodes coincide within the geometric tolerance.
     """
-    if not isinstance(nodes, NodeSet):
-        nodes = NodeSet(nodes)
-    n = nodes.n
-    if len(nodes) < n + 1:
+    points = _points(points)
+    n = points.shape[1]
+    if len(points) < n + 1:
         raise DimensionTooLow(f"need at least {n + 1} nodes in dimension {n}")
-    eps = EPS_GEOM_REL * nodes.bbox_diagonal
-    _check_batch_distinct(np.empty((0, n)), nodes.points, eps)
-    seed = _initial_simplex(nodes.points, eps)
+    eps = EPS_GEOM_REL * bbox_diagonal(points)
+    _check_batch_distinct(np.empty((0, n)), points, eps)
+    seed = _initial_simplex(points, eps)
     pad = _Padded(n)
-    for p in nodes.points:
+    for p in points:
         pad.add_point(p)
     pad.seed_simplex(seed)
     seed_set = set(seed)
     try:
-        for i in _hilbert_order(nodes.points).tolist():
+        for i in _hilbert_order(points).tolist():
             if i not in seed_set:
                 pad.insert(i)
     finally:
@@ -694,8 +702,8 @@ def insert_nodes(tess: Tessellation, points: Iterable) -> Tessellation:
     points = [np.asarray(p, dtype=float) for p in points]
     if not points:
         return tess
-    eps = EPS_GEOM_REL * tess.nodes.bbox_diagonal
-    existing = tess.nodes.points
+    eps = EPS_GEOM_REL * bbox_diagonal(tess.nodes)
+    existing = tess.nodes
     bad_shape = next(
         (k for k, p in enumerate(points) if p.shape != (tess.n,)), len(points)
     )
@@ -717,8 +725,9 @@ def insert_nodes(tess: Tessellation, points: Iterable) -> Tessellation:
 # ---------------------------------------------------------------------------
 
 
-def grid_nodes(box, counts) -> NodeSet:
-    """Regular grid of nodes over a box; counts = nodes per axis, C order."""
+def grid_nodes(box, counts) -> np.ndarray:
+    """Regular grid of nodes over a box, an (N, n) array; counts = nodes per
+    axis, C order."""
     box = np.asarray(box, dtype=float)
     counts = [int(c) for c in counts]
     if box.shape != (len(counts), 2):
@@ -727,8 +736,7 @@ def grid_nodes(box, counts) -> NodeSet:
         raise ValueError("need at least 2 nodes per axis")
     axes = [np.linspace(lo, hi, c) for (lo, hi), c in zip(box, counts)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([m.ravel(order="C") for m in mesh])
-    return NodeSet(pts)
+    return np.column_stack([m.ravel(order="C") for m in mesh])
 
 
 def kuhn_tessellation(box, counts) -> Tessellation:

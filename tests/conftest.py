@@ -55,7 +55,7 @@ def brute_delaunay_violation(tess):
     Negative or ~0 means the tessellation is Delaunay (up to cospherical
     ties); clearly positive means a violation.
     """
-    pts = tess.nodes.points
+    pts = tess.nodes
     worst = -np.inf
     for cell in tess.cells:
         c, r = circumsphere(pts[list(cell)])
@@ -112,7 +112,7 @@ def exact_delaunay_violations(tess):
     The lifted determinant of oracle_insphere times the cell's orientation
     is positive inside the sphere in even dimensions and negative in odd.
     """
-    pts = as_integers(tess.nodes.points.tolist())
+    pts = as_integers(tess.nodes.tolist())
     out = []
     for cell in tess.cells:
         q = [pts[i] for i in cell]

@@ -20,7 +20,7 @@ from paretoc.complex_io import (
 )
 from paretoc.continuation import analyze
 from paretoc.problems import registry_get
-from paretoc.tessellation import kuhn_tessellation
+from paretoc.tessellation import Tessellation, kuhn_tessellation
 
 from conftest import cell_tuples, simplex_pairs
 
@@ -64,11 +64,22 @@ def test_lambda_sigma_roundtrip(triv_complex, tmp_path):
 def test_mesh_roundtrip(tmp_path):
     t = kuhn_tessellation([[0.0, 1.0], [0.0, 1.0]], [3, 3])
     path = tmp_path / "mesh.json"
-    save_mesh(path, t.nodes.points, t.cells)
-    pts, cells, d, emb = load_mesh(path)
-    assert np.array_equal(pts, t.nodes.points)
-    assert [tuple(c) for c in cells] == cell_tuples(t)
-    assert (d, emb) == (2, 2)
+    save_mesh(path, t)
+    doc = json.loads(path.read_text())
+    assert (doc["dim"], doc["embedding_dim"]) == (2, 2)
+    loaded = load_mesh(path)
+    assert np.array_equal(loaded.nodes, t.nodes)
+    assert cell_tuples(loaded) == cell_tuples(t)
+
+
+def test_mesh_without_cells_roundtrip(tmp_path):
+    # "cells": [] keeps the width that "dim" gives
+    path = tmp_path / "mesh.json"
+    points = [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
+    save_mesh(path, Tessellation(points, np.empty((0, 3), np.intp)))
+    assert json.loads(path.read_text())["cells"] == []
+    loaded = load_mesh(path)
+    assert loaded.cells.shape == (0, 3) and np.array_equal(loaded.nodes, points)
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +335,8 @@ def test_cli_numerical_failure_exits_2(tmp_path, capsys):
 def test_cli_manifold_mesh_input(tmp_path):
     from paretoc.constrained import icosphere
 
-    mesh = icosphere(1)
     mpath = tmp_path / "sphere_mesh.json"
-    save_mesh(mpath, mesh.points, mesh.cells, manifold_dim=2)
+    save_mesh(mpath, icosphere(1))
     out = tmp_path / "out.json"
     rc = main(["run", "--problem", "sphere_proj",
                "--manifold-mesh", str(mpath), "--out", str(out)])
@@ -427,22 +437,28 @@ def test_cli_file_errors_exit_without_traceback(triv_complex, tmp_path):
         assert done.returncode == 2, message
         assert f"error: {message}" in done.stderr
         assert "Traceback" not in done.stderr
-    # so does a mesh file without cells or with a cell that does not name
-    # distinct nodes of the mesh
-    mesh = tmp_path / "mesh.json"
-    points = [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
-    for cells, message in (
-        (None, "mesh file has no 'cells' entry"),
-        ([[0, 1, 10**6]], "cell (0, 1, 1000000) is not a 2-simplex on nodes 0..2"),
-        ([[0, 1, 10**20]], "a cell names a node id outside 0..2"),
-        ([[0, 1, -1]], "cell (-1, 0, 1) is not a 2-simplex on nodes 0..2"),
-        ([[0, 1, 1]], "cell (0, 1, 1) is not a 2-simplex on nodes 0..2"),
+    # so does a mesh file without cells, with a cell that does not name
+    # distinct nodes of the mesh, or with a dim or an embedding_dim that its
+    # cells or points do not have
+    good_mesh, mesh = tmp_path / "good_mesh.json", tmp_path / "mesh.json"
+    save_mesh(good_mesh, Tessellation([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]],
+                                      [[0, 1, 2]]))
+    for edit, message in (
+        (lambda d: d.pop("cells"), "mesh file has no 'cells' entry"),
+        (lambda d: d.update(cells=[[0, 1, 10**6]]),
+         "cell (0, 1, 1000000) is not a 2-simplex on nodes 0..2"),
+        (lambda d: d.update(cells=[[0, 1, 10**20]]), "a cell names a node id outside 0..2"),
+        (lambda d: d.update(cells=[[0, 1, -1]]),
+         "cell (-1, 0, 1) is not a 2-simplex on nodes 0..2"),
+        (lambda d: d.update(cells=[[0, 1, 1]]),
+         "cell (0, 1, 1) is not a 2-simplex on nodes 0..2"),
+        (lambda d: d.update(dim=1), "mesh file has dim 1, but its cells have 3 nodes, not 2"),
+        (lambda d: d.update(embedding_dim=7),
+         "mesh file has embedding_dim 7, but its points have 3 coordinates"),
     ):
-        save_mesh(mesh, points, cells or [], manifold_dim=2)
-        if cells is None:
-            doc = json.loads(mesh.read_text())
-            del doc["cells"]
-            mesh.write_text(json.dumps(doc))
+        doc = json.loads(good_mesh.read_text())
+        edit(doc)
+        mesh.write_text(json.dumps(doc))
         done = _cli("run", "--problem", "sphere_proj", "--manifold-mesh", str(mesh))
         assert done.returncode == 2, message
         assert f"error: {message}" in done.stderr

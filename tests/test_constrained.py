@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from paretoc import continuation
 from paretoc.constrained import (
-    ManifoldMesh,
     analyze_constrained,
     augmented_minors,
     icosphere,
@@ -14,6 +13,7 @@ from paretoc.continuation import EPS_RANK, STRATUM_UNSTABLE, SingularVertex
 from paretoc.errors import NonSquareUnsupported, RankDeficientConstraint
 from paretoc.geometry import points_to_simplices_distance
 from paretoc.problems import ConstrainedProblem, VectorProblem, registry_get
+from paretoc.tessellation import Tessellation
 
 from conftest import simplex_pairs
 
@@ -87,7 +87,7 @@ def test_steps_6_and_7_equivalent(sphere):
     # the sign of the stacked determinant matches the orientation of the
     # projected gradient pair in an oriented tangent frame, at every node
     mesh = icosphere(1)
-    for x in mesh.points:
+    for x in mesh.nodes:
         g = sphere.g_jac_at(x[None])[0][0]
         ghat = g / np.linalg.norm(g)
         # oriented tangent frame: det[t1, t2, ghat] > 0
@@ -126,7 +126,7 @@ def test_non_square_unsupported(sphere):
     with pytest.raises(NonSquareUnsupported):
         augmented_minors(cp, [[0.0, 0.0, 1.0]])
     with pytest.raises(NonSquareUnsupported):
-        augmented_minors(cp, icosphere(0).points)
+        augmented_minors(cp, icosphere(0).nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +165,11 @@ def _assert_nodal_stage_matches_loop(cp, points):
 
 @pytest.mark.parametrize("sub", range(6))
 def test_stacked_nodal_stage_matches_loop_on_icospheres(sphere, sub):
-    _assert_nodal_stage_matches_loop(sphere, icosphere(sub).points)
+    _assert_nodal_stage_matches_loop(sphere, icosphere(sub).nodes)
 
 
 def test_stacked_nodal_stage_matches_loop_on_quadratic_pairs(sphere):
-    points = icosphere(2).points
+    points = icosphere(2).nodes
     for seed in range(12):
         _assert_nodal_stage_matches_loop(_random_quadratic_pair(sphere, seed), points)
 
@@ -192,7 +192,7 @@ def test_stacked_nodal_stage_matches_loop_on_drawn_points(coords, seed):
 def test_one_ulp_in_one_gram_entry_fails_the_equality(sphere, monkeypatch):
     # the reference comparison must see a one-ulp change at a single node;
     # rounding absorbs it at a few nodes (4 of 162 here), not at node 0
-    points = icosphere(2).points
+    points = icosphere(2).nodes
     ref = np.array([_loop_project_gradients(sphere, p) for p in points])
     solve = np.linalg.solve
 
@@ -210,7 +210,7 @@ def test_one_ulp_in_one_gram_entry_fails_the_equality(sphere, monkeypatch):
 @pytest.mark.parametrize("nodes", [(5,), (5, 9), (9, 5, 30)])
 def test_rank_deficient_constraint_names_the_first_node(sphere, nodes):
     mesh = icosphere(1)
-    at = {mesh.points[i].tobytes() for i in nodes}
+    at = {mesh.nodes[i].tobytes() for i in nodes}
 
     def g_jacobian(X):
         J = sphere.g_jacobian(X)
@@ -219,16 +219,16 @@ def test_rank_deficient_constraint_names_the_first_node(sphere, nodes):
 
     cp = ConstrainedProblem(base=sphere.base, g=sphere.g, g_jacobian=g_jacobian)
     with pytest.raises(RankDeficientConstraint) as exc:
-        project_gradients(cp, mesh.points)
-    assert str(exc.value) == f"Dg rank deficient at {mesh.points[5]}"
+        project_gradients(cp, mesh.nodes)
+    assert str(exc.value) == f"Dg rank deficient at {mesh.nodes[5]}"
     with pytest.raises(RankDeficientConstraint) as exc:
         analyze_constrained(cp, mesh)
-    assert str(exc.value) == f"Dg rank deficient at {mesh.points[5]}"
+    assert str(exc.value) == f"Dg rank deficient at {mesh.nodes[5]}"
 
 
 def test_off_constraint_mesh_fails_before_the_rank_test(sphere):
     mesh = icosphere(1)
-    off = ManifoldMesh(points=mesh.points * 1.01, cells=mesh.cells, d=2)
+    off = Tessellation(mesh.nodes * 1.01, mesh.cells)
     cp = ConstrainedProblem(base=sphere.base, g=sphere.g,
                             g_jacobian=lambda X: np.zeros((len(X), 1, 3)))
     with pytest.raises(ValueError, match="mesh node violates the constraint"):
@@ -245,21 +245,21 @@ def test_off_constraint_mesh_fails_before_the_rank_test(sphere):
 def test_icosphere_counts_and_norms():
     for sub, (nv, nf) in enumerate([(12, 20), (42, 80), (162, 320)]):
         mesh = icosphere(sub)
-        assert (len(mesh.points), len(mesh.cells)) == (nv, nf)
-        assert np.allclose(np.linalg.norm(mesh.points, axis=1), 1.0, atol=1e-12)
+        assert (len(mesh.nodes), len(mesh.cells)) == (nv, nf)
+        assert np.allclose(np.linalg.norm(mesh.nodes, axis=1), 1.0, atol=1e-12)
 
 
 def test_manifold_mesh_validation(sphere):
     mesh = icosphere(0)
-    mesh.validate(sphere)
-    assert np.abs(sphere.g_val_at(mesh.points)).max() < 1e-12
-    bad = ManifoldMesh(points=mesh.points * 1.01, cells=mesh.cells, d=2)
-    with pytest.raises(ValueError):
-        bad.validate(sphere)
+    analyze_constrained(sphere, mesh)
+    assert np.abs(sphere.g_val_at(mesh.nodes)).max() < 1e-12
+    bad = Tessellation(mesh.nodes * 1.01, mesh.cells)
+    with pytest.raises(ValueError, match="mesh node violates the constraint"):
+        analyze_constrained(sphere, bad)
 
 
 def test_mesh_without_cells_gives_an_empty_complex(sphere):
-    mesh = ManifoldMesh(points=icosphere(0).points, cells=[], d=2)
+    mesh = Tessellation(icosphere(0).nodes, np.empty((0, 3), np.intp))
     assert mesh.cells.shape == (0, 3)
     cx = analyze_constrained(sphere, mesh)
     assert (cx.num_vertices, cx.simplices.shape, cx.stratum, cx.markers) == (0, (0, 2), (), [])
@@ -357,7 +357,7 @@ def _random_quadratic_pair(sphere, seed):
     return ConstrainedProblem(base=base, g=sphere.g, g_jacobian=sphere.g_jacobian)
 
 
-def _closed_form_face_table(omega_nodes, faces, points, jac_nodes, hess_at=None):
+def _closed_form_face_vertices(omega_nodes, faces, points, jac_nodes, hess_at=None):
     """Edge crossings as the constrained pipeline found them before it ran
     through Analyzer: the weight of b is w_a / (w_a - w_b), accepted with a
     -1e-10 slack and snapped to a node within 1e-9.  Drop-in for the face
@@ -405,7 +405,7 @@ def test_stacked_edge_solve_drifts_by_ulps_only(sphere, seed, monkeypatch):
     cp = _random_quadratic_pair(sphere, seed)
     mesh = icosphere(2)
     cx = analyze_constrained(cp, mesh)
-    monkeypatch.setattr(continuation, "_face_table", _closed_form_face_table)
+    monkeypatch.setattr(continuation, "_face_vertices", _closed_form_face_vertices)
     ref = analyze_constrained(cp, mesh)
     assert not cx.is_empty()
     assert cx.keys == ref.keys

@@ -17,7 +17,7 @@ from paretoc.continuation import (
     STRATUM_UNSTABLE,
     ParetoComplex,
     SingularVertex,
-    _face_table,
+    _face_vertices,
     analyze,
     clip_polytope,
     glue,
@@ -28,7 +28,7 @@ from paretoc.continuation import (
 )
 from paretoc.errors import UnsupportedObjectiveCount
 from paretoc.problems import VectorProblem, registry_get, registry_names
-from paretoc.tessellation import NodeSet, Tessellation, build_delaunay, kuhn_tessellation
+from paretoc.tessellation import Tessellation, build_delaunay, kuhn_tessellation
 
 from conftest import simplex_pairs
 from test_golden import _paraboloid_problem, _xminusx_problem
@@ -123,7 +123,7 @@ def _cell_face_vertices(omega, cell, pts, jac, r):
     # the face table of one cell's r-faces: the accepted vertices and the
     # count of rank-deficient faces
     faces = np.array(list(itertools.combinations(cell, r + 1)))
-    verts, singular = _face_table(omega, faces, pts, jac)
+    verts, singular = _face_vertices(omega, faces, pts, jac)
     return [v for v in verts if v is not None], int(singular.sum())
 
 
@@ -182,12 +182,12 @@ def test_cell_keeps_the_first_face_of_a_shared_key():
     # weights that differ in the last bits; the cell holds the first face's
     J = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     p = _problem_with_jacobian(J, minor_columns=[(0, 1), (1, 2)])
-    tess = Tessellation(NodeSet(np.vstack([np.zeros(3), np.eye(3)])), [[0, 1, 2, 3]])
+    tess = Tessellation(np.vstack([np.zeros(3), np.eye(3)]), [[0, 1, 2, 3]])
     omega = np.array([[1.0, 1.0], [-1.0, -1.0 - 1e-11], [1.0, 2.0], [2.0, 3.0]])
     an = Analyzer(p, tess, order=1, jac_nodes=np.tile(J, (4, 1, 1)), omega_nodes=omega)
     [(verts, skipped)] = an._cell_table([0])
     faces = np.array([[0, 1, 2], [0, 1, 3]])
-    first, second = _face_table(omega, faces, tess.nodes.points, an.jac_nodes)[0]
+    first, second = _face_vertices(omega, faces, tess.nodes, an.jac_nodes)[0]
     assert first.key == second.key == "('f', 0, 1)"
     assert not np.array_equal(first.mu, second.mu)
     assert skipped == 0 and len(verts) == 1
@@ -417,7 +417,7 @@ def test_fd_hessian_exact_on_quadratic():
     p = registry_get("sms")
     tess = _tiny_cell_tess([2.0, 1.0], 0.4)
     cell = tess.cells[0]
-    pts = tess.nodes.points[list(cell)]
+    pts = tess.nodes[list(cell)]
     jac = p.jac_at(pts)
     H = finite_difference_hessians(p, pts, jac)
     assert H[0] == pytest.approx(np.diag([-2.0, -2.0]), abs=1e-10)

@@ -293,8 +293,7 @@ def test_golden_constrained_digest(case, tmp_path):
 def test_golden_cli_manifold_mesh(tmp_path, monkeypatch):
     # relative paths: the mesh path is written into the file's provenance
     monkeypatch.chdir(tmp_path)
-    mesh = icosphere(2)
-    save_mesh("mesh.json", mesh.points, mesh.cells, manifold_dim=2)
+    save_mesh("mesh.json", icosphere(2))
     assert main(["run", "--problem", "sphere_proj",
                  "--manifold-mesh", "mesh.json", "--out", "complex.json"]) == 0
     assert (_sha((tmp_path / "complex.json").read_bytes())

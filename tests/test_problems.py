@@ -123,7 +123,7 @@ def test_tri_quadratic_maxima_distinct_noncollinear():
 
 def _kuhn_nodes(name, counts):
     p = registry_get(name)
-    return kuhn_tessellation(p.domain_box, counts).nodes.points
+    return kuhn_tessellation(p.domain_box, counts).nodes
 
 
 # problem -> node sets it runs on: the golden cases and the bench inputs, and
@@ -134,7 +134,7 @@ CASE_NODES = {
               ("kuhn 200^2", lambda: _kuhn_nodes("noncv", [200, 200]))],
     "tri_quadratic": [(f"kuhn {k}^3", lambda k=k: _kuhn_nodes("tri_quadratic", [k] * 3))
                       for k in (5, 6, 7, 15)],
-    "sphere_proj": [(f"icosphere({k})", lambda k=k: icosphere(k).points) for k in range(6)],
+    "sphere_proj": [(f"icosphere({k})", lambda k=k: icosphere(k).nodes) for k in range(6)],
     "triv": [("kuhn 30^2", lambda: _kuhn_nodes("triv", [30, 30]))],
     "sms": [("kuhn 30^2", lambda: _kuhn_nodes("sms", [30, 30]))],
     "locglob": [("kuhn 8^3", lambda: _kuhn_nodes("locglob", [8, 8, 8]))],

@@ -197,7 +197,7 @@ def test_iterate_step(triv_state):
     assert 0 < s.mean_minor <= s.max_minor
     # inserted nodes stay inside the domain box
     box = triv_state.problem.domain_box
-    pts = st.tess.nodes.points[len(triv_state.tess.nodes):]
+    pts = st.tess.nodes[len(triv_state.tess.nodes):]
     assert np.all(pts >= box[:, 0] - 1e-12) and np.all(pts <= box[:, 1] + 1e-12)
 
 
@@ -230,7 +230,7 @@ def test_iterate_budget_without_minor_windows(tmp_path):
         assert complex_minor_stats(p, st.complex) == (0.0, 0.0)
         assert (st.history[-1].max_minor, st.history[-1].mean_minor) == (0.0, 0.0)
         save_complex(tmp_path / f"{k}.json", st.complex)
-        runs.append((st.tess.nodes.points.tobytes(), (tmp_path / f"{k}.json").read_bytes()))
+        runs.append((st.tess.nodes.tobytes(), (tmp_path / f"{k}.json").read_bytes()))
     assert runs[0] == runs[1]
 
 
@@ -255,8 +255,8 @@ def test_noncv_polyline_growth():
 
 def test_spacing_guard_min_distances(triv_state):
     st = iterate(triv_state, scheme="polyline")
-    new_pts = st.tess.nodes.points[len(triv_state.tess.nodes):]
-    old_pts = triv_state.tess.nodes.points
+    new_pts = st.tess.nodes[len(triv_state.tess.nodes):]
+    old_pts = triv_state.tess.nodes
     min_edge = triv_state.tess.min_incident_edge()
     for c in new_pts:
         d = np.linalg.norm(old_pts - c, axis=1)

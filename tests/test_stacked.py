@@ -227,9 +227,9 @@ def test_face_vertices_match_face_loop(analyzers):
     # the cross case snaps vertices to nodes and to sub-faces
     sizes = set()
     for an in analyzers:
-        pts = an.tess.nodes.points
+        pts = an.tess.nodes
         faces = np.array(sorted({f for fs in _cell_faces(an) for f in fs}))
-        verts, _ = continuation._face_table(an.omega_nodes, faces, pts, an.jac_nodes)
+        verts, _ = continuation._face_vertices(an.omega_nodes, faces, pts, an.jac_nodes)
         accepted = [f for f, v in enumerate(verts) if v is not None]
         mu, _ = solve_faces(an.omega_nodes, faces[accepted])
         assert len({verts[f] for f in accepted}) == len(accepted)  # one vertex per face
@@ -257,9 +257,9 @@ def _loop_cell_table(an):
     # count of rank-deficient faces
     cell_faces = _cell_faces(an)
     faces = sorted({f for fs in cell_faces for f in fs})
-    verts, singular = continuation._face_table(
+    verts, singular = continuation._face_vertices(
         an.omega_nodes, np.array(faces).reshape(len(faces), an.r + 1),
-        an.tess.nodes.points, an.jac_nodes)
+        an.tess.nodes, an.jac_nodes)
     table = dict(zip(faces, zip(verts, singular.tolist())))
     entries = []
     for fs in cell_faces:
@@ -377,7 +377,7 @@ def test_hessian_interpolation_matches_vertex_loop(analyzers):
         assert verts
         for v in verts:
             sizes.add(len(v.face))
-            ref = _loop_hess_interp(an.problem, an.tess.nodes.points, v)
+            ref = _loop_hess_interp(an.problem, an.tess.nodes, v)
             assert np.array_equal(v.hess_interp, ref)
     assert {1, 2, 3} <= sizes
 

@@ -8,16 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paretoc.constrained import ManifoldMesh, icosphere
+from paretoc.constrained import icosphere
 from paretoc.errors import DegenerateInput, DimensionTooLow, DuplicateNode
 from paretoc.geometry import simplex_diameter
 from paretoc.tessellation import (
     EPS_GEOM_REL,
-    NodeSet,
     _check_batch_distinct,
     _hilbert_order,
     _initial_simplex,
     _Padded,
+    Tessellation,
+    bbox_diagonal,
     build_delaunay,
     grid_nodes,
     insert_nodes,
@@ -53,7 +54,7 @@ def test_locglob_grid_shape():
     p = registry_get("locglob")
     t = kuhn_tessellation(p.domain_box, [10, 20, 10])
     assert all(len(c) == 4 for c in t.cells)
-    vol = sum(simplex_volume(t.nodes.points[list(c)]) for c in t.cells)
+    vol = sum(simplex_volume(t.nodes[list(c)]) for c in t.cells)
     box_vol = float(np.prod(p.domain_box[:, 1] - p.domain_box[:, 0]))
     assert vol == pytest.approx(box_vol, rel=1e-9)
 
@@ -78,7 +79,7 @@ def test_volume_sum_equals_hull_volume(rng):
     for n in (2, 3):
         pts = rng.uniform(-1.0, 1.0, (50, n))
         t = build_delaunay(pts)
-        vol = sum(simplex_volume(t.nodes.points[list(c)]) for c in t.cells)
+        vol = sum(simplex_volume(t.nodes[list(c)]) for c in t.cells)
         assert vol == pytest.approx(ConvexHull(pts).volume, rel=1e-9)
 
 
@@ -86,13 +87,13 @@ def test_insert_centroid_star_split():
     t = build_delaunay(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     t2 = insert_nodes(t, [np.array([1 / 3, 1 / 3])])
     assert len(t2.cells) == 3
-    assert t2.nodes.points.shape == (4, 2)
+    assert t2.nodes.shape == (4, 2)
 
 
 def test_insert_point_on_shared_edge():
     t = build_delaunay(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
     shared = sorted(set(t.cells[0]) & set(t.cells[1]))
-    mid = t.nodes.points[shared].mean(axis=0)
+    mid = t.nodes[shared].mean(axis=0)
     t2 = insert_nodes(t, [mid])
     assert len(t2.cells) == 4
 
@@ -105,7 +106,7 @@ def test_insert_far_exterior_against_rebuild_oracle(rng):
     rebuilt = build_delaunay(np.vstack([pts, far[None]]))
     assert cell_tuples(t2) == cell_tuples(rebuilt)
     # hull extended, prior ids unchanged, interior cells preserved
-    assert np.allclose(t2.nodes.points[:50], pts)
+    assert np.allclose(t2.nodes[:50], pts)
     kept = set(cell_tuples(t)) & set(cell_tuples(t2))
     assert len(kept) > 0.8 * len(t.cells)
 
@@ -145,7 +146,7 @@ def test_cell_nondegeneracy(rng):
     pts = rng.uniform(-1.0, 1.0, (80, 2))
     t = build_delaunay(pts)
     for cell in t.cells:
-        p = t.nodes.points[list(cell)]
+        p = t.nodes[list(cell)]
         vol = simplex_volume(p)
         diam = simplex_diameter(p)
         assert vol > 1e-12 * diam ** t.n
@@ -178,9 +179,9 @@ def test_grid_nodes_order_and_ids():
     ns = grid_nodes([[0.0, 1.0], [0.0, 2.0]], [2, 3])
     assert len(ns) == 6
     # C order: last axis fastest
-    assert np.allclose(ns.points[0], [0.0, 0.0])
-    assert np.allclose(ns.points[1], [0.0, 1.0])
-    assert np.allclose(ns.points[3], [1.0, 0.0])
+    assert np.allclose(ns[0], [0.0, 0.0])
+    assert np.allclose(ns[1], [0.0, 1.0])
+    assert np.allclose(ns[3], [1.0, 0.0])
 
 
 def test_kuhn_consistent_across_faces():
@@ -188,14 +189,41 @@ def test_kuhn_consistent_across_faces():
     assert len(t.cells) == 8 * 6
     counts = set(facet_counts(t).values())
     assert counts <= {1, 2}
-    vol = sum(simplex_volume(t.nodes.points[list(c)]) for c in t.cells)
+    vol = sum(simplex_volume(t.nodes[list(c)]) for c in t.cells)
     assert vol == pytest.approx(1.0, rel=1e-12)
 
 
 def test_tessellation_immutable_nodes():
     t = build_delaunay(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
-        t.nodes.points[0, 0] = 5.0
+        t.nodes[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("cells, message", [
+    pytest.param([[0, 2, 2]], "cell (0, 2, 2) is not a 2-simplex on nodes 0..3", id="repeated"),
+    pytest.param([[0, 1, -1]], "cell (-1, 0, 1) is not a 2-simplex on nodes 0..3", id="negative"),
+    pytest.param([[1, 2, 3], [0, 1, 4]], "cell (0, 1, 4) is not a 2-simplex on nodes 0..3",
+                 id="beyond N"),
+    pytest.param([[0, 1, 2**63]], "a cell names a node id outside 0..3", id="overflow"),
+    pytest.param([0, 1, 2], "cells must be a (C, k) array of node ids, not shape (3,)",
+                 id="1-D"),
+    pytest.param([], "cells must be a (C, k) array of node ids, not shape (0,)", id="empty 1-D"),
+    pytest.param([[0, 1, 2], [1, 2]], "inhomogeneous", id="ragged"),
+])
+def test_tessellation_checks_cells_before_sorting(cells, message):
+    # input from outside (a mesh file, a caller's cells) is checked on
+    # construction: each row names k distinct node ids in 0..N-1
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Tessellation(pts, cells)
+
+
+def test_tessellation_copies_its_nodes():
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    t = Tessellation(pts, [[2, 0, 1]])
+    pts[0, 0] = 5.0
+    assert t.nodes[0, 0] == 0.0 and not t.nodes.flags.writeable
+    assert t.cells.tolist() == [[0, 1, 2]]
 
 
 def _kuhn_reference(counts):
@@ -214,7 +242,7 @@ def _kuhn_reference(counts):
 def _shuffled_icosphere_cells():
     mesh = icosphere(1)
     rng = np.random.default_rng(3)
-    return mesh.points, [rng.permutation(c).tolist() for c in rng.permutation(mesh.cells)]
+    return mesh.nodes, [rng.permutation(c).tolist() for c in rng.permutation(mesh.cells)]
 
 
 @pytest.mark.parametrize("build", ["kuhn 2-D", "kuhn 3-D", "delaunay", "insert", "mesh"])
@@ -232,7 +260,7 @@ def test_every_builder_gives_one_sorted_cell_array(build):
         cells = scipy_delaunay_cells(pts)
     else:
         points, cells = _shuffled_icosphere_cells()
-        t = ManifoldMesh(points=points, cells=cells, d=2).as_tessellation()
+        t = Tessellation(points, cells)
     assert type(t.cells) is np.ndarray and t.cells.dtype == np.intp
     assert t.cells.ndim == 2 and len(t.cells) == len(cells)
     assert np.all(np.diff(t.cells, axis=1) > 0)
@@ -251,13 +279,13 @@ def test_every_builder_gives_one_sorted_cell_array(build):
 
 def id_order_cells(pts):
     """Reference: Bowyer-Watson on the padded complex, inserting in id order."""
-    nodes = NodeSet(pts)
-    seed = _initial_simplex(nodes.points, EPS_GEOM_REL * nodes.bbox_diagonal)
-    pad = _Padded(nodes.n)
-    for p in nodes.points:
+    pts = np.asarray(pts, dtype=float)
+    seed = _initial_simplex(pts, EPS_GEOM_REL * bbox_diagonal(pts))
+    pad = _Padded(pts.shape[1])
+    for p in pts:
         pad.add_point(p)
     pad.seed_simplex(seed)
-    for i in range(len(nodes)):
+    for i in range(len(pts)):
         if i not in seed:
             pad.insert(i)
     return cell_tuples(pad.snapshot())
@@ -300,7 +328,7 @@ SHUFFLED = [((7, 7), 1), ((3, 3, 3), 10), ((4, 4, 4), 2)]
 def test_curve_order_matches_id_order_on_shuffled_kuhn_nodes(counts, seed):
     # every box of the grid is cospherical: the ties are broken on the ids,
     # in id order (seed None) as in shuffled order
-    pts = grid_nodes([[0.0, 1.0]] * len(counts), counts).points
+    pts = grid_nodes([[0.0, 1.0]] * len(counts), counts)
     if seed is not None:
         pts = pts[np.random.default_rng(seed).permutation(len(pts))]
     t = build_delaunay(pts)
@@ -354,7 +382,7 @@ def test_build_and_insert_log_their_fallbacks(caplog):
     assert len(exact_counts(caplog.records, "build_delaunay")) == 1
     # a grid's exact ties go to the exact path, and the ids break them
     caplog.clear()
-    build_delaunay(grid_nodes([[0.0, 1.0]] * 2, [3, 3]).points)
+    build_delaunay(grid_nodes([[0.0, 1.0]] * 2, [3, 3]))
     [exact] = exact_counts(caplog.records, "build_delaunay")
     assert exact > 0
     # (0.3, 0.4) lies on the circle of the grid box [0, 0.25] x [0.25, 0.5]
@@ -425,14 +453,14 @@ def test_batch_duplicate_checks_keep_their_order():
     with pytest.raises(ValueError, match="wrong dimension"):
         insert_nodes(t, [[0.5, 0.5, 0.5], [0.0, 1.0]])
     # points just beyond the tolerance are distinct
-    eps = EPS_GEOM_REL * t.nodes.bbox_diagonal
+    eps = EPS_GEOM_REL * bbox_diagonal(t.nodes)
     grown = insert_nodes(t, [[0.5, 0.5], [0.5 + 3 * eps, 0.5]])
     assert len(grown.nodes) == 6
 
 
 def _loop_min_incident_edge(tess):
     # the per-edge loop the vectorized form replaced
-    pts = tess.nodes.points
+    pts = tess.nodes
     out = np.full(len(tess.nodes), np.inf)
     for cell in tess.cells:
         for a, b in itertools.combinations(cell, 2):
