@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .constrained import analyze_constrained, icosphere
-from .continuation import (Analyzer, MARKER_BOUNDARY, MARKER_CUSP, STRATUM_SINGULAR,
-                           STRATUM_STABLE, STRATUM_UNSTABLE)
+from .continuation import (MARKER_BOUNDARY, MARKER_CUSP, STRATUM_SINGULAR, STRATUM_STABLE,
+                           STRATUM_UNSTABLE, analyze)
 from .complex_io import load_complex, load_mesh, save_complex
 from .errors import ParetocError, UnknownProblem
 from .metrics import hausdorff
@@ -52,16 +52,17 @@ def _int_at_least(lo: int):
     return parse
 
 
-def _parse_grid(spec: str, box: np.ndarray, default_seed: int):
+def _parse_grid(spec: str, box: np.ndarray):
     """Grid spec: 'AxB[xC...]' node counts, 'h:0.25' spacing, or
-    'random:N[:seed=S]' uniform points.  A malformed spec is a UsageError."""
+    'random:N[:seed=S]' uniform points (seed 0 by default), so the spec alone
+    names the grid.  A malformed spec is a UsageError."""
     spec = spec.strip()
     pts = None
     try:
         if spec.startswith("random:"):
             parts = spec.split(":")
             count = int(parts[1])
-            seed = default_seed
+            seed = 0
             for extra in parts[2:]:
                 k, _, v = extra.partition("=")
                 if k != "seed":
@@ -103,8 +104,8 @@ def _run_problem(problem, args):
             meta = f"icosphere:{args.subdiv}"
         cx = analyze_constrained(problem, mesh)
         return cx, meta
-    tess = _parse_grid(args.grid, problem.domain_box, args.seed)
-    cx = Analyzer(problem, tess, order=args.order).run()
+    tess = _parse_grid(args.grid, problem.domain_box)
+    cx = analyze(problem, tess, order=args.order)
     return cx, args.grid
 
 
@@ -137,7 +138,7 @@ def cmd_iterate(args) -> int:
     if isinstance(problem, ConstrainedProblem):
         raise UsageError("iterate supports unconstrained problems only")
     reference = load_complex(args.reference) if args.reference else None
-    tess = _parse_grid(args.grid, problem.domain_box, args.seed)
+    tess = _parse_grid(args.grid, problem.domain_box)
     state = initial_state(problem, tess, order=args.order)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -312,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="'AxB[xC..]' node counts, 'h:SPACING', or 'random:N[:seed=S]'")
         p.add_argument("--order", type=int, choices=(1, 2), default=2,
                        help="1: critical set only; 2: stability clip too")
-        p.add_argument("--seed", type=int, default=0, help="seed for random grids")
 
     rp = sub.add_parser("run", help="analyze one tessellation and write a complex file")
     common(rp)

@@ -5,16 +5,16 @@ R^n: a :class:`~paretoc.tessellation.Tessellation` whose cells have d+1
 nodes, such as :func:`icosphere` or a mesh file read by
 :func:`~paretoc.complex_io.load_mesh`.  At every node the objective gradients
 are projected onto ker Dg, and the singular set is located through the
-determinant of the stacked matrix (grad g_1, ..., grad g_{n-d}, grad u_1,
+determinant of the stacked matrix (grad g_1, ..., grad g_{n-m}, grad u_1,
 ..., grad u_m) -- equivalently, the orientation change of the projected
-gradient frame.  Only the square case n - d + m = n (one scalar test per
-node) is implemented; it covers one constraint with d = m, e.g. two
-objectives on a surface in R^3.
+gradient frame.  A :class:`ConstrainedProblem` has n - m constraints, so the
+matrix is square (one scalar test per node) and the manifold has dimension
+d = m, e.g. two objectives on a surface in R^3.
 
 Only the nodal data is constrained-specific, and it is computed in stacked
 calls over all nodes, the problem's callables included.  The projected
 gradients stand in for the Jacobian rows and the augmented minor for the
-r = 1 minor, and the unconstrained :class:`~paretoc.continuation.Analyzer`
+r = 1 minor, and the unconstrained :func:`~paretoc.continuation.analyze`
 does the rest on the mesh as given: candidate filter, edge solves, lambda,
 clipping and gluing.  It runs first order (no stability clip), so critical
 pieces carry the ``critical_unstable`` label (stability undecided).
@@ -25,8 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from .continuation import (
-    Analyzer,
     ParetoComplex,
+    analyze,
     snapped_determinants,
     EPS_RANK,
 )
@@ -57,16 +57,11 @@ def project_gradients(cp: ConstrainedProblem, x) -> np.ndarray:
 
 
 def augmented_minors(cp: ConstrainedProblem, x):
-    """det(grad g_1, ..., grad g_{n-d}, grad u_1, ..., grad u_m); square case only.
+    """det(grad g_1, ..., grad g_{n-m}, grad u_1, ..., grad u_m).
 
     x is a stack of points (N, n); the result is an (N,) array, one snapped,
     stacked determinant call.
     """
-    k = cp.n_constraints
-    if k + cp.m != cp.n:
-        raise NonSquareUnsupported(
-            f"stacked matrix is {cp.n} x {k + cp.m}; only the square case is supported"
-        )
     X = np.asarray(x, dtype=float)
     rows = np.concatenate([cp.g_jac_at(X), cp.base.jac_at(X)], axis=1)
     return snapped_determinants(np.swapaxes(rows, -1, -2))
@@ -75,16 +70,15 @@ def augmented_minors(cp: ConstrainedProblem, x):
 def analyze_constrained(cp: ConstrainedProblem, mesh: Tessellation) -> ParetoComplex:
     """Run Algorithm-3-style first-order analysis over a manifold mesh.
 
-    ``mesh`` is a :class:`Tessellation` of d-simplices (rows of d+1 node ids)
+    ``mesh`` is a :class:`Tessellation` of m-simplices (rows of m+1 node ids)
     whose nodes satisfy |g| < ``EPS_CONSTRAINT``.  Checks both, computes the
     projected gradients and the augmented minor at every node, and hands
-    them with the mesh to a first-order :class:`Analyzer`; faces, lambda,
+    them with the mesh to first-order :func:`analyze`; faces, lambda,
     clipping and gluing are the unconstrained pipeline's.
     """
-    if cp.n_constraints + cp.m != cp.n or mesh.cells.shape[1] != cp.d + 1:
-        raise NonSquareUnsupported(
-            "need n - d + m = n (i.e. d = m) and a mesh of matching dimension"
-        )
+    if mesh.cells.shape[1] != cp.m + 1:
+        raise NonSquareUnsupported(f"the mesh cells have {mesh.cells.shape[1]} nodes, "
+                                   f"not m + 1 = {cp.m + 1}")
     res = np.abs(cp.g_val_at(mesh.nodes))
     worst = float(res.max()) if res.size else 0.0
     if worst >= EPS_CONSTRAINT:
@@ -92,7 +86,7 @@ def analyze_constrained(cp: ConstrainedProblem, mesh: Tessellation) -> ParetoCom
                          f"{worst:g} >= {EPS_CONSTRAINT:g}")
     proj = project_gradients(cp, mesh.nodes)
     omega = augmented_minors(cp, mesh.nodes)[:, None]
-    return Analyzer(cp.base, mesh, order=1, jac_nodes=proj, omega_nodes=omega).run()
+    return analyze(cp.base, mesh, order=1, nodal=(proj, omega))
 
 
 # ---------------------------------------------------------------------------

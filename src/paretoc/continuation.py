@@ -503,9 +503,10 @@ class Analyzer:
     Set-up computes the nodal Jacobians and, in one batched call per window
     of :attr:`VectorProblem.minor_columns`, the snapped nodal minors.  A
     caller with its own nodal data (the constrained pipeline: projected
-    gradients and augmented minors) passes ``jac_nodes`` (N, m, n) and
-    ``omega_nodes`` (N, r) instead; r is then the minors' width and the
-    problem's windows are not read.  The analyzer holds only these inputs.
+    gradients and augmented minors) passes them as ``nodal``, one pair
+    ``(jac_nodes, omega_nodes)`` of shapes (N, m, n) and (N, r); r is then
+    the minors' width and the problem's windows are not read.  The analyzer
+    holds only these inputs; :func:`analyze` runs it and glues the result.
 
     :meth:`run_cells` runs four stages over all candidate cells.  (1) The
     table pass: the distinct r-faces of all cells go through one stacked
@@ -530,8 +531,7 @@ class Analyzer:
         tess: Tessellation,
         order: int = 2,
         *,
-        jac_nodes: Optional[np.ndarray] = None,
-        omega_nodes: Optional[np.ndarray] = None,
+        nodal: Optional[tuple] = None,
     ):
         if problem.m not in (2, 3):
             raise UnsupportedObjectiveCount(
@@ -546,10 +546,7 @@ class Analyzer:
         self.problem = problem
         self.tess = tess
         self.order = order
-        if jac_nodes is None:
-            jac_nodes, omega_nodes = _nodal_data(problem, tess.nodes)
-        elif omega_nodes is None:
-            raise ValueError("precomputed gradient rows need their nodal minors")
+        jac_nodes, omega_nodes = _nodal_data(problem, tess.nodes) if nodal is None else nodal
         self.jac_nodes = jac_nodes
         self.omega_nodes = omega_nodes
         self.r = omega_nodes.shape[1]
@@ -685,10 +682,6 @@ class Analyzer:
         return list(zip(chain, chain[1:]))
 
     # -- full run ----------------------------------------------------------------
-
-    def run(self) -> "ParetoComplex":
-        analyses = self.run_cells()
-        return glue(analyses, self.problem, self.tess, order=self.order)
 
     def run_cells(self) -> list:
         """The analyses of all candidate cells, in the four stages."""
@@ -861,6 +854,9 @@ def glue(analyses: Iterable[CellAnalysis], problem: VectorProblem,
     )
 
 
-def analyze(problem: VectorProblem, tess: Tessellation, order: int = 2) -> ParetoComplex:
-    """One-call pipeline: cache, per-cell analysis, glue."""
-    return Analyzer(problem, tess, order=order).run()
+def analyze(problem: VectorProblem, tess: Tessellation, order: int = 2, *,
+            nodal: Optional[tuple] = None) -> ParetoComplex:
+    """The pipeline in one call: :class:`Analyzer` set-up (``nodal`` as for
+    it), the analyses of all candidate cells, and :func:`glue`."""
+    an = Analyzer(problem, tess, order=order, nodal=nodal)
+    return glue(an.run_cells(), problem, tess, order=an.order)

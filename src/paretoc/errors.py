@@ -42,7 +42,7 @@ class RankDeficientConstraint(ParetocError):
 
 
 class NonSquareUnsupported(ParetocError):
-    """Augmented minor test is only implemented for the square case n-d+m = n."""
+    """A manifold mesh for m objectives has cells that are not m-simplices."""
 
 
 # --- refinement / metrics ---

@@ -94,18 +94,17 @@ class VectorProblem:
 
 @dataclass
 class ConstrainedProblem:
-    """Objectives over the zero set of an equality constraint g: R^n -> R^{n-d}.
+    """Objectives over the zero set of an equality constraint g: R^n -> R^{n-m}.
 
-    ``g`` and ``g_jacobian`` map a stack of points X (N, n) to the (N, k)
-    constraint values and the (N, k, n) constraint Jacobians, for k
-    constraints.  The pipeline evaluates through :meth:`g_val_at` and
-    :meth:`g_jac_at`.
+    ``g`` and ``g_jacobian`` map a stack of points X (N, n) to the (N, n-m)
+    constraint values and the (N, n-m, n) constraint Jacobians, so the
+    manifold has dimension m and the augmented minor test is square.  The
+    pipeline evaluates through :meth:`g_val_at` and :meth:`g_jac_at`.
     """
 
     base: VectorProblem
     g: Callable[[Array], Array]
     g_jacobian: Callable[[Array], Array]
-    n_constraints: int = 1
 
     @property
     def name(self) -> str:
@@ -119,17 +118,13 @@ class ConstrainedProblem:
     def m(self) -> int:
         return self.base.m
 
-    @property
-    def d(self) -> int:
-        return self.base.n - self.n_constraints
-
     def g_val_at(self, X) -> Array:
-        """Constraint values at every row of X (N, n), as an (N, k) array."""
-        return _at_points(self.g, X, (self.n_constraints,))
+        """Constraint values at every row of X (N, n), as an (N, n - m) array."""
+        return _at_points(self.g, X, (self.n - self.m,))
 
     def g_jac_at(self, X) -> Array:
-        """Constraint Jacobians at every row of X (N, n), as an (N, k, n) array."""
-        return _at_points(self.g_jacobian, X, (self.n_constraints, self.n))
+        """Constraint Jacobians at every row of X (N, n), as an (N, n - m, n) array."""
+        return _at_points(self.g_jacobian, X, (self.n - self.m, self.n))
 
 
 def _at_points(f, X, shape) -> Array:
@@ -149,6 +144,7 @@ def _at_points(f, X, shape) -> Array:
 
 
 DERIVATIVE_TOLERANCE = 1e-5  # largest relative derivative error that passes
+SAMPLE_MARGIN = 1e-3  # sample_domain keeps this fraction of each box side clear
 
 
 @dataclass
@@ -218,12 +214,12 @@ def _central_differences(f, X, h) -> Array:
     return np.stack(cols, axis=-1)
 
 
-def sample_domain(problem: VectorProblem, count: int, seed: int = 0, shrink: float = 1e-3):
-    """Uniform random samples inside the domain box, shrunk by a margin."""
+def sample_domain(problem: VectorProblem, count: int, seed: int = 0):
+    """Uniform random samples inside the domain box, shrunk by ``SAMPLE_MARGIN``."""
     rng = np.random.default_rng(seed)
     lo = problem.domain_box[:, 0]
     hi = problem.domain_box[:, 1]
-    pad = shrink * (hi - lo)
+    pad = SAMPLE_MARGIN * (hi - lo)
     return rng.uniform(lo + pad, hi - pad, size=(count, problem.n))
 
 
@@ -672,7 +668,6 @@ def _make_sphere_proj() -> ConstrainedProblem:
         # not depend on the stack it is in
         g=lambda X: 0.5 * ((X[:, None, :] @ X[:, :, None])[:, 0] - 1.0),
         g_jacobian=lambda X: X[:, None, :].copy(),
-        n_constraints=1,
     )
 
 

@@ -18,10 +18,10 @@ from typing import Optional
 import numpy as np
 
 from .continuation import (
-    Analyzer,
     ParetoComplex,
     STRATUM_STABLE,
     STRATUM_UNSTABLE,
+    analyze,
     minors_of_jacobian,
 )
 from .errors import EmptyComplex, NoProgress
@@ -55,7 +55,7 @@ class RefinementState:
 
 
 def initial_state(problem: VectorProblem, tess: Tessellation, order: int = 2) -> RefinementState:
-    cx = Analyzer(problem, tess, order=order).run()
+    cx = analyze(problem, tess, order=order)
     return RefinementState(problem=problem, tess=tess, complex=cx, order=order)
 
 
@@ -305,7 +305,7 @@ def iterate(
         state.iteration + 1, len(kept), len(candidates),
     )
     tess = insert_nodes(state.tess, kept)
-    cx = Analyzer(problem, tess, order=state.order).run()
+    cx = analyze(problem, tess, order=state.order)
     mx, mean = complex_minor_stats(problem, cx)
     href = None
     if reference is not None:

@@ -94,19 +94,26 @@ class Tessellation:
     lexicographic order.  So the representation is a function of the node
     ids and coordinates: exact ties are broken on the ids (see the module
     docstring).  The constructor copies the nodes and checks the cells
-    before it sorts them: each row must name k distinct ids in 0..N-1.
+    before it sorts them: each row must name k distinct integer ids in
+    0..N-1.
     """
 
     def __init__(self, nodes, cells):
         self.nodes = _points(nodes)
         N = len(self.nodes)
-        try:
-            cells = np.asarray(cells, dtype=np.intp)
-        except OverflowError:
-            raise ValueError(f"a cell names a node id outside 0..{N - 1}") from None
-        if cells.ndim != 2 or cells.shape[1] < 1:
-            raise ValueError(f"cells must be a (C, k) array of node ids, not shape {cells.shape}")
-        cells = np.sort(cells, axis=1)
+        ids = np.asarray(cells)
+        if ids.ndim != 2 or ids.shape[1] < 1:
+            raise ValueError(f"cells must be a (C, k) array of node ids, not shape {ids.shape}")
+        if ids.size and ids.dtype.kind not in "iu":
+            try:  # a Python int beyond int64 makes the array float or object
+                np.asarray(cells, dtype=np.intp)
+            except OverflowError:
+                raise ValueError(f"a cell names a node id outside 0..{N - 1}") from None
+            # converted, 2.9 would be truncated to 2 and True read as 1
+            frac = np.any(ids != np.trunc(ids), axis=1) if ids.dtype.kind == "f" else [True]
+            cell = tuple(ids[np.argmax(frac)].tolist())
+            raise ValueError(f"cell {cell} does not hold integer node ids")
+        cells = np.sort(ids.astype(np.intp, copy=False), axis=1)
         bad = ((cells[:, 0] < 0) | (cells[:, -1] >= N)
                | np.any(cells[:, 1:] == cells[:, :-1], axis=1))
         if bad.any():
@@ -551,7 +558,7 @@ class _Padded:
 
     def snapshot(self) -> Tessellation:
         finite = [c for c in self.cells.values() if c[0] != INF]
-        return Tessellation(self.coords, finite)
+        return Tessellation(self.coords, np.array(finite, dtype=np.intp))
 
 
 # ---------------------------------------------------------------------------

@@ -102,9 +102,13 @@ def test_cli_run_and_distance(tmp_path, capsys):
 def test_cli_byte_identical_reruns(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    args = ["run", "--problem", "triv", "--grid", "random:60:seed=5"]
-    assert main(args + ["--out", str(a)]) == 0
-    assert main(args + ["--out", str(b)]) == 0
+    assert main(["run", "--problem", "triv", "--grid", "random:60:seed=5",
+                 "--out", str(a)]) == 0
+    # the rerun reads its grid from the file: a random grid's seed is part
+    # of its spec
+    prov = json.loads(a.read_text())["provenance"]
+    assert main(["run", "--problem", prov["problem"], "--grid", prov["grid"],
+                 "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -211,11 +215,16 @@ def test_cli_exit_codes(capsys, tmp_path):
     pytest.param(["--threads", "2"], id="threads"),
     # the stability clip reads the problem's analytic Hessians only
     pytest.param(["--hessians", "fd"], id="hessians"),
+    # a random grid's seed is part of its spec, random:N:seed=S
+    pytest.param(["--seed", "3"], id="seed"),
 ])
-def test_cli_removed_flag_is_a_usage_error(flag, capsys):
+def test_cli_removed_flag_is_a_usage_error(flag, tmp_path, capsys):
     assert main([*flag, "run", "--problem", "triv", "--grid", "5x5"]) == 1
     assert main(["run", "--problem", "triv", "--grid", "5x5", *flag]) == 1
+    assert main(["iterate", "--problem", "triv", "--grid", "5x5",
+                 "--out-dir", str(tmp_path / "it"), *flag]) == 1
     assert flag[0] in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def _cli(*args):
@@ -448,6 +457,8 @@ def test_cli_file_errors_exit_without_traceback(triv_complex, tmp_path):
         (lambda d: d.update(cells=[[0, 1, 10**6]]),
          "cell (0, 1, 1000000) is not a 2-simplex on nodes 0..2"),
         (lambda d: d.update(cells=[[0, 1, 10**20]]), "a cell names a node id outside 0..2"),
+        (lambda d: d.update(cells=[[0.5, 1, 2.9]]),
+         "cell (0.5, 1.0, 2.9) does not hold integer node ids"),
         (lambda d: d.update(cells=[[0, 1, -1]]),
          "cell (-1, 0, 1) is not a 2-simplex on nodes 0..2"),
         (lambda d: d.update(cells=[[0, 1, 1]]),

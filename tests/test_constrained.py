@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -110,23 +112,31 @@ def test_rank_deficient_constraint():
         base=registry_get("sphere_proj").base,
         g=lambda X: np.zeros((len(X), 1)),
         g_jacobian=lambda X: np.zeros((len(X), 1, 3)),
-        n_constraints=1,
     )
     with pytest.raises(RankDeficientConstraint):
         project_gradients(bad, [[1.0, 0.0, 0.0]])
 
 
 def test_non_square_unsupported(sphere):
-    cp = ConstrainedProblem(
-        base=sphere.base,
-        g=lambda X: np.zeros((len(X), 2)),
-        g_jacobian=lambda X: np.tile(np.eye(2, 3), (len(X), 1, 1)),
-        n_constraints=2,
-    )
-    with pytest.raises(NonSquareUnsupported):
-        augmented_minors(cp, [[0.0, 0.0, 1.0]])
-    with pytest.raises(NonSquareUnsupported):
-        augmented_minors(cp, icosphere(0).nodes)
+    # the constraint count is n - m, not a setting: a g of two components
+    # for n = 3, m = 2 fails the shape check of the stacked callables
+    two = dict(g=lambda X: np.zeros((len(X), 2)),
+               g_jacobian=lambda X: np.tile(np.eye(2, 3), (len(X), 1, 1)))
+    with pytest.raises(TypeError):
+        ConstrainedProblem(base=sphere.base, **two, n_constraints=2)
+    cp = ConstrainedProblem(base=sphere.base, **two)
+    for stage in (augmented_minors, project_gradients):
+        with pytest.raises(ValueError, match=re.escape("expected (1, 1, 3)")):
+            stage(cp, [[0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match=re.escape("expected (12, 1, 3)")):
+            stage(cp, icosphere(0).nodes)
+    with pytest.raises(ValueError, match=re.escape("expected (12, 1)")):
+        analyze_constrained(cp, icosphere(0))
+    # the mesh is the one input left that can make the test non-square
+    for width in (2, 4):
+        mesh = Tessellation(icosphere(0).nodes, [list(range(width))])
+        with pytest.raises(NonSquareUnsupported, match=f"the mesh cells have {width} nodes"):
+            analyze_constrained(sphere, mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +306,6 @@ def test_opposed_identical_objectives_degenerate(sphere, caplog):
         ),
         g=sphere.g,
         g_jacobian=sphere.g_jacobian,
-        n_constraints=1,
     )
     cx = analyze_constrained(cp, icosphere(1))
     # the stacked determinant vanishes identically: every face system is

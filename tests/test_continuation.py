@@ -184,7 +184,7 @@ def test_cell_keeps_the_first_face_of_a_shared_key():
     p = _problem_with_jacobian(J, minor_columns=[(0, 1), (1, 2)])
     tess = Tessellation(np.vstack([np.zeros(3), np.eye(3)]), [[0, 1, 2, 3]])
     omega = np.array([[1.0, 1.0], [-1.0, -1.0 - 1e-11], [1.0, 2.0], [2.0, 3.0]])
-    an = Analyzer(p, tess, order=1, jac_nodes=np.tile(J, (4, 1, 1)), omega_nodes=omega)
+    an = Analyzer(p, tess, order=1, nodal=(np.tile(J, (4, 1, 1)), omega))
     [(verts, skipped)] = an._cell_table([0])
     faces = np.array([[0, 1, 2], [0, 1, 3]])
     first, second = _face_vertices(omega, faces, tess.nodes, an.jac_nodes)[0]
@@ -192,6 +192,22 @@ def test_cell_keeps_the_first_face_of_a_shared_key():
     assert not np.array_equal(first.mu, second.mu)
     assert skipped == 0 and len(verts) == 1
     assert np.array_equal(verts[0].mu, first.mu) and np.array_equal(verts[0].x, first.x)
+
+
+def test_supplied_nodal_data_is_held_as_given():
+    # a caller's nodal data is one (jac_nodes, omega_nodes) pair, so neither
+    # half can be passed alone and replaced by the problem's own
+    J = np.eye(2)
+    p = _problem_with_jacobian(J)
+    tess = Tessellation([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]])
+    jac, omega = np.tile(J, (3, 1, 1)), np.array([[-1.0], [1.0], [1.0]])
+    an = Analyzer(p, tess, nodal=(jac, omega))
+    assert an.jac_nodes is jac and an.omega_nodes is omega and an.r == 1
+    assert an.candidate_cells().tolist() == [0]
+    assert Analyzer(p, tess).candidate_cells().tolist() == []  # det J = 1 at every node
+    cx = analyze(p, tess, order=1, nodal=(jac, omega))
+    assert sorted(cx.positions.tolist()) == [[0.0, 0.5], [0.5, 0.0]]
+    assert analyze(p, tess, order=1).is_empty()
 
 
 # ---------------------------------------------------------------------------

@@ -197,8 +197,7 @@ def test_supplied_nodal_arrays_give_the_same_bytes(case, tmp_path):
     build, kwargs, digest, warnings = CASES[case]
     p, tess = build()
     own = Analyzer(p, tess, **kwargs)
-    an = Analyzer(p, tess, **kwargs, jac_nodes=own.jac_nodes.copy(),
-                  omega_nodes=own.omega_nodes.copy())
+    an = Analyzer(p, tess, **kwargs, nodal=(own.jac_nodes.copy(), own.omega_nodes.copy()))
     analyses = an.run_cells()
     path = tmp_path / "complex.json"
     save_complex(path, glue(analyses, p, tess, order=an.order))
@@ -248,7 +247,6 @@ def _xminusx_problem():
         ),
         g=sphere.g,
         g_jacobian=sphere.g_jacobian,
-        n_constraints=1,
     )
 
 

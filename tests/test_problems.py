@@ -177,6 +177,12 @@ def test_stacked_forms_match_per_point_on_case_nodes(name, label, nodes):
     _assert_rows_independent(registry_get(name), nodes())
 
 
+def _box_samples(base):
+    """4000 uniform points over the whole domain box, seed 17."""
+    lo, hi = base.domain_box.T
+    return np.random.default_rng(17).uniform(lo, hi, (4000, base.n))
+
+
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_stacked_forms_match_per_point_on_uniform_samples(name):
     # a few thousand points catch an operation that rounds a point's value
@@ -184,11 +190,11 @@ def test_stacked_forms_match_per_point_on_uniform_samples(name):
     # depends on the stack size
     problem = registry_get(name)
     base = problem.base if isinstance(problem, ConstrainedProblem) else problem
-    _assert_rows_independent(problem, sample_domain(base, 4000, seed=17, shrink=0.0))
+    _assert_rows_independent(problem, _box_samples(base))
 
 
-# sha256 of the bytes each raw callable returns on sample_domain(base, 4000,
-# seed=17, shrink=0.0), recorded at commit 634bb79.
+# sha256 of the bytes each raw callable returns on _box_samples(base),
+# recorded at commit 634bb79.
 # They pin every power to C pow (see problems._pow): a square taken with
 # numpy's ** rounds differently on a few in a thousand points.
 CALLABLE_DIGESTS = {
@@ -246,7 +252,7 @@ CALLABLE_DIGESTS = {
 def test_callables_match_recorded_digests_on_uniform_samples(name):
     problem = registry_get(name)
     base = problem.base if isinstance(problem, ConstrainedProblem) else problem
-    X = sample_domain(base, 4000, seed=17, shrink=0.0)
+    X = _box_samples(base)
     got = {what: hashlib.sha256(raw_callable(X).tobytes()).hexdigest()
            for what, raw_callable, _ in _callables(problem)}
     assert got == CALLABLE_DIGESTS[name]

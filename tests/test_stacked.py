@@ -31,6 +31,7 @@ from paretoc.continuation import (
     STRATUM_STABLE,
     STRATUM_UNSTABLE,
     Analyzer,
+    analyze,
     generalized_hessians,
     snapped_determinants,
     solve_faces,
@@ -406,7 +407,7 @@ def test_problem_callables_are_called_once_per_stage():
     # points would call a callable once per point.
     calls = Counter()
     p = _counted(registry_get("tri_quadratic"), calls)
-    Analyzer(p, kuhn_tessellation(p.domain_box, [6, 6, 6])).run()
+    analyze(p, kuhn_tessellation(p.domain_box, [6, 6, 6]))
     assert calls == {"eval": 1, "jacobian": 1, "hessians": 1}
 
     state = refinement.initial_state(p, kuhn_tessellation(p.domain_box, [4, 4, 4]))

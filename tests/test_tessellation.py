@@ -205,6 +205,15 @@ def test_tessellation_immutable_nodes():
     pytest.param([[1, 2, 3], [0, 1, 4]], "cell (0, 1, 4) is not a 2-simplex on nodes 0..3",
                  id="beyond N"),
     pytest.param([[0, 1, 2**63]], "a cell names a node id outside 0..3", id="overflow"),
+    # converted to intp, a fractional id would be truncated
+    pytest.param([[0.5, 1, 2.9]], "cell (0.5, 1.0, 2.9) does not hold integer node ids",
+                 id="fractional"),
+    pytest.param([[0, 1, 2], [1, 2, 3.5]], "cell (1.0, 2.0, 3.5) does not hold integer node ids",
+                 id="fractional second"),
+    pytest.param(np.array([[0.0, 1.0, 2.0]]), "cell (0.0, 1.0, 2.0) does not hold integer node ids",
+                 id="float dtype"),
+    pytest.param(np.array([[True, False, True]]),
+                 "cell (True, False, True) does not hold integer node ids", id="bool"),
     pytest.param([0, 1, 2], "cells must be a (C, k) array of node ids, not shape (3,)",
                  id="1-D"),
     pytest.param([], "cells must be a (C, k) array of node ids, not shape (0,)", id="empty 1-D"),
