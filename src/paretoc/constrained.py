@@ -81,7 +81,7 @@ def analyze_constrained(cp: ConstrainedProblem, mesh: Tessellation) -> ParetoCom
                                    f"not m + 1 = {cp.m + 1}")
     res = np.abs(cp.g_val_at(mesh.nodes))
     worst = float(res.max()) if res.size else 0.0
-    if worst >= EPS_CONSTRAINT:
+    if not worst < EPS_CONSTRAINT:  # NaN too
         raise ValueError(f"mesh node violates the constraint: max |g| = "
                          f"{worst:g} >= {EPS_CONSTRAINT:g}")
     proj = project_gradients(cp, mesh.nodes)

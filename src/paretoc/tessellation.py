@@ -4,15 +4,19 @@ The tessellation is built by an incremental Bowyer-Watson scheme bootstrapped
 with a single symbolic vertex "at infinity": alongside the finite n-simplices
 the builder keeps one infinite cell per convex-hull facet, so the padded
 complex is a closed combinatorial manifold and points outside the current hull
-insert exactly like interior ones.  Degenerate (cospherical / collinear)
-configurations are decided on the given coordinates, with exact ties broken
-symbolically on the node ids (below).  The rule depends on the ids, not on
-the order of insertion, so the complex is a function of the ids and the
-coordinates, and bulk construction is free to insert along a space-filling
-curve.
+insert exactly like interior ones.  Both builders run one insertion loop on a
+padded complex made from the whole node array and some finite cells:
+``build_delaunay`` starts from a seed simplex, ``insert_nodes`` from the
+tessellation it grows.  A node is read only once it is inserted.
+
+Degenerate (cospherical / collinear) configurations are decided on the given
+coordinates, with exact ties broken symbolically on the node ids (below).  The
+rule depends on the ids, not on the order of insertion, so the complex is a
+function of the ids and the coordinates, and bulk construction is free to
+insert along a space-filling curve.
 
 The orientation and in-sphere predicates return exact signs for the given
-coordinates, which are kept as tuples of Python floats.  In 2-D and 3-D each
+coordinates, which are kept as lists of Python floats.  In 2-D and 3-D each
 is a closed-form expansion, accepted when its value exceeds the static forward
 error bound of Shewchuk 1997, "Adaptive Precision Floating-Point Arithmetic
 and Fast Robust Geometric Predicates": (3+16e)e for orient2d, (7+56e)e for
@@ -44,9 +48,9 @@ flat cell can stop it short, and it then raises ``DegenerateInput``.
 :class:`Tessellation` is the one mesh type of the package: the builders here
 return one, and a mesh of a manifold (see :mod:`paretoc.constrained`) is one
 whose cells have fewer than n+1 nodes.  It is an immutable snapshot: its
-nodes are one read-only (N, n) float array, and its cells one read-only index
-array, each row a cell's node ids in ascending order and the rows in
-lexicographic order.  Insertion returns a new snapshot and never mutates its
+nodes are one read-only (N, n) array of finite floats, and its cells one
+read-only index array, each row a cell's node ids in ascending order and the
+rows in lexicographic order.  Insertion returns a new snapshot and never mutates its
 input.
 """
 
@@ -68,11 +72,16 @@ INF = -1  # symbolic vertex at infinity
 EPS_GEOM_REL = 1e-12    # node coincidence and seed-simplex scale, x bbox diagonal
 
 
-def _points(points) -> np.ndarray:
-    """A read-only copy of ``points`` as an (N, n) float array, n >= 1."""
+def _points(points, what: str = "node") -> np.ndarray:
+    """A read-only copy of ``points`` as an (N, n) float array, n >= 1, of
+    finite coordinates; ``what`` names a row in the error."""
     pts = np.array(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] < 1:
         raise ValueError("points must be an (N, n) array with n >= 1")
+    bad = ~np.isfinite(pts).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"{what} {i} has a non-finite coordinate: {tuple(pts[i].tolist())}")
     pts.setflags(write=False)
     return pts
 
@@ -93,9 +102,9 @@ class Tessellation:
     the node ids of a cell per row: each row ascending, the rows in
     lexicographic order.  So the representation is a function of the node
     ids and coordinates: exact ties are broken on the ids (see the module
-    docstring).  The constructor copies the nodes and checks the cells
-    before it sorts them: each row must name k distinct integer ids in
-    0..N-1.
+    docstring).  The constructor copies the nodes, which must be finite, and
+    checks the cells before it sorts them: each row must name k distinct
+    integer ids in 0..N-1.
     """
 
     def __init__(self, nodes, cells):
@@ -105,12 +114,14 @@ class Tessellation:
         if ids.ndim != 2 or ids.shape[1] < 1:
             raise ValueError(f"cells must be a (C, k) array of node ids, not shape {ids.shape}")
         if ids.size and ids.dtype.kind not in "iu":
-            try:  # a Python int beyond int64 makes the array float or object
-                np.asarray(cells, dtype=np.intp)
-            except OverflowError:
-                raise ValueError(f"a cell names a node id outside 0..{N - 1}") from None
-            # converted, 2.9 would be truncated to 2 and True read as 1
-            frac = np.any(ids != np.trunc(ids), axis=1) if ids.dtype.kind == "f" else [True]
+            # converted, 2.9 would be truncated to 2, True read as 1, and NaN
+            # raise numpy's own error
+            frac = np.any(ids != np.trunc(ids), axis=1) if ids.dtype.kind == "f" else [False]
+            if not np.any(frac):
+                try:  # a Python int beyond int64 makes the array float or object
+                    np.asarray(cells, dtype=np.intp)
+                except OverflowError:
+                    raise ValueError(f"a cell names a node id outside 0..{N - 1}") from None
             cell = tuple(ids[np.argmax(frac)].tolist())
             raise ValueError(f"cell {cell} does not hold integer node ids")
         cells = np.sort(ids.astype(np.intp, copy=False), axis=1)
@@ -359,7 +370,7 @@ def _symbolic_insphere(q, p, ids) -> int:
 
 
 class Predicates:
-    """Sign-valued orientation and in-sphere tests on points as float tuples.
+    """Sign-valued orientation and in-sphere tests on points as float sequences.
 
     ``orient(q)`` is the sign of det[q1 - q0, ..., qn - q0] over n+1 points;
     ``insphere(q, p)`` is the sign of the lifted det[qi - p, |qi - p|^2].
@@ -376,14 +387,14 @@ class Predicates:
         self._orient = {2: _orient2, 3: _orient3}.get(n, _orient_elim)
         self._insphere = {2: _incircle, 3: _insphere}.get(n, _insphere_elim)
 
-    def orient(self, q: Sequence[tuple]) -> int:
+    def orient(self, q: Sequence[Sequence[float]]) -> int:
         s = self._orient(*q)
         if s is None:
             self.exact += 1
             s = _det_sign(_orient_matrix(q, Fraction))
         return s
 
-    def insphere(self, q: Sequence[tuple], p: tuple) -> int:
+    def insphere(self, q: Sequence[Sequence[float]], p: Sequence[float]) -> int:
         s = self._insphere(*q, p)
         if s is None:
             self.exact += 1
@@ -397,11 +408,22 @@ class Predicates:
 
 
 class _Padded:
-    """Mutable padded complex: finite cells plus one infinite cell per hull facet."""
+    """Mutable padded complex: finite cells plus one infinite cell per hull facet.
 
-    def __init__(self, n: int):
-        self.n = n
-        self.coords: list[tuple] = []    # node coordinates, the predicates' input
+    Built from the whole (N, n) node array and the finite cells of a
+    tessellation of some of its nodes, each cell's ids ascending; the
+    constructor adds one infinite cell per hull facet.  The other nodes are
+    listed but not read until they are inserted, so a node's id is its row
+    in ``nodes`` throughout.
+    """
+
+    def __init__(self, nodes: np.ndarray, cells):
+        self.n = n = nodes.shape[1]
+        cells = np.asarray(cells, dtype=np.intp)
+        if len(cells) == 0 or cells.shape[1] != n + 1:
+            raise ValueError(f"Bowyer-Watson insertion in R^{n} needs one or more cells "
+                             f"of {n + 1} nodes, not cells of shape {cells.shape}")
+        self.coords: list[list] = nodes.tolist()    # the predicates' input
         self.cells: dict[int, tuple] = {}
         self.facets: dict[tuple, list] = {}
         self.sense: dict[int, int] = {}   # cell -> orientation sign, see _orientation
@@ -409,31 +431,13 @@ class _Padded:
         self._parity = -1 if n % 2 else 1   # the lifted determinant's sign flip
         self._next_cell = 0
         self._hint = None
+        for cell in cells.tolist():
+            self._add_cell(tuple(cell))
+        for facet, cs in list(self.facets.items()):
+            if len(cs) == 1:
+                self._add_cell((INF,) + facet)
 
     # -- construction ------------------------------------------------------
-
-    def add_point(self, p) -> int:
-        self.coords.append(tuple(np.asarray(p, dtype=float).tolist()))
-        return len(self.coords) - 1
-
-    def seed_simplex(self, ids: Sequence[int]) -> None:
-        cell = tuple(sorted(ids))
-        self._add_cell(cell)
-        for facet in itertools.combinations(cell, self.n):
-            self._add_cell((INF,) + facet)
-
-    @classmethod
-    def from_tessellation(cls, tess: Tessellation) -> "_Padded":
-        pad = cls(tess.n)
-        for p in tess.nodes:
-            pad.add_point(p)
-        for cell in tess.cells.tolist():
-            pad._add_cell(tuple(cell))
-        # hull facets get an infinite cell each
-        for facet, cs in list(pad.facets.items()):
-            if len(cs) == 1 and facet[0] != INF:
-                pad._add_cell((INF,) + facet)
-        return pad
 
     def _add_cell(self, cell: tuple) -> int:
         cid = self._next_cell
@@ -551,14 +555,19 @@ class _Padded:
         if degenerate:
             raise DegenerateInput("cavity retriangulation produced a flat cell")
 
-    # -- export --------------------------------------------------------------
 
-    def log_exact_signs(self, caller: str) -> None:
-        logger.debug("%s: %d predicates decided exactly", caller, self.pred.exact)
 
-    def snapshot(self) -> Tessellation:
-        finite = [c for c in self.cells.values() if c[0] != INF]
-        return Tessellation(self.coords, np.array(finite, dtype=np.intp))
+def _bowyer_watson(caller: str, nodes: np.ndarray, cells, order) -> Tessellation:
+    """Insert the nodes ``order`` lists, in that order, into the padded
+    complex of ``nodes`` and ``cells``; return the finite cells on ``nodes``."""
+    pad = _Padded(nodes, cells)
+    try:
+        for i in order:
+            pad.insert(i)
+    finally:
+        logger.debug("%s: %d predicates decided exactly", caller, pad.pred.exact)
+    finite = [c for c in pad.cells.values() if c[0] != INF]
+    return Tessellation(nodes, np.array(finite, dtype=np.intp))
 
 
 # ---------------------------------------------------------------------------
@@ -647,18 +656,8 @@ def build_delaunay(points) -> Tessellation:
     eps = EPS_GEOM_REL * bbox_diagonal(points)
     _check_batch_distinct(np.empty((0, n)), points, eps)
     seed = _initial_simplex(points, eps)
-    pad = _Padded(n)
-    for p in points:
-        pad.add_point(p)
-    pad.seed_simplex(seed)
-    seed_set = set(seed)
-    try:
-        for i in _hilbert_order(points).tolist():
-            if i not in seed_set:
-                pad.insert(i)
-    finally:
-        pad.log_exact_signs("build_delaunay")
-    return pad.snapshot()
+    order = [i for i in _hilbert_order(points).tolist() if i not in seed]
+    return _bowyer_watson("build_delaunay", points, [seed], order)
 
 
 def _check_batch_distinct(existing: np.ndarray, batch: np.ndarray, eps: float) -> None:
@@ -704,27 +703,23 @@ def insert_nodes(tess: Tessellation, points: Iterable) -> Tessellation:
     a new point loses every exact tie with a cell (see the module docstring):
     on a cell's circumsphere, it is outside.  Each point is located by the
     exact visibility walk from the cell made last.  Raises DegenerateInput if
-    an insertion makes a flat cell.
+    an insertion makes a flat cell, and ValueError for a point with a
+    non-finite coordinate or a mesh that is not one of n-simplices.
     """
     points = [np.asarray(p, dtype=float) for p in points]
     if not points:
         return tess
-    eps = EPS_GEOM_REL * bbox_diagonal(tess.nodes)
-    existing = tess.nodes
     bad_shape = next(
         (k for k, p in enumerate(points) if p.shape != (tess.n,)), len(points)
     )
     if bad_shape:
-        _check_batch_distinct(existing, np.array(points[:bad_shape]), eps)
+        batch = _points(points[:bad_shape], "inserted point")
+        _check_batch_distinct(tess.nodes, batch, EPS_GEOM_REL * bbox_diagonal(tess.nodes))
     if bad_shape < len(points):
         raise ValueError("inserted point has wrong dimension")
-    pad = _Padded.from_tessellation(tess)
-    try:
-        for p in points:
-            pad.insert(pad.add_point(p))
-    finally:
-        pad.log_exact_signs("insert_nodes")
-    return pad.snapshot()
+    N = len(tess.nodes)
+    return _bowyer_watson("insert_nodes", np.vstack([tess.nodes, batch]), tess.cells,
+                          range(N, N + len(batch)))
 
 
 # ---------------------------------------------------------------------------

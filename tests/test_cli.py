@@ -459,6 +459,8 @@ def test_cli_file_errors_exit_without_traceback(triv_complex, tmp_path):
         (lambda d: d.update(cells=[[0, 1, 10**20]]), "a cell names a node id outside 0..2"),
         (lambda d: d.update(cells=[[0.5, 1, 2.9]]),
          "cell (0.5, 1.0, 2.9) does not hold integer node ids"),
+        (lambda d: d["points"][1].__setitem__(2, float("nan")),
+         "node 1 has a non-finite coordinate: (0.0, 1.0, nan)"),
         (lambda d: d.update(cells=[[0, 1, -1]]),
          "cell (-1, 0, 1) is not a 2-simplex on nodes 0..2"),
         (lambda d: d.update(cells=[[0, 1, 1]]),

@@ -267,6 +267,16 @@ def test_manifold_mesh_validation(sphere):
     with pytest.raises(ValueError, match="mesh node violates the constraint"):
         analyze_constrained(sphere, bad)
 
+    # a NaN residual is no pass either
+    def g_nan_at_node_0(X):
+        G = sphere.g(X).copy()
+        G[0] = np.nan
+        return G
+
+    nan_g = ConstrainedProblem(base=sphere.base, g=g_nan_at_node_0, g_jacobian=sphere.g_jacobian)
+    with pytest.raises(ValueError, match=r"mesh node violates the constraint: max \|g\| = nan"):
+        analyze_constrained(nan_g, mesh)
+
 
 def test_mesh_without_cells_gives_an_empty_complex(sphere):
     mesh = Tessellation(icosphere(0).nodes, np.empty((0, 3), np.intp))

@@ -10,6 +10,7 @@ against an explicit perturbation by a tiny rational eps.
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -224,13 +225,11 @@ def test_conflict_ties_match_explicit_perturbation(n, family, data):
     # permuted ids
     pts = data.draw(TIE_FAMILIES[family](n))
     ids = data.draw(st.permutations(range(n + 2)))
-    pad = _Padded(n)
-    for i in range(n + 2):
-        pad.add_point(pts[ids.index(i)])
+    nodes = np.array([pts[ids.index(i)] for i in range(n + 2)], dtype=float)
     for j in range(n + 2):
         order = [k for k in range(n + 2) if k != j] + [j]
         if oracle_orient([pts[k] for k in order[:-1]]) == 0:
             continue
-        cid = pad._add_cell(tuple(sorted(ids[k] for k in order[:-1])))
+        pad = _Padded(nodes, [sorted(ids[k] for k in order[:-1])])  # the cell is cell 0
         want = oracle_perturbed_conflict([pts[k] for k in order], [ids[k] for k in order])
-        assert pad._in_conflict(cid, ids[j]) == want
+        assert pad._in_conflict(0, ids[j]) == want

@@ -2,6 +2,7 @@ import itertools
 import logging
 import math
 import re
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,7 @@ from paretoc.errors import DegenerateInput, DimensionTooLow, DuplicateNode
 from paretoc.geometry import simplex_diameter
 from paretoc.tessellation import (
     EPS_GEOM_REL,
+    INF,
     _check_batch_distinct,
     _hilbert_order,
     _initial_simplex,
@@ -214,6 +216,9 @@ def test_tessellation_immutable_nodes():
                  id="float dtype"),
     pytest.param(np.array([[True, False, True]]),
                  "cell (True, False, True) does not hold integer node ids", id="bool"),
+    # numpy cannot convert NaN to an integer
+    pytest.param([[0, 1, float("nan")]], "cell (0.0, 1.0, nan) does not hold integer node ids",
+                 id="nan"),
     pytest.param([0, 1, 2], "cells must be a (C, k) array of node ids, not shape (3,)",
                  id="1-D"),
     pytest.param([], "cells must be a (C, k) array of node ids, not shape (0,)", id="empty 1-D"),
@@ -290,14 +295,11 @@ def id_order_cells(pts):
     """Reference: Bowyer-Watson on the padded complex, inserting in id order."""
     pts = np.asarray(pts, dtype=float)
     seed = _initial_simplex(pts, EPS_GEOM_REL * bbox_diagonal(pts))
-    pad = _Padded(pts.shape[1])
-    for p in pts:
-        pad.add_point(p)
-    pad.seed_simplex(seed)
+    pad = _Padded(pts, [seed])
     for i in range(len(pts)):
         if i not in seed:
             pad.insert(i)
-    return cell_tuples(pad.snapshot())
+    return cell_tuples(Tessellation(pts, [c for c in pad.cells.values() if c[0] != INF]))
 
 
 def assert_same_as_id_order(pts):
@@ -445,6 +447,69 @@ def test_walk_inserts_into_kuhn_grids_match_scan_seeded_reference(n, kind, seed,
         ref = insert_nodes(t, list(P))
     assert cell_tuples(got) == cell_tuples(ref)
     assert len(got.nodes) == len(t.nodes) + len(P)
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: Tessellation([[0.0, 0.0], [1.0, 0.0], [0.0, math.inf]], [[0, 1, 2]]),
+                 "node 2 has a non-finite coordinate: (0.0, inf)", id="Tessellation"),
+    pytest.param(lambda: build_delaunay([[0, 0], [1, 0], [0, 1], [math.nan, 0.5]]),
+                 "node 3 has a non-finite coordinate: (nan, 0.5)", id="build_delaunay"),
+    pytest.param(lambda: insert_nodes(kuhn_tessellation([[0, 1], [0, 1]], [3, 3]),
+                                      [[0.25, 0.5], [math.nan, 0.5]]),
+                 "inserted point 1 has a non-finite coordinate: (nan, 0.5)", id="insert nan"),
+    pytest.param(lambda: insert_nodes(kuhn_tessellation([[0, 1], [0, 1]], [3, 3]),
+                                      [[5.0, -math.inf]]),
+                 "inserted point 0 has a non-finite coordinate: (5.0, -inf)", id="insert inf"),
+])
+def test_non_finite_coordinates_are_named(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
+@pytest.mark.parametrize("mesh", [
+    pytest.param(lambda: icosphere(1), id="manifold"),
+    pytest.param(lambda: Tessellation(grid_nodes([[0, 1], [0, 1]], [3, 3]),
+                                      np.empty((0, 3), np.intp)), id="no cells"),
+])
+def test_insert_nodes_needs_a_mesh_of_n_simplices(mesh):
+    t = mesh()
+    with pytest.raises(ValueError, match=f"needs one or more cells of {t.n + 1} nodes"):
+        insert_nodes(t, [np.full(t.n, 0.25)])
+
+
+def _padded_inputs(kind):
+    if kind == "kuhn 2-D":
+        t = kuhn_tessellation([[0, 1], [0, 2]], [4, 5])
+    elif kind == "kuhn 3-D":
+        t = kuhn_tessellation([[0, 1], [0, 1], [0, 1]], [3, 4, 3])
+    elif kind == "delaunay":
+        t = build_delaunay(np.random.default_rng(3).uniform(-1.0, 1.0, (40, 3)))
+    else:
+        pts = np.random.default_rng(4).uniform(-1.0, 1.0, (12, 3))
+        return pts, [_initial_simplex(pts, EPS_GEOM_REL * bbox_diagonal(pts))]
+    return t.nodes, t.cells.tolist()
+
+
+@pytest.mark.parametrize("kind", ["kuhn 2-D", "kuhn 3-D", "delaunay", "seed simplex"])
+def test_padded_complex_closes_the_hull(kind):
+    # the constructor adds one infinite cell per hull facet, so every facet
+    # of the padded complex is shared by exactly two cells
+    nodes, cells = _padded_inputs(kind)
+    n = nodes.shape[1]
+    pad = _Padded(nodes, cells)
+    assert all(len(cs) == 2 for cs in pad.facets.values())
+    uses = Counter(f for c in cells for f in itertools.combinations(c, n))
+    hull = [(INF,) + f for f, k in uses.items() if k == 1]
+    infinite = [c for c in pad.cells.values() if c[0] == INF]
+    assert sorted(infinite) == sorted(hull)
+    assert [c for c in pad.cells.values() if c[0] != INF] == [tuple(c) for c in cells]
+    if kind == "seed simplex":
+        # cell 0 is the seed and cells 1..n+1 its facets in combination
+        # order; the walk starts from the last
+        seed = tuple(cells[0])
+        facets = [(INF,) + f for f in itertools.combinations(seed, n)]
+        assert pad.cells == dict(enumerate([seed] + facets))
+        assert pad._hint == n + 1
 
 
 def test_batch_duplicate_checks_keep_their_order():
