@@ -137,7 +137,13 @@ def cmd_iterate(args) -> int:
     problem = registry_get(args.problem)
     if isinstance(problem, ConstrainedProblem):
         raise UsageError("iterate supports unconstrained problems only")
+    if args.scheme == "polyline" and problem.m != 2:
+        raise UsageError(f"polyline resampling applies to two-objective output; "
+                         f"{args.problem} has {problem.m} objectives")
     reference = load_complex(args.reference) if args.reference else None
+    if reference is not None and reference.n != problem.n:
+        raise UsageError(f"the reference complex has ambient dimension {reference.n}; "
+                         f"{args.problem} has {problem.n}")
     tess = _parse_grid(args.grid, problem.domain_box)
     state = initial_state(problem, tess, order=args.order)
     outdir = Path(args.out_dir)

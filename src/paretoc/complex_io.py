@@ -62,8 +62,27 @@ def complex_to_dict(cx: ParetoComplex, provenance: Optional[dict] = None) -> dic
     }
 
 
+def _expect(value, kind: type, what: str):
+    """``value`` if it is a ``kind``, dict or list; otherwise a ValueError
+    names ``what``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} is not a JSON {'object' if kind is dict else 'array'}")
+    return value
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int: an int, or a float with an integral value.  A
+    bool, a fraction or anything else raises ValueError naming ``what``,
+    where ``int()`` would truncate 2.7 to 2 and read true as 1."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} is {value!r}, not an integer")
+    return value
+
+
 def _vertex_id(i, V: int, what: str) -> int:
-    i = int(i)
+    i = _integer(i, f"a vertex id of {what}")
     if not 0 <= i < V:
         raise ValueError(f"{what} names vertex {i}, the file has {V}")
     return i
@@ -71,7 +90,11 @@ def _vertex_id(i, V: int, what: str) -> int:
 
 def _row(v: dict, name: str, k: int) -> np.ndarray:
     """A vertex's ``name`` entry as k floats."""
-    row = np.asarray(v[name], dtype=float)
+    try:
+        row = np.asarray(v[name], dtype=float)
+    except (TypeError, ValueError):  # an object, a string or a ragged list
+        raise ValueError(f"the {name!r} entry of vertex {v['id']} is not a list of "
+                         f"{k} numbers") from None
     if row.shape != (k,):
         raise ValueError(f"the {name!r} entry of vertex {v['id']} has shape {row.shape}, "
                          f"not ({k},)")
@@ -79,19 +102,24 @@ def _row(v: dict, name: str, k: int) -> np.ndarray:
 
 
 def complex_from_dict(doc: dict) -> ParetoComplex:
+    """A complex from the JSON document of a complex file.  A missing entry,
+    an entry of the wrong JSON kind, a non-integral count or id, or a vertex
+    id out of range raises ``ValueError`` naming it."""
+    _expect(doc, dict, "the complex file")
     if doc.get("version") != COMPLEX_VERSION:
         raise ValueError(f"unsupported complex file version {doc.get('version')!r}")
     try:
-        n = int(doc["ambient_dim"])
-        m = int(doc["objectives"])
-        verts = doc["vertices"]
+        n = _integer(doc["ambient_dim"], "the 'ambient_dim' entry")
+        m = _integer(doc["objectives"], "the 'objectives' entry")
+        verts = [_expect(v, dict, "a vertex")
+                 for v in _expect(doc["vertices"], list, "the 'vertices' entry")]
         V = len(verts)
         positions = np.empty((V, n))
         u_values = np.empty((V, m))
         lam = np.full((V, m), np.nan)
         has_sigma = any(v.get("sigma") is not None for v in verts)
         sigma = np.full((V, n - m + 1), np.nan) if has_sigma else None
-        ids = [int(v["id"]) for v in verts]
+        ids = [_integer(v["id"], "the 'id' entry of a vertex") for v in verts]
         if sorted(ids) != list(range(V)):
             raise ValueError(f"vertex ids are not 0..{V - 1}, each once")
         for i, v in zip(ids, verts):
@@ -102,21 +130,24 @@ def complex_from_dict(doc: dict) -> ParetoComplex:
             if v.get("sigma") is not None:
                 sigma[i] = _row(v, "sigma", n - m + 1)
         simplices, names = [], []
-        for s in doc["simplices"]:
+        for s in _expect(doc["simplices"], list, "the 'simplices' entry"):
+            s = _expect(s, dict, "a simplex")
             stratum = s["stratum"]
             if stratum not in STRATA:
                 raise ValueError(f"unknown stratum {stratum!r}")
-            vids = [_vertex_id(i, V, "a simplex") for i in s["vertex_ids"]]
+            vids = [_vertex_id(i, V, "a simplex")
+                    for i in _expect(s["vertex_ids"], list, "the 'vertex_ids' entry of a simplex")]
             if len(vids) != m or len(set(vids)) != m:
                 raise ValueError(f"simplex {vids} does not name {m} distinct vertices")
             simplices.append(vids)
             names.append(stratum)
         markers = []
-        for mk in doc["markers"]:
+        for mk in _expect(doc["markers"], list, "the 'markers' entry"):
+            mk = _expect(mk, dict, "a marker")
             if mk["kind"] not in MARKER_KINDS:
                 raise ValueError(f"unknown marker kind {mk['kind']!r}")
             markers.append((_vertex_id(mk["vertex"], V, "a marker"), mk["kind"]))
-        prov = doc.get("provenance") or {}
+        prov = _expect(doc.get("provenance") or {}, dict, "the 'provenance' entry")
     except KeyError as exc:
         raise ValueError(f"complex file has no {exc.args[0]!r} entry") from None
     return ParetoComplex(
@@ -231,18 +262,20 @@ def load_mesh(path) -> Tessellation:
     ids and, if the file gives ``embedding_dim``, its points rows of that
     many coordinates; anything else raises ``ValueError``."""
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = _expect(json.load(fh), dict, "the mesh file")
     if doc.get("version") != MESH_VERSION:
         raise ValueError(f"unsupported mesh file version {doc.get('version')!r}")
     try:
-        dim = int(doc["dim"])
-        mesh = Tessellation(doc["points"], doc["cells"] or np.empty((0, dim + 1), np.intp))
+        dim = _integer(doc["dim"], "the 'dim' entry")
+        points = _expect(doc["points"], list, "the 'points' entry")
+        cells = _expect(doc["cells"], list, "the 'cells' entry")
+        mesh = Tessellation(points, cells or np.empty((0, dim + 1), np.intp))
     except KeyError as exc:
         raise ValueError(f"mesh file has no {exc.args[0]!r} entry") from None
     if mesh.cells.shape[1] != dim + 1:
         raise ValueError(f"mesh file has dim {dim}, but its cells have "
                          f"{mesh.cells.shape[1]} nodes, not {dim + 1}")
-    embedding_dim = int(doc.get("embedding_dim", mesh.n))
+    embedding_dim = _integer(doc.get("embedding_dim", mesh.n), "the 'embedding_dim' entry")
     if embedding_dim != mesh.n:
         raise ValueError(f"mesh file has embedding_dim {embedding_dim}, but its points "
                          f"have {mesh.n} coordinates")

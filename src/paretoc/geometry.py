@@ -1,41 +1,12 @@
-"""Small geometric helpers shared across modules.
+"""The exact point-to-simplex distance kernel, stacked over simplices.
 
-All simplices are given as (k+1, n) coordinate arrays (k-simplex embedded in
-R^n, k <= n).
+A simplex is given as a (k+1, n) coordinate array (a k-simplex embedded in
+R^n, k <= 2), and a stack of G of them as a (G, k+1, n) array.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
-
-
-def simplex_measure(pts: np.ndarray) -> float:
-    """k-dimensional measure of a k-simplex embedded in R^n.
-
-    Uses the Gram determinant, so it is valid for any embedding dimension
-    (length of a segment in R^3, area of a triangle in R^4, ...).
-    """
-    pts = np.asarray(pts, dtype=float)
-    k = pts.shape[0] - 1
-    if k == 0:
-        return 0.0
-    edges = pts[1:] - pts[0]
-    gram = edges @ edges.T
-    det = np.linalg.det(gram)
-    if det <= 0.0:
-        return 0.0
-    return float(np.sqrt(det) / np.prod(np.arange(1, k + 1)))
-
-
-def simplex_diameter(pts: np.ndarray) -> float:
-    """Longest edge of a simplex."""
-    pts = np.asarray(pts, dtype=float)
-    best = 0.0
-    for i, j in itertools.combinations(range(pts.shape[0]), 2):
-        best = max(best, float(np.linalg.norm(pts[i] - pts[j])))
-    return best
 
 
 def points_to_simplices_distance(points: np.ndarray, simplices: np.ndarray) -> np.ndarray:

@@ -39,7 +39,7 @@ import numpy as np
 
 from .continuation import ParetoComplex
 from .errors import EmptyComplex, InsufficientData
-from .geometry import points_to_simplices_distance, simplex_diameter
+from .geometry import points_to_simplices_distance
 
 DEFAULT_DENSITY = 20
 
@@ -214,10 +214,12 @@ def hausdorff(a, b, density: int = DEFAULT_DENSITY, strata=None) -> DistanceRepo
 def max_sample_spacing(obj, density: int = DEFAULT_DENSITY, strata=None) -> float:
     """Upper bound on the sup-side sampling resolution for ``hausdorff``."""
     pos, simp = _as_point_set(obj, strata)
-    diam = 0.0
-    for P in pos[simp]:
-        diam = max(diam, simplex_diameter(P))
-    return diam / max(1, density)
+    i, j = np.triu_indices(simp.shape[1], 1)
+    D = (pos[simp[:, i]] - pos[simp[:, j]]).reshape(-1, pos.shape[1])
+    # each edge length with the bits of np.linalg.norm on that edge (see
+    # Tessellation.min_incident_edge)
+    diam = np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0]).max(initial=0.0)
+    return float(diam) / max(1, density)
 
 
 def convergence_slope(pairs) -> float:

@@ -12,6 +12,7 @@ recomputed from true Jacobians at the vertex positions
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -25,7 +26,6 @@ from .continuation import (
     minors_of_jacobian,
 )
 from .errors import EmptyComplex, NoProgress
-from .geometry import simplex_measure
 from .metrics import hausdorff
 from .problems import VectorProblem
 from .tessellation import Tessellation, insert_nodes
@@ -50,8 +50,12 @@ class RefinementState:
     tess: Tessellation
     complex: ParetoComplex
     order: int = 2
-    iteration: int = 0
     history: list = field(default_factory=list)
+
+    @property
+    def iteration(self) -> int:
+        """Refinement steps taken: one per history entry."""
+        return len(self.history)
 
 
 def initial_state(problem: VectorProblem, tess: Tessellation, order: int = 2) -> RefinementState:
@@ -124,12 +128,13 @@ def segment_chains(segs) -> list:
     return chains
 
 
-def resample_polyline(cx: ParetoComplex) -> list:
-    """Arclength midpoints along every critical polyline.
+def resample_polyline(cx: ParetoComplex) -> np.ndarray:
+    """Arclength midpoints along every critical polyline, as a (K, n) array.
 
     For a chain of k segments and length L the candidates sit at arclengths
     (2i-1) L / (2k), i = 1..k: as many points as segments, never coinciding
-    with existing polyline vertices.
+    with existing polyline vertices.  The chains are taken in the order of
+    :func:`segment_chains`, each chain's targets in arclength order.
     """
     if cx.m != 2:
         raise EmptyComplex("polyline resampling applies to two-objective output")
@@ -144,32 +149,36 @@ def resample_polyline(cx: ParetoComplex) -> list:
             continue
         targets = (2 * np.arange(1, k + 1) - 1) * L / (2 * k)
         cum = np.concatenate([[0.0], np.cumsum(seg_len)])
-        for s in targets:
-            j = int(np.searchsorted(cum, s, side="right") - 1)
-            j = min(j, k - 1)
-            t = (s - cum[j]) / seg_len[j] if seg_len[j] > 0 else 0.5
-            out.append(P[j] + t * (P[j + 1] - P[j]))
+        j = np.minimum(np.searchsorted(cum, targets, side="right") - 1, k - 1)
+        step = seg_len[j]
+        t = np.where(step > 0, (targets - cum[j]) / np.where(step > 0, step, 1.0), 0.5)
+        out.append(P[j] + t[:, None] * (P[j + 1] - P[j]))
     if not out:
         raise EmptyComplex("no resampling candidates produced")
-    return out
+    return np.concatenate(out)
 
 
 def _maximin_fill_with_hosts(cx: ParetoComplex):
     """Greedy accumulated-volume filling of the critical subcomplex.
 
     Repeatedly picks the simplex whose own measure plus that of its active
-    neighbours is largest (ties to the lowest simplex index), emits its
-    centroid and excludes it; excluded simplices contribute nothing and
-    cannot be picked again, so every simplex is picked once, in greedy
-    order.
-    Returns ``(points, hosts)``, the hosts as indices into ``cx.simplices``.
+    neighbours is largest (ties to the lowest simplex index) and excludes
+    it; excluded simplices contribute nothing and cannot be picked again, so
+    every simplex is picked once, in greedy order.  A measure is the square
+    root of the Gram determinant of the simplex's edges from its first
+    vertex, over k!, and 0 where that determinant is not positive.
+    Returns ``(points, hosts)``: the (K, n) centroids of the picks and the
+    picks as indices into ``cx.simplices``, both in greedy order.
     """
     strata = _target_strata(cx)
-    ids = cx.simplex_ids(strata).tolist()
-    if not ids:
+    ids = cx.simplex_ids(strata)
+    if not len(ids):
         raise EmptyComplex("no simplices to fill")
+    P = cx.positions[cx.simplices[ids]]
+    E = P[:, 1:] - P[:, :1]
+    det = np.linalg.det(E @ E.transpose(0, 2, 1))
+    vols = np.sqrt(np.where(det <= 0.0, 0.0, det)) / math.factorial(E.shape[1])
     verts = cx.simplices[ids].tolist()
-    vols = np.array([simplex_measure(cx.positions[v]) for v in verts])
     k = len(ids)
     # adjacency: share a facet of the simplex (vertex for segments, edge for triangles)
     facet_map: dict[tuple, list] = {}
@@ -193,39 +202,33 @@ def _maximin_fill_with_hosts(cx: ParetoComplex):
 
     # a pick changes only its own score and its active neighbours' scores
     acc = np.array([score(si) for si in range(k)])
-    out = []
-    hosts = []
+    picks = []
     for _ in range(k):
         best = int(np.argmax(acc))  # argmax takes the lowest index on ties
-        out.append(cx.positions[verts[best]].mean(axis=0))
-        hosts.append(ids[best])
+        picks.append(best)
         active[best] = False
         acc[best] = -np.inf
         for j in neighbors[best]:
             if active[j]:
                 acc[j] = score(j)
-    return out, hosts
+    return P[picks].mean(axis=1), ids[picks]
 
 
-def _boundary_candidates(cx: ParetoComplex) -> list:
-    """Open-chain endpoints and marker positions, re-evaluated every iteration.
+def _boundary_candidates(cx: ParetoComplex) -> np.ndarray:
+    """Open-chain endpoints and marker positions, re-evaluated every iteration,
+    as a (K, n) array, (0, n) when there are none.
 
     Midpoints alone never shrink the cells around the criticality boundaries,
     where the minors are steep; re-inserting the current boundary estimates
     drives those cells down too.
     """
-    out = []
     try:
         strata = _target_strata(cx)
     except EmptyComplex:
-        return out
-    for chain in _chains(cx, strata):
-        if chain[0] != chain[-1]:
-            out.append(cx.positions[chain[0]].copy())
-            out.append(cx.positions[chain[-1]].copy())
-    for vid, _kind in cx.markers:
-        out.append(cx.positions[vid].copy())
-    return out
+        return np.empty((0, cx.n))
+    ends = [v for chain in _chains(cx, strata) if chain[0] != chain[-1]
+            for v in (chain[0], chain[-1])]
+    return cx.positions[ends + [vid for vid, _kind in cx.markers]]
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +267,8 @@ def iterate(
     problem = state.problem
     hosts = None
     if scheme == "polyline":
-        candidates = resample_polyline(state.complex)
-        candidates.extend(_boundary_candidates(state.complex))
+        candidates = np.concatenate([resample_polyline(state.complex),
+                                     _boundary_candidates(state.complex)])
     elif scheme == "maximin":
         candidates, hosts = _maximin_fill_with_hosts(state.complex)
     else:
@@ -275,14 +278,14 @@ def iterate(
         if hosts is not None:
             # a host simplex scores the largest magnitude at its vertices
             cx = state.complex
-            host_vids = cx.simplices[hosts].tolist()
-            vids = sorted({v for ids in host_vids for v in ids})
-            at = dict(zip(vids, _minor_magnitudes(problem, cx.positions[vids])))
-            scores = [max(at[v] for v in ids) for ids in host_vids]
+            host_vids = cx.simplices[hosts]
+            vids = np.flatnonzero(np.bincount(host_vids.ravel()))  # np.unique imports numpy.ma
+            at = _minor_magnitudes(problem, cx.positions[vids])
+            scores = at[np.searchsorted(vids, host_vids)].max(axis=1)
         else:
-            scores = _minor_magnitudes(problem, np.array(candidates))
+            scores = _minor_magnitudes(problem, candidates)
         order = np.argsort(scores)[::-1][:budget]
-        candidates = [candidates[i] for i in sorted(order)]
+        candidates = candidates[np.sort(order)]
     # spacing guard: keep candidates at least SPACING_GAMMA x (shortest edge
     # incident to their nearest node) away from every current node
     kept = []
@@ -293,7 +296,7 @@ def iterate(
         nearest = int(d.argmin())
         if d[nearest] < SPACING_GAMMA * guard_edges[nearest]:
             continue
-        kept.append(np.asarray(c, dtype=float))
+        kept.append(c)
         guard_pts = np.vstack([guard_pts, c[None, :]])
         guard_edges = np.append(guard_edges, d[nearest])
     if not kept:
@@ -323,6 +326,5 @@ def iterate(
         tess=tess,
         complex=cx,
         order=state.order,
-        iteration=state.iteration + 1,
         history=state.history + [stats],
     )

@@ -227,6 +227,29 @@ def test_cli_removed_flag_is_a_usage_error(flag, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_cli_iterate_rejects_its_inputs_before_any_work(tmp_path, capsys):
+    # a scheme the problem's output cannot take, or a reference complex in
+    # another ambient dimension, is a usage error before the first file
+    ref = tmp_path / "ref3d.json"
+    ref.write_text(json.dumps({
+        "version": 1, "ambient_dim": 3, "objectives": 2,
+        "vertices": [{"id": i, "x": [float(i), 0.0, 0.0], "u": [0.0, 0.0],
+                      "lambda": None, "sigma": None} for i in range(2)],
+        "simplices": [{"vertex_ids": [0, 1], "stratum": "critical_stable"}],
+        "markers": [],
+    }))
+    out = tmp_path / "it"
+    for args, message in (
+        (["--problem", "tri_quadratic", "--grid", "3x3x3"],
+         "polyline resampling applies to two-objective output"),
+        (["--problem", "triv", "--grid", "5x5", "--reference", str(ref)],
+         "the reference complex has ambient dimension 3; triv has 2"),
+    ):
+        assert main(["iterate", *args, "--iterations", "1", "--out-dir", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def _cli(*args):
     # a fresh interpreter: the CLI configures logging from scratch, and an
     # uncaught exception shows as a traceback on stderr
@@ -438,6 +461,24 @@ def test_cli_file_errors_exit_without_traceback(triv_complex, tmp_path):
          "simplex [0, 0] does not name 2 distinct vertices"),
         (lambda d: d["simplices"][0].update(vertex_ids=[0, 1, 2]),
          "simplex [0, 1, 2] does not name 2 distinct vertices"),
+        # a count or an id that is not an integer, where int() would truncate
+        # it or read true as 1
+        (lambda d: d["simplices"][0].update(vertex_ids=[0.2, 1.9]),
+         "a vertex id of a simplex is 0.2, not an integer"),
+        (lambda d: d["markers"][0].update(vertex=0.6),
+         "a vertex id of a marker is 0.6, not an integer"),
+        (lambda d: d["markers"][0].update(vertex=True),
+         "a vertex id of a marker is True, not an integer"),
+        (lambda d: d.update(ambient_dim=2.5), "the 'ambient_dim' entry is 2.5, not an integer"),
+        (lambda d: d["vertices"][0].update(id=0.5), "the 'id' entry of a vertex is 0.5, not an integer"),
+        # an entry of the wrong JSON kind
+        (lambda d: d.update(provenance=3), "the 'provenance' entry is not a JSON object"),
+        (lambda d: d.update(vertices=[1]), "a vertex is not a JSON object"),
+        (lambda d: d.update(vertices=5), "the 'vertices' entry is not a JSON array"),
+        (lambda d: d["simplices"][0].update(vertex_ids=5),
+         "the 'vertex_ids' entry of a simplex is not a JSON array"),
+        (lambda d: d["vertices"][0].update(x={"a": 1}),
+         "the 'x' entry of vertex 0 is not a list of 2 numbers"),
     ):
         doc = json.loads(good.read_text())
         edit(doc)
@@ -445,6 +486,14 @@ def test_cli_file_errors_exit_without_traceback(triv_complex, tmp_path):
         done = _cli("distance", str(bad), str(good))
         assert done.returncode == 2, message
         assert f"error: {message}" in done.stderr
+        assert "Traceback" not in done.stderr
+    # a file whose top level is not a JSON object
+    bad.write_text("[]")
+    for args in (["distance", str(bad), str(good)],
+                 ["run", "--problem", "sphere_proj", "--manifold-mesh", str(bad)]):
+        done = _cli(*args)
+        assert done.returncode == 2, args
+        assert "file is not a JSON object" in done.stderr
         assert "Traceback" not in done.stderr
     # so does a mesh file without cells, with a cell that does not name
     # distinct nodes of the mesh, or with a dim or an embedding_dim that its
@@ -468,6 +517,10 @@ def test_cli_file_errors_exit_without_traceback(triv_complex, tmp_path):
         (lambda d: d.update(dim=1), "mesh file has dim 1, but its cells have 3 nodes, not 2"),
         (lambda d: d.update(embedding_dim=7),
          "mesh file has embedding_dim 7, but its points have 3 coordinates"),
+        (lambda d: d.update(dim=2.7), "the 'dim' entry is 2.7, not an integer"),
+        (lambda d: d.update(dim=True), "the 'dim' entry is True, not an integer"),
+        (lambda d: d.update(embedding_dim=3.5), "the 'embedding_dim' entry is 3.5, not an integer"),
+        (lambda d: d.update(points={"a": 1}), "the 'points' entry is not a JSON array"),
     ):
         doc = json.loads(good_mesh.read_text())
         edit(doc)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -81,6 +82,18 @@ def test_density_refinement_bound(rng):
     r2 = hausdorff(A, B, density=40)
     bound = max(max_sample_spacing(A, density=20), max_sample_spacing(B, density=20))
     assert abs(r1.hausdorff - r2.hausdorff) <= bound
+
+
+def test_sample_spacing_matches_per_edge_norms(rng):
+    # the stacked edge lengths have the bits of np.linalg.norm on each edge
+    pts = rng.uniform(-1, 1, (40, 3))
+    tris = [tuple(rng.choice(40, 3, replace=False)) for _ in range(60)]
+    for obj, density in (((pts, tris), 7), (_segments(pts, [(i, i + 1) for i in range(39)]), 1),
+                         (pts, 20)):
+        ids = obj[1] if isinstance(obj, tuple) else [(i,) for i in range(len(pts))]
+        diam = max((float(np.linalg.norm(pts[a] - pts[b]))
+                    for s in ids for a, b in itertools.combinations(s, 2)), default=0.0)
+        assert max_sample_spacing(obj, density=density) == diam / density
 
 
 def test_triangles_supported():

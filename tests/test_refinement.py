@@ -5,9 +5,12 @@ from paretoc import refinement
 from paretoc.complex_io import save_complex
 from paretoc.continuation import ParetoComplex, STRATUM_STABLE, STRATUM_UNSTABLE, glue
 from paretoc.errors import EmptyComplex, NoProgress
-from paretoc.geometry import points_to_simplices_distance, simplex_measure
+from paretoc.geometry import points_to_simplices_distance
 from paretoc.problems import registry_get
 from paretoc.refinement import (
+    RefinementState,
+    _boundary_candidates,
+    _chains,
     _maximin_fill_with_hosts,
     _target_strata,
     complex_minor_stats,
@@ -107,12 +110,23 @@ def test_maximin_no_simplex_twice():
     assert len({tuple(np.round(p, 12)) for p in pts}) == 3
 
 
+def _loop_measure(P):
+    # one simplex's measure from its own Gram determinant, where the fill
+    # takes the determinants of all simplices in one stacked call
+    k = len(P) - 1
+    E = P[1:] - P[0]
+    det = np.linalg.det(E @ E.T)
+    if det <= 0.0:
+        return 0.0
+    return float(np.sqrt(det) / np.prod(np.arange(1, k + 1)))
+
+
 def _loop_maximin_fill(cx, count):
     # the reference: every pick re-scores every active simplex, where the
     # fill re-scores only the picked simplex's active neighbours
     ids = cx.simplex_ids(_target_strata(cx))
     verts = cx.simplices[ids].tolist()
-    vols = np.array([simplex_measure(cx.positions[list(v)]) for v in verts])
+    vols = np.array([_loop_measure(cx.positions[v]) for v in verts])
     k = len(ids)
     facet_map = {}
     for si, v in enumerate(verts):
@@ -161,10 +175,68 @@ def test_maximin_fill_matches_full_rescore():
     for cx in complexes:
         k = len(cx.simplex_ids(_target_strata(cx)))
         pts, hosts = _maximin_fill_with_hosts(cx)
+        assert pts.shape == (k, cx.n)
         for count in (k, k // 3):
             ref_pts, ref_hosts = _loop_maximin_fill(cx, count)
-            assert hosts[:count] == ref_hosts
+            assert hosts[:count].tolist() == ref_hosts
             assert np.array_equal(np.array(pts[:count]), np.array(ref_pts))
+
+
+def _loop_resample_polyline(cx):
+    # the reference: one searchsorted per target, where resample_polyline
+    # runs one per chain
+    out = []
+    for chain in _chains(cx, _target_strata(cx)):
+        P = cx.positions[chain]
+        seg_len = np.linalg.norm(np.diff(P, axis=0), axis=1)
+        L = float(seg_len.sum())
+        k = len(seg_len)
+        if L <= 0.0 or k == 0:
+            continue
+        targets = (2 * np.arange(1, k + 1) - 1) * L / (2 * k)
+        cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+        for s in targets:
+            j = int(np.searchsorted(cum, s, side="right") - 1)
+            j = min(j, k - 1)
+            t = (s - cum[j]) / seg_len[j] if seg_len[j] > 0 else 0.5
+            out.append(P[j] + t * (P[j + 1] - P[j]))
+    return np.array(out)
+
+
+def _closed_loop_complex():
+    # an irregular 9-gon on the unit circle, its ids shuffled along the loop
+    theta = np.sort(np.random.default_rng(5).uniform(0.0, 2 * np.pi, 9))
+    order = np.random.default_rng(6).permutation(9)
+    points = np.empty((9, 2))
+    points[order] = np.column_stack([np.cos(theta), np.sin(theta)])
+    return _polyline_complex(points, [(order[i], order[(i + 1) % 9]) for i in range(9)])
+
+
+@pytest.mark.parametrize("case", ["noncv-kuhn 80^2", "closed loop"])
+def test_resample_polyline_matches_per_target_loop(case):
+    if case == "closed loop":
+        cx = _closed_loop_complex()
+    else:
+        p = registry_get("noncv")
+        cx = initial_state(p, kuhn_tessellation(p.domain_box, [80, 80])).complex
+    ref = _loop_resample_polyline(cx)
+    got = resample_polyline(cx)
+    assert isinstance(got, np.ndarray) and got.shape == ref.shape == (len(ref), 2)
+    assert len(ref) >= 9
+    assert np.array_equal(got, ref)
+
+
+def test_boundary_candidates_are_one_array():
+    # a closed loop has no endpoints; with a marker it has that one row
+    cx = _closed_loop_complex()
+    assert _boundary_candidates(cx).shape == (0, 2)
+    marked = _polyline_complex(cx.positions, cx.simplices, markers=[(4, "cusp")])
+    assert np.array_equal(_boundary_candidates(marked), cx.positions[[4]])
+    # an open chain gives its two ends, and a complex with nothing to refine none
+    cx = _polyline_complex([[0, 0], [1, 0], [2, 1]], [(0, 1), (1, 2)])
+    assert np.array_equal(_boundary_candidates(cx), cx.positions[[0, 2]])
+    cx = _polyline_complex([[0, 0], [1, 0]], [(0, 1)], stratum="singular_only")
+    assert _boundary_candidates(cx).shape == (0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +271,15 @@ def test_iterate_step(triv_state):
     box = triv_state.problem.domain_box
     pts = st.tess.nodes[len(triv_state.tess.nodes):]
     assert np.all(pts >= box[:, 0] - 1e-12) and np.all(pts <= box[:, 1] + 1e-12)
+
+
+def test_state_iteration_is_its_history_length(triv_state):
+    st = iterate(triv_state, scheme="polyline")
+    assert (triv_state.iteration, st.iteration) == (0, 1)
+    with pytest.raises(AttributeError):
+        st.iteration = 5
+    with pytest.raises(TypeError):
+        RefinementState(problem=st.problem, tess=st.tess, complex=st.complex, iteration=3)
 
 
 def test_iterate_spacing_guard_blocks_everything(triv_state, monkeypatch):
