@@ -89,15 +89,20 @@ def _vertex_id(i, V: int, what: str) -> int:
 
 
 def _row(v: dict, name: str, k: int) -> np.ndarray:
-    """A vertex's ``name`` entry as k floats."""
+    """A vertex's ``name`` entry as k floats.  A null number raises
+    ValueError, where numpy would read it as NaN."""
+    entries = v[name]
     try:
-        row = np.asarray(v[name], dtype=float)
+        row = np.asarray(entries, dtype=float)
     except (TypeError, ValueError):  # an object, a string or a ragged list
         raise ValueError(f"the {name!r} entry of vertex {v['id']} is not a list of "
                          f"{k} numbers") from None
     if row.shape != (k,):
         raise ValueError(f"the {name!r} entry of vertex {v['id']} has shape {row.shape}, "
                          f"not ({k},)")
+    if None in entries:
+        raise ValueError(f"the {name!r} entry of vertex {v['id']} holds null at "
+                         f"index {entries.index(None)}")
     return row
 
 

@@ -33,6 +33,7 @@ from .tessellation import Tessellation, insert_nodes
 logger = logging.getLogger(__name__)
 
 SPACING_GAMMA = 0.1  # candidate-to-node distance floor, x local shortest edge
+_GUARD_BLOCK = 1 << 16  # distances per stacked block of the spacing guard (0.5 MB)
 
 
 @dataclass
@@ -257,6 +258,67 @@ def complex_minor_stats(problem: VectorProblem, cx: ParetoComplex):
     return float(vals.max()), float(vals.mean())
 
 
+def _distances(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """(len(Q), len(P)) Euclidean distances from each row of Q to each row of
+    P.  The squares are summed column by column, which for small n rounds as
+    ``np.linalg.norm(P - q, axis=1)`` does."""
+    acc = np.zeros((len(Q), len(P)))
+    for k in range(P.shape[1]):
+        diff = P[None, :, k] - Q[:, None, k]
+        acc += diff * diff
+    return np.sqrt(acc)
+
+
+def _spacing_guard(tess: Tessellation, candidates: np.ndarray) -> np.ndarray:
+    """The candidates, in order, that the spacing guard keeps.
+
+    Taken in order, a candidate is kept when it lies at least SPACING_GAMMA
+    times the edge of its nearest point away from that point.  The points
+    are the nodes, whose edge is their shortest incident edge, and the
+    candidates kept before it, whose edge is their distance to their own
+    nearest point when they were kept.  The nearest point is the first of
+    the least distance: a node before a kept candidate, an earlier kept
+    candidate before a later one.
+
+    The distances come in stacked blocks of candidates.  Each block finds
+    its candidates' nearest nodes and the earlier candidates strictly closer
+    than those; one pass in candidate order then applies the rule.
+    """
+    K = len(candidates)
+    if not K:
+        return candidates
+    nodes = tess.nodes
+    near_d = np.empty(K)
+    near_j = np.empty(K, dtype=np.intp)
+    closer = []     # (i, j, distance): earlier candidates j < i closer than i's node
+    step = max(1, _GUARD_BLOCK // (len(nodes) + K))
+    for lo in range(0, K, step):
+        block = candidates[lo:lo + step]
+        B = len(block)
+        d = _distances(nodes, block)
+        near_j[lo:lo + B] = j = d.argmin(axis=1)
+        near_d[lo:lo + B] = dn = d[np.arange(B), j]
+        dc = _distances(candidates[:lo + B], block)
+        earlier = np.arange(lo + B) < np.arange(lo, lo + B)[:, None]
+        i, j = np.nonzero(earlier & (dc < dn[:, None]))
+        closer.append((i + lo, j, dc[i, j]))
+    ci, cj, cd = (np.concatenate(c).tolist() for c in zip(*closer))
+    kept = [False] * K
+    kept_edge = [0.0] * K
+    node_edge = tess.min_incident_edge()[near_j].tolist()
+    p = 0
+    for i, (dist, edge) in enumerate(zip(near_d.tolist(), node_edge)):
+        while p < len(ci) and ci[p] == i:
+            j = cj[p]
+            if kept[j] and cd[p] < dist:
+                dist, edge = cd[p], kept_edge[j]
+            p += 1
+        if not dist < SPACING_GAMMA * edge:
+            kept[i] = True
+            kept_edge[i] = dist
+    return candidates[np.array(kept, dtype=bool)]
+
+
 def iterate(
     state: RefinementState,
     scheme: str = "polyline",
@@ -286,20 +348,11 @@ def iterate(
             scores = _minor_magnitudes(problem, candidates)
         order = np.argsort(scores)[::-1][:budget]
         candidates = candidates[np.sort(order)]
-    # spacing guard: keep candidates at least SPACING_GAMMA x (shortest edge
-    # incident to their nearest node) away from every current node
-    kept = []
-    guard_pts = state.tess.nodes
-    guard_edges = state.tess.min_incident_edge()
-    for c in candidates:
-        d = np.linalg.norm(guard_pts - c, axis=1)
-        nearest = int(d.argmin())
-        if d[nearest] < SPACING_GAMMA * guard_edges[nearest]:
-            continue
-        kept.append(c)
-        guard_pts = np.vstack([guard_pts, c[None, :]])
-        guard_edges = np.append(guard_edges, d[nearest])
-    if not kept:
+    # spacing guard: keep candidates at least SPACING_GAMMA x (the edge of
+    # their nearest point) away from every node and every candidate kept
+    # before them
+    kept = _spacing_guard(state.tess, candidates)
+    if not len(kept):
         raise NoProgress(
             f"all {len(candidates)} candidates rejected by the spacing guard"
         )

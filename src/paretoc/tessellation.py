@@ -7,7 +7,10 @@ complex is a closed combinatorial manifold and points outside the current hull
 insert exactly like interior ones.  Both builders run one insertion loop on a
 padded complex made from the whole node array and some finite cells:
 ``build_delaunay`` starts from a seed simplex, ``insert_nodes`` from the
-tessellation it grows.  A node is read only once it is inserted.
+tessellation it grows.  A node is read only once it is inserted.  The complex
+a builder grew stays with the tessellation it returns, so a chain of
+``insert_nodes`` calls extends one complex and each call costs its insertions
+only.
 
 Degenerate (cospherical / collinear) configurations are decided on the given
 coordinates, with exact ties broken symbolically on the node ids (below).  The
@@ -50,8 +53,8 @@ return one, and a mesh of a manifold (see :mod:`paretoc.constrained`) is one
 whose cells have fewer than n+1 nodes.  It is an immutable snapshot: its
 nodes are one read-only (N, n) array of finite floats, and its cells one
 read-only index array, each row a cell's node ids in ascending order and the
-rows in lexicographic order.  Insertion returns a new snapshot and never mutates its
-input.
+rows in lexicographic order.  Insertion returns a new snapshot and never
+changes its input's nodes or cells.
 """
 
 from __future__ import annotations
@@ -133,6 +136,7 @@ class Tessellation:
             raise ValueError(f"cell {cell} is not a {k - 1}-simplex on nodes 0..{N - 1}")
         self.cells = cells[np.lexsort(cells.T[::-1])]
         self.cells.flags.writeable = False
+        self._padded = None   # the Bowyer-Watson complex of a builder, see insert_nodes
 
     @property
     def n(self) -> int:
@@ -414,7 +418,8 @@ class _Padded:
     tessellation of some of its nodes, each cell's ids ascending; the
     constructor adds one infinite cell per hull facet.  The other nodes are
     listed but not read until they are inserted, so a node's id is its row
-    in ``nodes`` throughout.
+    in ``nodes`` throughout; ``insert_nodes`` appends the rows of a batch to
+    ``coords`` when it carries the complex on.
     """
 
     def __init__(self, nodes: np.ndarray, cells):
@@ -557,17 +562,20 @@ class _Padded:
 
 
 
-def _bowyer_watson(caller: str, nodes: np.ndarray, cells, order) -> Tessellation:
+def _bowyer_watson(caller: str, pad: _Padded, nodes: np.ndarray, order) -> Tessellation:
     """Insert the nodes ``order`` lists, in that order, into the padded
-    complex of ``nodes`` and ``cells``; return the finite cells on ``nodes``."""
-    pad = _Padded(nodes, cells)
+    complex ``pad`` of ``nodes``; return the finite cells on ``nodes``, with
+    ``pad`` left on the result for the next ``insert_nodes``."""
+    pad.pred.exact = 0
     try:
         for i in order:
             pad.insert(i)
     finally:
         logger.debug("%s: %d predicates decided exactly", caller, pad.pred.exact)
     finite = [c for c in pad.cells.values() if c[0] != INF]
-    return Tessellation(nodes, np.array(finite, dtype=np.intp))
+    tess = Tessellation(nodes, np.array(finite, dtype=np.intp))
+    tess._padded = pad
+    return tess
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +665,7 @@ def build_delaunay(points) -> Tessellation:
     _check_batch_distinct(np.empty((0, n)), points, eps)
     seed = _initial_simplex(points, eps)
     order = [i for i in _hilbert_order(points).tolist() if i not in seed]
-    return _bowyer_watson("build_delaunay", points, [seed], order)
+    return _bowyer_watson("build_delaunay", _Padded(points, [seed]), points, order)
 
 
 def _check_batch_distinct(existing: np.ndarray, batch: np.ndarray, eps: float) -> None:
@@ -697,14 +705,20 @@ def _check_batch_distinct(existing: np.ndarray, batch: np.ndarray, eps: float) -
 def insert_nodes(tess: Tessellation, points: Iterable) -> Tessellation:
     """Insert several nodes into a tessellation, returning a new snapshot.
 
-    The padded hull structure is rebuilt once, so batch insertion costs one
-    reconstruction plus an incremental Bowyer-Watson step per point.  Points
-    are inserted in the given order and get the next ids in that order, so
-    a new point loses every exact tie with a cell (see the module docstring):
-    on a cell's circumsphere, it is outside.  Each point is located by the
-    exact visibility walk from the cell made last.  Raises DegenerateInput if
-    an insertion makes a flat cell, and ValueError for a point with a
-    non-finite coordinate or a mesh that is not one of n-simplices.
+    A tessellation returned by a builder here carries the padded complex it
+    was grown on, and insertion takes that complex over: it detaches it from
+    ``tess`` before inserting, extends it by the batch, and leaves it on the
+    result.  So a chain of insertions costs an incremental Bowyer-Watson step
+    per point.  A tessellation without one (a Kuhn grid, one made by hand, or
+    one whose complex an earlier insertion took) gets its padded complex
+    rebuilt from its cells; the cells come out the same either way, as they
+    are decided by exact signs.  Points are inserted in the given order and
+    get the next ids in that order, so a new point loses every exact tie with
+    a cell (see the module docstring): on a cell's circumsphere, it is
+    outside.  Each point is located by the exact visibility walk from the
+    cell made last.  Raises DegenerateInput if an insertion makes a flat
+    cell, and ValueError for a point with a non-finite coordinate or a mesh
+    that is not one of n-simplices.
     """
     points = [np.asarray(p, dtype=float) for p in points]
     if not points:
@@ -718,8 +732,13 @@ def insert_nodes(tess: Tessellation, points: Iterable) -> Tessellation:
     if bad_shape < len(points):
         raise ValueError("inserted point has wrong dimension")
     N = len(tess.nodes)
-    return _bowyer_watson("insert_nodes", np.vstack([tess.nodes, batch]), tess.cells,
-                          range(N, N + len(batch)))
+    nodes = np.vstack([tess.nodes, batch])
+    pad, tess._padded = tess._padded, None
+    if pad is None:
+        pad = _Padded(nodes, tess.cells)
+    else:
+        pad.coords.extend(batch.tolist())
+    return _bowyer_watson("insert_nodes", pad, nodes, range(N, N + len(batch)))
 
 
 # ---------------------------------------------------------------------------

@@ -479,6 +479,16 @@ def test_cli_file_errors_exit_without_traceback(triv_complex, tmp_path):
          "the 'vertex_ids' entry of a simplex is not a JSON array"),
         (lambda d: d["vertices"][0].update(x={"a": 1}),
          "the 'x' entry of vertex 0 is not a list of 2 numbers"),
+        # a null number, which numpy would read as NaN; a whole null lambda
+        # or sigma row is the writer's and loads
+        (lambda d: d["vertices"][0].update(x=[None, 0.5]),
+         "the 'x' entry of vertex 0 holds null at index 0"),
+        (lambda d: d["vertices"][1].update(u=[0.5, None]),
+         "the 'u' entry of vertex 1 holds null at index 1"),
+        (lambda d: d["vertices"][0].update({"lambda": [0.5, None]}),
+         "the 'lambda' entry of vertex 0 holds null at index 1"),
+        (lambda d: d["vertices"][0].update(sigma=[None]),
+         "the 'sigma' entry of vertex 0 holds null at index 0"),
     ):
         doc = json.loads(good.read_text())
         edit(doc)

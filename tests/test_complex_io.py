@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paretoc.complex_io import complex_to_dict, save_complex
+from paretoc.complex_io import complex_to_dict, load_complex, save_complex
 from paretoc.continuation import MARKER_KINDS, STRATA, Analyzer, ParetoComplex, glue
 
 from test_golden import CASES
@@ -103,6 +103,10 @@ def test_writer_nan_lambda_rows_and_sigma(tmp_path):
     markers = [(1, "cusp"), (2, "criticality_boundary")]
     _assert_same(_complex(pos, u, lam, sigma, simplices, markers), tmp_path / "a.json")
     _assert_same(_complex(pos, u, lam, None, simplices, markers), tmp_path / "b.json")
+    # a row with a NaN is written as a whole null, which loads as NaN again
+    loaded = load_complex(tmp_path / "a.json")
+    assert np.isnan(loaded.lam).all(axis=1).tolist() == [False, True, True]
+    assert np.isnan(loaded.sigma).all(axis=1).tolist() == [False, True, False]
 
 
 def test_writer_non_finite_u(tmp_path):

@@ -1,5 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from paretoc import refinement
 from paretoc.complex_io import save_complex
@@ -12,13 +15,14 @@ from paretoc.refinement import (
     _boundary_candidates,
     _chains,
     _maximin_fill_with_hosts,
+    _spacing_guard,
     _target_strata,
     complex_minor_stats,
     initial_state,
     iterate,
     resample_polyline,
 )
-from paretoc.tessellation import kuhn_tessellation
+from paretoc.tessellation import build_delaunay, kuhn_tessellation
 
 from test_golden import _paraboloid_problem
 
@@ -343,3 +347,52 @@ def test_spacing_guard_min_distances(triv_state):
         d = np.linalg.norm(old_pts - c, axis=1)
         nearest = int(d.argmin())
         assert d[nearest] >= 0.1 * min_edge[nearest] - 1e-12
+
+
+def guard_loop(tess, candidates):
+    """The spacing guard as a loop over the candidates, each measured against
+    the nodes and the candidates kept so far: _spacing_guard's reference."""
+    kept = []
+    guard_pts = tess.nodes
+    guard_edges = tess.min_incident_edge()
+    for c in candidates:
+        d = np.linalg.norm(guard_pts - c, axis=1)
+        nearest = int(d.argmin())
+        if d[nearest] < refinement.SPACING_GAMMA * guard_edges[nearest]:
+            continue
+        kept.append(c)
+        guard_pts = np.vstack([guard_pts, c[None, :]])
+        guard_edges = np.append(guard_edges, d[nearest])
+    return np.array(kept).reshape(-1, tess.n)
+
+
+@pytest.mark.parametrize("kind", ["lattice", "near duplicate"])
+@pytest.mark.parametrize("mesh", ["kuhn", "delaunay"])
+@pytest.mark.parametrize("n", [2, 3])
+@given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.sampled_from([1 << 16, 30]),
+       st.sampled_from([0.1, 0.5, 1.0]))
+def test_spacing_guard_matches_the_candidate_loop(n, mesh, kind, seed, count, block, gamma):
+    # nodes and lattice candidates on multiples of 1/16 tie exactly in
+    # distance; near duplicates sit at 0, 1e-9 or about 0.1 x the shortest
+    # grid edge from a node or an earlier candidate.  A larger gamma makes
+    # the ties decide which candidates are kept.  A block of 30 distances
+    # stacks one candidate at a time
+    rng = np.random.default_rng(seed)
+    if mesh == "kuhn":
+        tess = kuhn_tessellation([[0.0, 1.0]] * n, [5, 3, 3][:n])
+    else:
+        corners = np.array(list(np.ndindex(*[2] * n)), dtype=float)
+        tess = build_delaunay(np.unique(np.vstack(
+            [corners, rng.integers(0, 9, (12, n)) / 8]), axis=0))
+    if kind == "lattice":
+        C = rng.integers(-2, 19, (count, n)) / 16
+    else:
+        C = rng.uniform(-0.1, 1.1, (count, n))
+        gaps = [0.0, 1e-9, 0.025, 0.025 * (1 - 2**-50), 0.025 * (1 + 2**-50), 0.05]
+        for i in range(count):
+            base = C[rng.integers(i)] if i and rng.random() < 0.5 else \
+                tess.nodes[rng.integers(len(tess.nodes))]
+            C[i] = base
+            C[i, rng.integers(n)] += rng.choice([-1, 1]) * rng.choice(gaps)
+    with mock.patch.multiple(refinement, _GUARD_BLOCK=block, SPACING_GAMMA=gamma):
+        assert np.array_equal(_spacing_guard(tess, C), guard_loop(tess, C))

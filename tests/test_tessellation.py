@@ -1,3 +1,5 @@
+import copy
+import functools
 import itertools
 import logging
 import math
@@ -398,8 +400,17 @@ def test_build_and_insert_log_their_fallbacks(caplog):
     # (0.3, 0.4) lies on the circle of the grid box [0, 0.25] x [0.25, 0.5]
     # up to rounding: the filter leaves the box's two cells to the exact path
     caplog.clear()
-    insert_nodes(kuhn_tessellation([[0.0, 1.0]] * 2, [5, 5]), [[0.3, 0.4], [0.1, 0.1]])
+    t = insert_nodes(kuhn_tessellation([[0.0, 1.0]] * 2, [5, 5]), [[0.3, 0.4], [0.1, 0.1]])
     assert exact_counts(caplog.records, "insert_nodes") == [2]
+    # an insertion into the carried complex counts its own exact signs only:
+    # (0.62, 0.87) needs none, and (0.8, 0.4), on the circle of the grid box
+    # [0.5, 0.75] x [0.25, 0.5] up to rounding, needs one
+    caplog.clear()
+    t = insert_nodes(t, [[0.62, 0.87]])
+    assert exact_counts(caplog.records, "insert_nodes") == [0]
+    caplog.clear()
+    insert_nodes(t, [[0.8, 0.4]])
+    assert exact_counts(caplog.records, "insert_nodes") == [1]
 
 
 def scan_seeded(pad, pid):
@@ -446,6 +457,51 @@ def test_walk_inserts_into_kuhn_grids_match_scan_seeded_reference(n, kind, seed,
         ref = insert_nodes(t, list(P))
     assert cell_tuples(got) == cell_tuples(ref)
     assert len(got.nodes) == len(t.nodes) + len(P)
+
+
+@functools.lru_cache
+def delaunay_grid(n):
+    """build_delaunay of the nodes of kuhn_insert_batch's grid."""
+    return build_delaunay(kuhn_insert_batch(n, "random", 0, 1)[0].nodes)
+
+
+@pytest.mark.parametrize("kind", ["random", "grid line", "box centre", "outside"])
+@pytest.mark.parametrize("start", ["kuhn", "delaunay"])
+@pytest.mark.parametrize("n", [2, 3])
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.data())
+def test_chained_inserts_into_the_carried_complex_match_a_rebuilt_one(
+        n, start, kind, seed, count, data):
+    # a builder leaves its padded complex on the tessellation it returns and
+    # insert_nodes takes it over; a Tessellation made from the same nodes and
+    # cells has none, so its insertion rebuilds the complex from the cells.
+    # A Kuhn start has none either and builds one on its first insertion; a
+    # Delaunay start of the grid nodes is a cospherical set
+    t, P = kuhn_insert_batch(n, kind, seed, count)
+    if start == "delaunay":
+        t = copy.deepcopy(delaunay_grid(n))   # with a carried complex of its own
+    cuts = sorted(data.draw(st.lists(st.integers(1, count - 1), max_size=2)))
+    for batch in np.split(P, cuts):
+        rebuilt = insert_nodes(Tessellation(t.nodes, t.cells), batch)
+        t = insert_nodes(t, batch)
+        assert cell_tuples(t) == cell_tuples(rebuilt)
+        assert np.array_equal(t.nodes, rebuilt.nodes)
+
+
+def test_insert_nodes_leaves_its_input_usable():
+    t = insert_nodes(build_delaunay(grid_nodes([[0.0, 1.0]] * 2, [4, 4])), [[0.4, 0.45]])
+    # the first insertion takes the carried complex over; a second one on the
+    # same input rebuilds it from the cells and gives the same cells
+    with mock.patch.object(_Padded, "__init__", side_effect=AssertionError("rebuilt")):
+        first = insert_nodes(t, [[0.2, 0.7], [0.8, 0.1]])
+    second = insert_nodes(t, [[0.2, 0.7], [0.8, 0.1]])
+    assert cell_tuples(first) == cell_tuples(second)
+    # a batch that raises DuplicateNode inserts nothing, and the input still
+    # takes the next batch as a rebuilt one does
+    u = insert_nodes(first, [[0.5, 0.9]])
+    with pytest.raises(DuplicateNode):
+        insert_nodes(u, [[0.6, 0.3], [0.5, 0.9]])
+    assert cell_tuples(insert_nodes(u, [[0.6, 0.3]])) == cell_tuples(
+        insert_nodes(Tessellation(u.nodes, u.cells), [[0.6, 0.3]]))
 
 
 @pytest.mark.parametrize("build, message", [
