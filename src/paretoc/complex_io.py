@@ -12,6 +12,7 @@ values instead of running json's pure-Python encoder over them.
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Optional
 
@@ -88,21 +89,30 @@ def _vertex_id(i, V: int, what: str) -> int:
     return i
 
 
+_JSON_NUMBERS = {int, float}  # the types json.load reads a number as
+
+
+def _numbers(entries, what: str) -> None:
+    """Raise ValueError naming ``what`` and the index of the first of
+    ``entries`` that is not a JSON number, where numpy would read null as
+    NaN, true as 1.0 and the string "0.5" as 0.5."""
+    if not _JSON_NUMBERS.issuperset(map(type, entries)):
+        i, e = next((i, e) for i, e in enumerate(entries) if type(e) not in _JSON_NUMBERS)
+        raise ValueError(f"{what} holds {'null' if e is None else repr(e)} at index {i}, "
+                         f"not a number")
+
+
 def _row(v: dict, name: str, k: int) -> np.ndarray:
-    """A vertex's ``name`` entry as k floats.  A null number raises
-    ValueError, where numpy would read it as NaN."""
+    """A vertex's ``name`` entry as k floats, each a JSON number."""
     entries = v[name]
+    what = f"the {name!r} entry of vertex {v['id']}"
     try:
         row = np.asarray(entries, dtype=float)
     except (TypeError, ValueError):  # an object, a string or a ragged list
-        raise ValueError(f"the {name!r} entry of vertex {v['id']} is not a list of "
-                         f"{k} numbers") from None
+        raise ValueError(f"{what} is not a list of {k} numbers") from None
     if row.shape != (k,):
-        raise ValueError(f"the {name!r} entry of vertex {v['id']} has shape {row.shape}, "
-                         f"not ({k},)")
-    if None in entries:
-        raise ValueError(f"the {name!r} entry of vertex {v['id']} holds null at "
-                         f"index {entries.index(None)}")
+        raise ValueError(f"{what} has shape {row.shape}, not ({k},)")
+    _numbers(entries, what)
     return row
 
 
@@ -264,8 +274,8 @@ def save_mesh(path, mesh: Tessellation) -> None:
 
 def load_mesh(path) -> Tessellation:
     """Read a mesh file.  Its cells must be rows of ``dim + 1`` distinct node
-    ids and, if the file gives ``embedding_dim``, its points rows of that
-    many coordinates; anything else raises ``ValueError``."""
+    ids and its points rows of JSON numbers, as many as ``embedding_dim`` if
+    the file gives it; anything else raises ``ValueError``."""
     with open(path) as fh:
         doc = _expect(json.load(fh), dict, "the mesh file")
     if doc.get("version") != MESH_VERSION:
@@ -274,6 +284,11 @@ def load_mesh(path) -> Tessellation:
         dim = _integer(doc["dim"], "the 'dim' entry")
         points = _expect(doc["points"], list, "the 'points' entry")
         cells = _expect(doc["cells"], list, "the 'cells' entry")
+        rows = [p for p in points if isinstance(p, list)]
+        if not _JSON_NUMBERS.issuperset(map(type, itertools.chain.from_iterable(rows))):
+            for i, p in enumerate(points):
+                if isinstance(p, list):
+                    _numbers(p, f"point {i}")
         mesh = Tessellation(points, cells or np.empty((0, dim + 1), np.intp))
     except KeyError as exc:
         raise ValueError(f"mesh file has no {exc.args[0]!r} entry") from None

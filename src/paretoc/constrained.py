@@ -22,6 +22,8 @@ pieces carry the ``critical_unstable`` label (stability undecided).
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .continuation import (
@@ -43,16 +45,41 @@ def project_gradients(cp: ConstrainedProblem, x) -> np.ndarray:
     x is a stack of points (N, n); the result is (N, m, n).  The callables,
     the rank test, the Gram solve and the projection are stacked calls over
     all points.  A rank-deficient Dg raises for the first such point.
+
+    The rank test is the singular-value test sigma_min <= EPS_RANK sigma_max
+    behind a filter.  Gershgorin discs of the Gram matrix G = Dg Dg^T, the
+    matrix the solve uses, bound its eigenvalues (the squared singular values
+    of Dg) below by L and above by U.  A point with L > EPS_RANK U and L a
+    normal number has sigma_min / sigma_max > 1e-4, up to the rounding of G
+    and of the discs, which is O(u) relative to U (a normal L keeps underflow,
+    an absolute error, as small).  A backward-stable SVD moves each singular
+    value by O(u) sigma_max (Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2002), so it would pass the point with four orders to spare.
+    Only the points the filter does not settle (a zero, ill-conditioned or
+    non-finite Dg) go through the SVD: the same points fail, with the same
+    error, and the result is the unfiltered test's.
     """
     X = np.asarray(x, dtype=float)
     Dg = cp.g_jac_at(X)
-    sv = np.linalg.svd(Dg, compute_uv=False)
-    deficient = np.flatnonzero(sv[:, -1] <= EPS_RANK * sv[:, 0])
-    if deficient.size:
-        raise RankDeficientConstraint(f"Dg rank deficient at {X[deficient[0]]}")
-    J = cp.base.jac_at(X)
     DgT = np.swapaxes(Dg, -1, -2)
-    corr = DgT @ np.linalg.solve(Dg @ DgT, Dg @ np.swapaxes(J, -1, -2))
+    gram = Dg @ DgT
+    diag = np.diagonal(gram, axis1=-2, axis2=-1)
+    off = np.abs(gram)
+    k = np.arange(gram.shape[-1])
+    off[..., k, k] = 0.0
+    radius = off.sum(axis=-1)
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN bound settles nothing
+        lower = (diag - radius).min(axis=-1)
+        upper = (diag + radius).max(axis=-1)
+        settled = (lower > EPS_RANK * upper) & (lower >= np.finfo(float).tiny)
+    check = np.flatnonzero(~settled)
+    if check.size:
+        sv = np.linalg.svd(Dg[check], compute_uv=False)
+        deficient = check[sv[:, -1] <= EPS_RANK * sv[:, 0]]
+        if deficient.size:
+            raise RankDeficientConstraint(f"Dg rank deficient at {X[deficient[0]]}")
+    J = cp.base.jac_at(X)
+    corr = DgT @ np.linalg.solve(gram, Dg @ np.swapaxes(J, -1, -2))
     return J - np.swapaxes(corr, -1, -2)
 
 
@@ -125,28 +152,32 @@ def _base_icosahedron():
 def icosphere(subdivisions: int = 0) -> Tessellation:
     """Icosahedron-based triangulation of the unit sphere.
 
-    Each subdivision splits every triangle in four, projecting edge midpoints
-    radially back onto the sphere.  Construction order is deterministic.
+    ``subdivisions`` is a non-negative integer count; a negative, fractional
+    or boolean one raises ``ValueError``.  Each subdivision splits every
+    triangle (a, b, c) in four, (a, ab, ca), (b, bc, ab), (c, ca, bc) and
+    (ab, bc, ca), projecting edge midpoints radially back onto the sphere.
+    It is built with array operations: a midpoint's node id follows the
+    first occurrence of its edge when the faces' edges ab, bc, ca are read in
+    face order, so the construction order is deterministic.
     """
+    if (isinstance(subdivisions, bool) or not isinstance(subdivisions, numbers.Integral)
+            or subdivisions < 0):
+        raise ValueError(f"subdivisions is {subdivisions!r}, not a non-negative integer")
     verts, faces = _base_icosahedron()
-    verts = [v for v in verts]
-    for _ in range(int(subdivisions)):
-        midpoint: dict[tuple, int] = {}
-
-        def mid(a: int, b: int) -> int:
-            key = (min(a, b), max(a, b))
-            idx = midpoint.get(key)
-            if idx is None:
-                p = verts[a] + verts[b]
-                p = p / np.linalg.norm(p)
-                idx = len(verts)
-                verts.append(p)
-                midpoint[key] = idx
-            return idx
-
-        new_faces = []
-        for (a, b, c) in faces:
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            new_faces.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
-        faces = new_faces
+    faces = np.array(faces, dtype=np.intp)
+    for _ in range(subdivisions):
+        edges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        _, first, inverse = np.unique(edges[:, 0] * len(verts) + edges[:, 1],
+                                      return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        new_id = np.empty_like(order)
+        new_id[order] = np.arange(len(verts), len(verts) + len(order))
+        P = verts[edges[first[order], 0]] + verts[edges[first[order], 1]]
+        # sqrt of a stack of (1, 3) @ (3, 1) products rounds as the
+        # per-midpoint np.linalg.norm (see Tessellation.min_incident_edge)
+        P = P / np.sqrt((P[:, None, :] @ P[:, :, None])[:, 0, 0])[:, None]
+        verts = np.vstack([verts, P])
+        ab, bc, ca = new_id[inverse.reshape(-1, 3)].T
+        a, b, c = faces.T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
     return Tessellation(verts, faces)

@@ -489,6 +489,9 @@ def test_cli_file_errors_exit_without_traceback(triv_complex, tmp_path):
          "the 'lambda' entry of vertex 0 holds null at index 1"),
         (lambda d: d["vertices"][0].update(sigma=[None]),
          "the 'sigma' entry of vertex 0 holds null at index 0"),
+        # a bool or a string, which numpy would read as 1.0 or as its value
+        (lambda d: d["vertices"][0].update(x=[True, "1.5"]),
+         "the 'x' entry of vertex 0 holds True at index 0, not a number"),
     ):
         doc = json.loads(good.read_text())
         edit(doc)
@@ -531,6 +534,8 @@ def test_cli_file_errors_exit_without_traceback(triv_complex, tmp_path):
         (lambda d: d.update(dim=True), "the 'dim' entry is True, not an integer"),
         (lambda d: d.update(embedding_dim=3.5), "the 'embedding_dim' entry is 3.5, not an integer"),
         (lambda d: d.update(points={"a": 1}), "the 'points' entry is not a JSON array"),
+        (lambda d: d["points"].__setitem__(0, [True, "0.5", 0.0]),
+         "point 0 holds True at index 0, not a number"),
     ):
         doc = json.loads(good_mesh.read_text())
         edit(doc)

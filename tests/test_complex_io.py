@@ -1,19 +1,23 @@
-"""The complex-file writer against json.
+"""The complex-file writer against json, and the readers' number rows.
 
 ``save_complex`` formats the vertex, simplex and marker sections itself.  Its
 bytes must equal ``json.dumps(complex_to_dict(cx, provenance), indent=1)``
 plus a newline on every complex: the drawn ones below, the fixed corner cases
-and every golden case.
+and every golden case.  The readers take each coordinate or value of a row
+only as a JSON number.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paretoc.complex_io import complex_to_dict, load_complex, save_complex
+from paretoc.complex_io import (_row, complex_from_dict, complex_to_dict, load_complex,
+                                load_mesh, save_complex, save_mesh)
 from paretoc.continuation import MARKER_KINDS, STRATA, Analyzer, ParetoComplex, glue
+from paretoc.tessellation import Tessellation
 
 from test_golden import CASES
 
@@ -148,3 +152,51 @@ def test_writer_matches_json_on_golden_cases(case, tmp_path):
     _assert_same(cx, tmp_path / "c.json")
     _assert_same(cx, tmp_path / "d.json", {"problem": p.name, "grid": [5, 5],
                                            "iterations": 0})
+
+
+# -- number rows of the readers ------------------------------------------------------
+
+
+@pytest.mark.parametrize("entries, index, held", [
+    ([True, 1.5], 0, "True"),
+    ([0.5, False], 1, "False"),
+    ([1.0, "1.5"], 1, "'1.5'"),
+    ([True, "1.5"], 0, "True"),
+    (["nan", 0.0], 0, "'nan'"),
+    ([None, 0.5], 0, "null"),
+])
+def test_row_takes_only_json_numbers(entries, index, held):
+    with pytest.raises(ValueError) as exc:
+        _row({"id": 3, "x": entries}, "x", 2)
+    assert str(exc.value) == f"the 'x' entry of vertex 3 holds {held} at index {index}, not a number"
+    assert _row({"id": 3, "x": [1, -0.0]}, "x", 2).tolist() == [1.0, -0.0]
+
+
+@pytest.mark.parametrize("name", ["x", "u", "lambda", "sigma"])
+@pytest.mark.parametrize("bad", [True, "0.25"])
+def test_complex_file_rows_reject_bools_and_strings(name, bad):
+    cx = _complex([[0.0, 1.0], [2.0, 3.0]], [[1.0, 2.0], [3.0, 4.0]],
+                  [[0.5, 0.5], [0.25, 0.75]], [[1.0], [2.0]], [((0, 1), "critical_stable")])
+    doc = complex_to_dict(cx)
+    complex_from_dict(doc)
+    doc["vertices"][1][name][-1] = bad
+    index = len(doc["vertices"][1][name]) - 1
+    with pytest.raises(ValueError, match=re.escape(
+            f"the {name!r} entry of vertex 1 holds {bad!r} at index {index}, not a number")):
+        complex_from_dict(doc)
+
+
+@pytest.mark.parametrize("point, index, held", [
+    ([True, "0.5", 0.0], 0, "True"),
+    ([0.0, "0.5", 1.0], 1, "'0.5'"),
+    ([0.0, 1.0, None], 2, "null"),
+])
+def test_mesh_points_take_only_json_numbers(tmp_path, point, index, held):
+    path = tmp_path / "mesh.json"
+    save_mesh(path, Tessellation([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], [[0, 1, 2]]))
+    doc = json.loads(path.read_text())
+    doc["points"][2] = point
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as exc:
+        load_mesh(path)
+    assert str(exc.value) == f"point 2 holds {held} at index {index}, not a number"

@@ -2,10 +2,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from paretoc import continuation
 from paretoc.constrained import (
+    _base_icosahedron,
     analyze_constrained,
     augmented_minors,
     icosphere,
@@ -236,6 +237,131 @@ def test_rank_deficient_constraint_names_the_first_node(sphere, nodes):
     assert str(exc.value) == f"Dg rank deficient at {mesh.nodes[5]}"
 
 
+# ---------------------------------------------------------------------------
+# the Gershgorin filter in front of the rank test
+# ---------------------------------------------------------------------------
+
+
+def _loop_outcome(cp, points):
+    """What the stacked nodal stage gives on ``points`` by the per-node loop:
+    each stage runs over all points before the next, so the first failure of
+    the earliest stage is raised (the SVD, then the rank test, then the
+    solve), else the results are stacked."""
+    stage = {"SVD did not converge": 0}
+    failures, rows = [], []
+    for i, p in enumerate(points):
+        try:
+            rows.append(_loop_project_gradients(cp, p))
+        except RankDeficientConstraint as exc:
+            failures.append((1, i, exc))
+        except np.linalg.LinAlgError as exc:
+            failures.append((stage.get(str(exc), 2), i, exc))
+    if failures:
+        return min(failures, key=lambda f: f[:2])[2]
+    return np.array(rows).reshape(len(points), cp.m, cp.n)
+
+
+def _tabled_problem(Dg, J):
+    """A ConstrainedProblem whose Jacobians at the point (i, ...) are Dg[i]
+    and J[i]; n - m = len(Dg[0]) constraints and m = 2 objectives."""
+    k, n = Dg.shape[1:]
+
+    def at(table):
+        return lambda X: table[X[:, 0].astype(int)]
+
+    base = VectorProblem(name="tabled", n=n, m=2, eval=lambda X: np.zeros((len(X), 2)),
+                         jacobian=at(J), hessians=lambda X: np.zeros((len(X), 2, n, n)),
+                         domain_box=[[-1, 1]] * n)
+    return ConstrainedProblem(base=base, g=lambda X: np.zeros((len(X), k)),
+                              g_jacobian=at(Dg))
+
+
+_DG_KINDS = ("full", "deficient", "near_threshold", "zero", "nonfinite")
+
+
+@st.composite
+def _constraint_jacobians(draw):
+    """Drawn (Dg, J) tables: k = 1..3 constraints, m = 2, n = m + k, each
+    node's Dg full rank, exactly rank deficient, with sigma_min / sigma_max
+    in [1e-9, 1e-7] (a filter that settled these would skip the SVD's
+    verdict), zero, or holding an inf or a NaN."""
+    k = draw(st.integers(1, 3))
+    n = k + 2
+    kinds = draw(st.lists(st.sampled_from(_DG_KINDS), min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Dg = np.empty((len(kinds), k, n))
+    for i, kind in enumerate(kinds):
+        # orthogonal rows give a near-diagonal Gram, whose discs are narrow
+        U = np.eye(k) if rng.random() < 0.5 else np.linalg.qr(rng.normal(size=(k, k)))[0]
+        V = np.linalg.qr(rng.normal(size=(n, k)))[0]
+        s = 10.0 ** rng.uniform(-3, 3) * np.ones(k)
+        if kind == "near_threshold":
+            s[-1] = s[0] * 10.0 ** rng.uniform(-9, -7)
+        Dg[i] = (U * s) @ V.T
+        if kind == "deficient":
+            # an exact copy of a scaled row; k = 1 has no other row to copy
+            Dg[i, -1] = Dg[i, 0] * 2.0 ** int(rng.integers(-3, 4)) if k > 1 else 0.0
+        elif kind == "zero":
+            Dg[i] = 0.0
+        elif kind == "nonfinite":
+            Dg[i, rng.integers(k), rng.integers(n)] = rng.choice([np.inf, -np.inf, np.nan])
+    return Dg, rng.normal(size=(len(kinds), 2, n))
+
+
+@settings(max_examples=200)
+@given(_constraint_jacobians())
+def test_filtered_rank_test_matches_loop(tables):
+    Dg, J = tables
+    cp = _tabled_problem(Dg, J)
+    points = np.zeros((len(Dg), cp.n))
+    points[:, 0] = np.arange(len(Dg))
+    expected = _loop_outcome(cp, points)
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as exc:
+            project_gradients(cp, points)
+        assert str(exc.value) == str(expected)
+    else:
+        assert project_gradients(cp, points).tobytes() == expected.tobytes()
+
+
+def _svd_rows(monkeypatch):
+    """Record every stack np.linalg.svd is called on."""
+    seen = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return seen
+
+
+def test_well_conditioned_nodes_skip_the_svd(sphere, monkeypatch):
+    seen = _svd_rows(monkeypatch)
+    points = icosphere(3).nodes
+    project_gradients(sphere, points)
+    assert sum(len(a) for a in seen) == 0
+
+
+def test_only_unsettled_nodes_reach_the_svd(sphere, monkeypatch):
+    points = icosphere(3).nodes
+    zeroed = [3, 40, 41, 600]
+    at = {points[i].tobytes() for i in zeroed}
+
+    def g_jacobian(X):
+        J = sphere.g_jacobian(X)
+        J[[x.tobytes() in at for x in X]] = 0.0
+        return J
+
+    cp = ConstrainedProblem(base=sphere.base, g=sphere.g, g_jacobian=g_jacobian)
+    seen = _svd_rows(monkeypatch)
+    with pytest.raises(RankDeficientConstraint, match=re.escape(f"at {points[3]}")):
+        project_gradients(cp, points)
+    [rows] = seen
+    assert rows.shape == (len(zeroed), 1, 3) and not rows.any()
+
+
 def test_off_constraint_mesh_fails_before_the_rank_test(sphere):
     mesh = icosphere(1)
     off = Tessellation(mesh.nodes * 1.01, mesh.cells)
@@ -257,6 +383,47 @@ def test_icosphere_counts_and_norms():
         mesh = icosphere(sub)
         assert (len(mesh.nodes), len(mesh.cells)) == (nv, nf)
         assert np.allclose(np.linalg.norm(mesh.nodes, axis=1), 1.0, atol=1e-12)
+
+
+def _loop_icosphere(subdivisions):
+    """icosphere by the per-midpoint loop: a dict of edge midpoints, each
+    normalised by np.linalg.norm."""
+    verts, faces = _base_icosahedron()
+    verts = list(verts)
+    for _ in range(subdivisions):
+        midpoint = {}
+
+        def mid(a, b):
+            key = (min(a, b), max(a, b))
+            if key not in midpoint:
+                p = verts[a] + verts[b]
+                midpoint[key] = len(verts)
+                verts.append(p / np.linalg.norm(p))
+            return midpoint[key]
+
+        new_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+            new_faces.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
+        faces = new_faces
+    return Tessellation(verts, faces)
+
+
+@pytest.mark.parametrize("sub", range(6))
+def test_icosphere_matches_the_midpoint_loop(sub):
+    mesh, ref = icosphere(sub), _loop_icosphere(sub)
+    assert mesh.nodes.tobytes() == ref.nodes.tobytes()
+    assert mesh.cells.tobytes() == ref.cells.tobytes()
+
+
+@pytest.mark.parametrize("count", [-1, -3, 2.7, 2.0, True, "2", None])
+def test_icosphere_rejects_a_count_that_is_not_a_natural_number(count):
+    with pytest.raises(ValueError, match=re.escape(f"subdivisions is {count!r}, not a non-negative")):
+        icosphere(count)
+
+
+def test_icosphere_takes_a_numpy_integer():
+    assert icosphere(np.int64(1)).nodes.tobytes() == icosphere(1).nodes.tobytes()
 
 
 def test_manifold_mesh_validation(sphere):
