@@ -14,9 +14,12 @@ from .constrained import (
 )
 from .continuation import (
     Analyzer,
+    CellAnalyses,
     CellAnalysis,
     ParetoComplex,
+    Pieces,
     SingularVertex,
+    VertexTable,
     analyze,
     clip_polytope,
     finite_difference_hessians,

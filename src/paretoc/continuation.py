@@ -1,4 +1,5 @@
-"""Per-cell extraction of the singular/critical/stable polytopes and gluing.
+"""The singular, critical and stable polytopes of every candidate cell, and
+their gluing, in stage-wide array passes.
 
 For a map u: R^n -> R^m with m <= n, the rank of the Jacobian drops exactly
 where r = n-m+1 column-window minors vanish simultaneously.  Inside every
@@ -16,14 +17,20 @@ form <= 0 yields the stable part.  Clip boundaries become marker points
 (criticality boundaries and cusps).  Adjacent cells share singular vertices
 through their defining faces, so gluing is an exact merge keyed on face keys.
 
-The face is therefore the unit of work.  A run is four stages over all
-candidate cells: one table pass solves the distinct r-faces in one stacked
-call and computes each accepted vertex's data (position, gradients, lambda,
-Hessian interpolation) once, and orders the polygons; every cell's polytope
-is assembled from its shared vertices and clipped by lambda; sigma is
-computed in one stacked call for exactly the vertices of the critical
-pieces; and every cell's critical part is clipped by sigma.
+The face is the unit of work, and each stage is one array pass over all
+candidate cells.  The table pass solves the distinct r-faces in one stacked
+call and writes each accepted vertex once, as a row of a
+:class:`VertexTable`: position, gradients, lambda and Hessian interpolation
+are columns.  A cell's polytope is a set of :class:`Pieces`: a pair of rows
+for a segment (m = 2), or a ring of rows padded to the widest polygon
+(m = 3).  Each lambda_j clip, and the sigma clip, classifies every piece of
+every cell at once and cuts only the pieces that straddle the level set, by
+the one-plane rule of Sutherland and Hodgman ("Reentrant polygon clipping",
+CACM 1974); the cuts are appended to the table as new rows.  sigma is one
+stacked call over exactly the rows of the critical pieces, and :func:`glue`
+registers the rows by key text and orders them with one sort.
 """
+
 
 from __future__ import annotations
 
@@ -31,7 +38,7 @@ import functools
 import itertools
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -153,25 +160,22 @@ def solve_lambdas(G: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# vertices and polytope pieces
+# the vertex table and polytope pieces
 # ---------------------------------------------------------------------------
 
 
 @dataclass(slots=True, eq=False)
 class SingularVertex:
-    """A vertex of the piecewise-linear singular set.
+    """One row of a :class:`VertexTable`, read out as an object.
 
-    Face-born vertices carry the defining face and barycentric weights, and
-    are built complete but for sigma; clip-born vertices carry neither but
-    inherit interpolated lambda, gradients, Hessians and sigma.  Only the
-    sigma stage sets a field after construction: ``sigma``, left None where
-    the kernel dimension is ambiguous.
-    Within a run a vertex is the object itself: it
-    hashes by identity, and cells share the face-table vertices.  Across
-    cells it is ``key``, the text of its defining face, ``"('f', i, j)"``
-    with sorted node ids, or of its clip, ``"('c', stage, ka, kb)"`` with
-    the endpoint keys in text order: glue merges and orders the vertices by
-    it.
+    A face row carries its defining face and barycentric weights; a cut
+    carries neither, and its lambda, gradients, Hessians and sigma are
+    interpolated from its edge's ends.  ``lam`` is None on a rank collapse,
+    and ``sigma`` where the sigma stage did not reach the row or the kernel
+    dimension is ambiguous.  Across cells a vertex is ``key``, the text of
+    its defining face, ``"('f', i, j)"`` with sorted node ids, or of its cut,
+    ``"('c', stage, ka, kb)"`` with the endpoint keys in text order: glue
+    merges and orders the vertices by it.
     """
 
     key: str
@@ -186,136 +190,223 @@ class SingularVertex:
     critical_ok: bool = True
 
 
-def _interp_vertex(a: SingularVertex, b: SingularVertex, t: float, stage) -> SingularVertex:
-    """Linear interpolation between two vertices, at t from a to b.
-
-    The endpoints are put in key order, so the cut of an edge has one key
-    from either side.  Its floats are not canonical: ``t`` comes from the
-    caller's cut direction, and two cells that cut a shared edge from
-    opposite ends can round the cut apart (see :func:`glue`).  A field
-    missing at an endpoint is missing here: the first-order clips run before
-    the sigma stage, which sets the sigma of their cuts.  The residual and
-    the criticality flag keep their defaults: the validity stage reads them
-    before the first clip.
-    """
-    if b.key < a.key:
-        a, b = b, a
-        t = 1.0 - t
-
-    def lerp(u, v):
-        if u is None or v is None:
-            return None
-        return u + t * (v - u)
-
-    return SingularVertex(
-        key=f"('c', {stage!r}, {a.key}, {b.key})",
-        x=a.x + t * (b.x - a.x),
-        grad_interp=lerp(a.grad_interp, b.grad_interp),
-        lam=lerp(a.lam, b.lam),
-        hess_interp=lerp(a.hess_interp, b.hess_interp),
-        sigma=lerp(a.sigma, b.sigma),
-    )
+def _read_only(*arrays) -> None:
+    for a in arrays:
+        if a is not None:
+            a.flags.writeable = False
 
 
-def clip_polytope(pieces, values, stage="clip"):
-    """Keep the part of each piece where the per-vertex scalar is >= 0.
+class VertexTable:
+    """The singular vertices of a run as read-only columns, one row each.
 
-    A piece is a connected convex fragment of a cell's (m-1)-polytope, the
-    tuple of its distinct vertices: a pair is a segment (m = 2), three or
-    more are a planar polygon in cyclic order (m = 3).
-    ``values`` maps vertex -> scalar.  Returns ``(kept, dropped,
-    boundary_vertices)``; the inserted boundary vertices are new objects,
-    keyed on ``stage`` and their edge's endpoint keys, and their scalar
-    fields are linear interpolations of the endpoint data.  Every input
-    vertex lands in a kept or a dropped piece and every inserted vertex in
-    both, which :func:`glue` relies on.
+    The accepted faces come first, one row per face: faces whose vertices
+    snap to one sub-face are distinct rows under one key.  Each clip appends
+    its cuts (:meth:`cut`).  The columns are ``keys``, a list of key texts;
+    ``x`` (V, n); ``grad`` (V, m, n), the interpolated gradient rows;
+    ``lam`` (V, m), NaN rows on a rank collapse; ``residual`` and ``ok``,
+    the lambda residual and the criticality flag; ``hess`` (V, m, n, n),
+    None at first order; and ``sigma`` (V, n-m+1), None until the sigma
+    stage sets it, NaN on the rows it did not reach and where the kernel
+    dimension is ambiguous.  The face rows' sub-faces are the ``size`` node
+    ids and weights of each row, row after row, in ``sub`` and ``weights``.
     """
 
-    def cut(a, b, t):
-        return _interp_vertex(a, b, t, stage)
+    def __init__(self, keys, x, grad, lam, residual, ok, hess, sub, weights, size):
+        self.keys = keys
+        self.x, self.grad, self.lam, self.hess = x, grad, lam, hess
+        self.residual, self.ok, self.sigma = residual, ok, None
+        self.sub, self.weights, self.size = sub, weights, size
+        self.lo = np.cumsum(size) - size
+        _read_only(x, grad, lam, residual, ok, hess, sub, weights, size, self.lo)
 
-    kept: list[tuple] = []
-    dropped: list[tuple] = []
-    boundary: list[SingularVertex] = []
-    for piece in pieces:
-        svals = [values[v] for v in piece]
-        snap = CLIP_SNAP_REL * max(map(abs, svals), default=0.0)
-        svals = [0.0 if abs(s) <= snap else s for s in svals]
-        split = _split_segment if len(piece) == 2 else _split_polygon
-        k, d, b = split(piece, svals, cut)
-        kept.extend(k)
-        dropped.extend(d)
-        boundary.extend(b)
-    return kept, dropped, boundary
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def vertex(self, i: int) -> SingularVertex:
+        """Row i as an object; its arrays are views of the columns."""
+        face = i < len(self.size)  # a cut has no face
+        lo, k = (int(self.lo[i]), int(self.size[i])) if face else (0, 0)
+        sigma = None if self.sigma is None else self.sigma[i]
+        return SingularVertex(
+            key=self.keys[i], x=self.x[i],
+            face=tuple(self.sub[lo:lo + k].tolist()) if face else None,
+            mu=self.weights[lo:lo + k] if face else None,
+            grad_interp=self.grad[i],
+            lam=None if np.isnan(self.lam[i, 0]) else self.lam[i],
+            residual=float(self.residual[i]),
+            hess_interp=None if self.hess is None else self.hess[i],
+            sigma=None if sigma is None or np.isnan(sigma[0]) else sigma,
+            critical_ok=bool(self.ok[i]),
+        )
+
+    def cut(self, a: np.ndarray, b: np.ndarray, t: np.ndarray, stage) -> np.ndarray:
+        """Append the cuts of the edges a -> b at t from a; returns their rows.
+
+        Each edge is put in key order first, with t flipped to 1 - t, so the
+        cut of an edge has one key from either side.  Its floats are not
+        canonical: t comes from the piece's direction, and two cells that cut
+        a shared edge from opposite ends can round the cut apart (see
+        :func:`glue`).  Each column is interpolated elementwise,
+        ``u + t * (v - u)``, so a cut rounds as a one-edge interpolation
+        does; a column that is missing (sigma before its stage) stays
+        missing.  A cut's residual is 0 and its criticality flag True.
+        """
+        keys = self.keys
+        if not len(a):
+            return np.empty(0, dtype=np.intp)
+        flip = np.array([keys[j] < keys[i] for i, j in zip(a.tolist(), b.tolist())],
+                        dtype=bool)
+        a, b = np.where(flip, b, a), np.where(flip, a, b)
+        t = np.where(flip, 1.0 - t, t)
+
+        def lerp(col):
+            if col is None:
+                return None
+            u = col[a]
+            out = np.concatenate([col, u + t.reshape((-1,) + (1,) * (u.ndim - 1)) * (col[b] - u)])
+            out.flags.writeable = False
+            return out
+
+        rows = np.arange(len(keys), len(keys) + len(a))
+        self.keys = keys + [f"('c', {stage!r}, {keys[i]}, {keys[j]})"
+                            for i, j in zip(a.tolist(), b.tolist())]
+        self.x, self.grad, self.lam, self.hess, self.sigma = map(
+            lerp, (self.x, self.grad, self.lam, self.hess, self.sigma))
+        self.residual = np.concatenate([self.residual, np.zeros(len(a))])
+        self.ok = np.concatenate([self.ok, np.ones(len(a), dtype=bool)])
+        _read_only(self.residual, self.ok)
+        return rows
 
 
-def _split_segment(piece: tuple, s, cut):
-    a, b = piece
-    sa, sb = s
-    if sa >= 0.0 and sb >= 0.0:
-        bd = []
-        if sa == 0.0 and sb > 0.0:
-            bd.append(a)
-        if sb == 0.0 and sa > 0.0:
-            bd.append(b)
-        return [piece], [], bd
-    if sa <= 0.0 and sb <= 0.0:
-        bd = []
-        if sa == 0.0 and sb < 0.0:
-            bd.append(a)
-        if sb == 0.0 and sa < 0.0:
-            bd.append(b)
-        return [], [piece], bd
-    w = cut(a, b, sa / (sa - sb))
-    if sa > 0.0:
-        return [(a, w)], [(w, b)], [w]
-    return [(w, b)], [(a, w)], [w]
+@dataclass
+class Pieces:
+    """Polytope pieces of many cells, as rows of a :class:`VertexTable`.
+
+    A piece is a connected convex fragment of a cell's (m-1)-polytope: a
+    segment (m = 2), the two rows of its ``ring`` row, or a planar polygon
+    (m = 3), the first ``size`` rows of its ``ring`` row in cyclic order,
+    then -1.  ``cell`` is each piece's cell, as a position among the run's
+    candidate cells.
+    """
+
+    cell: np.ndarray   # (P,)
+    ring: np.ndarray   # (P, K)
+    size: np.ndarray   # (P,)
+
+    def __len__(self) -> int:
+        return len(self.cell)
+
+    def slots(self) -> np.ndarray:
+        """The (P, K) mask of the ring entries that hold a row."""
+        return np.arange(self.ring.shape[1]) < self.size[:, None]
+
+    def take(self, idx, ring=None) -> "Pieces":
+        return Pieces(self.cell[idx], (self.ring if ring is None else ring)[idx], self.size[idx])
+
+    @staticmethod
+    def concat(parts: list) -> "Pieces":
+        """The pieces of ``parts`` in cell order, a cell's in part order."""
+        K = max([p.ring.shape[1] for p in parts] + [2])
+        ring = np.concatenate([np.empty((0, K), dtype=np.intp)] + [
+            np.pad(p.ring, ((0, 0), (0, K - p.ring.shape[1])), constant_values=-1)
+            for p in parts])
+        cell = np.concatenate([np.empty(0, dtype=np.intp)] + [p.cell for p in parts])
+        size = np.concatenate([np.empty(0, dtype=np.intp)] + [p.size for p in parts])
+        order = np.argsort(cell, kind="stable")
+        return Pieces(cell[order], ring[order], size[order])
 
 
-def _split_polygon(piece: tuple, s, cut):
-    """Both sides of a polygon; each vertex joins a side at most once and
-    a cut vertex is new, so a side is a polygon when it has three vertices."""
-    k = len(piece)
-    pos: list[SingularVertex] = []
-    neg: list[SingularVertex] = []
-    boundary: list[SingularVertex] = []
-    for i in range(k):
-        j = (i + 1) % k
-        vi, vj = piece[i], piece[j]
-        si, sj = s[i], s[j]
-        if si >= 0.0:
-            pos.append(vi)
-        if si <= 0.0:
-            neg.append(vi)
-        if si == 0.0 and s[(i - 1) % k] * sj < 0.0:
-            boundary.append(vi)  # level set passes exactly through a vertex
-        if si * sj < 0.0:
-            w = cut(vi, vj, si / (si - sj))
-            pos.append(w)
-            neg.append(w)
-            boundary.append(w)
-    out_pos = [tuple(pos)] if len(pos) >= 3 else []
-    out_neg = [tuple(neg)] if len(neg) >= 3 else []
-    return out_pos, out_neg, boundary
+def clip_polytope(table: VertexTable, pieces: Pieces, values: np.ndarray, stage) -> tuple:
+    """Keep the part of every piece where a per-vertex scalar is >= 0, in one pass.
+
+    ``values`` (P, K) holds the scalar at each entry of ``pieces.ring``.  A
+    value at or below ``CLIP_SNAP_REL`` times the largest |value| of its
+    piece counts as zero.  Only the pieces whose values straddle zero are
+    cut: the cuts are appended to ``table``, keyed on ``stage`` and their
+    edge's end keys (:meth:`VertexTable.cut`).  Returns ``(kept, dropped,
+    boundary)``: the two sides as :class:`Pieces`, each piece's side in the
+    order of the pieces, and the rows on the level set with their cells, a
+    pair of arrays.  A segment whose values are both zero is kept; a side of
+    a polygon is a polygon when it has three vertices, so a polygon whose
+    values are all zero lands on both sides.  Every input vertex lands in a
+    kept or a dropped piece and every cut in both, which :func:`glue` relies
+    on.
+    """
+    slots = pieces.slots()
+    mag = np.where(slots, np.abs(values), 0.0)
+    snap = CLIP_SNAP_REL * mag.max(axis=1, initial=0.0)
+    s = np.where(slots & ~(mag <= snap[:, None]), values, 0.0)
+    sides = _segment_sides if pieces.ring.shape[1] == 2 else _polygon_sides
+    return sides(table, pieces, s, stage)
 
 
-def _rings(polygons: list) -> list:
-    """Each planar polygon's vertices in cyclic order: by angle in its
-    best-fit plane, with one SVD per group of polygons with the same vertex
-    count."""
-    out: list = [None] * len(polygons)
-    groups: dict[int, list] = {}
-    for i, verts in enumerate(polygons):
-        groups.setdefault(len(verts), []).append(i)
-    for idx in groups.values():
-        X = np.array([[v.x for v in polygons[i]] for i in idx])  # (G, k, n)
+def _segment_sides(table, pieces, s, stage) -> tuple:
+    a, b = pieces.ring.T
+    sa, sb = s.T
+    pos = (sa >= 0.0) & (sb >= 0.0)
+    neg = ~pos & (sa <= 0.0) & (sb <= 0.0)
+    cut = ~(pos | neg)
+    c = np.flatnonzero(cut)
+    w = np.full(len(a), -1)
+    w[c] = table.cut(a[c], b[c], sa[c] / (sa[c] - sb[c]), stage)
+    head, tail = np.stack([a, w], axis=1), np.stack([w, b], axis=1)
+    up = (sa > 0.0)[:, None]
+    kept = np.where(cut[:, None], np.where(up, head, tail), pieces.ring)
+    dropped = np.where(cut[:, None], np.where(up, tail, head), pieces.ring)
+    # an end at zero is on the level set when the other end is off it
+    at_a = (sa == 0.0) & np.where(pos, sb > 0.0, neg & (sb < 0.0))
+    at_b = (sb == 0.0) & np.where(pos, sa > 0.0, neg & (sa < 0.0))
+    boundary = (np.concatenate([a[at_a], b[at_b], w[c]]),
+                np.concatenate([pieces.cell[at_a], pieces.cell[at_b], pieces.cell[c]]))
+    return pieces.take(pos | cut, kept), pieces.take(neg | cut, dropped), boundary
+
+
+def _polygon_sides(table, pieces, s, stage) -> tuple:
+    """Both sides of every polygon: walking each ring, an entry joins the
+    sides its value allows and a cut joins both, after the entry that starts
+    its edge."""
+    ring, slots = pieces.ring, pieces.slots()
+    P, K = ring.shape
+    i = np.arange(K)
+    k = pieces.size[:, None]
+    nxt = np.where(i + 1 < k, i + 1, 0)
+    s_next = np.take_along_axis(s, nxt, axis=1)
+    s_prev = np.take_along_axis(s, np.where(i >= 1, i - 1, k - 1), axis=1)
+    cross = slots & (s * s_next < 0.0)
+    p, j = np.nonzero(cross)
+    w = np.full((P, K), -1)
+    w[p, j] = table.cut(ring[p, j], ring[p, nxt[p, j]], s[p, j] / (s[p, j] - s_next[p, j]),
+                        stage)
+    walk = np.stack([ring, w], axis=2).reshape(P, 2 * K)
+    sides = []
+    for side in (s >= 0.0, s <= 0.0):
+        member = np.stack([slots & side, cross], axis=2).reshape(P, 2 * K)
+        size = member.sum(axis=1)
+        ok = size >= 3
+        new = np.take_along_axis(walk[ok], np.argsort(~member[ok], axis=1, kind="stable"), axis=1)
+        new = new[:, :max(size[ok].max(initial=0), 3)]
+        new[np.arange(new.shape[1]) >= size[ok, None]] = -1
+        sides.append(Pieces(pieces.cell[ok], new, size[ok]))
+    # the level set passes exactly through an entry between a sign change
+    at = slots & (s == 0.0) & (s_prev * s_next < 0.0)
+    boundary = (np.concatenate([ring[at], w[p, j]]),
+                np.concatenate([np.broadcast_to(pieces.cell[:, None], (P, K))[at], pieces.cell[p]]))
+    return sides[0], sides[1], boundary
+
+
+def _rings(x: np.ndarray, rows: np.ndarray, count: np.ndarray) -> None:
+    """Put the rows of each planar polygon (a row of ``rows`` with a count
+    of three or more) in cyclic order, in place: by angle in its best-fit
+    plane, with one SVD per group of polygons with the same vertex count."""
+    for k in sorted(set(count[count >= 3].tolist())):
+        idx = np.flatnonzero(count == k)
+        X = x[rows[idx, :k]]  # (G, k, n)
         D = X - X.mean(axis=1, keepdims=True)
         _, _, vt = np.linalg.svd(D)
         uu = (D @ vt[:, 0, :, None])[..., 0]
         vv = (D @ vt[:, 1, :, None])[..., 0]
-        for i, order in zip(idx, np.argsort(np.arctan2(vv, uu), axis=1).tolist()):
-            out[i] = [polygons[i][j] for j in order]
-    return out
+        rows[idx, :k] = np.take_along_axis(rows[idx, :k], np.argsort(np.arctan2(vv, uu), axis=1),
+                                           axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -325,18 +416,51 @@ def _rings(polygons: list) -> list:
 
 @dataclass
 class CellAnalysis:
-    """One cell's pieces by stratum, its markers and warnings.
-
-    A piece is the tuple of its vertices (see :func:`clip_polytope`).  A
-    face-table vertex is shared between cells, so its sigma belongs in the
-    complex file only from a cell where it lies on a critical piece.
-    """
+    """One candidate cell's record: its singular vertices (none when it has
+    fewer than m) and its warnings."""
 
     cell_index: int
-    singular_vertices: list = field(default_factory=list)
-    strata: dict = field(default_factory=lambda: {s: [] for s in STRATA})
-    markers: list = field(default_factory=list)  # (SingularVertex, kind)
-    warnings: list = field(default_factory=list)
+    singular_vertices: list
+    warnings: list
+
+
+class CellAnalyses:
+    """The analyses of a run's candidate cells, as the stages leave them.
+
+    Holds the cell table (``cells``, the candidate cells' indices, and each
+    one's vertex ``rows``, ``count`` and ``skipped`` rank-deficient faces),
+    the vertex table, each stratum's pieces (:meth:`pieces`) and the marker
+    rows of each clip.  As a sequence it is one :class:`CellAnalysis` per
+    candidate cell, in cell order, built on access.
+    """
+
+    def __init__(self, cells, table: VertexTable, rows, count, skipped, m: int):
+        self.cells, self.table, self.m = cells, table, m
+        self.rows, self.count, self.skipped = rows, count, skipped
+        self.strata = {s: [] for s in STRATA}   # stratum -> Pieces, in stage order
+        self.markers: list = []                 # ((rows, cells), kind), in stage order
+
+    def pieces(self, stratum: str) -> Pieces:
+        """The stratum's pieces in cell order, a cell's in the order the stages made them."""
+        return Pieces.concat(self.strata[stratum])
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __getitem__(self, i: int) -> CellAnalysis:
+        k = int(self.count[i])
+        rows = self.rows[i, :k].tolist() if k >= self.m else []
+        warnings = []
+        if self.skipped[i]:
+            warnings.append(f"{int(self.skipped[i])} rank-deficient face system(s) skipped")
+        warnings += ["rank collapse at a singular vertex"] * int(
+            np.isnan(self.table.lam[rows, 0]).sum())
+        if self.m == 2 and k > 2:
+            warnings.append(f"{k} singular vertices in one cell (non-transversal crossing)")
+        return CellAnalysis(int(self.cells[i]), [self.table.vertex(r) for r in rows], warnings)
 
 
 def solve_faces(omega_nodes: np.ndarray, faces) -> tuple:
@@ -372,41 +496,39 @@ def _interpolate(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Row i of w (F, k) times the node data a[i] (F, k, ...), as
     ``w (1, k) @ a (k, -1)``, which rounds as the per-vertex ``w @ a``."""
     F, k = w.shape
-    return (w[:, None, :] @ a.reshape(F, k, -1)).reshape((F,) + a.shape[2:])
+    size = int(np.prod(a.shape[2:]))
+    return (w[:, None, :] @ a.reshape(F, k, size)).reshape((F,) + a.shape[2:])
 
 
 def _face_vertices(omega_nodes: np.ndarray, faces: np.ndarray, points: np.ndarray,
                    jac_nodes: np.ndarray, hess_at=None) -> tuple:
     """Solve the distinct faces (F, r+1) at once; one singular vertex per face.
 
-    Returns ``(vertices, singular)``: per face row its accepted
-    :class:`SingularVertex` or ``None``, and the mask of the rows whose
-    barycentric system is rank deficient.  A face is accepted when its
-    weights are all above ``EPS_ACCEPT``.  Weights at or below ``MU_SNAP``
-    become zeros and the rest are renormalized, so a vertex sitting on a
-    sub-face gets the sub-face key (its ``face``, with the sub-face weights
-    as ``mu``) and adjacent cells merge it exactly once.  Each vertex is
-    built once and complete but for sigma: position, gradients and, with
-    ``hess_at`` (evaluated once at the sub-faces' nodes), the Hessians are
-    interpolated in one pass over the accepted faces; lambda is one stacked
-    solve.  Every array is a row of a read-only column array.
+    Returns ``(table, row, singular)``: the :class:`VertexTable` of the
+    accepted faces, in face order, each face's row in it (-1 where the face
+    holds no vertex), and the mask of the faces whose barycentric system is
+    rank deficient.  A face is accepted when its weights are all above
+    ``EPS_ACCEPT``.  Weights at or below ``MU_SNAP`` become zeros and the
+    rest are renormalized, so a vertex sitting on a sub-face gets the
+    sub-face key (and the sub-face weights) and adjacent cells merge it
+    exactly once.  Each vertex is built once and complete but for sigma:
+    position, gradients and, with ``hess_at`` (evaluated once at the
+    sub-faces' nodes), the Hessians are interpolated in one pass over the
+    accepted faces; lambda is one stacked solve.
     """
     mu, singular = solve_faces(omega_nodes, faces)
-    rows = np.flatnonzero(np.all(mu > EPS_ACCEPT, axis=1))  # NaN rows fail
-    verts: list = [None] * len(faces)
-    if not len(rows):
-        return verts, singular
-    faces, keep = faces[rows], mu[rows] > MU_SNAP
-    w = np.where(keep, mu[rows], 0.0)
+    accepted = np.all(mu > EPS_ACCEPT, axis=1)  # NaN rows fail
+    row = np.where(accepted, np.cumsum(accepted) - 1, -1)
+    faces, keep = faces[accepted], mu[accepted] > MU_SNAP
+    w = np.where(keep, mu[accepted], 0.0)
     w /= w.sum(axis=1, keepdims=True)
     x = _interpolate(w, points[faces])
     grad = _interpolate(w, jac_nodes[faces])
     lam, residual = solve_lambdas(grad)
     scale = np.linalg.norm(grad, axis=2).max(axis=1)
-    critical_ok = residual <= EPS_RES * scale  # False on a rank collapse (inf)
-    sub, weights = faces[keep], w[keep]  # the sub-faces and their weights, row after row
-    columns = [x, grad, lam, weights]
-    hess = [None] * len(rows)
+    ok = residual <= EPS_RES * scale  # False on a rank collapse (inf)
+    sub, size = faces[keep], keep.sum(axis=1)  # the sub-faces, row after row
+    hess = None
     if hess_at is not None:
         # one evaluation over the distinct sub-face nodes (found with a mask:
         # np.unique imports numpy.ma on first use); a zero weight's node
@@ -416,21 +538,13 @@ def _face_vertices(omega_nodes: np.ndarray, faces: np.ndarray, points: np.ndarra
         nodes = np.flatnonzero(used)
         at = np.zeros(len(points), dtype=np.intp)
         at[nodes] = np.arange(len(nodes))
-        hess = _interpolate(w, hess_at(points[nodes])[at[faces]])
-        columns.append(hess)
-    for a in columns:
-        a.flags.writeable = False
-    size = keep.sum(axis=1)
-    sub = sub.tolist()
-    collapse = np.isnan(lam[:, 0]).tolist()
-    for f, lo, k, xf, gf, lf, nan, res, ok, hf in zip(
-            rows.tolist(), (np.cumsum(size) - size).tolist(), size.tolist(), x, grad, lam,
-            collapse, residual.tolist(), critical_ok.tolist(), hess):
-        s = tuple(sub[lo:lo + k])
-        verts[f] = SingularVertex(key=repr(("f",) + s), x=xf, face=s, mu=weights[lo:lo + k],
-                                  grad_interp=gf, lam=None if nan else lf, residual=res,
-                                  hess_interp=hf, critical_ok=ok)
-    return verts, singular
+        hess = (_interpolate(w, hess_at(points[nodes])[at[faces]]) if len(nodes)
+                else np.empty(grad.shape + grad.shape[-1:]))
+    flat = sub.tolist()
+    keys = [repr(("f", *flat[lo:lo + k])) for lo, k in zip((np.cumsum(size) - size).tolist(),
+                                                          size.tolist())]
+    table = VertexTable(keys, x, grad, lam, residual, ok, hess, sub, w[keep], size)
+    return table, row, singular
 
 
 def finite_difference_hessians(problem: VectorProblem, points_cell: np.ndarray,
@@ -468,18 +582,21 @@ def generalized_hessians(G: np.ndarray, lam: np.ndarray, hess: np.ndarray) -> tu
     return np.linalg.eigvalsh(B), fail
 
 
-def _attach_sigma(verts: list) -> None:
-    """Set sigma (read-only) on vertices in one stacked call, None where the
-    kernel dimension is ambiguous, and log the count of those failures."""
-    if verts:
-        sigma, fail = generalized_hessians(np.array([v.grad_interp for v in verts]),
-                                           np.array([v.lam for v in verts]),
-                                           np.array([v.hess_interp for v in verts]))
-        sigma.flags.writeable = False
-        for v, sg, f in zip(verts, sigma, fail):
-            v.sigma = None if f else sg
+def _attach_sigma(table: VertexTable, theta: Pieces) -> None:
+    """Set sigma on the rows of the pieces ``theta`` in one stacked call,
+    each row once, NaN where the kernel dimension is ambiguous, and log the
+    count of those failures."""
+    used = np.zeros(len(table), dtype=bool)
+    used[theta.ring[theta.slots()]] = True
+    rows = np.flatnonzero(used)
+    if len(rows):
+        sigma, fail = generalized_hessians(table.grad[rows], table.lam[rows], table.hess[rows])
+        col = np.full((len(table), sigma.shape[1]), np.nan)
+        col[rows[~fail]] = sigma[~fail]
+        col.flags.writeable = False
+        table.sigma = col
         logger.debug("kernel dimension ambiguous at %d of %d vertices; treated as "
-                     "unstable", np.count_nonzero(fail), len(verts))
+                     "unstable", np.count_nonzero(fail), len(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -508,16 +625,18 @@ class Analyzer:
     the minors' width and the problem's windows are not read.  The analyzer
     holds only these inputs; :func:`analyze` runs it and glues the result.
 
-    :meth:`run_cells` runs four stages over all candidate cells.  (1) The
-    table pass: the distinct r-faces of all cells go through one stacked
-    barycentric solve, each accepted vertex is built exactly once with its
-    lambda and analytic Hessian interpolation, and each cell's entry holds
-    its vertices, one per key, for m = 3 in ring order.  (2) The
-    first-order clip of every cell.  (3) One stacked sigma call over the
-    vertices of every cell's critical pieces, each once.  (4) The
-    second-order clip of every cell.  The vertex objects carry no analyzer
-    state, so a face-table vertex keeps its identity and its key in any
-    analyzer that holds it.
+    :meth:`run_cells` runs four stages over all candidate cells, each one
+    array pass.  (1) The table pass: the distinct r-faces of all cells go
+    through one stacked barycentric solve, each accepted vertex becomes one
+    row of the vertex table with its lambda and analytic Hessian
+    interpolation, and each cell lists its rows, one per key, for m = 3 in
+    ring order.  (2) The first-order stage: every cell's polytope becomes
+    pieces, and all of them are clipped by lambda_j, one pass per j.  (3)
+    One stacked sigma call over the rows of every cell's critical pieces,
+    each once.  (4) The second-order stage: all critical pieces are clipped
+    by sigma in one pass.  The two clip stages keep the per-cell names
+    :meth:`analyze_cell_first_order` and :meth:`analyze_cell_second_order`,
+    which the benchmark's tracer wraps.
 
     With m > n (supported for n = m - 1) there is no window, r = 0: every
     cell passes the filter, its faces are its single nodes, each solved to
@@ -566,20 +685,20 @@ class Analyzer:
         mask = np.all((lo <= 0.0) & (hi >= 0.0), axis=1)
         return np.nonzero(mask)[0]
 
-    # -- face and cell tables ----------------------------------------------------
+    # -- the table pass ----------------------------------------------------------
 
-    def _cell_table(self, cells: Sequence[int]) -> list:
-        """The cell table: ``(vertices, rank-deficient faces)`` for each of
-        ``cells``, built in stacked passes.
+    def _cell_table(self, cells: Sequence[int]) -> tuple:
+        """The cell table of ``cells``: ``(table, rows, count, skipped)``,
+        built in stacked passes.
 
         A cell's r-faces are the rows of ``cells[:, combos]``, ascending as
         the cell rows are; one lexsort finds the distinct faces and each
         cell-face's row among them.  The stacked face solve on the distinct
-        faces builds every accepted vertex once with its lambda and, at
-        second order, its Hessian interpolation.  A cell lists its faces'
+        faces builds the vertex ``table`` (:func:`_face_vertices`).  Row c of
+        ``rows`` lists cell c's ``count[c]`` vertex rows, then -1: its faces'
         vertices in face order, the first face with a key winning; for m = 3
-        the vertices of a cell that reaches the polytope stage come in ring
-        order.
+        a cell with three vertices or more lists them in ring order.
+        ``skipped`` counts each cell's rank-deficient faces.
         """
         combos = list(itertools.combinations(range(self.tess.cells.shape[1]), self.r + 1))
         flat = self.tess.cells[cells][:, combos].reshape(-1, self.r + 1)
@@ -590,110 +709,107 @@ class Analyzer:
         at = np.empty(len(flat), dtype=np.intp)
         at[order] = np.cumsum(new) - 1
         at = at.reshape(len(cells), len(combos))
-        verts, singular = _face_vertices(self.omega_nodes, ordered[new], self.tess.nodes,
-                                         self.jac_nodes,
-                                         self.problem.hess_at if self.order >= 2 else None)
-        entries = []
-        for row, skipped in zip(at.tolist(), singular[at].sum(axis=1).tolist()):
-            by_key: dict[str, SingularVertex] = {}
-            for f in row:
-                if verts[f] is not None:
-                    by_key.setdefault(verts[f].key, verts[f])
-            entries.append((list(by_key.values()), skipped))
+        table, face_row, singular = _face_vertices(
+            self.omega_nodes, ordered[new], self.tess.nodes, self.jac_nodes,
+            self.problem.hess_at if self.order >= 2 else None)
+        R = face_row[at]
+        ids: dict[str, int] = {}
+        key = np.array([ids.setdefault(k, len(ids)) for k in table.keys] + [-1])[R]
+        first = R >= 0
+        for j in range(1, R.shape[1]):
+            first[:, j] &= np.all(key[:, :j] != key[:, j:j + 1], axis=1)
+        count = first.sum(axis=1)
+        rows = np.take_along_axis(R, np.argsort(~first, axis=1, kind="stable"), axis=1)
+        rows[np.arange(rows.shape[1]) >= count[:, None]] = -1
         if self.problem.m == 3:
-            reach = [i for i, (cv, _) in enumerate(entries) if len(cv) >= 3]
-            for i, ring in zip(reach, _rings([entries[i][0] for i in reach])):
-                entries[i] = (ring, entries[i][1])
-        return entries
+            _rings(table.x, rows, count)
+        return table, rows, count, singular[at].sum(axis=1)
 
-    # -- per-cell pipeline -----------------------------------------------------
+    # -- the clip stages -----------------------------------------------------------
 
-    def analyze_cell_first_order(self, ci: int, verts: list, skipped: int) -> CellAnalysis:
-        """Assemble cell ``ci`` from its cell-table entry and clip it by
-        lambda; the critical pieces are labelled unstable."""
-        analysis = CellAnalysis(cell_index=ci)
-        if skipped:
-            analysis.warnings.append(f"{skipped} rank-deficient face system(s) skipped")
-        if len(verts) < self.problem.m:
-            return analysis
-        for v in verts:
-            if v.lam is None:
-                analysis.warnings.append("rank collapse at a singular vertex")
-        analysis.singular_vertices = verts
+    def analyze_cell_first_order(self, cells, table, rows, count, skipped) -> CellAnalyses:
+        """Assemble the polytopes of all ``cells`` from their cell-table
+        entries and clip them by lambda, one pass per lambda_j; the critical
+        pieces are labelled unstable."""
+        analyses = CellAnalyses(cells, table, rows, count, skipped, self.problem.m)
+        pieces = self._assemble_pieces(analyses)
         # validity stage: pieces touching a vertex without usable weights stay
         # singular-only as a whole (measure-zero configurations, logged)
-        valid: list[tuple] = []
-        for piece in self._assemble_pieces(verts, analysis):
-            if all(v.critical_ok for v in piece):  # False on a rank collapse
-                valid.append(piece)
-            else:
-                analysis.strata[STRATUM_SINGULAR].append(piece)
-                logger.debug("cell %d: piece dropped at validity stage", ci)
-        current = valid
+        valid = np.all(table.ok[pieces.ring] | ~pieces.slots(), axis=1)  # False on a rank collapse
+        analyses.strata[STRATUM_SINGULAR].append(pieces.take(~valid))
+        if not valid.all():
+            logger.debug("%d pieces dropped at validity stage", np.count_nonzero(~valid))
+        current = pieces.take(valid)
         for j in range(self.problem.m):
-            if not current:
+            if not len(current):
                 break
-            values = {v: float(v.lam[j]) for p in current for v in p}
-            current, dropped, boundary = clip_polytope(current, values, ("lam", j))
-            analysis.strata[STRATUM_SINGULAR].extend(dropped)
-            for w in boundary:
-                analysis.markers.append((w, MARKER_BOUNDARY))
+            current, dropped, boundary = clip_polytope(
+                table, current, table.lam[current.ring, j], ("lam", j))
+            analyses.strata[STRATUM_SINGULAR].append(dropped)
+            analyses.markers.append((boundary, MARKER_BOUNDARY))
         # first-order output: critical pieces are labelled unstable until the
         # second-order clip upgrades the surviving part
-        analysis.strata[STRATUM_UNSTABLE].extend(current)
-        return analysis
+        analyses.strata[STRATUM_UNSTABLE].append(current)
+        return analyses
 
-    def analyze_cell_second_order(self, analysis: CellAnalysis) -> CellAnalysis:
-        """Clip the critical pieces by sigma, which the sigma stage of
-        :meth:`run_cells` set on their vertices; a kernel failure (no sigma)
-        counts as unstable."""
-        theta = analysis.strata[STRATUM_UNSTABLE]
-        analysis.strata[STRATUM_UNSTABLE] = []
-        if not theta:
-            return analysis
-        verts = list(dict.fromkeys(v for piece in theta for v in piece))
-        sigma_scale = max([1.0] + [float(np.abs(v.sigma).max())
-                                   for v in verts if v.sigma is not None])
-        values = {v: -10.0 * sigma_scale if v.sigma is None else -float(v.sigma.max())
-                  for v in verts}
-        stable, unstable, boundary = clip_polytope(theta, values, ("sig", 0))
-        analysis.strata[STRATUM_STABLE].extend(stable)
-        analysis.strata[STRATUM_UNSTABLE].extend(unstable)
-        for w in boundary:
-            analysis.markers.append((w, MARKER_CUSP))
-        return analysis
+    def analyze_cell_second_order(self, analyses: CellAnalyses) -> CellAnalyses:
+        """Clip the critical pieces of all cells by -max sigma in one pass;
+        the sigma stage of :meth:`run_cells` set sigma on their rows.  A
+        kernel failure (no sigma) counts as unstable: its value is -10 times
+        the largest of 1 and the |sigma| on its cell's critical pieces."""
+        theta = analyses.pieces(STRATUM_UNSTABLE)
+        if not len(theta):
+            return analyses
+        table = analyses.table
+        top = table.sigma.max(axis=1)
+        mag = np.abs(table.sigma).max(axis=1)
+        known = ~np.isnan(top)
+        use = theta.slots() & known[theta.ring]
+        scale = np.ones(len(analyses))
+        np.maximum.at(scale, np.broadcast_to(theta.cell[:, None], use.shape)[use],
+                      mag[theta.ring][use])
+        values = np.where(known[theta.ring], -top[theta.ring], -10.0 * scale[theta.cell, None])
+        stable, unstable, boundary = clip_polytope(table, theta, values, ("sig", 0))
+        analyses.strata[STRATUM_STABLE] = [stable]
+        analyses.strata[STRATUM_UNSTABLE] = [unstable]
+        analyses.markers.append((boundary, MARKER_CUSP))
+        return analyses
 
-    # -- helpers ---------------------------------------------------------------
-
-    def _assemble_pieces(self, verts, analysis) -> list:
-        if self.problem.m == 3 or len(verts) == 2:  # a polygon comes in ring order
-            return [tuple(verts)]
-        analysis.warnings.append(
-            f"{len(verts)} singular vertices in one cell (non-transversal crossing)"
-        )
-        logger.warning(
-            "cell %d: %d singular vertices; building a path through them",
-            analysis.cell_index, len(verts),
-        )
-        X = np.array([v.x for v in verts])
-        center = X.mean(axis=0)
-        _, _, vt = np.linalg.svd(X - center)
-        chain = [verts[i] for i in np.argsort(X @ vt[0])]
-        return list(zip(chain, chain[1:]))
+    def _assemble_pieces(self, analyses: CellAnalyses) -> Pieces:
+        """Every cell's polytope as pieces: for m = 3 the ring of a cell
+        with three vertices or more, for m = 2 the segment of a cell with
+        two; a cell with more (a non-transversal crossing) gets a path
+        through them, in order along their principal axis."""
+        rows, count = analyses.rows, analyses.count
+        if self.problem.m == 3:
+            c = np.flatnonzero(count >= 3)
+            return Pieces(c, rows[c], count[c])
+        c = np.flatnonzero(count == 2)
+        parts = [Pieces(c, rows[c, :2], count[c])]
+        for ci in np.flatnonzero(count > 2).tolist():
+            logger.warning("cell %d: %d singular vertices; building a path through them",
+                           analyses.cells[ci], count[ci])
+            verts = rows[ci, :count[ci]]
+            X = analyses.table.x[verts]
+            _, _, vt = np.linalg.svd(X - X.mean(axis=0))
+            chain = verts[np.argsort(X @ vt[0])]
+            parts.append(Pieces(np.full(len(chain) - 1, ci),
+                                np.stack([chain[:-1], chain[1:]], axis=1),
+                                np.full(len(chain) - 1, 2)))
+        return Pieces.concat(parts)
 
     # -- full run ----------------------------------------------------------------
 
-    def run_cells(self) -> list:
-        """The analyses of all candidate cells, in the four stages."""
+    def run_cells(self) -> CellAnalyses:
+        """The analyses of all candidate cells: the table pass, the
+        first-order stage, sigma on the critical rows and the second-order
+        stage, each one pass over all cells (see :class:`Analyzer`)."""
         idx = self.candidate_cells()
-        analyses = [self.analyze_cell_first_order(ci, verts, skipped)
-                    for ci, (verts, skipped) in zip(idx, self._cell_table(idx))]
+        table, rows, count, skipped = self._cell_table(idx)
+        analyses = self.analyze_cell_first_order(idx, table, rows, count, skipped)
         if self.order >= 2:
-            _attach_sigma(list(dict.fromkeys(
-                v for a in analyses for piece in a.strata[STRATUM_UNSTABLE]
-                for v in piece)))
-            for a in analyses:
-                self.analyze_cell_second_order(a)
+            _attach_sigma(table, analyses.pieces(STRATUM_UNSTABLE))
+            self.analyze_cell_second_order(analyses)
         return analyses
 
 
@@ -778,77 +894,93 @@ class ParetoComplex:
         return [vid for vid, k in self.markers if k == kind]
 
 
-def glue(analyses: Iterable[CellAnalysis], problem: VectorProblem,
+def glue(analyses: CellAnalyses, problem: VectorProblem,
          tess: Tessellation, order: int = 2) -> ParetoComplex:
-    """Merge per-cell polytopes into one complex, keyed on face identities.
+    """Merge the pieces of all cells into one complex, keyed on vertex keys.
 
-    Vertices shared by adjacent cells carry identical keys, so the merge is
-    exact.  Their data need not be identical: a face-born vertex is one
-    object in every cell, but a clip-born vertex is cut by each cell that
-    lists it, along its own ring, and two cells can cut a shared edge from
+    The vertices are the distinct keys of the rows that a piece or a marker
+    lists, numbered in key-text order by one sort.  Rows that share a key
+    merge exactly, but their data need not be identical: faces that snap to
+    one sub-face are distinct rows, and a cut is made by each cell that
+    lists it, along its own ring, so two cells can cut a shared edge from
     opposite ends and round the cut apart in the last bits.  The rule is
-    that the first cell in cell order wins: a vertex's data come from the
-    first cell, in cell order, that lists it; its sigma only if it lies on a
-    critical piece there (see :func:`clip_polytope`).
+    that the first cell in cell order wins: a vertex's data are those of its
+    row in the first cell that lists its key (within a cell a key names one
+    row), and its sigma only if it lies on a critical piece there.  A
+    segment piece is a simplex, and a polygon is fanned from its lowest key;
+    a simplex listed twice keeps the stratum of its first listing, a cell's
+    strata read in the order of ``STRATA`` and each stratum's pieces in the
+    order the stages made them.
     """
-    vertex_table: dict[str, tuple] = {}  # key -> (vertex, sigma)
-    simplex_table: dict[tuple, str] = {}  # simplex key -> stratum
-    marker_keys: set[tuple] = set()
-
-    for analysis in sorted(analyses, key=lambda a: a.cell_index):
-        critical = {v for s in (STRATUM_UNSTABLE, STRATUM_STABLE)
-                    for piece in analysis.strata[s] for v in piece}
-
-        def register(v: SingularVertex) -> str:
-            k = v.key
-            if k not in vertex_table:
-                vertex_table[k] = (v, v.sigma if v in critical else None)
-            return k
-
-        for stratum, pieces in analysis.strata.items():
-            for piece in pieces:
-                kl = [register(v) for v in piece]
-                if len(kl) == 2:
-                    simplex_keys = [tuple(sorted(kl))]
-                else:
-                    root_pos = kl.index(min(kl))
-                    cyc = kl[root_pos:] + kl[:root_pos]
-                    simplex_keys = [
-                        tuple(sorted((cyc[0], cyc[i], cyc[i + 1])))
-                        for i in range(1, len(cyc) - 1)
-                    ]
-                for sk in simplex_keys:
-                    if sk not in simplex_table:
-                        simplex_table[sk] = stratum
-        for v, kind in analysis.markers:
-            marker_keys.add((register(v), kind))
-
-    ordered_keys = sorted(vertex_table)
-    index_of = {k: i for i, k in enumerate(ordered_keys)}
-    entries = [vertex_table[k] for k in ordered_keys]
-    V = len(entries)
+    table = analyses.table
     n, m = problem.n, problem.m
-    positions = np.array([v.x for v, _ in entries]).reshape(V, n)
-    lam = np.full((V, m), np.nan)
+    parts = [analyses.pieces(s) for s in STRATA]
+    # every listing of a row: its cell, and whether it is on a critical piece
+    listed = [(p.ring[p.slots()], np.broadcast_to(p.cell[:, None], p.ring.shape)[p.slots()],
+               rank > 0) for rank, p in enumerate(parts)]
+    listed += [(rows, cells, False) for (rows, cells), _ in analyses.markers]
+    rows = np.concatenate([r for r, _, _ in listed])
+    cells = np.concatenate([c for _, c, _ in listed])
+    critical = np.concatenate([np.full(len(r), crit) for r, _, crit in listed])
+
+    used = np.zeros(len(table), dtype=bool)
+    used[rows] = True
+    used = np.flatnonzero(used).tolist()
+    keys = table.keys
+    ordered_keys = sorted({keys[r] for r in used})
+    index_of = {k: i for i, k in enumerate(ordered_keys)}
+    vid = np.zeros(len(table), dtype=np.intp)
+    vid[used] = [index_of[keys[r]] for r in used]
+    V = len(ordered_keys)
+    # each vertex's first cell, and its row and criticality there
+    ids = vid[rows]
+    first = np.full(V, len(analyses), dtype=np.intp)
+    np.minimum.at(first, ids, cells)
+    there = cells == first[ids]
+    src = np.zeros(V, dtype=np.intp)
+    src[ids[there]] = rows[there]
+    on_critical = np.zeros(V, dtype=bool)
+    on_critical[ids[there & critical]] = True
+
+    positions = table.x[src].reshape(V, n)
     ksig = max(n - m + 1, 0)
     sigma = np.full((V, ksig), np.nan) if (order >= 2 and ksig > 0) else None
-    for i, (v, sg) in enumerate(entries):
-        if v.lam is not None:
-            lam[i] = v.lam
-        if sigma is not None and sg is not None:
-            sigma[i] = sg
-    u_values = problem.u_at(positions)
-    markers = sorted((index_of[k], kind) for k, kind in marker_keys)
+    if sigma is not None and table.sigma is not None:
+        sigma[on_critical] = table.sigma[src[on_critical]]
+
+    # the simplices of every piece, and where each is listed: cell, stratum,
+    # piece and fan triangle
+    simplices, listing = [np.empty((0, m), dtype=np.intp)], [np.empty((4, 0), dtype=np.intp)]
+    for rank, p in enumerate(parts):
+        ids = np.where(p.slots(), vid[p.ring], V)
+        if m == 2:
+            piece, fan, simplex = np.arange(len(p)), np.zeros(len(p), dtype=np.intp), ids
+        else:
+            K, k = ids.shape[1], p.size[:, None]
+            cyc = np.take_along_axis(ids, (ids.argmin(axis=1)[:, None] + np.arange(K)) % k, axis=1)
+            piece, fan = np.nonzero(np.arange(1, K - 1) < k - 1)
+            simplex = np.stack([cyc[piece, 0], cyc[piece, fan + 1], cyc[piece, fan + 2]], axis=1)
+        simplices.append(simplex)
+        listing.append(np.stack([p.cell[piece], np.full(len(piece), rank), piece, fan]))
+    listing = np.concatenate(listing, axis=1)
+    simplices = np.sort(np.concatenate(simplices), axis=1)
+    # by vertex ids, then by listing: a simplex's first listing leads
+    by = np.lexsort(np.vstack([listing[::-1], simplices.T[::-1]]))
+    simplices, rank = simplices[by], listing[1][by]
+    new = np.ones(len(simplices), dtype=bool)
+    new[1:] = np.any(simplices[1:] != simplices[:-1], axis=1)
+
+    markers = sorted({(v, kind) for (r, _), kind in analyses.markers for v in vid[r].tolist()})
     return ParetoComplex(
         n=n,
         m=m,
         positions=positions,
-        u_values=u_values,
-        lam=lam,
+        u_values=problem.u_at(positions),
+        lam=table.lam[src],
         sigma=sigma,
         keys=ordered_keys,
-        simplices=[[index_of[k] for k in sk] for sk in simplex_table],
-        stratum=list(simplex_table.values()),
+        simplices=simplices[new],
+        stratum=[STRATA[s] for s in rank[new].tolist()],
         markers=markers,
         problem_name=problem.name,
     )

@@ -99,12 +99,19 @@ class ConstrainedProblem:
     ``g`` and ``g_jacobian`` map a stack of points X (N, n) to the (N, n-m)
     constraint values and the (N, n-m, n) constraint Jacobians, so the
     manifold has dimension m and the augmented minor test is square.  The
-    pipeline evaluates through :meth:`g_val_at` and :meth:`g_jac_at`.
+    pipeline evaluates through :meth:`g_val_at` and :meth:`g_jac_at`.  A
+    base with n <= m leaves no constraint and raises ``ValueError``.
     """
 
     base: VectorProblem
     g: Callable[[Array], Array]
     g_jacobian: Callable[[Array], Array]
+
+    def __post_init__(self):
+        if self.base.n <= self.base.m:
+            raise ValueError(
+                f"constrained problem {self.base.name!r} has n = {self.base.n} and "
+                f"m = {self.base.m}: it needs n > m, one constraint or more")
 
     @property
     def name(self) -> str:

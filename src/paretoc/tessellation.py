@@ -712,13 +712,14 @@ def insert_nodes(tess: Tessellation, points: Iterable) -> Tessellation:
     per point.  A tessellation without one (a Kuhn grid, one made by hand, or
     one whose complex an earlier insertion took) gets its padded complex
     rebuilt from its cells; the cells come out the same either way, as they
-    are decided by exact signs.  Points are inserted in the given order and
-    get the next ids in that order, so a new point loses every exact tie with
-    a cell (see the module docstring): on a cell's circumsphere, it is
-    outside.  Each point is located by the exact visibility walk from the
-    cell made last.  Raises DegenerateInput if an insertion makes a flat
-    cell, and ValueError for a point with a non-finite coordinate or a mesh
-    that is not one of n-simplices.
+    are decided by exact signs.  Points get the next ids in the given order,
+    so a new point loses every exact tie with a cell (see the module
+    docstring): on a cell's circumsphere, it is outside.  They are inserted
+    along a Hilbert curve through the batch, as ``build_delaunay`` inserts,
+    and each is located by the exact visibility walk from the cell made last;
+    the cells depend on the ids, not on that order.  Raises DegenerateInput
+    if an insertion makes a flat cell, and ValueError for a point with a
+    non-finite coordinate or a mesh that is not one of n-simplices.
     """
     points = [np.asarray(p, dtype=float) for p in points]
     if not points:
@@ -738,7 +739,7 @@ def insert_nodes(tess: Tessellation, points: Iterable) -> Tessellation:
         pad = _Padded(nodes, tess.cells)
     else:
         pad.coords.extend(batch.tolist())
-    return _bowyer_watson("insert_nodes", pad, nodes, range(N, N + len(batch)))
+    return _bowyer_watson("insert_nodes", pad, nodes, (N + _hilbert_order(batch)).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from paretoc.constrained import (
     icosphere,
     project_gradients,
 )
-from paretoc.continuation import EPS_RANK, STRATUM_UNSTABLE, SingularVertex
+from paretoc.continuation import EPS_RANK, STRATUM_UNSTABLE, VertexTable
 from paretoc.errors import NonSquareUnsupported, RankDeficientConstraint
 from paretoc.geometry import points_to_simplices_distance
 from paretoc.problems import ConstrainedProblem, VectorProblem, registry_get
@@ -116,6 +116,21 @@ def test_rank_deficient_constraint():
     )
     with pytest.raises(RankDeficientConstraint):
         project_gradients(bad, [[1.0, 0.0, 0.0]])
+
+
+def test_constrained_problem_needs_a_constraint():
+    # n = m leaves no constraint; the error names the problem and both counts
+    triv = registry_get("triv")
+    with pytest.raises(ValueError, match=re.escape(
+            "constrained problem 'triv' has n = 2 and m = 2: it needs n > m")):
+        ConstrainedProblem(base=triv, g=lambda X: np.zeros((len(X), 0)),
+                           g_jacobian=lambda X: np.zeros((len(X), 0, 2)))
+    toy = VectorProblem(name="toy1d", n=1, m=2, eval=lambda X: np.zeros((len(X), 2)),
+                        jacobian=lambda X: np.zeros((len(X), 2, 1)),
+                        hessians=lambda X: np.zeros((len(X), 2, 1, 1)),
+                        domain_box=[[-1.0, 1.0]])
+    with pytest.raises(ValueError, match="'toy1d' has n = 1 and m = 2"):
+        ConstrainedProblem(base=toy, g=lambda X: X, g_jacobian=lambda X: X[:, :, None])
 
 
 def test_non_square_unsupported(sphere):
@@ -547,11 +562,12 @@ def _closed_form_face_vertices(omega_nodes, faces, points, jac_nodes, hess_at=No
     """Edge crossings as the constrained pipeline found them before it ran
     through Analyzer: the weight of b is w_a / (w_a - w_b), accepted with a
     -1e-10 slack and snapped to a node within 1e-9.  Drop-in for the face
-    table: per edge row a vertex or None, and the mask of the rank-deficient
-    rows (both minors zero).  The vertices are complete for a first-order
-    run: lambda is one stacked solve, as in the face table."""
+    table: the vertex table of the crossings, per edge row its row or -1,
+    and the mask of the rank-deficient rows (both minors zero).  The
+    vertices are complete for a first-order run: lambda is one stacked
+    solve, as in the face table."""
     assert hess_at is None  # the constrained pipeline is first order
-    verts = [None] * len(faces)
+    row = np.full(len(faces), -1)
     singular = np.zeros(len(faces), dtype=bool)
     crossings = {}
     for f, (a, b) in enumerate(faces.tolist()):
@@ -569,18 +585,20 @@ def _closed_form_face_vertices(omega_nodes, faces, points, jac_nodes, hess_at=No
             crossings[f] = (b,), np.array([1.0])
         else:
             crossings[f] = (a, b), np.array([1.0 - mu, mu])
-    if not crossings:
-        return verts, singular
-    G = np.array([np.tensordot(w, jac_nodes[list(sub)], axes=1) for sub, w in crossings.values()])
+    G = np.array([np.tensordot(w, jac_nodes[list(sub)], axes=1)
+                  for sub, w in crossings.values()]).reshape(-1, *jac_nodes.shape[1:])
     lam, residual = continuation.solve_lambdas(G)
     scale = np.linalg.norm(G, axis=2).max(axis=1)
-    for (f, (sub, w)), g, lv, res, sc in zip(crossings.items(), G, lam, residual, scale):
-        verts[f] = SingularVertex(
-            key=repr(("f",) + sub), x=w @ points[list(sub)], face=sub, mu=w, grad_interp=g,
-            lam=None if np.isnan(lv[0]) else lv, residual=float(res),
-            critical_ok=bool(res <= continuation.EPS_RES * sc),
-        )
-    return verts, singular
+    row[list(crossings)] = range(len(crossings))
+    subs = [sub for sub, _ in crossings.values()]
+    x = np.array([w @ points[list(sub)] for sub, w in crossings.values()])
+    table = VertexTable(
+        [repr(("f",) + sub) for sub in subs], x.reshape(-1, points.shape[1]),
+        G, lam, residual, residual <= continuation.EPS_RES * scale, None,
+        np.array([i for sub in subs for i in sub], dtype=np.intp),
+        np.concatenate([w for _, w in crossings.values()] + [np.empty(0)]),
+        np.array([len(sub) for sub in subs], dtype=np.intp))
+    return table, row, singular
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -5,18 +5,21 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from paretoc.constrained import analyze_constrained, icosphere
 from paretoc.complex_io import complex_from_dict, complex_to_dict
 from paretoc.continuation import (
     Analyzer,
     CLIP_SNAP_REL,
+    CellAnalyses,
+    STRATA,
     STRATUM_SINGULAR,
     STRATUM_STABLE,
     STRATUM_UNSTABLE,
     ParetoComplex,
-    SingularVertex,
+    Pieces,
+    VertexTable,
     _face_vertices,
     analyze,
     clip_polytope,
@@ -30,6 +33,7 @@ from paretoc.errors import UnsupportedObjectiveCount
 from paretoc.problems import VectorProblem, registry_get, registry_names
 from paretoc.tessellation import Tessellation, build_delaunay, kuhn_tessellation
 
+import clip_oracle
 from conftest import simplex_pairs
 from test_golden import _paraboloid_problem, _xminusx_problem
 
@@ -123,8 +127,8 @@ def _cell_face_vertices(omega, cell, pts, jac, r):
     # the face table of one cell's r-faces: the accepted vertices and the
     # count of rank-deficient faces
     faces = np.array(list(itertools.combinations(cell, r + 1)))
-    verts, singular = _face_vertices(omega, faces, pts, jac)
-    return [v for v in verts if v is not None], int(singular.sum())
+    table, _, singular = _face_vertices(omega, faces, pts, jac)
+    return [table.vertex(i) for i in range(len(table))], int(singular.sum())
 
 
 def test_singular_vertex_edge_midpoint():
@@ -185,13 +189,15 @@ def test_cell_keeps_the_first_face_of_a_shared_key():
     tess = Tessellation(np.vstack([np.zeros(3), np.eye(3)]), [[0, 1, 2, 3]])
     omega = np.array([[1.0, 1.0], [-1.0, -1.0 - 1e-11], [1.0, 2.0], [2.0, 3.0]])
     an = Analyzer(p, tess, order=1, nodal=(np.tile(J, (4, 1, 1)), omega))
-    [(verts, skipped)] = an._cell_table([0])
+    table, rows, count, skipped = an._cell_table([0])
     faces = np.array([[0, 1, 2], [0, 1, 3]])
-    first, second = _face_vertices(omega, faces, tess.nodes, an.jac_nodes)[0]
+    face_table, face_row, _ = _face_vertices(omega, faces, tess.nodes, an.jac_nodes)
+    first, second = (face_table.vertex(r) for r in face_row)
     assert first.key == second.key == "('f', 0, 1)"
     assert not np.array_equal(first.mu, second.mu)
-    assert skipped == 0 and len(verts) == 1
-    assert np.array_equal(verts[0].mu, first.mu) and np.array_equal(verts[0].x, first.x)
+    assert skipped.tolist() == [0] and count.tolist() == [1]
+    v = table.vertex(rows[0, 0])
+    assert np.array_equal(v.mu, first.mu) and np.array_equal(v.x, first.x)
 
 
 def test_supplied_nodal_data_is_held_as_given():
@@ -256,45 +262,50 @@ def test_solve_lambda_rank_collapse():
 # ---------------------------------------------------------------------------
 
 
-def _seg(sa, sb):
-    a = SingularVertex(key=repr(("f", 0)), x=np.array([0.0, 0.0]))
-    b = SingularVertex(key=repr(("f", 1)), x=np.array([1.0, 0.0]))
-    piece = (a, b)
-    values = {a: sa, b: sb}
-    return piece, values
+def _table(x):
+    """A vertex table of face rows keyed ('f', i), at the points x."""
+    x = np.asarray(x, dtype=float)
+    V, n = x.shape
+    return VertexTable([repr(("f", i)) for i in range(V)], x, np.zeros((V, 2, n)),
+                       np.zeros((V, 2)), np.zeros(V), np.ones(V, dtype=bool), None,
+                       np.arange(V), np.ones(V), np.ones(V, dtype=np.intp))
+
+
+def _clip_one(x, values):
+    """Clip one piece, the table's rows in order, by the values; returns the
+    table and the clip's kept and dropped pieces and boundary rows."""
+    table = _table(x)
+    V = len(table)
+    piece = Pieces(np.zeros(1, dtype=np.intp), np.arange(V)[None], np.array([V]))
+    kept, dropped, (boundary, _) = clip_polytope(table, piece, np.array([values], dtype=float),
+                                                 "clip")
+    return table, kept, dropped, boundary.tolist()
 
 
 def test_clip_segment_half():
-    piece, values = _seg(1.0, -1.0)
-    kept, dropped, boundary = clip_polytope([piece], values)
+    table, kept, dropped, boundary = _clip_one([[0.0, 0.0], [1.0, 0.0]], [1.0, -1.0])
     assert len(kept) == 1 and len(dropped) == 1 and len(boundary) == 1
-    assert boundary[0].x == pytest.approx([0.5, 0.0])
-    kept_keys = {v.key for v in kept[0]}
+    w = table.vertex(boundary[0])
+    assert w.x == pytest.approx([0.5, 0.0])
+    kept_keys = {table.keys[r] for r in kept.ring[0]}
     assert repr(("f", 0)) in kept_keys
-    assert boundary[0].key == repr(("c", "clip", ("f", 0), ("f", 1)))
-    assert boundary[0] not in values  # a new vertex, not an endpoint
+    assert w.key == repr(("c", "clip", ("f", 0), ("f", 1)))
+    assert boundary[0] == 2  # a new row, not an endpoint
 
 
 def test_clip_segment_no_clip():
-    piece, values = _seg(1.0, 1.0)
-    kept, dropped, boundary = clip_polytope([piece], values)
-    assert len(kept) == 1 and not dropped and not boundary
+    _, kept, dropped, boundary = _clip_one([[0.0, 0.0], [1.0, 0.0]], [1.0, 1.0])
+    assert len(kept) == 1 and not len(dropped) and not boundary
 
 
 def test_clip_triangle_corner():
-    verts = [
-        SingularVertex(key=repr(("f", 0)), x=np.array([0.0, 0.0, 0.0])),
-        SingularVertex(key=repr(("f", 1)), x=np.array([1.0, 0.0, 0.0])),
-        SingularVertex(key=repr(("f", 2)), x=np.array([0.0, 1.0, 0.0])),
-    ]
-    piece = tuple(verts)
-    values = dict(zip(verts, [1.0, -1.0, -1.0]))
-    kept, dropped, boundary = clip_polytope([piece], values)
-    assert len(kept) == 1 and len(kept[0]) == 3
+    x = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    table, kept, dropped, boundary = _clip_one(x, [1.0, -1.0, -1.0])
+    assert len(kept) == 1 and kept.size.tolist() == [3]
     assert len(boundary) == 2
-    bx = sorted(tuple(np.round(v.x, 12)) for v in boundary)
+    bx = sorted(tuple(np.round(table.x[r], 12)) for r in boundary)
     assert bx == [(0.0, 0.5, 0.0), (0.5, 0.0, 0.0)]
-    assert len(dropped) == 1 and len(dropped[0]) == 4
+    assert len(dropped) == 1 and dropped.size.tolist() == [4]
 
 
 _CLIP_VALUES = st.one_of(
@@ -308,17 +319,108 @@ def test_clip_keeps_every_vertex_and_cut(svals):
     # a kept or a dropped piece, every cut in both, and no side degenerates
     k = len(svals)
     angles = 2.0 * np.pi * np.arange(k) / k
-    piece = tuple(SingularVertex(key=repr(("f", i)), x=np.array([np.cos(a), np.sin(a)]))
-                  for i, a in enumerate(angles))
-    kept, dropped, boundary = clip_polytope([piece], dict(zip(piece, svals)))
-    on_kept = {v for p in kept for v in p}
-    on_dropped = {v for p in dropped for v in p}
-    assert set(piece) <= on_kept | on_dropped
+    x = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    _, kept, dropped, boundary = _clip_one(x, svals)
+    on_kept = set(kept.ring[kept.slots()].tolist())
+    on_dropped = set(dropped.ring[dropped.slots()].tolist())
+    assert set(range(k)) <= on_kept | on_dropped
     for w in boundary:
-        if w not in piece:
+        if w >= k:
             assert w in on_kept and w in on_dropped
-    for p in kept + dropped:
-        assert len(p) == 2 if k == 2 else len(p) >= 3
+    for p in (kept, dropped):
+        assert np.all(p.size == 2) if k == 2 else np.all(p.size >= 3)
+
+
+# with +-0.5 beside +-CLIP_SNAP_REL / 2, a value can sit exactly at its
+# piece's snap threshold
+_ORACLE_VALUES = st.one_of(st.sampled_from([0.5, -0.5, 1.0]), _CLIP_VALUES)
+
+
+@st.composite
+def clip_batches(draw):
+    """A vertex table and a batch of pieces over it, with a value per entry.
+
+    Keys are face keys on drawn node ids, so their text order is not their
+    numeric order.  Pieces are segments or rings of distinct rows; some
+    repeat an earlier piece in the opposite direction, so two cells cut a
+    shared edge from opposite ends.  Values are drawn per row, as the lambda
+    clips read them, or per entry, as the sigma clip does; they include
+    exact zeros, +-CLIP_SNAP_REL / 2 and values at the snap threshold.
+    """
+    polygons = draw(st.booleans())
+    V = draw(st.integers(3 if polygons else 2, 7))
+    ids = draw(st.lists(st.integers(0, 120), min_size=V, max_size=V, unique=True))
+    floats = st.floats(-4.0, 4.0, allow_nan=False)
+
+    def column(*shape):
+        return np.array(draw(st.lists(floats, min_size=int(np.prod(shape)),
+                                      max_size=int(np.prod(shape))))).reshape(shape)
+
+    table = VertexTable([repr(("f", i)) for i in ids], column(V, 3), column(V, 3, 3),
+                        column(V, 3), np.zeros(V), np.ones(V, dtype=bool),
+                        column(V, 3, 3, 3) if draw(st.booleans()) else None,
+                        np.arange(V), np.ones(V), np.ones(V, dtype=np.intp))
+    if draw(st.booleans()):
+        sigma = column(V, 2)
+        sigma[draw(st.lists(st.integers(0, V - 1), max_size=2))] = np.nan  # no sigma
+        table.sigma = sigma
+    rings = []
+    for _ in range(draw(st.integers(1, 6))):
+        if rings and draw(st.booleans()):
+            rings.append(draw(st.sampled_from(rings))[::-1])
+        else:
+            k = draw(st.integers(3, V)) if polygons else 2
+            rings.append(draw(st.permutations(range(V)))[:k])
+    P, K = len(rings), max(map(len, rings))
+    ring = np.full((P, K), -1)
+    for i, r in enumerate(rings):
+        ring[i, :len(r)] = r
+    cell = np.array(sorted(draw(st.lists(st.integers(0, 3), min_size=P, max_size=P))))
+    pieces = Pieces(cell, ring, np.array([len(r) for r in rings]))
+    if draw(st.booleans()):
+        values = np.array(draw(st.lists(_ORACLE_VALUES, min_size=V, max_size=V)))[ring]
+    else:
+        values = np.array(draw(st.lists(_ORACLE_VALUES, min_size=P * K, max_size=P * K)))
+        values = values.reshape(P, K)
+    return table, pieces, np.where(ring >= 0, values, np.nan)
+
+
+def _same(a, b):
+    return (a is None) == (b is None) and (a is None or np.array_equal(a, b, equal_nan=True))
+
+
+@settings(max_examples=300)
+@given(clip_batches(), st.sampled_from([("lam", 0), ("lam", 2), ("sig", 0)]))
+def test_stage_wide_clip_matches_the_per_piece_rules(batch, stage):
+    # the scalar rules, piece by piece, are the oracle: the same sides, the
+    # same cut keys with bit-identical floats, and the same boundary
+    table, pieces, values = batch
+    verts = [clip_oracle.Vertex(key=table.keys[i], x=table.x[i], grad_interp=table.grad[i],
+                             lam=table.lam[i],
+                             hess_interp=None if table.hess is None else table.hess[i],
+                             sigma=None if table.sigma is None or np.isnan(table.sigma[i, 0])
+                             else table.sigma[i])
+             for i in range(len(table))]
+    want = {"kept": [], "dropped": [], "boundary": []}
+    for c, ring, size, vals in zip(pieces.cell, pieces.ring, pieces.size, values):
+        piece = tuple(verts[r] for r in ring[:size])
+        kept, dropped, boundary = clip_oracle.clip([piece], dict(zip(piece, vals[:size])), stage)
+        want["kept"] += [(c, p) for p in kept]
+        want["dropped"] += [(c, p) for p in dropped]
+        want["boundary"] += [(c, v.key) for v in boundary]
+
+    kept, dropped, (rows, cells) = clip_polytope(table, pieces, values, stage)
+    assert sorted(zip(cells.tolist(), (table.keys[r] for r in rows))) == sorted(want["boundary"])
+    for got, side in ((kept, want["kept"]), (dropped, want["dropped"])):
+        assert len(got) == len(side)
+        for c, ring, size, (want_c, piece) in zip(got.cell, got.ring, got.size, side):
+            assert c == want_c and size == len(piece) and np.all(ring[size:] == -1)
+            for r, v in zip(ring.tolist(), piece):
+                w = table.vertex(r)
+                assert w.key == v.key
+                assert _same(w.x, v.x) and _same(w.lam, v.lam) and _same(w.sigma, v.sigma)
+                assert _same(w.grad_interp, v.grad_interp)
+                assert _same(w.hess_interp, v.hess_interp)
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +438,12 @@ def test_triv_cell_straddling_front():
     p = registry_get("triv")
     # the critical curve passes (1.5, ~1.318)
     tess = _tiny_cell_tess([1.5, 1.32], 0.35)
+    analyses = Analyzer(p, tess, order=1).run_cells()
     found = False
-    for a in Analyzer(p, tess, order=1).run_cells():
-        for piece in a.strata[STRATUM_UNSTABLE] + a.strata[STRATUM_STABLE]:
-            found = True
-            for v in piece:
-                assert np.all(v.lam > 0)
+    for s in (STRATUM_UNSTABLE, STRATUM_STABLE):
+        pieces = analyses.pieces(s)
+        found |= len(pieces) > 0
+        assert np.all(analyses.table.lam[pieces.ring[pieces.slots()]] > 0)
     assert found
 
 
@@ -366,14 +468,27 @@ def test_noncv_noncritical_loop_cell():
     p = registry_get("noncv")
     q = _bisect_omega(p, np.array([-2.0, -0.6]), np.array([-2.0, -2.5]))
     tess = _tiny_cell_tess(q, 0.05)
-    sigma_nonempty = False
-    theta_empty = True
-    for a in Analyzer(p, tess, order=1).run_cells():
-        if any(a.strata.values()):
-            sigma_nonempty = True
-        if a.strata[STRATUM_UNSTABLE] or a.strata[STRATUM_STABLE]:
-            theta_empty = False
+    analyses = Analyzer(p, tess, order=1).run_cells()
+    sigma_nonempty = any(len(analyses.pieces(s)) for s in STRATA)
+    theta_empty = not (len(analyses.pieces(STRATUM_UNSTABLE))
+                       or len(analyses.pieces(STRATUM_STABLE)))
     assert sigma_nonempty and theta_empty
+
+
+def test_non_transversal_cell_gets_a_path_through_its_vertices(caplog):
+    # an m = 2 cell with more than two vertices: one segment per step along
+    # the vertices' principal axis, a warning on its record and a log line
+    caplog.set_level(logging.WARNING, logger="paretoc.continuation")
+    an = Analyzer(registry_get("triv"), _tiny_cell_tess([1.5, 1.32], 0.35), order=1)
+    table = _table([[0.0, 0.0], [1.0, 0.1], [2.0, 0.0], [3.0, 0.1]])
+    analyses = CellAnalyses(np.array([7]), table, np.array([[2, 0, 3, 1, -1]]), np.array([4]),
+                            np.array([0]), 2)
+    pieces = an._assemble_pieces(analyses)
+    assert pieces.cell.tolist() == [0, 0, 0] and pieces.size.tolist() == [2, 2, 2]
+    assert sorted(map(sorted, pieces.ring.tolist())) == [[0, 1], [1, 2], [2, 3]]
+    assert analyses[0].warnings == ["4 singular vertices in one cell (non-transversal crossing)"]
+    assert [r.getMessage() for r in caplog.records] == [
+        "cell 7: 4 singular vertices; building a path through them"]
 
 
 def test_same_sign_cell_empty():
@@ -479,10 +594,11 @@ def _glued_pairs(analyses, keys):
     the first cell that lists a simplex names its stratum."""
     index_of = {k: i for i, k in enumerate(keys)}
     first: dict = {}
-    for a in sorted(analyses, key=lambda a: a.cell_index):
-        for stratum, pieces in a.strata.items():
-            for piece in pieces:
-                kl = [v.key for v in piece]
+    strata = {s: analyses.pieces(s) for s in STRATA}
+    for c in range(len(analyses)):
+        for stratum, pieces in strata.items():
+            for ring, size in zip(pieces.ring[pieces.cell == c], pieces.size[pieces.cell == c]):
+                kl = [analyses.table.keys[r] for r in ring[:size]]
                 r = kl.index(min(kl))
                 cyc = kl[r:] + kl[:r]
                 fan = [cyc[:1] + cyc[i:i + 2] for i in range(1, len(cyc) - 1)] or [cyc]

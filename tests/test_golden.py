@@ -25,7 +25,7 @@ from paretoc import continuation
 from paretoc.cli import main
 from paretoc.complex_io import save_complex, save_mesh
 from paretoc.constrained import analyze_constrained, icosphere
-from paretoc.continuation import Analyzer, glue
+from paretoc.continuation import STRATA, Analyzer, glue
 from paretoc.problems import ConstrainedProblem, VectorProblem, registry_get
 from paretoc.tessellation import build_delaunay, kuhn_tessellation
 
@@ -176,18 +176,19 @@ def test_vertex_keys_are_their_tuple_text(case):
     # glue merges and sorts the vertices by their key text, so the text must
     # be exactly the repr of the key tuple it names
     _, _, _, analyses, _ = _run(case)
+    rows = [p.ring[p.slots()] for p in map(analyses.pieces, STRATA)]
+    rows += [r for (r, _), _ in analyses.markers]
     checked = 0
-    for a in analyses:
-        verts = [v for pieces in a.strata.values() for piece in pieces for v in piece]
-        for v in verts + [v for v, _ in a.markers]:
-            k = ast.literal_eval(v.key)
-            assert repr(k) == v.key
-            _check_key_tuple(k)
-            if k[0] == "f":
-                assert k == ("f",) + tuple(sorted(v.face))
-            else:
-                assert v.face is None
-            checked += 1
+    for r in np.concatenate(rows).tolist():
+        v = analyses.table.vertex(r)
+        k = ast.literal_eval(v.key)
+        assert repr(k) == v.key
+        _check_key_tuple(k)
+        if k[0] == "f":
+            assert k == ("f",) + tuple(sorted(v.face))
+        else:
+            assert v.face is None
+        checked += 1
     assert checked > 0
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from paretoc import refinement
 from paretoc.complex_io import save_complex
-from paretoc.continuation import ParetoComplex, STRATUM_STABLE, STRATUM_UNSTABLE, glue
+from paretoc.continuation import ParetoComplex, STRATUM_STABLE, STRATUM_UNSTABLE, analyze
 from paretoc.errors import EmptyComplex, NoProgress
 from paretoc.geometry import points_to_simplices_distance
 from paretoc.problems import registry_get
@@ -22,7 +22,7 @@ from paretoc.refinement import (
     iterate,
     resample_polyline,
 )
-from paretoc.tessellation import build_delaunay, kuhn_tessellation
+from paretoc.tessellation import Tessellation, build_delaunay, kuhn_tessellation
 
 from test_golden import _paraboloid_problem
 
@@ -307,7 +307,8 @@ def test_iterate_budget_without_minor_windows(tmp_path):
     assert len(start.complex.simplex_ids([STRATUM_UNSTABLE, STRATUM_STABLE])) == 42
     assert complex_minor_stats(p, start.complex) == (0.0, 0.0)
     # with no critical simplex the stats are (inf, inf), as for m <= n
-    assert complex_minor_stats(p, glue([], p, tess, order=1)) == (np.inf, np.inf)
+    empty = analyze(p, Tessellation(tess.nodes, tess.cells[:0]), order=1)
+    assert complex_minor_stats(p, empty) == (np.inf, np.inf)
     runs = []
     for k in range(2):
         st = iterate(initial_state(p, tess), scheme="maximin", budget=5)

@@ -28,6 +28,7 @@ from paretoc import continuation, refinement
 from paretoc.constrained import analyze_constrained, icosphere
 from paretoc.continuation import (
     MU_SNAP,
+    STRATA,
     STRATUM_STABLE,
     STRATUM_UNSTABLE,
     Analyzer,
@@ -97,8 +98,16 @@ def _cell_table(an):
 
 
 def _table_vertices(an):
-    # every face-table vertex that some cell lists
-    return list(dict.fromkeys(v for verts, _ in _cell_table(an) for v in verts))
+    # every face-table vertex that some cell lists, in row order
+    table, rows, _, _ = _cell_table(an)
+    return [table.vertex(r) for r in sorted(set(rows[rows >= 0].tolist()))]
+
+
+def _cell_vertices(an):
+    # each cell's vertices and count of rank-deficient faces
+    table, rows, count, skipped = _cell_table(an)
+    return [([table.vertex(r) for r in rows[c, :count[c]].tolist()], int(skipped[c]))
+            for c in range(len(rows))]
 
 
 def test_snapped_determinants_match_node_loop(analyzers):
@@ -230,12 +239,12 @@ def test_face_vertices_match_face_loop(analyzers):
     for an in analyzers:
         pts = an.tess.nodes
         faces = np.array(sorted({f for fs in _cell_faces(an) for f in fs}))
-        verts, _ = continuation._face_vertices(an.omega_nodes, faces, pts, an.jac_nodes)
-        accepted = [f for f, v in enumerate(verts) if v is not None]
+        table, row, _ = continuation._face_vertices(an.omega_nodes, faces, pts, an.jac_nodes)
+        accepted = np.flatnonzero(row >= 0)
         mu, _ = solve_faces(an.omega_nodes, faces[accepted])
-        assert len({verts[f] for f in accepted}) == len(accepted)  # one vertex per face
+        assert row[accepted].tolist() == list(range(len(table)))  # one row per face
         for f, w in zip(accepted, mu):
-            v = verts[f]
+            v = table.vertex(row[f])
             sub, ref_mu, ref_x, ref_grad = _loop_face_vertex(faces[f], w, pts, an.jac_nodes)
             sizes.add(len(sub))
             assert v.face == sub and v.key == repr(("f",) + sub)
@@ -258,9 +267,10 @@ def _loop_cell_table(an):
     # count of rank-deficient faces
     cell_faces = _cell_faces(an)
     faces = sorted({f for fs in cell_faces for f in fs})
-    verts, singular = continuation._face_vertices(
+    face_table, row, singular = continuation._face_vertices(
         an.omega_nodes, np.array(faces).reshape(len(faces), an.r + 1),
         an.tess.nodes, an.jac_nodes)
+    verts = [face_table.vertex(r) if r >= 0 else None for r in row.tolist()]
     table = dict(zip(faces, zip(verts, singular.tolist())))
     entries = []
     for fs in cell_faces:
@@ -278,7 +288,7 @@ def test_cell_table_matches_the_face_dict_loop(analyzers):
     # snaps vertices to nodes and has singular faces
     snapped = 0
     for an in analyzers:
-        for (got, skipped), (ref, ref_skipped) in zip(_cell_table(an), _loop_cell_table(an)):
+        for (got, skipped), (ref, ref_skipped) in zip(_cell_vertices(an), _loop_cell_table(an)):
             assert skipped == ref_skipped
             assert sorted(v.key for v in got) == sorted(v.key for v in ref)
             by_key = {v.key: v for v in got}
@@ -287,7 +297,7 @@ def test_cell_table_matches_the_face_dict_loop(analyzers):
                 assert np.array_equal(by_key[v.key].mu, v.mu)
                 snapped += len(v.face) <= an.r
     assert snapped
-    assert any(skipped for _, skipped in _cell_table(analyzers[-1]))
+    assert any(_cell_table(analyzers[-1])[3])
 
 
 def test_polygon_orders_match_cell_loop(analyzers):
@@ -295,7 +305,7 @@ def test_polygon_orders_match_cell_loop(analyzers):
     # applied to the cell's vertices in face order
     an = analyzers[0]  # tri_quadratic: m = 3
     sizes = set()
-    for (ring, _), (verts, _) in zip(_cell_table(an), _loop_cell_table(an)):
+    for (ring, _), (verts, _) in zip(_cell_vertices(an), _loop_cell_table(an)):
         if len(verts) >= 3:
             sizes.add(len(verts))
             verts = [verts[i] for i in _loop_polygon_order(verts)]
@@ -308,19 +318,25 @@ def test_second_order_stage_matches_vertex_loop(analyzers):
     # face-table vertices, against one call per vertex
     p = registry_get("tri_quadratic")
     an = Analyzer(p, kuhn_tessellation(p.domain_box, [7, 7, 7]))
+    analyses = an.run_cells()
     clip_born = 0
-    for a in an.run_cells():
-        for piece in a.strata[STRATUM_UNSTABLE] + a.strata[STRATUM_STABLE]:
-            for v in piece:
-                if v.face is not None or ast.literal_eval(v.key)[1][0] != "lam":
-                    continue
-                clip_born += 1
-                ref = _loop_generalized_hessian(v.grad_interp, v.lam, v.hess_interp)
-                if ref is None:
-                    assert v.sigma is None
-                else:
-                    assert np.array_equal(v.sigma, ref)
+    for r in _critical_rows(analyses):
+        v = analyses.table.vertex(r)
+        if v.face is not None or ast.literal_eval(v.key)[1][0] != "lam":
+            continue
+        clip_born += 1
+        ref = _loop_generalized_hessian(v.grad_interp, v.lam, v.hess_interp)
+        if ref is None:
+            assert v.sigma is None
+        else:
+            assert np.array_equal(v.sigma, ref)
     assert clip_born > 0
+
+
+def _critical_rows(analyses):
+    # the distinct rows of the critical pieces
+    rows = [p.ring[p.slots()] for p in map(analyses.pieces, (STRATUM_UNSTABLE, STRATUM_STABLE))]
+    return sorted(set(np.concatenate(rows).tolist()))
 
 
 def test_sigma_is_one_stacked_call_over_the_reached_vertices(monkeypatch, caplog):
@@ -342,21 +358,21 @@ def test_sigma_is_one_stacked_call_over_the_reached_vertices(monkeypatch, caplog
         calls.clear()
         caplog.clear()
         analyses = Analyzer(p, tess).run_cells()
-        # the vertices of the pre-sigma critical pieces: every vertex on a
-        # critical piece now, apart from the sigma clip's cuts
-        reached = {v for a in analyses for s in (STRATUM_UNSTABLE, STRATUM_STABLE)
-                   for piece in a.strata[s] for v in piece
-                   if v.face is not None or ast.literal_eval(v.key)[1] != ("sig", 0)}
+        table = analyses.table
+        # the rows of the pre-sigma critical pieces: every row on a critical
+        # piece now, apart from the sigma clip's cuts
+        reached = {r for r in _critical_rows(analyses)
+                   if r < len(table.size) or ast.literal_eval(table.keys[r])[1] != ("sig", 0)}
         assert calls == [len(reached)]
         assert sum("kernel dimension" in r.getMessage() for r in caplog.records) == 1
-        seen = {v for a in analyses for v in a.singular_vertices}
-        seen |= {v for a in analyses for pieces in a.strata.values()
-                 for piece in pieces for v in piece}
-        seen |= {v for a in analyses for v, _ in a.markers}
-        with_sigma = [v for v in seen if v.sigma is not None]
+        seen = [p.ring[p.slots()] for p in map(analyses.pieces, STRATA)]
+        seen += [analyses.rows[analyses.count >= p.m].ravel()]
+        seen += [r for (r, _), _ in analyses.markers]
+        seen = set(np.concatenate(seen).tolist()) - {-1}
+        with_sigma = [r for r in seen if table.vertex(r).sigma is not None]
         assert with_sigma
-        for v in with_sigma:
-            assert v in reached or ast.literal_eval(v.key)[1] == ("sig", 0)
+        for r in with_sigma:
+            assert r in reached or ast.literal_eval(table.keys[r])[1] == ("sig", 0)
         Analyzer(p, tess, order=1).run_cells()
         assert len(calls) == 1
     analyze_constrained(registry_get("sphere_proj"), icosphere(2))

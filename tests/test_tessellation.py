@@ -373,6 +373,27 @@ def test_far_exterior_inserts_match_id_order(seed, n, far):
     assert_same_as_id_order(np.vstack([base, outer]))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.integers(2, 12), st.booleans())
+def test_batch_insert_matches_one_at_a_time(seed, n, count, lattice):
+    # a batch goes in along a Hilbert curve, one point at a time in the
+    # given order, with the same ids and so the same cells.  Lattice points
+    # lie on the Kuhn grid's circumspheres, where ties are broken on the ids
+    rng = np.random.default_rng(seed)
+    if lattice:
+        base = kuhn_tessellation([[0.0, 1.0]] * n, [3] * n)
+        fine = grid_nodes([[0.0, 1.0]] * n, [5] * n)
+        fine = fine[np.any(fine * 4 % 2 == 1, axis=1)]  # off the grid's nodes
+        batch = fine[rng.permutation(len(fine))[:count]]
+    else:
+        base = build_delaunay(rng.uniform(0.0, 1.0, (10 * n, n)))
+        batch = rng.uniform(0.0, 1.0, (count, n))
+    one = base
+    for p in batch:
+        one = insert_nodes(one, [p])
+    assert cell_tuples(insert_nodes(base, list(batch))) == cell_tuples(one)
+
+
 def exact_counts(records, caller):
     return [int(re.match(r"\w+: (\d+) predicates decided exactly", r.getMessage())[1])
             for r in records if r.getMessage().startswith(caller + ":")]
@@ -398,10 +419,15 @@ def test_build_and_insert_log_their_fallbacks(caplog):
     [exact] = exact_counts(caplog.records, "build_delaunay")
     assert exact > 0
     # (0.3, 0.4) lies on the circle of the grid box [0, 0.25] x [0.25, 0.5]
-    # up to rounding: the filter leaves the box's two cells to the exact path
+    # up to rounding: the filter leaves the box's two cells to the exact path.
+    # It goes in alone: a batch is inserted along its Hilbert curve, which
+    # would take (0.1, 0.1) first
     caplog.clear()
-    t = insert_nodes(kuhn_tessellation([[0.0, 1.0]] * 2, [5, 5]), [[0.3, 0.4], [0.1, 0.1]])
+    t = insert_nodes(kuhn_tessellation([[0.0, 1.0]] * 2, [5, 5]), [[0.3, 0.4]])
     assert exact_counts(caplog.records, "insert_nodes") == [2]
+    caplog.clear()
+    t = insert_nodes(t, [[0.1, 0.1]])
+    assert exact_counts(caplog.records, "insert_nodes") == [0]
     # an insertion into the carried complex counts its own exact signs only:
     # (0.62, 0.87) needs none, and (0.8, 0.4), on the circle of the grid box
     # [0.5, 0.75] x [0.25, 0.5] up to rounding, needs one
