@@ -22,7 +22,7 @@ from .constrained import analyze_constrained, icosphere
 from .continuation import (MARKER_BOUNDARY, MARKER_CUSP, STRATUM_SINGULAR, STRATUM_STABLE,
                            STRATUM_UNSTABLE, analyze)
 from .complex_io import load_complex, load_mesh, save_complex
-from .errors import ParetocError, UnknownProblem
+from .errors import EmptyComplex, ParetocError, UnknownProblem
 from .metrics import hausdorff
 from .problems import (
     ConstrainedProblem,
@@ -31,7 +31,7 @@ from .problems import (
     registry_names,
     sample_domain,
 )
-from .refinement import initial_state, iterate, segment_chains
+from .refinement import _target_strata, initial_state, iterate, segment_chains
 from .tessellation import build_delaunay, kuhn_tessellation
 
 
@@ -146,6 +146,14 @@ def cmd_iterate(args) -> int:
                          f"{args.problem} has {problem.n}")
     tess = _parse_grid(args.grid, problem.domain_box)
     state = initial_state(problem, tess, order=args.order)
+    if reference is not None and args.iterations:
+        try:
+            strata = _target_strata(state.complex)  # those iteration 1 compares
+        except EmptyComplex:  # iteration 1 fails on its own
+            strata = []
+        if strata and not len(reference.simplex_ids(strata)):
+            raise UsageError(f"the reference complex has no {' or '.join(strata)} simplex, "
+                             f"which iteration 1 compares")
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     save_complex(
@@ -190,6 +198,8 @@ def cmd_iterate(args) -> int:
 def cmd_distance(args) -> int:
     a = load_complex(args.file_a)
     b = load_complex(args.file_b)
+    if a.n != b.n:
+        raise UsageError(f"{args.file_a} has ambient dimension {a.n}; {args.file_b} has {b.n}")
     report = hausdorff(a, b, density=args.density)
     print(str(report))
     if args.json:

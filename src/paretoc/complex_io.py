@@ -166,8 +166,6 @@ def complex_from_dict(doc: dict) -> ParetoComplex:
     except KeyError as exc:
         raise ValueError(f"complex file has no {exc.args[0]!r} entry") from None
     return ParetoComplex(
-        n=n,
-        m=m,
         positions=positions,
         u_values=u_values,
         lam=lam,

@@ -204,20 +204,22 @@ class VertexTable:
     its cuts (:meth:`cut`).  The columns are ``keys``, a list of key texts;
     ``x`` (V, n); ``grad`` (V, m, n), the interpolated gradient rows;
     ``lam`` (V, m), NaN rows on a rank collapse; ``residual`` and ``ok``,
-    the lambda residual and the criticality flag; ``hess`` (V, m, n, n),
-    None at first order; and ``sigma`` (V, n-m+1), None until the sigma
-    stage sets it, NaN on the rows it did not reach and where the kernel
-    dimension is ambiguous.  The face rows' sub-faces are the ``size`` node
-    ids and weights of each row, row after row, in ``sub`` and ``weights``.
+    the lambda residual and the criticality flag, derived: residual <=
+    EPS_RES x the largest gradient row norm; ``hess`` (V, m, n, n), None at
+    first order; and ``sigma`` (V, n-m+1), None until the sigma stage sets
+    it, NaN on the rows it did not reach and where the kernel dimension is
+    ambiguous.  The face rows' sub-faces are the ``size`` node ids and
+    weights of each row, row after row, in ``sub`` and ``weights``.
     """
 
-    def __init__(self, keys, x, grad, lam, residual, ok, hess, sub, weights, size):
+    def __init__(self, keys, x, grad, lam, residual, hess, sub, weights, size):
         self.keys = keys
         self.x, self.grad, self.lam, self.hess = x, grad, lam, hess
-        self.residual, self.ok, self.sigma = residual, ok, None
+        self.residual, self.sigma = residual, None
+        self.ok = residual <= EPS_RES * np.linalg.norm(grad, axis=2).max(axis=1)
         self.sub, self.weights, self.size = sub, weights, size
         self.lo = np.cumsum(size) - size
-        _read_only(x, grad, lam, residual, ok, hess, sub, weights, size, self.lo)
+        _read_only(x, grad, lam, residual, self.ok, hess, sub, weights, size, self.lo)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -284,24 +286,23 @@ class Pieces:
 
     A piece is a connected convex fragment of a cell's (m-1)-polytope: a
     segment (m = 2), the two rows of its ``ring`` row, or a planar polygon
-    (m = 3), the first ``size`` rows of its ``ring`` row in cyclic order,
-    then -1.  ``cell`` is each piece's cell, as a position among the run's
-    candidate cells.
+    (m = 3), the rows of its ``ring`` row in cyclic order, padded with -1,
+    so a piece's vertex count is its number of entries >= 0.  ``cell`` is
+    each piece's cell, as a position among the run's candidate cells.
     """
 
     cell: np.ndarray   # (P,)
     ring: np.ndarray   # (P, K)
-    size: np.ndarray   # (P,)
 
     def __len__(self) -> int:
         return len(self.cell)
 
     def slots(self) -> np.ndarray:
         """The (P, K) mask of the ring entries that hold a row."""
-        return np.arange(self.ring.shape[1]) < self.size[:, None]
+        return self.ring >= 0
 
     def take(self, idx, ring=None) -> "Pieces":
-        return Pieces(self.cell[idx], (self.ring if ring is None else ring)[idx], self.size[idx])
+        return Pieces(self.cell[idx], (self.ring if ring is None else ring)[idx])
 
     @staticmethod
     def concat(parts: list) -> "Pieces":
@@ -311,9 +312,8 @@ class Pieces:
             np.pad(p.ring, ((0, 0), (0, K - p.ring.shape[1])), constant_values=-1)
             for p in parts])
         cell = np.concatenate([np.empty(0, dtype=np.intp)] + [p.cell for p in parts])
-        size = np.concatenate([np.empty(0, dtype=np.intp)] + [p.size for p in parts])
         order = np.argsort(cell, kind="stable")
-        return Pieces(cell[order], ring[order], size[order])
+        return Pieces(cell[order], ring[order])
 
 
 def clip_polytope(table: VertexTable, pieces: Pieces, values: np.ndarray, stage) -> tuple:
@@ -368,7 +368,7 @@ def _polygon_sides(table, pieces, s, stage) -> tuple:
     ring, slots = pieces.ring, pieces.slots()
     P, K = ring.shape
     i = np.arange(K)
-    k = pieces.size[:, None]
+    k = slots.sum(axis=1)[:, None]
     nxt = np.where(i + 1 < k, i + 1, 0)
     s_next = np.take_along_axis(s, nxt, axis=1)
     s_prev = np.take_along_axis(s, np.where(i >= 1, i - 1, k - 1), axis=1)
@@ -386,7 +386,7 @@ def _polygon_sides(table, pieces, s, stage) -> tuple:
         new = np.take_along_axis(walk[ok], np.argsort(~member[ok], axis=1, kind="stable"), axis=1)
         new = new[:, :max(size[ok].max(initial=0), 3)]
         new[np.arange(new.shape[1]) >= size[ok, None]] = -1
-        sides.append(Pieces(pieces.cell[ok], new, size[ok]))
+        sides.append(Pieces(pieces.cell[ok], new))
     # the level set passes exactly through an entry between a sign change
     at = slots & (s == 0.0) & (s_prev * s_next < 0.0)
     boundary = (np.concatenate([ring[at], w[p, j]]),
@@ -428,15 +428,16 @@ class CellAnalyses:
     """The analyses of a run's candidate cells, as the stages leave them.
 
     Holds the cell table (``cells``, the candidate cells' indices, and each
-    one's vertex ``rows``, ``count`` and ``skipped`` rank-deficient faces),
-    the vertex table, each stratum's pieces (:meth:`pieces`) and the marker
+    one's vertex ``rows``, padded with -1, whence its ``count``, and
+    ``skipped`` rank-deficient faces), the vertex table, whose gradients'
+    width is ``m``, each stratum's pieces (:meth:`pieces`) and the marker
     rows of each clip.  As a sequence it is one :class:`CellAnalysis` per
     candidate cell, in cell order, built on access.
     """
 
-    def __init__(self, cells, table: VertexTable, rows, count, skipped, m: int):
-        self.cells, self.table, self.m = cells, table, m
-        self.rows, self.count, self.skipped = rows, count, skipped
+    def __init__(self, cells, table: VertexTable, rows, skipped):
+        self.cells, self.table, self.m = cells, table, table.grad.shape[1]
+        self.rows, self.count, self.skipped = rows, (rows >= 0).sum(axis=1), skipped
         self.strata = {s: [] for s in STRATA}   # stratum -> Pieces, in stage order
         self.markers: list = []                 # ((rows, cells), kind), in stage order
 
@@ -525,8 +526,6 @@ def _face_vertices(omega_nodes: np.ndarray, faces: np.ndarray, points: np.ndarra
     x = _interpolate(w, points[faces])
     grad = _interpolate(w, jac_nodes[faces])
     lam, residual = solve_lambdas(grad)
-    scale = np.linalg.norm(grad, axis=2).max(axis=1)
-    ok = residual <= EPS_RES * scale  # False on a rank collapse (inf)
     sub, size = faces[keep], keep.sum(axis=1)  # the sub-faces, row after row
     hess = None
     if hess_at is not None:
@@ -543,7 +542,7 @@ def _face_vertices(omega_nodes: np.ndarray, faces: np.ndarray, points: np.ndarra
     flat = sub.tolist()
     keys = [repr(("f", *flat[lo:lo + k])) for lo, k in zip((np.cumsum(size) - size).tolist(),
                                                           size.tolist())]
-    table = VertexTable(keys, x, grad, lam, residual, ok, hess, sub, w[keep], size)
+    table = VertexTable(keys, x, grad, lam, residual, hess, sub, w[keep], size)
     return table, row, singular
 
 
@@ -626,17 +625,17 @@ class Analyzer:
     holds only these inputs; :func:`analyze` runs it and glues the result.
 
     :meth:`run_cells` runs four stages over all candidate cells, each one
-    array pass.  (1) The table pass: the distinct r-faces of all cells go
-    through one stacked barycentric solve, each accepted vertex becomes one
-    row of the vertex table with its lambda and analytic Hessian
-    interpolation, and each cell lists its rows, one per key, for m = 3 in
-    ring order.  (2) The first-order stage: every cell's polytope becomes
-    pieces, and all of them are clipped by lambda_j, one pass per j.  (3)
-    One stacked sigma call over the rows of every cell's critical pieces,
-    each once.  (4) The second-order stage: all critical pieces are clipped
-    by sigma in one pass.  The two clip stages keep the per-cell names
-    :meth:`analyze_cell_first_order` and :meth:`analyze_cell_second_order`,
-    which the benchmark's tracer wraps.
+    array pass that hands :class:`CellAnalyses` on.  (1) The table pass:
+    the distinct r-faces of all cells go through one stacked barycentric
+    solve, each accepted vertex becomes one row of the vertex table with
+    its lambda and analytic Hessian interpolation, and each cell lists its
+    rows, one per key, for m = 3 in ring order.  (2) The first-order stage:
+    every cell's polytope becomes pieces, and all of them are clipped by
+    lambda_j, one pass per j.  (3) One stacked sigma call over the rows of
+    every cell's critical pieces, each once.  (4) The second-order stage:
+    all critical pieces are clipped by sigma in one pass.  The two clip
+    stages keep the per-cell names :meth:`analyze_cell_first_order` and
+    :meth:`analyze_cell_second_order`, which the benchmark's tracer wraps.
 
     With m > n (supported for n = m - 1) there is no window, r = 0: every
     cell passes the filter, its faces are its single nodes, each solved to
@@ -687,18 +686,18 @@ class Analyzer:
 
     # -- the table pass ----------------------------------------------------------
 
-    def _cell_table(self, cells: Sequence[int]) -> tuple:
-        """The cell table of ``cells``: ``(table, rows, count, skipped)``,
-        built in stacked passes.
+    def _cell_table(self, cells: Sequence[int]) -> CellAnalyses:
+        """The cell table of ``cells``, as :class:`CellAnalyses` with no
+        pieces yet, built in stacked passes.
 
         A cell's r-faces are the rows of ``cells[:, combos]``, ascending as
         the cell rows are; one lexsort finds the distinct faces and each
         cell-face's row among them.  The stacked face solve on the distinct
         faces builds the vertex ``table`` (:func:`_face_vertices`).  Row c of
-        ``rows`` lists cell c's ``count[c]`` vertex rows, then -1: its faces'
-        vertices in face order, the first face with a key winning; for m = 3
-        a cell with three vertices or more lists them in ring order.
-        ``skipped`` counts each cell's rank-deficient faces.
+        ``rows`` lists cell c's vertex rows, then -1: its faces' vertices in
+        face order, the first face with a key winning; for m = 3 a cell with
+        three vertices or more lists them in ring order.  ``skipped`` counts
+        each cell's rank-deficient faces.
         """
         combos = list(itertools.combinations(range(self.tess.cells.shape[1]), self.r + 1))
         flat = self.tess.cells[cells][:, combos].reshape(-1, self.r + 1)
@@ -723,15 +722,15 @@ class Analyzer:
         rows[np.arange(rows.shape[1]) >= count[:, None]] = -1
         if self.problem.m == 3:
             _rings(table.x, rows, count)
-        return table, rows, count, singular[at].sum(axis=1)
+        return CellAnalyses(cells, table, rows, singular[at].sum(axis=1))
 
     # -- the clip stages -----------------------------------------------------------
 
-    def analyze_cell_first_order(self, cells, table, rows, count, skipped) -> CellAnalyses:
-        """Assemble the polytopes of all ``cells`` from their cell-table
-        entries and clip them by lambda, one pass per lambda_j; the critical
-        pieces are labelled unstable."""
-        analyses = CellAnalyses(cells, table, rows, count, skipped, self.problem.m)
+    def analyze_cell_first_order(self, analyses: CellAnalyses) -> CellAnalyses:
+        """Assemble the polytopes of all cells from the cell table of
+        ``analyses`` and clip them by lambda, one pass per lambda_j; the
+        critical pieces are labelled unstable."""
+        table = analyses.table
         pieces = self._assemble_pieces(analyses)
         # validity stage: pieces touching a vertex without usable weights stay
         # singular-only as a whole (measure-zero configurations, logged)
@@ -783,9 +782,9 @@ class Analyzer:
         rows, count = analyses.rows, analyses.count
         if self.problem.m == 3:
             c = np.flatnonzero(count >= 3)
-            return Pieces(c, rows[c], count[c])
+            return Pieces(c, rows[c])
         c = np.flatnonzero(count == 2)
-        parts = [Pieces(c, rows[c, :2], count[c])]
+        parts = [Pieces(c, rows[c, :2])]
         for ci in np.flatnonzero(count > 2).tolist():
             logger.warning("cell %d: %d singular vertices; building a path through them",
                            analyses.cells[ci], count[ci])
@@ -794,8 +793,7 @@ class Analyzer:
             _, _, vt = np.linalg.svd(X - X.mean(axis=0))
             chain = verts[np.argsort(X @ vt[0])]
             parts.append(Pieces(np.full(len(chain) - 1, ci),
-                                np.stack([chain[:-1], chain[1:]], axis=1),
-                                np.full(len(chain) - 1, 2)))
+                                np.stack([chain[:-1], chain[1:]], axis=1)))
         return Pieces.concat(parts)
 
     # -- full run ----------------------------------------------------------------
@@ -804,11 +802,9 @@ class Analyzer:
         """The analyses of all candidate cells: the table pass, the
         first-order stage, sigma on the critical rows and the second-order
         stage, each one pass over all cells (see :class:`Analyzer`)."""
-        idx = self.candidate_cells()
-        table, rows, count, skipped = self._cell_table(idx)
-        analyses = self.analyze_cell_first_order(idx, table, rows, count, skipped)
+        analyses = self.analyze_cell_first_order(self._cell_table(self.candidate_cells()))
         if self.order >= 2:
-            _attach_sigma(table, analyses.pieces(STRATUM_UNSTABLE))
+            _attach_sigma(analyses.table, analyses.pieces(STRATUM_UNSTABLE))
             self.analyze_cell_second_order(analyses)
         return analyses
 
@@ -821,24 +817,25 @@ class Analyzer:
 class ParetoComplex:
     """Glued global output: labelled (m-1)-complex with marker points.
 
-    ``simplices`` is one read-only ``np.intp`` array of shape (S, m), the
-    vertex ids of a simplex per row: each row ascending, the rows in
-    lexicographic order.  ``stratum`` is the tuple of the rows' stratum
-    names, row for row.  Identical rows, which only a hand-edited file
-    holds, are ordered by their stratum names.
+    ``n`` and ``m`` are the widths of ``positions`` (V, n) and ``u_values``
+    (V, m).  ``sigma`` is None when no vertex has a sigma, else (V, k) with
+    NaN rows where a vertex has none.  ``simplices`` is one read-only
+    ``np.intp`` array of shape (S, m), the vertex ids of a simplex per row:
+    each row ascending, the rows in lexicographic order.  ``stratum`` is
+    the tuple of the rows' stratum names, row for row.  Identical rows,
+    which only a hand-edited file holds, are ordered by their stratum names.
     """
 
-    def __init__(self, n, m, positions, u_values, lam, sigma, keys,
+    def __init__(self, positions, u_values, lam, sigma, keys,
                  simplices, stratum, markers, problem_name=""):
-        self.n = n
-        self.m = m
+        self.n, self.m = positions.shape[1], u_values.shape[1]
         self.positions = positions      # (V, n)
         self.u_values = u_values        # (V, m)
         self.lam = lam                  # (V, m), NaN where unknown
         self.sigma = sigma              # (V, k) or None, NaN where unknown
         self.keys = keys                # vertex key strings, in vertex order
         rows = np.asarray(simplices, dtype=np.intp)
-        rows = np.sort(rows.reshape(len(rows), -1 if rows.size else m), axis=1)
+        rows = np.sort(rows.reshape(len(rows), -1 if rows.size else self.m), axis=1)
         order = np.lexsort((np.asarray(stratum, dtype=str),) + tuple(rows.T[::-1]))
         self.simplices = rows[order]
         self.simplices.flags.writeable = False
@@ -894,34 +891,32 @@ class ParetoComplex:
         return [vid for vid, k in self.markers if k == kind]
 
 
-def glue(analyses: CellAnalyses, problem: VectorProblem,
-         tess: Tessellation, order: int = 2) -> ParetoComplex:
+def glue(analyses: CellAnalyses, problem: VectorProblem, tess: Tessellation) -> ParetoComplex:
     """Merge the pieces of all cells into one complex, keyed on vertex keys.
 
-    The vertices are the distinct keys of the rows that a piece or a marker
-    lists, numbered in key-text order by one sort.  Rows that share a key
-    merge exactly, but their data need not be identical: faces that snap to
-    one sub-face are distinct rows, and a cut is made by each cell that
-    lists it, along its own ring, so two cells can cut a shared edge from
-    opposite ends and round the cut apart in the last bits.  The rule is
-    that the first cell in cell order wins: a vertex's data are those of its
-    row in the first cell that lists its key (within a cell a key names one
-    row), and its sigma only if it lies on a critical piece there.  A
-    segment piece is a simplex, and a polygon is fanned from its lowest key;
-    a simplex listed twice keeps the stratum of its first listing, a cell's
-    strata read in the order of ``STRATA`` and each stratum's pieces in the
-    order the stages made them.
+    The vertices are the distinct keys of the rows that a piece lists (a
+    marker's row is on a piece of its cell), numbered in key-text order by
+    one sort.  Rows that share a key merge exactly, but their data need not
+    be identical: faces that snap to one sub-face are distinct rows, and a
+    cut is made by each cell that lists it, along its own ring, so two cells
+    can cut a shared edge from opposite ends and round the cut apart in the
+    last bits.  The rule is that the first cell in cell order wins: a
+    vertex's data are those of its row in the first cell that lists its key
+    (within a cell a key names one row), and its sigma only if it lies on a
+    critical piece there (the complex's sigma is None if no vertex has one).
+    A segment piece is a simplex, and a polygon is fanned from its lowest
+    key; a simplex listed twice keeps the stratum of its first listing, a
+    cell's strata read in the order of ``STRATA`` and each stratum's pieces
+    in the order the stages made them.
     """
     table = analyses.table
     n, m = problem.n, problem.m
     parts = [analyses.pieces(s) for s in STRATA]
-    # every listing of a row: its cell, and whether it is on a critical piece
-    listed = [(p.ring[p.slots()], np.broadcast_to(p.cell[:, None], p.ring.shape)[p.slots()],
-               rank > 0) for rank, p in enumerate(parts)]
-    listed += [(rows, cells, False) for (rows, cells), _ in analyses.markers]
-    rows = np.concatenate([r for r, _, _ in listed])
-    cells = np.concatenate([c for _, c, _ in listed])
-    critical = np.concatenate([np.full(len(r), crit) for r, _, crit in listed])
+    # every listing of a row and its cell; those after the singular-only
+    # stratum's are on critical pieces
+    rows = np.concatenate([p.ring[p.slots()] for p in parts])
+    cells = np.concatenate([p.cell[np.nonzero(p.slots())[0]] for p in parts])
+    critical = np.arange(len(rows)) >= np.count_nonzero(parts[0].slots())
 
     used = np.zeros(len(table), dtype=bool)
     used[rows] = True
@@ -943,10 +938,10 @@ def glue(analyses: CellAnalyses, problem: VectorProblem,
     on_critical[ids[there & critical]] = True
 
     positions = table.x[src].reshape(V, n)
-    ksig = max(n - m + 1, 0)
-    sigma = np.full((V, ksig), np.nan) if (order >= 2 and ksig > 0) else None
-    if sigma is not None and table.sigma is not None:
-        sigma[on_critical] = table.sigma[src[on_critical]]
+    sigma = None if table.sigma is None else np.where(on_critical[:, None], table.sigma[src],
+                                                      np.nan)
+    if sigma is not None and np.isnan(sigma).any(axis=1).all():
+        sigma = None
 
     # the simplices of every piece, and where each is listed: cell, stratum,
     # piece and fan triangle
@@ -956,7 +951,7 @@ def glue(analyses: CellAnalyses, problem: VectorProblem,
         if m == 2:
             piece, fan, simplex = np.arange(len(p)), np.zeros(len(p), dtype=np.intp), ids
         else:
-            K, k = ids.shape[1], p.size[:, None]
+            K, k = ids.shape[1], (ids < V).sum(axis=1)[:, None]
             cyc = np.take_along_axis(ids, (ids.argmin(axis=1)[:, None] + np.arange(K)) % k, axis=1)
             piece, fan = np.nonzero(np.arange(1, K - 1) < k - 1)
             simplex = np.stack([cyc[piece, 0], cyc[piece, fan + 1], cyc[piece, fan + 2]], axis=1)
@@ -972,8 +967,6 @@ def glue(analyses: CellAnalyses, problem: VectorProblem,
 
     markers = sorted({(v, kind) for (r, _), kind in analyses.markers for v in vid[r].tolist()})
     return ParetoComplex(
-        n=n,
-        m=m,
         positions=positions,
         u_values=problem.u_at(positions),
         lam=table.lam[src],
@@ -991,4 +984,4 @@ def analyze(problem: VectorProblem, tess: Tessellation, order: int = 2, *,
     """The pipeline in one call: :class:`Analyzer` set-up (``nodal`` as for
     it), the analyses of all candidate cells, and :func:`glue`."""
     an = Analyzer(problem, tess, order=order, nodal=nodal)
-    return glue(an.run_cells(), problem, tess, order=an.order)
+    return glue(an.run_cells(), problem, tess)

@@ -146,7 +146,7 @@ def resample_polyline(cx: ParetoComplex) -> np.ndarray:
         seg_len = np.linalg.norm(np.diff(P, axis=0), axis=1)
         L = float(seg_len.sum())
         k = len(seg_len)
-        if L <= 0.0 or k == 0:
+        if L <= 0.0:
             continue
         targets = (2 * np.arange(1, k + 1) - 1) * L / (2 * k)
         cum = np.concatenate([[0.0], np.cumsum(seg_len)])
@@ -171,10 +171,7 @@ def _maximin_fill_with_hosts(cx: ParetoComplex):
     Returns ``(points, hosts)``: the (K, n) centroids of the picks and the
     picks as indices into ``cx.simplices``, both in greedy order.
     """
-    strata = _target_strata(cx)
-    ids = cx.simplex_ids(strata)
-    if not len(ids):
-        raise EmptyComplex("no simplices to fill")
+    ids = cx.simplex_ids(_target_strata(cx))
     P = cx.positions[cx.simplices[ids]]
     E = P[:, 1:] - P[:, :1]
     det = np.linalg.det(E @ E.transpose(0, 2, 1))
@@ -252,8 +249,6 @@ def complex_minor_stats(problem: VectorProblem, cx: ParetoComplex):
     except EmptyComplex:
         return np.inf, np.inf
     vids = sorted(set(cx.simplices[cx.simplex_ids(strata)].ravel().tolist()))
-    if not vids:
-        return np.inf, np.inf
     vals = _minor_magnitudes(problem, cx.positions[vids])
     return float(vals.max()), float(vals.mean())
 

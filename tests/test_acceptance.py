@@ -266,7 +266,7 @@ def test_criterion_8_property_suites(tmp_path):
     checks.append(("mu normalization", mu_ok))
     checks.append(("lambda orthogonality", lam_ok))
 
-    cx = glue(analyses, p, an.tess, order=2)
+    cx = glue(analyses, p, an.tess)
     stable_ids = cx.simplex_ids([STRATUM_STABLE])
     theta_ids = cx.simplex_ids([STRATUM_STABLE, STRATUM_UNSTABLE])
     sigma_ids = cx.simplex_ids()

@@ -180,7 +180,7 @@ def test_cli_plot_data_walks_branches(tmp_path, segs, walk):
 
     pos = np.array([[float(i), float(i * i)] for i in range(7)])
     cx = ParetoComplex(
-        n=2, m=2, positions=pos, u_values=pos[:, ::-1].copy(), lam=np.full((7, 2), 0.5),
+        positions=pos, u_values=pos[:, ::-1].copy(), lam=np.full((7, 2), 0.5),
         sigma=None, keys=[repr(("f", i)) for i in range(7)],
         simplices=segs + [(5, 6)], stratum=["critical_unstable"] * (len(segs) + 1),
         markers=[],
@@ -227,23 +227,33 @@ def test_cli_removed_flag_is_a_usage_error(flag, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_cli_iterate_rejects_its_inputs_before_any_work(tmp_path, capsys):
-    # a scheme the problem's output cannot take, or a reference complex in
-    # another ambient dimension, is a usage error before the first file
-    ref = tmp_path / "ref3d.json"
-    ref.write_text(json.dumps({
-        "version": 1, "ambient_dim": 3, "objectives": 2,
-        "vertices": [{"id": i, "x": [float(i), 0.0, 0.0], "u": [0.0, 0.0],
+def _segment_file(path, n, stratum):
+    """A complex file of one segment in ``stratum``, in ambient dimension n."""
+    path.write_text(json.dumps({
+        "version": 1, "ambient_dim": n, "objectives": 2,
+        "vertices": [{"id": i, "x": [float(i)] + [0.0] * (n - 1), "u": [0.0, 0.0],
                       "lambda": None, "sigma": None} for i in range(2)],
-        "simplices": [{"vertex_ids": [0, 1], "stratum": "critical_stable"}],
+        "simplices": [{"vertex_ids": [0, 1], "stratum": stratum}],
         "markers": [],
     }))
+    return path
+
+
+def test_cli_iterate_rejects_its_inputs_before_any_work(tmp_path, capsys):
+    # a scheme the problem's output cannot take, a reference complex in
+    # another ambient dimension, or one without the strata that iteration 1
+    # compares (an --order 1 file against a stable critical set) is a usage
+    # error before the first file
+    ref = _segment_file(tmp_path / "ref3d.json", 3, "critical_stable")
+    unstable = _segment_file(tmp_path / "ref_order1.json", 2, "critical_unstable")
     out = tmp_path / "it"
     for args, message in (
         (["--problem", "tri_quadratic", "--grid", "3x3x3"],
          "polyline resampling applies to two-objective output"),
         (["--problem", "triv", "--grid", "5x5", "--reference", str(ref)],
          "the reference complex has ambient dimension 3; triv has 2"),
+        (["--problem", "triv", "--grid", "11x11", "--reference", str(unstable)],
+         "the reference complex has no critical_stable simplex"),
     ):
         assert main(["iterate", *args, "--iterations", "1", "--out-dir", str(out)]) == 1
         assert f"error: {message}" in capsys.readouterr().err
@@ -355,13 +365,22 @@ def test_cli_numerical_failure_exits_2(tmp_path, capsys):
     from paretoc.continuation import ParetoComplex
 
     empty = ParetoComplex(
-        n=2, m=2, positions=np.zeros((0, 2)), u_values=np.zeros((0, 2)),
+        positions=np.zeros((0, 2)), u_values=np.zeros((0, 2)),
         lam=np.zeros((0, 2)), sigma=None, keys=[], simplices=[], stratum=[], markers=[],
     )
     path = tmp_path / "empty.json"
     save_complex(path, empty)
     assert main(["distance", str(path), str(path)]) == 2
     assert "nonempty" in capsys.readouterr().err
+
+
+def test_cli_distance_across_ambient_dimensions_is_a_usage_error(tmp_path, capsys):
+    a = _segment_file(tmp_path / "a.json", 2, "critical_stable")
+    b = _segment_file(tmp_path / "b.json", 3, "critical_stable")
+    report = tmp_path / "report.json"
+    assert main(["distance", str(a), str(b), "--json", str(report)]) == 1
+    assert f"error: {a} has ambient dimension 2; {b} has 3" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_cli_manifold_mesh_input(tmp_path):
@@ -381,7 +400,7 @@ def test_cli_plot_data_empty_complex(tmp_path, capsys):
     from paretoc.continuation import ParetoComplex
 
     empty = ParetoComplex(
-        n=2, m=2, positions=np.zeros((0, 2)), u_values=np.zeros((0, 2)),
+        positions=np.zeros((0, 2)), u_values=np.zeros((0, 2)),
         lam=np.zeros((0, 2)), sigma=None, keys=[], simplices=[], stratum=[], markers=[],
     )
     path = tmp_path / "empty.json"

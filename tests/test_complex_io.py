@@ -1,10 +1,12 @@
-"""The complex-file writer against json, and the readers' number rows.
+"""The complex-file writer against json, glued complexes against their
+files, and the readers' number rows.
 
 ``save_complex`` formats the vertex, simplex and marker sections itself.  Its
 bytes must equal ``json.dumps(complex_to_dict(cx, provenance), indent=1)``
 plus a newline on every complex: the drawn ones below, the fixed corner cases
-and every golden case.  The readers take each coordinate or value of a row
-only as a JSON number.
+and every golden case.  A glued complex loads back equal in every field its
+file holds.  The readers take each coordinate or value of a row only as a
+JSON number.
 """
 
 import json
@@ -16,9 +18,12 @@ from hypothesis import given, settings, strategies as st
 
 from paretoc.complex_io import (_row, complex_from_dict, complex_to_dict, load_complex,
                                 load_mesh, save_complex, save_mesh)
+from paretoc.constrained import analyze_constrained, icosphere
 from paretoc.continuation import MARKER_KINDS, STRATA, Analyzer, ParetoComplex, glue
-from paretoc.tessellation import Tessellation
+from paretoc.problems import registry_get
+from paretoc.tessellation import Tessellation, kuhn_tessellation
 
+from test_continuation import _same
 from test_golden import CASES
 
 
@@ -36,7 +41,7 @@ def _complex(positions, u, lam, sigma, simplices=(), markers=(), name="p"):
     positions = np.asarray(positions, dtype=float)
     u = np.asarray(u, dtype=float)
     return ParetoComplex(
-        n=positions.shape[1], m=u.shape[1], positions=positions, u_values=u,
+        positions=positions, u_values=u,
         lam=np.asarray(lam, dtype=float),
         sigma=None if sigma is None else np.asarray(sigma, dtype=float),
         keys=[repr(("f", i)) for i in range(len(positions))],
@@ -148,10 +153,41 @@ def test_writer_matches_json_on_golden_cases(case, tmp_path):
     build, kwargs, _, _ = CASES[case]
     p, tess = build()
     an = Analyzer(p, tess, **kwargs)
-    cx = glue(an.run_cells(), p, tess, order=an.order)
+    cx = glue(an.run_cells(), p, tess)
     _assert_same(cx, tmp_path / "c.json")
     _assert_same(cx, tmp_path / "d.json", {"problem": p.name, "grid": [5, 5],
                                            "iterations": 0})
+
+
+# the golden cases, and an order-2 run of triv on a box off its critical
+# set: singular pieces only, so no vertex has a sigma
+_GLUED = {case: CASES[case][:2] for case in CASES}
+_GLUED["triv_singular_only"] = (
+    lambda: (registry_get("triv"), kuhn_tessellation([[-1.5, -0.5], [-1.5, -0.5]], [5, 5])), {})
+_NO_SIGMA = {"noncv_order1", "paraboloid_sigma_skip", "sphere_constrained", "triv_singular_only"}
+
+
+@pytest.mark.parametrize("case", sorted(_GLUED) + ["sphere_constrained"])
+def test_glued_complex_equals_its_file(case, tmp_path):
+    # every field a complex file holds reads back as glue made it: the
+    # golden cases (m = 2, m = 3, m > n, order 1), the constrained sphere
+    # and an order-2 run with no critical piece, whose sigma is None
+    if case == "sphere_constrained":
+        cx = analyze_constrained(registry_get("sphere_proj"), icosphere(2))
+    else:
+        build, kwargs = _GLUED[case]
+        p, tess = build()
+        cx = glue(Analyzer(p, tess, **kwargs).run_cells(), p, tess)
+    assert (cx.sigma is None) == (case in _NO_SIGMA)
+    path = tmp_path / "c.json"
+    save_complex(path, cx)
+    got = complex_from_dict(json.loads(path.read_text()))
+    assert (got.n, got.m) == (cx.n, cx.m) == (cx.positions.shape[1], cx.u_values.shape[1])
+    for name in ("positions", "u_values", "lam", "sigma", "simplices"):
+        assert _same(getattr(got, name), getattr(cx, name)), name
+    assert got.stratum == cx.stratum
+    assert got.markers == cx.markers
+    assert got.problem_name == cx.problem_name
 
 
 # -- number rows of the readers ------------------------------------------------------

@@ -588,13 +588,12 @@ def _closed_form_face_vertices(omega_nodes, faces, points, jac_nodes, hess_at=No
     G = np.array([np.tensordot(w, jac_nodes[list(sub)], axes=1)
                   for sub, w in crossings.values()]).reshape(-1, *jac_nodes.shape[1:])
     lam, residual = continuation.solve_lambdas(G)
-    scale = np.linalg.norm(G, axis=2).max(axis=1)
     row[list(crossings)] = range(len(crossings))
     subs = [sub for sub, _ in crossings.values()]
     x = np.array([w @ points[list(sub)] for sub, w in crossings.values()])
     table = VertexTable(
         [repr(("f",) + sub) for sub in subs], x.reshape(-1, points.shape[1]),
-        G, lam, residual, residual <= continuation.EPS_RES * scale, None,
+        G, lam, residual, None,
         np.array([i for sub in subs for i in sub], dtype=np.intp),
         np.concatenate([w for _, w in crossings.values()] + [np.empty(0)]),
         np.array([len(sub) for sub in subs], dtype=np.intp))

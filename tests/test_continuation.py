@@ -189,7 +189,8 @@ def test_cell_keeps_the_first_face_of_a_shared_key():
     tess = Tessellation(np.vstack([np.zeros(3), np.eye(3)]), [[0, 1, 2, 3]])
     omega = np.array([[1.0, 1.0], [-1.0, -1.0 - 1e-11], [1.0, 2.0], [2.0, 3.0]])
     an = Analyzer(p, tess, order=1, nodal=(np.tile(J, (4, 1, 1)), omega))
-    table, rows, count, skipped = an._cell_table([0])
+    cells = an._cell_table([0])
+    table, rows, count, skipped = cells.table, cells.rows, cells.count, cells.skipped
     faces = np.array([[0, 1, 2], [0, 1, 3]])
     face_table, face_row, _ = _face_vertices(omega, faces, tess.nodes, an.jac_nodes)
     first, second = (face_table.vertex(r) for r in face_row)
@@ -267,7 +268,7 @@ def _table(x):
     x = np.asarray(x, dtype=float)
     V, n = x.shape
     return VertexTable([repr(("f", i)) for i in range(V)], x, np.zeros((V, 2, n)),
-                       np.zeros((V, 2)), np.zeros(V), np.ones(V, dtype=bool), None,
+                       np.zeros((V, 2)), np.zeros(V), None,
                        np.arange(V), np.ones(V), np.ones(V, dtype=np.intp))
 
 
@@ -276,7 +277,7 @@ def _clip_one(x, values):
     table and the clip's kept and dropped pieces and boundary rows."""
     table = _table(x)
     V = len(table)
-    piece = Pieces(np.zeros(1, dtype=np.intp), np.arange(V)[None], np.array([V]))
+    piece = Pieces(np.zeros(1, dtype=np.intp), np.arange(V)[None])
     kept, dropped, (boundary, _) = clip_polytope(table, piece, np.array([values], dtype=float),
                                                  "clip")
     return table, kept, dropped, boundary.tolist()
@@ -301,11 +302,11 @@ def test_clip_segment_no_clip():
 def test_clip_triangle_corner():
     x = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
     table, kept, dropped, boundary = _clip_one(x, [1.0, -1.0, -1.0])
-    assert len(kept) == 1 and kept.size.tolist() == [3]
+    assert len(kept) == 1 and kept.slots().sum(axis=1).tolist() == [3]
     assert len(boundary) == 2
     bx = sorted(tuple(np.round(table.x[r], 12)) for r in boundary)
     assert bx == [(0.0, 0.5, 0.0), (0.5, 0.0, 0.0)]
-    assert len(dropped) == 1 and dropped.size.tolist() == [4]
+    assert len(dropped) == 1 and dropped.slots().sum(axis=1).tolist() == [4]
 
 
 _CLIP_VALUES = st.one_of(
@@ -328,7 +329,8 @@ def test_clip_keeps_every_vertex_and_cut(svals):
         if w >= k:
             assert w in on_kept and w in on_dropped
     for p in (kept, dropped):
-        assert np.all(p.size == 2) if k == 2 else np.all(p.size >= 3)
+        size = p.slots().sum(axis=1)
+        assert np.all(size == 2) if k == 2 else np.all(size >= 3)
 
 
 # with +-0.5 beside +-CLIP_SNAP_REL / 2, a value can sit exactly at its
@@ -357,7 +359,7 @@ def clip_batches(draw):
                                       max_size=int(np.prod(shape))))).reshape(shape)
 
     table = VertexTable([repr(("f", i)) for i in ids], column(V, 3), column(V, 3, 3),
-                        column(V, 3), np.zeros(V), np.ones(V, dtype=bool),
+                        column(V, 3), np.zeros(V),
                         column(V, 3, 3, 3) if draw(st.booleans()) else None,
                         np.arange(V), np.ones(V), np.ones(V, dtype=np.intp))
     if draw(st.booleans()):
@@ -376,7 +378,7 @@ def clip_batches(draw):
     for i, r in enumerate(rings):
         ring[i, :len(r)] = r
     cell = np.array(sorted(draw(st.lists(st.integers(0, 3), min_size=P, max_size=P))))
-    pieces = Pieces(cell, ring, np.array([len(r) for r in rings]))
+    pieces = Pieces(cell, ring)
     if draw(st.booleans()):
         values = np.array(draw(st.lists(_ORACLE_VALUES, min_size=V, max_size=V)))[ring]
     else:
@@ -402,7 +404,7 @@ def test_stage_wide_clip_matches_the_per_piece_rules(batch, stage):
                              else table.sigma[i])
              for i in range(len(table))]
     want = {"kept": [], "dropped": [], "boundary": []}
-    for c, ring, size, vals in zip(pieces.cell, pieces.ring, pieces.size, values):
+    for c, ring, size, vals in zip(pieces.cell, pieces.ring, pieces.slots().sum(axis=1), values):
         piece = tuple(verts[r] for r in ring[:size])
         kept, dropped, boundary = clip_oracle.clip([piece], dict(zip(piece, vals[:size])), stage)
         want["kept"] += [(c, p) for p in kept]
@@ -413,7 +415,8 @@ def test_stage_wide_clip_matches_the_per_piece_rules(batch, stage):
     assert sorted(zip(cells.tolist(), (table.keys[r] for r in rows))) == sorted(want["boundary"])
     for got, side in ((kept, want["kept"]), (dropped, want["dropped"])):
         assert len(got) == len(side)
-        for c, ring, size, (want_c, piece) in zip(got.cell, got.ring, got.size, side):
+        for c, ring, size, (want_c, piece) in zip(got.cell, got.ring, got.slots().sum(axis=1),
+                                                  side):
             assert c == want_c and size == len(piece) and np.all(ring[size:] == -1)
             for r, v in zip(ring.tolist(), piece):
                 w = table.vertex(r)
@@ -481,10 +484,9 @@ def test_non_transversal_cell_gets_a_path_through_its_vertices(caplog):
     caplog.set_level(logging.WARNING, logger="paretoc.continuation")
     an = Analyzer(registry_get("triv"), _tiny_cell_tess([1.5, 1.32], 0.35), order=1)
     table = _table([[0.0, 0.0], [1.0, 0.1], [2.0, 0.0], [3.0, 0.1]])
-    analyses = CellAnalyses(np.array([7]), table, np.array([[2, 0, 3, 1, -1]]), np.array([4]),
-                            np.array([0]), 2)
+    analyses = CellAnalyses(np.array([7]), table, np.array([[2, 0, 3, 1, -1]]), np.array([0]))
     pieces = an._assemble_pieces(analyses)
-    assert pieces.cell.tolist() == [0, 0, 0] and pieces.size.tolist() == [2, 2, 2]
+    assert pieces.cell.tolist() == [0, 0, 0] and pieces.slots().sum(axis=1).tolist() == [2, 2, 2]
     assert sorted(map(sorted, pieces.ring.tolist())) == [[0, 1], [1, 2], [2, 3]]
     assert analyses[0].warnings == ["4 singular vertices in one cell (non-transversal crossing)"]
     assert [r.getMessage() for r in caplog.records] == [
@@ -597,7 +599,8 @@ def _glued_pairs(analyses, keys):
     strata = {s: analyses.pieces(s) for s in STRATA}
     for c in range(len(analyses)):
         for stratum, pieces in strata.items():
-            for ring, size in zip(pieces.ring[pieces.cell == c], pieces.size[pieces.cell == c]):
+            for ring, size in zip(pieces.ring[pieces.cell == c],
+                                  pieces.slots().sum(axis=1)[pieces.cell == c]):
                 kl = [analyses.table.keys[r] for r in ring[:size]]
                 r = kl.index(min(kl))
                 cyc = kl[r:] + kl[:r]
@@ -611,7 +614,7 @@ def _glued(p, counts):
     tess = kuhn_tessellation(p.domain_box, counts)
     an = Analyzer(p, tess)
     analyses = an.run_cells()
-    cx = glue(analyses, p, tess, order=an.order)
+    cx = glue(analyses, p, tess)
     return cx, _glued_pairs(analyses, cx.keys)
 
 
@@ -635,7 +638,7 @@ def _constructed():
     segs = [(4, 3), (0, 2), (2, 1), (1, 0), (3, 2)]
     strata = [STRATUM_STABLE, STRATUM_UNSTABLE, STRATUM_STABLE, STRATUM_UNSTABLE,
               STRATUM_STABLE]
-    cx = ParetoComplex(n=2, m=2, positions=pos, u_values=pos, lam=np.full((5, 2), 0.5),
+    cx = ParetoComplex(positions=pos, u_values=pos, lam=np.full((5, 2), 0.5),
                        sigma=None, keys=[repr(("f", i)) for i in range(5)],
                        simplices=segs, stratum=strata, markers=[])
     return cx, sorted((tuple(sorted(s)), k) for s, k in zip(segs, strata))
@@ -689,7 +692,7 @@ def smale_run():
     analyses = an.run_cells()
     from paretoc.continuation import glue
 
-    cx = glue(analyses, p, tess, order=2)
+    cx = glue(analyses, p, tess)
     return p, an, analyses, cx
 
 

@@ -131,7 +131,7 @@ def _run(case):
     p, tess = build()
     an = Analyzer(p, tess, **kwargs)
     analyses = an.run_cells()
-    cx = glue(analyses, p, tess, order=an.order)
+    cx = glue(analyses, p, tess)
     return p, tess, an, analyses, cx
 
 
@@ -201,7 +201,7 @@ def test_supplied_nodal_arrays_give_the_same_bytes(case, tmp_path):
     an = Analyzer(p, tess, **kwargs, nodal=(own.jac_nodes.copy(), own.omega_nodes.copy()))
     analyses = an.run_cells()
     path = tmp_path / "complex.json"
-    save_complex(path, glue(analyses, p, tess, order=an.order))
+    save_complex(path, glue(analyses, p, tess))
     assert _sha(path.read_bytes()) == digest
     assert _sha(json.dumps(_warnings(analyses)).encode()) == warnings
 

@@ -30,8 +30,6 @@ from test_golden import _paraboloid_problem
 def _polyline_complex(points, segs, stratum=STRATUM_STABLE, markers=()):
     points = np.asarray(points, dtype=float)
     return ParetoComplex(
-        n=points.shape[1],
-        m=2,
         positions=points,
         u_values=np.zeros((len(points), 2)),
         lam=np.full((len(points), 2), 0.5),
@@ -95,7 +93,7 @@ def test_maximin_accumulated_volumes_and_ties():
 def test_maximin_single_triangle_centroid():
     pos = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]])
     cx = ParetoComplex(
-        n=3, m=3, positions=pos, u_values=np.zeros((3, 3)),
+        positions=pos, u_values=np.zeros((3, 3)),
         lam=np.full((3, 3), 1 / 3), sigma=None,
         keys=[repr(("f", i)) for i in range(3)],
         simplices=[(0, 1, 2)], stratum=[STRATUM_STABLE], markers=[],

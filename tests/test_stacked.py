@@ -99,13 +99,15 @@ def _cell_table(an):
 
 def _table_vertices(an):
     # every face-table vertex that some cell lists, in row order
-    table, rows, _, _ = _cell_table(an)
+    cells = _cell_table(an)
+    table, rows = cells.table, cells.rows
     return [table.vertex(r) for r in sorted(set(rows[rows >= 0].tolist()))]
 
 
 def _cell_vertices(an):
     # each cell's vertices and count of rank-deficient faces
-    table, rows, count, skipped = _cell_table(an)
+    cells = _cell_table(an)
+    table, rows, count, skipped = cells.table, cells.rows, cells.count, cells.skipped
     return [([table.vertex(r) for r in rows[c, :count[c]].tolist()], int(skipped[c]))
             for c in range(len(rows))]
 
@@ -297,7 +299,7 @@ def test_cell_table_matches_the_face_dict_loop(analyzers):
                 assert np.array_equal(by_key[v.key].mu, v.mu)
                 snapped += len(v.face) <= an.r
     assert snapped
-    assert any(_cell_table(analyzers[-1])[3])
+    assert any(_cell_table(analyzers[-1]).skipped)
 
 
 def test_polygon_orders_match_cell_loop(analyzers):
