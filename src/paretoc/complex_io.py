@@ -170,7 +170,6 @@ def complex_from_dict(doc: dict) -> ParetoComplex:
         u_values=u_values,
         lam=lam,
         sigma=sigma,
-        keys=[repr(("file", i)) for i in range(V)],
         simplices=simplices,
         stratum=names,
         markers=sorted(markers),

@@ -61,11 +61,6 @@ CLIP_SNAP_REL = 1e-12  # clip values at or below this x the largest |value|
                        # of their piece count as zero
 DET_SNAP_REL = 1e-13   # nodal minors at or below this x their Hadamard bound
                        # (the product of column norms) count as zero
-# Tolerances of the other layers, for reference:
-#   tessellation.EPS_GEOM_REL = 1e-12  node coincidence and the seed simplex, x bbox
-#                                      diagonal; Delaunay ties are broken on node ids
-#   constrained.EPS_CONSTRAINT = 1e-8  largest |g| allowed at a mesh node
-#   refinement.SPACING_GAMMA = 0.1  candidate-to-node distance floor, x local shortest edge
 
 STRATUM_SINGULAR = "singular_only"
 STRATUM_UNSTABLE = "critical_unstable"
@@ -171,11 +166,11 @@ class SingularVertex:
     A face row carries its defining face and barycentric weights; a cut
     carries neither, and its lambda, gradients, Hessians and sigma are
     interpolated from its edge's ends.  ``lam`` is None on a rank collapse,
-    and ``sigma`` where the sigma stage did not reach the row or the kernel
-    dimension is ambiguous.  Across cells a vertex is ``key``, the text of
-    its defining face, ``"('f', i, j)"`` with sorted node ids, or of its cut,
-    ``"('c', stage, ka, kb)"`` with the endpoint keys in text order: glue
-    merges and orders the vertices by it.
+    and ``sigma`` where the second-order stage did not reach the row or the
+    kernel dimension is ambiguous.  Across cells a vertex is ``key``, the
+    text of its defining face, ``"('f', i, j)"`` with sorted node ids, or of
+    its cut, ``"('c', stage, ka, kb)"`` with the endpoint keys in text
+    order: glue merges and orders the vertices by it.
     """
 
     key: str
@@ -206,10 +201,10 @@ class VertexTable:
     ``lam`` (V, m), NaN rows on a rank collapse; ``residual`` and ``ok``,
     the lambda residual and the criticality flag, derived: residual <=
     EPS_RES x the largest gradient row norm; ``hess`` (V, m, n, n), None at
-    first order; and ``sigma`` (V, n-m+1), None until the sigma stage sets
-    it, NaN on the rows it did not reach and where the kernel dimension is
-    ambiguous.  The face rows' sub-faces are the ``size`` node ids and
-    weights of each row, row after row, in ``sub`` and ``weights``.
+    first order; and ``sigma`` (V, n-m+1), None until the second-order
+    stage sets it, NaN on the rows it did not reach and where the kernel
+    dimension is ambiguous.  The face rows' sub-faces are the ``size`` node
+    ids and weights of each row, row after row, in ``sub`` and ``weights``.
     """
 
     def __init__(self, keys, x, grad, lam, residual, hess, sub, weights, size):
@@ -306,14 +301,12 @@ class Pieces:
 
     @staticmethod
     def concat(parts: list) -> "Pieces":
-        """The pieces of ``parts`` in cell order, a cell's in part order."""
+        """The pieces of ``parts``, part after part, padded to the widest ring."""
         K = max([p.ring.shape[1] for p in parts] + [2])
         ring = np.concatenate([np.empty((0, K), dtype=np.intp)] + [
             np.pad(p.ring, ((0, 0), (0, K - p.ring.shape[1])), constant_values=-1)
             for p in parts])
-        cell = np.concatenate([np.empty(0, dtype=np.intp)] + [p.cell for p in parts])
-        order = np.argsort(cell, kind="stable")
-        return Pieces(cell[order], ring[order])
+        return Pieces(np.concatenate([np.empty(0, dtype=np.intp)] + [p.cell for p in parts]), ring)
 
 
 def clip_polytope(table: VertexTable, pieces: Pieces, values: np.ndarray, stage) -> tuple:
@@ -325,12 +318,11 @@ def clip_polytope(table: VertexTable, pieces: Pieces, values: np.ndarray, stage)
     cut: the cuts are appended to ``table``, keyed on ``stage`` and their
     edge's end keys (:meth:`VertexTable.cut`).  Returns ``(kept, dropped,
     boundary)``: the two sides as :class:`Pieces`, each piece's side in the
-    order of the pieces, and the rows on the level set with their cells, a
-    pair of arrays.  A segment whose values are both zero is kept; a side of
-    a polygon is a polygon when it has three vertices, so a polygon whose
-    values are all zero lands on both sides.  Every input vertex lands in a
-    kept or a dropped piece and every cut in both, which :func:`glue` relies
-    on.
+    order of the pieces, and the array of the rows on the level set.  A
+    segment whose values are both zero is kept; a side of a polygon is a
+    polygon when it has three vertices, so a polygon whose values are all
+    zero lands on both sides.  Every input vertex lands in a kept or a
+    dropped piece and every cut in both, which :func:`glue` relies on.
     """
     slots = pieces.slots()
     mag = np.where(slots, np.abs(values), 0.0)
@@ -356,8 +348,7 @@ def _segment_sides(table, pieces, s, stage) -> tuple:
     # an end at zero is on the level set when the other end is off it
     at_a = (sa == 0.0) & np.where(pos, sb > 0.0, neg & (sb < 0.0))
     at_b = (sb == 0.0) & np.where(pos, sa > 0.0, neg & (sa < 0.0))
-    boundary = (np.concatenate([a[at_a], b[at_b], w[c]]),
-                np.concatenate([pieces.cell[at_a], pieces.cell[at_b], pieces.cell[c]]))
+    boundary = np.concatenate([a[at_a], b[at_b], w[c]])
     return pieces.take(pos | cut, kept), pieces.take(neg | cut, dropped), boundary
 
 
@@ -389,9 +380,7 @@ def _polygon_sides(table, pieces, s, stage) -> tuple:
         sides.append(Pieces(pieces.cell[ok], new))
     # the level set passes exactly through an entry between a sign change
     at = slots & (s == 0.0) & (s_prev * s_next < 0.0)
-    boundary = (np.concatenate([ring[at], w[p, j]]),
-                np.concatenate([np.broadcast_to(pieces.cell[:, None], (P, K))[at], pieces.cell[p]]))
-    return sides[0], sides[1], boundary
+    return sides[0], sides[1], np.concatenate([ring[at], w[p, j]])
 
 
 def _rings(x: np.ndarray, rows: np.ndarray, count: np.ndarray) -> None:
@@ -431,18 +420,19 @@ class CellAnalyses:
     one's vertex ``rows``, padded with -1, whence its ``count``, and
     ``skipped`` rank-deficient faces), the vertex table, whose gradients'
     width is ``m``, each stratum's pieces (:meth:`pieces`) and the marker
-    rows of each clip.  As a sequence it is one :class:`CellAnalysis` per
-    candidate cell, in cell order, built on access.
+    rows of each clip.  No reader depends on the order of the pieces within
+    a stratum.  As a sequence it is one :class:`CellAnalysis` per candidate
+    cell, in cell order, built on access.
     """
 
     def __init__(self, cells, table: VertexTable, rows, skipped):
         self.cells, self.table, self.m = cells, table, table.grad.shape[1]
         self.rows, self.count, self.skipped = rows, (rows >= 0).sum(axis=1), skipped
-        self.strata = {s: [] for s in STRATA}   # stratum -> Pieces, in stage order
-        self.markers: list = []                 # ((rows, cells), kind), in stage order
+        self.strata = {s: [] for s in STRATA}   # stratum -> list of Pieces
+        self.markers: list = []                 # (rows, kind), one per clip
 
     def pieces(self, stratum: str) -> Pieces:
-        """The stratum's pieces in cell order, a cell's in the order the stages made them."""
+        """The stratum's pieces, as one :class:`Pieces`."""
         return Pieces.concat(self.strata[stratum])
 
     def __len__(self) -> int:
@@ -581,23 +571,6 @@ def generalized_hessians(G: np.ndarray, lam: np.ndarray, hess: np.ndarray) -> tu
     return np.linalg.eigvalsh(B), fail
 
 
-def _attach_sigma(table: VertexTable, theta: Pieces) -> None:
-    """Set sigma on the rows of the pieces ``theta`` in one stacked call,
-    each row once, NaN where the kernel dimension is ambiguous, and log the
-    count of those failures."""
-    used = np.zeros(len(table), dtype=bool)
-    used[theta.ring[theta.slots()]] = True
-    rows = np.flatnonzero(used)
-    if len(rows):
-        sigma, fail = generalized_hessians(table.grad[rows], table.lam[rows], table.hess[rows])
-        col = np.full((len(table), sigma.shape[1]), np.nan)
-        col[rows[~fail]] = sigma[~fail]
-        col.flags.writeable = False
-        table.sigma = col
-        logger.debug("kernel dimension ambiguous at %d of %d vertices; treated as "
-                     "unstable", np.count_nonzero(fail), len(rows))
-
-
 # ---------------------------------------------------------------------------
 # analyzer
 # ---------------------------------------------------------------------------
@@ -623,18 +596,19 @@ class Analyzer:
     ``(jac_nodes, omega_nodes)`` of shapes (N, m, n) and (N, r); r is then
     the minors' width and the problem's windows are not read.  The analyzer
     holds only these inputs; :func:`analyze` runs it and glues the result.
+    ``order`` is 1 (no sigma) or 2; any other value raises ``ValueError``.
 
-    :meth:`run_cells` runs four stages over all candidate cells, each one
+    :meth:`run_cells` runs three stages over all candidate cells, each one
     array pass that hands :class:`CellAnalyses` on.  (1) The table pass:
     the distinct r-faces of all cells go through one stacked barycentric
     solve, each accepted vertex becomes one row of the vertex table with
     its lambda and analytic Hessian interpolation, and each cell lists its
     rows, one per key, for m = 3 in ring order.  (2) The first-order stage:
     every cell's polytope becomes pieces, and all of them are clipped by
-    lambda_j, one pass per j.  (3) One stacked sigma call over the rows of
-    every cell's critical pieces, each once.  (4) The second-order stage:
-    all critical pieces are clipped by sigma in one pass.  The two clip
-    stages keep the per-cell names :meth:`analyze_cell_first_order` and
+    lambda_j, one pass per j.  (3) The second-order stage: one stacked
+    sigma call over the rows of every cell's critical pieces, each once,
+    and one sigma clip of all critical pieces.  The two clip stages keep
+    the per-cell names :meth:`analyze_cell_first_order` and
     :meth:`analyze_cell_second_order`, which the benchmark's tracer wraps.
 
     With m > n (supported for n = m - 1) there is no window, r = 0: every
@@ -651,6 +625,8 @@ class Analyzer:
         *,
         nodal: Optional[tuple] = None,
     ):
+        if isinstance(order, bool) or order not in (1, 2):
+            raise ValueError(f"order is {order!r}, not 1 or 2")
         if problem.m not in (2, 3):
             raise UnsupportedObjectiveCount(
                 f"polytope realization supports m in (2, 3), got m={problem.m}")
@@ -752,14 +728,24 @@ class Analyzer:
         return analyses
 
     def analyze_cell_second_order(self, analyses: CellAnalyses) -> CellAnalyses:
-        """Clip the critical pieces of all cells by -max sigma in one pass;
-        the sigma stage of :meth:`run_cells` set sigma on their rows.  A
-        kernel failure (no sigma) counts as unstable: its value is -10 times
-        the largest of 1 and the |sigma| on its cell's critical pieces."""
+        """Set sigma on the rows of the critical pieces of all cells, each
+        row once, in one stacked call, and clip the pieces by -max sigma in
+        one pass.  Where the kernel dimension is ambiguous (logged) a row's
+        sigma is NaN and it counts as unstable: its value is -10 times the
+        largest of 1 and the |sigma| on its cell's critical pieces."""
         theta = analyses.pieces(STRATUM_UNSTABLE)
         if not len(theta):
             return analyses
         table = analyses.table
+        used = np.zeros(len(table), dtype=bool)
+        used[theta.ring[theta.slots()]] = True
+        rows = np.flatnonzero(used)
+        sigma, fail = generalized_hessians(table.grad[rows], table.lam[rows], table.hess[rows])
+        logger.debug("kernel dimension ambiguous at %d of %d vertices; treated as "
+                     "unstable", np.count_nonzero(fail), len(rows))
+        table.sigma = np.full((len(table), sigma.shape[1]), np.nan)
+        table.sigma[rows[~fail]] = sigma[~fail]
+        _read_only(table.sigma)
         top = table.sigma.max(axis=1)
         mag = np.abs(table.sigma).max(axis=1)
         known = ~np.isnan(top)
@@ -800,13 +786,10 @@ class Analyzer:
 
     def run_cells(self) -> CellAnalyses:
         """The analyses of all candidate cells: the table pass, the
-        first-order stage, sigma on the critical rows and the second-order
-        stage, each one pass over all cells (see :class:`Analyzer`)."""
+        first-order stage and, at order 2, the second-order stage, each one
+        pass over all cells (see :class:`Analyzer`)."""
         analyses = self.analyze_cell_first_order(self._cell_table(self.candidate_cells()))
-        if self.order >= 2:
-            _attach_sigma(analyses.table, analyses.pieces(STRATUM_UNSTABLE))
-            self.analyze_cell_second_order(analyses)
-        return analyses
+        return self.analyze_cell_second_order(analyses) if self.order >= 2 else analyses
 
 
 # ---------------------------------------------------------------------------
@@ -817,23 +800,24 @@ class Analyzer:
 class ParetoComplex:
     """Glued global output: labelled (m-1)-complex with marker points.
 
-    ``n`` and ``m`` are the widths of ``positions`` (V, n) and ``u_values``
-    (V, m).  ``sigma`` is None when no vertex has a sigma, else (V, k) with
-    NaN rows where a vertex has none.  ``simplices`` is one read-only
+    It holds what its file holds: a vertex is its row in ``positions``,
+    ``u_values`` (V, m) and ``lam``, with no key; ``n`` and ``m`` are the
+    widths of ``positions`` (V, n) and ``u_values``.  ``sigma`` is None
+    when no vertex has a sigma, else (V, k) with NaN rows where a vertex
+    has none.  ``simplices`` is one read-only
     ``np.intp`` array of shape (S, m), the vertex ids of a simplex per row:
     each row ascending, the rows in lexicographic order.  ``stratum`` is
     the tuple of the rows' stratum names, row for row.  Identical rows,
     which only a hand-edited file holds, are ordered by their stratum names.
     """
 
-    def __init__(self, positions, u_values, lam, sigma, keys,
+    def __init__(self, positions, u_values, lam, sigma,
                  simplices, stratum, markers, problem_name=""):
         self.n, self.m = positions.shape[1], u_values.shape[1]
         self.positions = positions      # (V, n)
         self.u_values = u_values        # (V, m)
         self.lam = lam                  # (V, m), NaN where unknown
         self.sigma = sigma              # (V, k) or None, NaN where unknown
-        self.keys = keys                # vertex key strings, in vertex order
         rows = np.asarray(simplices, dtype=np.intp)
         rows = np.sort(rows.reshape(len(rows), -1 if rows.size else self.m), axis=1)
         order = np.lexsort((np.asarray(stratum, dtype=str),) + tuple(rows.T[::-1]))
@@ -900,14 +884,15 @@ def glue(analyses: CellAnalyses, problem: VectorProblem, tess: Tessellation) -> 
     be identical: faces that snap to one sub-face are distinct rows, and a
     cut is made by each cell that lists it, along its own ring, so two cells
     can cut a shared edge from opposite ends and round the cut apart in the
-    last bits.  The rule is that the first cell in cell order wins: a
-    vertex's data are those of its row in the first cell that lists its key
-    (within a cell a key names one row), and its sigma only if it lies on a
-    critical piece there (the complex's sigma is None if no vertex has one).
-    A segment piece is a simplex, and a polygon is fanned from its lowest
-    key; a simplex listed twice keeps the stratum of its first listing, a
-    cell's strata read in the order of ``STRATA`` and each stratum's pieces
-    in the order the stages made them.
+    last bits.  The rule is that the lowest cell wins: a vertex's data are
+    those of its row in the lowest cell that lists its key (within a cell a
+    key names one row), and its sigma only if it lies on a critical piece
+    there (the complex's sigma is None if no vertex has one).  A segment
+    piece is a simplex, and a polygon is fanned from its lowest key; a
+    simplex listed twice keeps the stratum of its lowest cell, and within
+    that cell the first stratum of ``STRATA`` that lists it.  So the output
+    depends on neither the order of the pieces within a stratum nor where
+    a ring starts or which way it runs.
     """
     table = analyses.table
     n, m = problem.n, problem.m
@@ -927,7 +912,7 @@ def glue(analyses: CellAnalyses, problem: VectorProblem, tess: Tessellation) -> 
     vid = np.zeros(len(table), dtype=np.intp)
     vid[used] = [index_of[keys[r]] for r in used]
     V = len(ordered_keys)
-    # each vertex's first cell, and its row and criticality there
+    # each vertex's lowest cell, and its row and criticality there
     ids = vid[rows]
     first = np.full(V, len(analyses), dtype=np.intp)
     np.minimum.at(first, ids, cells)
@@ -943,35 +928,34 @@ def glue(analyses: CellAnalyses, problem: VectorProblem, tess: Tessellation) -> 
     if sigma is not None and np.isnan(sigma).any(axis=1).all():
         sigma = None
 
-    # the simplices of every piece, and where each is listed: cell, stratum,
-    # piece and fan triangle
-    simplices, listing = [np.empty((0, m), dtype=np.intp)], [np.empty((4, 0), dtype=np.intp)]
+    # the simplices of every piece, and the cell and stratum that list each
+    simplices, listing = [np.empty((0, m), dtype=np.intp)], [np.empty((2, 0), dtype=np.intp)]
     for rank, p in enumerate(parts):
         ids = np.where(p.slots(), vid[p.ring], V)
         if m == 2:
-            piece, fan, simplex = np.arange(len(p)), np.zeros(len(p), dtype=np.intp), ids
+            cell, simplex = p.cell, ids
         else:
             K, k = ids.shape[1], (ids < V).sum(axis=1)[:, None]
             cyc = np.take_along_axis(ids, (ids.argmin(axis=1)[:, None] + np.arange(K)) % k, axis=1)
             piece, fan = np.nonzero(np.arange(1, K - 1) < k - 1)
+            cell = p.cell[piece]
             simplex = np.stack([cyc[piece, 0], cyc[piece, fan + 1], cyc[piece, fan + 2]], axis=1)
         simplices.append(simplex)
-        listing.append(np.stack([p.cell[piece], np.full(len(piece), rank), piece, fan]))
+        listing.append(np.stack([cell, np.full(len(cell), rank)]))
     listing = np.concatenate(listing, axis=1)
     simplices = np.sort(np.concatenate(simplices), axis=1)
-    # by vertex ids, then by listing: a simplex's first listing leads
+    # by vertex ids, then by cell and stratum: a simplex's lowest listing leads
     by = np.lexsort(np.vstack([listing[::-1], simplices.T[::-1]]))
     simplices, rank = simplices[by], listing[1][by]
     new = np.ones(len(simplices), dtype=bool)
     new[1:] = np.any(simplices[1:] != simplices[:-1], axis=1)
 
-    markers = sorted({(v, kind) for (r, _), kind in analyses.markers for v in vid[r].tolist()})
+    markers = sorted({(v, kind) for r, kind in analyses.markers for v in vid[r].tolist()})
     return ParetoComplex(
         positions=positions,
         u_values=problem.u_at(positions),
         lam=table.lam[src],
         sigma=sigma,
-        keys=ordered_keys,
         simplices=simplices[new],
         stratum=[STRATA[s] for s in rank[new].tolist()],
         markers=markers,

@@ -211,9 +211,9 @@ def hausdorff(a, b, density: int = DEFAULT_DENSITY, strata=None) -> DistanceRepo
     )
 
 
-def max_sample_spacing(obj, density: int = DEFAULT_DENSITY, strata=None) -> float:
+def max_sample_spacing(obj, density: int = DEFAULT_DENSITY) -> float:
     """Upper bound on the sup-side sampling resolution for ``hausdorff``."""
-    pos, simp = _as_point_set(obj, strata)
+    pos, simp = _as_point_set(obj)
     i, j = np.triu_indices(simp.shape[1], 1)
     D = (pos[simp[:, i]] - pos[simp[:, j]]).reshape(-1, pos.shape[1])
     # each edge length with the bits of np.linalg.norm on that edge (see

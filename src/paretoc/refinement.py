@@ -320,7 +320,14 @@ def iterate(
     budget: Optional[int] = None,
     reference: Optional[ParetoComplex] = None,
 ) -> RefinementState:
-    """One refinement step: candidates, spacing guard, insertion, re-analysis."""
+    """One refinement step: candidates, spacing guard, insertion, re-analysis.
+
+    ``budget`` caps the candidates offered to the spacing guard: None for no
+    cap, or an integer >= 1; any other value raises ``ValueError``.
+    """
+    whole = isinstance(budget, (int, np.integer)) and not isinstance(budget, bool)
+    if budget is not None and not (whole and budget >= 1):
+        raise ValueError(f"budget is {budget!r}, not None or an integer >= 1")
     problem = state.problem
     hosts = None
     if scheme == "polyline":

@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import numbers
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -748,14 +749,16 @@ def insert_nodes(tess: Tessellation, points: Iterable) -> Tessellation:
 
 
 def grid_nodes(box, counts) -> np.ndarray:
-    """Regular grid of nodes over a box, an (N, n) array; counts = nodes per
-    axis, C order."""
+    """Regular grid of nodes over a box, an (N, n) array, in C order;
+    ``counts`` holds the nodes per axis, each an integer >= 2: a fractional,
+    boolean or smaller count raises ``ValueError``."""
     box = np.asarray(box, dtype=float)
-    counts = [int(c) for c in counts]
+    counts = list(counts)
     if box.shape != (len(counts), 2):
         raise ValueError("box must be (n, 2) and match len(counts)")
-    if any(c < 2 for c in counts):
-        raise ValueError("need at least 2 nodes per axis")
+    for c in counts:
+        if isinstance(c, bool) or not isinstance(c, numbers.Integral) or c < 2:
+            raise ValueError(f"node count {c!r} is not an integer >= 2")
     axes = [np.linspace(lo, hi, c) for (lo, hi), c in zip(box, counts)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.column_stack([m.ravel(order="C") for m in mesh])
@@ -767,7 +770,8 @@ def kuhn_tessellation(box, counts) -> Tessellation:
     Every grid box is inscribed in its own circumsphere and no other grid node
     enters that sphere, so any consistent box split is Delaunay up to the
     cospherical tie; the Kuhn split picks the tie deterministically and is
-    consistent across shared faces.
+    consistent across shared faces.  ``counts`` is checked as
+    :func:`grid_nodes` checks it.
     """
     nodes = grid_nodes(box, counts)
     counts = [int(c) for c in counts]

@@ -49,6 +49,15 @@ def simplex_pairs(cx):
     return list(zip(map(tuple, cx.simplices.tolist()), cx.stratum))
 
 
+def vertex_keys(analyses):
+    """The key texts of the rows that the pieces of ``analyses`` list,
+    sorted: the vertices of the complex that glue makes of them, in vertex
+    order."""
+    keys = analyses.table.keys
+    return sorted({keys[r] for parts in analyses.strata.values() for p in parts
+                   for r in p.ring[p.slots()].tolist()})
+
+
 def brute_delaunay_violation(tess):
     """Worst 'inside-circumsphere' margin over every (cell, node) pair.
 

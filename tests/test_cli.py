@@ -181,8 +181,7 @@ def test_cli_plot_data_walks_branches(tmp_path, segs, walk):
     pos = np.array([[float(i), float(i * i)] for i in range(7)])
     cx = ParetoComplex(
         positions=pos, u_values=pos[:, ::-1].copy(), lam=np.full((7, 2), 0.5),
-        sigma=None, keys=[repr(("f", i)) for i in range(7)],
-        simplices=segs + [(5, 6)], stratum=["critical_unstable"] * (len(segs) + 1),
+        sigma=None, simplices=segs + [(5, 6)], stratum=["critical_unstable"] * (len(segs) + 1),
         markers=[],
     )
     path = tmp_path / "branched.json"
@@ -366,7 +365,7 @@ def test_cli_numerical_failure_exits_2(tmp_path, capsys):
 
     empty = ParetoComplex(
         positions=np.zeros((0, 2)), u_values=np.zeros((0, 2)),
-        lam=np.zeros((0, 2)), sigma=None, keys=[], simplices=[], stratum=[], markers=[],
+        lam=np.zeros((0, 2)), sigma=None, simplices=[], stratum=[], markers=[],
     )
     path = tmp_path / "empty.json"
     save_complex(path, empty)
@@ -401,7 +400,7 @@ def test_cli_plot_data_empty_complex(tmp_path, capsys):
 
     empty = ParetoComplex(
         positions=np.zeros((0, 2)), u_values=np.zeros((0, 2)),
-        lam=np.zeros((0, 2)), sigma=None, keys=[], simplices=[], stratum=[], markers=[],
+        lam=np.zeros((0, 2)), sigma=None, simplices=[], stratum=[], markers=[],
     )
     path = tmp_path / "empty.json"
     save_complex(path, empty)

@@ -44,7 +44,6 @@ def _complex(positions, u, lam, sigma, simplices=(), markers=(), name="p"):
         positions=positions, u_values=u,
         lam=np.asarray(lam, dtype=float),
         sigma=None if sigma is None else np.asarray(sigma, dtype=float),
-        keys=[repr(("f", i)) for i in range(len(positions))],
         simplices=[ids for ids, _ in simplices], stratum=[s for _, s in simplices],
         markers=list(markers), problem_name=name,
     )

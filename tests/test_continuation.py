@@ -2,13 +2,14 @@ import ast
 import dataclasses
 import itertools
 import logging
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from paretoc.constrained import analyze_constrained, icosphere
-from paretoc.complex_io import complex_from_dict, complex_to_dict
+from paretoc.complex_io import complex_from_dict, complex_to_dict, save_complex
 from paretoc.continuation import (
     Analyzer,
     CLIP_SNAP_REL,
@@ -34,8 +35,8 @@ from paretoc.problems import VectorProblem, registry_get, registry_names
 from paretoc.tessellation import Tessellation, build_delaunay, kuhn_tessellation
 
 import clip_oracle
-from conftest import simplex_pairs
-from test_golden import _paraboloid_problem, _xminusx_problem
+from conftest import simplex_pairs, vertex_keys
+from test_golden import _cross_mesh, _cross_problem, _kuhn, _paraboloid_problem, _xminusx_problem
 
 
 def _problem_with_jacobian(J, minor_columns=None):
@@ -278,8 +279,7 @@ def _clip_one(x, values):
     table = _table(x)
     V = len(table)
     piece = Pieces(np.zeros(1, dtype=np.intp), np.arange(V)[None])
-    kept, dropped, (boundary, _) = clip_polytope(table, piece, np.array([values], dtype=float),
-                                                 "clip")
+    kept, dropped, boundary = clip_polytope(table, piece, np.array([values], dtype=float), "clip")
     return table, kept, dropped, boundary.tolist()
 
 
@@ -409,10 +409,10 @@ def test_stage_wide_clip_matches_the_per_piece_rules(batch, stage):
         kept, dropped, boundary = clip_oracle.clip([piece], dict(zip(piece, vals[:size])), stage)
         want["kept"] += [(c, p) for p in kept]
         want["dropped"] += [(c, p) for p in dropped]
-        want["boundary"] += [(c, v.key) for v in boundary]
+        want["boundary"] += [v.key for v in boundary]
 
-    kept, dropped, (rows, cells) = clip_polytope(table, pieces, values, stage)
-    assert sorted(zip(cells.tolist(), (table.keys[r] for r in rows))) == sorted(want["boundary"])
+    kept, dropped, boundary = clip_polytope(table, pieces, values, stage)
+    assert sorted(table.keys[r] for r in boundary) == sorted(want["boundary"])
     for got, side in ((kept, want["kept"]), (dropped, want["dropped"])):
         assert len(got) == len(side)
         for c, ring, size, (want_c, piece) in zip(got.cell, got.ring, got.slots().sum(axis=1),
@@ -577,10 +577,11 @@ def test_glue_shared_vertex_merged_once_degree_two():
     pts = np.array([[1.2, 1.0], [1.9, 1.0], [1.9, 1.7], [1.2, 1.7]])
     tess = build_delaunay(pts)
     assert len(tess.cells) == 2
-    cx = analyze(p, tess, order=1)
+    analyses = Analyzer(p, tess, order=1).run_cells()
+    cx = glue(analyses, p, tess)
     shared = sorted(set(tess.cells[0]) & set(tess.cells[1]))
     diag_keys = [
-        i for i, k in enumerate(map(ast.literal_eval, cx.keys))
+        i for i, k in enumerate(map(ast.literal_eval, vertex_keys(analyses)))
         if k[0] == "f" and len(k) == 3 and sorted(k[1:]) == shared
     ]
     assert len(diag_keys) == 1
@@ -589,12 +590,12 @@ def test_glue_shared_vertex_merged_once_degree_two():
     assert degree == 2
 
 
-def _glued_pairs(analyses, keys):
+def _glued_pairs(analyses):
     """(vertex ids, stratum) of every simplex of the glued complex, from the
     analyses and sorted as glue's (ids, stratum, cell) triples once were: a
     segment piece is a simplex, a polygon is fanned from its lowest key, and
     the first cell that lists a simplex names its stratum."""
-    index_of = {k: i for i, k in enumerate(keys)}
+    index_of = {k: i for i, k in enumerate(vertex_keys(analyses))}
     first: dict = {}
     strata = {s: analyses.pieces(s) for s in STRATA}
     for c in range(len(analyses)):
@@ -615,7 +616,7 @@ def _glued(p, counts):
     an = Analyzer(p, tess)
     analyses = an.run_cells()
     cx = glue(analyses, p, tess)
-    return cx, _glued_pairs(analyses, cx.keys)
+    return cx, _glued_pairs(analyses)
 
 
 def _loaded_from_unsorted_file():
@@ -639,8 +640,7 @@ def _constructed():
     strata = [STRATUM_STABLE, STRATUM_UNSTABLE, STRATUM_STABLE, STRATUM_UNSTABLE,
               STRATUM_STABLE]
     cx = ParetoComplex(positions=pos, u_values=pos, lam=np.full((5, 2), 0.5),
-                       sigma=None, keys=[repr(("f", i)) for i in range(5)],
-                       simplices=segs, stratum=strata, markers=[])
+                       sigma=None, simplices=segs, stratum=strata, markers=[])
     return cx, sorted((tuple(sorted(s)), k) for s, k in zip(segs, strata))
 
 
@@ -667,6 +667,45 @@ def test_every_producer_gives_one_sorted_simplex_array(make):
     assert np.array_equal(again.simplices, S) and again.stratum == cx.stratum
 
 
+def _shuffle_pieces(analyses, rng):
+    """Put each stratum's pieces in a random order, split over two parts,
+    each ring rotated by a random step and reversed at random, and the
+    marker rows in a random order."""
+    for s in STRATA:
+        p = analyses.pieces(s)
+        ring = p.ring.copy()
+        for i, k in enumerate(p.slots().sum(axis=1).tolist()):
+            r = np.roll(ring[i, :k], rng.integers(k))
+            ring[i, :k] = r[::-1] if rng.integers(2) else r
+        order = rng.permutation(len(p))
+        cut = rng.integers(len(p) + 1)
+        shuffled = Pieces(p.cell, ring)
+        analyses.strata[s] = [shuffled.take(order[:cut]), shuffled.take(order[cut:])]
+    analyses.markers = [(rng.permutation(r), kind) for r, kind in analyses.markers[::-1]]
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _kuhn("tri_quadratic", [6, 6, 6]), id="tri_quadratic kuhn 6^3"),
+    pytest.param(lambda: (_cross_problem(), _cross_mesh()), id="cross_delaunay"),
+    pytest.param(lambda: (registry_get("noncv"), build_delaunay(np.random.default_rng(5).uniform(
+        [-4.5, -3.0], [8.0, 3.0], (600, 2)))), id="noncv delaunay"),
+])
+def test_glue_reads_no_order_of_pieces_or_rings(make, tmp_path):
+    # the complex file depends on which rows each cell's pieces list in
+    # each stratum, not on the order of the pieces, where a ring starts or
+    # which way it runs
+    p, tess = make()
+    analyses = Analyzer(p, tess).run_cells()
+    save_complex(tmp_path / "made.json", glue(analyses, p, tess))
+    made = (tmp_path / "made.json").read_bytes()
+    assert made.count(b'"stratum"') > 10
+    rng = np.random.default_rng(0)
+    for trial in range(3):
+        _shuffle_pieces(analyses, rng)
+        save_complex(tmp_path / f"shuffled{trial}.json", glue(analyses, p, tess))
+        assert (tmp_path / f"shuffled{trial}.json").read_bytes() == made
+
+
 def test_analyze_rejects_unsupported_m():
     p = VectorProblem(
         name="m4", n=5, m=4,
@@ -677,6 +716,16 @@ def test_analyze_rejects_unsupported_m():
     )
     with pytest.raises(UnsupportedObjectiveCount):
         analyze(p, kuhn_tessellation(p.domain_box, [2] * 5))
+
+
+@pytest.mark.parametrize("order", [0, 3, 7, -1, True, False, 1.5, None, "2"])
+def test_analyze_rejects_an_order_other_than_one_or_two(order):
+    p = registry_get("triv")
+    tess = kuhn_tessellation(p.domain_box, [5, 5])
+    with pytest.raises(ValueError, match=re.escape(f"order is {order!r}, not 1 or 2")):
+        analyze(p, tess, order=order)
+    with pytest.raises(ValueError, match=re.escape(f"order is {order!r}, not 1 or 2")):
+        Analyzer(p, tess, order=order)
 
 
 # ---------------------------------------------------------------------------

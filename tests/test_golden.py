@@ -177,7 +177,7 @@ def test_vertex_keys_are_their_tuple_text(case):
     # be exactly the repr of the key tuple it names
     _, _, _, analyses, _ = _run(case)
     rows = [p.ring[p.slots()] for p in map(analyses.pieces, STRATA)]
-    rows += [r for (r, _), _ in analyses.markers]
+    rows += [r for r, _ in analyses.markers]
     checked = 0
     for r in np.concatenate(rows).tolist():
         v = analyses.table.vertex(r)

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -34,7 +35,6 @@ def _polyline_complex(points, segs, stratum=STRATUM_STABLE, markers=()):
         u_values=np.zeros((len(points), 2)),
         lam=np.full((len(points), 2), 0.5),
         sigma=None,
-        keys=[repr(("f", i)) for i in range(len(points))],
         simplices=segs,
         stratum=[stratum] * len(segs),
         markers=list(markers),
@@ -95,7 +95,6 @@ def test_maximin_single_triangle_centroid():
     cx = ParetoComplex(
         positions=pos, u_values=np.zeros((3, 3)),
         lam=np.full((3, 3), 1 / 3), sigma=None,
-        keys=[repr(("f", i)) for i in range(3)],
         simplices=[(0, 1, 2)], stratum=[STRATUM_STABLE], markers=[],
     )
     pts = _maximin_fill_with_hosts(cx)[0]
@@ -294,6 +293,13 @@ def test_iterate_maximin_with_budget(triv_state):
     st = iterate(triv_state, scheme="maximin", budget=5)
     assert len(st.tess.nodes) <= len(triv_state.tess.nodes) + 5
     assert st.history[-1].nodes == len(st.tess.nodes)
+
+
+@pytest.mark.parametrize("budget", [-5, 0, True, 2.5, np.float64(3)])
+def test_iterate_rejects_a_budget_below_one_before_any_work(triv_state, budget, monkeypatch):
+    monkeypatch.setattr(refinement, "resample_polyline", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(ValueError, match=f"budget is {re.escape(repr(budget))}, not None"):
+        iterate(triv_state, scheme="polyline", budget=budget)
 
 
 def test_iterate_budget_without_minor_windows(tmp_path):

@@ -369,7 +369,7 @@ def test_sigma_is_one_stacked_call_over_the_reached_vertices(monkeypatch, caplog
         assert sum("kernel dimension" in r.getMessage() for r in caplog.records) == 1
         seen = [p.ring[p.slots()] for p in map(analyses.pieces, STRATA)]
         seen += [analyses.rows[analyses.count >= p.m].ravel()]
-        seen += [r for (r, _), _ in analyses.markers]
+        seen += [r for r, _ in analyses.markers]
         seen = set(np.concatenate(seen).tolist()) - {-1}
         with_sigma = [r for r in seen if table.vertex(r).sigma is not None]
         assert with_sigma

@@ -187,6 +187,21 @@ def test_grid_nodes_order_and_ids():
     assert np.allclose(ns[3], [1.0, 0.0])
 
 
+@pytest.mark.parametrize("counts", [[3.7, 3], [3, 3.0], [True, 3], [3, 1], [np.float64(4), 3]])
+def test_grid_counts_must_be_integers_of_two_or_more(counts):
+    # a fractional count is not truncated, a bool is not a count
+    bad = next(c for c in counts if isinstance(c, (bool, float)) or c < 2)
+    for build in (grid_nodes, kuhn_tessellation):
+        with pytest.raises(ValueError, match=re.escape(f"node count {bad!r} ")):
+            build([[0.0, 1.0], [0.0, 1.0]], counts)
+
+
+def test_grid_counts_take_numpy_integers():
+    counts = np.array([3, 4])
+    assert kuhn_tessellation([[0.0, 1.0], [0.0, 1.0]], counts).cells.shape == (2 * 2 * 3, 3)
+    assert grid_nodes([[0.0, 1.0], [0.0, 1.0]], list(counts)).shape == (12, 2)
+
+
 def test_kuhn_consistent_across_faces():
     t = kuhn_tessellation([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]], [3, 3, 3])
     assert len(t.cells) == 8 * 6
