@@ -18,13 +18,20 @@ rule depends on the ids, not on the order of insertion, so the complex is a
 function of the ids and the coordinates, and bulk construction is free to
 insert along a space-filling curve.
 
-The orientation and in-sphere predicates return exact signs for the given
-coordinates, which are kept as lists of Python floats.  In 2-D and 3-D each
-is a closed-form expansion, accepted when its value exceeds the static forward
-error bound of Shewchuk 1997, "Adaptive Precision Floating-Point Arithmetic
-and Fast Robust Geometric Predicates": (3+16e)e for orient2d, (7+56e)e for
-orient3d, (10+96e)e for incircle and (16+224e)e for insphere, times the
-permanent of the expansion's terms, with e = 2^-53.  In other dimensions the
+The orientation and in-sphere predicates take node ids and return exact signs
+for the given coordinates, which are kept per axis, as lists of Python
+floats.  In 2-D and 3-D each is a closed-form expansion, filtered twice.
+First a semi-static bound (Devillers and Pion 2003, "Efficient exact geometric
+predicates for Delaunay triangulations"): the static forward error bound of
+Shewchuk 1997, "Adaptive Precision Floating-Point Arithmetic and Fast Robust
+Geometric Predicates", times the permanent of the expansion's terms, with
+each coordinate difference replaced by its axis extent over the nodes.  A
+difference of two nodes' coordinates rounds to at most its axis's rounded
+extent, and rounding is monotone, so the bound is at least each test's own;
+it is recomputed when ``insert_nodes`` appends a batch.  A sign it accepts is
+thus the one the dynamic filter gives: the same bound on the test's own
+permanent, (3+16e)e for orient2d, (7+56e)e for orient3d, (10+96e)e for
+incircle and (16+224e)e for insphere, with e = 2^-53.  In other dimensions the
 filter is Gaussian elimination in floats, accepted when the determinant
 clears the elimination's backward error bound.  Inside a bound an exact
 ``fractions.Fraction`` determinant of the same doubles gives the sign.
@@ -43,10 +50,25 @@ in the facet's circumsphere; so no insertion makes a flat cell.
 Point location uses the same signs.  A visibility walk starts at the last cell
 made and steps through a facet that separates the current cell from the new
 point, until it reaches a cell in conflict with the point; that cell seeds the
-cavity.  In a Delaunay complex the walk visits no cell twice (Edelsbrunner
+cavity, whose search does not test again the cells the walk found not in
+conflict.  In a Delaunay complex the walk visits no cell twice (Edelsbrunner
 1990, the acyclicity theorem; Devillers, Pion and Teillaud 2002, "Walking in a
 triangulation"), so it ends within as many steps as there are cells.  Only a
 flat cell can stop it short, and it then raises ``DegenerateInput``.
+
+The padded complex keeps each cell as a list of node ids and, beside it, a
+list of its neighbours: ``nbrs[cid][j]`` is the cell across the facet opposite
+slot j.  Every finite cell is stored positively oriented (orient of its ids in
+slot order is +1).  An infinite cell keeps INF in slot 0, and its facet is
+ordered so that INF stands for a point beyond the hull: put a point strictly
+outside the facet in slot 0 and the cell is positive.  So the padded complex
+is consistently oriented, and a new cell, which is a conflict cell with the
+vertex of one slot replaced by the new point, needs no sort and keeps its
+orientation.  On the line the two infinite cells have one finite vertex each
+and cannot be reordered, so the one at the right end is stored negative; its
+conflict sign is flipped, and the finite cell made from it has its two slots
+swapped.  The new cells' other slots are glued through a dict of the ridges
+they share, local to one insertion.
 
 :class:`Tessellation` is the one mesh type of the package: the builders here
 return one, and a mesh of a manifold (see :mod:`paretoc.constrained`) is one
@@ -184,90 +206,6 @@ def _decide(det: float, bound: float):
     return None
 
 
-def _orient2(a, b, c):
-    """Filtered sign of det[b - a, c - a] (Shewchuk's orient2d(a, b, c))."""
-    (ax, ay), (bx, by), (cx, cy) = a, b, c
-    left = (ax - cx) * (by - cy)
-    right = (ay - cy) * (bx - cx)
-    return _decide(left - right, _ORIENT2_BOUND * (abs(left) + abs(right)))
-
-
-def _orient3(a, b, c, d):
-    """Filtered sign of det[b - a, c - a, d - a], which is minus Shewchuk's
-    orient3d(a, b, c, d) = det[a - d, b - d, c - d]."""
-    (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz) = a, b, c, d
-    adx, bdx, cdx = ax - dx, bx - dx, cx - dx
-    ady, bdy, cdy = ay - dy, by - dy, cy - dy
-    adz, bdz, cdz = az - dz, bz - dz, cz - dz
-    bdxcdy, cdxbdy = bdx * cdy, cdx * bdy
-    cdxady, adxcdy = cdx * ady, adx * cdy
-    adxbdy, bdxady = adx * bdy, bdx * ady
-    det = adz * (bdxcdy - cdxbdy) + bdz * (cdxady - adxcdy) + cdz * (adxbdy - bdxady)
-    permanent = ((abs(bdxcdy) + abs(cdxbdy)) * abs(adz)
-                 + (abs(cdxady) + abs(adxcdy)) * abs(bdz)
-                 + (abs(adxbdy) + abs(bdxady)) * abs(cdz))
-    return _decide(-det, _ORIENT3_BOUND * permanent)
-
-
-def _incircle(a, b, c, p):
-    """Filtered sign of the lifted det[q - p, |q - p|^2] over q = a, b, c
-    (Shewchuk's incircle(a, b, c, p))."""
-    (ax, ay), (bx, by), (cx, cy), (px, py) = a, b, c, p
-    adx, bdx, cdx = ax - px, bx - px, cx - px
-    ady, bdy, cdy = ay - py, by - py, cy - py
-    bdxcdy, cdxbdy = bdx * cdy, cdx * bdy
-    cdxady, adxcdy = cdx * ady, adx * cdy
-    adxbdy, bdxady = adx * bdy, bdx * ady
-    alift = adx * adx + ady * ady
-    blift = bdx * bdx + bdy * bdy
-    clift = cdx * cdx + cdy * cdy
-    det = (alift * (bdxcdy - cdxbdy) + blift * (cdxady - adxcdy)
-           + clift * (adxbdy - bdxady))
-    permanent = ((abs(bdxcdy) + abs(cdxbdy)) * alift
-                 + (abs(cdxady) + abs(adxcdy)) * blift
-                 + (abs(adxbdy) + abs(bdxady)) * clift)
-    return _decide(det, _INCIRCLE_BOUND * permanent)
-
-
-def _insphere(a, b, c, d, p):
-    """Filtered sign of the lifted det[q - p, |q - p|^2] over q = a, b, c, d
-    (Shewchuk's insphere(a, b, c, d, p))."""
-    (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz), (px, py, pz) = a, b, c, d, p
-    aex, bex, cex, dex = ax - px, bx - px, cx - px, dx - px
-    aey, bey, cey, dey = ay - py, by - py, cy - py, dy - py
-    aez, bez, cez, dez = az - pz, bz - pz, cz - pz, dz - pz
-    aexbey, bexaey = aex * bey, bex * aey
-    bexcey, cexbey = bex * cey, cex * bey
-    cexdey, dexcey = cex * dey, dex * cey
-    dexaey, aexdey = dex * aey, aex * dey
-    aexcey, cexaey = aex * cey, cex * aey
-    bexdey, dexbey = bex * dey, dex * bey
-    ab, bc, cd, da = aexbey - bexaey, bexcey - cexbey, cexdey - dexcey, dexaey - aexdey
-    ac, bd = aexcey - cexaey, bexdey - dexbey
-    abc = aez * bc - bez * ac + cez * ab
-    bcd = bez * cd - cez * bd + dez * bc
-    cda = cez * da + dez * ac + aez * cd
-    dab = dez * ab + aez * bd + bez * da
-    alift = aex * aex + aey * aey + aez * aez
-    blift = bex * bex + bey * bey + bez * bez
-    clift = cex * cex + cey * cey + cez * cez
-    dlift = dex * dex + dey * dey + dez * dez
-    det = (dlift * abc - clift * dab) + (blift * cda - alift * bcd)
-    aez, bez, cez, dez = abs(aez), abs(bez), abs(cez), abs(dez)
-    aexbey, bexaey, bexcey, cexbey = abs(aexbey), abs(bexaey), abs(bexcey), abs(cexbey)
-    cexdey, dexcey, dexaey, aexdey = abs(cexdey), abs(dexcey), abs(dexaey), abs(aexdey)
-    aexcey, cexaey, bexdey, dexbey = abs(aexcey), abs(cexaey), abs(bexdey), abs(dexbey)
-    permanent = (((cexdey + dexcey) * bez + (dexbey + bexdey) * cez
-                  + (bexcey + cexbey) * dez) * alift
-                 + ((dexaey + aexdey) * cez + (aexcey + cexaey) * dez
-                    + (cexdey + dexcey) * aez) * blift
-                 + ((aexbey + bexaey) * dez + (bexdey + dexbey) * aez
-                    + (dexaey + aexdey) * bez) * clift
-                 + ((bexcey + cexbey) * aez + (cexaey + aexcey) * bez
-                    + (aexbey + bexaey) * cez) * dlift)
-    return _decide(det, _INSPHERE_BOUND * permanent)
-
-
 def _elimination_sign(a: list):
     """Sign of det(a) by Gaussian elimination with partial pivoting in floats,
     or None when the error bound cannot exclude zero.
@@ -324,14 +262,6 @@ def _insphere_matrix(q, p, num) -> list:
     return rows
 
 
-def _orient_elim(*q):
-    return _elimination_sign(_orient_matrix(q, float))
-
-
-def _insphere_elim(*points):
-    return _elimination_sign(_insphere_matrix(points[:-1], points[-1], float))
-
-
 def _det_sign(rows: list) -> int:
     """Sign of the determinant of a square matrix of Fractions, by exact
     Gaussian elimination.  The rows are consumed."""
@@ -375,36 +305,227 @@ def _symbolic_insphere(q, p, ids) -> int:
 
 
 class Predicates:
-    """Sign-valued orientation and in-sphere tests on points as float sequences.
+    """Exact orientation and in-sphere signs on node ids.
 
-    ``orient(q)`` is the sign of det[q1 - q0, ..., qn - q0] over n+1 points;
-    ``insphere(q, p)`` is the sign of the lifted det[qi - p, |qi - p|^2].
-    Both are the exact signs for the given doubles.  In 2-D and 3-D a closed
-    form decides them when its value exceeds a static forward error bound, in
-    other dimensions Gaussian elimination in floats with an a posteriori
-    bound (see _elimination_sign); inside the bound an exact rational
-    determinant of the same doubles decides.  ``exact`` counts the signs the
-    exact path gave.
+    The nodes' coordinates are kept per axis, as lists of Python floats that
+    node ids index; ``extend`` appends rows.  ``orient_ids(q)`` is the sign
+    of det[q1 - q0, ..., qn - q0] over n+1 ids, ``insphere_ids(q, p)`` that
+    of the lifted det[qi - p, |qi - p|^2].  Both are the exact signs for the
+    given doubles: a float filter decides first (here Gaussian elimination;
+    in 2-D and 3-D the closed forms of ``_predicates``), and inside its
+    bound an exact rational determinant of the same doubles.  ``exact``
+    counts the signs the exact path gave, and ``misses`` the tests that no
+    semi-static bound decided (every test of the elimination filter).
+
+    ``orient(q)`` and ``insphere(q, p)`` give the same signs, by the same
+    filters, on points given as coordinates and taken as the only nodes.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, rows=()):
+        self.n = n
+        self.axes: list[list] = [[] for _ in range(n)]
         self.exact = 0
-        self._orient = {2: _orient2, 3: _orient3}.get(n, _orient_elim)
-        self._insphere = {2: _incircle, 3: _insphere}.get(n, _insphere_elim)
+        self.misses = 0
+        self.extend(rows)
+
+    def extend(self, rows) -> None:
+        """Append nodes, one row of n floats each, and recompute the
+        semi-static bounds."""
+        for axis, column in zip(self.axes, zip(*rows)):
+            axis.extend(column)
+        if self.axes[0]:
+            self._bound()
+
+    def _bound(self) -> None:
+        """No semi-static bound outside 2-D and 3-D."""
+
+    def _extents(self) -> list:
+        return [max(axis) - min(axis) for axis in self.axes]
+
+    def points(self, ids) -> list:
+        axes = self.axes
+        return [[axis[i] for axis in axes] for i in ids]
+
+    def orient_ids(self, q) -> int:
+        self.misses += 1
+        return (_elimination_sign(_orient_matrix(self.points(q), float))
+                or self._exact_orient(q))
+
+    def insphere_ids(self, q, p: int) -> int:
+        self.misses += 1
+        *rows, p_row = self.points([*q, p])
+        return (_elimination_sign(_insphere_matrix(rows, p_row, float))
+                or self._exact_insphere(q, p))
+
+    def _exact_orient(self, q) -> int:
+        self.exact += 1
+        return _det_sign(_orient_matrix(self.points(q), Fraction))
+
+    def _exact_insphere(self, q, p: int) -> int:
+        self.exact += 1
+        *rows, p_row = self.points([*q, p])
+        return _det_sign(_insphere_matrix(rows, p_row, Fraction))
 
     def orient(self, q: Sequence[Sequence[float]]) -> int:
-        s = self._orient(*q)
-        if s is None:
-            self.exact += 1
-            s = _det_sign(_orient_matrix(q, Fraction))
+        alone = _predicates(self.n, q)
+        s = alone.orient_ids(range(len(q)))
+        self.exact += alone.exact
         return s
 
     def insphere(self, q: Sequence[Sequence[float]], p: Sequence[float]) -> int:
-        s = self._insphere(*q, p)
-        if s is None:
-            self.exact += 1
-            s = _det_sign(_insphere_matrix(q, p, Fraction))
+        alone = _predicates(self.n, [*q, p])
+        s = alone.insphere_ids(range(len(q)), len(q))
+        self.exact += alone.exact
         return s
+
+
+class _Planar(Predicates):
+    """The 2-D closed forms, filtered first by the semi-static bounds of the
+    module docstring, ``orient_bound`` and ``insphere_bound``, then by
+    Shewchuk's dynamic ones.  The determinant is the same float expression
+    on either path."""
+
+    def _bound(self) -> None:
+        X, Y = self._extents()
+        T = X * Y + X * Y        # bounds |bdx cdy| + |cdx bdy| and the like
+        L = X * X + Y * Y        # bounds a lift
+        self.orient_bound = _ORIENT2_BOUND * T
+        self.insphere_bound = _INCIRCLE_BOUND * (T * L + T * L + T * L)
+
+    def orient_ids(self, q) -> int:
+        """det[b - a, c - a] over q = (a, b, c): Shewchuk's orient2d(a, b, c)."""
+        a, b, c = q
+        X, Y = self.axes
+        cx, cy = X[c], Y[c]
+        left = (X[a] - cx) * (Y[b] - cy)
+        right = (Y[a] - cy) * (X[b] - cx)
+        det = left - right
+        bound = self.orient_bound
+        if det > bound:
+            return 1
+        if -det > bound:
+            return -1
+        self.misses += 1
+        return (_decide(det, _ORIENT2_BOUND * (abs(left) + abs(right)))
+                or self._exact_orient(q))
+
+    def insphere_ids(self, q, p: int) -> int:
+        """The lifted det[r - p, |r - p|^2] over r in q = (a, b, c):
+        Shewchuk's incircle(a, b, c, p)."""
+        a, b, c = q
+        X, Y = self.axes
+        px, py = X[p], Y[p]
+        adx, bdx, cdx = X[a] - px, X[b] - px, X[c] - px
+        ady, bdy, cdy = Y[a] - py, Y[b] - py, Y[c] - py
+        bdxcdy, cdxbdy = bdx * cdy, cdx * bdy
+        cdxady, adxcdy = cdx * ady, adx * cdy
+        adxbdy, bdxady = adx * bdy, bdx * ady
+        alift = adx * adx + ady * ady
+        blift = bdx * bdx + bdy * bdy
+        clift = cdx * cdx + cdy * cdy
+        det = (alift * (bdxcdy - cdxbdy) + blift * (cdxady - adxcdy)
+               + clift * (adxbdy - bdxady))
+        bound = self.insphere_bound
+        if det > bound:
+            return 1
+        if -det > bound:
+            return -1
+        self.misses += 1
+        permanent = ((abs(bdxcdy) + abs(cdxbdy)) * alift
+                     + (abs(cdxady) + abs(adxcdy)) * blift
+                     + (abs(adxbdy) + abs(bdxady)) * clift)
+        return (_decide(det, _INCIRCLE_BOUND * permanent)
+                or self._exact_insphere(q, p))
+
+
+class _Spatial(Predicates):
+    """The 3-D closed forms, filtered as in ``_Planar``."""
+
+    def _bound(self) -> None:
+        X, Y, Z = self._extents()
+        T = X * Y + X * Y
+        U = T * Z + T * Z + T * Z   # bounds a 2x2 minor's terms times a z
+        L = X * X + Y * Y + Z * Z
+        self.orient_bound = _ORIENT3_BOUND * U
+        self.insphere_bound = _INSPHERE_BOUND * (U * L + U * L + U * L + U * L)
+
+    def orient_ids(self, q) -> int:
+        """det[b - a, c - a, d - a] over q = (a, b, c, d), which is minus
+        Shewchuk's orient3d(a, b, c, d) = det[a - d, b - d, c - d]."""
+        a, b, c, d = q
+        X, Y, Z = self.axes
+        dx, dy, dz = X[d], Y[d], Z[d]
+        adx, bdx, cdx = X[a] - dx, X[b] - dx, X[c] - dx
+        ady, bdy, cdy = Y[a] - dy, Y[b] - dy, Y[c] - dy
+        adz, bdz, cdz = Z[a] - dz, Z[b] - dz, Z[c] - dz
+        bdxcdy, cdxbdy = bdx * cdy, cdx * bdy
+        cdxady, adxcdy = cdx * ady, adx * cdy
+        adxbdy, bdxady = adx * bdy, bdx * ady
+        det = adz * (bdxcdy - cdxbdy) + bdz * (cdxady - adxcdy) + cdz * (adxbdy - bdxady)
+        bound = self.orient_bound
+        if det > bound:
+            return -1
+        if -det > bound:
+            return 1
+        self.misses += 1
+        permanent = ((abs(bdxcdy) + abs(cdxbdy)) * abs(adz)
+                     + (abs(cdxady) + abs(adxcdy)) * abs(bdz)
+                     + (abs(adxbdy) + abs(bdxady)) * abs(cdz))
+        return (_decide(-det, _ORIENT3_BOUND * permanent)
+                or self._exact_orient(q))
+
+    def insphere_ids(self, q, p: int) -> int:
+        """The lifted det[r - p, |r - p|^2] over r in q = (a, b, c, d):
+        Shewchuk's insphere(a, b, c, d, p)."""
+        a, b, c, d = q
+        X, Y, Z = self.axes
+        px, py, pz = X[p], Y[p], Z[p]
+        aex, bex, cex, dex = X[a] - px, X[b] - px, X[c] - px, X[d] - px
+        aey, bey, cey, dey = Y[a] - py, Y[b] - py, Y[c] - py, Y[d] - py
+        aez, bez, cez, dez = Z[a] - pz, Z[b] - pz, Z[c] - pz, Z[d] - pz
+        aexbey, bexaey = aex * bey, bex * aey
+        bexcey, cexbey = bex * cey, cex * bey
+        cexdey, dexcey = cex * dey, dex * cey
+        dexaey, aexdey = dex * aey, aex * dey
+        aexcey, cexaey = aex * cey, cex * aey
+        bexdey, dexbey = bex * dey, dex * bey
+        ab, bc, cd, da = aexbey - bexaey, bexcey - cexbey, cexdey - dexcey, dexaey - aexdey
+        ac, bd = aexcey - cexaey, bexdey - dexbey
+        abc = aez * bc - bez * ac + cez * ab
+        bcd = bez * cd - cez * bd + dez * bc
+        cda = cez * da + dez * ac + aez * cd
+        dab = dez * ab + aez * bd + bez * da
+        alift = aex * aex + aey * aey + aez * aez
+        blift = bex * bex + bey * bey + bez * bez
+        clift = cex * cex + cey * cey + cez * cez
+        dlift = dex * dex + dey * dey + dez * dez
+        det = (dlift * abc - clift * dab) + (blift * cda - alift * bcd)
+        bound = self.insphere_bound
+        if det > bound:
+            return 1
+        if -det > bound:
+            return -1
+        self.misses += 1
+        aez, bez, cez, dez = abs(aez), abs(bez), abs(cez), abs(dez)
+        aexbey, bexaey, bexcey, cexbey = abs(aexbey), abs(bexaey), abs(bexcey), abs(cexbey)
+        cexdey, dexcey, dexaey, aexdey = abs(cexdey), abs(dexcey), abs(dexaey), abs(aexdey)
+        aexcey, cexaey, bexdey, dexbey = abs(aexcey), abs(cexaey), abs(bexdey), abs(dexbey)
+        permanent = (((cexdey + dexcey) * bez + (dexbey + bexdey) * cez
+                      + (bexcey + cexbey) * dez) * alift
+                     + ((dexaey + aexdey) * cez + (aexcey + cexaey) * dez
+                        + (cexdey + dexcey) * aez) * blift
+                     + ((aexbey + bexaey) * dez + (bexdey + dexbey) * aez
+                        + (dexaey + aexdey) * bez) * clift
+                     + ((bexcey + cexbey) * aez + (cexaey + aexcey) * bez
+                        + (aexbey + bexaey) * cez) * dlift)
+        return (_decide(det, _INSPHERE_BOUND * permanent)
+                or self._exact_insphere(q, p))
+
+
+def _predicates(n: int, rows=()) -> Predicates:
+    """The predicates of R^n on the nodes ``rows``: closed forms in 2-D and
+    3-D, elimination in other dimensions."""
+    return {2: _Planar, 3: _Spatial}.get(n, Predicates)(n, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +537,13 @@ class _Padded:
     """Mutable padded complex: finite cells plus one infinite cell per hull facet.
 
     Built from the whole (N, n) node array and the finite cells of a
-    tessellation of some of its nodes, each cell's ids ascending; the
-    constructor adds one infinite cell per hull facet.  The other nodes are
-    listed but not read until they are inserted, so a node's id is its row
-    in ``nodes`` throughout; ``insert_nodes`` appends the rows of a batch to
-    ``coords`` when it carries the complex on.
+    tessellation of some of its nodes; the constructor orients them and adds
+    one infinite cell per hull facet.  ``cells[cid]`` lists a cell's node
+    ids, oriented as the module docstring says, and ``nbrs[cid][j]`` is the
+    cell across the facet opposite slot j.  The other nodes are listed but
+    not read until they are inserted, so a node's id is its row in ``nodes``
+    throughout; ``insert_nodes`` appends the rows of a batch to ``pred``
+    when it carries the complex on.
     """
 
     def __init__(self, nodes: np.ndarray, cells):
@@ -429,150 +552,181 @@ class _Padded:
         if len(cells) == 0 or cells.shape[1] != n + 1:
             raise ValueError(f"Bowyer-Watson insertion in R^{n} needs one or more cells "
                              f"of {n + 1} nodes, not cells of shape {cells.shape}")
-        self.coords: list[list] = nodes.tolist()    # the predicates' input
-        self.cells: dict[int, tuple] = {}
-        self.facets: dict[tuple, list] = {}
-        self.sense: dict[int, int] = {}   # cell -> orientation sign, see _orientation
-        self.pred = Predicates(n)
+        self.pred = _predicates(n, nodes.tolist())
+        self.cells: dict[int, list] = {}
+        self.nbrs: dict[int, list] = {}
         self._parity = -1 if n % 2 else 1   # the lifted determinant's sign flip
         self._next_cell = 0
         self._hint = None
+        # per slot j of pid in a new cell: each other slot i, with the slots of
+        # the ridge that the facet opposite i shares with another new cell
+        self._ridge_slots = [[(i, tuple(k for k in range(n + 1) if k not in (i, j)))
+                              for i in range(n + 1) if i != j] for j in range(n + 1)]
+        # (cell, slot) of each facet seen once, keyed by its sorted node ids
+        unpaired: dict[tuple, tuple] = {}
         for cell in cells.tolist():
-            self._add_cell(tuple(cell))
-        for facet, cs in list(self.facets.items()):
-            if len(cs) == 1:
-                self._add_cell((INF,) + facet)
+            s = self.pred.orient_ids(cell)
+            if s == 0:
+                raise DegenerateInput(f"cell {tuple(cell)} is flat")
+            if s < 0:
+                cell[0], cell[1] = cell[1], cell[0]
+            self._add_glued(cell, unpaired)
+        for cid, j in list(unpaired.values()):
+            # the cell with INF in slot j, then moved to slot 0 by an odd
+            # permutation, which orients it against its finite neighbour
+            cell = list(self.cells[cid])
+            cell[j] = INF
+            if j:
+                cell[0], cell[j] = cell[j], cell[0]
+            elif n > 1:
+                cell[1], cell[2] = cell[2], cell[1]
+            self._add_glued(cell, unpaired)
 
-    # -- construction ------------------------------------------------------
-
-    def _add_cell(self, cell: tuple) -> int:
+    def _add_glued(self, cell: list, unpaired: dict) -> None:
         cid = self._next_cell
         self._next_cell += 1
         self.cells[cid] = cell
-        for facet in itertools.combinations(cell, self.n):
-            self.facets.setdefault(facet, []).append(cid)
+        self.nbrs[cid] = link = [None] * (self.n + 1)
+        for j in range(self.n + 1):
+            key = tuple(sorted(cell[:j] + cell[j + 1:]))
+            other = unpaired.pop(key, None)
+            if other is None:
+                unpaired[key] = (cid, j)
+            else:
+                link[j] = other[0]
+                self.nbrs[other[0]][other[1]] = cid
         self._hint = cid
-        return cid
-
-    def _remove_cell(self, cid: int) -> None:
-        cell = self.cells.pop(cid)
-        self.sense.pop(cid, None)
-        for facet in itertools.combinations(cell, self.n):
-            lst = self.facets[facet]
-            lst.remove(cid)
-            if not lst:
-                del self.facets[facet]
-
-    def _neighbor(self, cid: int, facet: tuple):
-        for other in self.facets.get(facet, ()):
-            if other != cid:
-                return other
-        return None
 
     # -- predicates --------------------------------------------------------
 
-    def _orientation(self, cid: int) -> int:
-        """Orientation sign of a finite cell; for an infinite cell, the sign
-        of its hull facet with the apex of its finite neighbour.  Computed
-        once per cell: an infinite cell survives an insertion with its finite
-        neighbour, or with the new point as the apex of a new neighbour when
-        the point lies strictly on that side."""
-        s = self.sense.get(cid)
-        if s is None:
-            cell = self.cells[cid]
-            if cell[0] == INF:
-                facet = cell[1:]
-                finite = self.cells[self._neighbor(cid, facet)]
-                cell = facet + (next(v for v in finite if v not in facet),)
-            coords = self.coords
-            s = self.sense[cid] = self.pred.orient([coords[i] for i in cell])
-        return s
-
     def _in_conflict(self, cid: int, pid: int) -> bool:
         cell = self.cells[cid]
-        coords = self.coords
         if cell[0] == INF:
-            s_p = self.pred.orient([coords[i] for i in cell[1:]] + [coords[pid]])
-            if s_p == 0:  # on the hull plane: as the facet's finite cell
-                return self._in_conflict(self._neighbor(cid, cell[1:]), pid)
-            return s_p * self._orientation(cid) < 0
-        q, p = [coords[i] for i in cell], coords[pid]
-        s = self.pred.insphere(q, p) or _symbolic_insphere(q, p, cell + (pid,))
-        return self._orientation(cid) * self._parity * s > 0
+            s = self.pred.orient_ids([pid] + cell[1:])
+            if s == 0:  # on the hull plane: as the facet's finite cell
+                return self._in_conflict(self.nbrs[cid][0], pid)
+            if self.n == 1 and self.cells[self.nbrs[cid][0]][1] == cell[1]:
+                s = -s   # the right end, stored negative (module docstring)
+            return s > 0
+        pred = self.pred
+        s = pred.insphere_ids(cell, pid)
+        if s == 0:
+            s = _symbolic_insphere(pred.points(cell), pred.points((pid,))[0], cell + [pid])
+        return self._parity * s > 0
 
     # -- point location -----------------------------------------------------
 
-    def _locate_conflict(self, pid: int) -> int:
+    def _locate_conflict(self, pid: int, known: dict) -> int:
         """A cell in conflict with point pid, by the visibility walk of the
-        module docstring.
+        module docstring; ``known`` records the cells found not in conflict.
 
         A finite cell steps through its first facet that separates it from
         the point; an infinite cell entered that way is in conflict.  A point
         in a closed non-flat cell, not one of its vertices, is strictly inside
         the circumsphere, so only a flat cell finds no facet to step through.
         """
-        coords = self.coords
-        p = coords[pid]
-        cid = self._hint if self._hint in self.cells else next(iter(self.cells))
-        for _ in range(len(self.cells)):
+        cells, nbrs = self.cells, self.nbrs
+        orient = self.pred.orient_ids
+        cid = self._hint if self._hint in cells else next(iter(cells))
+        for _ in range(len(cells)):
             if self._in_conflict(cid, pid):
                 return cid
-            cell = self.cells[cid]
+            known[cid] = False
+            cell = cells[cid]
             if cell[0] == INF:
                 # non-conflict infinite cell: step back inside the hull
-                cid = self._neighbor(cid, cell[1:])
+                cid = nbrs[cid][0]
                 continue
-            s = self._orientation(cid)
-            q = [coords[i] for i in cell]
-            j = next((j for j in range(len(q))
-                      if s * self.pred.orient(q[:j] + [p] + q[j + 1:]) < 0), None)
-            if j is None:
+            for j in range(len(cell)):
+                q = list(cell)
+                q[j] = pid
+                if orient(q) < 0:
+                    cid = nbrs[cid][j]
+                    break
+            else:
                 break
-            cid = self._neighbor(cid, cell[:j] + cell[j + 1:])
         raise DegenerateInput("point location found no conflict cell")
 
     # -- insertion -----------------------------------------------------------
 
     def insert(self, pid: int) -> None:
-        start = self._locate_conflict(pid)
-        conflict = {start}
+        """Insert node pid: remove the cells in conflict with it and star
+        the cavity's boundary from it.  A new cell is a conflict cell with
+        the vertex of a boundary facet's slot replaced by pid, so it keeps
+        that cell's orientation; its other slots are glued by the ridges they
+        share, all of which meet pid."""
+        cells, nbrs, n = self.cells, self.nbrs, self.n
+        known: dict[int, bool] = {}   # cid -> in conflict with pid
+        start = self._locate_conflict(pid, known)
+        known[start] = True
         stack = [start]
-        boundary: list[tuple] = []
+        cavity = []
+        boundary = []   # (conflict cell, slot, the cell across that facet)
         while stack:
             cid = stack.pop()
-            cell = self.cells[cid]
-            for facet in itertools.combinations(cell, self.n):
-                other = self._neighbor(cid, facet)
-                if other is None or other in conflict:
-                    continue
-                if self._in_conflict(other, pid):
-                    conflict.add(other)
-                    stack.append(other)
+            cavity.append(cid)
+            for j, other in enumerate(nbrs[cid]):
+                hit = known.get(other)
+                if hit is None:
+                    hit = known[other] = self._in_conflict(other, pid)
+                    if hit:
+                        stack.append(other)
+                if not hit:
+                    boundary.append((cid, j, other))
+        # ridge -> (new cell, slot); a ridge is keyed by its sorted ids, or in
+        # 2-D by its one id, which spares a sort per key
+        ridges: dict = {}
+        ridge_slots = self._ridge_slots
+        single = n == 2
+        orient = self.pred.orient_ids
+        flat = False
+        for cid, j, other in boundary:
+            cell = cells[cid].copy()
+            cell[j] = pid
+            link = [None] * (n + 1)
+            link[j] = other
+            if cell[0] != INF:
+                s = orient(cell)   # 0 only if the module docstring's argument fails
+                flat |= s == 0
+                if s < 0:   # on the line, made from the right end (module docstring)
+                    cell.reverse()
+                    link.reverse()
+                    j = 1 - j
+            new = self._next_cell
+            self._next_cell += 1
+            cells[new] = cell
+            nbrs[new] = link
+            back = nbrs[other]
+            back[back.index(cid)] = new
+            for i, slots in ridge_slots[j]:
+                key = cell[slots[0]] if single else tuple(sorted([cell[k] for k in slots]))
+                mate = ridges.pop(key, None)
+                if mate is None:
+                    ridges[key] = (new, i)
                 else:
-                    boundary.append(facet)
-        for cid in conflict:
-            self._remove_cell(cid)
-        degenerate = False
-        for facet in boundary:
-            cell = tuple(sorted(facet + (pid,)))
-            cid = self._add_cell(cell)
-            if cell[0] != INF and self._orientation(cid) == 0:
-                degenerate = True
-        if degenerate:
+                    link[i] = mate[0]
+                    nbrs[mate[0]][mate[1]] = new
+        for cid in cavity:
+            del cells[cid], nbrs[cid]
+        self._hint = new
+        if flat:
             raise DegenerateInput("cavity retriangulation produced a flat cell")
-
 
 
 def _bowyer_watson(caller: str, pad: _Padded, nodes: np.ndarray, order) -> Tessellation:
     """Insert the nodes ``order`` lists, in that order, into the padded
     complex ``pad`` of ``nodes``; return the finite cells on ``nodes``, with
     ``pad`` left on the result for the next ``insert_nodes``."""
-    pad.pred.exact = 0
+    pred = pad.pred
+    pred.exact = pred.misses = 0
+    inserted = 0
     try:
         for i in order:
             pad.insert(i)
+            inserted += 1
     finally:
-        logger.debug("%s: %d predicates decided exactly", caller, pad.pred.exact)
+        logger.debug("%s: %d predicates decided exactly, %d insertions, "
+                     "%d static-filter misses", caller, pred.exact, inserted, pred.misses)
     finite = [c for c in pad.cells.values() if c[0] != INF]
     tess = Tessellation(nodes, np.array(finite, dtype=np.intp))
     tess._padded = pad
@@ -719,8 +873,9 @@ def insert_nodes(tess: Tessellation, points: Iterable) -> Tessellation:
     along a Hilbert curve through the batch, as ``build_delaunay`` inserts,
     and each is located by the exact visibility walk from the cell made last;
     the cells depend on the ids, not on that order.  Raises DegenerateInput
-    if an insertion makes a flat cell, and ValueError for a point with a
-    non-finite coordinate or a mesh that is not one of n-simplices.
+    if an insertion makes a flat cell or the cells of a rebuilt complex hold
+    one, and ValueError for a point with a non-finite coordinate or a mesh
+    that is not one of n-simplices.
     """
     points = [np.asarray(p, dtype=float) for p in points]
     if not points:
@@ -739,7 +894,7 @@ def insert_nodes(tess: Tessellation, points: Iterable) -> Tessellation:
     if pad is None:
         pad = _Padded(nodes, tess.cells)
     else:
-        pad.coords.extend(batch.tolist())
+        pad.pred.extend(batch.tolist())
     return _bowyer_watson("insert_nodes", pad, nodes, (N + _hilbert_order(batch)).tolist())
 
 

@@ -1,5 +1,6 @@
 import copy
 import functools
+import hashlib
 import itertools
 import logging
 import math
@@ -33,6 +34,7 @@ from conftest import (
     cell_tuples,
     exact_delaunay_violations,
     facet_counts,
+    oracle_orient,
     scipy_delaunay_cells,
     simplex_volume,
 )
@@ -409,6 +411,74 @@ def test_batch_insert_matches_one_at_a_time(seed, n, count, lattice):
     assert cell_tuples(insert_nodes(base, list(batch))) == cell_tuples(one)
 
 
+# The cells of fixed inputs, pinned by the sha256 of their little-endian
+# int64 bytes (first 16 hex digits): shuffled grid nodes, near-collinear sets,
+# lattice points on grid circumspheres and far points, whose exact ties and
+# hull changes a rewrite of the insertion loop must decide as before.
+
+
+def _pin_shuffled_grid(counts, seed):
+    pts = grid_nodes([[0.0, 1.0]] * len(counts), counts)
+    return build_delaunay(pts[np.random.default_rng(seed).permutation(len(pts))])
+
+
+def _pin_near_collinear(seed, exponent, count):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, count)
+    pts = np.column_stack([x, 0.3 * x + 10.0 ** exponent * rng.uniform(-1.0, 1.0, count)])
+    pts[0] = [0.0, 1.0]
+    return build_delaunay(pts)
+
+
+def _pin_lattice_chain(n, start, seed):
+    # points of a finer lattice, off the grid's nodes, inserted in three
+    # batches: they lie on the grid boxes' circumspheres
+    rng = np.random.default_rng(seed)
+    box = [[0.0, 1.0]] * n
+    if start == "kuhn":
+        t = kuhn_tessellation(box, [3] * n)
+    else:
+        t = build_delaunay(grid_nodes(box, [3] * n))
+    fine = grid_nodes(box, [9 if n == 2 else 5] * n)
+    fine = fine[np.any(fine * (8 if n == 2 else 4) % 2 == 1, axis=1)]
+    for part in np.array_split(fine[rng.permutation(len(fine))[:24]], 3):
+        t = insert_nodes(t, list(part))
+    return t
+
+
+def _pin_far_exterior(n, seed):
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(-1.0, 1.0, (12 * n, n))
+    outer = rng.normal(size=(6, n))
+    outer *= rng.uniform(5.0, 1e3, (6, 1)) / np.linalg.norm(outer, axis=1, keepdims=True)
+    return insert_nodes(build_delaunay(base), list(outer))
+
+
+PINNED_CELLS = {
+    "grid 2-D 9x9": (lambda: _pin_shuffled_grid((9, 9), 1), "d62c00c39997ea6b"),
+    "grid 2-D 6x11": (lambda: _pin_shuffled_grid((6, 11), 2), "ae1d53ac5533852c"),
+    "grid 3-D 4x4x4": (lambda: _pin_shuffled_grid((4, 4, 4), 3), "11d7857ce2b016a4"),
+    "grid 3-D 5x3x4": (lambda: _pin_shuffled_grid((5, 3, 4), 4), "91d7a7af01242942"),
+    "grid 4-D 3^4": (lambda: _pin_shuffled_grid((3, 3, 3, 3), 5), "64b700da9590f8e7"),
+    "collinear 1e-12": (lambda: _pin_near_collinear(0, -12, 40), "24753489e4d1565d"),
+    "collinear 1e-9": (lambda: _pin_near_collinear(1, -9, 60), "de81d10555772ec3"),
+    "collinear 1e-4": (lambda: _pin_near_collinear(2, -4, 80), "fd10b0fc66c9e9c2"),
+    "lattice kuhn 2-D": (lambda: _pin_lattice_chain(2, "kuhn", 6), "c00831996b798a73"),
+    "lattice delaunay 2-D": (lambda: _pin_lattice_chain(2, "delaunay", 7), "5cb65edbbbff9d22"),
+    "lattice kuhn 3-D": (lambda: _pin_lattice_chain(3, "kuhn", 8), "1a712ff1d933fb67"),
+    "lattice delaunay 3-D": (lambda: _pin_lattice_chain(3, "delaunay", 9), "5f2130d1809e138c"),
+    "far 2-D": (lambda: _pin_far_exterior(2, 10), "4e6b876564f0fd21"),
+    "far 3-D": (lambda: _pin_far_exterior(3, 11), "ddba5a595f5e2be4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CELLS))
+def test_cells_keep_their_pinned_digests(case):
+    make, digest = PINNED_CELLS[case]
+    cells = np.ascontiguousarray(make().cells, dtype="<i8")
+    assert hashlib.sha256(cells.tobytes()).hexdigest()[:16] == digest
+
+
 def exact_counts(records, caller):
     return [int(re.match(r"\w+: (\d+) predicates decided exactly", r.getMessage())[1])
             for r in records if r.getMessage().startswith(caller + ":")]
@@ -454,10 +524,11 @@ def test_build_and_insert_log_their_fallbacks(caplog):
     assert exact_counts(caplog.records, "insert_nodes") == [1]
 
 
-def scan_seeded(pad, pid):
+def scan_seeded(pad, pid, known):
     """Reference point location: the first conflict cell in a scan over all
     cells.  The conflict region is connected, so any conflict cell seeds the
-    same cavity."""
+    same cavity; ``known``, the walk's record of cells not in conflict, stays
+    empty."""
     return next(c for c in pad.cells if pad._in_conflict(c, pid))
 
 
@@ -586,26 +657,99 @@ def _padded_inputs(kind):
     return t.nodes, t.cells.tolist()
 
 
+def check_slots(pad, nodes):
+    """The padded complex's invariants, checked on its slots.
+
+    Every neighbour slot is mutual across the same facet; INF sits in slot 0
+    and nowhere else; every finite cell is positive under the integer
+    oracle, and so, with the apex of its finite neighbour in place of INF, is
+    every infinite cell negative (in n >= 2; see the module docstring for
+    1-D); and the infinite cells are exactly the hull facets of the finite
+    ones.  Returns the finite cells."""
+    n = nodes.shape[1]
+    pts = nodes.tolist()
+    assert pad.cells.keys() == pad.nbrs.keys()
+    finite = []
+    for cid, cell in pad.cells.items():
+        link = pad.nbrs[cid]
+        assert len(cell) == len(link) == n + 1
+        assert INF not in cell[1:]
+        for j, other in enumerate(link):
+            back = pad.nbrs[other]
+            assert back.count(cid) == 1
+            k = back.index(cid)
+            assert sorted(cell[:j] + cell[j + 1:]) == sorted(
+                pad.cells[other][:k] + pad.cells[other][k + 1:])
+        if cell[0] != INF:
+            assert oracle_orient([pts[i] for i in cell]) == 1
+            finite.append(tuple(cell))
+        elif n > 1:
+            fin = pad.cells[link[0]]
+            apex = fin[pad.nbrs[link[0]].index(cid)]
+            assert oracle_orient([pts[i] for i in [apex] + cell[1:]]) == -1
+    uses = Counter(f for c in finite for f in itertools.combinations(sorted(c), n))
+    hull = sorted(f for f, k in uses.items() if k == 1)
+    assert set(uses.values()) <= {1, 2}
+    assert sorted(tuple(sorted(c[1:])) for c in pad.cells.values() if c[0] == INF) == hull
+    return finite
+
+
 @pytest.mark.parametrize("kind", ["kuhn 2-D", "kuhn 3-D", "delaunay", "seed simplex"])
 def test_padded_complex_closes_the_hull(kind):
-    # the constructor adds one infinite cell per hull facet, so every facet
-    # of the padded complex is shared by exactly two cells
+    # the constructor orients the given cells, keeps them first and in their
+    # order, and adds one infinite cell per hull facet
     nodes, cells = _padded_inputs(kind)
-    n = nodes.shape[1]
     pad = _Padded(nodes, cells)
-    assert all(len(cs) == 2 for cs in pad.facets.values())
-    uses = Counter(f for c in cells for f in itertools.combinations(c, n))
-    hull = [(INF,) + f for f, k in uses.items() if k == 1]
-    infinite = [c for c in pad.cells.values() if c[0] == INF]
-    assert sorted(infinite) == sorted(hull)
-    assert [c for c in pad.cells.values() if c[0] != INF] == [tuple(c) for c in cells]
-    if kind == "seed simplex":
-        # cell 0 is the seed and cells 1..n+1 its facets in combination
-        # order; the walk starts from the last
-        seed = tuple(cells[0])
-        facets = [(INF,) + f for f in itertools.combinations(seed, n)]
-        assert pad.cells == dict(enumerate([seed] + facets))
-        assert pad._hint == n + 1
+    finite = check_slots(pad, nodes)
+    assert [sorted(c) for c in finite] == [sorted(c) for c in cells]
+    assert list(pad.cells)[:len(cells)] == list(range(len(cells)))
+    # the walk starts from the cell made last
+    assert pad._hint == max(pad.cells)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.sampled_from(["grid", "far"]))
+def test_slots_hold_after_every_insertion(seed, n, kind):
+    # grid nodes tie on every box's circumsphere; far points replace hull
+    # facets and so infinite cells
+    rng = np.random.default_rng(seed)
+    if kind == "grid":
+        pts = grid_nodes([[0.0, 1.0]] * n, [4] * n if n == 2 else [3] * n)
+        pts = pts[rng.permutation(len(pts))]
+    else:
+        pts = rng.uniform(-1.0, 1.0, (8 * n, n))
+        far = rng.normal(size=(4, n))
+        far *= rng.uniform(5.0, 1e3, (4, 1)) / np.linalg.norm(far, axis=1, keepdims=True)
+        pts = np.vstack([pts, far])[rng.permutation(8 * n + 4)]
+    seed_ids = _initial_simplex(pts, EPS_GEOM_REL * bbox_diagonal(pts))
+    pad = _Padded(pts, [seed_ids])
+    check_slots(pad, pts)
+    for i in range(len(pts)):
+        if i not in seed_ids:
+            pad.insert(i)
+            check_slots(pad, pts)
+
+
+def consecutive_pairs(x):
+    order = np.argsort(x[:, 0])
+    return sorted(tuple(sorted(e)) for e in zip(order[:-1].tolist(), order[1:].tolist()))
+
+
+def test_one_dimensional_builds_and_inserts_beyond_both_ends():
+    # on the line the Delaunay cells are the consecutive pairs of the sorted
+    # nodes; inserts beyond either end replace an infinite cell
+    rng = np.random.default_rng(12)
+    x = rng.uniform(-1.0, 1.0, (15, 1))
+    t = build_delaunay(x)
+    assert cell_tuples(t) == consecutive_pairs(x)
+    check_slots(t._padded, t.nodes)
+    for batch in ([[3.0]], [[-2.0], [0.01]], [[-5.0], [4.0], [2.5], [-3.5]]):
+        t = insert_nodes(t, batch)
+        assert cell_tuples(t) == consecutive_pairs(t.nodes)
+        check_slots(t._padded, t.nodes)
+    # a rebuilt complex (a Tessellation without one) gives the same cells
+    grown = insert_nodes(Tessellation(t.nodes, t.cells), [[9.0], [-9.0]])
+    assert cell_tuples(grown) == consecutive_pairs(grown.nodes)
 
 
 def test_batch_duplicate_checks_keep_their_order():
