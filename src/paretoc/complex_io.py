@@ -6,8 +6,13 @@ Floats are serialized with shortest round-trip representation, so
 ``parse(serialize(c))`` reproduces every number exactly and reruns are
 byte-identical.  :func:`save_complex` writes the text of
 ``json.dumps(complex_to_dict(cx, provenance), indent=1)`` byte for byte, but
-formats the vertex, simplex and marker sections itself from ``tolist()``
-values instead of running json's pure-Python encoder over them.
+formats the vertex, simplex and marker sections itself, each by one ``%``
+call over one template string and one flat list of arguments.  A vertex
+record has one of four templates, as its lambda and sigma rows are null or
+not; a null row is ``null`` and one ``%.0s`` per entry it skips, so every
+vertex takes the same number of arguments.  Floats go in as
+``float.__repr__`` texts, the shortest round-trip text json writes: with the
+bytes fixed, that call is the writer's floor and most of its time.
 """
 
 from __future__ import annotations
@@ -184,58 +189,67 @@ def dumps(doc: dict) -> str:
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _list(texts: list, level: int) -> str:
-    """A json list at nesting ``level`` of items already encoded."""
-    if not texts:
-        return "[]"
-    pad = "\n" + " " * (level + 1)
-    return "[" + pad + ("," + pad).join(texts) + "\n" + " " * level + "]"
-
-
-def _rows(a, level: int = 3) -> list:
-    """Each row of a 2-D array as a json list at ``level``: floats as
-    ``float.__repr__``, non-finite ones as json writes them."""
+def _texts(a) -> list:
+    """A 2-D array's entries in row order as json writes them, non-finite ones by name."""
     a = np.asarray(a, dtype=float)
     texts = list(map(float.__repr__, a.ravel().tolist()))
-    if not np.isfinite(a).all():
-        texts = [_NONFINITE.get(t, t) for t in texts]
-    k = a.shape[1]
-    return [_list(texts[i:i + k], level) for i in range(0, k * len(a), k)] if k \
-        else ["[]"] * len(a)
+    for i in np.flatnonzero(~np.isfinite(a)).tolist():
+        texts[i] = _NONFINITE[texts[i]]
+    return texts
+
+
+def _json_list(k: int, conv: str = "%s") -> str:
+    """The template of a json list of ``k`` entries at nesting level 3."""
+    return "[\n    " + ",\n    ".join([conv] * k) + "\n   ]" if k else "[]"
+
+
+def _interleave(count: int, widths: list, pieces) -> list:
+    """The arguments of ``count`` records in one list, ``widths[i]`` each from ``pieces[i]``."""
+    w, col = sum(widths), 0
+    args = [None] * (count * w)
+    for entries, k in zip(pieces, widths):
+        for j in range(k):
+            args[col + j::w] = entries[j::k]
+        col += k
+    return args
+
+
+def _section(templates: list, args: list) -> str:
+    """A json list at nesting level 1 of records, each filled by its template."""
+    return "[\n  " + ",\n  ".join(templates) % tuple(args) + "\n ]" if templates else "[]"
 
 
 def _complex_text(cx: ParetoComplex, provenance: Optional[dict] = None) -> str:
     """``json.dumps(complex_to_dict(cx, provenance), indent=1)``, built
-    directly: the three large sections from row texts, the rest by json."""
-
-    def or_null(a):  # a row with a NaN is null, as in complex_to_dict
-        if a is None:
-            return ["null"] * cx.num_vertices
-        return ["null" if nan else t
-                for t, nan in zip(_rows(a), np.isnan(a).any(axis=1).tolist())]
-
-    x, u, lam, sigma = _rows(cx.positions), _rows(cx.u_values), or_null(cx.lam), or_null(cx.sigma)
-    vertices = [f'{{\n   "id": {i},\n   "x": {x[i]},\n   "u": {u[i]},\n'
-                f'   "lambda": {lam[i]},\n   "sigma": {sigma[i]}\n  }}'
-                for i in range(cx.num_vertices)]
-    names = {s: json.dumps(s) for s in {*cx.stratum, *(k for _, k in cx.markers)}}
-    simplices = [f'{{\n   "vertex_ids": {_list(list(map(int.__repr__, vids)), 3)},\n'
-                 f'   "stratum": {names[stratum]}\n  }}'
-                 for vids, stratum in zip(cx.simplices.tolist(), cx.stratum)]
-    markers = [f'{{\n   "x": {x[vid]},\n   "kind": {names[kind]},\n'
-               f'   "vertex": {int.__repr__(vid)}\n  }}'
-               for vid, kind in cx.markers]
+    directly: each large section by one format call, the rest by json."""
+    V, (S, c) = cx.num_vertices, cx.simplices.shape
+    arrays = (cx.positions, cx.u_values, cx.lam,
+              np.empty((V, 0)) if cx.sigma is None else cx.sigma)
+    n, m, l, k = (a.shape[1] for a in arrays)
+    w = 1 + n + m + l + k  # a vertex's arguments: its id, x, u, lambda and sigma
+    args = _interleave(V, [1, n, m, l, k], itertools.chain([range(V)], map(_texts, arrays)))
+    names = {s: json.dumps(s) for s in {*cx.stratum, *(kind for _, kind in cx.markers)}}
+    margs = []
+    for vid, kind in cx.markers:  # a marker takes the x texts of its vertex
+        margs += args[vid * w + 1:vid * w + 1 + n] + [names[kind], vid]
+    markers = _section(['{\n   "x": ' + _json_list(n) + ',\n   "kind": %s,\n   "vertex": %d\n  }']
+                       * len(cx.markers), margs)
+    head = '{\n   "id": %d,\n   "x": ' + _json_list(n) + ',\n   "u": ' + _json_list(m)
+    variants = [head + ',\n   "lambda": ' + lam + ',\n   "sigma": ' + sig + "\n  }"
+                for lam in (_json_list(l), "null" + "%.0s" * l)  # null takes its entries
+                for sig in (_json_list(k), "null" + "%.0s" * k)]
+    null_sigma = np.isnan(arrays[3]).any(axis=1) | (cx.sigma is None)
+    codes = 2 * np.isnan(cx.lam).any(axis=1) + null_sigma
+    vertices = _section(list(map(variants.__getitem__, codes.tolist())), args)
+    del args
+    simplices = _section(['{\n   "vertex_ids": ' + _json_list(c, "%d") + ',\n   "stratum": %s\n  }']
+                         * S, _interleave(S, [c, 1], [cx.simplices.ravel().tolist(),
+                                                      list(map(names.__getitem__, cx.stratum))]))
     prov = provenance or {"problem": cx.problem_name, "grid": None, "iterations": None}
-    return "".join([
-        '{\n "version": ', json.dumps(COMPLEX_VERSION),
-        ',\n "ambient_dim": ', json.dumps(cx.n),
-        ',\n "objectives": ', json.dumps(cx.m),
-        ',\n "vertices": ', _list(vertices, 1),
-        ',\n "simplices": ', _list(simplices, 1),
-        ',\n "markers": ', _list(markers, 1),
-        ',\n "provenance": ', json.dumps(prov, indent=1).replace("\n", "\n "),
-        "\n}",
-    ])
+    return ('{\n "version": %d,\n "ambient_dim": %d,\n "objectives": %d,\n "vertices": %s,\n'
+            ' "simplices": %s,\n "markers": %s,\n "provenance": %s\n}') % (
+        COMPLEX_VERSION, cx.n, cx.m, vertices, simplices, markers,
+        json.dumps(prov, indent=1).replace("\n", "\n "))
 
 
 def save_complex(path, cx: ParetoComplex, provenance: Optional[dict] = None) -> None:

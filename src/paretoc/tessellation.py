@@ -45,7 +45,9 @@ determinant, over the cell's nodes and the query point in decreasing id order
 the given points with the ties decided by the ids.  A point exactly on a hull
 facet's plane is in conflict with the facet's infinite cell exactly when it is
 in conflict with the facet's finite cell, whose circumsphere meets that plane
-in the facet's circumsphere; so no insertion makes a flat cell.
+in the facet's circumsphere; so no insertion makes a flat cell.  That
+finite cell's verdict joins the insertion's record, so neither the walk nor
+the cavity search tests the cell again.
 
 Point location uses the same signs.  A visibility walk starts at the last cell
 made and steps through a facet that separates the current cell from the new
@@ -85,7 +87,7 @@ import itertools
 import logging
 import numbers
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -94,6 +96,9 @@ from .errors import DegenerateInput, DimensionTooLow, DuplicateNode
 logger = logging.getLogger(__name__)
 
 INF = -1  # symbolic vertex at infinity
+# the verdict of a finite cell that a hull-plane test found in conflict and
+# the cavity search has not reached: it enters the cavity when reached
+_DECIDED = object()
 
 EPS_GEOM_REL = 1e-12    # node coincidence and seed-simplex scale, x bbox diagonal
 
@@ -599,12 +604,20 @@ class _Padded:
 
     # -- predicates --------------------------------------------------------
 
-    def _in_conflict(self, cid: int, pid: int) -> bool:
+    def _in_conflict(self, cid: int, pid: int, known: Optional[dict] = None) -> bool:
+        """Whether cell cid is in conflict with node pid.  ``known``, the
+        insertion's record of verdicts (see insert), is read and added to
+        where a hull plane holds pid, as that test is the finite cell's."""
         cell = self.cells[cid]
         if cell[0] == INF:
             s = self.pred.orient_ids([pid] + cell[1:])
             if s == 0:  # on the hull plane: as the facet's finite cell
-                return self._in_conflict(self.nbrs[cid][0], pid)
+                nbr = self.nbrs[cid][0]
+                if known is None:
+                    return self._in_conflict(nbr, pid)
+                if nbr not in known:
+                    known[nbr] = self._in_conflict(nbr, pid) and _DECIDED
+                return bool(known[nbr])
             if self.n == 1 and self.cells[self.nbrs[cid][0]][1] == cell[1]:
                 s = -s   # the right end, stored negative (module docstring)
             return s > 0
@@ -629,7 +642,8 @@ class _Padded:
         orient = self.pred.orient_ids
         cid = self._hint if self._hint in cells else next(iter(cells))
         for _ in range(len(cells)):
-            if self._in_conflict(cid, pid):
+            # a cell known already is a hull plane's finite cell, not in conflict
+            if cid not in known and self._in_conflict(cid, pid, known):
                 return cid
             known[cid] = False
             cell = cells[cid]
@@ -656,7 +670,7 @@ class _Padded:
         that cell's orientation; its other slots are glued by the ridges they
         share, all of which meet pid."""
         cells, nbrs, n = self.cells, self.nbrs, self.n
-        known: dict[int, bool] = {}   # cid -> in conflict with pid
+        known: dict = {}   # cid -> in conflict with pid, or _DECIDED
         start = self._locate_conflict(pid, known)
         known[start] = True
         stack = [start]
@@ -667,8 +681,8 @@ class _Padded:
             cavity.append(cid)
             for j, other in enumerate(nbrs[cid]):
                 hit = known.get(other)
-                if hit is None:
-                    hit = known[other] = self._in_conflict(other, pid)
+                if hit is None or hit is _DECIDED:
+                    hit = known[other] = hit is _DECIDED or self._in_conflict(other, pid, known)
                     if hit:
                         stack.append(other)
                 if not hit:

@@ -99,6 +99,55 @@ def test_writer_matches_json_on_drawn_complexes(tmp_path_factory, drawn):
     _assert_same(cx, tmp_path_factory.mktemp("drawn") / "c.json", provenance)
 
 
+_SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.2e-308, 1e16, -1e16, 0.1, 1 / 3,
+                     1.7976931348623157e308, np.inf, -np.inf, np.nan])  # NaN last
+
+
+@st.composite
+def section_complexes(draw):
+    """Complexes of up to 60 vertices, whose sections are each one long format
+    call: -0.0, subnormals and non-finite values among the entries, and every
+    pairing of a null or a written lambda row with a null or a written sigma
+    row, unless sigma is None.  A sigma row may be wider or narrower than
+    n - m + 1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m, V = draw(st.integers(1, 4)), draw(st.integers(2, 3)), draw(st.integers(4, 60))
+    k = draw(st.none() | st.integers(1, 4))
+
+    def array(width, nan=True):
+        a = rng.normal(size=(V, width)) * 10.0 ** rng.integers(-320, 300, (V, width))
+        pick = rng.random((V, width)) < 0.3
+        a[pick] = rng.choice(_SPECIAL if nan else _SPECIAL[:-1], pick.sum())
+        return a
+
+    def null_rows(a, null):  # a NaN anywhere in a row makes it null
+        for i in np.flatnonzero(null):
+            a[i, rng.random(a.shape[1]) < 0.5] = np.nan
+            a[i, rng.integers(a.shape[1])] = np.nan
+        return a
+
+    pairs = np.concatenate([np.arange(4), rng.integers(0, 4, V - 4)])
+    rng.shuffle(pairs)
+    lam = null_rows(array(m, nan=False), pairs >= 2)
+    sigma = None if k is None else null_rows(array(k, nan=False), pairs % 2 == 1)
+    simplices = [(tuple(rng.integers(0, V, m).tolist()), STRATA[rng.integers(len(STRATA))])
+                 for _ in range(draw(st.integers(0, 80)))]
+    markers = [(int(rng.integers(V)), MARKER_KINDS[rng.integers(len(MARKER_KINDS))])
+               for _ in range(draw(st.integers(0, 20)))]
+    cx = _complex(array(n), array(m), lam, sigma, simplices, markers)
+    return cx, draw(st.none() | st.dictionaries(_text, _json, max_size=2))
+
+
+@settings(max_examples=100)
+@given(section_complexes())
+def test_writer_matches_json_on_section_scale_complexes(tmp_path_factory, drawn):
+    cx, provenance = drawn
+    if cx.sigma is not None:
+        pairs = zip(np.isnan(cx.lam).any(axis=1).tolist(), np.isnan(cx.sigma).any(axis=1).tolist())
+        assert len(set(pairs)) == 4
+    _assert_same(cx, tmp_path_factory.mktemp("sections") / "c.json", provenance)
+
+
 # -- fixed cases -------------------------------------------------------------------
 
 

@@ -479,6 +479,33 @@ def test_cells_keep_their_pinned_digests(case):
     assert hashlib.sha256(cells.tobytes()).hexdigest()[:16] == digest
 
 
+@pytest.mark.parametrize("counts, seed", [((3, 3, 3, 3), 5), ((4, 4, 4), 3)])
+def test_no_cell_is_tested_twice_in_one_insertion(counts, seed):
+    # a grid's nodes lie on hull planes, whose infinite cells are decided by
+    # their finite cells; the walk and the cavity search reuse those verdicts.
+    # The pinned digests hold the cells of these builds
+    tested, repeats = set(), []
+    insert = _Padded.insert
+
+    def counted_insert(pad, pid):
+        if "insphere_ids" not in vars(pad.pred):
+            insphere_ids = pad.pred.insphere_ids
+
+            def counted(cell, p):
+                key = (tuple(cell), p)
+                if key in tested:
+                    repeats.append(key)
+                tested.add(key)
+                return insphere_ids(cell, p)
+            pad.pred.insphere_ids = counted
+        tested.clear()
+        insert(pad, pid)
+
+    with mock.patch.object(_Padded, "insert", counted_insert):
+        _pin_shuffled_grid(counts, seed)
+    assert tested and repeats == []
+
+
 def exact_counts(records, caller):
     return [int(re.match(r"\w+: (\d+) predicates decided exactly", r.getMessage())[1])
             for r in records if r.getMessage().startswith(caller + ":")]
