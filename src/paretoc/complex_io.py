@@ -13,6 +13,9 @@ not; a null row is ``null`` and one ``%.0s`` per entry it skips, so every
 vertex takes the same number of arguments.  Floats go in as
 ``float.__repr__`` texts, the shortest round-trip text json writes: with the
 bytes fixed, that call is the writer's floor and most of its time.
+:func:`complex_from_dict` converts each vertex section and the simplex ids
+by one array call once the whole section passes a type and shape check;
+otherwise it walks the rows one at a time, to name the first bad one.
 """
 
 from __future__ import annotations
@@ -121,6 +124,66 @@ def _row(v: dict, name: str, k: int) -> np.ndarray:
     return row
 
 
+def _fill(a, rows: list, ids: list, nullable: bool = False) -> bool:
+    """Set row ``ids[j]`` of ``a`` to ``rows[j]`` (skipping null ones if
+    ``nullable``) in one array call.  False, with ``a`` untouched, unless
+    every such row is a list of ``a.shape[1]`` JSON numbers, none of them an
+    int too large for a float."""
+    if nullable:
+        ids = [i for i, row in zip(ids, rows) if row is not None]
+        rows = [row for row in rows if row is not None]
+    if not rows:
+        return True
+    if ({list} != set(map(type, rows)) or {a.shape[1]} != set(map(len, rows))
+            or not _JSON_NUMBERS.issuperset(map(type, itertools.chain.from_iterable(rows)))):
+        return False
+    try:
+        a[ids] = np.fromiter(itertools.chain.from_iterable(rows), float).reshape(len(rows), -1)
+    except OverflowError:
+        return False
+    return True
+
+
+def _simplex_table(sims: list, V: int, m: int):
+    """The simplices' vertex ids as an (S, m) array and their strata, or
+    None unless every simplex is an object with m distinct int vertex ids
+    below V and a known stratum."""
+    if not {dict}.issuperset(map(type, sims)):
+        return None
+    rows = list(map(dict.get, sims, itertools.repeat("vertex_ids")))
+    names = list(map(dict.get, sims, itertools.repeat("stratum")))
+    if not rows:
+        return np.empty((0, m), dtype=np.intp), names
+    if ({list} != set(map(type, rows)) or {m} != set(map(len, rows))
+            or not all(map(STRATA.__contains__, names))):
+        return None
+    flat = list(itertools.chain.from_iterable(rows))
+    if not {int}.issuperset(map(type, flat)) or flat and not 0 <= min(flat) <= max(flat) < V:
+        return None
+    ids = np.array(flat, dtype=np.intp).reshape(len(rows), m)
+    if m > 1 and not np.all(np.diff(np.sort(ids, axis=1), axis=1)):
+        return None
+    return ids, names
+
+
+def _simplex_walk(sims: list, V: int, m: int):
+    """The simplices' vertex ids and strata, one simplex at a time: the
+    first bad one raises ValueError naming what is wrong."""
+    simplices, names = [], []
+    for s in sims:
+        s = _expect(s, dict, "a simplex")
+        stratum = s["stratum"]
+        if stratum not in STRATA:
+            raise ValueError(f"unknown stratum {stratum!r}")
+        vids = [_vertex_id(i, V, "a simplex")
+                for i in _expect(s["vertex_ids"], list, "the 'vertex_ids' entry of a simplex")]
+        if len(vids) != m or len(set(vids)) != m:
+            raise ValueError(f"simplex {vids} does not name {m} distinct vertices")
+        simplices.append(vids)
+        names.append(stratum)
+    return simplices, names
+
+
 def complex_from_dict(doc: dict) -> ParetoComplex:
     """A complex from the JSON document of a complex file.  A missing entry,
     an entry of the wrong JSON kind, a non-integral count or id, or a vertex
@@ -131,36 +194,35 @@ def complex_from_dict(doc: dict) -> ParetoComplex:
     try:
         n = _integer(doc["ambient_dim"], "the 'ambient_dim' entry")
         m = _integer(doc["objectives"], "the 'objectives' entry")
-        verts = [_expect(v, dict, "a vertex")
-                 for v in _expect(doc["vertices"], list, "the 'vertices' entry")]
+        verts = _expect(doc["vertices"], list, "the 'vertices' entry")
+        if not {dict}.issuperset(map(type, verts)):
+            for v in verts:
+                _expect(v, dict, "a vertex")
         V = len(verts)
+        rows = {name: list(map(dict.get, verts, itertools.repeat(name)))
+                for name in ("id", "x", "u", "lambda", "sigma")}
         positions = np.empty((V, n))
         u_values = np.empty((V, m))
         lam = np.full((V, m), np.nan)
-        has_sigma = any(v.get("sigma") is not None for v in verts)
+        has_sigma = any(row is not None for row in rows["sigma"])
         sigma = np.full((V, n - m + 1), np.nan) if has_sigma else None
-        ids = [_integer(v["id"], "the 'id' entry of a vertex") for v in verts]
+        ids = rows["id"]
+        if not {int}.issuperset(map(type, ids)):
+            ids = [_integer(v["id"], "the 'id' entry of a vertex") for v in verts]
         if sorted(ids) != list(range(V)):
             raise ValueError(f"vertex ids are not 0..{V - 1}, each once")
-        for i, v in zip(ids, verts):
-            positions[i] = _row(v, "x", n)
-            u_values[i] = _row(v, "u", m)
-            if v.get("lambda") is not None:
-                lam[i] = _row(v, "lambda", m)
-            if v.get("sigma") is not None:
-                sigma[i] = _row(v, "sigma", n - m + 1)
-        simplices, names = [], []
-        for s in _expect(doc["simplices"], list, "the 'simplices' entry"):
-            s = _expect(s, dict, "a simplex")
-            stratum = s["stratum"]
-            if stratum not in STRATA:
-                raise ValueError(f"unknown stratum {stratum!r}")
-            vids = [_vertex_id(i, V, "a simplex")
-                    for i in _expect(s["vertex_ids"], list, "the 'vertex_ids' entry of a simplex")]
-            if len(vids) != m or len(set(vids)) != m:
-                raise ValueError(f"simplex {vids} does not name {m} distinct vertices")
-            simplices.append(vids)
-            names.append(stratum)
+        if not (_fill(positions, rows["x"], ids) and _fill(u_values, rows["u"], ids)
+                and _fill(lam, rows["lambda"], ids, True)
+                and (not has_sigma or _fill(sigma, rows["sigma"], ids, True))):
+            for i, v in zip(ids, verts):  # to name the first bad row
+                positions[i] = _row(v, "x", n)
+                u_values[i] = _row(v, "u", m)
+                if v.get("lambda") is not None:
+                    lam[i] = _row(v, "lambda", m)
+                if v.get("sigma") is not None:
+                    sigma[i] = _row(v, "sigma", n - m + 1)
+        sims = _expect(doc["simplices"], list, "the 'simplices' entry")
+        simplices, names = _simplex_table(sims, V, m) or _simplex_walk(sims, V, m)
         markers = []
         for mk in _expect(doc["markers"], list, "the 'markers' entry"):
             mk = _expect(mk, dict, "a marker")

@@ -654,9 +654,13 @@ class Analyzer:
 
     def candidate_cells(self) -> np.ndarray:
         """Indices of cells where every minor changes sign (vectorized filter)."""
-        om = self.omega_nodes[self.tess.cells]  # (C, n+1, r)
-        lo = om.min(axis=1)
-        hi = om.max(axis=1)
+        # a running min and max over the cells' node columns: exact, NaN
+        # propagating, and cheaper than reductions over a (C, n+1, r) gather
+        cells = self.tess.cells
+        lo = hi = self.omega_nodes[cells[:, 0]]
+        for j in range(1, cells.shape[1]):
+            om = self.omega_nodes[cells[:, j]]
+            lo, hi = np.minimum(lo, om), np.maximum(hi, om)
         mask = np.all((lo <= 0.0) & (hi >= 0.0), axis=1)
         return np.nonzero(mask)[0]
 

@@ -5,18 +5,24 @@ the inf side and dense barycentric sampling on the sup side, so the reported
 value underestimates the true supremum by at most (max simplex diameter /
 density).  The directional means are the average sample-to-set distances.
 
-The inf side is an exact culled search.  With r the median bounding-box
-extent of the target simplices, each simplex is first evaluated only on the
-samples whose bounding-box gap to it is at most 2r (its window, found by a
-sweep along the first axis).  A sample that ends this pass within r of the
-set is settled, because every simplex it skipped is more than 2r away; every
-other sample is compared with every simplex.  The median keeps the windows
-small; the samples it leaves unsettled, near the few long simplices, are
-what the all-pairs pass is for.  For point sets r is 0, and every sample
-that is not on a target point goes to the all-pairs pass.
+The inf side is an exact culled search: a short ladder of windowed passes,
+then an all-pairs pass.  With r the median bounding-box extent of the
+target simplices, the rungs have radii rho = r/4, r/2, r (``_RUNG_START``
+times r, then ``_RUNG_STEP`` times the last, up to r).  A rung evaluates each
+simplex only on the samples not yet settled whose bounding-box gap to it is
+at most 2 rho (its window: a sweep along the first axis bounds that axis, a
+filter the others).  A sample that ends a rung within rho of the set is
+settled with its exact minimum, because every simplex the rung skipped is
+more than 2 rho away.  The samples still farther than r are compared with
+every simplex.  So the distances size the windows, not the simplices: most
+samples lie well within r/4 of the set and settle in the narrowest rung.
+The median keeps r small; the samples it leaves unsettled, near the few
+long simplices, are what the all-pairs pass is for.  For point sets r is 0:
+one rung settles the samples on a target point, and every other sample
+goes to the all-pairs pass.
 
-The target simplices have one vertex count, so both passes are batched
-over all of them.  Pass 1 takes the simplices in order of their sweep span
+The target simplices have one vertex count, so every pass is batched
+over all of them.  A rung takes the simplices in order of their sweep span
 and gathers their windows for ``_GATHER_BLOCKS`` blocks at a time, so the
 memory it holds is bounded.  It sorts the gathered windows by size and
 stacks them in blocks of about ``_BLOCK_ROWS`` sample rows, each window
@@ -95,12 +101,17 @@ def _sample_simplices(positions, simplices, density):
     return P.reshape(-1, positions.shape[1])
 
 
-# Pass-1 window in units of r.  Any factor >= 1 settles samples exactly; the
-# second unit is a margin for the rounding of gaps and distances.
+# A rung's window in units of its radius.  Any factor >= 1 settles samples
+# exactly; the second unit is a margin for the rounding of gaps and distances.
 _WINDOW = 2.0
 
+# The first rung's radius in units of r, and the factor from one rung to the
+# next; the last rung's radius is r.
+_RUNG_START = 0.25
+_RUNG_STEP = 2.0
+
 # Sample rows per stacked kernel call: enough to spread numpy's per-call
-# cost, few enough that the temporaries stay small.  Pass 1 gathers the
+# cost, few enough that the temporaries stay small.  A rung gathers the
 # windows of a few blocks' worth of rows at a time, to sort them by size.
 _BLOCK_ROWS = 4096
 _GATHER_BLOCKS = 8
@@ -125,15 +136,21 @@ def _min_distances(samples, positions, simplices):
     # np.median imports numpy.ma on first use
     extent = np.sort((hi - lo).max(axis=1))
     r = float(extent[len(extent) // 2])
-    w = _WINDOW * r
-    order = np.argsort(samples[:, 0], kind="stable")
-    columns = [samples[order, j] for j in range(samples.shape[1])]
-    start = np.searchsorted(columns[0], lo[:, 0] - w, "left")
-    stop = np.searchsorted(columns[0], hi[:, 0] + w, "right")
-    by_span = np.argsort(stop - start, kind="stable")
-    for g in _runs(by_span, (stop - start)[by_span], _GATHER_BLOCKS * _BLOCK_ROWS):
-        rows, counts = _windows(columns, order, start[g], stop[g], lo[g], hi[g], w)
-        _window_pass(d, samples, P[g], rows, counts, pad)
+    order = np.argsort(samples[:, 0], kind="stable")  # the samples not yet settled
+    radius = _RUNG_START * r
+    while len(order):
+        w = _WINDOW * radius
+        columns = [samples[order, j] for j in range(samples.shape[1])]
+        start = np.searchsorted(columns[0], lo[:, 0] - w, "left")
+        stop = np.searchsorted(columns[0], hi[:, 0] + w, "right")
+        by_span = np.argsort(stop - start, kind="stable")
+        for g in _runs(by_span, (stop - start)[by_span], _GATHER_BLOCKS * _BLOCK_ROWS):
+            rows, counts = _windows(columns, order, start[g], stop[g], lo[g], hi[g], w)
+            _window_pass(d, samples, P[g], rows, counts, pad)
+        order = order[d[order] > radius]
+        if radius >= r:
+            break
+        radius = min(_RUNG_STEP * radius, r)
     rest = np.flatnonzero(d > r)
     if len(rest) < pad:
         rest = np.repeat(rest, 2)
@@ -155,25 +172,27 @@ def _windows(columns, order, start, stop, lo, hi, w):
     """
     size = stop - start
     # the smallest type that indexes the samples: this is the largest array
-    rows = np.empty(size.sum(), dtype=np.min_scalar_type(len(order)))
+    rows = np.empty(size.sum(), dtype=np.min_scalar_type(order.max()))
     counts = np.empty(len(size), dtype=np.intp)
     kept = 0
     for g in _runs(np.arange(len(size)), size, _BLOCK_ROWS):  # filter block by block
         s = size[g]
-        at = np.arange(s.sum()) + np.repeat(start[g] - (np.cumsum(s) - s), s)
+        end = np.cumsum(s)
+        at = np.arange(end[-1]) + np.repeat(start[g] - (end - s), s)
         keep = np.ones(len(at), dtype=bool)
-        for x, l, h in zip(columns, lo[g].T, hi[g].T):
+        # the sweep has bounded the first axis
+        for x, l, h in zip(columns[1:], lo[g, 1:].T, hi[g, 1:].T):
             v = x[at]
             keep &= np.maximum(np.repeat(l, s) - v, v - np.repeat(h, s)) <= w
-        at = at[keep]
-        rows[kept:kept + len(at)] = order[at]
-        kept += len(at)
-        counts[g] = np.bincount(np.repeat(np.arange(len(g)), s)[keep], minlength=len(g))
+        keep = np.flatnonzero(keep)
+        rows[kept:kept + len(keep)] = order[at[keep]]
+        kept += len(keep)
+        counts[g] = np.diff(np.searchsorted(keep, end), prepend=0)
     return rows[:kept], counts
 
 
 def _window_pass(d, samples, P, rows, counts, pad):
-    """Pass 1: each simplex of ``P`` on its window, in blocks by window size."""
+    """A rung: each simplex of ``P`` on its window, in blocks by window size."""
     first = np.cumsum(counts) - counts
     by_size = np.argsort(counts, kind="stable")
     by_size = by_size[counts[by_size] > 0]

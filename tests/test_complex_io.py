@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paretoc.complex_io import (_row, complex_from_dict, complex_to_dict, load_complex,
+from paretoc.complex_io import (COMPLEX_VERSION, _expect, _integer, _row, _vertex_id,
+                                complex_from_dict, complex_to_dict, dumps, load_complex,
                                 load_mesh, save_complex, save_mesh)
 from paretoc.constrained import analyze_constrained, icosphere
 from paretoc.continuation import MARKER_KINDS, STRATA, Analyzer, ParetoComplex, glue
@@ -284,3 +285,165 @@ def test_mesh_points_take_only_json_numbers(tmp_path, point, index, held):
     with pytest.raises(ValueError) as exc:
         load_mesh(path)
     assert str(exc.value) == f"point 2 holds {held} at index {index}, not a number"
+
+
+# -- the reader against its per-row walk -------------------------------------------
+
+# The reader that complex_from_dict replaced, kept verbatim apart from its
+# name: it converts and checks each vertex row and simplex id on its own.
+# The array reader must give its complexes and its errors, message for message.
+
+
+def walk_complex_from_dict(doc: dict) -> ParetoComplex:
+    _expect(doc, dict, "the complex file")
+    if doc.get("version") != COMPLEX_VERSION:
+        raise ValueError(f"unsupported complex file version {doc.get('version')!r}")
+    try:
+        n = _integer(doc["ambient_dim"], "the 'ambient_dim' entry")
+        m = _integer(doc["objectives"], "the 'objectives' entry")
+        verts = [_expect(v, dict, "a vertex")
+                 for v in _expect(doc["vertices"], list, "the 'vertices' entry")]
+        V = len(verts)
+        positions = np.empty((V, n))
+        u_values = np.empty((V, m))
+        lam = np.full((V, m), np.nan)
+        has_sigma = any(v.get("sigma") is not None for v in verts)
+        sigma = np.full((V, n - m + 1), np.nan) if has_sigma else None
+        ids = [_integer(v["id"], "the 'id' entry of a vertex") for v in verts]
+        if sorted(ids) != list(range(V)):
+            raise ValueError(f"vertex ids are not 0..{V - 1}, each once")
+        for i, v in zip(ids, verts):
+            positions[i] = _row(v, "x", n)
+            u_values[i] = _row(v, "u", m)
+            if v.get("lambda") is not None:
+                lam[i] = _row(v, "lambda", m)
+            if v.get("sigma") is not None:
+                sigma[i] = _row(v, "sigma", n - m + 1)
+        simplices, names = [], []
+        for s in _expect(doc["simplices"], list, "the 'simplices' entry"):
+            s = _expect(s, dict, "a simplex")
+            stratum = s["stratum"]
+            if stratum not in STRATA:
+                raise ValueError(f"unknown stratum {stratum!r}")
+            vids = [_vertex_id(i, V, "a simplex")
+                    for i in _expect(s["vertex_ids"], list, "the 'vertex_ids' entry of a simplex")]
+            if len(vids) != m or len(set(vids)) != m:
+                raise ValueError(f"simplex {vids} does not name {m} distinct vertices")
+            simplices.append(vids)
+            names.append(stratum)
+        markers = []
+        for mk in _expect(doc["markers"], list, "the 'markers' entry"):
+            mk = _expect(mk, dict, "a marker")
+            if mk["kind"] not in MARKER_KINDS:
+                raise ValueError(f"unknown marker kind {mk['kind']!r}")
+            markers.append((_vertex_id(mk["vertex"], V, "a marker"), mk["kind"]))
+        prov = _expect(doc.get("provenance") or {}, dict, "the 'provenance' entry")
+    except KeyError as exc:
+        raise ValueError(f"complex file has no {exc.args[0]!r} entry") from None
+    return ParetoComplex(
+        positions=positions,
+        u_values=u_values,
+        lam=lam,
+        sigma=sigma,
+        simplices=simplices,
+        stratum=names,
+        markers=sorted(markers),
+        problem_name=prov.get("problem") or "",
+    )
+
+
+# what an edit may put in place of a record, a row, an id or a stratum, and
+# in place of a number in a row
+_ODD = [None, True, False, 2.0, 2.5, -1, 2**1100, "1", [0.5], {}, {"a": 1}, "critical_stable"]
+_ODD_ENTRY = [None, True, "1", [0.5], 2**1100, -1, 2.0]
+_KEYS = {"vertices": ["id", "x", "u", "lambda", "sigma"], "simplices": ["vertex_ids", "stratum"]}
+
+
+def edits(doc):
+    """Every single edit of a vertex or a simplex record of ``doc``, in place:
+    each a function of the document, which skips a record that an earlier
+    edit has made unfit for it."""
+    def at(section, i, change):
+        def edit(d):
+            try:
+                change(d[section], i)
+            except (AttributeError, IndexError, KeyError, TypeError):
+                pass
+        return edit
+    for section, keys in _KEYS.items():
+        for i, record in enumerate(doc[section]):
+            for odd in _ODD:
+                yield at(section, i, lambda r, i, odd=odd: r.__setitem__(i, odd))
+            for key in keys:
+                yield at(section, i, lambda r, i, key=key: r[i].pop(key))
+                for odd in _ODD:
+                    yield at(section, i, lambda r, i, key=key, odd=odd: r[i].__setitem__(key, odd))
+                if not isinstance(record[key], list):
+                    continue
+                yield at(section, i, lambda r, i, key=key: r[i].__setitem__(key, tuple(r[i][key])))
+                yield at(section, i, lambda r, i, key=key: r[i][key].append(r[i][key][0]))
+                for j, x in enumerate(record[key]):
+                    for odd in _ODD_ENTRY + [len(doc["vertices"]), record[key][0]]:
+                        yield at(section, i, lambda r, i, key=key, j=j, odd=odd:
+                                 r[i][key].__setitem__(j, odd))
+
+
+def test_reader_matches_the_per_row_walk_on_every_edit():
+    # one complex with null and written lambda and sigma rows; every single
+    # edit of it, and every edit after an edit of an earlier record
+    cx = _complex([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]], np.arange(8.0).reshape(4, 2),
+                  [[0.5, 0.5], [np.nan, np.nan], [0.25, 0.75], [1.0, 0.0]],
+                  [[1.0], [2.0], [np.nan], [3.0]],
+                  [((0, 1), "critical_stable"), ((1, 2), "singular_only"), ((2, 3), "critical_stable")],
+                  [(0, "boundary")])
+    base = json.loads(dumps(complex_to_dict(cx)))
+    every = list(edits(base))
+    rng = np.random.default_rng(0)
+    for first, second in [(None, e) for e in every] + [
+            tuple(rng.choice(every, 2, replace=False)) for _ in range(len(every))]:
+        doc = json.loads(json.dumps(base))
+        for edit in (first, second):
+            if edit is not None:
+                edit(doc)
+        _assert_same_outcome(doc)
+
+
+@st.composite
+def edited_documents(draw):
+    """The file document of a drawn complex with up to three of its single
+    edits."""
+    doc = json.loads(dumps(complex_to_dict(draw(complexes())[0])))
+    if doc["ambient_dim"] < doc["objectives"]:  # sigma rows as wide as the reader takes
+        for v in doc["vertices"]:
+            v["sigma"] = None
+    V, m = len(doc["vertices"]), doc["objectives"]
+    doc["simplices"] = [  # and simplices it takes
+        {"vertex_ids": draw(st.permutations(range(V)))[:m], "stratum": draw(st.sampled_from(STRATA))}
+        for _ in range(draw(st.integers(1, 6)) if V >= m else 0)]
+    every = list(edits(doc))
+    for edit in draw(st.lists(st.sampled_from(every), max_size=3)) if every else []:
+        edit(doc)
+    return doc
+
+
+def _outcome(load, doc):
+    """What ``load`` makes of ``doc``: its error, or the fields of its complex."""
+    try:
+        cx = load(doc)
+    except Exception as exc:  # noqa: BLE001 -- the type is compared too
+        return type(exc), str(exc)
+    return (cx.n, cx.m, cx.positions, cx.u_values, cx.lam, cx.sigma, cx.simplices,
+            cx.stratum, cx.markers, cx.problem_name)
+
+
+def _assert_same_outcome(doc):
+    got, expect = _outcome(complex_from_dict, doc), _outcome(walk_complex_from_dict, doc)
+    assert len(got) == len(expect), (got, expect)
+    for a, b in zip(got, expect):
+        assert _same(a, b) if isinstance(b, np.ndarray) or b is None else a == b
+
+
+@settings(max_examples=200)
+@given(edited_documents())
+def test_reader_matches_the_per_row_walk(doc):
+    _assert_same_outcome(doc)

@@ -489,6 +489,89 @@ def test_shrunken_window_is_caught(monkeypatch):
     assert not np.array_equal(_min_distances(S, positions, simplices), expect)
 
 
+def chains(rng, k, n, count):
+    """A polyline (k = 1) or a triangle strip (k = 2) of ``count`` simplices
+    in R^n, along a random walk with steps of 10**-2 to 10**-1."""
+    steps = rng.normal(size=(count + 1, n))
+    steps *= 10.0 ** rng.uniform(-2, -1, (count + 1, 1)) / np.linalg.norm(steps, axis=1)[:, None]
+    walk = np.cumsum(steps, axis=0)
+    if k == 1:
+        return walk, np.column_stack([np.arange(count), np.arange(1, count + 1)])
+    side = walk + rng.normal(size=n) * 0.05
+    i = np.arange(count)
+    return np.vstack([walk, side]), np.column_stack([i, i + 1, i + count + 1])
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(1, 2), (2, 2), (1, 3), (2, 3)]),
+    st.integers(1, 60),
+    st.integers(1, 300),
+)
+def test_every_rung_is_bit_identical(seed, kn, count, samples):
+    # samples moved 10**-3 r to 10**0.5 r off the set: each settles in the
+    # rung of its distance, or in the all-pairs pass
+    k, n = kn
+    rng = np.random.default_rng(seed)
+    positions, simplices = chains(rng, k, n, count)
+    P = positions[simplices]
+    extent = np.sort((P.max(axis=1) - P.min(axis=1)).max(axis=1))
+    r = extent[len(extent) // 2]
+    w = rng.dirichlet(np.ones(k + 1), samples)
+    S = np.einsum("sk,skn->sn", w, P[rng.integers(count, size=samples)])
+    off = rng.normal(size=S.shape)
+    S += off / np.linalg.norm(off, axis=1)[:, None] * r * 10.0 ** rng.uniform(-3, 0.5, (samples, 1))
+    expect = all_pairs_min_distances(S, positions, simplices)
+    assert np.array_equal(_min_distances(S, positions, simplices), expect)
+
+
+def ladder_case():
+    """Unit segments (so r = 1), with a sample for each rung and the all-pairs pass.
+
+    Four samples lie 0.1, 0.4, 0.8 and 3 above a horizontal segment each: they
+    settle in the rungs of radius 1/4, 1/2 and 1 and in the all-pairs pass.
+    The fifth is 0.177 from a diagonal segment whose box contains it and 0.15
+    from a horizontal one whose box is 0.15 away: inside the first rung's
+    window 1/2, outside a window 1/8 narrower than its radius.
+    """
+    positions = np.array([[10.0 * i + x, 0.0] for i in range(4) for x in (0, 1)]
+                         + [[40.0, 0.0], [41.0, 1.0], [39.6, 0.5], [40.6, 0.5]])
+    simplices = np.arange(12).reshape(6, 2)
+    S = np.array([[0.5, 0.1], [10.5, 0.4], [20.5, 0.8], [30.5, 3.0], [40.6, 0.35]])
+    return S, positions, simplices
+
+
+def test_each_rung_and_the_all_pairs_pass_settle_a_sample(monkeypatch):
+    S, positions, simplices = ladder_case()
+    expect = all_pairs_min_distances(S, positions, simplices)
+    assert expect.tolist() == pytest.approx([0.1, 0.4, 0.8, 3.0, 0.15])
+    windowed = {}  # rung window -> the samples it windows
+
+    def spy(columns, order, *args):
+        windowed.setdefault(args[-1], len(order))
+        return windows(columns, order, *args)
+
+    windows = metrics._windows
+    monkeypatch.setattr(metrics, "_windows", spy)
+    assert np.array_equal(_min_distances(S, positions, simplices), expect)
+    # 5 samples, 3 left after the first rung, 2 after the second, 1 after the last
+    assert windowed == {0.5: 5, 1.0: 3, 2.0: 2}
+
+
+def test_narrow_rung_window_is_caught(monkeypatch):
+    # mutation check: a rung whose window (1/8) is narrower than its radius
+    # (1/4) settles the fifth sample at 0.177, never having looked at the
+    # segment 0.15 away.  A single pass at radius r would still find it.
+    S, positions, simplices = ladder_case()
+    expect = all_pairs_min_distances(S, positions, simplices)
+    monkeypatch.setattr(metrics, "_WINDOW", 0.5)
+    got = _min_distances(S, positions, simplices)
+    assert np.array_equal(got[:4], expect[:4]) and got[4] > expect[4]
+    monkeypatch.setattr(metrics, "_RUNG_START", 1.0)
+    assert np.array_equal(_min_distances(S, positions, simplices), expect)
+
+
 # the sampling loop that _sample_simplices replaced, kept verbatim apart from
 # its name: the batched sampler must give its rows, bits and order
 
@@ -563,3 +646,22 @@ def test_hausdorff_report_unchanged_on_refinement_inputs(noncv_reference, input_
     culled = hausdorff(cx, ref)
     monkeypatch.setattr(metrics, "_min_distances", all_pairs_min_distances)
     assert culled == hausdorff(cx, ref)
+
+
+@pytest.mark.slow
+def test_m3_hausdorff_report_is_pinned():
+    # tri_quadratic at Kuhn 9^3 against 13^3 (944,559 samples), the m = 3
+    # call of the convergence study: the report as the single-window search
+    # gave it, in about 40 s on a 2-core VM
+    from paretoc.continuation import analyze
+    from paretoc.problems import registry_get
+    from paretoc.tessellation import kuhn_tessellation
+
+    p = registry_get("tri_quadratic")
+    a, b = (analyze(p, kuhn_tessellation(p.domain_box, [k] * 3)) for k in (9, 13))
+    assert hausdorff(a, b) == metrics.DistanceReport(
+        hausdorff=0.0159085322950753,
+        mean_a_to_b=0.002387470292291575,
+        mean_b_to_a=0.003118402324236212,
+        sample_count=944559,
+    )
